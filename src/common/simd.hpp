@@ -27,7 +27,17 @@
 /// of the float input traffic, which is the whole game for a
 /// bandwidth-bound kernel — and are unpacked to float lanes only inside
 /// the register tile.
+///
+/// `vmax` is the lane-wise maximum of finite values; which operand it
+/// returns for a NaN or a −0/+0 tie differs between backends, so callers
+/// screen those out. `compact_in_range` (and its |x − c| variant) is the
+/// left-pack behind the detector's exact bracketed median: AVX2 packs eight
+/// lanes per step with a movemask-indexed permutation, every other backend
+/// (forced scalar included) runs a branchless scalar loop.
 
+#include <array>
+#include <bit>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -65,6 +75,7 @@ inline void vstore_aligned(float* p, vfloat a) { _mm256_store_ps(p, a.v); }
 inline vfloat vadd(vfloat a, vfloat b) { return {_mm256_add_ps(a.v, b.v)}; }
 inline vfloat vsub(vfloat a, vfloat b) { return {_mm256_sub_ps(a.v, b.v)}; }
 inline vfloat vmul(vfloat a, vfloat b) { return {_mm256_mul_ps(a.v, b.v)}; }
+inline vfloat vmax(vfloat a, vfloat b) { return {_mm256_max_ps(a.v, b.v)}; }
 inline vfloat vfma(vfloat a, vfloat b, vfloat c) {
 #if defined(__FMA__)
   return {_mm256_fmadd_ps(a.v, b.v, c.v)};
@@ -100,6 +111,7 @@ inline void vstore_aligned(float* p, vfloat a) { _mm_store_ps(p, a.v); }
 inline vfloat vadd(vfloat a, vfloat b) { return {_mm_add_ps(a.v, b.v)}; }
 inline vfloat vsub(vfloat a, vfloat b) { return {_mm_sub_ps(a.v, b.v)}; }
 inline vfloat vmul(vfloat a, vfloat b) { return {_mm_mul_ps(a.v, b.v)}; }
+inline vfloat vmax(vfloat a, vfloat b) { return {_mm_max_ps(a.v, b.v)}; }
 inline vfloat vfma(vfloat a, vfloat b, vfloat c) {
   return {_mm_add_ps(_mm_mul_ps(a.v, b.v), c.v)};
 }
@@ -131,6 +143,7 @@ inline void vstore_aligned(float* p, vfloat a) { vst1q_f32(p, a.v); }
 inline vfloat vadd(vfloat a, vfloat b) { return {vaddq_f32(a.v, b.v)}; }
 inline vfloat vsub(vfloat a, vfloat b) { return {vsubq_f32(a.v, b.v)}; }
 inline vfloat vmul(vfloat a, vfloat b) { return {vmulq_f32(a.v, b.v)}; }
+inline vfloat vmax(vfloat a, vfloat b) { return {vmaxq_f32(a.v, b.v)}; }
 inline vfloat vfma(vfloat a, vfloat b, vfloat c) {
   return {vfmaq_f32(c.v, a.v, b.v)};
 }
@@ -161,6 +174,7 @@ inline void vstore_aligned(float* p, vfloat a) { *p = a.v; }
 inline vfloat vadd(vfloat a, vfloat b) { return {a.v + b.v}; }
 inline vfloat vsub(vfloat a, vfloat b) { return {a.v - b.v}; }
 inline vfloat vmul(vfloat a, vfloat b) { return {a.v * b.v}; }
+inline vfloat vmax(vfloat a, vfloat b) { return {a.v > b.v ? a.v : b.v}; }
 inline vfloat vfma(vfloat a, vfloat b, vfloat c) { return {a.v * b.v + c.v}; }
 inline vfloat vload_u8(const std::uint8_t* p) {
   return {static_cast<float>(*p)};
@@ -258,6 +272,88 @@ inline void accumulate_span_u8(float* a, const std::uint8_t* s, std::size_t n,
       accumulate_span_u8_unrolled<1>(a, s, n);
       break;
   }
+}
+
+/// Result of a compaction pass: how many inputs fell below the range and
+/// how many were packed into the output.
+struct CompactCounts {
+  std::size_t below = 0;
+  std::size_t packed = 0;
+};
+
+namespace detail {
+
+#if defined(DDMC_SIMD_AVX) && defined(__AVX2__)
+/// kCompactPerm[mask] lists the lanes set in an 8-bit lane mask in
+/// ascending order (unused slots 0): the permutation that left-packs them.
+inline constexpr auto kCompactPerm = [] {
+  std::array<std::array<std::int32_t, 8>, 256> table{};
+  for (std::size_t mask = 0; mask < table.size(); ++mask) {
+    std::size_t slot = 0;
+    for (std::int32_t lane = 0; lane < 8; ++lane) {
+      if ((mask >> lane) & 1u) table[mask][slot++] = lane;
+    }
+  }
+  return table;
+}();
+#endif
+
+/// Shared body of the two compaction entry points: the packed value is x[i]
+/// or, with AbsDiff, |x[i] − c| computed in float.
+template <bool AbsDiff>
+inline CompactCounts compact_in_range_impl(const float* x, std::size_t n,
+                                           float c, float lo, float hi,
+                                           float* out) {
+  std::size_t below = 0;
+  std::size_t packed = 0;
+  std::size_t i = 0;
+#if defined(DDMC_SIMD_AVX) && defined(__AVX2__)
+  const __m256 vlo = _mm256_set1_ps(lo);
+  const __m256 vhi = _mm256_set1_ps(hi);
+  const __m256 vc = _mm256_set1_ps(c);
+  const __m256 sign = _mm256_set1_ps(-0.0f);
+  for (; i + 8 <= n; i += 8) {
+    __m256 v = _mm256_loadu_ps(x + i);
+    if constexpr (AbsDiff) v = _mm256_andnot_ps(sign, _mm256_sub_ps(v, vc));
+    const auto lt = static_cast<unsigned>(
+        _mm256_movemask_ps(_mm256_cmp_ps(v, vlo, _CMP_LT_OQ)));
+    const auto in = static_cast<unsigned>(_mm256_movemask_ps(
+        _mm256_and_ps(_mm256_cmp_ps(v, vlo, _CMP_GE_OQ),
+                      _mm256_cmp_ps(v, vhi, _CMP_LE_OQ))));
+    const __m256i perm = _mm256_loadu_si256(
+        reinterpret_cast<const __m256i*>(kCompactPerm[in].data()));
+    // packed <= i, so the full-width store stays inside out[0, i + 8).
+    _mm256_storeu_ps(out + packed, _mm256_permutevar8x32_ps(v, perm));
+    below += static_cast<std::size_t>(std::popcount(lt));
+    packed += static_cast<std::size_t>(std::popcount(in));
+  }
+#endif
+  for (; i < n; ++i) {
+    const float v = AbsDiff ? std::abs(x[i] - c) : x[i];
+    out[packed] = v;
+    below += static_cast<std::size_t>(v < lo);
+    packed += static_cast<std::size_t>((lo <= v) & (v <= hi));
+  }
+  return {below, packed};
+}
+
+}  // namespace detail
+
+/// Left-packs every x[i] with lo <= x[i] <= hi into `out`, in input order,
+/// and counts the x[i] < lo. `out` needs room for n floats (the packed
+/// prefix is the result; the rest is clobbered). NaN inputs are neither
+/// counted nor packed; −0 and +0 compare equal.
+inline CompactCounts compact_in_range(const float* x, std::size_t n, float lo,
+                                      float hi, float* out) {
+  return detail::compact_in_range_impl<false>(x, n, 0.0f, lo, hi, out);
+}
+
+/// compact_in_range over the deviations |x[i] − c|, each computed in float
+/// as std::abs(x[i] − c); no deviation array is written.
+inline CompactCounts compact_abs_diff_in_range(const float* x, std::size_t n,
+                                               float c, float lo, float hi,
+                                               float* out) {
+  return detail::compact_in_range_impl<true>(x, n, c, lo, hi, out);
 }
 
 }  // namespace ddmc::simd

@@ -5,6 +5,7 @@
 #include <numeric>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <utility>
 
 #include "common/expect.hpp"
@@ -419,6 +420,14 @@ void ShardedDedisperser::run_batch(
   }
   failures_metric->add(static_cast<double>(failures.size()));
   if (!failures.empty()) {
+    // Jobs record failures in completion order; report them in job order
+    // (beam, then shard) so failures() and what() do not depend on which
+    // worker finished first.
+    std::sort(failures.begin(), failures.end(),
+              [](const resilience::ShardFailure& a,
+                 const resilience::ShardFailure& b) {
+                return std::tie(a.beam, a.shard) < std::tie(b.beam, b.shard);
+              });
     throw resilience::ShardExecutionError(std::move(failures));
   }
 }

@@ -14,8 +14,10 @@
 
 namespace ddmc::sky {
 
-/// Peak signal-to-noise of one dedispersed time series: (max − mean)/σ with
-/// mean and σ estimated from the series itself.
+/// Peak signal-to-noise of one dedispersed time series: (max − median)/σ
+/// with σ = 1.4826·MAD (the plain standard deviation when the MAD is 0),
+/// all estimated from the series itself. The median and MAD are exact and
+/// cost linear time in the series length.
 double series_snr(std::span<const float> series);
 
 /// Result of scanning a (DMs × samples) dedispersed matrix.

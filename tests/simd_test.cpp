@@ -1,12 +1,15 @@
 // Tests for the portable SIMD layer: backend sanity, per-lane operation
 // semantics, and bitwise equivalence of the vectorized accumulate with the
-// scalar loop across widths, tails and unroll factors.
+// scalar loop across widths, tails and unroll factors, and the left-pack
+// compaction behind the detector's bracketed median.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <random>
 #include <vector>
 
@@ -198,6 +201,129 @@ TEST(Simd, AccumulateSpanIsAdditiveOverCalls) {
   accumulate_span(acc_split.data(), a.data(), n, 4);
   accumulate_span(acc_split.data(), b.data(), n, 2);
   for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(acc_once[i], acc_split[i]);
+}
+
+TEST(Simd, MaxIsLaneWise) {
+  std::vector<float> a(kFloatLanes), b(kFloatLanes), out(kFloatLanes);
+  for (std::size_t i = 0; i < kFloatLanes; ++i) {
+    a[i] = static_cast<float>(i) - 1.5f;
+    b[i] = 1.0f - static_cast<float>(i);
+  }
+  vstore(out.data(), vmax(vload(a.data()), vload(b.data())));
+  for (std::size_t i = 0; i < kFloatLanes; ++i) {
+    EXPECT_EQ(out[i], a[i] > b[i] ? a[i] : b[i]);
+  }
+}
+
+/// Checks compact_in_range (or, with `c`, compact_abs_diff_in_range) against
+/// a plain branchy loop: counts, and the packed prefix bit for bit in input
+/// order. `out` is exactly n floats, so the sanitizer leg catches any store
+/// past it.
+void expect_compact_matches_loop(const std::vector<float>& x, float lo,
+                                 float hi, const float* c = nullptr) {
+  std::size_t below = 0;
+  std::vector<float> expected;
+  for (const float raw : x) {
+    const float v = c ? std::abs(raw - *c) : raw;
+    if (v < lo) {
+      ++below;
+    } else if (v <= hi) {
+      expected.push_back(v);
+    }
+  }
+  std::vector<float> out(x.size());
+  const CompactCounts counts =
+      c ? compact_abs_diff_in_range(x.data(), x.size(), *c, lo, hi, out.data())
+        : compact_in_range(x.data(), x.size(), lo, hi, out.data());
+  EXPECT_EQ(counts.below, below) << "n " << x.size();
+  ASSERT_EQ(counts.packed, expected.size()) << "n " << x.size();
+  if (!expected.empty()) {
+    EXPECT_EQ(std::memcmp(out.data(), expected.data(),
+                          expected.size() * sizeof(float)),
+              0)
+        << "n " << x.size();
+  }
+}
+
+TEST(Simd, CompactInRangeCoversEveryTail) {
+  std::mt19937 gen(3);
+  std::uniform_real_distribution<float> dist(-1.0f, 1.0f);
+  const float c = 0.25f;
+  for (std::size_t n = 0; n <= 4 * 8 + 3; ++n) {
+    std::vector<float> x(n);
+    for (auto& v : x) v = dist(gen);
+    expect_compact_matches_loop(x, -0.3f, 0.4f);
+    expect_compact_matches_loop(x, 0.1f, 0.6f, &c);
+  }
+}
+
+TEST(Simd, CompactInRangeEmptyAndFullResults) {
+  std::vector<float> x(37);
+  for (std::size_t i = 0; i < x.size(); ++i) x[i] = static_cast<float>(i);
+  expect_compact_matches_loop(x, 100.0f, 200.0f);  // nothing packed, all below
+  expect_compact_matches_loop(x, -5.0f, -1.0f);    // nothing packed or below
+  expect_compact_matches_loop(x, 0.0f, 36.0f);     // everything packed
+  const float c = 18.0f;
+  expect_compact_matches_loop(x, 0.0f, 18.0f, &c);  // every deviation packed
+}
+
+TEST(Simd, CompactInRangeIncludesBothEnds) {
+  const std::vector<float> x = {1.0f, 2.0f, 3.0f, 2.0f, 1.0f, 3.0f,
+                                4.0f, 0.5f, 2.0f, 3.0f, 1.0f};
+  std::vector<float> out(x.size());
+  const CompactCounts counts =
+      compact_in_range(x.data(), x.size(), 1.0f, 3.0f, out.data());
+  EXPECT_EQ(counts.below, 1u);   // 0.5
+  EXPECT_EQ(counts.packed, 9u);  // every 1, 2 and 3; not 4 or 0.5
+  expect_compact_matches_loop(x, 2.0f, 2.0f);
+}
+
+TEST(Simd, CompactInRangeTreatsSignedZerosAsEqual) {
+  std::vector<float> x;
+  for (int i = 0; i < 19; ++i) {
+    x.push_back(i % 3 == 0 ? -0.0f : i % 3 == 1 ? 0.0f : -1.0f);
+  }
+  expect_compact_matches_loop(x, 0.0f, 0.0f);
+  expect_compact_matches_loop(x, -0.0f, 0.0f);
+  expect_compact_matches_loop(x, 0.0f, 1.0f);  // −0 is not below +0
+  // Packed zeros keep their sign bits.
+  std::vector<float> out(x.size());
+  const CompactCounts counts =
+      compact_in_range(x.data(), x.size(), -0.0f, -0.0f, out.data());
+  ASSERT_EQ(counts.packed, 13u);
+  EXPECT_TRUE(std::signbit(out[0]));
+  EXPECT_FALSE(std::signbit(out[1]));
+  // |x − c| is +0 whether x is −0 or +0.
+  const float c = 0.0f;
+  const CompactCounts dev =
+      compact_abs_diff_in_range(x.data(), x.size(), c, 0.0f, 0.0f, out.data());
+  ASSERT_EQ(dev.packed, 13u);
+  for (std::size_t i = 0; i < dev.packed; ++i) EXPECT_FALSE(std::signbit(out[i]));
+}
+
+TEST(Simd, CompactAbsDiffMatchesFloatDeviation) {
+  std::mt19937 gen(9);
+  std::normal_distribution<float> dist(3.0f, 2.0f);
+  std::vector<float> x(203);
+  for (auto& v : x) v = dist(gen);
+  x[5] = 3.125f;  // exactly c: deviation +0
+  const float c = 3.125f;
+  expect_compact_matches_loop(x, 0.0f, 1.0f, &c);
+  expect_compact_matches_loop(x, 0.5f, 2.5f, &c);
+  expect_compact_matches_loop(x, 10.0f, 20.0f, &c);  // every deviation below
+}
+
+TEST(Simd, CompactInRangeSkipsNaN) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  std::vector<float> x(21, 1.0f);
+  x[0] = nan;
+  x[9] = nan;
+  x[20] = nan;
+  std::vector<float> out(x.size());
+  const CompactCounts counts =
+      compact_in_range(x.data(), x.size(), 0.0f, 2.0f, out.data());
+  EXPECT_EQ(counts.below, 0u);
+  EXPECT_EQ(counts.packed, 18u);
 }
 
 }  // namespace

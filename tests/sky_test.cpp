@@ -4,7 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "common/expect.hpp"
 #include "common/statistics.hpp"
@@ -360,6 +365,261 @@ TEST(Detection, FindsRowWithStrongestPeak) {
   EXPECT_EQ(res.best_trial, 2u);
   EXPECT_EQ(res.peak_sample, 17u);
   EXPECT_GT(res.best_snr, 5.0);
+}
+
+TEST(Detection, EqualMaximaReportTheFirstIndex) {
+  // Short rows take the plain path, long rows the bracketed one; both must
+  // keep std::max_element's tie-break.
+  for (const std::size_t n : {64u, 400u}) {
+    Array2D<float> m(3, n);
+    Rng rng(5);
+    for (std::size_t r = 0; r < 3; ++r)
+      for (auto& v : m.row(r)) v = rng.next_float(-0.1f, 0.1f);
+    m(1, 20) = 9.0f;
+    m(1, n - 7) = 9.0f;
+    const DetectionResult res = detect_best_dm(m.cview());
+    EXPECT_EQ(res.best_trial, 1u) << n;
+    EXPECT_EQ(res.peak_sample, 20u) << n;
+  }
+}
+
+TEST(Detection, EqualSnrKeepsTheLowerTrial) {
+  for (const std::size_t n : {64u, 400u}) {
+    Array2D<float> m(4, n);
+    Rng rng(6);
+    for (std::size_t r = 0; r < 4; ++r)
+      for (auto& v : m.row(r)) v = rng.next_float(-0.1f, 0.1f);
+    m(1, 9) = 7.0f;
+    std::copy(m.row(1).begin(), m.row(1).end(), m.row(3).begin());
+    const DetectionResult res = detect_best_dm(m.cview());
+    EXPECT_EQ(res.best_trial, 1u) << n;  // strict >: trial 3 only ties
+    EXPECT_EQ(res.best_snr, series_snr(m.row(3))) << n;
+  }
+}
+
+// ------------------------------------------------- detection vs the oracle --
+//
+// The detector before the bracketed selection: two full nth_element passes
+// over a copy of the row, then std::max_element. series_snr and
+// detect_best_dm must reproduce it bit for bit on every input.
+
+double reference_median_inplace(std::vector<float>& values) {
+  const std::size_t mid = values.size() / 2;
+  std::nth_element(values.begin(), values.begin() + mid, values.end());
+  const double upper = static_cast<double>(values[mid]);
+  if (values.size() % 2 != 0) return upper;
+  const double lower = static_cast<double>(
+      *std::max_element(values.begin(), values.begin() + mid));
+  return 0.5 * (lower + upper);
+}
+
+double reference_series_snr(std::span<const float> series) {
+  std::vector<float> scratch(series.begin(), series.end());
+  const double baseline = reference_median_inplace(scratch);
+  for (auto& v : scratch) {
+    v = std::abs(v - static_cast<float>(baseline));
+  }
+  double sigma = 1.4826 * reference_median_inplace(scratch);
+  if (sigma <= 0.0) {
+    RunningStats rs;
+    for (float v : series) rs.add(static_cast<double>(v));
+    sigma = rs.stddev();
+  }
+  if (sigma <= 0.0) return 0.0;
+  const double peak = static_cast<double>(
+      *std::max_element(series.begin(), series.end()));
+  return (peak - baseline) / sigma;
+}
+
+DetectionResult reference_detect_best_dm(ConstView2D<float> dedispersed) {
+  DetectionResult result;
+  result.best_snr = -1.0;
+  for (std::size_t trial = 0; trial < dedispersed.rows(); ++trial) {
+    const auto row = dedispersed.row(trial);
+    const double s = reference_series_snr(row);
+    if (s > result.best_snr) {
+      result.best_snr = s;
+      result.best_trial = trial;
+      result.peak_sample = static_cast<std::size_t>(
+          std::max_element(row.begin(), row.end()) - row.begin());
+    }
+  }
+  return result;
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+void expect_snr_matches_oracle(std::span<const float> row,
+                               const std::string& what) {
+  const double expected = reference_series_snr(row);
+  const double actual = series_snr(row);
+  EXPECT_TRUE(same_bits(expected, actual))
+      << what << ": oracle " << expected << ", series_snr " << actual;
+}
+
+void expect_detection_matches_oracle(const Array2D<float>& m,
+                                     const std::string& what) {
+  const DetectionResult expected = reference_detect_best_dm(m.cview());
+  const DetectionResult actual = detect_best_dm(m.cview());
+  EXPECT_EQ(expected.best_trial, actual.best_trial) << what;
+  EXPECT_EQ(expected.peak_sample, actual.peak_sample) << what;
+  EXPECT_TRUE(same_bits(expected.best_snr, actual.best_snr))
+      << what << ": oracle " << expected.best_snr << ", detect_best_dm "
+      << actual.best_snr;
+}
+
+enum class RowKind {
+  kGaussian,
+  kDequantizedU8,  // cpu_tiled_u8 output: base + scale·Σcodes, heavy ties
+  kConstant,
+  kMajorityTie,  // > half the samples identical: MAD 0, stddev fallback
+  kSignedZeros,  // ±0 majority, negative rest: zero median and zero peak
+  kSorted,
+  kReverseSorted,
+  kBimodal,
+  kPulse,
+};
+
+constexpr RowKind kAllRowKinds[] = {
+    RowKind::kGaussian,    RowKind::kDequantizedU8, RowKind::kConstant,
+    RowKind::kMajorityTie, RowKind::kSignedZeros,   RowKind::kSorted,
+    RowKind::kReverseSorted, RowKind::kBimodal,     RowKind::kPulse};
+
+// Around the bracketed path's 256-sample threshold, plus survey-sized rows
+// (Apertif 0.02 s and 0.1 s chunks, LOFAR 0.1 s), each odd and even.
+constexpr std::size_t kOracleLengths[] = {1,   2,    3,    255,  256,
+                                          257, 400,  401,  1000, 1001,
+                                          2000, 2001, 20000, 20001};
+
+std::vector<float> make_row(RowKind kind, std::size_t n, Rng& rng) {
+  std::vector<float> row(n);
+  const auto gaussian = [&rng] { return static_cast<float>(rng.next_normal()); };
+  switch (kind) {
+    case RowKind::kGaussian:
+      for (auto& v : row) v = gaussian();
+      break;
+    case RowKind::kDequantizedU8: {
+      constexpr std::size_t kChannels = 32;
+      const float lo = -4.0f;
+      const float scale = 8.0f / 255.0f;
+      for (auto& v : row) {
+        float codes = 0.0f;
+        for (std::size_t c = 0; c < kChannels; ++c) {
+          codes += std::clamp(std::round(128.0f + 4.0f * gaussian()), 0.0f,
+                              255.0f);
+        }
+        v = static_cast<float>(kChannels) * lo + scale * codes;
+      }
+      break;
+    }
+    case RowKind::kConstant:
+      std::fill(row.begin(), row.end(), 2.5f);
+      break;
+    case RowKind::kMajorityTie:
+      for (auto& v : row) v = rng.next_double() < 0.6 ? 0.75f : gaussian();
+      break;
+    case RowKind::kSignedZeros:
+      for (auto& v : row) {
+        const double u = rng.next_double();
+        v = u < 0.35 ? -0.0f : u < 0.7 ? 0.0f : -std::abs(gaussian());
+      }
+      break;
+    case RowKind::kSorted:
+    case RowKind::kReverseSorted:
+      for (auto& v : row) v = gaussian();
+      std::sort(row.begin(), row.end());
+      if (kind == RowKind::kReverseSorted) std::reverse(row.begin(), row.end());
+      break;
+    case RowKind::kBimodal:
+      for (auto& v : row) v = gaussian() + (rng.next_double() < 0.5 ? -5.0f : 5.0f);
+      break;
+    case RowKind::kPulse:
+      for (auto& v : row) v = gaussian();
+      row[rng.next_below(n)] += 20.0f;
+      break;
+  }
+  return row;
+}
+
+std::string describe(RowKind kind, std::size_t n, std::uint64_t seed) {
+  return "kind " + std::to_string(static_cast<int>(kind)) + ", n " +
+         std::to_string(n) + ", seed " + std::to_string(seed);
+}
+
+/// Every kind at every oracle length, one row per series_snr check and a
+/// `rows`-trial matrix of the same kind per detect_best_dm check.
+void check_oracle_sweep(std::uint64_t seed, std::size_t rows) {
+  for (const RowKind kind : kAllRowKinds) {
+    for (const std::size_t n : kOracleLengths) {
+      Rng rng(seed * 1000 + n);
+      const std::string what = describe(kind, n, seed);
+      expect_snr_matches_oracle(make_row(kind, n, rng), what);
+      Array2D<float> m(rows, n);
+      for (std::size_t r = 0; r < rows; ++r) {
+        const std::vector<float> row = make_row(kind, n, rng);
+        std::copy(row.begin(), row.end(), m.row(r).begin());
+      }
+      expect_detection_matches_oracle(m, what);
+    }
+  }
+}
+
+TEST(DetectionOracle, EveryRowKindAndLengthMatchesBitwise) {
+  check_oracle_sweep(1, 3);
+}
+
+TEST(DetectionOracle, StrideAlignedSampleMissesTheBracket) {
+  // Long rows place their bracket from every (n / 1024)-th sample — every
+  // 19th here. Making exactly those samples the largest values puts the
+  // sampled bracket above the median (and, for the MAD, above the median
+  // deviation), so both selections take the full-copy fallback.
+  const std::size_t n = 20000;
+  std::vector<float> row(n);
+  Rng rng(11);
+  for (std::size_t i = 0; i < n; ++i) {
+    row[i] = i % 19 == 0 ? 100.0f + 0.001f * static_cast<float>(i)
+                         : static_cast<float>(rng.next_normal());
+  }
+  expect_snr_matches_oracle(row, "stride-aligned");
+  row.push_back(0.5f);  // odd length: same stride, other median rule
+  expect_snr_matches_oracle(row, "stride-aligned, odd");
+}
+
+TEST(DetectionOracle, NonFiniteRowsTakeThePlainPath) {
+  // The NaN policy belongs to hostile-input handling; here a non-finite
+  // row must only run the plain path, exactly as before, and stay clean
+  // under the sanitizers.
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity()}) {
+    for (const std::size_t n : {64u, 2000u}) {
+      Rng rng(n);
+      Array2D<float> m(3, n);
+      for (std::size_t r = 0; r < 3; ++r)
+        for (auto& v : m.row(r)) v = static_cast<float>(rng.next_normal());
+      m(1, n / 3) = bad;
+      const std::string what = "bad " + std::to_string(bad) + ", n " +
+                               std::to_string(n);
+      expect_snr_matches_oracle(m.row(1), what);
+      expect_detection_matches_oracle(m, what);
+    }
+  }
+}
+
+TEST(DetectionOracleSlowTier, RandomizedSweepMatchesBitwise) {
+  for (std::uint64_t seed = 2; seed < 12; ++seed) check_oracle_sweep(seed, 4);
+  // Random lengths across the bracketed range.
+  Rng lengths(99);
+  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+    const auto n = static_cast<std::size_t>(256 + lengths.next_below(30000));
+    for (const RowKind kind : kAllRowKinds) {
+      Rng rng(seed);
+      expect_snr_matches_oracle(make_row(kind, n, rng),
+                                describe(kind, n, seed));
+    }
+  }
 }
 
 }  // namespace
