@@ -7,8 +7,11 @@
 /// load/store (aligned and unaligned), add, mul, fma and broadcast. The
 /// backend is chosen at compile time from the target ISA:
 ///
-///   AVX (8 lanes) → SSE2 (4) → NEON (4) → scalar (1)
+///   AVX-512 (16 lanes) → AVX (8) → SSE2 (4) → NEON (4) → scalar (1)
 ///
+/// The 16-lane backend needs AVX512F, BW and VL (BW+VL give the byte-masked
+/// loads of the u8 tail), so `-march=native` on an AVX-512 host selects it
+/// and `-march=x86-64-v3` selects the 8-lane AVX backend with AVX2.
 /// Defining DDMC_FORCE_SCALAR (CMake option of the same name) forces the
 /// scalar fallback regardless of ISA — the CI matrix builds one leg this
 /// way so both code paths stay green.
@@ -26,14 +29,25 @@
 /// quantized-input engine: samples stay one byte each in memory — a quarter
 /// of the float input traffic, which is the whole game for a
 /// bandwidth-bound kernel — and are unpacked to float lanes only inside
-/// the register tile.
+/// the register tile. The widening is one instruction on AVX-512 and AVX2
+/// (`vpmovzxbd` + convert); plain AVX, which has no 256-bit integer ops,
+/// needs a seven-instruction 128-bit shuffle sequence, and that sequence —
+/// not the memory traffic — set the u8 kernel's speed on AVX builds.
+///
+/// Partial vectors (`vload_partial`, `vstore_partial`, `vload_u8_partial`)
+/// touch only the first n < kFloatLanes elements and zero the rest of the
+/// lanes. On AVX-512 they are single masked instructions whose masked-off
+/// lanes never fault, and `kMaskedTail` tells the kernels to finish a span
+/// with one such step; on the other backends they are a copy through a
+/// lane buffer and the kernels keep their scalar tail loops.
 ///
 /// `vmax` is the lane-wise maximum of finite values; which operand it
 /// returns for a NaN or a −0/+0 tie differs between backends, so callers
 /// screen those out. `compact_in_range` (and its |x − c| variant) is the
 /// left-pack behind the detector's exact bracketed median: AVX2 packs eight
-/// lanes per step with a movemask-indexed permutation, every other backend
-/// (forced scalar included) runs a branchless scalar loop.
+/// lanes per step with a movemask-indexed permutation (on the AVX and the
+/// AVX-512 backend alike), every other backend (forced scalar included)
+/// runs a branchless scalar loop.
 
 #include <array>
 #include <bit>
@@ -43,7 +57,10 @@
 #include <cstring>
 
 #if !defined(DDMC_FORCE_SCALAR)
-#if defined(__AVX__)
+#if defined(__AVX512F__) && defined(__AVX512BW__) && defined(__AVX512VL__)
+#define DDMC_SIMD_AVX512 1
+#include <immintrin.h>
+#elif defined(__AVX__)
 #define DDMC_SIMD_AVX 1
 #include <immintrin.h>
 #elif defined(__SSE2__) || defined(_M_X64) || \
@@ -58,7 +75,53 @@
 
 namespace ddmc::simd {
 
-#if defined(DDMC_SIMD_AVX)
+#if defined(DDMC_SIMD_AVX512)
+
+inline constexpr std::size_t kFloatLanes = 16;
+inline constexpr bool kMaskedTail = true;
+struct vfloat {
+  __m512 v;
+};
+
+inline const char* backend_name() { return "avx512"; }
+inline vfloat vzero() { return {_mm512_setzero_ps()}; }
+inline vfloat vbroadcast(float x) { return {_mm512_set1_ps(x)}; }
+inline vfloat vload(const float* p) { return {_mm512_loadu_ps(p)}; }
+inline vfloat vload_aligned(const float* p) { return {_mm512_load_ps(p)}; }
+inline void vstore(float* p, vfloat a) { _mm512_storeu_ps(p, a.v); }
+inline void vstore_aligned(float* p, vfloat a) { _mm512_store_ps(p, a.v); }
+inline vfloat vadd(vfloat a, vfloat b) { return {_mm512_add_ps(a.v, b.v)}; }
+inline vfloat vsub(vfloat a, vfloat b) { return {_mm512_sub_ps(a.v, b.v)}; }
+inline vfloat vmul(vfloat a, vfloat b) { return {_mm512_mul_ps(a.v, b.v)}; }
+inline vfloat vmax(vfloat a, vfloat b) { return {_mm512_max_ps(a.v, b.v)}; }
+inline vfloat vfma(vfloat a, vfloat b, vfloat c) {
+  return {_mm512_fmadd_ps(a.v, b.v, c.v)};
+}
+inline vfloat vload_u8(const std::uint8_t* p) {
+  // Exactly kFloatLanes bytes, zero-extended to 32 bits in one instruction.
+  const __m128i b = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+  return {_mm512_cvtepi32_ps(_mm512_cvtepu8_epi32(b))};
+}
+
+namespace detail {
+/// The first n lanes, n < kFloatLanes.
+inline __mmask16 first_lanes(std::size_t n) {
+  return static_cast<__mmask16>((1u << n) - 1u);
+}
+}  // namespace detail
+
+inline vfloat vload_partial(const float* p, std::size_t n) {
+  return {_mm512_maskz_loadu_ps(detail::first_lanes(n), p)};
+}
+inline void vstore_partial(float* p, vfloat a, std::size_t n) {
+  _mm512_mask_storeu_ps(p, detail::first_lanes(n), a.v);
+}
+inline vfloat vload_u8_partial(const std::uint8_t* p, std::size_t n) {
+  const __m128i b = _mm_maskz_loadu_epi8(detail::first_lanes(n), p);
+  return {_mm512_cvtepi32_ps(_mm512_cvtepu8_epi32(b))};
+}
+
+#elif defined(DDMC_SIMD_AVX)
 
 inline constexpr std::size_t kFloatLanes = 8;
 struct vfloat {
@@ -84,14 +147,19 @@ inline vfloat vfma(vfloat a, vfloat b, vfloat c) {
 #endif
 }
 inline vfloat vload_u8(const std::uint8_t* p) {
-  // Exactly kFloatLanes bytes; widen u8 → u16 → u32 → f32 with 128-bit
-  // integer ops (plain AVX has no 256-bit integer unpacks — that is AVX2).
+  // Exactly kFloatLanes bytes.
   const __m128i b = _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p));
+#if defined(__AVX2__)
+  return {_mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(b))};
+#else
+  // Plain AVX has no 256-bit integer ops: widen u8 → u16 → u32 → f32 with
+  // 128-bit unpacks.
   const __m128i zero = _mm_setzero_si128();
   const __m128i w = _mm_unpacklo_epi8(b, zero);
   const __m128 lo = _mm_cvtepi32_ps(_mm_unpacklo_epi16(w, zero));
   const __m128 hi = _mm_cvtepi32_ps(_mm_unpackhi_epi16(w, zero));
   return {_mm256_insertf128_ps(_mm256_castps128_ps256(lo), hi, 1)};
+#endif
 }
 
 #elif defined(DDMC_SIMD_SSE2)
@@ -182,6 +250,26 @@ inline vfloat vload_u8(const std::uint8_t* p) {
 
 #endif
 
+#if !defined(DDMC_SIMD_AVX512)
+inline constexpr bool kMaskedTail = false;
+
+inline vfloat vload_partial(const float* p, std::size_t n) {
+  alignas(64) float lanes[kFloatLanes] = {};
+  if (n > 0) std::memcpy(lanes, p, n * sizeof(float));
+  return vload_aligned(lanes);
+}
+inline void vstore_partial(float* p, vfloat a, std::size_t n) {
+  alignas(64) float lanes[kFloatLanes];
+  vstore_aligned(lanes, a);
+  if (n > 0) std::memcpy(p, lanes, n * sizeof(float));
+}
+inline vfloat vload_u8_partial(const std::uint8_t* p, std::size_t n) {
+  alignas(64) float lanes[kFloatLanes] = {};
+  for (std::size_t i = 0; i < n; ++i) lanes[i] = static_cast<float>(p[i]);
+  return vload_aligned(lanes);
+}
+#endif
+
 /// a[t] += s[t] for t in [0, n), `Unroll` vectors per iteration of the main
 /// loop. Per-element addition order is unchanged by lane width or unroll, so
 /// every instantiation produces bitwise-identical results.
@@ -198,7 +286,16 @@ inline void accumulate_span_unrolled(float* a, const float* s, std::size_t n) {
   for (; t + kFloatLanes <= n; t += kFloatLanes) {
     vstore(a + t, vadd(vload(a + t), vload(s + t)));
   }
-  for (; t < n; ++t) a[t] += s[t];
+  if constexpr (kMaskedTail) {
+    if (t < n) {
+      const std::size_t r = n - t;
+      vstore_partial(a + t,
+                     vadd(vload_partial(a + t, r), vload_partial(s + t, r)),
+                     r);
+    }
+  } else {
+    for (; t < n; ++t) a[t] += s[t];
+  }
 }
 
 /// The unroll hints with a compiled instantiation behind them. Anything
@@ -251,7 +348,16 @@ inline void accumulate_span_u8_unrolled(float* a, const std::uint8_t* s,
   for (; t + kFloatLanes <= n; t += kFloatLanes) {
     vstore(a + t, vadd(vload(a + t), vload_u8(s + t)));
   }
-  for (; t < n; ++t) a[t] += static_cast<float>(s[t]);
+  if constexpr (kMaskedTail) {
+    if (t < n) {
+      const std::size_t r = n - t;
+      vstore_partial(
+          a + t, vadd(vload_partial(a + t, r), vload_u8_partial(s + t, r)),
+          r);
+    }
+  } else {
+    for (; t < n; ++t) a[t] += static_cast<float>(s[t]);
+  }
 }
 
 /// Runtime-unroll dispatch of the u8 widening accumulate, mirror of
@@ -283,7 +389,7 @@ struct CompactCounts {
 
 namespace detail {
 
-#if defined(DDMC_SIMD_AVX) && defined(__AVX2__)
+#if (defined(DDMC_SIMD_AVX512) || defined(DDMC_SIMD_AVX)) && defined(__AVX2__)
 /// kCompactPerm[mask] lists the lanes set in an 8-bit lane mask in
 /// ascending order (unused slots 0): the permutation that left-packs them.
 inline constexpr auto kCompactPerm = [] {
@@ -307,7 +413,7 @@ inline CompactCounts compact_in_range_impl(const float* x, std::size_t n,
   std::size_t below = 0;
   std::size_t packed = 0;
   std::size_t i = 0;
-#if defined(DDMC_SIMD_AVX) && defined(__AVX2__)
+#if (defined(DDMC_SIMD_AVX512) || defined(DDMC_SIMD_AVX)) && defined(__AVX2__)
   const __m256 vlo = _mm256_set1_ps(lo);
   const __m256 vhi = _mm256_set1_ps(hi);
   const __m256 vc = _mm256_set1_ps(c);

@@ -8,8 +8,8 @@
 /// that Barsdell et al. and Novotný et al. identify as decisive on CPUs:
 ///
 ///  - the time dimension of every accumulate is explicitly vectorized
-///    through the portable layer of common/simd.hpp (AVX/SSE2/NEON with a
-///    scalar fallback), with a tunable unroll factor;
+///    through the portable layer of common/simd.hpp (AVX-512/AVX/SSE2/NEON
+///    with a scalar fallback), with a tunable unroll factor;
 ///  - the channel loop is blocked (`KernelConfig::channel_block`) so the
 ///    staged input rows and the tile's accumulators stay L1/L2-resident,
 ///    and the per-(tile, channel-block) delay/shift tables are precomputed

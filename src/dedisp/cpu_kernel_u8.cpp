@@ -101,7 +101,8 @@ void accumulate_block_u8(const U8TileScratch& s, std::size_t cb0,
         }
       }
     }
-    // Remainder: single-vector steps, then scalar lanes.
+    // Remainder: single-vector steps, then the last partial vector — one
+    // masked step where the backend has masked loads, else scalar lanes.
     for (; t + kW <= tile_time; t += kW) {
       simd::vfloat regs[DR];
       for (std::size_t d = 0; d < DR; ++d) {
@@ -118,20 +119,41 @@ void accumulate_block_u8(const U8TileScratch& s, std::size_t cb0,
         simd::vstore(acc + (dm0 + d) * acc_pitch + t, regs[d]);
       }
     }
-    for (; t < tile_time; ++t) {
-      float regs[DR];
-      for (std::size_t d = 0; d < DR; ++d) {
-        regs[d] = acc[(dm0 + d) * acc_pitch + t];
-      }
-      for (std::size_t c = 0; c < nch; ++c) {
-        const std::size_t* shift = &s.shifts[(cb0 + c) * tile_dm + dm0];
-        const std::uint8_t* base = s.src[c] + t;
+    if constexpr (simd::kMaskedTail) {
+      if (t < tile_time) {
+        const std::size_t n = tile_time - t;
+        simd::vfloat regs[DR];
         for (std::size_t d = 0; d < DR; ++d) {
-          regs[d] += static_cast<float>(base[shift[d]]);
+          regs[d] = simd::vload_partial(acc + (dm0 + d) * acc_pitch + t, n);
+        }
+        for (std::size_t c = 0; c < nch; ++c) {
+          const std::size_t* shift = &s.shifts[(cb0 + c) * tile_dm + dm0];
+          const std::uint8_t* base = s.src[c] + t;
+          for (std::size_t d = 0; d < DR; ++d) {
+            regs[d] = simd::vadd(regs[d],
+                                 simd::vload_u8_partial(base + shift[d], n));
+          }
+        }
+        for (std::size_t d = 0; d < DR; ++d) {
+          simd::vstore_partial(acc + (dm0 + d) * acc_pitch + t, regs[d], n);
         }
       }
-      for (std::size_t d = 0; d < DR; ++d) {
-        acc[(dm0 + d) * acc_pitch + t] = regs[d];
+    } else {
+      for (; t < tile_time; ++t) {
+        float regs[DR];
+        for (std::size_t d = 0; d < DR; ++d) {
+          regs[d] = acc[(dm0 + d) * acc_pitch + t];
+        }
+        for (std::size_t c = 0; c < nch; ++c) {
+          const std::size_t* shift = &s.shifts[(cb0 + c) * tile_dm + dm0];
+          const std::uint8_t* base = s.src[c] + t;
+          for (std::size_t d = 0; d < DR; ++d) {
+            regs[d] += static_cast<float>(base[shift[d]]);
+          }
+        }
+        for (std::size_t d = 0; d < DR; ++d) {
+          acc[(dm0 + d) * acc_pitch + t] = regs[d];
+        }
       }
     }
   }

@@ -41,10 +41,13 @@ struct QuantizationParams {
   /// below auto-vectorizes; for the non-negative post-clamp range this is
   /// exactly std::lround's rounding. Inline and header-defined on purpose:
   /// the quantizing loop is the u8 engine's per-execute staging cost.
+  /// The upper clamp comes first so that the lower one, `t > 0 ? t : 0`,
+  /// also catches NaN: a NaN sample maps to code 0, like −inf, instead of
+  /// reaching an undefined float → integer conversion.
   std::uint8_t quantize(float x) const {
     float t = (x - lo) / scale() + 0.5f;
-    t = t < 0.0f ? 0.0f : t;
     t = t > 255.0f ? 255.0f : t;
+    t = t > 0.0f ? t : 0.0f;
     return static_cast<std::uint8_t>(t);
   }
   float dequantize(std::uint8_t q) const {

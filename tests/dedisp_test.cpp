@@ -1,22 +1,37 @@
 // Unit and property tests for the core library: plans, kernel configs, the
-// reference algorithm, the tiled CPU kernel, the CPU baseline and the
-// arithmetic-intensity analysis.
+// reference algorithm, the tiled CPU kernels (float and u8, including every
+// partial-vector tail), the CPU baseline and the arithmetic-intensity
+// analysis.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <random>
 #include <utility>
 #include <vector>
 
+#include "common/aligned.hpp"
 #include "common/expect.hpp"
 #include "dedisp/cpu_baseline.hpp"
 #include "dedisp/cpu_kernel.hpp"
+#include "dedisp/cpu_kernel_u8.hpp"
 #include "dedisp/intensity.hpp"
 #include "dedisp/kernel_config.hpp"
 #include "dedisp/plan.hpp"
+#include "dedisp/quantize.hpp"
 #include "dedisp/reference.hpp"
 #include "test_util.hpp"
+
+#if defined(__has_include)
+#if __has_include(<sanitizer/asan_interface.h>)
+#include <sanitizer/asan_interface.h>
+#endif
+#endif
+#if !defined(ASAN_POISON_MEMORY_REGION)
+#define ASAN_POISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#define ASAN_UNPOISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#endif
 
 namespace ddmc::dedisp {
 namespace {
@@ -373,6 +388,125 @@ TEST(CpuKernel, StagingSpanEdgeCases) {
                    (staged ? " staged" : " unstaged"));
       const Array2D<float> got = dedisperse_cpu(plan, cfg, in.cview(), opt);
       expect_same_matrix(expected, got);
+    }
+  }
+}
+
+// ------------------------------------------- partial-vector kernel tails --
+
+/// A rows × cols matrix whose every row is followed by guard elements that
+/// AddressSanitizer poisons, so an unstaged kernel read past the end of any
+/// row faults on the sanitizer leg — not only a read past the last row.
+template <typename T>
+class GuardedRows {
+ public:
+  GuardedRows(std::size_t rows, std::size_t cols)
+      : rows_(rows), cols_(cols), pitch_(round_up(cols + 64, 64)),
+        data_(rows * pitch_) {
+    for (std::size_t r = 0; r < rows_; ++r) {
+      ASAN_POISON_MEMORY_REGION(&data_[r * pitch_ + cols_],
+                                (pitch_ - cols_) * sizeof(T));
+    }
+  }
+  ~GuardedRows() {
+    ASAN_UNPOISON_MEMORY_REGION(data_.data(), data_.size() * sizeof(T));
+  }
+  GuardedRows(const GuardedRows&) = delete;
+  GuardedRows& operator=(const GuardedRows&) = delete;
+
+  T& operator()(std::size_t r, std::size_t c) { return data_[r * pitch_ + c]; }
+  ConstView2D<T> cview() const {
+    return ConstView2D<T>(data_.data(), rows_, cols_, pitch_);
+  }
+
+ private:
+  std::size_t rows_, cols_, pitch_;
+  std::vector<T> data_;
+};
+
+/// Time tiles ≡ 1, 4, 8 and 15 (mod 16): every partial-vector shape of the
+/// 16-, 8- and 4-lane backends, including the streaming pins' 200-sample
+/// (apertif_lowlat) and 2500-sample (lofar_rt) tiles.
+constexpr std::size_t kTailTileTimes[] = {1, 4, 15, 17, 20, 24, 47, 200, 2500};
+
+/// Two register tiles per time tile: 8 DM rows at once, and 2 rows with the
+/// widest unroll and a channel block that splits the band unevenly.
+std::vector<KernelConfig> tail_configs(std::size_t tile_time) {
+  KernelConfig wide{tile_time, 1, 1, 8};
+  KernelConfig unrolled{tile_time, 2, 1, 2};
+  unrolled.unroll = 8;
+  unrolled.channel_block = 3;
+  return {wide, unrolled};
+}
+
+TEST(CpuKernelTails, TiledMatchesReferenceForEveryTailWidth) {
+  for (const std::size_t tile_time : kTailTileTimes) {
+    const Plan plan = mini_plan(8, 2 * tile_time);
+    const Array2D<float> in = random_input(plan, tile_time);
+    const Array2D<float> expected = dedisperse_reference(plan, in.cview());
+    GuardedRows<float> guarded(plan.channels(), plan.in_samples());
+    for (std::size_t ch = 0; ch < plan.channels(); ++ch) {
+      for (std::size_t t = 0; t < plan.in_samples(); ++t) {
+        guarded(ch, t) = in(ch, t);
+      }
+    }
+    for (const KernelConfig& cfg : tail_configs(tile_time)) {
+      for (const bool staged : {true, false}) {
+        CpuKernelOptions opt;
+        opt.stage_rows = staged;
+        opt.threads = 1;
+        SCOPED_TRACE(cfg.to_string() + (staged ? " staged" : " unstaged"));
+        expect_same_matrix(expected,
+                           dedisperse_cpu(plan, cfg, guarded.cview(), opt));
+      }
+    }
+  }
+}
+
+TEST(CpuKernelTails, U8MatchesItsScalarEngineForEveryTailWidth) {
+  const QuantizationParams params{-2.0f, 2.0f};
+  for (const std::size_t tile_time : kTailTileTimes) {
+    const Plan plan = mini_plan(8, 2 * tile_time);
+    const Array2D<float> in = random_input(plan, tile_time);
+    const Array2D<std::uint8_t> codes =
+        quantize_plane(plan, in.cview(), params);
+    GuardedRows<std::uint8_t> guarded(plan.channels(), plan.in_samples());
+    for (std::size_t ch = 0; ch < plan.channels(); ++ch) {
+      for (std::size_t t = 0; t < plan.in_samples(); ++t) {
+        guarded(ch, t) = codes(ch, t);
+      }
+    }
+    // Backend-independent oracle: the exact integer code sum, dequantized
+    // the way the kernel's writeback does it.
+    Array2D<float> exact(plan.dms(), plan.out_samples());
+    const float base = static_cast<float>(plan.channels()) * params.lo;
+    for (std::size_t dm = 0; dm < plan.dms(); ++dm) {
+      for (std::size_t t = 0; t < plan.out_samples(); ++t) {
+        std::uint32_t sum = 0;
+        for (std::size_t ch = 0; ch < plan.channels(); ++ch) {
+          sum += codes(ch, t + static_cast<std::size_t>(
+                                   plan.delays().delay(dm, ch)));
+        }
+        exact(dm, t) = base + params.scale() * static_cast<float>(sum);
+      }
+    }
+    for (const KernelConfig& cfg : tail_configs(tile_time)) {
+      CpuKernelOptions scalar;
+      scalar.vectorize = false;
+      scalar.threads = 1;
+      const Array2D<float> expected =
+          dedisperse_cpu_u8(plan, cfg, guarded.cview(), params, scalar);
+      SCOPED_TRACE(cfg.to_string());
+      expect_same_matrix(exact, expected);
+      for (const bool staged : {true, false}) {
+        CpuKernelOptions opt;
+        opt.stage_rows = staged;
+        opt.threads = 1;
+        SCOPED_TRACE(staged ? "staged" : "unstaged");
+        expect_same_matrix(expected, dedisperse_cpu_u8(plan, cfg,
+                                                       guarded.cview(), params,
+                                                       opt));
+      }
     }
   }
 }

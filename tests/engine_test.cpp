@@ -11,8 +11,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <set>
 #include <string>
 #include <vector>
@@ -492,6 +495,58 @@ TEST(EngineEquivalence, U8ClampsSamplesOutsideTheQuantizationWindow) {
     EXPECT_LE(std::abs(quant.dequantize(quant.quantize(x)) - x),
               0.5f * quant.scale() + 1e-6f)
         << x;
+  }
+}
+
+TEST(EngineEquivalence, QuantizerMapsNaNToCodeZeroAndKeepsFiniteCodes) {
+  // Regression: NaN used to fail both clamp comparisons and reach
+  // static_cast<std::uint8_t>(NaN), which is undefined behaviour. It now
+  // lands on code 0, like −inf, and no other input changes its code.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  for (const dedisp::QuantizationParams quant :
+       {dedisp::QuantizationParams{}, dedisp::QuantizationParams{-1.0f, 1.0f},
+        dedisp::QuantizationParams{-3.5f, 100.0f}}) {
+    SCOPED_TRACE("window [" + std::to_string(quant.lo) + ", " +
+                 std::to_string(quant.hi) + "]");
+    EXPECT_EQ(quant.quantize(nan), 0u);
+    EXPECT_EQ(quant.quantize(-nan), 0u);
+    EXPECT_EQ(quant.quantize(-inf), 0u);
+    EXPECT_EQ(quant.quantize(inf), 255u);
+
+    // The previous clamp order, defined for every non-NaN input.
+    auto old_code = [&](float x) {
+      float t = (x - quant.lo) / quant.scale() + 0.5f;
+      t = t < 0.0f ? 0.0f : t;
+      t = t > 255.0f ? 255.0f : t;
+      return static_cast<std::uint8_t>(t);
+    };
+    std::size_t checked = 0;
+    auto expect_unchanged = [&](float x) {
+      ++checked;
+      if (quant.quantize(x) != old_code(x)) {
+        ADD_FAILURE() << "code changed for x = " << x;
+      }
+    };
+    // Every code boundary, densely: 2^18 points across the window and one
+    // window-width beyond either end.
+    const float width = quant.hi - quant.lo;
+    for (std::size_t i = 0; i <= (1u << 18); ++i) {
+      expect_unchanged(quant.lo - width +
+                       3.0f * width * static_cast<float>(i) / (1u << 18));
+    }
+    // Every binade: a strided walk over all finite float bit patterns,
+    // denormals, ±0 and ±FLT_MAX included.
+    for (std::uint64_t bits = 0; bits <= 0xffffffffu; bits += 40961) {
+      const float x = std::bit_cast<float>(static_cast<std::uint32_t>(bits));
+      if (std::isfinite(x)) expect_unchanged(x);
+    }
+    for (const float x : {0.0f, -0.0f, std::numeric_limits<float>::max(),
+                          std::numeric_limits<float>::lowest(),
+                          std::numeric_limits<float>::denorm_min()}) {
+      expect_unchanged(x);
+    }
+    EXPECT_GT(checked, 300000u);
   }
 }
 

@@ -354,11 +354,22 @@ TEST(SupervisedSharding, LastReportIsSafeToReadMidFlight) {
   spec.max_fires = 8;
   ScopedFault fault("shard.task", spec);
 
+  // The runs overlap the reader by construction: they start only once the
+  // reader is running, and they continue past the first 20 (up to a
+  // generous cap) until at least one read has run entirely inside a run,
+  // however late a loaded host schedules the reader. `phase` is odd while
+  // a run is in flight and steps by one at each run's start and end.
+  std::atomic<bool> reader_running{false};
+  std::atomic<std::size_t> phase{0};
   std::atomic<bool> stop{false};
   std::atomic<std::size_t> reads{0};
+  std::atomic<std::size_t> mid_flight_reads{0};
   std::thread reader([&] {
+    reader_running.store(true);
     while (!stop.load()) {
+      const std::size_t phase_before = phase.load();
       const resilience::ShardExecutionReport report = sharded.last_report();
+      const std::size_t phase_after = phase.load();
       // Coherence invariants that must hold at *any* instant of the run.
       EXPECT_LE(report.retries, report.attempts);
       std::size_t shard_attempts = 0;
@@ -368,21 +379,32 @@ TEST(SupervisedSharding, LastReportIsSafeToReadMidFlight) {
       }
       EXPECT_EQ(shard_attempts, report.attempts);
       reads.fetch_add(1);
+      if (phase_before % 2 == 1 && phase_after == phase_before) {
+        mid_flight_reads.fetch_add(1);
+      }
     }
   });
+  while (!reader_running.load()) std::this_thread::yield();
 
   const Array2D<float> expected = single_engine(plan, config, input);
-  for (int run = 0; run < 20; ++run) {
+  constexpr int kMinRuns = 20;
+  constexpr int kMaxRuns = 20000;
+  int runs = 0;
+  while (runs < kMinRuns || (mid_flight_reads.load() == 0 && runs < kMaxRuns)) {
+    phase.fetch_add(1);
     try {
       expect_same_matrix(expected, sharded.dedisperse(input.cview()));
     } catch (const resilience::ShardExecutionError&) {
       // Retry budget exhausted under the injected fault rate: fine — the
       // reader's invariants are what this test is about.
     }
+    phase.fetch_add(1);
+    ++runs;
   }
   stop.store(true);
   reader.join();
   EXPECT_GT(reads.load(), 0u);
+  EXPECT_GT(mid_flight_reads.load(), 0u) << "after " << runs << " runs";
 }
 
 TEST(SupervisedSharding, FailedReacquisitionKeepsTheShardFailed) {

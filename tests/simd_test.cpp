@@ -1,7 +1,7 @@
 // Tests for the portable SIMD layer: backend sanity, per-lane operation
-// semantics, and bitwise equivalence of the vectorized accumulate with the
-// scalar loop across widths, tails and unroll factors, and the left-pack
-// compaction behind the detector's bracketed median.
+// semantics, partial (masked) vectors, bitwise equivalence of the vectorized
+// accumulate with the scalar loop across widths, tails and unroll factors,
+// and the left-pack compaction behind the detector's bracketed median.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <random>
 #include <vector>
 
@@ -21,9 +22,14 @@ namespace {
 
 TEST(Simd, BackendIsSane) {
   EXPECT_GT(kFloatLanes, 0u);
-  EXPECT_TRUE(kFloatLanes == 1 || kFloatLanes == 4 || kFloatLanes == 8);
+  EXPECT_TRUE(kFloatLanes == 1 || kFloatLanes == 4 || kFloatLanes == 8 ||
+              kFloatLanes == 16);
   EXPECT_NE(backend_name(), nullptr);
   EXPECT_GT(std::strlen(backend_name()), 0u);
+  // The 16-lane backend is AVX-512 and nothing else is.
+  EXPECT_EQ(std::strcmp(backend_name(), "avx512") == 0, kFloatLanes == 16);
+  // Masked tails exist exactly where a partial vector is one instruction.
+  EXPECT_EQ(kMaskedTail, kFloatLanes == 16);
 #if defined(DDMC_FORCE_SCALAR)
   EXPECT_STREQ(backend_name(), "scalar");
   EXPECT_EQ(kFloatLanes, 1u);
@@ -82,19 +88,79 @@ TEST(Simd, FmaIsCloseToMulAdd) {
   }
 }
 
+/// Every span length up to three vectors and one past (each tail of the
+/// single-vector loop and of the masked step), plus long spans that run
+/// the unrolled loop.
+std::vector<std::size_t> span_lengths() {
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 3 * kFloatLanes + 1; ++n) lengths.push_back(n);
+  for (std::size_t n : {31ul, 64ul, 97ul, 200ul}) lengths.push_back(n);
+  return lengths;
+}
+
+TEST(Simd, PartialLoadZeroFillsMissingLanes) {
+  // Each source ends exactly at n elements, so the sanitizer leg catches a
+  // partial load that reads past them.
+  for (std::size_t n = 0; n < kFloatLanes; ++n) {
+    std::vector<float> src(n);
+    for (std::size_t i = 0; i < n; ++i) src[i] = 1.5f + static_cast<float>(i);
+    std::vector<float> out(kFloatLanes, -1.0f);
+    vstore(out.data(), vload_partial(src.data(), n));
+    for (std::size_t i = 0; i < kFloatLanes; ++i) {
+      EXPECT_EQ(out[i], i < n ? src[i] : 0.0f) << "n=" << n << " i=" << i;
+      if (i >= n) {
+        EXPECT_FALSE(std::signbit(out[i])) << "n=" << n;
+      }
+    }
+  }
+}
+
+TEST(Simd, PartialStoreLeavesLanesPastNUntouched) {
+  std::vector<float> lanes(kFloatLanes);
+  for (std::size_t i = 0; i < kFloatLanes; ++i) {
+    lanes[i] = 0.25f * static_cast<float>(i + 1);
+  }
+  const float sentinel = -777.0f;
+  for (std::size_t n = 0; n < kFloatLanes; ++n) {
+    std::vector<float> dst(kFloatLanes + 1, sentinel);
+    vstore_partial(dst.data() + 1, vload(lanes.data()), n);
+    EXPECT_EQ(dst[0], sentinel) << "n=" << n;
+    for (std::size_t i = 0; i < kFloatLanes; ++i) {
+      EXPECT_EQ(dst[i + 1], i < n ? lanes[i] : sentinel)
+          << "n=" << n << " i=" << i;
+    }
+  }
+}
+
+TEST(Simd, PartialLoadU8WidensAndZeroFills) {
+  for (std::size_t n = 0; n < kFloatLanes; ++n) {
+    std::vector<std::uint8_t> src;
+    for (std::size_t i = 0; i < n; ++i) {
+      src.push_back(static_cast<std::uint8_t>(255 - 17 * i));
+    }
+    std::vector<float> out(kFloatLanes, -1.0f);
+    vstore(out.data(), vload_u8_partial(src.data(), n));
+    for (std::size_t i = 0; i < kFloatLanes; ++i) {
+      EXPECT_EQ(out[i], i < n ? static_cast<float>(src[i]) : 0.0f)
+          << "n=" << n << " i=" << i;
+    }
+  }
+}
+
 TEST(Simd, AccumulateSpanMatchesScalarBitwise) {
   std::mt19937 gen(20260730);
   std::uniform_real_distribution<float> dist(-1.0f, 1.0f);
-  // Cover empty spans, sub-lane tails, exact multiples and long spans, at
-  // unaligned source offsets, for every unroll hint. Unroll 3 has no
+  // Cover empty spans, every tail, exact multiples and long spans, at
+  // unaligned source offsets, for every unroll hint. Sources end exactly
+  // at the span, so a tail that reads past it trips the sanitizer leg.
+  // Unroll 3 has no
   // compiled instantiation — KernelConfig::validate rejects it upstream —
   // but the low-level dispatcher still maps it to the plain loop for
   // direct callers, and that fallback must stay bitwise-correct.
-  for (std::size_t n : {0ul, 1ul, 3ul, 7ul, 8ul, 15ul, 16ul, 31ul, 64ul,
-                        97ul, 200ul}) {
+  for (std::size_t n : span_lengths()) {
     for (std::size_t unroll : {1ul, 2ul, 3ul, 4ul, 8ul}) {
       for (std::size_t offset : {0ul, 1ul}) {
-        std::vector<float> src(n + offset + 1);
+        std::vector<float> src(n + offset);
         std::vector<float> acc_simd(n), acc_scalar(n);
         for (auto& v : src) v = dist(gen);
         for (std::size_t i = 0; i < n; ++i) {
@@ -123,7 +189,8 @@ TEST(Simd, SupportedUnrollSetIsExactlyTheCompiledLadder) {
 
 TEST(Simd, LoadU8WidensExactly) {
   // Every uint8 code widens to the exact float of its integer value, at any
-  // source offset — the widening load must read exactly kFloatLanes bytes.
+  // source offset, on every widening path (AVX-512's 16-byte load, AVX2's
+  // and plain AVX's 8-byte one, the 4-byte SSE2/NEON copy).
   std::vector<std::uint8_t> src(4 * kFloatLanes + 1);
   for (std::size_t i = 0; i < src.size(); ++i) {
     src[i] = static_cast<std::uint8_t>((i * 37 + 11) % 256);
@@ -136,21 +203,39 @@ TEST(Simd, LoadU8WidensExactly) {
           << "offset=" << offset << " i=" << i;
     }
   }
-  // Extremes widen exactly too.
+  // Extremes widen exactly too: codes with the top bit set are unsigned.
   std::vector<std::uint8_t> edge(kFloatLanes, 255);
   vstore(out.data(), vload_u8(edge.data()));
   for (std::size_t i = 0; i < kFloatLanes; ++i) EXPECT_EQ(out[i], 255.0f);
+}
+
+TEST(Simd, LoadU8ReadsExactlyKFloatLanesBytes) {
+  // The widening load never reads past the span a float vload of the same
+  // index would: a load ending at the last byte of an exactly sized
+  // allocation stays inside it (the sanitizer leg checks the bound), and
+  // the lanes see exactly the bytes they cover.
+  for (std::size_t offset = 0; offset <= kFloatLanes; ++offset) {
+    auto bytes = std::make_unique<std::uint8_t[]>(offset + kFloatLanes);
+    for (std::size_t i = 0; i < offset + kFloatLanes; ++i) {
+      bytes[i] = static_cast<std::uint8_t>(200 + i);
+    }
+    std::vector<float> out(kFloatLanes, -1.0f);
+    vstore(out.data(), vload_u8(bytes.get() + offset));
+    for (std::size_t i = 0; i < kFloatLanes; ++i) {
+      EXPECT_EQ(out[i], static_cast<float>(bytes[offset + i]))
+          << "offset=" << offset << " i=" << i;
+    }
+  }
 }
 
 TEST(Simd, AccumulateSpanU8MatchesScalarBitwise) {
   std::mt19937 gen(20260808);
   std::uniform_int_distribution<int> dist(0, 255);
   std::uniform_real_distribution<float> fdist(-1.0f, 1.0f);
-  for (std::size_t n : {0ul, 1ul, 3ul, 7ul, 8ul, 15ul, 16ul, 31ul, 64ul,
-                        97ul, 200ul}) {
+  for (std::size_t n : span_lengths()) {
     for (std::size_t unroll : {1ul, 2ul, 3ul, 4ul, 8ul}) {
       for (std::size_t offset : {0ul, 1ul}) {
-        std::vector<std::uint8_t> src(n + offset + 1);
+        std::vector<std::uint8_t> src(n + offset);
         std::vector<float> acc_simd(n), acc_scalar(n);
         for (auto& v : src) v = static_cast<std::uint8_t>(dist(gen));
         for (std::size_t i = 0; i < n; ++i) {
