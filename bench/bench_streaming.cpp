@@ -52,8 +52,9 @@ int main(int argc, char** argv) {
   cli.add_option("reps", "timed repetitions", "3");
   cli.add_option("threads", "worker threads (1 = inline)", "1");
   cli.add_option("json", "write machine-readable results to this path", "");
-  cli.add_flag("async", "run chunks on the double-buffered compute thread "
-                        "instead of inline on the feeding thread");
+  cli.add_flag("async", "pipeline chunks over compute and delivery threads "
+                        "instead of running them inline on the feeding "
+                        "thread");
   if (!cli.parse(argc, argv)) return 0;
 
   const auto dms = static_cast<std::size_t>(cli.get_int("dms"));
@@ -114,8 +115,9 @@ int main(int argc, char** argv) {
     opts.cpu = cpu;
     // Default inline: big feeds ride the zero-copy fast path, so this
     // measures the chunked kernel work itself. --async moves chunks to the
-    // compute thread (the ragged-feed deployment shape), which adds a
-    // handoff copy that contends with the memory-bound kernel.
+    // compute thread (the ragged-feed deployment shape), which copies each
+    // window once into the chunker, contending with the memory-bound
+    // kernel.
     opts.async = cli.get_flag("async");
 
     auto run_stream = [&](bool keep_latency) {

@@ -16,6 +16,12 @@
 /// performs the identical float additions in the identical order, so the
 /// concatenated chunk outputs are bitwise equal to one batch run — the
 /// property tests/stream_test.cpp asserts.
+///
+/// An asynchronous session lends the assembled window to its engine in
+/// place (hold()) and keeps feeding: samples that arrive meanwhile go to a
+/// chunk-sized lookahead, and release() carries the overlap forward and
+/// appends the lookahead once the engine is done. Memory stays one window
+/// plus one chunk, with no second window to copy into.
 
 #include <cstddef>
 
@@ -34,9 +40,11 @@ class OverlapChunker {
   /// widens the carried overlap beyond max_delay (an engine's declared
   /// input_padding: the subband engine's split-delay rounding reads up to
   /// two columns past in_samples, and carrying real samples for them keeps
-  /// chunked output identical to a batch run over a padded input).
+  /// chunked output identical to a batch run over a padded input). \p
+  /// lookahead allocates the chunk-sized buffer that hold() needs.
   explicit OverlapChunker(const dedisp::Plan& chunk_plan,
-                          std::size_t extra_overlap = 0);
+                          std::size_t extra_overlap = 0,
+                          bool lookahead = false);
 
   std::size_t channels() const { return window_.rows(); }
   /// Output samples emitted per full chunk.
@@ -51,15 +59,16 @@ class OverlapChunker {
   /// \p offset, stopping when the current window fills. Returns the number
   /// absorbed; the caller loops feed → (ready? emit, advance) until its
   /// samples are exhausted, which keeps the chunker's memory bounded at one
-  /// window regardless of feed granularity.
+  /// window regardless of feed granularity. While the window is held the
+  /// samples go to the lookahead, up to the current window's last sample.
   std::size_t feed(ConstView2D<float> samples, std::size_t offset = 0);
 
   /// Assembled columns of the current window (0 after skip_chunk(),
-  /// overlap() right after advance()).
+  /// overlap() right after advance() or hold()), the lookahead included.
   std::size_t filled() const { return filled_; }
 
-  /// True when a full window is assembled and can be dedispersed.
-  bool ready() const { return filled_ == window_.cols(); }
+  /// True when a full window is assembled in place and can be dedispersed.
+  bool ready() const { return !held_ && filled_ == window_.cols(); }
 
   /// The assembled channels × window_samples() input window (valid while
   /// ready()); invalidated by advance() and feed().
@@ -73,6 +82,21 @@ class OverlapChunker {
   /// Consume the emitted chunk: carry the trailing overlap() samples to the
   /// window's front and start assembling the next chunk.
   void advance();
+
+  /// Consume the emitted chunk like advance(), but leave its window in
+  /// place for an engine on another thread to read: later feed()s fill the
+  /// lookahead. Requires ready() and a lookahead.
+  void hold();
+  /// True between hold() and release() (or load()).
+  bool held() const { return held_; }
+  /// The engine is done reading the held window: carry its overlap to the
+  /// front and append the lookahead.
+  void release();
+
+  /// Replace the current window by \p window (channels × window_samples()),
+  /// the caller's block that holds all of it, so the assembled prefix and
+  /// the lookahead are duplicates. A held window must no longer be read.
+  void load(ConstView2D<float> window);
 
   /// Zero-copy accounting: the caller dedispersed window chunk_index()
   /// directly from its own contiguous sample block, so whatever prefix was
@@ -93,12 +117,15 @@ class OverlapChunker {
 
   /// Input window of the final partial chunk: channels × (max_delay +
   /// pending_out() + whatever extra_overlap columns were actually fed).
-  /// Valid while pending_out() > 0 and no further feed() happens;
-  /// dedisperse it with a plan of pending_out() output samples.
+  /// Valid while pending_out() > 0, the window is not held and no further
+  /// feed() happens; dedisperse it with a plan of pending_out() output
+  /// samples.
   ConstView2D<float> partial_input() const;
 
  private:
-  Array2D<float> window_;  // channels × (chunk_out + overlap)
+  Array2D<float> window_;     // channels × (chunk_out + overlap)
+  Array2D<float> lookahead_;  // channels × chunk_out, or empty
+  bool held_ = false;
   std::size_t chunk_out_ = 0;
   std::size_t overlap_ = 0;       // carried samples: max_delay + extra
   std::size_t data_overlap_ = 0;  // history that costs output: max_delay

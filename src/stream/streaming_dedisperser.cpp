@@ -1,7 +1,6 @@
 #include "stream/streaming_dedisperser.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <utility>
 
 #include "common/expect.hpp"
@@ -88,11 +87,13 @@ StreamingDedisperser::StreamingDedisperser(dedisp::Plan chunk_plan,
       sink_(std::move(sink)),
       options_(options),
       engine_(streaming_engine(options_)),
-      chunker_(plan_, session_input_padding(options_, *engine_)),
-      job_input_(plan_.channels(),
-                 plan_.in_samples() + session_input_padding(options_, *engine_)),
-      out_full_(plan_.dms(), plan_.out_samples()) {
+      chunker_(plan_, session_input_padding(options_, *engine_),
+               /*lookahead=*/options_.async) {
   engine_->validate_config(plan_, config_);
+  out_full_[0] = Array2D<float>(plan_.dms(), plan_.out_samples());
+  if (options_.async) {
+    out_full_[1] = Array2D<float>(plan_.dms(), plan_.out_samples());
+  }
   if (options_.shard_workers >= 2) {
     pipeline::ShardedOptions sharded;
     sharded.workers = options_.shard_workers;
@@ -123,7 +124,18 @@ StreamingDedisperser::StreamingDedisperser(dedisp::Plan chunk_plan,
     }
   }
   if (options_.async) {
-    worker_ = std::thread([this] { worker_loop(); });
+    delivery_thread_ = std::thread([this] { delivery_loop(); });
+    try {
+      compute_thread_ = std::thread([this] { compute_loop(); });
+    } catch (...) {
+      {
+        std::lock_guard<std::mutex> lock(mutex_);
+        delivery_stop_ = true;
+      }
+      cv_delivery_.notify_one();
+      delivery_thread_.join();
+      throw;
+    }
   }
 }
 
@@ -191,33 +203,46 @@ void StreamingDedisperser::push(ConstView2D<float> samples) {
                "sample block rows != plan channels");
   DDMC_REQUIRE(!closed_, "push into a closed streaming session");
   rethrow_pending_error();
+  const std::size_t window_cols = chunker_.window_samples();
   std::size_t offset = 0;
   while (offset < samples.cols()) {
-    // Zero-copy fast path: dedisperse straight from the caller's block
-    // whenever it contains the whole current window — the dominant case
-    // when a receiver hands over large buffers, and it keeps the
-    // memory-bound kernel free of assembly traffic. Any assembled window
+    // Release the held window as soon as the engine is done with it, so
+    // the copy happens off the window-complete path.
+    reclaim_window(/*wait=*/false);
+    // Zero-copy fast path: when the caller's block contains the whole
+    // current window — the dominant case when a receiver hands over large
+    // buffers — take the window straight from it. Any assembled window
     // prefix is, by construction, a copy of the last filled() samples fed,
     // i.e. block columns [offset − filled, offset), so the window starts
-    // filled() columns back in the block; skip_chunk() drops the duplicate
-    // prefix. The borrowed window is only read before submit() returns
-    // (sync: the kernel runs inline; async: the handoff copies it).
+    // filled() columns back in the block. A sync session dedisperses the
+    // borrowed window inline and skip_chunk() drops the duplicate prefix;
+    // an async session copies it into the chunker's window once the
+    // compute thread has released that.
     const std::size_t filled = chunker_.filled();
-    const std::size_t window_cols = chunker_.window_samples();
-    if (filled <= offset &&
-        samples.cols() - offset >= window_cols - filled) {
+    if (filled <= offset && samples.cols() - offset >= window_cols - filled) {
       const std::size_t start = offset - filled;
       const ConstView2D<float> window(&samples(0, start), channels(),
                                       window_cols, samples.pitch());
-      submit(window, chunker_.chunk_out());
-      chunker_.skip_chunk();
-      offset = start + chunker_.chunk_out();
+      const double assembled_at = session_clock_.seconds();
+      if (options_.async) {
+        reclaim_window(/*wait=*/true);
+        chunker_.load(window);
+        dispatch(assembled_at);
+        offset = start + window_cols;
+      } else {
+        submit(window, chunker_.chunk_out(), assembled_at);
+        chunker_.skip_chunk();
+        offset = start + chunker_.chunk_out();
+      }
       continue;
     }
     offset += chunker_.feed(samples, offset);
-    if (chunker_.ready()) {
-      submit(chunker_.chunk_input(), chunker_.chunk_out());
-      chunker_.advance();
+    if (chunker_.filled() == window_cols) {
+      // The window's last sample has arrived: stamp it before waiting for
+      // the compute thread, so the chunk's latency counts that wait.
+      const double assembled_at = session_clock_.seconds();
+      reclaim_window(/*wait=*/true);
+      dispatch(assembled_at);
     }
   }
 }
@@ -245,31 +270,52 @@ void StreamingDedisperser::consume(SampleRing& ring) {
 }
 
 void StreamingDedisperser::submit(ConstView2D<float> window,
-                                  std::size_t out_samples) {
+                                  std::size_t out_samples,
+                                  double assembled_at) {
   Job job;
   job.index = chunker_.chunk_index();
   job.first_sample = chunker_.first_out_sample();
   job.out_samples = out_samples;
-  job.in_cols = window.cols();
-  job.assembled_at = session_clock_.seconds();
+  job.input = window;
+  job.assembled_at = assembled_at;
 
   if (!options_.async) {
-    run_job(job, window);
+    deliver(compute(job, out_full_[0].view()));
     return;
   }
-  std::unique_lock<std::mutex> lock(mutex_);
-  cv_idle_.wait(lock, [&] { return !job_pending_; });
+  std::lock_guard<std::mutex> lock(mutex_);
   if (error_) std::rethrow_exception(error_);
-  for (std::size_t ch = 0; ch < window.rows(); ++ch) {
-    std::memcpy(&job_input_(ch, 0), &window(ch, 0),
-                window.cols() * sizeof(float));
-  }
   job_ = job;
   job_pending_ = true;
   cv_job_.notify_one();
 }
 
-void StreamingDedisperser::worker_loop() {
+void StreamingDedisperser::dispatch(double assembled_at) {
+  submit(chunker_.chunk_input(), chunker_.chunk_out(), assembled_at);
+  if (options_.async) {
+    chunker_.hold();
+  } else {
+    chunker_.advance();
+  }
+}
+
+void StreamingDedisperser::reclaim_window(bool wait) {
+  if (!chunker_.held()) return;
+  {
+    std::unique_lock<std::mutex> lock(mutex_);
+    if (wait) {
+      cv_idle_.wait(lock, [&] { return !job_pending_; });
+    } else if (job_pending_) {
+      return;
+    }
+  }
+  chunker_.release();
+}
+
+void StreamingDedisperser::compute_loop() {
+  // Full chunks alternate the two output buffers. Only the last record
+  // posted can still be in delivery, and it used the other buffer.
+  std::size_t next_out = 0;
   for (;;) {
     Job job;
     {
@@ -278,62 +324,94 @@ void StreamingDedisperser::worker_loop() {
       if (!job_pending_) return;  // stop requested, queue drained
       job = job_;
     }
-    const ConstView2D<float> input(job_input_.cview().data(), channels(),
-                                   job.in_cols, job_input_.pitch());
+    std::optional<Delivery> delivery;
+    std::exception_ptr failure;
     try {
-      run_job(job, input);
+      delivery = compute(job, out_full_[next_out].view());
+    } catch (...) {
+      failure = std::current_exception();
+    }
+    next_out ^= 1;
+    std::unique_lock<std::mutex> lock(mutex_);
+    job_pending_ = false;  // the window is the pushing thread's again
+    cv_idle_.notify_all();
+    // At most one delivery in flight: the previous chunk's returns first,
+    // which also orders a failure after every earlier chunk's delivery.
+    cv_slot_.wait(lock, [&] { return !delivery_pending_; });
+    if (error_) continue;  // a latched failure: deliver no later chunk
+    if (failure) {
+      error_ = failure;
+      continue;
+    }
+    delivery_ = std::move(*delivery);
+    delivery_pending_ = true;
+    cv_delivery_.notify_one();
+  }
+}
+
+void StreamingDedisperser::delivery_loop() {
+  for (;;) {
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      cv_delivery_.wait(lock,
+                        [&] { return delivery_pending_ || delivery_stop_; });
+      if (!delivery_pending_) return;  // stop requested, slot drained
+    }
+    try {
+      deliver(delivery_);
     } catch (...) {
       std::lock_guard<std::mutex> lock(mutex_);
       if (!error_) error_ = std::current_exception();
     }
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      job_pending_ = false;
-      cv_idle_.notify_all();
-    }
+    std::lock_guard<std::mutex> lock(mutex_);
+    delivery_ = Delivery{};  // frees a flush chunk's own output
+    delivery_pending_ = false;
+    cv_slot_.notify_one();
   }
 }
 
-void StreamingDedisperser::run_job(const Job& job, ConstView2D<float> input) {
+StreamingDedisperser::Delivery StreamingDedisperser::compute(
+    const Job& job, View2D<float> out_full) {
   const resilience::StreamPolicy& policy = options_.supervision;
   const bool full = job.out_samples == plan_.out_samples();
   const dedisp::Plan plan =
       full ? plan_ : plan_.with_chunk(job.out_samples);
   const engine::EngineConfig config =
       full ? config_ : partial_chunk_config();
-  const double data_seconds = static_cast<double>(job.out_samples) /
-                              plan_.observation().sampling_rate();
+  bool degraded = false;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    degraded = health_.degraded;
+  }
 
-  // Full chunks reuse the session's output buffer (a streaming hot path
+  Delivery delivery;
+  delivery.job = job;
+  // Full chunks reuse the session's output buffers (a streaming hot path
   // should not allocate megabytes per chunk); only the final partial
   // flush, whose shape differs, allocates its own.
-  Array2D<float> partial_out;
-  if (!full) partial_out = Array2D<float>(plan.dms(), plan.out_samples());
-  const View2D<float> out = full ? out_full_.view() : partial_out.view();
+  if (!full) {
+    delivery.partial_output = Array2D<float>(plan.dms(), plan.out_samples());
+  }
+  const View2D<float> out = full ? out_full : delivery.partial_output.view();
 
   telemetry::TraceSpan chunk_span("stream.chunk");
   chunk_span.arg("chunk", job.index).arg("out_samples", job.out_samples);
 
   // Watchdog rung 1 — bounded retry of transient chunk failures. A fresh
   // attempt rewrites the whole output buffer, so a half-written failed
-  // attempt never leaks into the emitted chunk. compute time keeps
+  // attempt never leaks into the emitted chunk. engine_seconds keeps
   // covering the failed attempts: the deadline judges the chunk's real
   // wall cost, which is what the ring feels.
-  Stopwatch compute;
-  std::size_t chunk_retries = 0;
-  bool single_run = false;
-  engine::EngineRun run;
+  const Stopwatch engine_clock;
   for (;;) {
     try {
       DDMC_FAILPOINT_CTX("stream.chunk", job.index);
-      if (full && sharded_ && !degraded_) {
-        sharded_->dedisperse(input, out);
-        single_run = false;
+      if (full && sharded_ && !degraded) {
+        sharded_->dedisperse(job.input, out);
       } else {
         const engine::DedispEngine& engine =
-            degraded_ ? *degrade_engine_ : *engine_;
-        run = engine.execute(plan, config, input, out);
-        single_run = true;
+            degraded ? *degrade_engine_ : *engine_;
+        delivery.run = engine.execute(plan, config, job.input, out);
       }
       break;
     } catch (...) {
@@ -341,34 +419,54 @@ void StreamingDedisperser::run_job(const Job& job, ConstView2D<float> input) {
       const bool transient = resilience::classify_supervised(err) ==
                              resilience::ErrorClass::kTransient;
       if (policy.enabled && transient &&
-          chunk_retries < policy.max_chunk_retries) {
-        ++chunk_retries;
+          delivery.retries < policy.max_chunk_retries) {
+        ++delivery.retries;
         continue;
-      }
-      if (chunk_retries > 0) {
-        retries_metric_->add(static_cast<double>(chunk_retries));
-        chunks_retried_metric_->increment();
       }
       // Rung 2 — skip: only transient failures may be dropped; a config
       // or data error would fail every later chunk the same way, so it
       // latches the session error exactly as an unsupervised run would.
       if (policy.enabled && policy.skip_failed_chunks && transient) {
-        skip_chunk_with_gap(job, resilience::describe(err));
-        return;
+        delivery.gap_reason = resilience::describe(err);
+        return delivery;
+      }
+      if (delivery.retries > 0) {
+        retries_metric_->add(static_cast<double>(delivery.retries));
+        chunks_retried_metric_->increment();
       }
       std::rethrow_exception(err);
     }
   }
+  delivery.output = out;  // moving the Delivery keeps partial_output's buffer
+  delivery.engine_seconds = engine_clock.seconds();
+  return delivery;
+}
+
+void StreamingDedisperser::deliver(const Delivery& delivery) {
+  const Job& job = delivery.job;
+  if (delivery.retries > 0) {
+    retries_metric_->add(static_cast<double>(delivery.retries));
+    chunks_retried_metric_->increment();
+  }
+  if (delivery.gap_reason) {
+    skip_chunk_with_gap(job, *delivery.gap_reason);
+    return;
+  }
+  const resilience::StreamPolicy& policy = options_.supervision;
+  const bool full = job.out_samples == plan_.out_samples();
+  const double data_seconds = static_cast<double>(job.out_samples) /
+                              plan_.observation().sampling_rate();
 
   StreamChunk chunk;
   chunk.index = job.index;
   chunk.first_sample = job.first_sample;
   chunk.out_samples = job.out_samples;
-  chunk.output = out;
+  chunk.output = delivery.output;
+  const Stopwatch detect;
   if (options_.detect) {
-    chunk.detection = sky::detect_best_dm(out);
+    chunk.detection = sky::detect_best_dm(delivery.output);
   }
-  chunk.timing.compute_seconds = compute.seconds();
+  chunk.timing.compute_seconds = delivery.engine_seconds + detect.seconds();
   chunk.timing.data_seconds = data_seconds;
   chunk.timing.latency_seconds = session_clock_.seconds() - job.assembled_at;
   if (sink_) {
@@ -376,15 +474,13 @@ void StreamingDedisperser::run_job(const Job& job, ConstView2D<float> input) {
     sink_span.arg("chunk", job.index);
     sink_(chunk);
   }
-  if (chunk_retries > 0) {
-    retries_metric_->add(static_cast<double>(chunk_retries));
-    chunks_retried_metric_->increment();
-  }
 
   std::unique_lock<std::mutex> lock(mutex_);
   tracker_.record(chunk.timing);
   ++emitted_;
-  if (single_run) traffic_.add(run, plan);
+  if (delivery.run) {
+    traffic_.add(*delivery.run, full ? plan_ : plan_.with_chunk(job.out_samples));
+  }
   // Rung 3 pressure — the deadline is the real-time-margin criterion per
   // chunk: factor × data seconds of compute budget. An overrun still
   // delivered (late science beats no science) but pushes the session
@@ -420,14 +516,14 @@ void StreamingDedisperser::skip_chunk_with_gap(const Job& job,
 
 void StreamingDedisperser::degrade_pressure(std::unique_lock<std::mutex>&) {
   ++pressure_streak_;
-  if (degraded_ || !degrade_engine_ ||
+  if (health_.degraded || !degrade_engine_ ||
       options_.supervision.degrade_after == 0 ||
       pressure_streak_ < options_.supervision.degrade_after) {
     return;
   }
   // The switch is one flag plus bookkeeping: the target engine was built
-  // at construction and the chunker already carries its padding.
-  degraded_ = true;
+  // at construction and the chunker already carries its padding. Chunks
+  // the compute stage already started finish on the old engine.
   pressure_streak_ = 0;
   degradations_metric_->increment();
   telemetry::Tracer::instance().record_instant("stream.degrade",
@@ -467,13 +563,15 @@ engine::SessionTraffic StreamingDedisperser::telemetry() const {
 void StreamingDedisperser::close() {
   if (!closed_) {
     closed_ = true;
-    // The flush may rethrow an earlier failure; the worker must still be
+    // The flush may rethrow an earlier failure; the threads must still be
     // stopped and joined before any exception leaves, or a joinable thread
     // would be destroyed.
     std::exception_ptr flush_error;
     try {
+      reclaim_window(/*wait=*/true);
       if (chunker_.pending_out() > 0) {
-        submit(chunker_.partial_input(), chunker_.pending_out());
+        submit(chunker_.partial_input(), chunker_.pending_out(),
+               session_clock_.seconds());
       }
     } catch (...) {
       flush_error = std::current_exception();
@@ -482,9 +580,15 @@ void StreamingDedisperser::close() {
       {
         std::lock_guard<std::mutex> lock(mutex_);
         stop_ = true;
-        cv_job_.notify_all();
       }
-      if (worker_.joinable()) worker_.join();
+      cv_job_.notify_one();
+      if (compute_thread_.joinable()) compute_thread_.join();
+      {
+        std::lock_guard<std::mutex> lock(mutex_);
+        delivery_stop_ = true;
+      }
+      cv_delivery_.notify_one();
+      if (delivery_thread_.joinable()) delivery_thread_.join();
     }
     std::lock_guard<std::mutex> lock(mutex_);
     if (!error_ && flush_error) error_ = flush_error;

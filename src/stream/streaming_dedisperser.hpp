@@ -17,22 +17,39 @@
 /// engine that reads past in_samples (subband) streams real samples, not
 /// zero padding.
 ///
-/// Feed raw samples at any granularity with push(); full chunk windows are
-/// handed to a dedicated compute thread (double-buffered: the next window
-/// assembles while the previous one dedisperses) and delivered to the sink
-/// in chunk order. close() flushes the final partial chunk, so a session
-/// that saw the same samples as a batch run emits, concatenated, the
-/// bitwise-identical output matrix.
+/// Feed raw samples at any granularity with push(); close() flushes the
+/// final partial chunk, so a session that saw the same samples as a batch
+/// run emits, concatenated, the bitwise-identical output matrix. An async
+/// session (the default) is a three-stage pipeline:
 ///
-/// The sink runs on the compute thread (async mode) or the pushing thread
-/// (sync mode); it must not call back into the session.
+///   pushing thread    assembly: feed the chunker; a full window is lent to
+///                     the compute thread in place, and the next window's
+///                     samples fill a chunk-sized lookahead meanwhile
+///   compute thread    the engine, alternating two output buffers
+///   delivery thread   detection (StreamingOptions::detect), the sink,
+///                     latency/traffic/retry accounting and the watchdog's
+///                     deadline, skip and degradation pressure, one chunk
+///                     at a time and in chunk order
+///
+/// so chunk k+1 dedisperses while chunk k is delivered, and a chunk costs
+/// the slower of the two stages rather than their sum. Memory: one input
+/// window + one chunk of lookahead + two output buffers (a sync session:
+/// one window + one output buffer). The final partial chunk gets its own
+/// output buffer.
+///
+/// The sink runs on the delivery thread (async mode) or the pushing thread
+/// (sync mode). Its calls are serialized, in chunk order and never
+/// concurrent; the output view is valid for the duration of the call. It
+/// must not call back into the session.
 
+#include <array>
 #include <condition_variable>
 #include <cstddef>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -80,13 +97,14 @@ struct StreamingOptions {
   dedisp::SubbandConfig subband;
   /// Scan each chunk for its strongest candidate and attach it.
   bool detect = false;
-  /// Dedisperse on a dedicated compute thread, double-buffered against
-  /// assembly; false runs chunks inline on the pushing thread
+  /// Pipeline the session: assembly on the pushing thread, the engine on a
+  /// compute thread and delivery (detection, sink, accounting) on a
+  /// delivery thread; false runs chunks inline on the pushing thread
   /// (deterministic profiling, tests).
   bool async = true;
   /// ≥ 2: each full chunk's DM grid is sharded across this many pool
-  /// workers (pipeline::ShardedDedisperser) behind the existing double
-  /// buffer, instead of one engine call; 0/1 keeps the single engine.
+  /// workers (pipeline::ShardedDedisperser) on the compute stage, instead
+  /// of one engine call; 0/1 keeps the single engine.
   /// Output stays bitwise identical either way. Additionally requires the
   /// engine's supports_sharding capability.
   std::size_t shard_workers = 0;
@@ -150,16 +168,17 @@ class StreamingDedisperser {
 
   /// Feed samples.cols() samples (channels × n, any n ≥ 0 — down to one
   /// sample). Completed chunks are dispatched as a side effect; blocks only
-  /// while both window buffers are full (compute backpressure). Rethrows a
-  /// sink/kernel failure from the compute thread.
+  /// while the lookahead is full and the compute thread still reads the
+  /// window (backpressure from compute, and through it from delivery).
+  /// Rethrows a sink/kernel failure from the pipeline threads.
   void push(ConstView2D<float> samples);
 
   /// Drain \p ring until it is closed and empty, push()ing everything.
   void consume(SampleRing& ring);
 
-  /// Flush the final partial chunk (if any), stop the compute thread and
-  /// deliver everything outstanding. Idempotent; called by the destructor.
-  /// Rethrows the first sink/kernel failure, if any.
+  /// Flush the final partial chunk (if any), drain the compute and then the
+  /// delivery stage, and join both threads. Idempotent; called by the
+  /// destructor. Rethrows the first sink/kernel failure, if any.
   void close();
 
   /// Chunks delivered to the sink so far.
@@ -196,7 +215,7 @@ class StreamingDedisperser {
   /// Plan + resolved tuning + the options the session will actually run
   /// (the tuning race's winning engine adopted into options.engine), so the
   /// cache lookup runs exactly once before the delegated constructor sizes
-  /// the chunker and starts the compute thread.
+  /// the chunker and starts the pipeline threads.
   struct TunedPlan {
     dedisp::Plan plan;
     StreamingOptions options;
@@ -212,24 +231,51 @@ class StreamingDedisperser {
     std::size_t index = 0;
     std::size_t first_sample = 0;
     std::size_t out_samples = 0;
-    /// Input columns of this job's window. Full chunks carry the whole
-    /// window (out + overlap incl. engine padding); the final partial
-    /// flush carries only what was actually fed — the engine zero-pads
-    /// the rest, exactly as a batch run over the same samples would.
-    std::size_t in_cols = 0;
+    /// The chunk's input window. Full chunks read the whole window (out +
+    /// overlap incl. engine padding); the final partial flush reads only
+    /// what was actually fed — the engine zero-pads the rest, exactly as a
+    /// batch run over the same samples would. In async mode this is the
+    /// chunker's own window, lent until the compute thread is done.
+    ConstView2D<float> input;
     double assembled_at = 0.0;  ///< session-clock time the window completed
   };
 
-  void submit(ConstView2D<float> window, std::size_t out_samples);
-  void run_job(const Job& job, ConstView2D<float> input);
+  /// A chunk on its way from the compute stage to the delivery stage.
+  struct Delivery {
+    Job job;
+    View2D<float> output;           ///< unset when the chunk was skipped
+    Array2D<float> partial_output;  ///< owns the final flush chunk's output
+    /// Set when the watchdog skipped the chunk: delivered as a gap record.
+    std::optional<std::string> gap_reason;
+    std::size_t retries = 0;
+    double engine_seconds = 0.0;  ///< failed attempts included
+    std::optional<engine::EngineRun> run;  ///< single-engine executions
+  };
+
+  /// Start chunk \p window (sync: run it inline; async: hand it to the
+  /// compute thread, which reads it in place).
+  void submit(ConstView2D<float> window, std::size_t out_samples,
+              double assembled_at);
+  /// Submit the chunker's assembled window and move the chunker on.
+  void dispatch(double assembled_at);
+  /// Async sessions: once the compute thread is done with the held window,
+  /// release it in the chunker. With \p wait, block until it is done.
+  void reclaim_window(bool wait);
+  /// Compute stage: the engine with the watchdog's retry rung, into
+  /// \p out_full for full chunks. Throws a failure no rung absorbs.
+  Delivery compute(const Job& job, View2D<float> out_full);
+  /// Delivery stage: detection, the sink and the accounting, or the gap
+  /// record of a skipped chunk.
+  void deliver(const Delivery& delivery);
   /// Watchdog rung 2: account the never-emitted chunk as a gap and apply
-  /// degradation pressure. Called from run_job with the terminal failure.
+  /// degradation pressure.
   void skip_chunk_with_gap(const Job& job, const std::string& reason);
   /// Apply one unit of degradation pressure (a skip or a deadline
   /// overrun); a clean chunk resets the streak. Switches to the prebuilt
   /// degradation target when the streak reaches the policy threshold.
   void degrade_pressure(std::unique_lock<std::mutex>& lock);
-  void worker_loop();
+  void compute_loop();
+  void delivery_loop();
   void rethrow_pending_error();
 
   dedisp::Plan plan_;
@@ -248,25 +294,30 @@ class StreamingDedisperser {
   /// final partial chunk keeps the single-engine 1×1 path, whose output is
   /// bitwise identical anyway.
   std::unique_ptr<pipeline::ShardedDedisperser> sharded_;
+  /// Async sessions build it with a lookahead: it holds the window the
+  /// compute thread reads and assembles the next one meanwhile.
   OverlapChunker chunker_;
   Stopwatch session_clock_;
   LatencyTracker tracker_;  // guarded by mutex_ in async mode
 
-  // Double buffer: the chunker assembles into its own window while the
-  // compute thread reads job_input_.
-  Array2D<float> job_input_;
-  /// Output buffer reused by every full chunk (one job runs at a time);
-  /// the sink's view into it is valid only during the sink call.
-  Array2D<float> out_full_;
-  Job job_;
-  bool job_pending_ = false;
-  bool stop_ = false;
+  /// Output buffers of full chunks; the sink's view into one is valid only
+  /// during the sink call. Async sessions alternate both, and at most one
+  /// delivery is in flight, so the compute thread never writes the buffer
+  /// being delivered; sync sessions allocate only the first.
+  std::array<Array2D<float>, 2> out_full_;
+  Job job_;                     // guarded by mutex_
+  bool job_pending_ = false;    // the compute thread owns the window
+  Delivery delivery_;           // owned by the delivery thread while pending
+  bool delivery_pending_ = false;
+  bool stop_ = false;           // compute: no job follows
+  bool delivery_stop_ = false;  // delivery: no record follows
   bool closed_ = false;
   std::exception_ptr error_;
   std::size_t emitted_ = 0;
   /// Only the gaps list, active_engine and degraded flag are kept here
   /// (guarded by mutex_); every numeric counter lives in the session's
-  /// registry metrics below and is folded back in by health().
+  /// registry metrics below and is folded back in by health(). The
+  /// delivery stage sets degraded; the compute stage reads it per chunk.
   resilience::StreamHealth health_;
   /// Session-labeled supervision counters — the numeric source of truth
   /// behind health() and the exporters.
@@ -277,13 +328,13 @@ class StreamingDedisperser {
   std::shared_ptr<telemetry::Counter> degradations_metric_;
   engine::SessionTraffic traffic_;      // guarded by mutex_
   std::size_t pressure_streak_ = 0;     // guarded by mutex_
-  /// Set once by the compute path when the watchdog switches engines; read
-  /// by the compute path only (health_.degraded mirrors it for health()).
-  bool degraded_ = false;
   mutable std::mutex mutex_;
-  std::condition_variable cv_job_;
-  std::condition_variable cv_idle_;
-  std::thread worker_;
+  std::condition_variable cv_job_;       // compute: job_pending_ || stop_
+  std::condition_variable cv_idle_;      // push: !job_pending_
+  std::condition_variable cv_delivery_;  // delivery: record || stop
+  std::condition_variable cv_slot_;      // compute: !delivery_pending_
+  std::thread delivery_thread_;
+  std::thread compute_thread_;
 };
 
 /// One delivered multi-beam chunk: per-beam trial matrices plus the

@@ -27,6 +27,7 @@
 #include "resilience/supervisor.hpp"
 #include "stream/ring_buffer.hpp"
 #include "stream/streaming_dedisperser.hpp"
+#include "probe_engine.hpp"
 #include "test_util.hpp"
 #include "tuner/tuning_cache.hpp"
 
@@ -39,6 +40,7 @@ using resilience::ErrorClass;
 using resilience::FaultInjector;
 using resilience::FaultSpec;
 using resilience::ScopedFault;
+using testing::ProbeEngine;
 using testing::expect_same_matrix;
 using testing::mini_obs;
 using testing::random_input;
@@ -714,6 +716,62 @@ TEST(StreamingWatchdog, DeadlineOverrunsApplyDegradationPressure) {
   EXPECT_EQ(health.degradations, 1u);
   EXPECT_EQ(health.active_engine, "subband");
   EXPECT_EQ(health.chunks_skipped, 0u);
+}
+
+TEST(StreamingWatchdog, PressureStreakFollowsChunkOrder) {
+  // Chunk 0 is on time and chunk 1 is skipped, which leaves the pressure
+  // streak at 1: the on-time chunk resets it before the skip counts, never
+  // after. When chunk 2 then overruns its deadline the streak reaches
+  // degrade_after = 2; when it is on time the session never degrades. An
+  // async session applies the pressure on its delivery thread while later
+  // chunks already dedisperse, so both modes run.
+  const Plan batch = Plan::with_output_samples(mini_obs(), 12, 4 * 32);
+  const Array2D<float> input = random_input(batch);
+  for (const bool async : {false, true}) {
+    for (const bool overrun : {true, false}) {
+      SCOPED_TRACE(std::string(async ? "async" : "sync") +
+                   (overrun ? ", chunk 2 overruns" : ", chunk 2 on time"));
+      ProbeEngine::install();
+      // Chunk 1 never reaches the engine, so chunk 2 is execution 2.
+      if (overrun) ProbeEngine::slow_down(2, std::chrono::milliseconds(400));
+      FaultSpec spec;
+      spec.context = 1;
+      spec.max_fires = 0;
+      ScopedFault fault("stream.chunk", spec);
+
+      Collector collect(batch.dms(), batch.out_samples());
+      stream::StreamingOptions opts;
+      opts.engine = ProbeEngine::kId;
+      opts.async = async;
+      opts.cpu.threads = 1;
+      opts.supervision.enabled = true;
+      opts.supervision.max_chunk_retries = 0;
+      opts.supervision.degrade_after = 2;
+      // 0.16 s of budget per 0.32 s chunk: the slowed chunk misses it, the
+      // others take well under a millisecond.
+      opts.supervision.deadline_factor = 0.5;
+      // A slow sink on chunk 0 makes an async session skip chunk 1 while
+      // chunk 0 is still being delivered.
+      stream::StreamingDedisperser session(
+          batch.with_chunk(32), engine::EngineConfig{},
+          [&](const stream::StreamChunk& chunk) {
+            if (chunk.index == 0) {
+              std::this_thread::sleep_for(std::chrono::milliseconds(100));
+            }
+            collect(chunk);
+          },
+          opts);
+      session.push(input.cview());
+      session.close();
+
+      const resilience::StreamHealth health = session.health();
+      EXPECT_EQ(collect.indices, (std::vector<std::size_t>{0, 2, 3}));
+      EXPECT_EQ(health.chunks_skipped, 1u);
+      EXPECT_EQ(health.deadline_overruns, overrun ? 1u : 0u);
+      EXPECT_EQ(health.degradations, overrun ? 1u : 0u);
+      EXPECT_EQ(health.degraded, overrun);
+    }
+  }
 }
 
 TEST(StreamingWatchdog, UnsupervisedSessionStillFailsFast) {

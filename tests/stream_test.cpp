@@ -20,6 +20,7 @@
 #include "stream/latency.hpp"
 #include "stream/ring_buffer.hpp"
 #include "stream/streaming_dedisperser.hpp"
+#include "probe_engine.hpp"
 #include "test_util.hpp"
 
 namespace ddmc::stream {
@@ -27,6 +28,7 @@ namespace {
 
 using dedisp::KernelConfig;
 using dedisp::Plan;
+using testing::ProbeEngine;
 using testing::expect_same_matrix;
 using testing::mini_obs;
 using testing::random_input;
@@ -46,6 +48,19 @@ void feed_in_slices(StreamingDedisperser& session,
                                     input.pitch()));
     t += n;
   }
+}
+
+/// Feed one block that completes the session's first window and carries
+/// \p ahead samples beyond it (an async session's lookahead fills while the
+/// engine reads the window), then everything else as one block.
+void feed_window_then_rest(StreamingDedisperser& session,
+                           const Array2D<float>& input, std::size_t ahead) {
+  const std::size_t first = std::min(
+      input.cols(), session.chunk_plan().in_samples() + ahead);
+  session.push(ConstView2D<float>(input.cview().data(), input.rows(), first,
+                                  input.pitch()));
+  session.push(ConstView2D<float>(&input.cview()(0, first), input.rows(),
+                                  input.cols() - first, input.pitch()));
 }
 
 /// Reassemble sink chunks into one dms × total matrix by first_sample.
@@ -305,36 +320,54 @@ TEST(OverlapChunker, WindowsAreTheBatchInputColumns) {
   const Plan batch = Plan::with_output_samples(mini_obs(), 8, 96);
   const Plan chunk = batch.with_chunk(32);
   const Array2D<float> input = random_input(batch);
-  OverlapChunker chunker(chunk);
-  EXPECT_EQ(chunker.overlap(), batch.max_delay());
-  EXPECT_EQ(chunker.window_samples(), 32 + batch.max_delay());
+  // With a lookahead, each window is held (as an engine on another thread
+  // would read it) while the next one's samples arrive in 5-sample feeds,
+  // and released only once they complete it.
+  for (const bool lookahead : {false, true}) {
+    SCOPED_TRACE(lookahead ? "hold/release" : "advance");
+    OverlapChunker chunker(chunk, 0, lookahead);
+    EXPECT_EQ(chunker.overlap(), batch.max_delay());
+    EXPECT_EQ(chunker.window_samples(), 32 + batch.max_delay());
 
-  std::size_t t = 0;
-  std::size_t seen = 0;
-  while (t < input.cols()) {
-    t += chunker.feed(input.cview(), t);
-    if (!chunker.ready()) continue;
-    const ConstView2D<float> window = chunker.chunk_input();
-    const std::size_t base = chunker.first_out_sample();
-    for (std::size_t ch = 0; ch < input.rows(); ++ch) {
-      for (std::size_t i = 0; i < window.cols(); ++i) {
-        ASSERT_EQ(window(ch, i), input(ch, base + i))
-            << "chunk " << chunker.chunk_index() << " ch " << ch << " i " << i;
+    std::size_t t = 0;
+    std::size_t seen = 0;
+    while (t < input.cols()) {
+      const ConstView2D<float> feed(input.cview().data(), input.rows(),
+                                    std::min(input.cols(), t + 5),
+                                    input.pitch());
+      t += chunker.feed(feed, t);
+      if (chunker.held() && chunker.filled() == chunker.window_samples()) {
+        chunker.release();
+      }
+      if (!chunker.ready()) continue;
+      const ConstView2D<float> window = chunker.chunk_input();
+      const std::size_t base = chunker.first_out_sample();
+      for (std::size_t ch = 0; ch < input.rows(); ++ch) {
+        for (std::size_t i = 0; i < window.cols(); ++i) {
+          ASSERT_EQ(window(ch, i), input(ch, base + i))
+              << "chunk " << chunker.chunk_index() << " ch " << ch << " i "
+              << i;
+        }
+      }
+      ++seen;
+      if (lookahead) {
+        chunker.hold();
+      } else {
+        chunker.advance();
       }
     }
-    ++seen;
-    chunker.advance();
-  }
-  // 96 output samples = exactly 3 chunks of 32; nothing is left over.
-  EXPECT_EQ(seen, 3u);
-  EXPECT_EQ(chunker.pending_out(), 0u);
+    // 96 output samples = exactly 3 chunks of 32; nothing is left over.
+    EXPECT_EQ(seen, 3u);
+    EXPECT_EQ(chunker.pending_out(), 0u);
+    if (chunker.held()) chunker.release();
 
-  // A few extra samples become the pending partial chunk.
-  Array2D<float> extra(input.rows(), 7);
-  chunker.feed(extra.cview());
-  EXPECT_FALSE(chunker.ready());
-  EXPECT_EQ(chunker.pending_out(), 7u);
-  EXPECT_EQ(chunker.partial_input().cols(), chunker.overlap() + 7u);
+    // A few extra samples become the pending partial chunk.
+    Array2D<float> extra(input.rows(), 7);
+    chunker.feed(extra.cview());
+    EXPECT_FALSE(chunker.ready());
+    EXPECT_EQ(chunker.pending_out(), 7u);
+    EXPECT_EQ(chunker.partial_input().cols(), chunker.overlap() + 7u);
+  }
 }
 
 TEST(OverlapChunker, NoOutputBeforeTheOverlapIsCovered) {
@@ -384,19 +417,23 @@ TEST(StreamingDedisperser, BitwiseEqualToBatchAcrossGranularities) {
 
   struct Case {
     std::size_t chunk_out;
-    std::size_t max_slice;
+    std::size_t max_slice;  // 0: feed_window_then_rest with `ahead`
     bool async;
+    std::size_t ahead = 0;
   };
   const std::vector<Case> cases = {
       {64, 1, false},   // one-sample feeds, inline compute
-      {64, 17, true},   // ragged feeds, double-buffered compute thread
+      {64, 17, true},   // ragged feeds, pipelined compute and delivery
       {32, 5, true},
       {96, 201, false}, // slices larger than a chunk
+      {32, 300, true},  // slices larger than a window
+      {32, 0, true, 20},  // a part-filled lookahead, then one large block
+      {32, 0, false, 20},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE("chunk_out=" + std::to_string(c.chunk_out) + " max_slice=" +
-                 std::to_string(c.max_slice) +
-                 (c.async ? " async" : " sync"));
+                 std::to_string(c.max_slice) + " ahead=" +
+                 std::to_string(c.ahead) + (c.async ? " async" : " sync"));
     Collector collect(batch.dms(), total_out);
     StreamingOptions opts;
     opts.async = c.async;
@@ -404,7 +441,11 @@ TEST(StreamingDedisperser, BitwiseEqualToBatchAcrossGranularities) {
     StreamingDedisperser session(batch.with_chunk(c.chunk_out),
                                  KernelConfig{8, 2, 4, 2},
                                  std::ref(collect), opts);
-    feed_in_slices(session, input, c.max_slice, 1234 + c.chunk_out);
+    if (c.max_slice == 0) {
+      feed_window_then_rest(session, input, c.ahead);
+    } else {
+      feed_in_slices(session, input, c.max_slice, 1234 + c.chunk_out);
+    }
     session.close();
     EXPECT_EQ(collect.emitted, total_out);
     expect_same_matrix(expected, collect.total);
@@ -583,7 +624,10 @@ TEST(StreamingDedisperser, LegacyKernelConfigShedsAxesForeignToTheEngine) {
 TEST(StreamingDedisperser, RandomizedChunkAndFeedProperty) {
   Rng rng(99);
   const std::vector<std::size_t> chunk_sizes = {32, 64, 96, 160};
-  for (int round = 0; round < 4; ++round) {
+  // Rounds 0–3 alternate sync and async sessions on small slices; rounds
+  // 4–7 are async on slices up to three windows long, the odd ones a
+  // part-filled lookahead followed by one large block.
+  for (int round = 0; round < 8; ++round) {
     const std::size_t total_out =
         64 + static_cast<std::size_t>(rng.next_below(160));
     const Plan batch = Plan::with_output_samples(mini_obs(), 8, total_out);
@@ -593,20 +637,30 @@ TEST(StreamingDedisperser, RandomizedChunkAndFeedProperty) {
 
     const std::size_t chunk_out =
         chunk_sizes[rng.next_below(chunk_sizes.size())];
+    const std::size_t window = batch.with_chunk(chunk_out).in_samples();
+    const bool large = round >= 4;
     const std::size_t max_slice =
-        1 + static_cast<std::size_t>(rng.next_below(40));
+        1 + static_cast<std::size_t>(rng.next_below(large ? 3 * window : 40));
+    const std::size_t ahead =
+        1 + static_cast<std::size_t>(rng.next_below(chunk_out - 1));
+    const bool window_then_rest = large && round % 2 == 1;
     SCOPED_TRACE("total_out=" + std::to_string(total_out) + " chunk_out=" +
                  std::to_string(chunk_out) + " max_slice=" +
-                 std::to_string(max_slice));
+                 std::to_string(max_slice) +
+                 (window_then_rest ? " ahead=" + std::to_string(ahead) : ""));
 
     Collector collect(batch.dms(), total_out);
     StreamingOptions opts;
-    opts.async = (round % 2 == 0);
+    opts.async = large || round % 2 == 0;
     opts.cpu.threads = 1;
     StreamingDedisperser session(batch.with_chunk(chunk_out),
                                  KernelConfig{8, 2, 4, 2},
                                  std::ref(collect), opts);
-    feed_in_slices(session, input, max_slice, 777 + round);
+    if (window_then_rest) {
+      feed_window_then_rest(session, input, ahead);
+    } else {
+      feed_in_slices(session, input, max_slice, 777 + round);
+    }
     session.close();
     EXPECT_EQ(collect.emitted, total_out);
     expect_same_matrix(expected, collect.total);
@@ -702,6 +756,101 @@ TEST(StreamingDedisperser, ValidatesConfigAndInput) {
   StreamingDedisperser session(chunk, KernelConfig{8, 2, 4, 2}, nullptr);
   Array2D<float> wrong(3, 10);
   EXPECT_THROW(session.push(wrong.cview()), invalid_argument);
+}
+
+// -------------------------------------------------------------- pipeline --
+
+TEST(StreamingPipeline, NextChunkDedispersesWhileTheSinkRuns) {
+  ProbeEngine::install();
+  const Plan batch = Plan::with_output_samples(mini_obs(), 8, 128);
+  const Array2D<float> input = random_input(batch);
+  const Array2D<float> expected =
+      dedisp::dedisperse_reference(batch, input.cview());
+  StreamingOptions opts;
+  opts.engine = ProbeEngine::kId;
+  opts.cpu.threads = 1;
+  Collector collect(batch.dms(), batch.out_samples());
+  bool overlapped = false;
+  StreamingDedisperser session(
+      batch.with_chunk(32), engine::EngineConfig{},
+      [&](const StreamChunk& chunk) {
+        // Chunk 0's sink waits for chunk 1's engine to start; a session
+        // that runs the engine and the sink in series times out here.
+        if (chunk.index == 0) {
+          overlapped =
+              ProbeEngine::wait_started(2, std::chrono::seconds(5));
+        }
+        collect(chunk);
+      },
+      opts);
+  session.push(input.cview());
+  session.close();
+  EXPECT_TRUE(overlapped)
+      << "chunk 1 did not start dedispersing while chunk 0 was delivered";
+  EXPECT_EQ(collect.emitted, batch.out_samples());
+  expect_same_matrix(expected, collect.total);
+}
+
+TEST(StreamingPipeline, SinkCallsAreSerializedAndInChunkOrder) {
+  const std::size_t total_out = 12 * 32 + 9;  // 12 full chunks + partial
+  const Plan batch = Plan::with_output_samples(mini_obs(), 8, total_out);
+  const Array2D<float> input = random_input(batch, 21);
+  const Array2D<float> expected =
+      dedisp::dedisperse_reference(batch, input.cview());
+  StreamingOptions opts;
+  opts.detect = true;
+  opts.cpu.threads = 1;
+  Collector collect(batch.dms(), total_out);
+  std::atomic<bool> in_sink{false};
+  std::atomic<bool> overlapped{false};
+  std::vector<std::size_t> indices;
+  StreamingDedisperser session(
+      batch.with_chunk(32), KernelConfig{8, 2, 4, 2},
+      [&](const StreamChunk& chunk) {
+        if (in_sink.exchange(true)) overlapped = true;
+        indices.push_back(chunk.index);
+        collect(chunk);
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        in_sink = false;
+      },
+      opts);
+  feed_in_slices(session, input, 23, 5);
+  session.close();
+  EXPECT_FALSE(overlapped);
+  std::vector<std::size_t> in_order(13);
+  for (std::size_t i = 0; i < in_order.size(); ++i) in_order[i] = i;
+  EXPECT_EQ(indices, in_order);
+  EXPECT_EQ(collect.emitted, total_out);
+  expect_same_matrix(expected, collect.total);
+}
+
+TEST(StreamingPipeline, SinkFailureDeliversNoLaterChunk) {
+  ProbeEngine::install();
+  const Plan batch = Plan::with_output_samples(mini_obs(), 8, 6 * 32);
+  const Array2D<float> input = random_input(batch);
+  StreamingOptions opts;
+  opts.engine = ProbeEngine::kId;
+  opts.cpu.threads = 1;
+  std::vector<std::size_t> indices;
+  StreamingDedisperser session(
+      batch.with_chunk(32), engine::EngineConfig{},
+      [&](const StreamChunk& chunk) {
+        indices.push_back(chunk.index);
+        if (chunk.index != 1) return;
+        // Fail once chunk 2 is already dedispersing, so it is ready to be
+        // delivered when the failure latches.
+        ProbeEngine::wait_started(3, std::chrono::seconds(5));
+        throw std::runtime_error("sink failed on chunk 1");
+      },
+      opts);
+  try {
+    feed_in_slices(session, input, 40, 11);
+  } catch (const std::runtime_error&) {
+    // push() may already rethrow the latched failure.
+  }
+  EXPECT_THROW(session.close(), std::runtime_error);
+  EXPECT_EQ(indices, (std::vector<std::size_t>{0, 1}));
+  EXPECT_EQ(session.chunks_emitted(), 1u);
 }
 
 // ------------------------------------------------------------ multi-beam --
