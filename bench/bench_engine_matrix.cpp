@@ -12,10 +12,12 @@
 /// Bitwise-exact engines are differentially checked against the reference
 /// output before timing.
 ///
-/// A second act sweeps the trial count to locate the brute-force ↔
-/// Fourier-domain crossover: the fdmt engine's asymptotic win only pays
-/// above some number of DM trials, and that crossover is a property of
-/// this machine worth recording next to the single-scenario matrix.
+/// A second act sweeps the trial count and races every tunable engine at
+/// each point (cpu_tiled, cpu_tiled_u8, subband, fdmt, each on its
+/// bench-native config): the fdmt engine's asymptotic win only pays above
+/// some number of DM trials, and whether it pays against the best engine
+/// for the plan — not only against brute force — is a property of this
+/// machine worth recording next to the single-scenario matrix.
 ///
 ///   ./bench_engine_matrix [--dms 64] [--out-samples 10000] [--reps 3]
 ///                         [--sweep-dms 16,64,256,1024] [--json out.json]
@@ -61,15 +63,35 @@ struct EngineResult {
   std::string modeled_note;
 };
 
-/// One trial-count point of the brute-force ↔ Fourier-domain sweep.
+/// One trial-count point of the sweep: best-of wall seconds per raced
+/// engine, in race order.
 struct SweepPoint {
   std::size_t dms = 0;
-  double cpu_tiled_seconds = 0.0;
-  double fdmt_seconds = 0.0;
-  const char* winner() const {
-    return fdmt_seconds < cpu_tiled_seconds ? "fdmt" : "cpu_tiled";
+  std::vector<std::pair<std::string, double>> seconds;
+
+  double of(const std::string& id) const {
+    for (const auto& [engine, s] : seconds) {
+      if (engine == id) return s;
+    }
+    return std::numeric_limits<double>::infinity();
+  }
+  const std::string& winner() const {
+    return std::min_element(seconds.begin(), seconds.end(),
+                            [](const auto& a, const auto& b) {
+                              return a.second < b.second;
+                            })
+        ->first;
   }
 };
+
+/// Smallest swept trial count at which \p pred holds; 0 when it never does.
+template <typename Pred>
+std::size_t first_dms(const std::vector<SweepPoint>& sweep, Pred pred) {
+  for (const SweepPoint& p : sweep) {
+    if (pred(p)) return p.dms;
+  }
+  return 0;
+}
 
 /// "16,64,256" -> {16, 64, 256}; empty string -> empty list (sweep off).
 std::vector<std::size_t> parse_dm_list(const std::string& text) {
@@ -116,8 +138,8 @@ int main(int argc, char** argv) {
   cli.add_option("out-samples", "output samples per trial", "10000");
   cli.add_option("reps", "timed repetitions", "3");
   cli.add_option("sweep-dms",
-                 "comma-separated trial counts for the brute-force/fdmt "
-                 "crossover sweep (empty: skip)",
+                 "comma-separated trial counts for the engine race sweep "
+                 "(empty: skip)",
                  "16,64,256,1024");
   cli.add_option("json", "write machine-readable results to this path", "");
   if (!cli.parse(argc, argv)) return 0;
@@ -308,17 +330,20 @@ int main(int argc, char** argv) {
                "follow each engine's\n declared input element size)\n";
 
   // ------------------------------------------------- DM-count crossover --
-  // Race the tuned brute-force engine against the Fourier-domain engine
-  // over a ladder of trial counts: fdmt pays a fixed FFT cost but its
-  // per-trial rotation work is asymptotically smaller, so it overtakes
-  // cpu_tiled somewhere along the ladder — the crossover a deployment
-  // would use to pick the engine per survey size.
+  // Race every tunable engine over a ladder of trial counts. fdmt pays a
+  // fixed FFT cost but its per-trial rotation work is asymptotically
+  // smaller, so it overtakes brute force somewhere along the ladder; the
+  // race shows whether it also overtakes the two-stage subband engine,
+  // which factors the shifts the same way without the transforms — the
+  // crossover a deployment would use to pick the engine per survey size.
   const std::vector<std::size_t> sweep_dms =
       parse_dm_list(cli.get("sweep-dms"));
   std::vector<SweepPoint> sweep;
+  std::vector<std::string> racers;
+  for (const std::string& id : engine::EngineRegistry::instance().ids()) {
+    if (engine::make_engine(id)->capabilities().tunable) racers.push_back(id);
+  }
   if (!sweep_dms.empty()) {
-    const auto tiled_eng = engine::make_engine("cpu_tiled");
-    const auto fdmt_eng = engine::make_engine("fdmt");
     for (const std::size_t n : sweep_dms) {
       const dedisp::Plan sweep_plan =
           dedisp::Plan::with_output_samples(obs, n, out_samples);
@@ -326,7 +351,10 @@ int main(int argc, char** argv) {
       if (!shape.divides(sweep_plan)) {
         shape = dedisp::KernelConfig{1, 1, 1, 1, 32, 4};
       }
-      Array2D<float> in(sweep_plan.channels(), sweep_plan.in_samples());
+      dedisp::KernelConfig shape_u8 = tuned_u8;
+      if (!shape_u8.divides(sweep_plan)) shape_u8 = shape;
+      Array2D<float> in(sweep_plan.channels(),
+                        sweep_plan.in_samples() + max_padding);
       Rng sweep_rng(7 + n);
       for (std::size_t ch = 0; ch < in.rows(); ++ch) {
         for (auto& v : in.row(ch)) v = sweep_rng.next_float(-1.0f, 1.0f);
@@ -334,40 +362,54 @@ int main(int argc, char** argv) {
       Array2D<float> out(sweep_plan.dms(), sweep_plan.out_samples());
       SweepPoint point;
       point.dms = n;
-      point.cpu_tiled_seconds =
-          best_of(*tiled_eng, sweep_plan, engine::encode_kernel_config(shape),
-                  in.cview(), out.view(), reps);
-      point.fdmt_seconds =
-          best_of(*fdmt_eng, sweep_plan, fdmt_native_config(sweep_plan, *fdmt_eng),
-                  in.cview(), out.view(), reps);
-      sweep.push_back(point);
-    }
-
-    // Smallest swept trial count where the transform wins; 0 = never.
-    std::size_t crossover = 0;
-    for (const SweepPoint& p : sweep) {
-      if (p.fdmt_seconds < p.cpu_tiled_seconds) {
-        crossover = p.dms;
-        break;
+      for (const std::string& id : racers) {
+        const auto eng = engine::make_engine(id);
+        // The same native configs as the matrix above: the tuned tile
+        // shapes, fdmt's native split, subband's configured default.
+        engine::EngineConfig config;
+        if (id == "cpu_tiled") config = engine::encode_kernel_config(shape);
+        if (id == "cpu_tiled_u8") {
+          config = engine::encode_kernel_config(shape_u8);
+        }
+        if (id == "fdmt") config = fdmt_native_config(sweep_plan, *eng);
+        // One untimed call first: engines that keep workspaces size them
+        // on their first call, like a session's first chunk.
+        eng->execute(sweep_plan, config, in.cview(), out.view());
+        point.seconds.emplace_back(
+            id, best_of(*eng, sweep_plan, config, in.cview(), out.view(),
+                        reps));
       }
+      sweep.push_back(std::move(point));
     }
 
-    std::cout << "\n== brute-force vs Fourier-domain, " << out_samples
+    const std::size_t fdmt_wins = first_dms(
+        sweep, [](const SweepPoint& p) { return p.winner() == "fdmt"; });
+    const std::size_t fdmt_beats_tiled =
+        first_dms(sweep, [](const SweepPoint& p) {
+          return p.of("fdmt") < p.of("cpu_tiled");
+        });
+
+    std::cout << "\n== engine race per trial count, " << out_samples
               << " samples, best of " << reps << " ==\n\n";
-    TextTable sweep_table({"DMs", "cpu_tiled ms", "fdmt ms", "winner"});
+    std::vector<std::string> header = {"DMs"};
+    for (const std::string& id : racers) header.push_back(id + " ms");
+    header.push_back("winner");
+    TextTable sweep_table(header);
     for (const SweepPoint& p : sweep) {
-      sweep_table.add_row({std::to_string(p.dms),
-                           TextTable::num(p.cpu_tiled_seconds * 1e3, 1),
-                           TextTable::num(p.fdmt_seconds * 1e3, 1),
-                           p.winner()});
+      std::vector<std::string> row = {std::to_string(p.dms)};
+      for (const auto& [id, seconds] : p.seconds) {
+        row.push_back(TextTable::num(seconds * 1e3, 1));
+      }
+      row.push_back(p.winner());
+      sweep_table.add_row(row);
     }
     sweep_table.print(std::cout);
-    if (crossover > 0) {
-      std::cout << "\n(fdmt overtakes cpu_tiled at " << crossover
-                << " trials on this host)\n";
-    } else {
-      std::cout << "\n(fdmt never overtakes cpu_tiled on this ladder)\n";
-    }
+    const auto from = [](std::size_t dms) {
+      return dms > 0 ? "from " + std::to_string(dms) + " trials"
+                     : std::string("nowhere on this ladder");
+    };
+    std::cout << "\n(fdmt beats cpu_tiled " << from(fdmt_beats_tiled)
+              << "; it wins the race " << from(fdmt_wins) << ")\n";
   }
 
   const std::string json_path = cli.get("json");
@@ -405,19 +447,27 @@ int main(int argc, char** argv) {
         .set_raw("engines", arr.dump());
     if (!sweep.empty()) {
       bench::JsonArray sweep_arr;
-      std::size_t crossover = 0;
       for (const SweepPoint& p : sweep) {
-        if (crossover == 0 && p.fdmt_seconds < p.cpu_tiled_seconds) {
-          crossover = p.dms;
+        bench::JsonObject point;
+        point.set("dms", p.dms);
+        for (const auto& [id, seconds] : p.seconds) {
+          point.set(id + "_seconds", seconds);
         }
-        sweep_arr.add(bench::JsonObject()
-                          .set("dms", p.dms)
-                          .set("cpu_tiled_seconds", p.cpu_tiled_seconds)
-                          .set("fdmt_seconds", p.fdmt_seconds)
-                          .set("winner", p.winner()));
+        sweep_arr.add(point.set("winner", p.winner()));
       }
+      // crossover_dms: the smallest swept trial count at which fdmt wins
+      // the race outright; fdmt_beats_cpu_tiled_dms: the brute-force
+      // crossover alone. 0 = not on this ladder.
       root.set_raw("dm_sweep", sweep_arr.dump())
-          .set("crossover_dms", crossover);
+          .set("crossover_dms",
+               first_dms(sweep,
+                         [](const SweepPoint& p) {
+                           return p.winner() == "fdmt";
+                         }))
+          .set("fdmt_beats_cpu_tiled_dms",
+               first_dms(sweep, [](const SweepPoint& p) {
+                 return p.of("fdmt") < p.of("cpu_tiled");
+               }));
     }
     bench::write_json_file(json_path, root);
     std::cout << "\nwrote " << json_path << "\n";

@@ -54,13 +54,15 @@ class AlignedAllocator {
   [[nodiscard]] T* allocate(std::size_t n) {
     if (n > std::numeric_limits<std::size_t>::max() / sizeof(T))
       throw std::bad_alloc();
-    const std::size_t bytes = round_up(n * sizeof(T), Alignment);
-    void* p = std::aligned_alloc(Alignment, bytes);
-    if (p == nullptr) throw std::bad_alloc();
-    return static_cast<T*>(p);
+    // Aligned operator new rather than aligned_alloc, so a program that
+    // replaces the global allocation functions sees these blocks too.
+    return static_cast<T*>(::operator new(round_up(n * sizeof(T), Alignment),
+                                          std::align_val_t{Alignment}));
   }
 
-  void deallocate(T* p, std::size_t) noexcept { std::free(p); }
+  void deallocate(T* p, std::size_t) noexcept {
+    ::operator delete(p, std::align_val_t{Alignment});
+  }
 
   friend bool operator==(const AlignedAllocator&, const AlignedAllocator&) {
     return true;

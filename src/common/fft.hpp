@@ -1,90 +1,98 @@
 #pragma once
 /// \file fft.hpp
-/// \brief Self-contained iterative radix-2 FFT with real-input packing.
+/// \brief Self-contained radix-2 real FFT that transforms one SIMD lane's
+/// worth of series per pass.
 ///
 /// The Fourier-domain dedispersion engine (dedisp/fdmt.hpp) needs one
 /// forward transform per channel and one inverse transform per DM trial —
-/// nothing exotic, but it must not drag in an external FFT dependency. This
-/// is the classic iterative radix-2 Cooley-Tukey transform: bit-reversal
-/// permutation followed by log2(n) butterfly passes over a precomputed
-/// twiddle table, restricted to power-of-two sizes (shorter series are
-/// zero-padded up — next_pow2 below). Real-valued series go through the
-/// standard even/odd packing trick: an n-point real FFT costs one
-/// n/2-point complex FFT plus an O(n) unpack, and only the n/2+1
-/// non-redundant half-spectrum bins are materialized.
+/// hundreds to thousands of equal-length series per call, and nothing
+/// exotic, but it must not drag in an external FFT dependency. A plan
+/// therefore batches *series*, not samples: it transforms
+/// simd::kFloatLanes series at once, one series per vector lane, so every
+/// butterfly is plain vfloat arithmetic against one broadcast twiddle and
+/// no pass ever shuffles lanes. A batch short of a full lane set (the last
+/// one, or a call with fewer series) pads its spare lanes with copies of
+/// its first series and discards their results, so every series takes the
+/// same vector path.
+///
+/// The transform is the classic iterative radix-2 Cooley-Tukey one over
+/// power-of-two sizes (shorter series are zero-padded up — next_pow2
+/// below). Real series go through the even/odd packing trick: an n-point
+/// real FFT is one n/2-point complex FFT plus an O(n) unpack, and only the
+/// n/2+1 non-redundant half-spectrum bins are materialized. The forward
+/// pass packs straight into bit-reversed order and runs decimation in
+/// time; the inverse runs decimation in frequency and reads its output
+/// back through the bit reversal, so neither direction spends a separate
+/// permutation pass.
+///
+/// Data layout. Callers hand series and spectra as pitched row-major
+/// matrices (array2d.hpp), one series or one half spectrum per row, with
+/// real and imaginary parts in separate planes. Internally a batch lives
+/// in the caller's scratch as two planes (re, im), bin-major with the
+/// batch's series interleaved per bin: element (bin k, lane l) sits at
+/// k * kFloatLanes + l, so bin k of the whole batch is one vfloat.
+///
+/// Ownership. A plan is immutable after construction (bit-reversal table
+/// and twiddles) and safe to share across threads. The caller owns the
+/// scratch — scratch_floats() floats per concurrent call — so two threads
+/// may transform through one plan at once as long as each passes its own.
 ///
 /// Conventions: forward() is the unscaled DFT with the negative-exponent
 /// kernel e^{-2*pi*i*k*t/n}; inverse() conjugates the kernel and scales by
 /// 1/n, so inverse(forward(x)) == x up to roundoff. All twiddles are
 /// computed in double precision and rounded once to float.
 
-#include <complex>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
+
+#include "common/array2d.hpp"
 
 namespace ddmc::fft {
 
 /// Smallest power of two >= max(n, 1).
 std::size_t next_pow2(std::size_t n);
 
-/// Iterative radix-2 complex FFT plan for one power-of-two size. A plan is
-/// immutable after construction (bit-reversal and twiddle tables) and safe
-/// to share across threads; the transforms run in place.
-class Fft {
- public:
-  /// \p n must be a power of two (n >= 1; n == 1 is the identity).
-  explicit Fft(std::size_t n);
-
-  std::size_t size() const { return n_; }
-
-  /// In-place unscaled DFT of \p data (size() complex samples).
-  void forward(std::complex<float>* data) const;
-  /// In-place inverse DFT scaled by 1/size().
-  void inverse(std::complex<float>* data) const;
-
- private:
-  void transform(std::complex<float>* data, bool invert) const;
-
-  std::size_t n_ = 1;
-  std::vector<std::uint32_t> bitrev_;
-  /// e^{-2*pi*i*j/n} for j < n/2 — every butterfly pass strides into this
-  /// one table, so there is a single trigonometric setup per size.
-  std::vector<std::complex<float>> twiddle_;
-};
-
 /// Half-spectrum length of an n-point real FFT: n/2 + 1 bins (1 for n==1).
 inline std::size_t rfft_bins(std::size_t n) { return n == 1 ? 1 : n / 2 + 1; }
 
-/// Real-input FFT of one power-of-two size n, computed as one n/2-point
-/// complex FFT over even/odd-packed samples plus an O(n) unpack. forward()
-/// zero-pads inputs shorter than n — that is the power-of-two padding path
-/// for arbitrary-length series. Instances carry scratch, so one instance
-/// is NOT safe for concurrent use; plans are cheap, build one per thread.
-class RealFft {
+/// Lane-batched real FFT plan of one power-of-two size n.
+class RealFftPlan {
  public:
-  explicit RealFft(std::size_t n);
+  /// \p n must be a power of two (n >= 1; n == 1 is the identity).
+  explicit RealFftPlan(std::size_t n);
 
   std::size_t size() const { return n_; }
   std::size_t bins() const { return rfft_bins(n_); }
+  /// Floats of scratch one forward() or inverse() call needs.
+  std::size_t scratch_floats() const;
 
-  /// DFT bins 0..n/2 of the \p n_in real samples at \p x zero-padded to
-  /// size(). Requires n_in <= size(); \p out holds bins() values. Bins 0
-  /// and n/2 come out with zero imaginary part (they are real for real
-  /// input), the remaining half spectrum is implied by Hermitian symmetry.
-  void forward(const float* x, std::size_t n_in, std::complex<float>* out) const;
+  /// Half spectra of every row of \p x: row s of \p re / \p im receives
+  /// DFT bins 0..n/2 of row s of \p x zero-padded to size(). The series
+  /// length is x.cols(), which must not exceed size(); re and im need
+  /// x.rows() rows of at least bins() columns. Bins 0 and n/2 come out
+  /// with zero imaginary part (they are real for real input), the rest of
+  /// the spectrum is implied by Hermitian symmetry.
+  void forward(ConstView2D<float> x, View2D<float> re, View2D<float> im,
+               std::span<float> scratch) const;
 
-  /// Inverse of forward(): writes all size() real samples of the series
-  /// whose half spectrum is \p bins (bins() values; the imaginary parts of
-  /// bins 0 and n/2 are ignored, as Hermitian symmetry forces them to 0).
-  void inverse(const std::complex<float>* bins, float* x) const;
+  /// Inverse of forward(): row s of \p x receives the first x.cols()
+  /// (<= size()) samples of the series whose half spectrum is row s of
+  /// (\p re, \p im). The imaginary parts of bins 0 and n/2 are ignored, as
+  /// Hermitian symmetry forces them to 0.
+  void inverse(ConstView2D<float> re, ConstView2D<float> im, View2D<float> x,
+               std::span<float> scratch) const;
 
  private:
   std::size_t n_ = 1;
-  Fft half_;
-  /// Unpack weights e^{-2*pi*i*k/n} for k <= n/2.
-  std::vector<std::complex<float>> weight_;
-  mutable std::vector<std::complex<float>> scratch_;
+  std::size_t m_ = 0;  ///< half size: the complex transform's length
+  std::vector<std::uint32_t> bitrev_;
+  /// e^{-2*pi*i*j/m} for j < m/2 — every butterfly pass strides into this
+  /// one table, so there is a single trigonometric setup per size.
+  std::vector<float> twiddle_re_, twiddle_im_;
+  /// Unpack weights e^{-2*pi*i*k/n} for k <= m.
+  std::vector<float> weight_re_, weight_im_;
 };
 
 }  // namespace ddmc::fft

@@ -41,6 +41,13 @@
 /// with one such step; on the other backends they are a copy through a
 /// lane buffer and the kernels keep their scalar tail loops.
 ///
+/// `vtranspose` transposes a square block of kFloatLanes vectors in
+/// registers: element i of vector j moves to element j of vector i. It is
+/// how the batched FFT (fft.hpp) moves series between one-row-per-series
+/// memory and one-series-per-lane registers with full-width loads and
+/// stores; AVX-512, AVX and SSE2 shuffle, the other backends go through
+/// memory.
+///
 /// `vmax` is the lane-wise maximum of finite values; which operand it
 /// returns for a NaN or a −0/+0 tie differs between backends, so callers
 /// screen those out. `compact_in_range` (and its |x − c| variant) is the
@@ -120,6 +127,32 @@ inline vfloat vload_u8_partial(const std::uint8_t* p, std::size_t n) {
   const __m128i b = _mm_maskz_loadu_epi8(detail::first_lanes(n), p);
   return {_mm512_cvtepi32_ps(_mm512_cvtepu8_epi32(b))};
 }
+inline void vtranspose(vfloat (&r)[kFloatLanes]) {
+  // Per 128-bit lane, 4x4 transposes of each group of four rows
+  // (unpack + shuffle), then two rounds of 128-bit block shuffles gather
+  // column 4q+s from lane q of the four groups' vector s.
+  __m512 t[16], u[16];
+  for (int g = 0; g < 16; g += 4) {
+    t[g + 0] = _mm512_unpacklo_ps(r[g + 0].v, r[g + 1].v);
+    t[g + 1] = _mm512_unpackhi_ps(r[g + 0].v, r[g + 1].v);
+    t[g + 2] = _mm512_unpacklo_ps(r[g + 2].v, r[g + 3].v);
+    t[g + 3] = _mm512_unpackhi_ps(r[g + 2].v, r[g + 3].v);
+    u[g + 0] = _mm512_shuffle_ps(t[g + 0], t[g + 2], 0x44);
+    u[g + 1] = _mm512_shuffle_ps(t[g + 0], t[g + 2], 0xEE);
+    u[g + 2] = _mm512_shuffle_ps(t[g + 1], t[g + 3], 0x44);
+    u[g + 3] = _mm512_shuffle_ps(t[g + 1], t[g + 3], 0xEE);
+  }
+  for (int s = 0; s < 4; ++s) {
+    const __m512 lo01 = _mm512_shuffle_f32x4(u[s], u[4 + s], 0x44);
+    const __m512 hi01 = _mm512_shuffle_f32x4(u[s], u[4 + s], 0xEE);
+    const __m512 lo23 = _mm512_shuffle_f32x4(u[8 + s], u[12 + s], 0x44);
+    const __m512 hi23 = _mm512_shuffle_f32x4(u[8 + s], u[12 + s], 0xEE);
+    r[s].v = _mm512_shuffle_f32x4(lo01, lo23, 0x88);
+    r[4 + s].v = _mm512_shuffle_f32x4(lo01, lo23, 0xDD);
+    r[8 + s].v = _mm512_shuffle_f32x4(hi01, hi23, 0x88);
+    r[12 + s].v = _mm512_shuffle_f32x4(hi01, hi23, 0xDD);
+  }
+}
 
 #elif defined(DDMC_SIMD_AVX)
 
@@ -161,6 +194,25 @@ inline vfloat vload_u8(const std::uint8_t* p) {
   return {_mm256_insertf128_ps(_mm256_castps128_ps256(lo), hi, 1)};
 #endif
 }
+inline void vtranspose(vfloat (&r)[kFloatLanes]) {
+  // Per 128-bit lane, 4x4 transposes of rows 0-3 and 4-7 (unpack +
+  // shuffle), then one 128-bit block swap pairs the two halves.
+  __m256 t[8], u[8];
+  for (int g = 0; g < 8; g += 4) {
+    t[g + 0] = _mm256_unpacklo_ps(r[g + 0].v, r[g + 1].v);
+    t[g + 1] = _mm256_unpackhi_ps(r[g + 0].v, r[g + 1].v);
+    t[g + 2] = _mm256_unpacklo_ps(r[g + 2].v, r[g + 3].v);
+    t[g + 3] = _mm256_unpackhi_ps(r[g + 2].v, r[g + 3].v);
+    u[g + 0] = _mm256_shuffle_ps(t[g + 0], t[g + 2], 0x44);
+    u[g + 1] = _mm256_shuffle_ps(t[g + 0], t[g + 2], 0xEE);
+    u[g + 2] = _mm256_shuffle_ps(t[g + 1], t[g + 3], 0x44);
+    u[g + 3] = _mm256_shuffle_ps(t[g + 1], t[g + 3], 0xEE);
+  }
+  for (int s = 0; s < 4; ++s) {
+    r[s].v = _mm256_permute2f128_ps(u[s], u[4 + s], 0x20);
+    r[4 + s].v = _mm256_permute2f128_ps(u[s], u[4 + s], 0x31);
+  }
+}
 
 #elif defined(DDMC_SIMD_SSE2)
 
@@ -192,6 +244,9 @@ inline vfloat vload_u8(const std::uint8_t* p) {
   const __m128i zero = _mm_setzero_si128();
   const __m128i w = _mm_unpacklo_epi8(b, zero);
   return {_mm_cvtepi32_ps(_mm_unpacklo_epi16(w, zero))};
+}
+inline void vtranspose(vfloat (&r)[kFloatLanes]) {
+  _MM_TRANSPOSE4_PS(r[0].v, r[1].v, r[2].v, r[3].v);
 }
 
 #elif defined(DDMC_SIMD_NEON)
@@ -248,6 +303,19 @@ inline vfloat vload_u8(const std::uint8_t* p) {
   return {static_cast<float>(*p)};
 }
 
+#endif
+
+#if !defined(DDMC_SIMD_AVX512) && !defined(DDMC_SIMD_AVX) && \
+    !defined(DDMC_SIMD_SSE2)
+inline void vtranspose(vfloat (&r)[kFloatLanes]) {
+  alignas(64) float m[kFloatLanes][kFloatLanes];
+  for (std::size_t i = 0; i < kFloatLanes; ++i) vstore_aligned(m[i], r[i]);
+  for (std::size_t i = 0; i < kFloatLanes; ++i) {
+    alignas(64) float col[kFloatLanes];
+    for (std::size_t j = 0; j < kFloatLanes; ++j) col[j] = m[j][i];
+    r[i] = vload_aligned(col);
+  }
+}
 #endif
 
 #if !defined(DDMC_SIMD_AVX512)

@@ -2,15 +2,17 @@
 
 #include <algorithm>
 #include <cmath>
-#include <complex>
-#include <cstring>
 #include <limits>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "common/expect.hpp"
 #include "common/fft.hpp"
 #include "common/simd.hpp"
+#include "common/workspace.hpp"
 #include "sky/delay.hpp"
+#include "telemetry/tracing.hpp"
 
 namespace ddmc::dedisp {
 
@@ -47,16 +49,20 @@ struct SplitDelays {
   std::int64_t max_inter = 0;
 };
 
-SplitDelays split_delays(const Plan& plan, const SubbandConfig& split) {
+/// Fill \p sd with the split delays of \p plan, reusing the capacity of
+/// its tables.
+void fill_split_delays(const Plan& plan, const SubbandConfig& split,
+                       SplitDelays& sd) {
   check_split(plan, split);
   const sky::DelayTable& delays = plan.delays();
   const std::size_t channels = plan.channels();
   const std::size_t dms = plan.dms();
-  SplitDelays sd;
   sd.subbands = split.subbands;
   sd.coarse_step = split.coarse_step;
   sd.n_coarse = dms / split.coarse_step;
   sd.chans_per_band = channels / split.subbands;
+  sd.max_intra = 0;
+  sd.max_inter = 0;
   auto ref_channel = [&](std::size_t band) {
     return (band + 1) * sd.chans_per_band - 1;
   };
@@ -79,6 +85,11 @@ SplitDelays split_delays(const Plan& plan, const SubbandConfig& split) {
       sd.max_inter = std::max(sd.max_inter, k);
     }
   }
+}
+
+SplitDelays split_delays(const Plan& plan, const SubbandConfig& split) {
+  SplitDelays sd;
+  fill_split_delays(plan, split, sd);
   return sd;
 }
 
@@ -257,8 +268,21 @@ double fdmt_flop(const Plan& plan, const FdmtConfig& config) {
   return c * rfft + stage1 + stage2 + d * rfft;
 }
 
+struct FdmtWorkspace::Buffers {
+  SplitDelays delays;
+  std::optional<fft::RealFftPlan> fft;
+  ScratchBuffer<float> fft_scratch;
+  ScratchBuffer<float> spec_re, spec_im;
+  ScratchBuffer<float> subband_re, subband_im;
+  ScratchBuffer<float> acc_re, acc_im;
+};
+
+FdmtWorkspace::FdmtWorkspace() : buffers_(std::make_unique<Buffers>()) {}
+FdmtWorkspace::~FdmtWorkspace() = default;
+
 void dedisperse_fdmt(const Plan& plan, const FdmtConfig& config,
-                     ConstView2D<float> in, View2D<float> out) {
+                     ConstView2D<float> in, View2D<float> out,
+                     FdmtWorkspace& workspace) {
   check_split(plan, config.split);
   const std::size_t channels = plan.channels();
   const std::size_t dms = plan.dms();
@@ -268,27 +292,27 @@ void dedisperse_fdmt(const Plan& plan, const FdmtConfig& config,
   DDMC_REQUIRE(out.rows() == dms, "output rows != trial DMs");
   DDMC_REQUIRE(out.cols() >= samples, "output too short");
 
-  const SplitDelays sd = split_delays(plan, config.split);
+  FdmtWorkspace::Buffers& ws = *workspace.buffers_;
+  fill_split_delays(plan, config.split, ws.delays);
+  const SplitDelays& sd = ws.delays;
   const std::size_t n = fft_size_of(plan, sd);
   const std::size_t nb = fft::rfft_bins(n);
   const std::size_t block =
       std::min(std::max<std::size_t>(config.block, 1), nb);
+  if (!ws.fft || ws.fft->size() != n) ws.fft.emplace(n);
+  const fft::RealFftPlan& rf = *ws.fft;
+  const std::span<float> scratch = ws.fft_scratch.take(rf.scratch_floats());
 
-  // Forward transform every channel once. Split re/im planes instead of
-  // interleaved complex: the rotation kernel then streams independent
-  // float arrays the compiler autovectorizes without shuffles.
-  fft::RealFft rf(n);
-  Array2D<float> spec_re(channels, nb);
-  Array2D<float> spec_im(channels, nb);
-  std::vector<std::complex<float>> bins(nb);
-  for (std::size_t ch = 0; ch < channels; ++ch) {
-    rf.forward(&in(ch, 0), plan.in_samples(), bins.data());
-    float* re = &spec_re(ch, 0);
-    float* im = &spec_im(ch, 0);
-    for (std::size_t k = 0; k < nb; ++k) {
-      re[k] = bins[k].real();
-      im[k] = bins[k].imag();
-    }
+  // Forward transform every channel once, straight into split re/im
+  // planes instead of interleaved complex: the rotation kernel then
+  // streams independent float arrays without shuffles.
+  const View2D<float> spec_re = ws.spec_re.matrix(channels, nb);
+  const View2D<float> spec_im = ws.spec_im.matrix(channels, nb);
+  {
+    telemetry::TraceSpan span("fdmt.forward_fft");
+    rf.forward(ConstView2D<float>(in.data(), channels, plan.in_samples(),
+                                  in.pitch()),
+               spec_re, spec_im, scratch);
   }
 
   // Loop order is bin-blocks outermost, every coarse group inside: the
@@ -302,60 +326,64 @@ void dedisperse_fdmt(const Plan& plan, const FdmtConfig& config,
   // `block` is the cache-blocking width in bins: small enough that the
   // spectra slice plus the collapsed subband planes fit in last-level
   // cache, large enough to amortize the per-block rotor setup.
-  Array2D<float> sb_re(sd.n_coarse * sd.subbands, block);
-  Array2D<float> sb_im(sd.n_coarse * sd.subbands, block);
-  Array2D<float> acc_re(dms, nb);
-  Array2D<float> acc_im(dms, nb);
-  acc_re.fill(0.0f);
-  acc_im.fill(0.0f);
-  std::vector<float> series(n);
-
-  for (std::size_t k0 = 0; k0 < nb; k0 += block) {
-    const std::size_t cnt = std::min(block, nb - k0);
-    // Stage 1: collapse each subband's channels at each coarse trial's
-    // intra-subband rotations.
-    for (std::size_t ci = 0; ci < sd.n_coarse; ++ci) {
-      const std::int64_t* intra_row = &sd.intra[ci * channels];
-      for (std::size_t band = 0; band < sd.subbands; ++band) {
-        float* br = &sb_re(ci * sd.subbands + band, 0);
-        float* bi = &sb_im(ci * sd.subbands + band, 0);
-        std::fill(br, br + cnt, 0.0f);
-        std::fill(bi, bi + cnt, 0.0f);
-        for (std::size_t ch = band * sd.chans_per_band;
-             ch < (band + 1) * sd.chans_per_band; ++ch) {
-          rotate_accumulate(&spec_re(ch, k0), &spec_im(ch, k0), br, bi, k0,
-                            cnt, static_cast<std::uint64_t>(intra_row[ch]),
-                            n);
+  const View2D<float> sb_re =
+      ws.subband_re.matrix(sd.n_coarse * sd.subbands, block);
+  const View2D<float> sb_im =
+      ws.subband_im.matrix(sd.n_coarse * sd.subbands, block);
+  const View2D<float> acc_re = ws.acc_re.matrix(dms, nb);
+  const View2D<float> acc_im = ws.acc_im.matrix(dms, nb);
+  {
+    telemetry::TraceSpan span("fdmt.rotate");
+    for (std::size_t dm = 0; dm < dms; ++dm) {
+      std::fill_n(&acc_re(dm, 0), nb, 0.0f);
+      std::fill_n(&acc_im(dm, 0), nb, 0.0f);
+    }
+    for (std::size_t k0 = 0; k0 < nb; k0 += block) {
+      const std::size_t cnt = std::min(block, nb - k0);
+      // Stage 1: collapse each subband's channels at each coarse trial's
+      // intra-subband rotations.
+      for (std::size_t ci = 0; ci < sd.n_coarse; ++ci) {
+        const std::int64_t* intra_row = &sd.intra[ci * channels];
+        for (std::size_t band = 0; band < sd.subbands; ++band) {
+          float* br = &sb_re(ci * sd.subbands + band, 0);
+          float* bi = &sb_im(ci * sd.subbands + band, 0);
+          std::fill(br, br + cnt, 0.0f);
+          std::fill(bi, bi + cnt, 0.0f);
+          for (std::size_t ch = band * sd.chans_per_band;
+               ch < (band + 1) * sd.chans_per_band; ++ch) {
+            rotate_accumulate(&spec_re(ch, k0), &spec_im(ch, k0), br, bi, k0,
+                              cnt, static_cast<std::uint64_t>(intra_row[ch]),
+                              n);
+          }
+        }
+      }
+      // Stage 2: every fine trial combines its coarse group's collapsed
+      // subband spectra with its own inter-subband rotations.
+      for (std::size_t dm = 0; dm < dms; ++dm) {
+        const std::size_t ci = dm / sd.coarse_step;
+        const std::int64_t* inter_row = &sd.inter[dm * sd.subbands];
+        for (std::size_t band = 0; band < sd.subbands; ++band) {
+          rotate_accumulate(&sb_re(ci * sd.subbands + band, 0),
+                            &sb_im(ci * sd.subbands + band, 0),
+                            &acc_re(dm, k0), &acc_im(dm, k0), k0, cnt,
+                            static_cast<std::uint64_t>(inter_row[band]), n);
         }
       }
     }
-    // Stage 2: every fine trial combines its coarse group's collapsed
-    // subband spectra with its own inter-subband rotations.
-    for (std::size_t dm = 0; dm < dms; ++dm) {
-      const std::size_t ci = dm / sd.coarse_step;
-      const std::int64_t* inter_row = &sd.inter[dm * sd.subbands];
-      for (std::size_t band = 0; band < sd.subbands; ++band) {
-        rotate_accumulate(&sb_re(ci * sd.subbands + band, 0),
-                          &sb_im(ci * sd.subbands + band, 0), &acc_re(dm, k0),
-                          &acc_im(dm, k0), k0, cnt,
-                          static_cast<std::uint64_t>(inter_row[band]), n);
-      }
-    }
   }
-  // One inverse transform per fine trial.
-  for (std::size_t dm = 0; dm < dms; ++dm) {
-    for (std::size_t k = 0; k < nb; ++k) {
-      bins[k] = {acc_re(dm, k), acc_im(dm, k)};
-    }
-    rf.inverse(bins.data(), series.data());
-    std::memcpy(&out(dm, 0), series.data(), samples * sizeof(float));
+  // One inverse transform per fine trial, straight into the output rows.
+  {
+    telemetry::TraceSpan span("fdmt.inverse_fft");
+    rf.inverse(acc_re, acc_im,
+               View2D<float>(out.data(), dms, samples, out.pitch()), scratch);
   }
 }
 
 Array2D<float> dedisperse_fdmt(const Plan& plan, const FdmtConfig& config,
                                ConstView2D<float> in) {
   Array2D<float> out(plan.dms(), plan.out_samples());
-  dedisperse_fdmt(plan, config, in, out.view());
+  FdmtWorkspace workspace;
+  dedisperse_fdmt(plan, config, in, out.view(), workspace);
   return out;
 }
 

@@ -30,9 +30,17 @@
 /// coarse_step == 1) — and (b) float FFT/rotation roundoff.
 /// fdmt_error_bound() documents both terms; the engine tests enforce it
 /// against the exact reference.
+///
+/// Working set. A call needs the channel spectra (2 x channels x bins
+/// floats), the collapsed subband planes of one bin block, the per-trial
+/// accumulators (2 x dms x bins) and the FFT plan with its scratch — on an
+/// Apertif-sized plan about 9 MiB. All of it lives in an FdmtWorkspace
+/// the caller keeps across calls, so a repeated call on one shape
+/// allocates nothing.
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 
 #include "common/array2d.hpp"
 #include "dedisp/plan.hpp"
@@ -88,14 +96,36 @@ double fdmt_error_bound(const Plan& plan, const SubbandConfig& split,
 /// 2*dms*channels*samples stays the cross-engine display denominator.
 double fdmt_flop(const Plan& plan, const FdmtConfig& config);
 
-/// Fourier-domain dedispersion into \p out (dms x out_samples). Reads
-/// exactly in_samples columns of \p in; shifts beyond that window read
-/// the transform's zero padding. Requires the config's divisibility
-/// (use FdmtConfig::adapted_to).
-void dedisperse_fdmt(const Plan& plan, const FdmtConfig& config,
-                     ConstView2D<float> in, View2D<float> out);
+/// Every buffer dedisperse_fdmt works in, kept between calls: split
+/// delay tables, channel spectra, subband planes, accumulators, the FFT
+/// plan and its scratch. Each buffer grows when a call's shape needs more
+/// and is otherwise reused as is; the FFT plan is rebuilt only when the
+/// transform size changes. One workspace serves one call at a time —
+/// concurrent calls each need their own (the fdmt engine keeps a pool,
+/// engine/builtin_engines.cpp) — and everything is freed with it.
+class FdmtWorkspace {
+ public:
+  FdmtWorkspace();
+  ~FdmtWorkspace();
 
-/// Convenience allocating the output.
+ private:
+  struct Buffers;  ///< defined in fdmt.cpp
+  friend void dedisperse_fdmt(const Plan&, const FdmtConfig&,
+                              ConstView2D<float>, View2D<float>,
+                              FdmtWorkspace&);
+  std::unique_ptr<Buffers> buffers_;
+};
+
+/// Fourier-domain dedispersion into \p out (dms x out_samples), working in
+/// \p workspace. Reads exactly in_samples columns of \p in; shifts beyond
+/// that window read the transform's zero padding. Requires the config's
+/// divisibility (use FdmtConfig::adapted_to). Traced as three stage spans
+/// (fdmt.forward_fft, fdmt.rotate, fdmt.inverse_fft).
+void dedisperse_fdmt(const Plan& plan, const FdmtConfig& config,
+                     ConstView2D<float> in, View2D<float> out,
+                     FdmtWorkspace& workspace);
+
+/// Convenience allocating the output and a workspace for one call.
 Array2D<float> dedisperse_fdmt(const Plan& plan, const FdmtConfig& config,
                                ConstView2D<float> in);
 

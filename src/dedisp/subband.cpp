@@ -105,7 +105,8 @@ std::size_t subband_min_input_samples(const Plan& plan,
 }
 
 void dedisperse_subband(const Plan& plan, const SubbandConfig& config,
-                        ConstView2D<float> in, View2D<float> out) {
+                        ConstView2D<float> in, View2D<float> out,
+                        SubbandWorkspace& workspace) {
   check_config(plan, config);
   const sky::Observation& obs = plan.observation();
   const std::size_t channels = plan.channels();
@@ -123,7 +124,8 @@ void dedisperse_subband(const Plan& plan, const SubbandConfig& config,
   auto subband_top = [&](std::size_t band) {
     return obs.channel_freq_mhz(band * cs + cs - 1) + obs.channel_bw_mhz();
   };
-  std::vector<std::int64_t> inter(dms * config.subbands);
+  std::vector<std::int64_t>& inter = workspace.inter;
+  inter.resize(dms * config.subbands);
   std::int64_t max_inter = 0;
   for (std::size_t dm = 0; dm < dms; ++dm) {
     for (std::size_t band = 0; band < config.subbands; ++band) {
@@ -136,7 +138,8 @@ void dedisperse_subband(const Plan& plan, const SubbandConfig& config,
 
   // Intra-subband delays per coarse trial.
   const std::size_t n_coarse = dms / config.coarse_step;
-  std::vector<std::int64_t> intra(n_coarse * channels);
+  std::vector<std::int64_t>& intra = workspace.intra;
+  intra.resize(n_coarse * channels);
   std::int64_t max_intra = 0;
   for (std::size_t ci = 0; ci < n_coarse; ++ci) {
     const double coarse_dm = obs.dm_value(ci * config.coarse_step);
@@ -163,9 +166,12 @@ void dedisperse_subband(const Plan& plan, const SubbandConfig& config,
   // band and band order within a trial are unchanged, so results match the
   // scalar implementation bitwise.
   const std::size_t inter_span = samples + static_cast<std::size_t>(max_inter);
-  Array2D<float> stage1(config.subbands, inter_span);
+  const View2D<float> stage1 =
+      workspace.stage1.matrix(config.subbands, inter_span);
   for (std::size_t ci = 0; ci < n_coarse; ++ci) {
-    stage1.fill(0.0f);
+    for (std::size_t band = 0; band < config.subbands; ++band) {
+      std::fill_n(&stage1(band, 0), inter_span, 0.0f);
+    }
     const std::int64_t* intra_row = &intra[ci * channels];
     for (std::size_t band = 0; band < config.subbands; ++band) {
       float* dst = &stage1(band, 0);
@@ -193,7 +199,8 @@ Array2D<float> dedisperse_subband(const Plan& plan,
                                   const SubbandConfig& config,
                                   ConstView2D<float> in) {
   Array2D<float> out(plan.dms(), plan.out_samples());
-  dedisperse_subband(plan, config, in, out.view());
+  SubbandWorkspace workspace;
+  dedisperse_subband(plan, config, in, out.view(), workspace);
   return out;
 }
 

@@ -16,7 +16,11 @@
 /// step of one the method degenerates to exact brute force, which is the
 /// equivalence anchor the tests use.
 
+#include <cstdint>
+#include <vector>
+
 #include "common/array2d.hpp"
+#include "common/workspace.hpp"
 #include "dedisp/plan.hpp"
 
 namespace ddmc::dedisp {
@@ -50,13 +54,25 @@ std::int64_t subband_max_delay_error(const Plan& plan,
 std::size_t subband_min_input_samples(const Plan& plan,
                                       const SubbandConfig& config);
 
-/// Two-stage dedispersion into \p out (dms × out_samples). The input must
-/// provide in_samples + 2 columns of padding (delay splitting rounds the
-/// intra and inter shifts separately, costing up to two extra samples).
-void dedisperse_subband(const Plan& plan, const SubbandConfig& config,
-                        ConstView2D<float> in, View2D<float> out);
+/// The buffers dedisperse_subband works in, kept between calls: the split
+/// delay tables and the stage-1 plane (subbands × out_samples + the
+/// largest inter-subband delay). Both grow when a call's shape needs more
+/// and are otherwise reused. One call at a time per workspace.
+struct SubbandWorkspace {
+  std::vector<std::int64_t> inter;
+  std::vector<std::int64_t> intra;
+  ScratchBuffer<float> stage1;
+};
 
-/// Convenience allocating the output.
+/// Two-stage dedispersion into \p out (dms × out_samples), working in
+/// \p workspace. The input must provide in_samples + 2 columns of padding
+/// (delay splitting rounds the intra and inter shifts separately, costing
+/// up to two extra samples).
+void dedisperse_subband(const Plan& plan, const SubbandConfig& config,
+                        ConstView2D<float> in, View2D<float> out,
+                        SubbandWorkspace& workspace);
+
+/// Convenience allocating the output and a workspace for one call.
 Array2D<float> dedisperse_subband(const Plan& plan,
                                   const SubbandConfig& config,
                                   ConstView2D<float> in);

@@ -15,6 +15,16 @@
 /// coarse DM step, and the scalar engines declare nothing. No layer above
 /// this file knows which axes exist — the tuner walks whatever
 /// config_axes() returns.
+///
+/// Three engines keep working buffers between calls: fdmt (spectra,
+/// subband planes, accumulators, FFT plan and scratch), subband (delay
+/// tables and the stage-1 plane) and cpu_tiled_u8 (the quantized byte
+/// plane). Each holds a WorkspacePool (common/workspace.hpp): every
+/// concurrent execute() borrows a workspace of its own and returns it when
+/// done, a workspace grows only when a call's shape needs more, and all of
+/// them are freed with the engine instance. A steady-state call on one
+/// shape therefore allocates no new buffers, and the const engine stays
+/// safe to execute from many threads at once.
 
 #include <algorithm>
 #include <cstdint>
@@ -24,6 +34,7 @@
 
 #include "common/expect.hpp"
 #include "common/simd.hpp"
+#include "common/workspace.hpp"
 #include "dedisp/cpu_baseline.hpp"
 #include "dedisp/cpu_kernel.hpp"
 #include "dedisp/cpu_kernel_u8.hpp"
@@ -293,19 +304,16 @@ class CpuTiledU8Engine final : public CpuTiledBase {
     // directly. The staging write is excluded from the engine's declared
     // traffic model, which counts the kernel's own streaming.
     //
-    // The plane is thread-local scratch: a streaming session re-quantizes
-    // every chunk, and a fresh allocation's page faults cost about as much
-    // as the (vectorized) quantize pass itself. Thread-local keeps the
-    // const engine shareable across shard workers without locking.
-    static thread_local Array2D<std::uint8_t> plane;
-    if (plane.rows() != plan.channels() ||
-        plane.cols() != plan.in_samples()) {
-      plane = Array2D<std::uint8_t>(plan.channels(), plan.in_samples());
-    }
+    // The plane comes from the engine's workspace pool: a streaming
+    // session re-quantizes every chunk, and a fresh allocation's page
+    // faults cost about as much as the (vectorized) quantize pass itself.
+    const auto workspace = planes_.acquire();
+    const View2D<std::uint8_t> plane =
+        workspace->matrix(plan.channels(), plan.in_samples());
     const dedisp::QuantizationParams quant = quant_of(config);
-    dedisp::quantize_plane(in, quant, plane.view());
-    dedisp::dedisperse_cpu_u8(plan, decode_kernel_config(config),
-                              plane.cview(), quant, out, options_.cpu);
+    dedisp::quantize_plane(in, quant, plane);
+    dedisp::dedisperse_cpu_u8(plan, decode_kernel_config(config), plane,
+                              quant, out, options_.cpu);
     return {};
   }
 
@@ -332,6 +340,8 @@ class CpuTiledU8Engine final : public CpuTiledBase {
         std::max<std::int64_t>(config.get("quant_window", 0), 1));
     return dedisp::QuantizationParams{-w, w};
   }
+
+  mutable WorkspacePool<ScratchBuffer<std::uint8_t>> planes_;
 };
 
 // ----------------------------------------------------------- cpu_baseline --
@@ -517,20 +527,21 @@ class SubbandEngine final : public EngineBase {
     // requirement — usually at or near in_samples — and only stage into a
     // zero-padded copy when the input is genuinely short, which bounds the
     // tail error by the padding width instead of rejecting the input.
+    const auto workspace = workspaces_.acquire();
     if (in.cols() >= plan.in_samples() + caps_.input_padding) {
-      dedisp::dedisperse_subband(plan, sub, in, out);
+      dedisp::dedisperse_subband(plan, sub, in, out, *workspace);
       return {};
     }
     const std::size_t required = dedisp::subband_min_input_samples(plan, sub);
     if (in.cols() >= required) {
-      dedisp::dedisperse_subband(plan, sub, in, out);
+      dedisp::dedisperse_subband(plan, sub, in, out, *workspace);
       return {};
     }
     Array2D<float> padded(plan.channels(), required);  // zero-initialized
     for (std::size_t ch = 0; ch < in.rows(); ++ch) {
       std::memcpy(&padded(ch, 0), &in(ch, 0), in.cols() * sizeof(float));
     }
-    dedisp::dedisperse_subband(plan, sub, padded.cview(), out);
+    dedisp::dedisperse_subband(plan, sub, padded.cview(), out, *workspace);
     return {};
   }
 
@@ -551,6 +562,8 @@ class SubbandEngine final : public EngineBase {
     }
     return split;
   }
+
+  mutable WorkspacePool<dedisp::SubbandWorkspace> workspaces_;
 };
 
 // ------------------------------------------------------------------- fdmt --
@@ -575,6 +588,11 @@ class SubbandEngine final : public EngineBase {
 /// asymptotically cheaper transform credited with the plan's canonical
 /// brute-force count would fake a GFLOP/s number — which is exactly why
 /// tune_guided races rank by measured wall seconds, never by throughput.
+///
+/// Each execute() borrows a dedisp::FdmtWorkspace from the engine's pool
+/// (spectra, subband planes, accumulators, FFT plan and scratch): a tuning
+/// race re-running one shape reuses the same buffers, concurrent shard
+/// workers each get their own, and all of them go with the engine.
 class FdmtEngine final : public EngineBase {
  public:
   explicit FdmtEngine(EngineOptions options)
@@ -681,7 +699,7 @@ class FdmtEngine final : public EngineBase {
                          View2D<float> out) const override {
     check_shapes(plan, in, out);
     const dedisp::FdmtConfig cfg = config_of(config).adapted_to(plan);
-    dedisp::dedisperse_fdmt(plan, cfg, in, out);
+    dedisp::dedisperse_fdmt(plan, cfg, in, out, *workspaces_.acquire());
     EngineRun run;
     run.flop = dedisp::fdmt_flop(plan, cfg);
     return run;
@@ -712,6 +730,8 @@ class FdmtEngine final : public EngineBase {
     }
     return cfg;
   }
+
+  mutable WorkspacePool<dedisp::FdmtWorkspace> workspaces_;
 };
 
 // ---------------------------------------------------------------- ocl_sim --

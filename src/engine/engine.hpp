@@ -30,9 +30,14 @@
 ///
 /// Engines are created by name through the EngineRegistry
 /// (engine/registry.hpp); consumers hold `std::shared_ptr<const
-/// DedispEngine>` handles. An engine instance is immutable and cheap: it
-/// captures its EngineOptions at construction and owns no buffers, so one
-/// instance may execute concurrently from many worker threads.
+/// DedispEngine>` handles. An engine instance is cheap and its behaviour
+/// is fixed at construction (it captures its EngineOptions), so one
+/// instance may execute concurrently from many worker threads. The only
+/// state a call leaves behind is scratch: engines whose kernels need
+/// large working buffers (fdmt, subband, cpu_tiled_u8) keep them in a
+/// pool that lends each concurrent call its own and frees them with the
+/// instance (builtin_engines.cpp), so a steady-state call allocates
+/// nothing and never changes another call's output.
 
 #include <memory>
 #include <optional>
@@ -158,7 +163,8 @@ struct SessionTraffic {
 };
 
 /// One execution path for the dedispersion contract. Implementations are
-/// immutable after construction and safe to execute concurrently.
+/// fixed after construction (scratch pools aside) and safe to execute
+/// concurrently.
 class DedispEngine {
  public:
   virtual ~DedispEngine() = default;

@@ -22,6 +22,9 @@
 /// Span taxonomy (grep for TraceSpan to verify):
 ///
 ///   engine.execute   one kernel execution       (args: engine, gflops)
+///   fdmt.forward_fft fdmt: per-channel forward FFTs   (inside engine.execute)
+///   fdmt.rotate      fdmt: both phase-rotation stages (inside engine.execute)
+///   fdmt.inverse_fft fdmt: per-trial inverse FFTs     (inside engine.execute)
 ///   shard.plan       shard planning             (args: shards)
 ///   shard.task       one shard attempt          (args: shard, attempt)
 ///   shard.reacquire.task  reacquired sub-shard work  (args: shard)

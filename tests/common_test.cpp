@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <complex>
 #include <cstdint>
 #include <numeric>
 #include <sstream>
@@ -18,10 +19,12 @@
 #include "common/expect.hpp"
 #include "common/fft.hpp"
 #include "common/random.hpp"
+#include "common/simd.hpp"
 #include "common/statistics.hpp"
 #include "common/table.hpp"
 #include "common/thread_pool.hpp"
 #include "common/timer.hpp"
+#include "common/workspace.hpp"
 
 namespace ddmc {
 namespace {
@@ -507,23 +510,49 @@ TEST(Fft, NextPow2) {
 }
 
 TEST(Fft, RejectsNonPowerOfTwoSizes) {
-  EXPECT_THROW(fft::Fft(0), invalid_argument);
-  EXPECT_THROW(fft::Fft(12), invalid_argument);
-  EXPECT_THROW(fft::RealFft(96), invalid_argument);
+  EXPECT_THROW(fft::RealFftPlan(0), invalid_argument);
+  EXPECT_THROW(fft::RealFftPlan(12), invalid_argument);
+  EXPECT_THROW(fft::RealFftPlan(96), invalid_argument);
+}
+
+/// Scratch for one call through \p plan.
+std::vector<float> scratch_for(const fft::RealFftPlan& plan) {
+  return std::vector<float>(plan.scratch_floats());
+}
+
+/// Half spectrum of the n-point zero-padded \p x by the O(n^2) definition
+/// (negative-exponent kernel), in double precision.
+std::vector<std::complex<double>> naive_rfft(const float* x, std::size_t n_in,
+                                             std::size_t n) {
+  const double tau = 6.283185307179586476925286766559;
+  std::vector<std::complex<double>> bins(fft::rfft_bins(n));
+  for (std::size_t k = 0; k < bins.size(); ++k) {
+    double re = 0.0, im = 0.0;
+    for (std::size_t t = 0; t < n_in; ++t) {
+      const double a = -tau * static_cast<double>(k) *
+                       static_cast<double>(t) / static_cast<double>(n);
+      re += x[t] * std::cos(a);
+      im += x[t] * std::sin(a);
+    }
+    bins[k] = {re, im};
+  }
+  return bins;
 }
 
 TEST(Fft, LengthOneSeriesIsItsOwnSpectrum) {
   // The degenerate transform: one sample, one bin, identity both ways.
-  fft::RealFft rf(1);
+  fft::RealFftPlan plan(1);
   EXPECT_EQ(fft::rfft_bins(1), 1u);
-  const float x = 3.25f;
-  std::complex<float> bin;
-  rf.forward(&x, 1, &bin);
-  EXPECT_FLOAT_EQ(bin.real(), x);
-  EXPECT_FLOAT_EQ(bin.imag(), 0.0f);
-  float back = 0.0f;
-  rf.inverse(&bin, &back);
-  EXPECT_FLOAT_EQ(back, x);
+  EXPECT_EQ(plan.bins(), 1u);
+  Array2D<float> x(1, 1), re(1, 1), im(1, 1), back(1, 1);
+  x(0, 0) = 3.25f;
+  im(0, 0) = 9.0f;  // must be overwritten
+  auto scratch = scratch_for(plan);
+  plan.forward(x.cview(), re.view(), im.view(), scratch);
+  EXPECT_FLOAT_EQ(re(0, 0), 3.25f);
+  EXPECT_FLOAT_EQ(im(0, 0), 0.0f);
+  plan.inverse(re.cview(), im.cview(), back.view(), scratch);
+  EXPECT_FLOAT_EQ(back(0, 0), 3.25f);
 }
 
 TEST(Fft, NonPowerOfTwoInputRoundTripsThroughPadding) {
@@ -535,20 +564,20 @@ TEST(Fft, NonPowerOfTwoInputRoundTripsThroughPadding) {
   const std::size_t n = fft::next_pow2(n_in);
   ASSERT_EQ(n, 128u);
   Rng rng(42);
-  std::vector<float> x(n_in);
-  for (auto& v : x) v = rng.next_float(-1.0f, 1.0f);
+  Array2D<float> x(1, n_in);
+  for (auto& v : x.row(0)) v = rng.next_float(-1.0f, 1.0f);
 
-  fft::RealFft rf(n);
-  std::vector<std::complex<float>> bins(fft::rfft_bins(n));
-  rf.forward(x.data(), n_in, bins.data());
-  std::vector<float> back(n);
-  rf.inverse(bins.data(), back.data());
+  fft::RealFftPlan plan(n);
+  Array2D<float> re(1, plan.bins()), im(1, plan.bins()), back(1, n);
+  auto scratch = scratch_for(plan);
+  plan.forward(x.cview(), re.view(), im.view(), scratch);
+  plan.inverse(re.cview(), im.cview(), back.view(), scratch);
 
   for (std::size_t t = 0; t < n_in; ++t) {
-    EXPECT_NEAR(back[t], x[t], 1e-5f) << "t=" << t;
+    EXPECT_NEAR(back(0, t), x(0, t), 1e-5f) << "t=" << t;
   }
   for (std::size_t t = n_in; t < n; ++t) {
-    EXPECT_NEAR(back[t], 0.0f, 1e-5f) << "padded tail t=" << t;
+    EXPECT_NEAR(back(0, t), 0.0f, 1e-5f) << "padded tail t=" << t;
   }
 }
 
@@ -561,27 +590,122 @@ TEST(Fft, MatchesTheNaiveDftOnRandomizedSeries) {
                               std::size_t{8}, std::size_t{32},
                               std::size_t{128}}) {
     SCOPED_TRACE("n=" + std::to_string(n));
-    std::vector<float> x(n);
-    for (auto& v : x) v = rng.next_float(-1.0f, 1.0f);
+    Array2D<float> x(1, n);
+    for (auto& v : x.row(0)) v = rng.next_float(-1.0f, 1.0f);
 
-    fft::RealFft rf(n);
-    std::vector<std::complex<float>> bins(fft::rfft_bins(n));
-    rf.forward(x.data(), n, bins.data());
+    fft::RealFftPlan plan(n);
+    Array2D<float> re(1, plan.bins()), im(1, plan.bins());
+    auto scratch = scratch_for(plan);
+    plan.forward(x.cview(), re.view(), im.view(), scratch);
 
-    const double tau = 6.283185307179586476925286766559;
-    for (std::size_t k = 0; k < bins.size(); ++k) {
-      double re = 0.0, im = 0.0;  // negative-exponent DFT definition
-      for (std::size_t t = 0; t < n; ++t) {
-        const double a = -tau * static_cast<double>(k) *
-                         static_cast<double>(t) / static_cast<double>(n);
-        re += x[t] * std::cos(a);
-        im += x[t] * std::sin(a);
-      }
-      const double tol = 1e-4 * std::max<double>(1.0, std::sqrt(n));
-      EXPECT_NEAR(bins[k].real(), re, tol) << "k=" << k;
-      EXPECT_NEAR(bins[k].imag(), im, tol) << "k=" << k;
+    const auto ref = naive_rfft(&x(0, 0), n, n);
+    const double tol = 1e-4 * std::max<double>(1.0, std::sqrt(n));
+    for (std::size_t k = 0; k < ref.size(); ++k) {
+      EXPECT_NEAR(re(0, k), ref[k].real(), tol) << "k=" << k;
+      EXPECT_NEAR(im(0, k), ref[k].imag(), tol) << "k=" << k;
     }
   }
+}
+
+TEST(Fft, EveryBatchShapeMatchesTheNaiveDftAndRoundTrips) {
+  // The plan transforms kFloatLanes series per pass; a short batch pads
+  // its spare lanes. Series counts around the lane width (one short
+  // batch, a full one, a full one plus a single-series batch) must each
+  // give every row its own spectrum, for full, odd and short inputs, and
+  // the inverse must write exactly the requested columns.
+  const std::size_t lanes = simd::kFloatLanes;
+  const std::size_t n = 64;
+  fft::RealFftPlan plan(n);
+  auto scratch = scratch_for(plan);
+  Rng rng(11);
+  std::vector<std::size_t> counts = {1, lanes, lanes + 1};
+  if (lanes > 1) counts.push_back(lanes - 1);
+  for (const std::size_t count : counts) {
+    for (const std::size_t n_in : {n, std::size_t{37}, std::size_t{10},
+                                   std::size_t{1}}) {
+      SCOPED_TRACE("series=" + std::to_string(count) +
+                   " n_in=" + std::to_string(n_in));
+      Array2D<float> x(count, n_in);
+      for (std::size_t r = 0; r < count; ++r) {
+        for (auto& v : x.row(r)) v = rng.next_float(-1.0f, 1.0f);
+      }
+      Array2D<float> re(count, plan.bins()), im(count, plan.bins());
+      plan.forward(x.cview(), re.view(), im.view(), scratch);
+      for (std::size_t r = 0; r < count; ++r) {
+        const auto ref = naive_rfft(&x(r, 0), n_in, n);
+        for (std::size_t k = 0; k < ref.size(); ++k) {
+          ASSERT_NEAR(re(r, k), ref[k].real(), 1e-4) << "row " << r << " k=" << k;
+          ASSERT_NEAR(im(r, k), ref[k].imag(), 1e-4) << "row " << r << " k=" << k;
+        }
+      }
+      // An odd-length read-back leaves the column past it untouched.
+      const std::size_t n_out = n_in == n ? n - 1 : (n_in | 1);
+      Array2D<float> back(count, n_out + 1);
+      back.fill(-7.0f);
+      plan.inverse(re.cview(), im.cview(),
+                   View2D<float>(&back(0, 0), count, n_out, back.pitch()),
+                   scratch);
+      for (std::size_t r = 0; r < count; ++r) {
+        for (std::size_t t = 0; t < n_out; ++t) {
+          const float want = t < n_in ? x(r, t) : 0.0f;
+          ASSERT_NEAR(back(r, t), want, 1e-5f) << "row " << r << " t=" << t;
+        }
+        EXPECT_EQ(back(r, n_out), -7.0f) << "row " << r;
+      }
+    }
+  }
+}
+
+TEST(Fft, RejectsShapeMismatchesAndShortScratch) {
+  fft::RealFftPlan plan(16);
+  Array2D<float> x(2, 17), re(2, plan.bins()), im(2, plan.bins());
+  std::vector<float> scratch(plan.scratch_floats());
+  EXPECT_THROW(plan.forward(x.cview(), re.view(), im.view(), scratch),
+               invalid_argument);  // longer than the transform
+  Array2D<float> ok(2, 16), short_re(2, plan.bins() - 1);
+  EXPECT_THROW(plan.forward(ok.cview(), short_re.view(), im.view(), scratch),
+               invalid_argument);
+  Array2D<float> one_row(1, plan.bins());
+  EXPECT_THROW(plan.forward(ok.cview(), one_row.view(), im.view(), scratch),
+               invalid_argument);
+  if (plan.scratch_floats() > 0) {
+    std::vector<float> tiny(plan.scratch_floats() - 1);
+    EXPECT_THROW(plan.forward(ok.cview(), re.view(), im.view(), tiny),
+                 invalid_argument);
+  }
+}
+
+// --------------------------------------------------------------- workspace --
+
+TEST(Workspace, ScratchBufferGrowsOnlyWhenAShapeNeedsMore) {
+  ScratchBuffer<float> buf;
+  const float* first = buf.take(1000).data();
+  EXPECT_EQ(buf.capacity(), 1000u);
+  EXPECT_EQ(buf.take(10).data(), first);  // smaller: reused in place
+  EXPECT_EQ(buf.capacity(), 1000u);
+  const View2D<float> m = buf.matrix(3, 5);
+  EXPECT_EQ(m.rows(), 3u);
+  EXPECT_EQ(m.cols(), 5u);
+  EXPECT_EQ(m.pitch() * sizeof(float) % kCacheLineBytes, 0u);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(m.data()) % kCacheLineBytes, 0u);
+  buf.take(5000);
+  EXPECT_EQ(buf.capacity(), 5000u);
+}
+
+TEST(Workspace, PoolLendsOneWorkspacePerConcurrentCaller) {
+  WorkspacePool<ScratchBuffer<float>> pool;
+  const float* lent = nullptr;
+  {
+    auto a = pool.acquire();
+    auto b = pool.acquire();  // a is still lent: b must be another one
+    EXPECT_NE(&*a, &*b);
+    lent = a->take(64).data();
+  }
+  // Both came back; the next caller reuses one of them, buffers intact.
+  auto again = pool.acquire();
+  auto other = pool.acquire();
+  EXPECT_TRUE(again->capacity() == 64u || other->capacity() == 64u);
+  EXPECT_TRUE(again->take(64).data() == lent || other->take(64).data() == lent);
 }
 
 }  // namespace

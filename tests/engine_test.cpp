@@ -6,18 +6,24 @@
 // streaming-capable engine streams bitwise-identically to its batch run,
 // every sharding-capable engine shards bitwise-identically, and
 // tune_guided searches *across* engines with the engine id persisted in
-// the tuning cache.
+// the tuning cache. The workspace tests pin the engines that keep buffers
+// between calls: concurrent calls each get their own, and a repeated call
+// allocates no large block.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <limits>
+#include <new>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/random.hpp"
@@ -31,6 +37,63 @@
 #include "stream/streaming_dedisperser.hpp"
 #include "test_util.hpp"
 #include "tuner/tuning_cache.hpp"
+
+// ------------------------------------------------- allocation accounting --
+//
+// This binary replaces the global allocation functions so the workspace
+// tests can count the large blocks an engine call allocates. Counting is
+// off unless a test turns it on; every allocation is plain malloc /
+// aligned_alloc either way.
+
+namespace {
+
+constexpr std::size_t kLargeAllocationBytes = 64 * 1024;
+std::atomic<bool> g_count_allocations{false};
+std::atomic<std::size_t> g_large_allocations{0};
+
+void note_allocation(std::size_t bytes) {
+  if (bytes >= kLargeAllocationBytes &&
+      g_count_allocations.load(std::memory_order_relaxed)) {
+    g_large_allocations.fetch_add(1, std::memory_order_relaxed);
+  }
+}
+
+void* allocate(std::size_t bytes) {
+  note_allocation(bytes);
+  if (void* p = std::malloc(bytes == 0 ? 1 : bytes)) return p;
+  throw std::bad_alloc();
+}
+
+void* allocate_aligned(std::size_t bytes, std::align_val_t align) {
+  note_allocation(bytes);
+  const auto a = static_cast<std::size_t>(align);
+  const std::size_t rounded = ((bytes == 0 ? 1 : bytes) + a - 1) / a * a;
+  if (void* p = std::aligned_alloc(a, rounded)) return p;
+  throw std::bad_alloc();
+}
+
+}  // namespace
+
+void* operator new(std::size_t bytes) { return allocate(bytes); }
+void* operator new[](std::size_t bytes) { return allocate(bytes); }
+void* operator new(std::size_t bytes, std::align_val_t align) {
+  return allocate_aligned(bytes, align);
+}
+void* operator new[](std::size_t bytes, std::align_val_t align) {
+  return allocate_aligned(bytes, align);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
 
 namespace ddmc::engine {
 namespace {
@@ -1064,6 +1127,87 @@ TEST(EngineTuning, U8EngineIdRoundTripsThroughTheCacheFile) {
   EXPECT_EQ(warm.configs_evaluated, 0u);
   EXPECT_EQ(warm.engine_id, cold_winner);
   std::remove(path.c_str());
+}
+
+// -------------------------------------------------------------- workspaces --
+
+/// The engines that keep working buffers between calls.
+const char* const kWorkspaceEngines[] = {"fdmt", "subband", "cpu_tiled_u8"};
+
+EngineOptions single_threaded() {
+  EngineOptions options;
+  options.cpu.threads = 1;
+  return options;
+}
+
+TEST(EngineWorkspace, ConcurrentCallsOnTwoShapesMatchSequentialCalls) {
+  // One engine instance, four threads, two plan shapes interleaved: each
+  // call must borrow a workspace no other call is writing, so every
+  // output is bitwise what a lone sequential call produces.
+  const Plan plans[2] = {Plan::with_output_samples(mini_obs(64), 16, 400),
+                         Plan::with_output_samples(mini_obs(64), 24, 272)};
+  const Array2D<float> inputs[2] = {padded_input(plans[0], 2, 3),
+                                    padded_input(plans[1], 2, 4)};
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kCallsPerThread = 6;
+  for (const char* id : kWorkspaceEngines) {
+    SCOPED_TRACE(id);
+    const auto engine = make_engine(id, single_threaded());
+    std::vector<Array2D<float>> expected;
+    for (std::size_t p = 0; p < 2; ++p) {
+      const auto fresh = make_engine(id, single_threaded());
+      expected.push_back(run_engine(*fresh, plans[p], KernelConfig{},
+                                    inputs[p].cview()));
+    }
+    std::vector<std::vector<Array2D<float>>> outputs(kThreads);
+    std::vector<std::thread> workers;
+    std::atomic<std::size_t> ready{0};
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      workers.emplace_back([&, t] {
+        ready.fetch_add(1);
+        while (ready.load() < kThreads) std::this_thread::yield();
+        for (std::size_t k = 0; k < kCallsPerThread; ++k) {
+          const std::size_t p = (t + k) % 2;
+          outputs[t].push_back(run_engine(*engine, plans[p], KernelConfig{},
+                                          inputs[p].cview()));
+        }
+      });
+    }
+    for (auto& w : workers) w.join();
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      ASSERT_EQ(outputs[t].size(), kCallsPerThread);
+      for (std::size_t k = 0; k < kCallsPerThread; ++k) {
+        expect_same_matrix(expected[(t + k) % 2], outputs[t][k]);
+      }
+    }
+  }
+}
+
+TEST(EngineWorkspace, RepeatedCallAllocatesNoLargeBlock) {
+  // Apertif-sized channels so every kept buffer is well above the 64 KiB
+  // threshold: the fdmt spectra, the subband stage-1 plane and the u8
+  // byte plane. The first call sizes the engine's workspace; the second,
+  // identical call must find everything in place.
+  const Plan plan = Plan::with_output_samples(sky::apertif(), 16, 512);
+  const Array2D<float> in = padded_input(plan, 2);
+  Array2D<float> out(plan.dms(), plan.out_samples());
+  for (const char* id : kWorkspaceEngines) {
+    SCOPED_TRACE(id);
+    const auto engine = make_engine(id, single_threaded());
+    engine->execute(plan, EngineConfig{}, in.cview(), out.view());
+    g_large_allocations.store(0);
+    g_count_allocations.store(true);
+    engine->execute(plan, EngineConfig{}, in.cview(), out.view());
+    g_count_allocations.store(false);
+    EXPECT_EQ(g_large_allocations.load(), 0u);
+  }
+  // The accounting itself works: a fresh engine's first call allocates.
+  const auto fresh = make_engine("fdmt", single_threaded());
+  g_large_allocations.store(0);
+  g_count_allocations.store(true);
+  fresh->execute(plan, EngineConfig{}, in.cview(), out.view());
+  g_count_allocations.store(false);
+  EXPECT_GT(g_large_allocations.load(), 0u);
 }
 
 // ------------------------------------------------------------- dedisperser --

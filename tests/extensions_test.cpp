@@ -143,8 +143,10 @@ TEST(Subband, InputPaddingIsEnforced) {
   const Plan plan = testing::mini_plan(8, 64);
   Array2D<float> exact(plan.channels(), 65);  // far too short
   Array2D<float> out(plan.dms(), plan.out_samples());
+  dedisp::SubbandWorkspace workspace;
   EXPECT_THROW(dedisp::dedisperse_subband(plan, SubbandConfig{4, 2},
-                                          exact.cview(), out.view()),
+                                          exact.cview(), out.view(),
+                                          workspace),
                invalid_argument);
 }
 

@@ -288,6 +288,25 @@ TEST(Simd, AccumulateSpanIsAdditiveOverCalls) {
   for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(acc_once[i], acc_split[i]);
 }
 
+TEST(Simd, TransposeMovesLaneIOfVectorJToLaneJOfVectorI) {
+  alignas(64) float m[kFloatLanes][kFloatLanes];
+  vfloat r[kFloatLanes];
+  for (std::size_t j = 0; j < kFloatLanes; ++j) {
+    for (std::size_t i = 0; i < kFloatLanes; ++i) {
+      m[j][i] = static_cast<float>(100 * j + i);
+    }
+    r[j] = vload_aligned(m[j]);
+  }
+  vtranspose(r);
+  for (std::size_t i = 0; i < kFloatLanes; ++i) {
+    alignas(64) float out[kFloatLanes];
+    vstore_aligned(out, r[i]);
+    for (std::size_t j = 0; j < kFloatLanes; ++j) {
+      EXPECT_EQ(out[j], m[j][i]) << "vector " << i << " lane " << j;
+    }
+  }
+}
+
 TEST(Simd, MaxIsLaneWise) {
   std::vector<float> a(kFloatLanes), b(kFloatLanes), out(kFloatLanes);
   for (std::size_t i = 0; i < kFloatLanes; ++i) {

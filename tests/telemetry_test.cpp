@@ -12,8 +12,12 @@
 #include <thread>
 #include <vector>
 
+#include "common/array2d.hpp"
 #include "common/expect.hpp"
 #include "common/json.hpp"
+#include "dedisp/plan.hpp"
+#include "engine/registry.hpp"
+#include "sky/observation.hpp"
 #include "stream/latency.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/metrics.hpp"
@@ -241,6 +245,41 @@ TEST_F(TelemetryTracerTest, ConcurrentRecordingLosesNothingBelowCapacity) {
   EXPECT_EQ(tracer.events().size(),
             static_cast<std::size_t>(kThreads) * kEvents);
   EXPECT_EQ(tracer.dropped(), 0u);
+}
+
+TEST_F(TelemetryTracerTest, FdmtExecuteEmitsItsStageSpansInsideTheEngineSpan) {
+  // The Fourier-domain engine's layer split — forward FFT, the two
+  // rotation stages, inverse FFT — must be readable from a trace: one
+  // span per stage, on the executing thread, nested in engine.execute.
+  const auto plan = ddmc::dedisp::Plan::with_output_samples(
+      ddmc::sky::apertif(), 8, 64);
+  ddmc::Array2D<float> in(plan.channels(), plan.in_samples());
+  ddmc::Array2D<float> out(plan.dms(), plan.out_samples());
+  const auto engine = ddmc::engine::make_engine("fdmt");
+  Tracer::instance().set_enabled(true);
+  engine->execute(plan, ddmc::engine::EngineConfig{}, in.cview(), out.view());
+  Tracer::instance().set_enabled(false);
+
+  const auto events = Tracer::instance().events();
+  const TraceEvent* outer = nullptr;
+  for (const TraceEvent& e : events) {
+    if (std::string(e.name) == "engine.execute") outer = &e;
+  }
+  ASSERT_NE(outer, nullptr);
+  for (const char* stage :
+       {"fdmt.forward_fft", "fdmt.rotate", "fdmt.inverse_fft"}) {
+    SCOPED_TRACE(stage);
+    int found = 0;
+    for (const TraceEvent& e : events) {
+      if (std::string(e.name) != stage) continue;
+      ++found;
+      EXPECT_EQ(e.kind, TraceEvent::Kind::kComplete);
+      EXPECT_EQ(e.tid, outer->tid);
+      EXPECT_GE(e.start_ns, outer->start_ns);
+      EXPECT_LE(e.start_ns + e.dur_ns, outer->start_ns + outer->dur_ns);
+    }
+    EXPECT_EQ(found, 1);
+  }
 }
 
 // --------------------------------------------------------------- exporters --
