@@ -8,8 +8,11 @@
 /// cache has never seen (also zero measurements).
 ///
 /// The final leg races whole engines: tune_guided with several registry
-/// ids searches each engine's *own* declared axes and ranks the finalists
-/// by measured wall seconds — platform choice as a tuning decision.
+/// ids searches each engine's *own* declared axes against the race's best
+/// time so far and ranks the finalists by measured wall seconds — platform
+/// choice as a tuning decision. The JSON keeps one row per entrant of the
+/// cold and the warm race (engine, config, threads, seconds or pruning
+/// bound, source, pruned).
 ///
 ///   ./bench_tuner_strategies [--dms 16] [--out-samples 2000] [--reps 2]
 ///                            [--random-samples 64] [--seed 42] [--scalar]
@@ -171,6 +174,17 @@ int main(int argc, char** argv) {
             << "  warm: " << source_name(race_warm.source) << ", "
             << race_warm.configs_evaluated << " configs measured, winner "
             << race_warm.engine_id << "\n";
+  TextTable entrants({"entrant", "threads", "ms/call", "source", "pruned",
+                      "evaluated", "config"});
+  for (const auto& row : race_cold.race) {
+    entrants.add_row({row.engine_id, std::to_string(row.threads),
+                      (row.pruned ? ">" : "") +
+                          TextTable::num(row.seconds * 1e3, 3),
+                      source_name(row.source), row.pruned ? "yes" : "no",
+                      std::to_string(row.configs_evaluated),
+                      row.config.to_string()});
+  }
+  entrants.print(std::cout);
 
   const std::string json_path = cli.get("json");
   if (!json_path.empty()) {
@@ -201,13 +215,25 @@ int main(int argc, char** argv) {
               .set_raw("best_config", config_json(r.best.config)));
     }
     auto outcome_json = [&](const tuner::GuidedTuningOutcome& o) {
+      bench::JsonArray race;
+      for (const auto& row : o.race) {
+        race.add(bench::JsonObject()
+                     .set("engine", row.engine_id)
+                     .set("threads", row.threads)
+                     .set("seconds", row.seconds)
+                     .set("source", source_name(row.source))
+                     .set("pruned", row.pruned)
+                     .set("configs_evaluated", row.configs_evaluated)
+                     .set_raw("config", config_json(row.config)));
+      }
       bench::JsonObject j;
       j.set("source", source_name(o.source))
           .set("engine", o.engine_id)
           .set("seconds", o.seconds)
           .set("gflops", o.gflops)
           .set("configs_evaluated", o.configs_evaluated)
-          .set_raw("config", config_json(o.config));
+          .set_raw("config", config_json(o.config))
+          .set_raw("entrants", race.dump());
       return j.dump();
     };
     bench::JsonObject root;

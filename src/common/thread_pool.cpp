@@ -8,10 +8,12 @@
 
 namespace ddmc {
 
+std::size_t hardware_workers() {
+  return std::max<std::size_t>(1, std::thread::hardware_concurrency());
+}
+
 ThreadPool::ThreadPool(std::size_t workers) {
-  if (workers == 0) {
-    workers = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
+  if (workers == 0) workers = hardware_workers();
   threads_.reserve(workers);
   for (std::size_t i = 0; i < workers; ++i) {
     threads_.emplace_back([this] { worker_loop(); });

@@ -61,6 +61,10 @@ class ThreadPool {
   std::exception_ptr first_error_;
 };
 
+/// Workers of a pool constructed with 0: one per hardware thread, at least
+/// one.
+std::size_t hardware_workers();
+
 /// Singleton pool sized to the machine, for library-internal parallelism.
 ThreadPool& global_pool();
 

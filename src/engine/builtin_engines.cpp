@@ -237,7 +237,8 @@ class CpuTiledEngine final : public CpuTiledBase {
                      EngineCapabilities{.supports_sharding = true,
                                         .supports_streaming = true,
                                         .bitwise_exact = true,
-                                        .tunable = true},
+                                        .tunable = true,
+                                        .threaded = true},
                      std::move(options)) {}
 
   EngineRun execute_impl(const dedisp::Plan& plan, const EngineConfig& config,
@@ -280,7 +281,8 @@ class CpuTiledU8Engine final : public CpuTiledBase {
                                .supports_streaming = true,
                                .bitwise_exact = false,
                                .tunable = true,
-                               .input_element_bytes = sizeof(std::uint8_t)},
+                               .input_element_bytes = sizeof(std::uint8_t),
+                               .threaded = true},
             std::move(options)) {}
 
   std::vector<AxisSpec> config_axes(
@@ -352,7 +354,8 @@ class CpuBaselineEngine final : public EngineBase {
       : EngineBase("cpu_baseline",
                    EngineCapabilities{.supports_sharding = true,
                                       .supports_streaming = true,
-                                      .bitwise_exact = true},
+                                      .bitwise_exact = true,
+                                      .threaded = true},
                    std::move(options)) {}
 
   std::string variant() const override { return "autovec"; }

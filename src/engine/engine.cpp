@@ -5,6 +5,7 @@
 #include "engine/engine.hpp"
 
 #include "common/expect.hpp"
+#include "common/thread_pool.hpp"
 #include "common/timer.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/tracing.hpp"
@@ -43,6 +44,12 @@ double run_bytes(const dedisp::Plan& plan,
 }
 
 }  // namespace
+
+std::size_t DedispEngine::threads() const {
+  if (!capabilities().threaded) return 1;
+  const std::size_t threads = options().cpu.threads;
+  return threads != 0 ? threads : hardware_workers();
+}
 
 void SessionTraffic::add(const EngineRun& run, const dedisp::Plan& plan) {
   ++runs;

@@ -88,6 +88,10 @@ struct EngineCapabilities {
   /// per-engine bytes-moved from this instead of assuming sizeof(float) —
   /// the number that makes the quantized engine's bandwidth win honest.
   std::size_t input_element_bytes = sizeof(float);
+  /// execute() spreads its work over EngineOptions::cpu.threads workers
+  /// (0 = one per hardware thread). False: it runs on the calling thread
+  /// whatever the options say (subband, fdmt, the reference).
+  bool threaded = false;
 
   friend bool operator==(const EngineCapabilities&,
                          const EngineCapabilities&) = default;
@@ -179,6 +183,12 @@ class DedispEngine {
   /// "scalar") for the cpu engines, the device preset for ocl_sim. Never
   /// contains '|', ',' or newlines.
   virtual std::string variant() const = 0;
+
+  /// Worker threads one execute() runs on: the resolved
+  /// EngineOptions::cpu.threads for threaded engines, 1 otherwise. Engines
+  /// measured at different counts are not racing on equal terms, so the
+  /// tuner records this per entrant.
+  std::size_t threads() const;
 
   /// The named axes this engine's execution depends on, with their search
   /// ladders and defaults for \p plan. Empty for engines without knobs.

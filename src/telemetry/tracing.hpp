@@ -30,7 +30,9 @@
 ///   shard.reacquire.task  reacquired sub-shard work  (args: shard)
 ///   stream.chunk     chunk compute              (args: chunk)
 ///   stream.sink      sink delivery              (args: chunk)
-///   tuner.tune       guided tuning of an engine (args: engine, source)
+///   tuner.tune       one race entrant's tuning (args: engine, source,
+///                    threads, pruned, bound_ms, evaluated)
+///   tuner.seed       one timed call ordering a race (args: engine, ms)
 ///   ring.push.wait   producer blocked on a full ring
 ///   ring.pop.wait    consumer blocked on an empty ring
 ///

@@ -17,27 +17,39 @@ namespace {
 // v3 replaced the six per-kernel-axis columns with one engine-native
 // config cell ("name=value;…"), so a row can persist any engine's axes;
 // v2 files still load, their kernel-axis columns migrating into the
-// config cell.
+// config cell. v4 appended the `pruned` flag; v3 rows load unpruned.
 constexpr const char* kSchemaPrefix = "# ddmc-tuner-results ";
-constexpr int kSchemaVersion = 3;
-constexpr std::size_t kColumns = 8;
-constexpr int kLegacyVersion = 2;
-constexpr std::size_t kLegacyColumns = 13;
 
-/// Built from the two constants above so save and load can never disagree
-/// about what the schema line says.
-const std::string& schema_line() {
-  static const std::string line = std::string(kSchemaPrefix) + "v" +
-                                  std::to_string(kSchemaVersion) +
-                                  " cols=" + std::to_string(kColumns);
-  return line;
+/// Every schema this build reads; the first is the one it writes.
+struct Schema {
+  int version;
+  std::size_t columns;
+  const char* header;
+};
+constexpr Schema kSchemas[] = {
+    {4, 9, "device,observation,dms,config,gflops,seconds,snr,evaluated,pruned"},
+    {3, 8, "device,observation,dms,config,gflops,seconds,snr,evaluated"},
+    {2, 13,
+     "device,observation,dms,wi_time,wi_dm,elem_time,elem_dm,channel_block,"
+     "unroll,gflops,seconds,snr,evaluated"},
+};
+constexpr const Schema& kCurrent = kSchemas[0];
+
+const Schema* find_schema(int version) {
+  for (const Schema& schema : kSchemas) {
+    if (schema.version == version) return &schema;
+  }
+  return nullptr;
 }
 
-constexpr const char* kHeader =
-    "device,observation,dms,config,gflops,seconds,snr,evaluated";
-constexpr const char* kLegacyHeader =
-    "device,observation,dms,wi_time,wi_dm,elem_time,elem_dm,channel_block,"
-    "unroll,gflops,seconds,snr,evaluated";
+/// Built from kCurrent so save and load can never disagree about what the
+/// schema line says.
+const std::string& schema_line() {
+  static const std::string line = std::string(kSchemaPrefix) + "v" +
+                                  std::to_string(kCurrent.version) +
+                                  " cols=" + std::to_string(kCurrent.columns);
+  return line;
+}
 
 std::vector<std::string> split_csv(const std::string& line) {
   std::vector<std::string> cells;
@@ -78,8 +90,9 @@ void parse_row_tail(ResultRow& r, const std::vector<std::string>& cells,
   r.evaluated = parse_size(cells[first + 3]);
 }
 
-ResultRow parse_v3_row(const std::vector<std::string>& cells,
-                       const std::string& line) {
+/// A v3 or v4 row: one config cell; v4 appends the pruned flag.
+ResultRow parse_config_row(const std::vector<std::string>& cells,
+                           const std::string& line) {
   ResultRow r;
   r.device = cells[0];
   r.observation = cells[1];
@@ -89,6 +102,11 @@ ResultRow parse_v3_row(const std::vector<std::string>& cells,
                "malformed config field '" + cells[3] + "': " + line);
   r.config = *config;
   parse_row_tail(r, cells, 4);
+  if (cells.size() > 8) {
+    DDMC_REQUIRE(cells[8] == "0" || cells[8] == "1",
+                 "malformed pruned field '" + cells[8] + "': " + line);
+    r.pruned = cells[8] == "1";
+  }
   return r;
 }
 
@@ -132,11 +150,11 @@ void save_results(std::ostream& os, const std::vector<ResultRow>& rows) {
   // (or TuningCache file) compares exactly equal to the one that wrote it.
   const std::streamsize old_precision =
       os.precision(std::numeric_limits<double>::max_digits10);
-  os << schema_line() << "\n" << kHeader << "\n";
+  os << schema_line() << "\n" << kCurrent.header << "\n";
   for (const ResultRow& r : rows) {
     os << r.device << ',' << r.observation << ',' << r.dms << ','
        << r.config.encode() << ',' << r.gflops << ',' << r.seconds << ','
-       << r.snr << ',' << r.evaluated << "\n";
+       << r.snr << ',' << r.evaluated << ',' << (r.pruned ? 1 : 0) << "\n";
   }
   os.precision(old_precision);
 }
@@ -150,50 +168,49 @@ std::vector<ResultRow> load_results(std::istream& is) {
       "results file has no schema line (expected '" + schema_line() +
           "' as the first line, got '" + line +
           "'); the file was written by a pre-v2 build — re-run the sweep");
-  int version = 0;
-  std::size_t cols = 0;
+  const Schema* schema = nullptr;
   {
     std::istringstream tag(line.substr(std::string(kSchemaPrefix).size()));
     char v = '\0';
+    int version = 0;
     tag >> v >> version;
     std::string cols_field;
     tag >> cols_field;
+    std::size_t cols = 0;
     if (cols_field.rfind("cols=", 0) == 0) {
       cols = parse_size(cols_field.substr(5));
     }
-    DDMC_REQUIRE(
-        v == 'v' && (version == kSchemaVersion || version == kLegacyVersion),
-        "results schema version mismatch: file says '" + line +
-            "', this build reads v" + std::to_string(kSchemaVersion) +
-            " (and migrates v" + std::to_string(kLegacyVersion) +
-            ") — re-run the sweep to regenerate");
-    const std::size_t expected =
-        version == kLegacyVersion ? kLegacyColumns : kColumns;
-    DDMC_REQUIRE(cols == expected,
+    schema = v == 'v' ? find_schema(version) : nullptr;
+    DDMC_REQUIRE(schema != nullptr,
+                 "results schema version mismatch: file says '" + line +
+                     "', this build reads v" +
+                     std::to_string(kCurrent.version) +
+                     " (and migrates v2 and v3) — re-run the sweep to "
+                     "regenerate");
+    DDMC_REQUIRE(cols == schema->columns,
                  "results schema has " + std::to_string(cols) +
                      " columns, this build expects " +
-                     std::to_string(expected) + " for v" +
+                     std::to_string(schema->columns) + " for v" +
                      std::to_string(version) + " ('" + line + "')");
   }
-  const bool legacy = version == kLegacyVersion;
-  const std::size_t columns = legacy ? kLegacyColumns : kColumns;
   DDMC_REQUIRE(static_cast<bool>(std::getline(is, line)),
                "results stream ends after the schema line");
   const std::size_t header_cols = split_csv(line).size();
-  DDMC_REQUIRE(line == (legacy ? kLegacyHeader : kHeader),
+  DDMC_REQUIRE(line == schema->header,
                "unexpected results header (" +
                    std::to_string(header_cols) + " columns, expected " +
-                   std::to_string(columns) + "): " + line);
+                   std::to_string(schema->columns) + "): " + line);
+  const bool legacy = schema->version == 2;
   std::vector<ResultRow> rows;
   while (std::getline(is, line)) {
     if (line.empty()) continue;
     const auto cells = split_csv(line);
-    DDMC_REQUIRE(cells.size() == columns,
+    DDMC_REQUIRE(cells.size() == schema->columns,
                  "results row has " + std::to_string(cells.size()) +
-                     " columns, expected " + std::to_string(columns) +
-                     ": " + line);
+                     " columns, expected " +
+                     std::to_string(schema->columns) + ": " + line);
     rows.push_back(legacy ? parse_v2_row(cells)
-                          : parse_v3_row(cells, line));
+                          : parse_config_row(cells, line));
   }
   return rows;
 }

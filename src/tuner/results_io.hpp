@@ -27,20 +27,25 @@ struct ResultRow {
   double seconds = 0.0;
   double snr = 0.0;
   std::size_t evaluated = 0;
+  /// A tuning-cache row of an engine pruned from a race: `seconds` is the
+  /// race bound it lost to, not its own time (tuning_cache.hpp).
+  bool pruned = false;
 
   friend bool operator==(const ResultRow&, const ResultRow&) = default;
 };
 
 ResultRow to_row(const TuningResult& result);
 
-/// Write rows as CSV, led by a schema line ("# ddmc-tuner-results v3
-/// cols=8") and a fixed column header. The config cell is the
+/// Write rows as CSV, led by a schema line ("# ddmc-tuner-results v4
+/// cols=9") and a fixed column header. The config cell is the
 /// EngineConfig encoding ("name=value;…", "-" when empty) — ','-free by
-/// construction, so it stays a single CSV cell.
+/// construction, so it stays a single CSV cell. The last cell is the
+/// pruned flag, 0 or 1.
 void save_results(std::ostream& os, const std::vector<ResultRow>& rows);
 
-/// Parse rows written by save_results. v2 files (13 columns, one column
-/// per kernel axis) still load: their six axis columns migrate into an
+/// Parse rows written by save_results. v3 files (8 columns, no pruned
+/// flag) load as unpruned rows. v2 files (13 columns, one column per
+/// kernel axis) still load: their six axis columns migrate into an
 /// EngineConfig as the kernel axes, with neutral values omitted — a legacy
 /// untuned row becomes the empty config, valid for every engine. Throws
 /// ddmc::invalid_argument with a precise diagnosis on malformed input: a

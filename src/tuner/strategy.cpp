@@ -17,8 +17,10 @@ namespace {
 /// Fill best/stats/chebyshev from the completed timings. The winner is the
 /// lowest *measured seconds* (a non-positive seconds — possible only in
 /// synthetic evaluators — never wins); the GFLOP/s statistics stay for the
-/// paper's population analysis.
+/// paper's population analysis. A pruned search may have completed
+/// nothing; its best is set by the caller.
 void finalize(StrategyResult& result) {
+  if (result.pruned && result.timings.empty()) return;
   DDMC_ENSURE(!result.timings.empty(), "search measured no configuration");
   const auto rank = [](const ConfigTiming& t) {
     return t.seconds > 0.0 ? t.seconds
@@ -126,11 +128,12 @@ std::string HostKernelEvaluator::key(const engine::EngineConfig& config) {
 
 // ------------------------------------------------------------ exhaustive --
 
-StrategyResult ExhaustiveSearch::search(
+StrategyResult ExhaustiveSearch::search_impl(
     const dedisp::Plan& plan, const std::vector<engine::AxisSpec>& axes,
     const std::vector<engine::EngineConfig>& candidates,
-    ConfigEvaluator& evaluator) const {
+    ConfigEvaluator& evaluator, double race_bound) const {
   (void)axes;
+  (void)race_bound;  // the full population is the point of this strategy
   DDMC_REQUIRE(!candidates.empty(), "no candidate configurations");
   StrategyResult result;
   result.candidates = candidates.size();
@@ -146,11 +149,12 @@ StrategyResult ExhaustiveSearch::search(
 
 // ---------------------------------------------------------------- random --
 
-StrategyResult RandomSearch::search(
+StrategyResult RandomSearch::search_impl(
     const dedisp::Plan& plan, const std::vector<engine::AxisSpec>& axes,
     const std::vector<engine::EngineConfig>& candidates,
-    ConfigEvaluator& evaluator) const {
+    ConfigEvaluator& evaluator, double race_bound) const {
   (void)axes;
+  (void)race_bound;  // the sampled population feeds the Chebyshev bound
   DDMC_REQUIRE(!candidates.empty(), "no candidate configurations");
   DDMC_REQUIRE(samples_ > 0, "RandomSearch needs at least one sample");
   StrategyResult result;
@@ -181,10 +185,17 @@ StrategyResult RandomSearch::search(
 
 // --------------------------------------------------- coordinate descent --
 
-StrategyResult CoordinateDescent::search(
+std::optional<std::size_t> CoordinateDescent::first_probe(
+    const std::vector<engine::EngineConfig>& candidates) const {
+  if (candidates.empty()) return std::nullopt;
+  Rng rng(seed_);
+  return static_cast<std::size_t>(rng.next_below(candidates.size()));
+}
+
+StrategyResult CoordinateDescent::search_impl(
     const dedisp::Plan& plan, const std::vector<engine::AxisSpec>& axes,
     const std::vector<engine::EngineConfig>& candidates,
-    ConfigEvaluator& evaluator) const {
+    ConfigEvaluator& evaluator, double race_bound) const {
   DDMC_REQUIRE(!candidates.empty(), "no candidate configurations");
   StrategyResult result;
   result.candidates = candidates.size();
@@ -247,16 +258,21 @@ StrategyResult CoordinateDescent::search(
   };
 
   // One hill-climb from the best of `probes` fresh seeded probes; restarts
-  // rerun it to escape local optima, sharing rng, memo and stats.
+  // rerun it to escape local optima, sharing rng, memo and stats. The race
+  // bound is the incumbent every descent starts from: only a config that
+  // completes under it becomes a point, so with no bound (infinity) the
+  // first probe always does.
   Rng rng(seed_);
   std::size_t best_index = candidates.size();
-  double best_seconds = ConfigEvaluator::kNoIncumbent;
+  double best_seconds = race_bound;
   const std::size_t probes =
       std::max<std::size_t>(1, std::min(probes_, candidates.size()));
 
   auto descend_once = [&] {
-    std::size_t cur = 0;
-    double cur_seconds = ConfigEvaluator::kNoIncumbent;
+    std::size_t cur = candidates.size();
+    double cur_seconds = race_bound;
+    std::size_t floor_index = 0;
+    double floor = ConfigEvaluator::kNoIncumbent;
     for (std::size_t p = 0; p < probes; ++p) {
       const auto i =
           static_cast<std::size_t>(rng.next_below(candidates.size()));
@@ -265,8 +281,15 @@ StrategyResult CoordinateDescent::search(
         cur = i;
         cur_seconds = m.seconds;
       }
+      if (m.lower_bound < floor) {
+        floor_index = i;
+        floor = m.lower_bound;
+      }
     }
-    if (cur_seconds >= ConfigEvaluator::kNoIncumbent) return;
+    // No probe got under the race bound: climb from the most promising
+    // one. The bound stays the point's time, so the first round below
+    // either moves onto a config under it or ends the descent.
+    if (cur == candidates.size()) cur = floor_index;
 
     // Cycle the axes; line-search each along its ladder while improving.
     for (std::size_t round = 0; round < max_rounds_; ++round) {
@@ -320,11 +343,23 @@ StrategyResult CoordinateDescent::search(
 
   for (std::size_t start = 0; start < 1 + restarts_; ++start) {
     descend_once();
+    // A first descent that got nothing under the race bound prunes the
+    // entrant: restarts would only time more configs that cannot win.
+    if (best_index == candidates.size()) break;
   }
-  DDMC_ENSURE(best_index < candidates.size(),
+  result.pruned = best_index == candidates.size();
+  DDMC_ENSURE(!result.pruned || race_bound < ConfigEvaluator::kNoIncumbent,
               "coordinate descent failed to measure a starting point");
 
   finalize(result);
+  if (result.pruned) {
+    const auto lowest = std::min_element(
+        memo.begin(), memo.end(), [](const auto& a, const auto& b) {
+          return a.second.lower_bound < b.second.lower_bound;
+        });
+    result.best = to_timing(plan, candidates[lowest->first],
+                            lowest->second.lower_bound);
+  }
   return result;
 }
 

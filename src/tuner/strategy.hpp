@@ -20,6 +20,13 @@
 ///    early-abort repetitions that stop timing a config as soon as its
 ///    partial mean proves it cannot beat the incumbent).
 ///
+/// A search may run as one entrant of an engine race (tune_guided,
+/// tuning_cache.hpp). The race passes its best completed seconds so far as
+/// a *race bound*: CoordinateDescent aborts every measurement against
+/// min(current point, race bound) and gives up on an entrant that cannot
+/// get under the bound (StrategyResult::pruned). ExhaustiveSearch and
+/// RandomSearch ignore the bound and keep their full populations.
+///
 /// Strategies are engine-agnostic: they walk whatever axes the engine
 /// declares (engine::AxisSpec) over whatever candidates it enumerates, and
 /// rank by *measured seconds* — the only scale on which configurations of
@@ -33,6 +40,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -145,6 +153,10 @@ struct StrategyResult {
   /// configuration performs at least as far above the population mean as
   /// the found optimum (the paper's guessing argument, §IV-C).
   double chebyshev_p = 1.0;
+  /// Nothing completed under the race bound: the entrant cannot win the
+  /// race. `best` is then the measured config with the lowest proven floor,
+  /// its seconds that floor — a lower bound, not a tuned optimum.
+  bool pruned = false;
 };
 
 /// A search policy over a fixed candidate list. \p axes is the engine's
@@ -156,10 +168,33 @@ class SearchStrategy {
  public:
   virtual ~SearchStrategy() = default;
   virtual std::string name() const = 0;
-  virtual StrategyResult search(
+
+  /// Search \p candidates. \p race_bound is the best seconds another race
+  /// entrant already completed (infinity outside a race); strategies that
+  /// honour it stop as soon as they prove this engine cannot beat it.
+  StrategyResult search(
       const dedisp::Plan& plan, const std::vector<engine::AxisSpec>& axes,
       const std::vector<engine::EngineConfig>& candidates,
-      ConfigEvaluator& evaluator) const = 0;
+      ConfigEvaluator& evaluator,
+      double race_bound = ConfigEvaluator::kNoIncumbent) const {
+    return search_impl(plan, axes, candidates, evaluator, race_bound);
+  }
+
+  /// Index into \p candidates of the config this strategy measures first.
+  /// A race times one call of it per entrant and searches the fastest
+  /// first, so the bound is tight early. nullopt for strategies that ignore
+  /// the race bound: their order cannot save them anything.
+  virtual std::optional<std::size_t> first_probe(
+      const std::vector<engine::EngineConfig>& candidates) const {
+    (void)candidates;
+    return std::nullopt;
+  }
+
+ protected:
+  virtual StrategyResult search_impl(
+      const dedisp::Plan& plan, const std::vector<engine::AxisSpec>& axes,
+      const std::vector<engine::EngineConfig>& candidates,
+      ConfigEvaluator& evaluator, double race_bound) const = 0;
 };
 
 /// The paper's method: measure every candidate, keep the fastest. Retains
@@ -167,10 +202,12 @@ class SearchStrategy {
 class ExhaustiveSearch : public SearchStrategy {
  public:
   std::string name() const override { return "exhaustive"; }
-  StrategyResult search(const dedisp::Plan& plan,
-                        const std::vector<engine::AxisSpec>& axes,
-                        const std::vector<engine::EngineConfig>& candidates,
-                        ConfigEvaluator& evaluator) const override;
+
+ protected:
+  StrategyResult search_impl(
+      const dedisp::Plan& plan, const std::vector<engine::AxisSpec>& axes,
+      const std::vector<engine::EngineConfig>& candidates,
+      ConfigEvaluator& evaluator, double race_bound) const override;
 };
 
 /// Measure \p samples candidates drawn uniformly without replacement
@@ -183,25 +220,34 @@ class RandomSearch : public SearchStrategy {
       : samples_(samples), seed_(seed) {}
 
   std::string name() const override { return "random"; }
-  StrategyResult search(const dedisp::Plan& plan,
-                        const std::vector<engine::AxisSpec>& axes,
-                        const std::vector<engine::EngineConfig>& candidates,
-                        ConfigEvaluator& evaluator) const override;
+
+ protected:
+  StrategyResult search_impl(
+      const dedisp::Plan& plan, const std::vector<engine::AxisSpec>& axes,
+      const std::vector<engine::EngineConfig>& candidates,
+      ConfigEvaluator& evaluator, double race_bound) const override;
 
  private:
   std::size_t samples_;
   std::uint64_t seed_;
 };
 
-/// Hill-climb each declared axis in turn: from a seeded random probe of
-/// the space, line-search every axis along its ladder of values, moving
-/// while the measured time improves, until a full round over all axes
-/// finds nothing better. Every non-probe measurement passes the current
-/// point's time to the evaluator as the abort threshold, so hopeless
-/// configs are abandoned after a partial repetition count (early abort).
-/// `restarts` additional descents from fresh seeded probes escape local
-/// optima; all restarts share the measurement memo, so re-entering an
-/// explored basin costs nothing.
+/// Hill-climb each declared axis in turn: from the best of `probes` seeded
+/// random probes of the space, line-search every axis along its ladder of
+/// values, moving while the measured time improves, until a full round
+/// over all axes finds nothing better. Every measurement passes
+/// min(current point, race bound) to the evaluator as the abort threshold
+/// (infinity until a lone search has a point), so hopeless configs are
+/// abandoned after a partial repetition count (early abort). `restarts` additional descents from fresh seeded
+/// probes escape local optima; all restarts share the measurement memo, so
+/// re-entering an explored basin costs nothing.
+///
+/// Against a finite race bound a config must complete *under the bound* to
+/// become a point of the descent. When no probe does, the descent climbs
+/// one axis round from the probe with the lowest proven floor; when that
+/// round completes nothing under the bound either, the search stops,
+/// skips its restarts and reports the entrant as pruned. With no bound the
+/// measurement sequence is that of a lone search.
 class CoordinateDescent : public SearchStrategy {
  public:
   explicit CoordinateDescent(std::uint64_t seed = 42,
@@ -214,10 +260,16 @@ class CoordinateDescent : public SearchStrategy {
         restarts_(restarts) {}
 
   std::string name() const override { return "coordinate-descent"; }
-  StrategyResult search(const dedisp::Plan& plan,
-                        const std::vector<engine::AxisSpec>& axes,
-                        const std::vector<engine::EngineConfig>& candidates,
-                        ConfigEvaluator& evaluator) const override;
+
+  /// The first of the seeded probes.
+  std::optional<std::size_t> first_probe(
+      const std::vector<engine::EngineConfig>& candidates) const override;
+
+ protected:
+  StrategyResult search_impl(
+      const dedisp::Plan& plan, const std::vector<engine::AxisSpec>& axes,
+      const std::vector<engine::EngineConfig>& candidates,
+      ConfigEvaluator& evaluator, double race_bound) const override;
 
  private:
   std::uint64_t seed_;

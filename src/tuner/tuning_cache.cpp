@@ -1,5 +1,6 @@
 #include "tuner/tuning_cache.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -8,8 +9,11 @@
 #include <limits>
 #include <random>
 #include <sstream>
+#include <tuple>
 
 #include "common/expect.hpp"
+#include "common/random.hpp"
+#include "common/timer.hpp"
 #include "engine/registry.hpp"
 #include "resilience/error.hpp"
 #include "resilience/fault_injection.hpp"
@@ -99,6 +103,7 @@ ResultRow to_result_row(const CacheEntry& entry) {
   row.seconds = entry.seconds;
   row.snr = 0.0;
   row.evaluated = entry.evaluated;
+  row.pruned = entry.pruned;
   return row;
 }
 
@@ -117,6 +122,7 @@ CacheEntry from_result_row(const ResultRow& row, const std::string& path) {
   entry.gflops = row.gflops;
   entry.seconds = row.seconds;
   entry.evaluated = row.evaluated;
+  entry.pruned = row.pruned;
   return entry;
 }
 
@@ -301,7 +307,8 @@ std::optional<CacheEntry> TuningCache::find_nearest(
   std::optional<CacheEntry> best;
   double best_distance = max_distance;
   for (const CacheEntry& entry : entries_) {
-    if (entry.host != host) continue;
+    // A pruned entry's config was never tuned, so it has nothing to lend.
+    if (entry.host != host || entry.pruned) continue;
     const double d = plan_distance(entry.plan, target);
     if (d > best_distance || (best && d >= best_distance)) continue;
     if (usable && !usable(entry.config)) {
@@ -375,126 +382,195 @@ void TuningCache::save_locked() const {
 
 namespace {
 
-/// The single-engine ladder: exact hit → nearest-neighbor transfer →
-/// guided search (stored for next time). \p validate_transfers re-measures
-/// a transferred config once on the *target* plan (and stores the result):
-/// a transfer's stored GFLOP/s was measured on a different plan, which is a
-/// fine 0-measurement answer when one engine tunes alone, but ranking
-/// engines against each other by figures from different plans could crown
-/// the wrong engine — e.g. the subband engine's effective GFLOP/s scales
-/// with the source plan's flop-reduction ratio, which gcd adaptation may
-/// collapse on the target plan.
-GuidedTuningOutcome tune_one_engine(
-    const dedisp::Plan& plan, TuningCache& cache,
-    const GuidedTuningOptions& options,
-    const std::shared_ptr<const engine::DedispEngine>& engine,
-    bool validate_transfers) {
-  const HostSignature host = HostSignature::of(*engine);
-  const PlanSignature target = PlanSignature::of(plan);
+using Source = GuidedTuningOutcome::Source;
 
+const char* source_label(Source source) {
+  switch (source) {
+    case Source::kCacheHit: return "hit";
+    case Source::kTransfer: return "transfer";
+    case Source::kSearch: return "search";
+  }
+  return "?";
+}
+
+/// Outcomes rank by measured wall seconds; a non-positive figure means
+/// unmeasured and never wins.
+double rank(double seconds) {
+  return seconds > 0.0 ? seconds : std::numeric_limits<double>::infinity();
+}
+
+/// One race entrant and what the cache already knows about it.
+struct Contender {
+  std::shared_ptr<const engine::DedispEngine> engine;
+  HostSignature host;
+  std::optional<CacheEntry> exact;    ///< usable exact entry, maybe pruned
+  std::optional<CacheEntry> nearest;  ///< transfer source, never pruned
+  std::vector<engine::EngineConfig> candidates;  ///< filled when searched
+  double seed_seconds = 0.0;  ///< one timed call of its first probe
+
+  /// The order the race resolves contenders in. Cache answers come first:
+  /// they set the race bound without measuring. Searches come next, and
+  /// pruned entries last, because only the final bound tells whether
+  /// another entrant still beats them.
+  int stage() const {
+    if (exact) return exact->pruned ? 2 : 0;
+    return nearest ? 0 : 1;
+  }
+};
+
+/// Time one call of every searching contender's first probe, so the race
+/// can search the fastest first. The calls share one deterministic input
+/// sized for the widest padding. Each runs on a fresh engine instance that
+/// is dropped straight after, so the race never holds more than one
+/// engine's scratch at a time.
+void time_seeds(const dedisp::Plan& plan, const SearchStrategy& strategy,
+                const engine::EngineOptions& engine_options,
+                std::uint64_t seed, const std::vector<Contender*>& searching) {
+  if (!strategy.first_probe(searching.front()->candidates)) return;
+  std::size_t padding = 0;
+  for (const Contender* c : searching) {
+    padding = std::max(padding, c->engine->capabilities().input_padding);
+  }
+  Array2D<float> input(plan.channels(), plan.in_samples() + padding);
+  Array2D<float> output(plan.dms(), plan.out_samples());
+  Rng rng(seed);
+  for (std::size_t ch = 0; ch < input.rows(); ++ch) {
+    for (auto& v : input.row(ch)) v = rng.next_float(-1.0f, 1.0f);
+  }
+  for (Contender* c : searching) {
+    const engine::EngineConfig& probe =
+        c->candidates[*strategy.first_probe(c->candidates)];
+    const auto engine = engine::make_engine(c->engine->id(), engine_options);
+    telemetry::TraceSpan span("tuner.seed");
+    span.arg("engine", engine->id());
+    const Stopwatch clock;
+    engine->execute(plan, probe, input.cview(), output.view());
+    c->seed_seconds = clock.seconds();
+    span.arg("ms", c->seed_seconds * 1e3);
+  }
+}
+
+/// Resolve one contender against \p race_bound, the best seconds the race
+/// has completed so far (infinity before any): exact hit, pruned hit,
+/// nearest-neighbor transfer or a search under the bound, stored for next
+/// time. \p validate_transfers re-measures a transferred config once on
+/// the *target* plan (and stores the result): a transfer's stored figure
+/// was measured on a different plan, which is a fine 0-measurement answer
+/// when one engine tunes alone, but ranking engines against each other by
+/// figures from different plans could crown the wrong engine — e.g. the
+/// subband engine's effective GFLOP/s scales with the source plan's
+/// flop-reduction ratio, which gcd adaptation may collapse on the target
+/// plan. The returned outcome's race holds the contender's own row.
+GuidedTuningOutcome resolve(const dedisp::Plan& plan, TuningCache& cache,
+                            const GuidedTuningOptions& options,
+                            const SearchStrategy& strategy, Contender& c,
+                            double race_bound, bool validate_transfers) {
+  const engine::DedispEngine& engine = *c.engine;
+  const PlanSignature target = PlanSignature::of(plan);
   telemetry::TraceSpan span("tuner.tune");
-  span.arg("engine", engine->id().c_str());
+  span.arg("engine", engine.id());
+
+  GuidedTuningOutcome outcome;
+  outcome.engine_id = engine.id();
+  GuidedTuningOutcome::Entrant row;
+  row.engine_id = engine.id();
+  row.threads = engine.threads();
   // One ladder resolution = one outcome sample: the hit/transfer/search mix
   // over a session is the cache's effectiveness, scrape-able as
   // ddmc.tuner.outcomes_total{source=...}.
-  const auto note = [&](const char* source, std::size_t evaluated,
-                        double gflops) {
+  const auto finish = [&](Source source, bool pruned) {
+    outcome.source = source;
+    row.source = source;
+    row.config = outcome.config;
+    row.seconds = outcome.seconds;
+    row.pruned = pruned;
+    row.configs_evaluated = outcome.configs_evaluated;
+    outcome.race.push_back(row);
     auto& registry = telemetry::MetricsRegistry::instance();
     registry
         .counter("ddmc.tuner.outcomes_total",
-                 {{"engine", engine->id()}, {"source", source}})
+                 {{"engine", engine.id()}, {"source", source_label(source)}})
         ->increment();
     registry
         .counter("ddmc.tuner.configs_evaluated_total",
-                 {{"engine", engine->id()}})
-        ->add(static_cast<double>(evaluated));
-    span.arg("source", source).arg("evaluated", evaluated);
-    span.arg("gflops", gflops);
+                 {{"engine", engine.id()}})
+        ->add(static_cast<double>(outcome.configs_evaluated));
+    span.arg("source", source_label(source))
+        .arg("threads", row.threads)
+        .arg("pruned", std::size_t{pruned})
+        .arg("bound_ms", pruned ? row.seconds * 1e3
+                         : std::isfinite(race_bound) ? race_bound * 1e3
+                                                     : 0.0)
+        .arg("evaluated", outcome.configs_evaluated);
+    return std::move(outcome);  // every path returns straight after
   };
 
-  // Only the engine can judge its configs: the same predicate gates the
-  // exact hit (a stale or hand-seeded entry must not crash the ladder —
-  // an unusable hit falls through to transfer/search) and the
-  // nearest-neighbor scan.
-  const auto usable = [&](const engine::EngineConfig& config) {
-    try {
-      engine->validate_config(plan, config);
-      return true;
-    } catch (const config_error&) {
-      return false;
-    }
-  };
-
-  GuidedTuningOutcome outcome;
-  outcome.engine_id = engine->id();
-  if (const auto hit = cache.find_exact(host, target);
-      hit && usable(hit->config)) {
-    outcome.source = GuidedTuningOutcome::Source::kCacheHit;
-    outcome.config = hit->config;
-    outcome.seconds = hit->seconds;
-    outcome.gflops = hit->gflops;
+  if (c.exact && !c.exact->pruned) {
+    outcome.config = c.exact->config;
+    outcome.seconds = c.exact->seconds;
+    outcome.gflops = c.exact->gflops;
     outcome.transfer_distance = 0.0;
-    note("hit", 0, outcome.gflops);
-    return outcome;
+    return finish(Source::kCacheHit, false);
   }
-  if (options.allow_transfer) {
-    if (const auto near = cache.find_nearest(
-            host, plan, options.max_transfer_distance, usable)) {
-      outcome.source = GuidedTuningOutcome::Source::kTransfer;
-      outcome.config = near->config;
-      outcome.seconds = near->seconds;
-      outcome.gflops = near->gflops;
-      outcome.transfer_distance = plan_distance(near->plan, target);
-      if (validate_transfers) {
-        HostKernelEvaluator evaluator(engine, plan, options.host,
-                                      options.seed);
-        const auto m = evaluator.measure(outcome.config,
-                                         ConfigEvaluator::kNoIncumbent);
-        outcome.seconds = m.seconds;
-        outcome.gflops = plan.total_flop() / m.seconds * 1e-9;
-        outcome.configs_evaluated = 1;
-        CacheEntry entry;
-        entry.host = host;
-        entry.plan = target;
-        entry.config = outcome.config;
-        entry.gflops = outcome.gflops;
-        entry.seconds = m.seconds;
-        entry.evaluated = 1;
-        cache.store(entry);  // next cross-engine call is an exact hit
-      }
-      note("transfer", outcome.configs_evaluated, outcome.gflops);
-      return outcome;
+  // A pruned entry still answers while the race holds a time at or under
+  // the bound that pruned it: this engine cannot win that race.
+  if (c.exact && race_bound <= c.exact->seconds) {
+    outcome.config = c.exact->config;
+    outcome.seconds = c.exact->seconds;
+    outcome.transfer_distance = 0.0;
+    return finish(Source::kCacheHit, true);
+  }
+  if (c.nearest) {
+    outcome.config = c.nearest->config;
+    outcome.seconds = c.nearest->seconds;
+    outcome.gflops = c.nearest->gflops;
+    outcome.transfer_distance = plan_distance(c.nearest->plan, target);
+    if (validate_transfers) {
+      HostKernelEvaluator evaluator(c.engine, plan, options.host,
+                                    options.seed);
+      const auto m =
+          evaluator.measure(outcome.config, ConfigEvaluator::kNoIncumbent);
+      outcome.seconds = m.seconds;
+      outcome.gflops = plan.total_flop() / m.seconds * 1e-9;
+      outcome.configs_evaluated = 1;
+      CacheEntry entry;
+      entry.host = c.host;
+      entry.plan = target;
+      entry.config = outcome.config;
+      entry.gflops = outcome.gflops;
+      entry.seconds = m.seconds;
+      entry.evaluated = 1;
+      cache.store(entry);  // next cross-engine call is an exact hit
     }
+    return finish(Source::kTransfer, false);
   }
 
-  const std::vector<engine::EngineConfig> candidates =
-      engine->config_space(plan);
-  DDMC_REQUIRE(!candidates.empty(),
-               "engine '" + engine->id() +
+  if (c.candidates.empty()) c.candidates = engine.config_space(plan);
+  DDMC_REQUIRE(!c.candidates.empty(),
+               "engine '" + engine.id() +
                    "' enumerated no candidate configurations for this plan");
-  HostKernelEvaluator evaluator(engine, plan, options.host, options.seed);
-  const auto strategy =
-      make_strategy(options.strategy, options.random_samples, options.seed);
-  StrategyResult searched = strategy->search(plan, engine->config_axes(plan),
-                                             candidates, evaluator);
+  HostKernelEvaluator evaluator(c.engine, plan, options.host, options.seed);
+  StrategyResult searched = strategy.search(
+      plan, engine.config_axes(plan), c.candidates, evaluator, race_bound);
 
   CacheEntry entry;
-  entry.host = host;
+  entry.host = c.host;
   entry.plan = target;
   entry.config = searched.best.config;
-  entry.gflops = searched.best.gflops;
-  entry.seconds = searched.best.seconds;
   entry.evaluated = searched.evaluated;
+  entry.pruned = searched.pruned;
+  // A pruned search's best is only a floor: what it proved is that the
+  // engine loses to the bound, so the bound is what gets stored.
+  entry.seconds = searched.pruned ? race_bound : searched.best.seconds;
+  entry.gflops = searched.pruned ? 0.0 : searched.best.gflops;
   cache.store(entry);
 
-  outcome.source = GuidedTuningOutcome::Source::kSearch;
-  outcome.config = searched.best.config;
-  outcome.seconds = searched.best.seconds;
-  outcome.gflops = searched.best.gflops;
+  outcome.config = entry.config;
+  outcome.seconds = entry.seconds;
+  outcome.gflops = entry.gflops;
   outcome.configs_evaluated = searched.evaluated;
   outcome.search = std::move(searched);
-  note("search", outcome.configs_evaluated, outcome.gflops);
-  return outcome;
+  return finish(Source::kSearch, entry.pruned);
 }
 
 }  // namespace
@@ -509,34 +585,84 @@ GuidedTuningOutcome tune_guided(const dedisp::Plan& plan, TuningCache& cache,
   engine_options.cpu.stage_rows = options.host.stage_rows;
   engine_options.cpu.vectorize = options.host.vectorize;
   engine_options.cpu.threads = options.host.threads;
+  const auto strategy =
+      make_strategy(options.strategy, options.random_samples, options.seed);
+  const PlanSignature target = PlanSignature::of(plan);
 
-  // Resolve every engine's ladder independently; each search winner is
-  // stored under its own (engine, host, plan) signature, so the cross-
-  // engine comparison is itself answered from the cache on the next call.
+  // What the cache knows about every entrant. Only the engine can judge
+  // its configs: the same predicate gates the exact hit (a stale or
+  // hand-seeded entry must not crash the ladder — an unusable hit falls
+  // through to transfer/search) and the nearest-neighbor scan. A pruned
+  // entry's config was never adopted, so its usability does not matter.
+  std::vector<Contender> contenders(engines.size());
+  for (std::size_t i = 0; i < engines.size(); ++i) {
+    Contender& c = contenders[i];
+    c.engine = engine::make_engine(engines[i], engine_options);
+    c.host = HostSignature::of(*c.engine);
+    const auto usable = [&](const engine::EngineConfig& config) {
+      try {
+        c.engine->validate_config(plan, config);
+        return true;
+      } catch (const config_error&) {
+        return false;
+      }
+    };
+    if (auto hit = cache.find_exact(c.host, target);
+        hit && (hit->pruned || usable(hit->config))) {
+      c.exact = std::move(hit);
+    }
+    if ((!c.exact || c.exact->pruned) && options.allow_transfer) {
+      c.nearest = cache.find_nearest(c.host, plan,
+                                     options.max_transfer_distance, usable);
+    }
+  }
+
   // The race is decided on *measured wall seconds* — engines' GFLOP/s
   // figures may credit different flop counts (stored entries, the subband
   // engine's flop reduction), so the derived metric can rank in the wrong
   // order while seconds cannot. Figures must come from this plan for the
   // comparison to hold, which is why multi-engine runs validate
   // transferred configs with one measurement.
+  std::vector<Contender*> order;
+  std::vector<Contender*> searching;
+  for (Contender& c : contenders) {
+    order.push_back(&c);
+    if (c.stage() == 1) {
+      c.candidates = c.engine->config_space(plan);
+      searching.push_back(&c);
+    }
+  }
+  if (searching.size() > 1) {
+    time_seeds(plan, *strategy, engine_options, options.seed, searching);
+  }
+  // Ties keep the caller's engine order (contenders' address order).
+  std::sort(order.begin(), order.end(),
+            [](const Contender* a, const Contender* b) {
+              return std::tuple(a->stage(), a->seed_seconds, a) <
+                     std::tuple(b->stage(), b->seed_seconds, b);
+            });
+
   const bool validate_transfers = engines.size() > 1;
-  const auto rank = [](const GuidedTuningOutcome& o) {
-    return o.seconds > 0.0 ? o.seconds
-                           : std::numeric_limits<double>::infinity();
-  };
   std::optional<GuidedTuningOutcome> best;
+  std::vector<GuidedTuningOutcome::Entrant> race;
   std::size_t evaluated = 0;
-  for (const std::string& id : engines) {
-    GuidedTuningOutcome outcome =
-        tune_one_engine(plan, cache, options,
-                        engine::make_engine(id, engine_options),
-                        validate_transfers);
+  for (Contender* c : order) {
+    const double race_bound =
+        best ? rank(best->seconds) : ConfigEvaluator::kNoIncumbent;
+    GuidedTuningOutcome outcome = resolve(plan, cache, options, *strategy, *c,
+                                          race_bound, validate_transfers);
+    // A resolved engine's scratch is freed before the next one runs.
+    c->engine.reset();
     evaluated += outcome.configs_evaluated;
-    if (!best || rank(outcome) < rank(*best)) {
+    race.push_back(outcome.race.front());
+    if (!race.back().pruned &&
+        (!best || rank(outcome.seconds) < rank(best->seconds))) {
       best = std::move(outcome);
     }
   }
+  DDMC_ENSURE(best.has_value(), "every race entrant was pruned");
   best->configs_evaluated = evaluated;
+  best->race = std::move(race);
   return std::move(*best);
 }
 

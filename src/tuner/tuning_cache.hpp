@@ -20,11 +20,24 @@
 ///                    by default) over the engine's declared config space,
 ///                    and store the winner for next time.
 ///
-/// Persistence is layered on results_io's v3 CSV: the host signature is
+/// Several engines race with one incumbent. Cache answers resolve first
+/// and set the race bound (the best seconds completed so far) for free.
+/// The engines left to search are each timed once on the config their
+/// strategy would probe first (CoordinateDescent only; the other
+/// strategies keep their full populations) and searched fastest first,
+/// every measurement aborting against the race bound. An engine that
+/// cannot get under the bound is *pruned*: it is stored flagged as pruned
+/// with the bound that pruned it, never as a tuned optimum. A pruned entry
+/// answers a warm race with 0 measurements while another entrant still
+/// beats its bound, is never a transfer source, and is a miss anywhere
+/// else — a single-engine tune of that engine searches again.
+///
+/// Persistence is layered on results_io's v4 CSV: the host signature is
 /// encoded in the `device` column, the plan signature in the
-/// `observation` column and the engine-native config in the `config`
-/// column, so a cache file is an ordinary results file that the existing
-/// diagnostics (schema line, column counts, v2 migration) already cover.
+/// `observation` column, the engine-native config in the `config` column
+/// and the pruned flag in the `pruned` column, so a cache file is an
+/// ordinary results file that the existing diagnostics (schema line,
+/// column counts, v2 and v3 migration) already cover.
 
 #include <functional>
 #include <mutex>
@@ -108,6 +121,10 @@ struct CacheEntry {
   double gflops = 0.0;
   double seconds = 0.0;
   std::size_t evaluated = 0;  ///< configs the producing search measured
+  /// The engine lost a race without getting under its bound: `seconds` is
+  /// that bound, `config` the most promising config it measured, `gflops`
+  /// 0. Its true time is only known to exceed `seconds`.
+  bool pruned = false;
 };
 
 /// In-memory or file-backed store of tuned tuples. File-backed caches load
@@ -143,12 +160,12 @@ class TuningCache {
   std::optional<CacheEntry> find_exact(const HostSignature& host,
                                        const PlanSignature& plan) const;
 
-  /// Nearest-neighbor transfer: the entry with the same host signature
-  /// closest to \p plan (plan_distance ≤ \p max_distance) whose config
-  /// passes \p usable (callers pass the engine's validate_config; an empty
-  /// predicate accepts everything). The cache itself cannot judge a
-  /// config's validity — only the engine that declares the axes can.
-  /// Exact hits are also found by this.
+  /// Nearest-neighbor transfer: the unpruned entry with the same host
+  /// signature closest to \p plan (plan_distance ≤ \p max_distance) whose
+  /// config passes \p usable (callers pass the engine's validate_config;
+  /// an empty predicate accepts everything). The cache itself cannot judge
+  /// a config's validity — only the engine that declares the axes can.
+  /// Exact unpruned hits are also found by this.
   std::optional<CacheEntry> find_nearest(
       const HostSignature& host, const dedisp::Plan& plan,
       double max_distance = kDefaultMaxTransferDistance,
@@ -204,6 +221,24 @@ struct GuidedTuningOptions {
 /// Where a guided tuning's config came from.
 struct GuidedTuningOutcome {
   enum class Source { kCacheHit, kTransfer, kSearch };
+
+  /// One raced engine: what it ran and why it won or lost.
+  struct Entrant {
+    std::string engine_id;
+    /// Its tuned (or reused) config; for a pruned entrant the most
+    /// promising config it measured.
+    engine::EngineConfig config;
+    /// Worker threads its calls ran on (DedispEngine::threads()): the
+    /// tuning thread count for the threaded engines, 1 for the others.
+    std::size_t threads = 1;
+    /// Measured or stored seconds; for a pruned entrant the race bound
+    /// that pruned it, which its own time is only known to exceed.
+    double seconds = 0.0;
+    Source source = Source::kSearch;
+    bool pruned = false;
+    std::size_t configs_evaluated = 0;
+  };
+
   Source source = Source::kSearch;
   /// Registry id of the winning engine (the engine axis of the search).
   /// The consumer that requested the tuning *adopts* this engine — it may
@@ -224,16 +259,21 @@ struct GuidedTuningOutcome {
   std::optional<double> transfer_distance;
   /// Full search result when source == kSearch.
   std::optional<StrategyResult> search;
+  /// Every entrant, in the order the race resolved them (cache answers,
+  /// then searches fastest seed first, then pruned entries); the winner is
+  /// the unpruned row with the lowest seconds.
+  std::vector<Entrant> race;
 };
 
 /// Tune-on-first-use: for every engine in \p options.engines (the default
 /// engine when empty), answer from \p cache when possible (exact hit, then
 /// nearest-neighbor transfer), otherwise run the configured guided search
-/// over the engine's declared config space and store the winner under its
-/// (engine, host, plan) signature; the outcome with the lowest measured
-/// seconds is returned. Engines without tunable knobs race as
-/// single-candidate entries (their empty config). The returned config
-/// always validates against \p plan on the returned engine.
+/// over the engine's declared config space against the race bound, and
+/// store the result under its (engine, host, plan) signature — pruned
+/// when the engine could not beat the bound. The unpruned outcome with
+/// the lowest measured seconds is returned. Engines without tunable knobs
+/// race as single-candidate entries (their empty config). The returned
+/// config always validates against \p plan on the returned engine.
 GuidedTuningOutcome tune_guided(const dedisp::Plan& plan, TuningCache& cache,
                                 const GuidedTuningOptions& options = {});
 

@@ -11,6 +11,8 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <functional>
+#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
@@ -293,7 +295,7 @@ TEST(ResultsIo, SavesTheSchemaLineFirst) {
   save_results(ss, {});
   std::string first;
   ASSERT_TRUE(std::getline(ss, first));
-  EXPECT_EQ(first, "# ddmc-tuner-results v3 cols=8");
+  EXPECT_EQ(first, "# ddmc-tuner-results v4 cols=9");
 }
 
 TEST(ResultsIo, RejectsCorruptInput) {
@@ -394,6 +396,31 @@ TEST(ResultsIo, MigratesV2KernelAxisRowsIntoEngineConfigs) {
   std::stringstream resaved;
   save_results(resaved, rows);
   EXPECT_EQ(load_results(resaved), rows);
+}
+
+TEST(ResultsIo, LoadsV3RowsUnprunedAndRoundTripsThePrunedFlag) {
+  // A v3 file (written before the pruned column) still loads, every row
+  // unpruned; re-saved, it is a v4 file carrying the flag both ways.
+  std::stringstream ss;
+  ss << kSchemaLine << kHeaderLine
+     << "K20,Apertif,64,wi_time=32,123.4,0.01,3.2,900\n";
+  std::vector<ResultRow> rows = load_results(ss);
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_FALSE(rows[0].pruned);
+  rows.push_back(rows[0]);
+  rows[1].pruned = true;
+  std::stringstream resaved;
+  save_results(resaved, rows);
+  EXPECT_EQ(load_results(resaved), rows);
+  {
+    std::stringstream bad;
+    bad << "# ddmc-tuner-results v4 cols=9\n"
+        << "device,observation,dms,config,gflops,seconds,snr,evaluated,"
+           "pruned\n"
+        << "K20,Apertif,64,-,1.0,1.0,1.0,5,yes\n";
+    const std::string msg = error_of(bad);
+    EXPECT_NE(msg.find("malformed pruned field"), std::string::npos) << msg;
+  }
 }
 
 // ----------------------------------------------- host-execution dedup --
@@ -653,6 +680,197 @@ TEST(Strategies, RealMeasurementSmoke) {
   // Without restarts the threshold only tightens, so every evaluator call
   // is a distinct config.
   EXPECT_EQ(eval.measurements(), cd.evaluated);
+}
+
+// ------------------------------------------------- race-bounded searches --
+
+/// Records the candidate index of every measurement a search makes, on the
+/// abort-honouring synthetic landscape.
+class RecordingEvaluator : public SyntheticEvaluator {
+ public:
+  RecordingEvaluator(const Plan& plan,
+                     const std::vector<engine::EngineConfig>& candidates)
+      : SyntheticEvaluator(plan, /*support_abort=*/true) {
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+      index_[candidates[i].encode()] = i;
+    }
+  }
+
+  Measurement measure(const engine::EngineConfig& cfg,
+                      double incumbent_seconds) override {
+    sequence.push_back(index_.at(cfg.encode()));
+    return SyntheticEvaluator::measure(cfg, incumbent_seconds);
+  }
+
+  std::vector<std::size_t> sequence;
+
+ private:
+  std::map<std::string, std::size_t> index_;
+};
+
+/// Times from a table, aborted the way HostKernelEvaluator aborts: three
+/// repetitions of `t` each, stopped after k < 3 of them once k·t/3 exceeds
+/// the threshold, the floor being that partial sum over three.
+class TableEvaluator : public ConfigEvaluator {
+ public:
+  explicit TableEvaluator(std::function<double(const engine::EngineConfig&)>
+                              seconds)
+      : seconds_(std::move(seconds)) {}
+
+  Measurement measure(const engine::EngineConfig& cfg,
+                      double incumbent_seconds) override {
+    ++calls_;
+    const double t = seconds_(cfg);
+    Measurement m;
+    for (m.repetitions = 1; m.repetitions < 3; ++m.repetitions) {
+      if (t * static_cast<double>(m.repetitions) / 3.0 > incumbent_seconds) {
+        m.aborted = true;
+        break;
+      }
+    }
+    m.seconds = t;
+    m.lower_bound_seconds =
+        m.aborted ? t * static_cast<double>(m.repetitions) / 3.0 : t;
+    return m;
+  }
+
+  std::size_t calls() const { return calls_; }
+
+ private:
+  std::function<double(const engine::EngineConfig&)> seconds_;
+  std::size_t calls_ = 0;
+};
+
+TEST(Strategies, WithoutABoundCoordinateDescentMeasuresAsALoneSearch) {
+  // The exact sequences CoordinateDescent measured before the race bound
+  // existed, on the abort-honouring landscape: with no bound, and with an
+  // infinite one, the race machinery must not move a single measurement.
+  const Plan plan = mini_plan(8, 64);
+  const auto kernel_candidates = host_sweep_candidates(plan);
+  const auto axes = engine::kernel_config_axes(kernel_candidates);
+  const auto candidates = engine_candidates(kernel_candidates);
+  ASSERT_EQ(candidates.size(), 210u);
+  const std::map<std::uint64_t, std::vector<std::size_t>> expected = {
+      {7, {84,  104, 78,  64,  131, 65,  67,  70,  55,  187, 199, 188,
+           190, 184, 106, 16,  178, 19,  113, 166, 179, 175, 208, 202,
+           193, 203, 205, 57,  101, 150, 53,  204, 195, 196, 198}},
+      {99, {58,  96,  177, 166, 80,  118, 119, 121, 124, 112, 196, 205, 197,
+            199, 14,  161, 95,  69,  127, 194, 70,  71,  67,  64,  55,  187,
+            188, 190, 184, 116, 35,  95,  46,  132, 8,   115, 112}},
+  };
+  for (const auto& [seed, sequence] : expected) {
+    RecordingEvaluator lone(plan, candidates);
+    const StrategyResult a =
+        CoordinateDescent(seed).search(plan, axes, candidates, lone);
+    EXPECT_EQ(lone.sequence, sequence) << "seed " << seed;
+    EXPECT_FALSE(a.pruned);
+    RecordingEvaluator unbounded(plan, candidates);
+    CoordinateDescent(seed).search(plan, axes, candidates, unbounded,
+                                   ConfigEvaluator::kNoIncumbent);
+    EXPECT_EQ(unbounded.sequence, sequence) << "seed " << seed;
+  }
+}
+
+TEST(Strategies, AnEntrantSlowerThanTheBoundStopsAfterItsProbesAndOneRound) {
+  const Plan plan = mini_plan(8, 64);
+  const auto kernel_candidates = host_sweep_candidates(plan);
+  const auto axes = engine::kernel_config_axes(kernel_candidates);
+  const auto candidates = engine_candidates(kernel_candidates);
+  SyntheticEvaluator landscape(plan);
+  const auto seconds = [&](const engine::EngineConfig& cfg) {
+    return landscape.true_seconds(cfg);
+  };
+  double fastest = std::numeric_limits<double>::infinity();
+  for (const auto& cfg : candidates) fastest = std::min(fastest, seconds(cfg));
+  const double bound = 0.5 * fastest;  // another engine is twice as fast
+
+  constexpr std::size_t kProbes = 6;
+  TableEvaluator raced(seconds);
+  const StrategyResult r = CoordinateDescent(7, kProbes).search(
+      plan, axes, candidates, raced, bound);
+  EXPECT_TRUE(r.pruned);
+  // The probes, then one round: at most the two nearest neighbours on each
+  // axis of the lowest-floor probe.
+  EXPECT_GE(raced.calls(), 1u);
+  EXPECT_LE(raced.calls(), kProbes + 2 * axes.size());
+  EXPECT_EQ(r.evaluated, raced.calls());
+  // The restarts are skipped: the count is that of a search without them.
+  TableEvaluator no_restarts(seconds);
+  CoordinateDescent(7, kProbes, 16, 0)
+      .search(plan, axes, candidates, no_restarts, bound);
+  EXPECT_EQ(raced.calls(), no_restarts.calls());
+  // A pruned result reports a floor above the bound, not a tuned optimum.
+  EXPECT_GT(r.best.seconds, bound);
+  // Alone, the same search measures far more.
+  TableEvaluator lone(seconds);
+  const StrategyResult alone =
+      CoordinateDescent(7, kProbes).search(plan, axes, candidates, lone);
+  EXPECT_FALSE(alone.pruned);
+  EXPECT_GT(lone.calls(), raced.calls());
+}
+
+TEST(Strategies, AnEntrantWithOneConfigUnderTheBoundStillFindsIt) {
+  // A 8×4 grid where every config takes four times the bound except one:
+  // a neighbour, on the first axis, of the search's first probe. No probe
+  // completes under the bound, and the one climbing round from the
+  // lowest-floor probe must reach it.
+  std::vector<engine::AxisSpec> axes(2);
+  axes[0].name = "a";
+  axes[0].values = {1, 2, 3, 4, 5, 6, 7, 8};
+  axes[0].default_value = 1;
+  axes[1].name = "b";
+  axes[1].values = {1, 2, 3, 4};
+  axes[1].default_value = 1;
+  std::vector<engine::EngineConfig> candidates;
+  for (std::int64_t a : axes[0].values) {
+    for (std::int64_t b : axes[1].values) {
+      engine::EngineConfig cfg;
+      cfg.set("a", a).set("b", b);
+      candidates.push_back(cfg);
+    }
+  }
+  const Plan plan = mini_plan(8, 64);
+  constexpr double kBound = 1e-3;
+  for (std::uint64_t seed : {3u, 7u, 42u}) {
+    const CoordinateDescent descent(seed);
+    const auto probe = descent.first_probe(candidates);
+    ASSERT_TRUE(probe.has_value());
+    engine::EngineConfig good = candidates[*probe];
+    const std::int64_t a = good.get("a", 1);
+    good.set("a", a < 8 ? a + 1 : a - 1);
+    TableEvaluator eval([&](const engine::EngineConfig& cfg) {
+      return cfg == good ? 0.5 * kBound : 4.0 * kBound;
+    });
+    const StrategyResult r =
+        descent.search(plan, axes, candidates, eval, kBound);
+    EXPECT_FALSE(r.pruned) << "seed " << seed;
+    EXPECT_EQ(r.best.config, good) << "seed " << seed;
+    EXPECT_DOUBLE_EQ(r.best.seconds, 0.5 * kBound);
+  }
+}
+
+TEST(Strategies, OnlyCoordinateDescentNamesAFirstProbe) {
+  const std::vector<engine::EngineConfig> candidates(5);
+  EXPECT_FALSE(ExhaustiveSearch().first_probe(candidates).has_value());
+  EXPECT_FALSE(RandomSearch(3).first_probe(candidates).has_value());
+  const auto probe = CoordinateDescent(42).first_probe(candidates);
+  ASSERT_TRUE(probe.has_value());
+  EXPECT_LT(*probe, candidates.size());
+  // Exhaustive and random searches keep their full populations under a
+  // bound that every config misses.
+  const Plan plan = mini_plan(8, 64);
+  const auto kernel_candidates = host_sweep_candidates(plan);
+  const auto axes = engine::kernel_config_axes(kernel_candidates);
+  const auto configs = engine_candidates(kernel_candidates);
+  SyntheticEvaluator eval(plan, /*support_abort=*/true);
+  const StrategyResult ex =
+      ExhaustiveSearch().search(plan, axes, configs, eval, 1e-12);
+  EXPECT_FALSE(ex.pruned);
+  EXPECT_EQ(ex.timings.size(), configs.size());
+  const StrategyResult rs =
+      RandomSearch(12, 5).search(plan, axes, configs, eval, 1e-12);
+  EXPECT_FALSE(rs.pruned);
+  EXPECT_EQ(rs.timings.size(), 12u);
 }
 
 // ----------------------------------------------------------- tuning cache --
@@ -998,6 +1216,155 @@ TEST(TuningCacheTest, ThreeWayRaceWithFdmtResolvesWarmAndRanksBySeconds) {
   EXPECT_EQ(reranked.engine_id, "fdmt");
   EXPECT_DOUBLE_EQ(reranked.seconds, 1e-6);
   EXPECT_DOUBLE_EQ(reranked.gflops, 0.5);  // the winner's display figure
+}
+
+TEST(TuningCacheTest, PrunedEntriesNeverTransferAndMissWhenUnbeaten) {
+  // A pruned entry records only that its engine lost to a bound. It is
+  // never a transfer source, and a race in which nothing beats its bound
+  // (here: a single-engine tune) treats it as a miss and searches.
+  const Plan plan = mini_plan(8, 64);
+  GuidedTuningOptions opt;
+  opt.host.repetitions = 1;
+  opt.host.warmup_runs = 0;
+  opt.host.threads = 1;
+  opt.engines = {"cpu_tiled"};
+  engine::EngineOptions engine_options;
+  engine_options.cpu.threads = 1;
+  CacheEntry pruned;
+  pruned.host =
+      HostSignature::of(*engine::make_engine("cpu_tiled", engine_options));
+  pruned.plan = PlanSignature::of(plan);
+  pruned.config = engine::encode_kernel_config(KernelConfig{8, 1, 1, 1});
+  pruned.seconds = 1e-12;
+  pruned.evaluated = 3;
+  pruned.pruned = true;
+
+  {
+    TuningCache cache;
+    cache.store(pruned);
+    const Plan grown = mini_plan(16, 64);
+    EXPECT_FALSE(cache.find_nearest(pruned.host, grown).has_value());
+    const GuidedTuningOutcome moved = tune_guided(grown, cache, opt);
+    EXPECT_EQ(moved.source, GuidedTuningOutcome::Source::kSearch);
+  }
+  {
+    TuningCache cache;
+    cache.store(pruned);
+    const GuidedTuningOutcome again = tune_guided(plan, cache, opt);
+    EXPECT_EQ(again.source, GuidedTuningOutcome::Source::kSearch);
+    EXPECT_GT(again.configs_evaluated, 0u);
+    ASSERT_EQ(again.race.size(), 1u);
+    EXPECT_FALSE(again.race[0].pruned);
+    const auto stored = cache.find_exact(pruned.host, pruned.plan);
+    ASSERT_TRUE(stored.has_value());
+    EXPECT_FALSE(stored->pruned);  // the search replaced the pruned entry
+    EXPECT_EQ(stored->config, again.config);
+  }
+}
+
+TEST(TuningCacheTest, APrunedEntryIsSearchedWhenTheRaceNoLongerBeatsItsBound) {
+  // cpu_tiled was pruned against a bound of 1 ps; cpu_baseline's stored
+  // second does not beat that, so cpu_tiled must race again — and, far
+  // under a second, it wins.
+  const Plan plan = mini_plan(8, 64);
+  GuidedTuningOptions opt;
+  opt.host.repetitions = 1;
+  opt.host.warmup_runs = 0;
+  opt.host.threads = 1;
+  opt.engines = {"cpu_tiled", "cpu_baseline"};
+  engine::EngineOptions engine_options;
+  engine_options.cpu.threads = 1;
+  TuningCache cache;
+  CacheEntry pruned;
+  pruned.host =
+      HostSignature::of(*engine::make_engine("cpu_tiled", engine_options));
+  pruned.plan = PlanSignature::of(plan);
+  pruned.seconds = 1e-12;
+  pruned.pruned = true;
+  cache.store(pruned);
+  CacheEntry slow;
+  slow.host =
+      HostSignature::of(*engine::make_engine("cpu_baseline", engine_options));
+  slow.plan = pruned.plan;
+  slow.seconds = 1.0;
+  slow.gflops = 1.0;
+  cache.store(slow);
+
+  const GuidedTuningOutcome raced = tune_guided(plan, cache, opt);
+  EXPECT_EQ(raced.engine_id, "cpu_tiled");
+  EXPECT_EQ(raced.source, GuidedTuningOutcome::Source::kSearch);
+  ASSERT_EQ(raced.race.size(), 2u);
+  EXPECT_EQ(raced.race[0].engine_id, "cpu_baseline");  // cache answers first
+  EXPECT_EQ(raced.race[0].source, GuidedTuningOutcome::Source::kCacheHit);
+  EXPECT_EQ(raced.race[1].engine_id, "cpu_tiled");
+  EXPECT_EQ(raced.race[1].source, GuidedTuningOutcome::Source::kSearch);
+  EXPECT_FALSE(raced.race[1].pruned);
+  EXPECT_GT(raced.race[1].configs_evaluated, 0u);
+}
+
+TEST(TuningCacheTest, ColdRaceUnderCoordinateDescentPrunesItsLosers) {
+  // A real race on the miniature plan: cpu_baseline runs a call in about
+  // 4 µs, fdmt in 27–35 µs over its whole space, ocl_sim in about 80 µs.
+  // The seeds put cpu_baseline first, and the two losers, searched against
+  // its time, cannot complete a single config under it.
+  const std::string path =
+      ::testing::TempDir() + "ddmc_pruned_race_cache_test.csv";
+  std::remove(path.c_str());
+  const Plan plan = mini_plan(8, 64);
+  GuidedTuningOptions opt;
+  opt.host.threads = 1;
+  opt.engines = {"fdmt", "ocl_sim", "cpu_baseline"};
+  GuidedTuningOutcome cold;
+  {
+    TuningCache cache(path);
+    cold = tune_guided(plan, cache, opt);
+    EXPECT_EQ(cold.engine_id, "cpu_baseline");
+    EXPECT_EQ(cold.source, GuidedTuningOutcome::Source::kSearch);
+    ASSERT_EQ(cold.race.size(), 3u);
+    EXPECT_EQ(cold.race[0].engine_id, "cpu_baseline");
+    EXPECT_FALSE(cold.race[0].pruned);
+    EXPECT_DOUBLE_EQ(cold.race[0].seconds, cold.seconds);
+    std::size_t evaluated = 0;
+    for (const auto& row : cold.race) {
+      evaluated += row.configs_evaluated;
+      EXPECT_EQ(row.threads, 1u) << row.engine_id;
+      if (row.engine_id == cold.engine_id) continue;
+      EXPECT_TRUE(row.pruned) << row.engine_id;
+      EXPECT_EQ(row.source, GuidedTuningOutcome::Source::kSearch);
+      EXPECT_DOUBLE_EQ(row.seconds, cold.seconds);  // the bound it lost to
+    }
+    EXPECT_EQ(evaluated, cold.configs_evaluated);
+    for (const CacheEntry& entry : cache.entries()) {
+      EXPECT_EQ(entry.pruned, entry.host.engine_id != "cpu_baseline");
+    }
+  }
+  {
+    // A fresh process answers the whole race from the file.
+    TuningCache cache(path);
+    const GuidedTuningOutcome warm = tune_guided(plan, cache, opt);
+    EXPECT_EQ(warm.source, GuidedTuningOutcome::Source::kCacheHit);
+    EXPECT_EQ(warm.configs_evaluated, 0u);
+    EXPECT_EQ(warm.engine_id, cold.engine_id);
+    EXPECT_EQ(warm.config, cold.config);
+    ASSERT_EQ(warm.race.size(), 3u);
+    for (const auto& row : warm.race) {
+      EXPECT_EQ(row.source, GuidedTuningOutcome::Source::kCacheHit);
+      EXPECT_EQ(row.configs_evaluated, 0u);
+      EXPECT_EQ(row.pruned, row.engine_id != cold.engine_id);
+    }
+
+    // Alone, a pruned engine has nothing to lose to: it searches again.
+    GuidedTuningOptions alone = opt;
+    alone.engines = {"fdmt"};
+    const GuidedTuningOutcome fdmt = tune_guided(plan, cache, alone);
+    EXPECT_EQ(fdmt.engine_id, "fdmt");
+    EXPECT_EQ(fdmt.source, GuidedTuningOutcome::Source::kSearch);
+    EXPECT_GT(fdmt.configs_evaluated, 0u);
+    EXPECT_GT(fdmt.seconds, 0.0);
+    ASSERT_EQ(fdmt.race.size(), 1u);
+    EXPECT_FALSE(fdmt.race[0].pruned);
+  }
+  std::remove(path.c_str());
 }
 
 namespace {
