@@ -164,7 +164,6 @@ int main(int argc, char** argv) {
   dedisp::KernelConfig tuned_u8{125, 1, 8, 8, 128, 4};   // cpu_tiled_u8
   if (!tuned.divides(plan)) tuned = dedisp::KernelConfig{1, 1, 1, 1, 32, 4};
   if (!tuned_u8.divides(plan)) tuned_u8 = tuned;
-  const dedisp::KernelConfig untuned{1, 1, 1, 1};
 
   // One shared input, wide enough for the largest declared input_padding.
   std::size_t max_padding = 0;
@@ -178,16 +177,15 @@ int main(int argc, char** argv) {
     for (auto& v : input.row(ch)) v = rng.next_float(-1.0f, 1.0f);
   }
 
-  // Perf-model anchors: the §V-D CPU model for the host engines, the
-  // device model the simulator emulates for ocl_sim.
+  // Perf-model anchor: the §V-D CPU model for the host engines.
   const ocl::DeviceModel cpu_model = ocl::intel_xeon_e5_2620();
-  const ocl::DeviceModel sim_device = ocl::amd_hd7970();
   const double cpu_model_gflops =
       ocl::estimate_cpu_baseline(cpu_model, plan).gflops;
 
   Array2D<float> reference_out(plan.dms(), plan.out_samples());
   engine::make_engine("reference")
-      ->execute(plan, untuned, input.cview(), reference_out.view());
+      ->execute(plan, engine::EngineConfig{}, input.cview(),
+                reference_out.view());
 
   std::vector<EngineResult> results;
   for (const std::string& id : engine::EngineRegistry::instance().ids()) {
@@ -196,31 +194,23 @@ int main(int argc, char** argv) {
     res.id = id;
     res.variant = eng->variant();
     res.caps = eng->capabilities();
-    // Tunable engines and the device simulator (whose *model* estimate is
-    // config-sensitive even though its execution ignores nothing) run the
-    // tuned shape; the rest take the always-valid 1×1 point. The fdmt
-    // engine does not speak the kernel axes at all — it runs its own
-    // native split/block configuration.
+    // The tiled engines run their tuned shape and fdmt its own native
+    // split/block configuration; every other engine runs its defaults
+    // (the empty config).
     engine::EngineConfig native;
     if (id == "fdmt") {
       native = fdmt_native_config(plan, *eng);
-    } else {
-      dedisp::KernelConfig shape =
-          res.caps.tunable || id == "ocl_sim" ? tuned : untuned;
-      if (id == "cpu_tiled_u8") shape = tuned_u8;
-      // Keep only the axes the engine declares: the tiled engines get the
-      // full six-axis shape, everyone else degrades to their defaults
-      // instead of displaying a foreign config they ignore.
-      native = engine::restrict_to_axes(engine::encode_kernel_config(shape),
-                                        eng->config_axes(plan));
-      if (id == "ocl_sim") native = engine::encode_kernel_config(shape);
+    } else if (id == "cpu_tiled") {
+      native = engine::encode_kernel_config(tuned);
+    } else if (id == "cpu_tiled_u8") {
+      native = engine::encode_kernel_config(tuned_u8);
     }
     res.config = native.to_string();
 
     Array2D<float> out(plan.dms(), plan.out_samples());
     const engine::EngineRun warmup =
         eng->execute(plan, native, input.cview(), out.view());
-    res.bytes = warmup.bytes;  // element-size-aware analytic/counter bytes
+    res.bytes = warmup.bytes;  // element-size-aware analytic bytes
     if (res.caps.bitwise_exact) {
       for (std::size_t dm = 0; dm < plan.dms(); ++dm) {
         for (std::size_t t = 0; t < plan.out_samples(); ++t) {
@@ -264,16 +254,7 @@ int main(int argc, char** argv) {
     res.gflops = flop / res.seconds * 1e-9;
     res.gbps = res.bytes / res.seconds * 1e-9;
 
-    if (id == "ocl_sim") {
-      // The functional simulator's wall time is simulation overhead; the
-      // transferable number is the device model's estimate for this config.
-      ocl::PlanAnalysis analysis(plan);
-      res.modeled_gflops =
-          ocl::estimate_performance(sim_device, analysis,
-                                    engine::decode_kernel_config(native))
-              .gflops;
-      res.modeled_note = sim_device.name + " device model";
-    } else if (id == "subband") {
+    if (id == "subband") {
       // The §V-D CPU model scaled by the two-stage flop reduction (the
       // paper metric credits the full brute-force FLOPs either way). Use
       // the same gcd-adapted split the engine actually ran — the default

@@ -6,6 +6,8 @@
 /// the host engine's widened space (channel_block and unroll on top of the
 /// paper's four parameters) and reports the untuned default configuration
 /// next to the optimum, so the output shows the pre-vs-post-tuning gain.
+/// The sweep is ExhaustiveSearch over the cpu_tiled engine's own
+/// config_space(), the candidates every tuning path measures.
 ///
 ///   ./bench_host_tuning [--dms 16] [--out-samples 2000] [--reps 2]
 ///                       [--scalar] [--json BENCH_host_tuning.json]
@@ -18,8 +20,9 @@
 #include "common/simd.hpp"
 #include "common/table.hpp"
 #include "dedisp/plan.hpp"
+#include "engine/registry.hpp"
 #include "sky/observation.hpp"
-#include "tuner/host_tuner.hpp"
+#include "tuner/strategy.hpp"
 
 int main(int argc, char** argv) {
   using namespace ddmc;
@@ -43,12 +46,22 @@ int main(int argc, char** argv) {
   opt.warmup_runs = 1;
   opt.vectorize = !cli.get_flag("scalar");
 
-  const tuner::HostTuningResult result = tuner::tune_host(plan, opt);
+  engine::EngineOptions engine_options;
+  engine_options.cpu.stage_rows = opt.stage_rows;
+  engine_options.cpu.vectorize = opt.vectorize;
+  engine_options.cpu.threads = opt.threads;
+  const auto tiled = engine::make_engine("cpu_tiled", engine_options);
+  const auto axes = tiled->config_axes(plan);
 
-  // Pre-tuning anchor: the neutral default configuration, measured with the
-  // same engine and repetition count.
-  const tuner::HostTuningResult untuned =
-      tuner::tune_host(plan, opt, {dedisp::KernelConfig{1, 1, 1, 1}});
+  tuner::HostKernelEvaluator evaluator(tiled, plan, opt);
+  const tuner::StrategyResult result = tuner::ExhaustiveSearch().search(
+      plan, axes, tiled->config_space(plan), evaluator);
+
+  // Pre-tuning anchor: the neutral default configuration (the empty
+  // config), measured with the same engine and repetition count.
+  tuner::HostKernelEvaluator untuned_evaluator(tiled, plan, opt);
+  const tuner::StrategyResult untuned = tuner::ExhaustiveSearch().search(
+      plan, axes, {engine::EngineConfig{}}, untuned_evaluator);
   const double pre_gflops = untuned.best.gflops;
 
   std::cout << "== measured host tuning, Apertif-reduced, " << dms
@@ -67,7 +80,7 @@ int main(int argc, char** argv) {
             << ", measured SNR of optimum "
             << TextTable::num(result.stats.snr_of_max, 2) << "\n\n";
 
-  std::vector<tuner::HostConfigTiming> sorted = result.timings;
+  std::vector<tuner::ConfigTiming> sorted = result.timings;
   std::sort(sorted.begin(), sorted.end(),
             [](const auto& a, const auto& b) { return a.gflops > b.gflops; });
   const auto top_n =
@@ -90,7 +103,8 @@ int main(int argc, char** argv) {
 
   const std::string json_path = cli.get("json");
   if (!json_path.empty()) {
-    auto config_json = [](const dedisp::KernelConfig& c) {
+    auto config_json = [](const engine::EngineConfig& config) {
+      const dedisp::KernelConfig c = engine::decode_kernel_config(config);
       return bench::JsonObject()
           .set("wi_time", c.wi_time)
           .set("wi_dm", c.wi_dm)

@@ -152,7 +152,8 @@ int main(int argc, char** argv) {
     pipeline::ShardedOptions opts;
     opts.workers = workers;
     opts.supervision = sc.policy;
-    const pipeline::ShardedDedisperser sharded(plan, config, opts);
+    const pipeline::ShardedDedisperser sharded(
+        plan, engine::encode_kernel_config(config), opts);
 
     Array2D<float> out(plan.dms(), plan.out_samples());
     const auto run = [&] {

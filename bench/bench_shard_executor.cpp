@@ -126,7 +126,8 @@ int main(int argc, char** argv) {
 
     pipeline::ShardedOptions opts;
     opts.workers = workers;
-    const pipeline::ShardedDedisperser sharded(plan, config, opts);
+    const pipeline::ShardedDedisperser sharded(
+        plan, engine::encode_kernel_config(config), opts);
     res.shards = sharded.shard_count();
     res.modeled_speedup =
         modeled_one / sharded.layout().modeled_max_seconds;

@@ -122,7 +122,8 @@ int main(int argc, char** argv) {
 
     auto run_stream = [&](bool keep_latency) {
       stream::StreamingDedisperser session(
-          batch_plan.with_chunk(chunk_samples), config, nullptr, opts);
+          batch_plan.with_chunk(chunk_samples),
+          engine::encode_kernel_config(config), nullptr, opts);
       Stopwatch clock;
       session.push(input.cview());
       session.close();

@@ -22,7 +22,6 @@
 #include "common/simd.hpp"
 #include "common/table.hpp"
 #include "common/timer.hpp"
-#include "dedisp/kernel_config.hpp"
 #include "stream/streaming_dedisperser.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/metrics.hpp"
@@ -39,7 +38,7 @@ double run_stream(const dedisp::Plan& chunked, const Array2D<float>& input,
   stream::StreamingOptions opts;
   opts.cpu.threads = 1;
   stream::StreamingDedisperser session(
-      chunked, dedisp::KernelConfig{1, 1, 1, 1},
+      chunked, engine::EngineConfig{},
       [&](const stream::StreamChunk& chunk) { emitted += chunk.out_samples; },
       opts);
   Stopwatch clock;

@@ -25,10 +25,8 @@
 #include "common/simd.hpp"
 #include "common/table.hpp"
 #include "dedisp/plan.hpp"
-#include "engine/engine_config.hpp"
+#include "engine/registry.hpp"
 #include "sky/observation.hpp"
-#include "tuner/host_tuner.hpp"
-#include "tuner/search_space.hpp"
 #include "tuner/strategy.hpp"
 #include "tuner/tuning_cache.hpp"
 
@@ -70,21 +68,21 @@ int main(int argc, char** argv) {
   opt.warmup_runs = 1;
   opt.vectorize = !cli.get_flag("scalar");
 
-  const auto raw =
-      tuner::enumerate_host_configs(plan, opt.max_work_group_size);
-  const auto kernel_candidates = tuner::host_sweep_candidates(plan, opt);
-  const auto axes = engine::kernel_config_axes(kernel_candidates);
-  std::vector<engine::EngineConfig> candidates;
-  candidates.reserve(kernel_candidates.size());
-  for (const dedisp::KernelConfig& cfg : kernel_candidates) {
-    candidates.push_back(engine::encode_kernel_config(cfg));
-  }
+  // The strategies search the tiled engine's own declared space: its
+  // config_space() is already valid for the plan and deduplicated to one
+  // candidate per distinct host kernel.
+  engine::EngineOptions engine_options;
+  engine_options.cpu.stage_rows = opt.stage_rows;
+  engine_options.cpu.vectorize = opt.vectorize;
+  engine_options.cpu.threads = opt.threads;
+  const auto tiled = engine::make_engine("cpu_tiled", engine_options);
+  const auto axes = tiled->config_axes(plan);
+  const auto candidates = tiled->config_space(plan);
   std::cout << "== tuner strategies, Apertif-reduced, " << dms << " DMs x "
             << out << " samples, engine "
             << (opt.vectorize ? simd::backend_name() : "scalar") << " ==\n"
-            << "candidate space: " << raw.size() << " enumerated, "
-            << candidates.size()
-            << " distinct host kernels after deduplication\n\n";
+            << "candidate space: " << candidates.size()
+            << " distinct host kernels\n\n";
 
   struct Row {
     std::string name;
@@ -92,20 +90,20 @@ int main(int argc, char** argv) {
   };
   std::vector<Row> rows;
   {
-    tuner::HostKernelEvaluator evaluator(plan, opt, seed);
+    tuner::HostKernelEvaluator evaluator(tiled, plan, opt, seed);
     rows.push_back(
         {"exhaustive",
          tuner::ExhaustiveSearch().search(plan, axes, candidates, evaluator)});
   }
   {
-    tuner::HostKernelEvaluator evaluator(plan, opt, seed);
+    tuner::HostKernelEvaluator evaluator(tiled, plan, opt, seed);
     const tuner::RandomSearch random(
         static_cast<std::size_t>(cli.get_int("random-samples")), seed);
     rows.push_back(
         {"random", random.search(plan, axes, candidates, evaluator)});
   }
   {
-    tuner::HostKernelEvaluator evaluator(plan, opt, seed);
+    tuner::HostKernelEvaluator evaluator(tiled, plan, opt, seed);
     const tuner::CoordinateDescent descent(seed);
     rows.push_back({"coordinate-descent",
                     descent.search(plan, axes, candidates, evaluator)});
@@ -246,7 +244,6 @@ int main(int argc, char** argv) {
                              .set("channels", plan.channels())
                              .dump())
         .set("repetitions", opt.repetitions)
-        .set("enumerated_configs", raw.size())
         .set("deduplicated_configs", candidates.size())
         .set("exhaustive_gflops", exhaustive_gflops)
         .set_raw("strategies", strategies.dump())

@@ -92,7 +92,7 @@ int main(int argc, char** argv) {
 
   TextTable chunks({"chunk", "window [s]", "best DM", "peak S/N", "compute"});
   stream::StreamingDedisperser session(
-      chunk_plan, config,
+      chunk_plan, engine::encode_kernel_config(config),
       [&](const stream::StreamChunk& chunk) {
         const double t0 =
             static_cast<double>(chunk.first_sample) / obs.sampling_rate();

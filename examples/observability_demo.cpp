@@ -108,7 +108,7 @@ int main(int argc, char** argv) {
 
   std::size_t emitted = 0;
   stream::StreamingDedisperser session(
-      chunk_plan, config,
+      chunk_plan, engine::encode_kernel_config(config),
       [&](const stream::StreamChunk& chunk) { emitted += chunk.out_samples; },
       opts);
 

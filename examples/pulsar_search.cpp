@@ -35,7 +35,10 @@ int main(int argc, char** argv) {
   const double true_dm = cli.get_double("dm");
 
   pipeline::Dedisperser dd(obs, dms, cli.get("engine"));
-  dd.set_config(dedisp::KernelConfig{50, 2, 4, 2});
+  // A tiled-kernel shape; engines without those axes keep their defaults.
+  const dedisp::KernelConfig tile{50, 2, 4, 2};
+  dd.set_config(
+      dd.engine().adapt_config(dd.plan(), engine::encode_kernel_config(tile)));
   dedisp::CpuKernelOptions cpu_options;
   cpu_options.threads = static_cast<std::size_t>(cli.get_int("threads"));
   dd.set_cpu_options(cpu_options);

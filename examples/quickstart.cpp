@@ -42,8 +42,8 @@ int main(int argc, char** argv) {
   const double true_dm = cli.get_double("dm");
 
   // 1. Plan the instance (one second of data) on the selected engine and
-  // tune for the device. The modeled optimum drives the tunable engines;
-  // the others ignore the tile shape.
+  // tune for the device. The tiled engines run the modeled tile shape;
+  // every other engine keeps its defaults.
   pipeline::Dedisperser dd(obs, dms, cli.get("engine"));
   dedisp::CpuKernelOptions cpu_options;
   cpu_options.threads = static_cast<std::size_t>(cli.get_int("threads"));

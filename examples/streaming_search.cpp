@@ -17,6 +17,7 @@
 #include "common/cli.hpp"
 #include "common/table.hpp"
 #include "dedisp/plan.hpp"
+#include "engine/registry.hpp"
 #include "sky/detection.hpp"
 #include "sky/signal.hpp"
 #include "stream/ring_buffer.hpp"
@@ -85,8 +86,13 @@ int main(int argc, char** argv) {
   opts.engine = cli.get("engine");
   opts.detect = true;
   opts.cpu.threads = static_cast<std::size_t>(cli.get_int("threads"));
+  // The tile shape parameterizes the tiled engines; any other engine bends
+  // it onto its own axes (or its defaults).
+  const engine::EngineConfig engine_config =
+      engine::make_engine(opts.engine)
+          ->adapt_config(chunk_plan, engine::encode_kernel_config(config));
   stream::StreamingDedisperser session(
-      chunk_plan, config,
+      chunk_plan, engine_config,
       [&](const stream::StreamChunk& chunk) {
         const double t0 =
             static_cast<double>(chunk.first_sample) / obs.sampling_rate();

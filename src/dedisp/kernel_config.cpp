@@ -45,4 +45,22 @@ std::string KernelConfig::to_string() const {
   return ss.str();
 }
 
+SearchSpace default_search_space() {
+  SearchSpace s;
+  // Powers of two up to the largest work-group any Table I device accepts,
+  // plus the decimal divisors of the setups' samples-per-second — the paper
+  // finds optima like 250×4 (LOFAR, GTX 680) that are not powers of two.
+  s.wi_time = {1,  2,  4,  8,  10, 16,  20,  25,  32,  50,  64,
+               100, 125, 128, 200, 250, 256, 500, 512, 1000, 1024};
+  s.wi_dm = {1, 2, 4, 8, 16, 32};
+  s.elem_time = {1, 2, 4, 5, 8, 10, 16, 20, 25, 32, 50};
+  s.elem_dm = {1, 2, 4, 8};
+  // Host-engine axes. The channel blocks bracket the L1/L2 residency
+  // sweet spots of the setups' channel counts (Apertif/LOFAR: 1024 and
+  // 2048 channels); 0 is the unblocked single pass.
+  s.channel_block = {0, 32, 128, 512};
+  s.unroll = {1, 2, 4};
+  return s;
+}
+
 }  // namespace ddmc::dedisp

@@ -25,6 +25,7 @@
 
 #include <cstddef>
 #include <string>
+#include <vector>
 
 #include "dedisp/plan.hpp"
 
@@ -85,5 +86,24 @@ struct KernelConfig {
 
   friend bool operator==(const KernelConfig&, const KernelConfig&) = default;
 };
+
+/// Candidate ladder per KernelConfig parameter. §IV-A: "The algorithm is
+/// executed for every meaningful combination of the four parameters"; the
+/// ladders are powers of two plus the divisors of the paper's sampling
+/// rates, which is how configurations like 250×4 arise on LOFAR. The
+/// device-model enumeration (tuner::enumerate_configs) walks the four paper
+/// axes; the tiled host engines also walk channel_block and unroll.
+struct SearchSpace {
+  std::vector<std::size_t> wi_time;
+  std::vector<std::size_t> wi_dm;
+  std::vector<std::size_t> elem_time;
+  std::vector<std::size_t> elem_dm;
+  /// Host-engine axes; 0 in channel_block means "all channels in one pass".
+  std::vector<std::size_t> channel_block;
+  std::vector<std::size_t> unroll;
+};
+
+/// The default ladder used by every experiment in this repository.
+SearchSpace default_search_space();
 
 }  // namespace ddmc::dedisp

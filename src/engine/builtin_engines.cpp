@@ -4,17 +4,17 @@
 /// This file is deliberately the only place in the library that calls the
 /// concrete kernels (dedisperse_cpu, dedisperse_cpu_u8,
 /// dedisperse_cpu_baseline, dedisperse_reference, dedisperse_subband,
-/// dedisperse_fdmt, simulate_dedisp): every
-/// consumer above it dispatches through the DedispEngine interface, so a
-/// grep for those symbols outside src/engine/ and src/dedisp/ should come
-/// back empty — that is the refactor's invariant.
+/// dedisperse_fdmt): every consumer above it dispatches through the
+/// DedispEngine interface, so a grep for those symbols outside src/engine/
+/// and src/dedisp/ should come back empty — that is the refactor's
+/// invariant. It includes nothing from the tuner or the device model.
 ///
 /// Each engine also *owns its tuning parameterization* here: the tiled
-/// engines (and the simulator) interpret the six kernel axes of
-/// engine_config.hpp, the subband engine declares its channel split and
-/// coarse DM step, and the scalar engines declare nothing. No layer above
-/// this file knows which axes exist — the tuner walks whatever
-/// config_axes() returns.
+/// engines interpret the six kernel axes of engine_config.hpp and
+/// enumerate their candidates from the shared dedisp::SearchSpace ladder,
+/// the subband engine declares its channel split and coarse DM step, and
+/// the scalar engines declare nothing. No layer above this file knows
+/// which axes exist — the tuner walks whatever config_axes() returns.
 ///
 /// Three engines keep working buffers between calls: fdmt (spectra,
 /// subband planes, accumulators, FFT plan and scratch), subband (delay
@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <cstring>
 #include <numeric>
+#include <set>
 #include <utility>
 
 #include "common/expect.hpp"
@@ -43,11 +44,7 @@
 #include "dedisp/reference.hpp"
 #include "dedisp/subband.hpp"
 #include "engine/registry.hpp"
-#include "ocl/device_presets.hpp"
-#include "ocl/sim_dedisp.hpp"
 #include "resilience/fault_injection.hpp"
-#include "tuner/host_tuner.hpp"
-#include "tuner/search_space.hpp"
 
 namespace ddmc::engine {
 
@@ -86,7 +83,7 @@ class EngineBase : public DedispEngine {
   const EngineOptions options_;
 };
 
-// --------------------------------------------------- kernel-axes engines --
+// ------------------------------------------------------- tiled engines --
 
 bool is_kernel_axis(const std::string& name) {
   for (const char* axis : kKernelAxisNames) {
@@ -121,25 +118,105 @@ dedisp::KernelConfig adapt_kernel_config(const dedisp::Plan& plan,
   }
 }
 
-/// Shared interpretation of the six kernel axes (engine_config.hpp) for
-/// the engines whose execution is the tiled/work-group kernel: the two cpu
-/// tiled engines and the device simulator.
-class KernelAxesEngine : public EngineBase {
+/// The parameters that actually distinguish two tiled-kernel executions.
+/// The host kernel has no work-groups: a config reaches it only through its
+/// tile extents, its register-tile rows (elem_dm, collapsed onto the
+/// compiled {1,2,4,8} instantiations), the effective channel block and the
+/// unroll instantiation — so e.g. {wi_time=8, elem_time=2} and
+/// {wi_time=4, elem_time=4} run the identical kernel. The scalar loop
+/// ignores the register-tile and unroll knobs entirely.
+struct TiledKernelKey {
+  std::size_t tile_time = 0;
+  std::size_t tile_dm = 0;
+  std::size_t reg_rows = 1;       ///< compiled DR (1 when not vectorizing)
+  std::size_t channel_block = 0;  ///< effective block for the plan
+  std::size_t unroll = 1;         ///< compiled U (1 when not vectorizing)
+
+  friend auto operator<=>(const TiledKernelKey&,
+                          const TiledKernelKey&) = default;
+};
+
+TiledKernelKey tiled_kernel_key(const dedisp::KernelConfig& config,
+                                const dedisp::Plan& plan, bool vectorize) {
+  TiledKernelKey key;
+  key.tile_time = config.tile_time();
+  key.tile_dm = config.tile_dm();
+  key.channel_block = config.effective_channel_block(plan);
+  if (vectorize) {
+    // Mirror the compiled-instantiation dispatch of cpu_kernel.cpp: values
+    // outside the ladder fall back to the narrowest kernel.
+    const auto compiled = [](std::size_t v) {
+      return (v == 2 || v == 4 || v == 8) ? v : std::size_t{1};
+    };
+    key.reg_rows = compiled(config.elem_dm);
+    key.unroll = compiled(config.unroll);
+  }
+  return key;
+}
+
+/// Cap on wi_time × wi_dm for the tiled candidates: the largest work-group
+/// any Table I device accepts, which the ladder was built around.
+constexpr std::size_t kMaxWorkGroupSize = 1024;
+
+/// The tiled engines' candidates on \p plan: the default ladder's four
+/// paper axes filtered by tile divisibility and kMaxWorkGroupSize (host
+/// kernels have no register or local-memory limits worth enforcing),
+/// crossed with every meaningful channel_block (values ≥ the channel count
+/// collapse onto the "all channels" pass and are dropped) and every unroll
+/// ladder value — minus execution duplicates, keeping the first
+/// representative in ladder order. The ladder crossed with the divisor
+/// candidates reaches the same host kernel under many (wi, elem) splits,
+/// and timing a kernel twice only wastes sweep time.
+std::vector<dedisp::KernelConfig> tiled_candidates(const dedisp::Plan& plan,
+                                                   bool vectorize) {
+  const dedisp::SearchSpace space = dedisp::default_search_space();
+  std::vector<dedisp::KernelConfig> out;
+  std::set<TiledKernelKey> seen;
+  for (std::size_t wt : space.wi_time) {
+    for (std::size_t wd : space.wi_dm) {
+      if (wt * wd > kMaxWorkGroupSize) continue;
+      for (std::size_t et : space.elem_time) {
+        if (plan.out_samples() % (wt * et) != 0) continue;
+        for (std::size_t ed : space.elem_dm) {
+          if (plan.dms() % (wd * ed) != 0) continue;
+          for (std::size_t cb : space.channel_block) {
+            if (cb >= plan.channels() && cb != 0) continue;
+            for (std::size_t un : space.unroll) {
+              const dedisp::KernelConfig cfg{wt, wd, et, ed, cb, un};
+              if (seen.insert(tiled_kernel_key(cfg, plan, vectorize))
+                      .second) {
+                out.push_back(cfg);
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  return out;
+}
+
+/// Shared interpretation of the six kernel axes (engine_config.hpp) by the
+/// two cpu tiled engines.
+class CpuTiledBase : public EngineBase {
  public:
   using EngineBase::EngineBase;
 
+  std::string variant() const override {
+    return options_.cpu.vectorize ? simd::backend_name() : "scalar";
+  }
+
   std::vector<AxisSpec> config_axes(
       const dedisp::Plan& plan) const override {
-    return kernel_config_axes(kernel_candidates(plan));
+    return kernel_config_axes(
+        tiled_candidates(plan, options_.cpu.vectorize));
   }
 
   std::vector<EngineConfig> config_space(
       const dedisp::Plan& plan) const override {
     std::vector<EngineConfig> space;
-    const std::vector<dedisp::KernelConfig> candidates =
-        kernel_candidates(plan);
-    space.reserve(candidates.size());
-    for (const dedisp::KernelConfig& cfg : candidates) {
+    for (const dedisp::KernelConfig& cfg :
+         tiled_candidates(plan, options_.cpu.vectorize)) {
       space.push_back(encode_kernel_config(cfg));
     }
     return space;
@@ -167,10 +244,9 @@ class KernelAxesEngine : public EngineBase {
 
   std::string config_key(const dedisp::Plan& plan,
                          const EngineConfig& config) const override {
-    // Two configs that compile to the same host kernel (same tile extents,
-    // register rows, effective channel block and unroll instantiation) are
-    // one measurement; extra axes append so they stay distinguishing.
-    const tuner::HostKernelKey key = tuner::host_kernel_key(
+    // Two configs that compile to the same host kernel are one
+    // measurement; extra axes append so they stay distinguishing.
+    const TiledKernelKey key = tiled_kernel_key(
         decode_kernel_config(config), plan, options_.cpu.vectorize);
     std::string out = "tT=" + std::to_string(key.tile_time) +
                       ";tD=" + std::to_string(key.tile_dm) +
@@ -184,12 +260,6 @@ class KernelAxesEngine : public EngineBase {
   }
 
  protected:
-  /// The KernelConfig candidate ladder the six axes are collected from.
-  virtual std::vector<dedisp::KernelConfig> kernel_candidates(
-      const dedisp::Plan& plan) const {
-    return {dedisp::KernelConfig{}};
-  }
-
   /// Engine-specific axes beyond the six kernel ones (the u8 engine's
   /// quantization window). Base: none.
   virtual bool is_extra_axis(const std::string& name) const {
@@ -205,26 +275,6 @@ class KernelAxesEngine : public EngineBase {
     for (const auto& [name, value] : from.axes) {
       if (is_extra_axis(name)) to.set(name, value);
     }
-  }
-};
-
-/// Shared host-sweep candidate enumeration of the two cpu tiled engines.
-class CpuTiledBase : public KernelAxesEngine {
- public:
-  using KernelAxesEngine::KernelAxesEngine;
-
-  std::string variant() const override {
-    return options_.cpu.vectorize ? simd::backend_name() : "scalar";
-  }
-
- protected:
-  std::vector<dedisp::KernelConfig> kernel_candidates(
-      const dedisp::Plan& plan) const override {
-    tuner::HostTuningOptions host;
-    host.stage_rows = options_.cpu.stage_rows;
-    host.vectorize = options_.cpu.vectorize;
-    host.threads = options_.cpu.threads;
-    return tuner::host_sweep_candidates(plan, host);
   }
 };
 
@@ -737,39 +787,6 @@ class FdmtEngine final : public EngineBase {
   mutable WorkspacePool<dedisp::FdmtWorkspace> workspaces_;
 };
 
-// ---------------------------------------------------------------- ocl_sim --
-
-class OclSimEngine final : public KernelAxesEngine {
- public:
-  explicit OclSimEngine(EngineOptions options)
-      : KernelAxesEngine("ocl_sim", EngineCapabilities{.bitwise_exact = true},
-                         std::move(options)),
-        device_(options_.device.has_value() ? *options_.device
-                                            : ocl::amd_hd7970()) {}
-
-  std::string variant() const override {
-    std::string name = device_.name;
-    for (char& c : name) {
-      if (c == '|' || c == ',' || c == '\n' || c == '\r' || c == ' ') c = '_';
-    }
-    return name.empty() ? "device" : name;
-  }
-
-  EngineRun execute_impl(const dedisp::Plan& plan, const EngineConfig& config,
-                         ConstView2D<float> in,
-                         View2D<float> out) const override {
-    check_shapes(plan, in, out);
-    const ocl::SimRunResult run = ocl::simulate_dedisp(
-        device_, plan, decode_kernel_config(config), in, out);
-    EngineRun result;
-    result.counters = run.counters;
-    return result;
-  }
-
- private:
-  const ocl::DeviceModel device_;
-};
-
 }  // namespace
 
 namespace detail {
@@ -792,9 +809,6 @@ void register_builtin_engines(EngineRegistry& registry) {
   });
   registry.add("fdmt", [](const EngineOptions& options) {
     return std::make_shared<const FdmtEngine>(options);
-  });
-  registry.add("ocl_sim", [](const EngineOptions& options) {
-    return std::make_shared<const OclSimEngine>(options);
   });
 }
 

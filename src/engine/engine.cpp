@@ -14,28 +14,19 @@ namespace ddmc::engine {
 
 namespace {
 
-/// FLOP count of one run: prefer the simulator's exact counter, fall back
-/// to the plan's analytic count (one multiply-accumulate = 2 FLOP per
-/// channel per trial per sample — the paper's GFLOP/s denominator).
-double run_flop(const dedisp::Plan& plan,
-                const std::optional<ocl::MemCounters>& counters) {
-  if (counters.has_value()) return static_cast<double>(counters->flops);
+/// FLOP count of one run on the plan's analytic model: one
+/// multiply-accumulate = 2 FLOP per channel per trial per sample (the
+/// paper's GFLOP/s denominator).
+double run_flop(const dedisp::Plan& plan) {
   return 2.0 * static_cast<double>(plan.channels()) *
          static_cast<double>(plan.dms()) *
          static_cast<double>(plan.out_samples());
 }
 
-/// Bytes moved to/from global memory: exact for counter-reporting engines
-/// (the simulator counts float elements), the analytic input-read +
-/// output-write floor otherwise — input at the engine's declared element
-/// size, output always float32.
-double run_bytes(const dedisp::Plan& plan,
-                 const std::optional<ocl::MemCounters>& counters,
-                 std::size_t input_element_bytes) {
-  if (counters.has_value()) {
-    return 4.0 * static_cast<double>(counters->global_loads +
-                                     counters->global_stores);
-  }
+/// Bytes moved to/from global memory: the analytic input-read +
+/// output-write floor — input at the engine's declared element size,
+/// output always float32.
+double run_bytes(const dedisp::Plan& plan, std::size_t input_element_bytes) {
   return static_cast<double>(input_element_bytes) *
              static_cast<double>(plan.channels()) *
              static_cast<double>(plan.in_samples()) +
@@ -56,20 +47,13 @@ void SessionTraffic::add(const EngineRun& run, const dedisp::Plan& plan) {
   engine_seconds += run.seconds;
   // Prefer the per-run stamped numbers (element-size aware); fall back to
   // the float-element analytic model for hand-built EngineRuns.
-  flop += run.flop > 0.0 ? run.flop : run_flop(plan, run.counters);
-  bytes += run.bytes > 0.0 ? run.bytes
-                           : run_bytes(plan, run.counters, sizeof(float));
-  if (run.counters.has_value()) {
-    ++counter_runs;
-    counters += *run.counters;
-  }
+  flop += run.flop > 0.0 ? run.flop : run_flop(plan);
+  bytes += run.bytes > 0.0 ? run.bytes : run_bytes(plan, sizeof(float));
 }
 
 void SessionTraffic::merge(const SessionTraffic& other) {
   runs += other.runs;
-  counter_runs += other.counter_runs;
   engine_seconds += other.engine_seconds;
-  counters += other.counters;
   flop += other.flop;
   bytes += other.bytes;
 }
@@ -109,20 +93,6 @@ std::string DedispEngine::config_key(const dedisp::Plan& plan,
 }
 
 EngineRun DedispEngine::execute(const dedisp::Plan& plan,
-                                const dedisp::KernelConfig& config,
-                                ConstView2D<float> in,
-                                View2D<float> out) const {
-  // Legacy entry point: a KernelConfig is the tiled engines' shape. An
-  // engine that does not declare those axes runs its defaults instead of
-  // rejecting the foreign parameterization (restrict_to_axes keeps all
-  // six axes — and strict validation — on the engines that declare them).
-  return execute(plan,
-                 restrict_to_axes(encode_kernel_config(config),
-                                  config_axes(plan)),
-                 in, out);
-}
-
-EngineRun DedispEngine::execute(const dedisp::Plan& plan,
                                 const EngineConfig& config,
                                 ConstView2D<float> in,
                                 View2D<float> out) const {
@@ -133,10 +103,9 @@ EngineRun DedispEngine::execute(const dedisp::Plan& plan,
   // An engine that stamped its own algorithmic FLOP count (the fdmt
   // transform does — its operation count is not the plan's canonical
   // brute-force credit) keeps it; otherwise the wrapper fills in the
-  // simulator counters or the plan's analytic model.
-  if (run.flop <= 0.0) run.flop = run_flop(plan, run.counters);
-  run.bytes =
-      run_bytes(plan, run.counters, capabilities().input_element_bytes);
+  // plan's analytic model.
+  if (run.flop <= 0.0) run.flop = run_flop(plan);
+  run.bytes = run_bytes(plan, capabilities().input_element_bytes);
 
   auto& registry = telemetry::MetricsRegistry::instance();
   const telemetry::Labels labels = {{"engine", id()}};

@@ -4,11 +4,10 @@
 ///
 /// The paper's central result is that no single kernel shape — and, in the
 /// follow-up survey work, no single *platform* — wins everywhere: platform
-/// choice is itself a tuning decision. This library grew four de-facto
-/// backends (tiled SIMD CPU, scalar baseline, two-stage subband, simulated
-/// OpenCL) plus the sequential reference, each historically hardwired into
-/// its consumers with special cases. A DedispEngine is the seam that makes
-/// them interchangeable:
+/// choice is itself a tuning decision. This library grew several execution
+/// paths (tiled SIMD CPU on float and on 8-bit samples, scalar baseline,
+/// two-stage subband, Fourier-domain fdmt) plus the sequential reference.
+/// A DedispEngine is the seam that makes them interchangeable:
 ///
 ///  - every engine executes the same contract — `execute(plan, config, in,
 ///    out)` fills the dms × out_samples trial matrix from a channels ×
@@ -24,9 +23,13 @@
 ///    single empty config for engines without tunable knobs — which is
 ///    exactly what lets `tune_guided` race arbitrary engines against each
 ///    other on equal footing. The tiled engines interpret the six kernel
-///    axes (KernelConfig is their *encoding*); the subband engine's axes
-///    are its channel split and coarse DM step; a KernelConfig never
-///    reaches a layer above the engine boundary as "the" config shape.
+///    axes and own their candidate ladder; the subband engine's axes are
+///    its channel split and coarse DM step. No layer above the engine
+///    boundary assumes a config shape.
+///
+/// The paper's device model and functional simulator (src/ocl/) reproduce
+/// the paper's figures; they are not execution paths and do not register
+/// here.
 ///
 /// Engines are created by name through the EngineRegistry
 /// (engine/registry.hpp); consumers hold `std::shared_ptr<const
@@ -40,19 +43,15 @@
 /// nothing and never changes another call's output.
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/array2d.hpp"
 #include "dedisp/cpu_kernel.hpp"
-#include "dedisp/kernel_config.hpp"
 #include "dedisp/plan.hpp"
-#include "engine/engine_config.hpp"
 #include "dedisp/quantize.hpp"
 #include "dedisp/subband.hpp"
-#include "ocl/device.hpp"
-#include "ocl/sim_engine.hpp"
+#include "engine/engine_config.hpp"
 
 namespace ddmc::engine {
 
@@ -110,8 +109,6 @@ struct EngineOptions {
   /// by gcd (subbands must divide the channel count, coarse_step the
   /// trial count), so any plan runs.
   dedisp::SubbandConfig subband;
-  /// Device model of the ocl_sim engine (default: the AMD HD7970 preset).
-  std::optional<ocl::DeviceModel> device;
   /// Fixed quantization window of the cpu_tiled_u8 engine. Construction
   /// time only (like a telescope gain setting), never data-dependent —
   /// that is what keeps the u8 engine's streaming and sharded runs bitwise
@@ -121,8 +118,6 @@ struct EngineOptions {
 
 /// Per-execution artifacts beyond the output matrix.
 struct EngineRun {
-  /// Traffic counters of a simulated-device execution (ocl_sim only).
-  std::optional<ocl::MemCounters> counters;
   /// Wall-clock seconds of this execution, stamped by the non-virtual
   /// execute() wrapper — every path gets it for free, which is what lets
   /// the sharded and streaming consumers aggregate per-session traffic.
@@ -131,10 +126,9 @@ struct EngineRun {
   /// an execute_impl that knows its *algorithmic* operation count may
   /// pre-stamp flop (the fdmt engine reports its transform FLOPs, not the
   /// plan's canonical brute-force credit) and the wrapper preserves it;
-  /// otherwise the simulator's exact counters where available, the
-  /// analytic model elsewhere — with input bytes scaled by the engine's
-  /// declared input_element_bytes, so a quantized engine reports its real
-  /// traffic.
+  /// otherwise the analytic model — with input bytes scaled by the
+  /// engine's declared input_element_bytes, so a quantized engine reports
+  /// its real traffic.
   double flop = 0.0;
   double bytes = 0.0;
 };
@@ -142,18 +136,16 @@ struct EngineRun {
 /// Per-session aggregate of EngineRun artifacts. Every consumer that owns
 /// a sequence of engine executions (Dedisperser, ShardedDedisperser,
 /// StreamingDedisperser) accumulates one of these and exposes it via its
-/// telemetry() accessor, so traffic counters survive the sharded and
-/// streaming paths instead of being dropped at the first aggregation seam.
+/// telemetry() accessor, so traffic survives the sharded and streaming
+/// paths instead of being dropped at the first aggregation seam.
 struct SessionTraffic {
-  std::size_t runs = 0;          ///< engine executions aggregated
-  std::size_t counter_runs = 0;  ///< runs that carried exact MemCounters
-  double engine_seconds = 0.0;   ///< Σ EngineRun::seconds (busy time)
-  /// Σ of the exact simulator counters over counter_runs.
-  ocl::MemCounters counters;
-  /// FLOP and global-memory bytes: exact where a run reported counters,
-  /// the plan's analytic floor otherwise (2 FLOP per channel·trial·sample;
+  std::size_t runs = 0;         ///< engine executions aggregated
+  double engine_seconds = 0.0;  ///< Σ EngineRun::seconds (busy time)
+  /// FLOP and global-memory bytes as stamped into each EngineRun by
+  /// execute(): the engine's own FLOP count where it reports one, the
+  /// plan's analytic floor otherwise (2 FLOP per channel·trial·sample;
   /// input reads at the engine's declared element size + output-write
-  /// floats), as stamped into each EngineRun by execute().
+  /// floats).
   double flop = 0.0;
   double bytes = 0.0;
 
@@ -180,8 +172,7 @@ class DedispEngine {
 
   /// Execution variant entering the tuning-cache host signature next to the
   /// id: the SIMD backend actually compiled in ("avx2", "sse2", "neon",
-  /// "scalar") for the cpu engines, the device preset for ocl_sim. Never
-  /// contains '|', ',' or newlines.
+  /// "scalar") for the cpu engines. Never contains '|', ',' or newlines.
   virtual std::string variant() const = 0;
 
   /// Worker threads one execute() runs on: the resolved
@@ -243,13 +234,6 @@ class DedispEngine {
   /// registers.
   EngineRun execute(const dedisp::Plan& plan, const EngineConfig& config,
                     ConstView2D<float> in, View2D<float> out) const;
-
-  /// KernelConfig convenience: \p config re-encoded as the six kernel
-  /// axes. Engines that do not interpret them ignore it, exactly as they
-  /// ignored the KernelConfig before the axes became engine-native.
-  EngineRun execute(const dedisp::Plan& plan,
-                    const dedisp::KernelConfig& config, ConstView2D<float> in,
-                    View2D<float> out) const;
 
  protected:
   /// The engine's actual execution path; contract as execute() above.

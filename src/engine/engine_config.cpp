@@ -59,16 +59,6 @@ EngineConfig normalized(const EngineConfig& config,
   return out;
 }
 
-EngineConfig restrict_to_axes(const EngineConfig& config,
-                              const std::vector<AxisSpec>& axes) {
-  EngineConfig out;
-  for (const AxisSpec& axis : axes) {
-    const auto it = config.axes.find(axis.name);
-    if (it != config.axes.end()) out.axes[axis.name] = it->second;
-  }
-  return out;
-}
-
 namespace {
 
 /// The neutral value of each kernel axis — the value a default-constructed

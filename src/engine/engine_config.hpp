@@ -74,18 +74,6 @@ struct EngineConfig {
 EngineConfig normalized(const EngineConfig& config,
                         const std::vector<AxisSpec>& axes);
 
-/// The subset of \p config on the declared \p axes. This is how a
-/// parameterization shaped for one engine degrades when another engine
-/// runs the plan: foreign axes drop away (pre-EngineConfig sessions
-/// ignored them entirely), while axes the engine does declare survive
-/// and stay subject to its strict validate_config. Converting a legacy
-/// KernelConfig for an arbitrary engine is the canonical use —
-/// restrict_to_axes(encode_kernel_config(c), engine.config_axes(plan))
-/// keeps all six axes on the tiled engines and collapses to the empty
-/// config (engine defaults) everywhere else.
-EngineConfig restrict_to_axes(const EngineConfig& config,
-                              const std::vector<AxisSpec>& axes);
-
 /// The axis names of the tiled engines' KernelConfig encoding.
 inline constexpr const char* kKernelAxisNames[] = {
     "wi_time", "wi_dm", "elem_time", "elem_dm", "channel_block", "unroll"};
@@ -104,9 +92,8 @@ EngineConfig encode_kernel_config(const dedisp::KernelConfig& config);
 dedisp::KernelConfig decode_kernel_config(const EngineConfig& config);
 
 /// The six kernel AxisSpecs with ladders collected from \p candidates, in
-/// the tiled engines' descent order (cache-behaviour knobs first). This is
-/// how a caller holding a KernelConfig candidate list (the host tuner, the
-/// strategy bench) declares the axes without an engine handle.
+/// the tiled engines' descent order (cache-behaviour knobs first) — how the
+/// tiled engines declare config_axes() over their candidate ladder.
 std::vector<AxisSpec> kernel_config_axes(
     const std::vector<dedisp::KernelConfig>& candidates);
 

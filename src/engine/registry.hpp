@@ -8,10 +8,15 @@
 /// where ids resolve to implementations. Built-ins:
 ///
 ///   cpu_tiled     tiled, SIMD-vectorized, cache-blocked host kernel
+///   cpu_tiled_u8  the same tiling on a quantized 1-byte sample plane
 ///   cpu_baseline  the §V-D OpenMP/AVX-style comparator structure
 ///   reference     sequential Algorithm 1 (the bitwise ground truth)
 ///   subband       two-stage (subband) approximation
-///   ocl_sim       MiniCL functional device simulator (traffic counters)
+///   fdmt          Fourier-domain dedispersion (shifts as phase rotations)
+///
+/// Every built-in is an execution path. The paper's functional device
+/// simulator (ocl/sim_dedisp.hpp) is driven directly by its tests and the
+/// figure benches, not registered here.
 ///
 /// Downstream code adds engines with `EngineRegistry::instance().add(...)`;
 /// a duplicate id is rejected (ddmc::invalid_argument) and an unknown id in

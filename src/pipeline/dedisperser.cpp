@@ -44,13 +44,11 @@ engine::SessionTraffic Dedisperser::telemetry() const {
 tuner::TuningResult Dedisperser::tune_for(const ocl::DeviceModel& device) {
   ocl::PlanAnalysis analysis(plan_);
   tuner::TuningResult result = tuner::tune(device, analysis);
-  // The model tuner parameterizes the tiled kernel; an engine that does
-  // not declare those axes keeps its defaults.
-  config_ = engine::restrict_to_axes(
-      engine::encode_kernel_config(result.best.config),
-      engine_->config_axes(plan_));
+  // The model tuner parameterizes the tiled kernel; the engine bends the
+  // optimum onto its own axes (an engine without them keeps its defaults).
+  config_ = engine_->adapt_config(
+      plan_, engine::encode_kernel_config(result.best.config));
   absorb_sharded();
-  set_device(device);
   return result;
 }
 
@@ -81,14 +79,6 @@ tuner::GuidedTuningOutcome Dedisperser::tune_cached(
   return outcome;
 }
 
-void Dedisperser::set_config(const dedisp::KernelConfig& config) {
-  config.validate(plan_);
-  // Legacy kernel-shaped configs degrade to the axes the engine declares.
-  config_ = engine::restrict_to_axes(engine::encode_kernel_config(config),
-                                     engine_->config_axes(plan_));
-  absorb_sharded();
-}
-
 void Dedisperser::set_config(const engine::EngineConfig& config) {
   engine_->validate_config(plan_, config);
   config_ = config;
@@ -97,11 +87,6 @@ void Dedisperser::set_config(const engine::EngineConfig& config) {
 
 void Dedisperser::set_cpu_options(const dedisp::CpuKernelOptions& options) {
   engine_options_.cpu = options;
-  rebuild_engine();
-}
-
-void Dedisperser::set_device(const ocl::DeviceModel& device) {
-  engine_options_.device = device;
   rebuild_engine();
 }
 
@@ -123,7 +108,6 @@ void Dedisperser::set_execution(Execution execution, std::size_t workers) {
 
 Array2D<float> Dedisperser::dedisperse(ConstView2D<float> input) {
   Array2D<float> out(plan_.dms(), plan_.out_samples());
-  counters_.reset();
   if (execution_ == Execution::kDmSharded) {
     if (!sharded_) {
       ShardedOptions options;
@@ -135,9 +119,7 @@ Array2D<float> Dedisperser::dedisperse(ConstView2D<float> input) {
     }
     sharded_->dedisperse(input, out.view());
   } else {
-    engine::EngineRun run = engine_->execute(plan_, config_, input, out.view());
-    counters_ = run.counters;
-    traffic_.add(run, plan_);
+    traffic_.add(engine_->execute(plan_, config_, input, out.view()), plan_);
   }
   return out;
 }

@@ -13,10 +13,10 @@
 ///
 /// Execution is delegated to a DedispEngine selected by registry id
 /// (engine/registry.hpp): `cpu_tiled` (the tuned SIMD host kernel, the
-/// default), `cpu_baseline`, `reference`, `subband`, `ocl_sim`, or any
-/// engine registered by downstream code. The Dedisperser never branches on
-/// the engine's identity — every mode decision (sharding, tuning) gates on
-/// the engine's declared capabilities.
+/// default), `cpu_tiled_u8`, `cpu_baseline`, `reference`, `subband`,
+/// `fdmt`, or any engine registered by downstream code. The Dedisperser
+/// never branches on the engine's identity — every mode decision
+/// (sharding, tuning) gates on the engine's declared capabilities.
 ///
 /// For samples that *arrive* instead of sitting in memory, use the
 /// streaming sessions in stream/streaming_dedisperser.hpp: they run any
@@ -24,16 +24,12 @@
 /// latency accounting.
 
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "common/array2d.hpp"
 #include "dedisp/cpu_kernel.hpp"
-#include "dedisp/kernel_config.hpp"
 #include "dedisp/plan.hpp"
 #include "engine/engine.hpp"
-#include "ocl/device.hpp"
-#include "ocl/sim_engine.hpp"
 #include "tuner/tuner.hpp"
 #include "tuner/tuning_cache.hpp"
 
@@ -64,8 +60,9 @@ class Dedisperser {
   const engine::DedispEngine& engine() const { return *engine_; }
 
   /// Auto-tune the kernel configuration for \p device using the performance
-  /// model; the chosen config drives tunable engines and the ocl_sim
-  /// simulator. Returns the full tuning result for inspection.
+  /// model and apply the optimum through the engine's adapt_config: the
+  /// tiled engines run the model's tile shape, other engines keep their
+  /// defaults. Returns the full tuning result for inspection.
   tuner::TuningResult tune_for(const ocl::DeviceModel& device);
 
   /// Tune-on-first-use by *measurement*: answer from \p cache when it
@@ -84,9 +81,6 @@ class Dedisperser {
   tuner::GuidedTuningOutcome tune_cached(
       tuner::TuningCache& cache, tuner::GuidedTuningOptions options = {});
 
-  /// Set an explicit kernel-shape configuration (validated against the
-  /// plan; stored as its kernel-axes encoding).
-  void set_config(const dedisp::KernelConfig& config);
   /// Set an explicit engine-native configuration (validated by the engine:
   /// unknown axes and plan-incompatible values throw ddmc::config_error).
   void set_config(const engine::EngineConfig& config);
@@ -98,9 +92,6 @@ class Dedisperser {
   const dedisp::CpuKernelOptions& cpu_options() const {
     return engine_options_.cpu;
   }
-
-  /// Device used by the ocl_sim engine (defaults to the HD7970 model).
-  void set_device(const ocl::DeviceModel& device);
 
   /// Two-stage split of the subband engine (adapted to the plan by gcd).
   void set_subband_config(const dedisp::SubbandConfig& config);
@@ -116,16 +107,9 @@ class Dedisperser {
   /// Execute the selected engine. Input must be channels × ≥in_samples.
   Array2D<float> dedisperse(ConstView2D<float> input);
 
-  /// Traffic counters of the last run on a counter-reporting engine
-  /// (ocl_sim; empty otherwise).
-  const std::optional<ocl::MemCounters>& last_counters() const {
-    return counters_;
-  }
-
   /// Whole-lifetime traffic aggregate across every dedisperse() call on
-  /// this instance: runs, busy seconds, FLOP and bytes (exact counters
-  /// where the engine reports them), including every shard job in
-  /// kDmSharded mode.
+  /// this instance: runs, busy seconds, FLOP and bytes, including every
+  /// shard job in kDmSharded mode.
   engine::SessionTraffic telemetry() const;
 
  private:
@@ -149,7 +133,6 @@ class Dedisperser {
   /// lazily: worker pool + planner + shard plans are per-(plan, config,
   /// workers), not per-call); invalidated by every setter that feeds it.
   std::shared_ptr<const ShardedDedisperser> sharded_;
-  std::optional<ocl::MemCounters> counters_;
   /// Single-path runs aggregate here; sharded runs aggregate inside the
   /// executor (telemetry() merges both, surviving sharded_ invalidation).
   engine::SessionTraffic traffic_;

@@ -23,21 +23,6 @@ MultiBeamDedisperser::MultiBeamDedisperser(dedisp::Plan plan,
   engine_->validate_config(plan_, config_);
 }
 
-MultiBeamDedisperser::MultiBeamDedisperser(dedisp::Plan plan,
-                                           dedisp::KernelConfig config,
-                                           std::string engine,
-                                           engine::EngineOptions options)
-    : plan_(std::move(plan)),
-      config_(engine::encode_kernel_config(config)),
-      engine_id_(std::move(engine)),
-      engine_options_(std::move(options)) {
-  config.validate(plan_);
-  rebuild_engine();
-  // A KernelConfig is the tiled engines' parameterization; another engine
-  // keeps only the axes it declares (usually none) and runs its defaults.
-  config_ = engine::restrict_to_axes(config_, engine_->config_axes(plan_));
-}
-
 void MultiBeamDedisperser::set_cpu_options(
     const dedisp::CpuKernelOptions& options) {
   engine_options_.cpu = options;

@@ -18,7 +18,6 @@
 
 #include "common/array2d.hpp"
 #include "dedisp/cpu_kernel.hpp"
-#include "dedisp/kernel_config.hpp"
 #include "dedisp/plan.hpp"
 #include "engine/engine.hpp"
 #include "sky/detection.hpp"
@@ -29,13 +28,8 @@ class MultiBeamDedisperser {
  public:
   /// \p config must validate against \p plan on the selected engine;
   /// \p engine is a registry id, created with \p options (subband split,
-  /// simulator device, cpu knobs).
+  /// quantization window, cpu knobs).
   MultiBeamDedisperser(dedisp::Plan plan, engine::EngineConfig config,
-                       std::string engine = engine::kDefaultEngineId,
-                       engine::EngineOptions options = {});
-
-  /// Kernel-shape convenience: \p config re-encoded as the kernel axes.
-  MultiBeamDedisperser(dedisp::Plan plan, dedisp::KernelConfig config,
                        std::string engine = engine::kDefaultEngineId,
                        engine::EngineOptions options = {});
 

@@ -191,21 +191,6 @@ ShardedDedisperser::ShardedDedisperser(dedisp::Plan plan,
 }
 
 ShardedDedisperser::ShardedDedisperser(dedisp::Plan plan,
-                                       dedisp::KernelConfig config,
-                                       ShardedOptions options)
-    // Plan and options passed by copy, not moved: the delegated arguments
-    // are unsequenced and the restriction below reads both. A KernelConfig
-    // is the tiled engines' parameterization — an engine that does not
-    // declare those axes sheds them and runs its defaults.
-    : ShardedDedisperser(
-          plan,
-          engine::restrict_to_axes(
-              engine::encode_kernel_config(config),
-              engine::make_engine(options.engine, options.engine_options)
-                  ->config_axes(plan)),
-          options) {}
-
-ShardedDedisperser::ShardedDedisperser(dedisp::Plan plan,
                                        tuner::TuningCache& cache,
                                        ShardedOptions options,
                                        tuner::GuidedTuningOptions tuning)

@@ -50,7 +50,6 @@
 #include "common/array2d.hpp"
 #include "common/thread_pool.hpp"
 #include "dedisp/cpu_kernel.hpp"
-#include "dedisp/kernel_config.hpp"
 #include "dedisp/plan.hpp"
 #include "engine/engine.hpp"
 #include "ocl/device.hpp"
@@ -127,7 +126,7 @@ struct ShardedOptions {
   /// supports_sharding capability.
   std::string engine = engine::kDefaultEngineId;
   /// Full factory options for the workers' engine (cpu knobs, subband
-  /// split, simulator device — whatever the selected engine reads). The
+  /// split, quantization window — whatever the selected engine reads). The
   /// per-worker thread count is always forced to 1 — shards (× beams) are
   /// the parallel dimension.
   engine::EngineOptions engine_options;
@@ -152,10 +151,6 @@ class ShardedDedisperser {
   /// shard breaks divisibility; the time tile is untouched). \p config
   /// must validate against \p plan on the selected engine.
   ShardedDedisperser(dedisp::Plan plan, engine::EngineConfig config,
-                     ShardedOptions options = {});
-
-  /// Kernel-shape convenience: \p config re-encoded as the kernel axes.
-  ShardedDedisperser(dedisp::Plan plan, dedisp::KernelConfig config,
                      ShardedOptions options = {});
 
   /// Tune each shard through \p cache: shard plans carry their own
@@ -218,7 +213,7 @@ class ShardedDedisperser {
   resilience::ShardExecutionReport last_report() const;
 
   /// Whole-lifetime traffic aggregate across every dedisperse call:
-  /// EngineRun counters and seconds summed over all shard jobs (including
+  /// runs, busy seconds, FLOP and bytes summed over all shard jobs (including
   /// retried and reacquired ones — they do the work, so they count). Safe
   /// to call concurrently with in-flight work.
   engine::SessionTraffic telemetry() const;

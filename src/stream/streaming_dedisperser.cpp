@@ -64,18 +64,6 @@ std::size_t session_input_padding(const StreamingOptions& options,
   return std::max(padding, fallback->capabilities().input_padding);
 }
 
-/// A legacy KernelConfig is a tiled-engine parameterization; when the
-/// session runs another engine, only the axes that engine declares carry
-/// over (pre-EngineConfig sessions ignored the foreign config entirely) —
-/// the tiled engines keep all six axes and stay strictly validated.
-engine::EngineConfig legacy_config(const dedisp::Plan& plan,
-                                   const dedisp::KernelConfig& config,
-                                   const StreamingOptions& options) {
-  return engine::restrict_to_axes(
-      engine::encode_kernel_config(config),
-      streaming_engine(options)->config_axes(plan));
-}
-
 }  // namespace
 
 StreamingDedisperser::StreamingDedisperser(dedisp::Plan chunk_plan,
@@ -138,16 +126,6 @@ StreamingDedisperser::StreamingDedisperser(dedisp::Plan chunk_plan,
     }
   }
 }
-
-StreamingDedisperser::StreamingDedisperser(dedisp::Plan chunk_plan,
-                                           dedisp::KernelConfig config,
-                                           Sink sink,
-                                           StreamingOptions options)
-    // The plan and options are passed by copy, not moved: the delegated
-    // arguments are unsequenced and legacy_config reads both.
-    : StreamingDedisperser(chunk_plan,
-                           legacy_config(chunk_plan, config, options),
-                           std::move(sink), options) {}
 
 StreamingDedisperser::TunedPlan StreamingDedisperser::resolve_tuning(
     dedisp::Plan chunk_plan, tuner::TuningCache& cache,
@@ -633,15 +611,6 @@ MultiBeamStreamingDedisperser::MultiBeamStreamingDedisperser(
     chunkers_.emplace_back(plan_, padding);
   }
 }
-
-MultiBeamStreamingDedisperser::MultiBeamStreamingDedisperser(
-    dedisp::Plan chunk_plan, dedisp::KernelConfig config, std::size_t beams,
-    Sink sink, StreamingOptions options)
-    // Plan and options copied, not moved: the delegated arguments are
-    // unsequenced and legacy_config reads both.
-    : MultiBeamStreamingDedisperser(chunk_plan,
-                                    legacy_config(chunk_plan, config, options),
-                                    beams, std::move(sink), options) {}
 
 void MultiBeamStreamingDedisperser::push(
     const std::vector<ConstView2D<float>>& beam_samples) {

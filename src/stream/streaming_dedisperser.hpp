@@ -56,7 +56,6 @@
 #include "common/array2d.hpp"
 #include "common/timer.hpp"
 #include "dedisp/cpu_kernel.hpp"
-#include "dedisp/kernel_config.hpp"
 #include "dedisp/plan.hpp"
 #include "engine/engine.hpp"
 #include "pipeline/multibeam.hpp"
@@ -136,10 +135,6 @@ class StreamingDedisperser {
   StreamingDedisperser(dedisp::Plan chunk_plan, engine::EngineConfig config,
                        Sink sink, StreamingOptions options = {});
 
-  /// Kernel-shape convenience: \p config re-encoded as the kernel axes.
-  StreamingDedisperser(dedisp::Plan chunk_plan, dedisp::KernelConfig config,
-                       Sink sink, StreamingOptions options = {});
-
   /// Tune-on-first-use: resolve the engine config from \p cache before the
   /// session starts — an exact hit or a nearest-neighbor transfer costs no
   /// measurements (the startup path a real-time backend wants), a cold
@@ -197,7 +192,7 @@ class StreamingDedisperser {
   /// on the session.
   resilience::StreamHealth health() const;
 
-  /// Whole-session traffic aggregate: EngineRun counters and busy seconds
+  /// Whole-session traffic aggregate: runs, busy seconds, FLOP and bytes
   /// over every chunk, including the DM-sharded executor's jobs when
   /// StreamingOptions::shard_workers routes full chunks through it.
   engine::SessionTraffic telemetry() const;
@@ -360,12 +355,6 @@ class MultiBeamStreamingDedisperser {
 
   MultiBeamStreamingDedisperser(dedisp::Plan chunk_plan,
                                 engine::EngineConfig config,
-                                std::size_t beams, Sink sink,
-                                StreamingOptions options = {});
-
-  /// Kernel-shape convenience: \p config re-encoded as the kernel axes.
-  MultiBeamStreamingDedisperser(dedisp::Plan chunk_plan,
-                                dedisp::KernelConfig config,
                                 std::size_t beams, Sink sink,
                                 StreamingOptions options = {});
 

@@ -1,7 +1,7 @@
 #include "tuner/fixed_config.hpp"
 
 #include "common/expect.hpp"
-#include "tuner/search_space.hpp"
+#include "tuner/tuner.hpp"
 
 namespace ddmc::tuner {
 

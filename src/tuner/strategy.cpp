@@ -8,7 +8,6 @@
 #include "common/random.hpp"
 #include "common/timer.hpp"
 #include "engine/registry.hpp"
-#include "tuner/search_space.hpp"
 
 namespace ddmc::tuner {
 

@@ -49,13 +49,23 @@
 #include "dedisp/cpu_kernel.hpp"
 #include "dedisp/plan.hpp"
 #include "engine/engine_config.hpp"
-#include "tuner/host_tuner.hpp"
 
 namespace ddmc::engine {
 class DedispEngine;
 }  // namespace ddmc::engine
 
 namespace ddmc::tuner {
+
+/// How a HostKernelEvaluator measures (repetitions and warm-up runs per
+/// config) and the host-execution flags of the engine it builds when none
+/// is given.
+struct HostTuningOptions {
+  std::size_t repetitions = 3;   ///< timed runs per configuration (paper: 10)
+  std::size_t warmup_runs = 1;   ///< untimed cache-warming runs
+  bool stage_rows = true;        ///< staged (local-memory-style) kernel path
+  bool vectorize = true;         ///< SIMD engine; false sweeps the scalar loop
+  std::size_t threads = 0;       ///< 0 = machine-sized pool
+};
 
 /// Measurement backend: times one configuration on one plan.
 class ConfigEvaluator {

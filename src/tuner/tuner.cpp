@@ -1,9 +1,32 @@
 #include "tuner/tuner.hpp"
 
 #include "common/expect.hpp"
-#include "tuner/search_space.hpp"
 
 namespace ddmc::tuner {
+
+std::vector<dedisp::KernelConfig> enumerate_configs(
+    const ocl::DeviceModel& device, const dedisp::Plan& plan,
+    const dedisp::SearchSpace& space) {
+  std::vector<dedisp::KernelConfig> out;
+  for (std::size_t wt : space.wi_time) {
+    for (std::size_t wd : space.wi_dm) {
+      if (wt * wd > device.max_work_group_size) continue;
+      for (std::size_t et : space.elem_time) {
+        if (plan.out_samples() % (wt * et) != 0) continue;
+        for (std::size_t ed : space.elem_dm) {
+          if (plan.dms() % (wd * ed) != 0) continue;
+          const dedisp::KernelConfig cfg{wt, wd, et, ed};
+          if (cfg.accumulators_per_item() + device.reg_overhead_per_item >
+              device.max_regs_per_item) {
+            continue;
+          }
+          out.push_back(cfg);
+        }
+      }
+    }
+  }
+  return out;
+}
 
 TuningResult tune(const ocl::DeviceModel& device,
                   const ocl::PlanAnalysis& analysis,

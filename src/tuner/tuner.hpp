@@ -44,6 +44,18 @@ struct TuningResult {
   }
 };
 
+/// All candidate configurations of \p space that pass the cheap validity
+/// checks for (device, plan): tile divisibility, the device work-group
+/// limit and the per-thread register cap. Deeper constraints (local-memory
+/// capacity, residency) are enforced by the performance model, which
+/// throws ddmc::config_error — tune() counts those as skipped.
+/// Deterministic order (lexicographic in the parameter ladders); the
+/// host-only axes stay at their defaults, since the OpenCL model has no
+/// notion of them.
+std::vector<dedisp::KernelConfig> enumerate_configs(
+    const ocl::DeviceModel& device, const dedisp::Plan& plan,
+    const dedisp::SearchSpace& space = dedisp::default_search_space());
+
 /// Sweep \p configs (or the default enumerated space when empty) on the
 /// performance model and return the optimum plus population statistics.
 /// Throws ddmc::config_error only if *no* configuration is valid.

@@ -19,7 +19,6 @@
 #include "resilience/fault_injection.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/tracing.hpp"
-#include "tuner/host_tuner.hpp"
 #include "tuner/results_io.hpp"
 
 namespace ddmc::tuner {

@@ -206,8 +206,8 @@ struct GuidedTuningOptions {
   /// the source of the host signature.
   HostTuningOptions host;
   /// Factory knobs beyond the host flags for engines that need them (the
-  /// subband split, the ocl_sim device); the cpu field is overridden from
-  /// \p host.
+  /// subband split, the quantization window); the cpu field is overridden
+  /// from \p host.
   engine::EngineOptions engine_options;
   /// Strategy for the search fallback.
   StrategyKind strategy = StrategyKind::kCoordinateDescent;

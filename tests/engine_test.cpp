@@ -24,6 +24,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/random.hpp"
@@ -43,7 +44,11 @@
 // This binary replaces the global allocation functions so the workspace
 // tests can count the large blocks an engine call allocates. Counting is
 // off unless a test turns it on; every allocation is plain malloc /
-// aligned_alloc either way.
+// aligned_alloc either way. Every form is replaced, the std::nothrow_t
+// ones included: library code that takes scratch through a nothrow new
+// (std::stable_sort's temporary buffer) frees it through a replaced
+// delete, and a sanitizer build reports a mismatch when the two come from
+// different allocators.
 
 namespace {
 
@@ -82,6 +87,28 @@ void* operator new(std::size_t bytes, std::align_val_t align) {
 void* operator new[](std::size_t bytes, std::align_val_t align) {
   return allocate_aligned(bytes, align);
 }
+void* operator new(std::size_t bytes, const std::nothrow_t&) noexcept {
+  try {
+    return allocate(bytes);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+void* operator new[](std::size_t bytes, const std::nothrow_t& tag) noexcept {
+  return operator new(bytes, tag);
+}
+void* operator new(std::size_t bytes, std::align_val_t align,
+                   const std::nothrow_t&) noexcept {
+  try {
+    return allocate_aligned(bytes, align);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+void* operator new[](std::size_t bytes, std::align_val_t align,
+                     const std::nothrow_t& tag) noexcept {
+  return operator new(bytes, align, tag);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
@@ -94,6 +121,18 @@ void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
   std::free(p);
 }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, std::align_val_t,
+                     const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::align_val_t,
+                       const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace ddmc::engine {
 namespace {
@@ -102,10 +141,11 @@ using dedisp::KernelConfig;
 using dedisp::Plan;
 using testing::expect_same_matrix;
 using testing::mini_obs;
+using testing::tiled_config;
 
 const char* const kBuiltins[] = {"cpu_baseline", "cpu_tiled",
-                                 "cpu_tiled_u8", "fdmt", "ocl_sim",
-                                 "reference", "subband"};
+                                 "cpu_tiled_u8", "fdmt",
+                                 "reference",    "subband"};
 
 /// Per-engine tolerance of the differential harness: 0 means "bitwise".
 /// Engines with bitwise_exact = false document an error bound instead —
@@ -143,7 +183,7 @@ Array2D<float> run_engine(const DedispEngine& engine, const Plan& plan,
                           const KernelConfig& config,
                           ConstView2D<float> in) {
   Array2D<float> out(plan.dms(), plan.out_samples());
-  engine.execute(plan, config, in, out.view());
+  engine.execute(plan, tiled_config(config), in, out.view());
   return out;
 }
 
@@ -189,6 +229,8 @@ TEST(EngineRegistry, ListsTheBuiltinEnginesSorted) {
     EXPECT_TRUE(EngineRegistry::instance().contains(id)) << id;
     EXPECT_NE(std::find(ids.begin(), ids.end(), id), ids.end()) << id;
   }
+  // The paper's functional device simulator is not an execution path.
+  EXPECT_FALSE(EngineRegistry::instance().contains("ocl_sim"));
 }
 
 TEST(EngineRegistry, UnknownIdNamesTheAlternatives) {
@@ -305,13 +347,6 @@ TEST(EngineCapabilities, MatrixMatchesTheContract) {
   EXPECT_TRUE(fdmt.tunable);
   EXPECT_EQ(fdmt.input_padding, 0u);
   EXPECT_EQ(fdmt.input_element_bytes, sizeof(float));
-
-  const EngineCapabilities sim = caps("ocl_sim");
-  EXPECT_FALSE(sim.supports_sharding);
-  EXPECT_FALSE(sim.supports_streaming);
-  EXPECT_TRUE(sim.bitwise_exact);
-  EXPECT_FALSE(sim.tunable);
-  EXPECT_EQ(sim.input_element_bytes, sizeof(float));
 }
 
 TEST(EngineCapabilities, VariantsAreSignatureSafe) {
@@ -322,6 +357,122 @@ TEST(EngineCapabilities, VariantsAreSignatureSafe) {
     EXPECT_FALSE(variant.empty()) << id;
     EXPECT_EQ(variant.find('|'), std::string::npos) << id;
     EXPECT_EQ(variant.find(','), std::string::npos) << id;
+  }
+}
+
+/// FNV-1a over \p text(cfg) + '\n' for every config of \p space, in order.
+template <typename Text>
+std::uint64_t fingerprint(const std::vector<EngineConfig>& space, Text text) {
+  std::uint64_t hash = 14695981039346656037ull;
+  for (const EngineConfig& cfg : space) {
+    for (const char c : text(cfg) + "\n") {
+      hash ^= static_cast<unsigned char>(c);
+      hash *= 1099511628211ull;
+    }
+  }
+  return hash;
+}
+
+/// "name=default:v,v,… name=…" over \p axes, in declaration order.
+std::string describe_axes(const std::vector<AxisSpec>& axes) {
+  std::string out;
+  for (const AxisSpec& axis : axes) {
+    if (!out.empty()) out += ' ';
+    out += axis.name + "=" + std::to_string(axis.default_value) + ":";
+    for (std::size_t i = 0; i < axis.values.size(); ++i) {
+      out += (i == 0 ? "" : ",") + std::to_string(axis.values[i]);
+    }
+  }
+  return out;
+}
+
+TEST(EngineConfigSpace, TiledSpacesArePinned) {
+  // The tiled engines' candidate spaces and declared axes, order included,
+  // on the benchmark workloads' plans and the strategy bench's. A change
+  // here changes which configs every race and sweep measures.
+  struct Pin {
+    sky::Observation obs;
+    std::size_t dms;
+    std::size_t out_samples;
+    std::size_t size;
+    std::uint64_t fingerprint;
+    const char* axes;
+  };
+  const Pin pins[] = {
+      // tune_cold
+      {sky::apertif(), 32, 1000, 3456, 0x7b27e3c365c5a761ull,
+       "channel_block=0:0,32,128,512 "
+       "unroll=1:1,2,4 "
+       "elem_dm=1:1,2,4,8 "
+       "elem_time=1:1,2,4,5,8,10,20,25,50 "
+       "wi_time=1:1,2,4,10,20,25 "
+       "wi_dm=1:1,2,4,8,16,32"},
+      // apertif_rt
+      {sky::apertif(), 256, 2000, 5664, 0x7797b4b9169c77c1ull,
+       "channel_block=0:0,32,128,512 "
+       "unroll=1:1,2,4 "
+       "elem_dm=1:1,2,4,8 "
+       "elem_time=1:1,2,4,5,8,10,16,20,25,50 "
+       "wi_time=1:1,2,4,8,10,20,25,100 "
+       "wi_dm=1:1,2,4,8,16,32"},
+      // lofar_rt
+      {sky::lofar(), 64, 20000, 1761, 0x1662236a454e1d11ull,
+       "channel_block=0:0 "
+       "unroll=1:1,2,4 "
+       "elem_dm=1:1,2,4,8 "
+       "elem_time=1:1,2,4,5,8,10,16,20,25,32,50 "
+       "wi_time=1:1,2,4,8,10,16,20,25,50,100,125,200,1000 "
+       "wi_dm=1:1,2,4,8,16,32"},
+      // apertif_lowlat
+      {sky::apertif(), 32, 400, 3240, 0x6c2c592d6889259full,
+       "channel_block=0:0,32,128,512 "
+       "unroll=1:1,2,4 "
+       "elem_dm=1:1,2,4,8 "
+       "elem_time=1:1,2,4,5,8,10,16,20,25,50 "
+       "wi_time=1:1,2,4,8 "
+       "wi_dm=1:1,2,4,8,16,32"},
+      // bench_tuner_strategies
+      {sky::apertif(), 16, 2000, 3348, 0x8de0d79884f2d0eeull,
+       "channel_block=0:0,32,128,512 "
+       "unroll=1:1,2,4 "
+       "elem_dm=1:1,2,4,8 "
+       "elem_time=1:1,2,4,5,8,10,16,20,25,50 "
+       "wi_time=1:1,2,4,8,10,20,25,100 "
+       "wi_dm=1:1,2,4,8,16"},
+  };
+  for (const Pin& pin : pins) {
+    const Plan plan =
+        Plan::with_output_samples(pin.obs, pin.dms, pin.out_samples);
+    for (const char* id : {"cpu_tiled", "cpu_tiled_u8"}) {
+      SCOPED_TRACE(std::string(id) + " " + pin.obs.name() + " " +
+                   std::to_string(pin.dms) + "x" +
+                   std::to_string(pin.out_samples));
+      const auto engine = make_engine(id);
+      const std::vector<EngineConfig> space = engine->config_space(plan);
+      EXPECT_EQ(space.size(), pin.size);
+      EXPECT_EQ(fingerprint(space, [](const EngineConfig& c) {
+                  return c.encode();
+                }),
+                pin.fingerprint);
+      EXPECT_TRUE(space.front().empty());  // the untuned 1x1 shape first
+      const std::string u8_axis =
+          std::string(id) == "cpu_tiled_u8" ? " quant_window=8:8" : "";
+      EXPECT_EQ(describe_axes(engine->config_axes(plan)), pin.axes + u8_axis);
+    }
+  }
+  // Execution keys, vectorized and scalar, on the tune_cold plan.
+  const Plan plan = Plan::with_output_samples(sky::apertif(), 32, 1000);
+  for (const bool vectorize : {true, false}) {
+    EngineOptions options;
+    options.cpu.vectorize = vectorize;
+    const auto engine = make_engine("cpu_tiled", options);
+    const std::vector<EngineConfig> space = engine->config_space(plan);
+    EXPECT_EQ(space.size(), vectorize ? 3456u : 384u);
+    EXPECT_EQ(fingerprint(space,
+                          [&](const EngineConfig& c) {
+                            return engine->config_key(plan, c);
+                          }),
+              vectorize ? 0xdcccdb2438bc1171ull : 0x8ce476aca68dd131ull);
   }
 }
 
@@ -695,7 +846,7 @@ TEST(EngineTraffic, FdmtReportsItsTransformFlopsNotThePlanCredit) {
 
   // The brute-force engines keep the plan's canonical analytic count.
   const EngineRun tiled = make_engine("cpu_tiled")->execute(
-      plan, KernelConfig{1, 1, 1, 1}, in.cview(), out.view());
+      plan, EngineConfig{}, in.cview(), out.view());
   EXPECT_DOUBLE_EQ(tiled.flop, 2.0 * static_cast<double>(plan.channels()) *
                                    static_cast<double>(plan.dms()) *
                                    static_cast<double>(plan.out_samples()));
@@ -801,7 +952,7 @@ TEST(EngineStreaming, EveryStreamingEngineMatchesItsBatchRun) {
       options.engine = id;
       options.async = false;
       stream::StreamingDedisperser session(
-          chunk_plan, KernelConfig{1, 1, 1, 1},
+          chunk_plan, EngineConfig{},
           [&](const stream::StreamChunk& chunk) {
             for (std::size_t dm = 0; dm < dms; ++dm) {
               for (std::size_t t = 0; t < chunk.out_samples; ++t) {
@@ -853,7 +1004,7 @@ TEST(EngineStreaming, MultiBeamSubbandSessionHonorsTheConfiguredSplit) {
   options.engine = "subband";
   options.subband = split;
   stream::MultiBeamStreamingDedisperser session(
-      chunk_plan, KernelConfig{1, 1, 1, 1}, /*beams=*/2,
+      chunk_plan, EngineConfig{}, /*beams=*/2,
       [&](const stream::MultiBeamStreamChunk& chunk) {
         const Array2D<float>& beam0 = (*chunk.outputs)[0];
         for (std::size_t dm = 0; dm < dms; ++dm) {
@@ -869,18 +1020,21 @@ TEST(EngineStreaming, MultiBeamSubbandSessionHonorsTheConfiguredSplit) {
 }
 
 TEST(EngineStreaming, NonStreamableEngineIsRejectedWithTheCapabilityName) {
+  // The multi-beam session gates on the same capability as the
+  // single-beam one (see the fdmt test below).
   const Plan chunk_plan = testing::mini_plan(4, 32);
   stream::StreamingOptions options;
-  options.engine = "ocl_sim";
+  options.engine = "fdmt";
   try {
-    stream::StreamingDedisperser session(chunk_plan, KernelConfig{1, 1, 1, 1},
-                                         nullptr, options);
+    stream::MultiBeamStreamingDedisperser session(chunk_plan, EngineConfig{},
+                                                  /*beams=*/2, nullptr,
+                                                  options);
     FAIL() << "streaming session accepted an engine without "
               "supports_streaming";
   } catch (const invalid_argument& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find("supports_streaming"), std::string::npos) << what;
-    EXPECT_NE(what.find("ocl_sim"), std::string::npos) << what;
+    EXPECT_NE(what.find("fdmt"), std::string::npos) << what;
   }
 }
 
@@ -892,7 +1046,7 @@ TEST(EngineStreaming, FdmtRejectsStreamingWithTheCapabilityName) {
   stream::StreamingOptions options;
   options.engine = "fdmt";
   try {
-    stream::StreamingDedisperser session(chunk_plan, KernelConfig{1, 1, 1, 1},
+    stream::StreamingDedisperser session(chunk_plan, EngineConfig{},
                                          nullptr, options);
     FAIL() << "streaming session accepted fdmt";
   } catch (const invalid_argument& e) {
@@ -932,7 +1086,7 @@ TEST(EngineSharding, CapableEnginesShardConsistently) {
       options.workers = workers;
       options.engine = id;
       const pipeline::ShardedDedisperser sharded(
-          plan, KernelConfig{1, 1, 1, 1}, options);
+          plan, EngineConfig{}, options);
       const Array2D<float> got = sharded.dedisperse(in.cview());
       if (bound == 0.0) {
         expect_same_matrix(expected, got);
@@ -954,7 +1108,7 @@ TEST(EngineSharding, NonShardableEngineIsRejectedWithTheCapabilityName) {
   options.workers = 2;
   options.engine = "subband";
   try {
-    const pipeline::ShardedDedisperser sharded(plan, KernelConfig{1, 1, 1, 1},
+    const pipeline::ShardedDedisperser sharded(plan, EngineConfig{},
                                                options);
     FAIL() << "sharded executor accepted an engine without supports_sharding";
   } catch (const invalid_argument& e) {
@@ -1037,7 +1191,7 @@ TEST(EngineTraffic, ReportedBytesFollowTheDeclaredElementSize) {
   const Plan plan = testing::mini_plan(8, 64);
   const Array2D<float> in = padded_input(plan, 0);
   Array2D<float> out(plan.dms(), plan.out_samples());
-  const KernelConfig cfg{1, 1, 1, 1};
+  const EngineConfig cfg;
 
   const EngineRun f32 =
       make_engine("cpu_tiled")->execute(plan, cfg, in.cview(), out.view());
@@ -1079,7 +1233,7 @@ TEST(EngineConfig, UnsupportedUnrollHintsFailFast) {
     pipeline::Dedisperser dd =
         pipeline::Dedisperser::with_output_samples(mini_obs(), 8, 64,
                                                    "cpu_tiled");
-    EXPECT_THROW(dd.set_config(cfg), config_error);
+    EXPECT_THROW(dd.set_config(tiled_config(cfg)), config_error);
   }
   // No engine offers an unsupported hint to the tuner (absent axes decode
   // to their neutral defaults, which are supported).
@@ -1208,6 +1362,33 @@ TEST(EngineWorkspace, RepeatedCallAllocatesNoLargeBlock) {
   fresh->execute(plan, EngineConfig{}, in.cview(), out.view());
   g_count_allocations.store(false);
   EXPECT_GT(g_large_allocations.load(), 0u);
+}
+
+TEST(EngineWorkspace, StableSortScratchGoesThroughTheReplacedAllocator) {
+  // std::stable_sort asks for a temporary buffer of half the range through
+  // the nothrow operator new and hands it back through operator delete.
+  // Under ASan a nothrow new left unreplaced is the sanitizer's own, so
+  // the replaced delete's free() of that 128 KiB buffer fails here with
+  // alloc-dealloc-mismatch. The count shows the buffer came from this
+  // binary's allocator.
+  std::vector<std::pair<int, int>> values(32 * 1024);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    values[i] = {static_cast<int>((i * 7919) % 97), static_cast<int>(i)};
+  }
+  g_large_allocations.store(0);
+  g_count_allocations.store(true);
+  std::stable_sort(values.begin(), values.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.first < b.first;
+                   });
+  g_count_allocations.store(false);
+  EXPECT_GT(g_large_allocations.load(), 0u);
+  for (std::size_t i = 1; i < values.size(); ++i) {
+    ASSERT_TRUE(values[i - 1].first < values[i].first ||
+                (values[i - 1].first == values[i].first &&
+                 values[i - 1].second < values[i].second))
+        << "order or stability broken at " << i;
+  }
 }
 
 // ------------------------------------------------------------- dedisperser --

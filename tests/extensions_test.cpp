@@ -1,5 +1,5 @@
-// Tests for the extension modules: subband (two-stage) dedispersion, the
-// wall-clock host tuner, and multi-beam processing.
+// Tests for the extension modules: subband (two-stage) dedispersion,
+// wall-clock tuning of the tiled host engine, and multi-beam processing.
 
 #include <gtest/gtest.h>
 
@@ -11,8 +11,9 @@
 #include "pipeline/multibeam.hpp"
 #include "sky/detection.hpp"
 #include "sky/signal.hpp"
+#include "engine/registry.hpp"
 #include "test_util.hpp"
-#include "tuner/host_tuner.hpp"
+#include "tuner/strategy.hpp"
 
 namespace ddmc {
 namespace {
@@ -22,6 +23,7 @@ using dedisp::Plan;
 using dedisp::SubbandConfig;
 using testing::mini_obs;
 using testing::random_input;
+using testing::tiled_config;
 
 /// Input with a couple of samples of slack beyond the plan's minimum —
 /// the subband method's split delays round intra and inter parts
@@ -152,16 +154,34 @@ TEST(Subband, InputPaddingIsEnforced) {
 
 // ------------------------------------------------------------- host tuner --
 
-TEST(HostTuner, FindsABestConfigAndKeepsAllTimings) {
-  const Plan plan = testing::mini_plan(8, 64);
+/// Single-threaded, single-repetition measurement options.
+tuner::HostTuningOptions quick_options() {
   tuner::HostTuningOptions opt;
   opt.repetitions = 1;
   opt.warmup_runs = 0;
   opt.threads = 1;
-  const std::vector<KernelConfig> configs = {
-      KernelConfig{8, 1, 1, 1}, KernelConfig{8, 2, 4, 2},
-      KernelConfig{16, 4, 2, 2}};
-  const tuner::HostTuningResult r = tuner::tune_host(plan, opt, configs);
+  return opt;
+}
+
+/// The paper's method on the tiled engine: time every config of
+/// \p candidates (the engine's whole config_space() when empty).
+tuner::StrategyResult sweep(const Plan& plan,
+                            std::vector<engine::EngineConfig> candidates) {
+  engine::EngineOptions options;
+  options.cpu.threads = 1;
+  const auto tiled = engine::make_engine("cpu_tiled", options);
+  if (candidates.empty()) candidates = tiled->config_space(plan);
+  tuner::HostKernelEvaluator evaluator(tiled, plan, quick_options());
+  return tuner::ExhaustiveSearch().search(plan, tiled->config_axes(plan),
+                                          candidates, evaluator);
+}
+
+TEST(HostTuner, FindsABestConfigAndKeepsAllTimings) {
+  const Plan plan = testing::mini_plan(8, 64);
+  const tuner::StrategyResult r =
+      sweep(plan, {tiled_config(KernelConfig{8, 1, 1, 1}),
+                   tiled_config(KernelConfig{8, 2, 4, 2}),
+                   tiled_config(KernelConfig{16, 4, 2, 2})});
   EXPECT_EQ(r.timings.size(), 3u);
   EXPECT_EQ(r.stats.count, 3u);
   for (const auto& t : r.timings) {
@@ -171,42 +191,34 @@ TEST(HostTuner, FindsABestConfigAndKeepsAllTimings) {
   }
 }
 
-TEST(HostTuner, SkipsInvalidConfigs) {
+TEST(HostTuner, TheEngineRejectsANonDividingTile) {
   const Plan plan = testing::mini_plan(8, 64);
-  tuner::HostTuningOptions opt;
-  opt.repetitions = 1;
-  opt.warmup_runs = 0;
-  opt.threads = 1;
-  const std::vector<KernelConfig> configs = {
-      KernelConfig{5, 1, 1, 1},  // non-dividing: skipped
-      KernelConfig{8, 1, 1, 1}};
-  const tuner::HostTuningResult r = tuner::tune_host(plan, opt, configs);
-  EXPECT_EQ(r.timings.size(), 1u);
-  EXPECT_EQ(r.best.config, (KernelConfig{8, 1, 1, 1}));
+  const auto tiled = engine::make_engine("cpu_tiled");
+  EXPECT_THROW(
+      tiled->validate_config(plan, tiled_config(KernelConfig{5, 1, 1, 1})),
+      config_error);
+  EXPECT_NO_THROW(
+      tiled->validate_config(plan, tiled_config(KernelConfig{8, 1, 1, 1})));
 }
 
 TEST(HostTuner, DefaultLadderIsNonEmptyOnSmallPlans) {
   const Plan plan = testing::mini_plan(8, 64);
-  tuner::HostTuningOptions opt;
-  opt.repetitions = 1;
-  opt.warmup_runs = 0;
-  opt.threads = 1;
-  const tuner::HostTuningResult r = tuner::tune_host(plan, opt);
-  EXPECT_GT(r.timings.size(), 10u);
+  EXPECT_GT(sweep(plan, {}).timings.size(), 10u);
 }
 
 TEST(HostTuner, RejectsZeroRepetitions) {
   const Plan plan = testing::mini_plan(8, 64);
   tuner::HostTuningOptions opt;
   opt.repetitions = 0;
-  EXPECT_THROW(tuner::tune_host(plan, opt), invalid_argument);
+  EXPECT_THROW((tuner::HostKernelEvaluator(plan, opt)), invalid_argument);
 }
 
 // -------------------------------------------------------------- multibeam --
 
 TEST(MultiBeam, EveryBeamMatchesTheReference) {
   const Plan plan = testing::mini_plan(8, 64);
-  pipeline::MultiBeamDedisperser mb(plan, KernelConfig{8, 2, 4, 2});
+  pipeline::MultiBeamDedisperser mb(plan,
+                                    tiled_config(KernelConfig{8, 2, 4, 2}));
 
   std::vector<Array2D<float>> beam_data;
   std::vector<ConstView2D<float>> views;
@@ -227,7 +239,8 @@ TEST(MultiBeam, EveryBeamMatchesTheReference) {
 TEST(MultiBeam, SearchFindsTheBeamWithThePulsar) {
   const sky::Observation obs = mini_obs();
   const Plan plan = Plan::with_output_samples(obs, 8, 128);
-  pipeline::MultiBeamDedisperser mb(plan, KernelConfig{16, 2, 4, 2});
+  pipeline::MultiBeamDedisperser mb(plan,
+                                    tiled_config(KernelConfig{16, 2, 4, 2}));
 
   sky::NoiseParams noise;
   noise.sigma = 0.5;
@@ -257,16 +270,19 @@ TEST(MultiBeam, SearchFindsTheBeamWithThePulsar) {
 TEST(MultiBeam, ValidatesConfigAndInput) {
   const Plan plan = testing::mini_plan(8, 64);
   EXPECT_THROW(
-      pipeline::MultiBeamDedisperser(plan, KernelConfig{5, 1, 1, 1}),
+      pipeline::MultiBeamDedisperser(plan,
+                                     tiled_config(KernelConfig{5, 1, 1, 1})),
       config_error);
-  pipeline::MultiBeamDedisperser mb(plan, KernelConfig{8, 2, 4, 2});
+  pipeline::MultiBeamDedisperser mb(plan,
+                                    tiled_config(KernelConfig{8, 2, 4, 2}));
   EXPECT_THROW(mb.dedisperse({}), invalid_argument);
   EXPECT_THROW(mb.search({}), invalid_argument);
 }
 
 TEST(MultiBeam, RejectsMismatchedBeamShapesBeforeDispatch) {
   const Plan plan = testing::mini_plan(8, 64);
-  pipeline::MultiBeamDedisperser mb(plan, KernelConfig{8, 2, 4, 2});
+  pipeline::MultiBeamDedisperser mb(plan,
+                                    tiled_config(KernelConfig{8, 2, 4, 2}));
 
   const Array2D<float> good = random_input(plan);
   Array2D<float> short_beam(plan.channels(), plan.in_samples() - 1);
@@ -289,7 +305,8 @@ TEST(MultiBeam, SearchTieBreaksToTheLowestBeamIndex) {
   // Identical beams produce identical (bitwise) outputs and hence exactly
   // equal peak S/N — the candidate must deterministically be beam 0.
   const Plan plan = testing::mini_plan(8, 64);
-  pipeline::MultiBeamDedisperser mb(plan, KernelConfig{8, 2, 4, 2});
+  pipeline::MultiBeamDedisperser mb(plan,
+                                    tiled_config(KernelConfig{8, 2, 4, 2}));
   const Array2D<float> data = random_input(plan);
   const std::vector<ConstView2D<float>> beams = {
       data.cview(), data.cview(), data.cview()};

@@ -14,7 +14,6 @@
 #include "ocl/device_presets.hpp"
 #include "ocl/perf_model.hpp"
 #include "test_util.hpp"
-#include "tuner/search_space.hpp"
 #include "tuner/tuner.hpp"
 
 namespace ddmc::ocl {

@@ -44,6 +44,7 @@ using testing::ProbeEngine;
 using testing::expect_same_matrix;
 using testing::mini_obs;
 using testing::random_input;
+using testing::tiled_config;
 
 /// Single-engine reference: one kernel call over the whole plan, one thread.
 Array2D<float> single_engine(const Plan& plan, const KernelConfig& config,
@@ -203,7 +204,7 @@ TEST(FaultInjector, EngineExecuteSeamCoversEveryBuiltin) {
     spec.max_fires = 0;
     ScopedFault fault("engine.execute", spec);
     const auto engine = engine::make_engine(id);
-    EXPECT_THROW(engine->execute(plan, KernelConfig{1, 1, 1, 1},
+    EXPECT_THROW(engine->execute(plan, engine::EngineConfig{},
                                  input.cview(), out.view()),
                  resilience::TransientError);
   }
@@ -221,7 +222,7 @@ TEST(SupervisedSharding, FaultAtEveryShardPositionIsAbsorbedBitwise) {
   opts.workers = 3;
   opts.supervision.retry.max_attempts = 2;
   opts.supervision.retry.backoff_seconds = 0.0;
-  const pipeline::ShardedDedisperser sharded(plan, config, opts);
+  const pipeline::ShardedDedisperser sharded(plan, tiled_config(config), opts);
 
   for (std::size_t shard = 0; shard < sharded.shard_count(); ++shard) {
     SCOPED_TRACE("fault at shard " + std::to_string(shard));
@@ -254,7 +255,7 @@ TEST(SupervisedSharding, DeadWorkerShardIsReacquiredBitwise) {
   opts.supervision.retry.backoff_seconds = 0.0;
   opts.supervision.reacquire = true;
   opts.supervision.reacquire_splits = 2;
-  const pipeline::ShardedDedisperser sharded(plan, config, opts);
+  const pipeline::ShardedDedisperser sharded(plan, tiled_config(config), opts);
 
   for (std::size_t shard = 0; shard < sharded.shard_count(); ++shard) {
     SCOPED_TRACE("dead worker at shard " + std::to_string(shard));
@@ -280,7 +281,7 @@ TEST(SupervisedSharding, ExhaustionAggregatesEveryFailedShard) {
   opts.workers = 3;
   opts.supervision.retry.max_attempts = 2;
   opts.supervision.retry.backoff_seconds = 0.0;
-  const pipeline::ShardedDedisperser sharded(plan, KernelConfig{1, 1, 1, 1},
+  const pipeline::ShardedDedisperser sharded(plan, engine::EngineConfig{},
                                              opts);
 
   FaultSpec spec;
@@ -314,7 +315,7 @@ TEST(SupervisedSharding, FatalErrorsAreNeitherRetriedNorReacquired) {
   opts.supervision.retry.max_attempts = 3;
   opts.supervision.retry.backoff_seconds = 0.0;
   opts.supervision.reacquire = true;
-  const pipeline::ShardedDedisperser sharded(plan, KernelConfig{1, 1, 1, 1},
+  const pipeline::ShardedDedisperser sharded(plan, engine::EngineConfig{},
                                              opts);
 
   FaultSpec spec;
@@ -347,7 +348,7 @@ TEST(SupervisedSharding, LastReportIsSafeToReadMidFlight) {
   opts.workers = 3;
   opts.supervision.retry.max_attempts = 3;
   opts.supervision.retry.backoff_seconds = 0.0;
-  const pipeline::ShardedDedisperser sharded(plan, config, opts);
+  const pipeline::ShardedDedisperser sharded(plan, tiled_config(config), opts);
 
   FaultSpec spec;
   spec.trigger = FaultSpec::Trigger::kProbability;
@@ -417,7 +418,7 @@ TEST(SupervisedSharding, FailedReacquisitionKeepsTheShardFailed) {
   opts.supervision.retry.max_attempts = 1;
   opts.supervision.reacquire = true;
   opts.supervision.reacquire_splits = 2;
-  const pipeline::ShardedDedisperser sharded(plan, KernelConfig{1, 1, 1, 1},
+  const pipeline::ShardedDedisperser sharded(plan, engine::EngineConfig{},
                                              opts);
 
   FaultSpec dead;
@@ -501,7 +502,7 @@ TEST(SampleRingPoison, ConsumeFailurePoisonsTheRingForTheProducer) {
   stream::StreamingOptions opts;
   opts.async = false;
   opts.cpu.threads = 1;
-  stream::StreamingDedisperser session(chunk, KernelConfig{1, 1, 1, 1},
+  stream::StreamingDedisperser session(chunk, engine::EngineConfig{},
                                        nullptr, opts);
   EXPECT_THROW(session.consume(ring), resilience::ConfigError);
   producer.join();  // deadlock here = the bug this test pins down
@@ -552,7 +553,7 @@ TEST(StreamingWatchdog, TransientChunkFaultIsRetriedInvisibly) {
   opts.supervision.max_chunk_retries = 1;
   opts.supervision.degrade_after = 0;
   stream::StreamingDedisperser session(batch.with_chunk(32),
-                                       KernelConfig{8, 2, 4, 2},
+                                       tiled_config(KernelConfig{8, 2, 4, 2}),
                                        std::ref(collect), opts);
   session.push(input.cview());
   session.close();
@@ -588,7 +589,7 @@ TEST(StreamingWatchdog, ExhaustedChunkIsSkippedWithGapAccounting) {
   opts.supervision.max_chunk_retries = 1;
   opts.supervision.degrade_after = 0;
   stream::StreamingDedisperser session(batch.with_chunk(32),
-                                       KernelConfig{8, 2, 4, 2},
+                                       tiled_config(KernelConfig{8, 2, 4, 2}),
                                        std::ref(collect), opts);
   session.push(input.cview());
   session.close();  // must complete: the failure was absorbed as a gap
@@ -640,7 +641,7 @@ TEST(StreamingWatchdog, RetryRungPrecedesSkipRung) {
   opts.supervision.max_chunk_retries = 2;
   opts.supervision.degrade_after = 0;
   stream::StreamingDedisperser session(batch.with_chunk(32),
-                                       KernelConfig{8, 2, 4, 2},
+                                       tiled_config(KernelConfig{8, 2, 4, 2}),
                                        std::ref(collect), opts);
   session.push(input.cview());
   session.close();
@@ -672,7 +673,7 @@ TEST(StreamingWatchdog, ConsecutiveSkipsDegradeToTheCheaperEngine) {
   opts.supervision.max_chunk_retries = 0;
   opts.supervision.degrade_after = 2;
   stream::StreamingDedisperser session(batch.with_chunk(32),
-                                       KernelConfig{8, 2, 4, 2},
+                                       tiled_config(KernelConfig{8, 2, 4, 2}),
                                        std::ref(collect), opts);
   EXPECT_EQ(session.health().active_engine, "cpu_tiled");
   session.push(input.cview());
@@ -703,7 +704,7 @@ TEST(StreamingWatchdog, DeadlineOverrunsApplyDegradationPressure) {
   opts.supervision.deadline_factor = 1e-12;  // no chunk can make this
   opts.supervision.degrade_after = 3;
   stream::StreamingDedisperser session(batch.with_chunk(32),
-                                       KernelConfig{8, 2, 4, 2},
+                                       tiled_config(KernelConfig{8, 2, 4, 2}),
                                        std::ref(collect), opts);
   session.push(input.cview());
   session.close();
@@ -784,7 +785,7 @@ TEST(StreamingWatchdog, UnsupervisedSessionStillFailsFast) {
   opts.async = false;
   opts.cpu.threads = 1;
   stream::StreamingDedisperser session(batch.with_chunk(32),
-                                       KernelConfig{1, 1, 1, 1}, nullptr,
+                                       engine::EngineConfig{}, nullptr,
                                        opts);
   EXPECT_THROW(session.push(input.cview()), resilience::TransientError);
 }
@@ -924,7 +925,7 @@ TEST(ResilienceSoakSlowTier, RandomShardFaultPatternsNeverCorruptOutput) {
   opts.supervision.retry.max_attempts = 3;
   opts.supervision.retry.backoff_seconds = 0.0;
   opts.supervision.reacquire = true;
-  const pipeline::ShardedDedisperser sharded(plan, config, opts);
+  const pipeline::ShardedDedisperser sharded(plan, tiled_config(config), opts);
 
   std::size_t absorbed = 0, failed = 0;
   for (std::uint64_t seed = 1; seed <= 24; ++seed) {
@@ -986,7 +987,7 @@ TEST(ResilienceSoakSlowTier, RandomStreamFaultPatternsAlwaysFinish) {
     opts.supervision.max_chunk_retries = 2;
     opts.supervision.degrade_after = 0;  // keep chunks bitwise-comparable
     stream::StreamingDedisperser session(batch.with_chunk(chunk_out),
-                                         KernelConfig{8, 2, 4, 2},
+                                         tiled_config(KernelConfig{8, 2, 4, 2}),
                                          std::ref(collect), opts);
     session.push(input.cview());
     session.close();  // must always return: failures end as gaps

@@ -28,6 +28,7 @@ using dedisp::Plan;
 using testing::expect_same_matrix;
 using testing::mini_obs;
 using testing::random_input;
+using testing::tiled_config;
 
 /// Single-engine reference: one kernel call over the whole plan, one thread.
 Array2D<float> single_engine(const Plan& plan, const KernelConfig& config,
@@ -154,7 +155,7 @@ TEST(ShardedDedisperser, BitwiseIdenticalAcrossShardCounts) {
     SCOPED_TRACE("workers=" + std::to_string(workers));
     ShardedOptions opts;
     opts.workers = workers;
-    const ShardedDedisperser sharded(plan, config, opts);
+    const ShardedDedisperser sharded(plan, tiled_config(config), opts);
     EXPECT_EQ(sharded.shard_count(),
               sharded.layout().shards.size());
     expect_same_matrix(expected, sharded.dedisperse(input.cview()));
@@ -170,7 +171,7 @@ TEST(ShardedDedisperser, HandlesUnevenAndPrimeDmGrids) {
     const Array2D<float> expected = single_engine(plan, config, input);
     ShardedOptions opts;
     opts.workers = 3;
-    const ShardedDedisperser sharded(plan, config, opts);
+    const ShardedDedisperser sharded(plan, tiled_config(config), opts);
     expect_same_matrix(expected, sharded.dedisperse(input.cview()));
   }
 }
@@ -180,7 +181,7 @@ TEST(ShardedDedisperser, AdaptsTheDmTileToEachShard) {
   const KernelConfig config{5, 2, 4, 2};  // tile_dm = 4
   ShardedOptions opts;
   opts.workers = 5;  // 12 trials over 5 shards: some shard breaks tile 4
-  const ShardedDedisperser sharded(plan, config, opts);
+  const ShardedDedisperser sharded(plan, tiled_config(config), opts);
   for (std::size_t i = 0; i < sharded.shard_count(); ++i) {
     SCOPED_TRACE("shard " + std::to_string(i));
     const KernelConfig c =
@@ -190,8 +191,9 @@ TEST(ShardedDedisperser, AdaptsTheDmTileToEachShard) {
     EXPECT_NO_THROW(c.validate(sharded.shard_plan(i)));
   }
   // A config that does not validate against the parent plan is rejected.
-  EXPECT_THROW(ShardedDedisperser(plan, KernelConfig{7, 1, 1, 1}, opts),
-               config_error);
+  EXPECT_THROW(
+      ShardedDedisperser(plan, tiled_config(KernelConfig{7, 1, 1, 1}), opts),
+      config_error);
 }
 
 TEST(ShardedDedisperser, RejectsWrongShapes) {
@@ -199,7 +201,7 @@ TEST(ShardedDedisperser, RejectsWrongShapes) {
   const Array2D<float> input = random_input(plan);
   ShardedOptions opts;
   opts.workers = 2;
-  const ShardedDedisperser sharded(plan, KernelConfig{1, 1, 1, 1}, opts);
+  const ShardedDedisperser sharded(plan, engine::EngineConfig{}, opts);
   Array2D<float> bad_rows(plan.dms() + 1, plan.out_samples());
   EXPECT_THROW(sharded.dedisperse(input.cview(), bad_rows.view()),
                invalid_argument);
@@ -268,7 +270,7 @@ TEST(ShardedDedisperser, BatchedBeamsMatchThePerBeamPath) {
   }
   ShardedOptions opts;
   opts.workers = 4;
-  const ShardedDedisperser sharded(plan, config, opts);
+  const ShardedDedisperser sharded(plan, tiled_config(config), opts);
   const std::vector<Array2D<float>> got = sharded.dedisperse_batch(views);
   ASSERT_EQ(got.size(), 3u);
   for (std::size_t b = 0; b < 3; ++b) {
@@ -283,13 +285,13 @@ TEST(Dedisperser, ShardedExecutionKnobIsBitwiseIdentical) {
   const sky::Observation obs = mini_obs();
   Dedisperser single =
       Dedisperser::with_output_samples(obs, 12, 60, "cpu_tiled");
-  single.set_config(KernelConfig{5, 2, 4, 2});
+  single.set_config(tiled_config(KernelConfig{5, 2, 4, 2}));
   const Array2D<float> input = random_input(single.plan());
   const Array2D<float> expected = single.dedisperse(input.cview());
 
   Dedisperser sharded =
       Dedisperser::with_output_samples(obs, 12, 60, "cpu_tiled");
-  sharded.set_config(KernelConfig{5, 2, 4, 2});
+  sharded.set_config(tiled_config(KernelConfig{5, 2, 4, 2}));
   sharded.set_execution(Execution::kDmSharded, 3);
   EXPECT_EQ(sharded.execution(), Execution::kDmSharded);
   expect_same_matrix(expected, sharded.dedisperse(input.cview()));
@@ -303,7 +305,7 @@ TEST(Dedisperser, ShardedExecutionRequiresTheShardingCapability) {
   // Regression for the old silent-ignore wiring: an engine whose
   // capabilities report !supports_sharding is rejected with an error that
   // names the missing capability, instead of quietly dropping the workers.
-  for (const char* id : {"subband", "ocl_sim"}) {
+  for (const char* id : {"subband"}) {
     SCOPED_TRACE(id);
     Dedisperser dd = Dedisperser::with_output_samples(mini_obs(), 8, 64, id);
     try {
@@ -327,7 +329,7 @@ TEST(Dedisperser, ShardedExecutionRequiresTheShardingCapability) {
 
 TEST(MultiBeamDedisperser, ShardedBatchMatchesTheBeamParallelPath) {
   const Plan plan = Plan::with_output_samples(mini_obs(), 12, 60);
-  MultiBeamDedisperser mb(plan, KernelConfig{5, 2, 4, 2});
+  MultiBeamDedisperser mb(plan, tiled_config(KernelConfig{5, 2, 4, 2}));
   std::vector<Array2D<float>> inputs;
   std::vector<ConstView2D<float>> views;
   for (std::size_t b = 0; b < 3; ++b) {
@@ -380,7 +382,7 @@ TEST(StreamingDedisperser, ShardedChunksAreBitwiseEqualToBatch) {
     opts.cpu.threads = 1;
     opts.shard_workers = 3;
     stream::StreamingDedisperser session(batch.with_chunk(32),
-                                         KernelConfig{8, 2, 4, 2},
+                                         tiled_config(KernelConfig{8, 2, 4, 2}),
                                          std::ref(collect), opts);
     session.push(input.cview());
     session.close();
@@ -409,7 +411,7 @@ TEST(MultiBeamStreamingDedisperser, ShardedChunksMatchTheUnshardedSession) {
     opts.cpu.threads = 1;
     opts.shard_workers = shard_workers;
     stream::MultiBeamStreamingDedisperser session(
-        batch.with_chunk(32), KernelConfig{8, 2, 4, 2}, beams,
+        batch.with_chunk(32), tiled_config(KernelConfig{8, 2, 4, 2}), beams,
         [&](const stream::MultiBeamStreamChunk& chunk) {
           for (std::size_t b = 0; b < beams; ++b) {
             for (std::size_t dm = 0; dm < batch.dms(); ++dm) {
@@ -441,7 +443,7 @@ TEST(ShardedDedisperser, TrafficAggregatesEveryShardRun) {
   const KernelConfig config{5, 2, 4, 2};
   ShardedOptions opts;
   opts.workers = 3;
-  const ShardedDedisperser sharded(plan, config, opts);
+  const ShardedDedisperser sharded(plan, tiled_config(config), opts);
   EXPECT_EQ(sharded.telemetry().runs, 0u);
 
   const Array2D<float> input = random_input(plan);
@@ -459,7 +461,7 @@ TEST(ShardedDedisperser, TrafficAggregatesEveryShardRun) {
 
 TEST(Dedisperser, TelemetrySurvivesReconfiguration) {
   Dedisperser dd = Dedisperser::with_output_samples(mini_obs(), 12, 60);
-  dd.set_config(KernelConfig{5, 2, 4, 2});
+  dd.set_config(tiled_config(KernelConfig{5, 2, 4, 2}));
   dd.set_execution(Execution::kDmSharded, 3);
   const Array2D<float> input = random_input(dd.plan());
   dd.dedisperse(input.cview());
@@ -487,7 +489,7 @@ TEST(StreamingDedisperser, TelemetryCountsEveryChunkRun) {
     opts.cpu.threads = 1;
     opts.shard_workers = shard_workers;
     stream::StreamingDedisperser session(batch.with_chunk(32),
-                                         KernelConfig{8, 2, 4, 2},
+                                         tiled_config(KernelConfig{8, 2, 4, 2}),
                                          std::ref(collect), opts);
     session.push(input.cview());
     session.close();
@@ -528,7 +530,7 @@ TEST(ShardedRandomSlowTier, RandomInstancesStayBitwiseIdentical) {
     const Array2D<float> expected = single_engine(plan, config, input);
     ShardedOptions opts;
     opts.workers = workers;
-    const ShardedDedisperser sharded(plan, config, opts);
+    const ShardedDedisperser sharded(plan, tiled_config(config), opts);
     expect_same_matrix(expected, sharded.dedisperse(input.cview()));
   }
 }

@@ -32,6 +32,7 @@ using testing::ProbeEngine;
 using testing::expect_same_matrix;
 using testing::mini_obs;
 using testing::random_input;
+using testing::tiled_config;
 
 /// Feed `input` into `session` in pseudo-random slices of 1..max_slice
 /// samples (max_slice = 1 exercises one-sample feeds).
@@ -439,7 +440,7 @@ TEST(StreamingDedisperser, BitwiseEqualToBatchAcrossGranularities) {
     opts.async = c.async;
     opts.cpu.threads = 1;
     StreamingDedisperser session(batch.with_chunk(c.chunk_out),
-                                 KernelConfig{8, 2, 4, 2},
+                                 tiled_config(KernelConfig{8, 2, 4, 2}),
                                  std::ref(collect), opts);
     if (c.max_slice == 0) {
       feed_window_then_rest(session, input, c.ahead);
@@ -517,7 +518,8 @@ TEST(StreamingDedisperser, TuneOnFirstUseFromTheCache) {
     expect_same_matrix(expected, collect.total);
   }
   // The explicit-config constructor reports no tuning outcome.
-  StreamingDedisperser manual(batch.with_chunk(64), KernelConfig{8, 2, 4, 2},
+  StreamingDedisperser manual(batch.with_chunk(64),
+                              tiled_config(KernelConfig{8, 2, 4, 2}),
                               [](const StreamChunk&) {}, opts);
   EXPECT_FALSE(manual.tuning_outcome().has_value());
 }
@@ -588,39 +590,6 @@ TEST(StreamingDedisperser, AdoptsTheRaceWinnerAndWidensTheOverlap) {
   expect_same_matrix(expected, collect.total);
 }
 
-TEST(StreamingDedisperser, LegacyKernelConfigShedsAxesForeignToTheEngine) {
-  // The KernelConfig constructor predates engine-native configs: a session
-  // built with a tiled kernel shape but a different engine must shed the
-  // axes that engine never declared and run its defaults, as pre-config
-  // sessions did (regression: the subband session threw "declares no
-  // config axis 'channel_block'" at construction).
-  const std::size_t total_out = 96;
-  const Plan batch = Plan::with_output_samples(mini_obs(), 8, total_out);
-  const Array2D<float> input = random_input(batch);
-  const Plan chunked = batch.with_chunk(32);
-
-  StreamingOptions opts;
-  opts.async = false;
-  opts.cpu.threads = 1;
-  opts.engine = "subband";
-  Collector collect(batch.dms(), total_out);
-  {
-    StreamingDedisperser session(chunked,
-                                 dedisp::KernelConfig{1, 1, 1, 1, 32, 4},
-                                 std::ref(collect), opts);
-    feed_in_slices(session, input, 13, 257);
-    session.close();
-  }
-  EXPECT_EQ(collect.emitted, total_out);
-
-  // The session ran the subband engine's defaults — the empty config.
-  const auto subband = engine::make_engine("subband");
-  Array2D<float> expected(batch.dms(), batch.out_samples());
-  subband->execute(batch, engine::EngineConfig{}, input.cview(),
-                   expected.view());
-  expect_same_matrix(expected, collect.total);
-}
-
 TEST(StreamingDedisperser, RandomizedChunkAndFeedProperty) {
   Rng rng(99);
   const std::vector<std::size_t> chunk_sizes = {32, 64, 96, 160};
@@ -654,7 +623,7 @@ TEST(StreamingDedisperser, RandomizedChunkAndFeedProperty) {
     opts.async = large || round % 2 == 0;
     opts.cpu.threads = 1;
     StreamingDedisperser session(batch.with_chunk(chunk_out),
-                                 KernelConfig{8, 2, 4, 2},
+                                 tiled_config(KernelConfig{8, 2, 4, 2}),
                                  std::ref(collect), opts);
     if (window_then_rest) {
       feed_window_then_rest(session, input, ahead);
@@ -678,7 +647,8 @@ TEST(StreamingDedisperser, ConsumesARingEndToEnd) {
   Collector collect(batch.dms(), total_out);
   StreamingOptions opts;
   opts.cpu.threads = 1;
-  StreamingDedisperser session(batch.with_chunk(64), KernelConfig{8, 2, 4, 2},
+  StreamingDedisperser session(batch.with_chunk(64),
+                               tiled_config(KernelConfig{8, 2, 4, 2}),
                                std::ref(collect), opts);
 
   std::thread producer([&] {
@@ -708,7 +678,7 @@ TEST(StreamingDedisperser, AttachesDetectionsAndLatency) {
   opts.detect = true;
   opts.cpu.threads = 1;
   StreamingDedisperser session(
-      batch.with_chunk(64), KernelConfig{8, 2, 4, 2},
+      batch.with_chunk(64), tiled_config(KernelConfig{8, 2, 4, 2}),
       [&](const StreamChunk& chunk) {
         if (chunk.detection.has_value()) ++with_detection;
         EXPECT_GT(chunk.timing.data_seconds, 0.0);
@@ -737,7 +707,7 @@ TEST(StreamingDedisperser, SinkFailuresSurfaceOnClose) {
   StreamingOptions opts;
   opts.cpu.threads = 1;
   StreamingDedisperser session(
-      batch.with_chunk(64), KernelConfig{8, 2, 4, 2},
+      batch.with_chunk(64), tiled_config(KernelConfig{8, 2, 4, 2}),
       [](const StreamChunk&) { throw std::runtime_error("sink failed"); },
       opts);
   EXPECT_THROW(
@@ -751,9 +721,11 @@ TEST(StreamingDedisperser, SinkFailuresSurfaceOnClose) {
 TEST(StreamingDedisperser, ValidatesConfigAndInput) {
   const Plan chunk = Plan::with_output_samples(mini_obs(), 8, 64);
   EXPECT_THROW(
-      StreamingDedisperser(chunk, KernelConfig{5, 1, 1, 1}, nullptr),
+      StreamingDedisperser(chunk, tiled_config(KernelConfig{5, 1, 1, 1}),
+                           nullptr),
       config_error);
-  StreamingDedisperser session(chunk, KernelConfig{8, 2, 4, 2}, nullptr);
+  StreamingDedisperser session(chunk, tiled_config(KernelConfig{8, 2, 4, 2}),
+                               nullptr);
   Array2D<float> wrong(3, 10);
   EXPECT_THROW(session.push(wrong.cview()), invalid_argument);
 }
@@ -805,7 +777,7 @@ TEST(StreamingPipeline, SinkCallsAreSerializedAndInChunkOrder) {
   std::atomic<bool> overlapped{false};
   std::vector<std::size_t> indices;
   StreamingDedisperser session(
-      batch.with_chunk(32), KernelConfig{8, 2, 4, 2},
+      batch.with_chunk(32), tiled_config(KernelConfig{8, 2, 4, 2}),
       [&](const StreamChunk& chunk) {
         if (in_sink.exchange(true)) overlapped = true;
         indices.push_back(chunk.index);
@@ -877,7 +849,7 @@ TEST(MultiBeamStreaming, BitwiseEqualToBatchPerBeam) {
   opts.detect = true;
   opts.cpu.threads = 1;
   MultiBeamStreamingDedisperser session(
-      batch.with_chunk(64), KernelConfig{8, 2, 4, 2}, beams,
+      batch.with_chunk(64), tiled_config(KernelConfig{8, 2, 4, 2}), beams,
       [&](const MultiBeamStreamChunk& chunk) {
         ASSERT_NE(chunk.outputs, nullptr);
         ASSERT_EQ(chunk.outputs->size(), beams);
@@ -919,14 +891,14 @@ TEST(MultiBeamStreaming, BitwiseEqualToBatchPerBeam) {
 
 TEST(MultiBeamStreaming, ValidatesLockstepFeeds) {
   const Plan chunk = Plan::with_output_samples(mini_obs(), 8, 64);
-  MultiBeamStreamingDedisperser session(chunk, KernelConfig{8, 2, 4, 2}, 2,
-                                        nullptr);
+  MultiBeamStreamingDedisperser session(
+      chunk, tiled_config(KernelConfig{8, 2, 4, 2}), 2, nullptr);
   Array2D<float> a(8, 10);
   Array2D<float> b(8, 7);
   EXPECT_THROW(session.push({a.cview(), b.cview()}), invalid_argument);
   EXPECT_THROW(session.push({a.cview()}), invalid_argument);
-  EXPECT_THROW(MultiBeamStreamingDedisperser(chunk, KernelConfig{8, 2, 4, 2},
-                                             0, nullptr),
+  EXPECT_THROW(MultiBeamStreamingDedisperser(
+                   chunk, tiled_config(KernelConfig{8, 2, 4, 2}), 0, nullptr),
                invalid_argument);
 }
 

@@ -7,7 +7,9 @@
 
 #include "common/array2d.hpp"
 #include "common/random.hpp"
+#include "dedisp/kernel_config.hpp"
 #include "dedisp/plan.hpp"
+#include "engine/engine_config.hpp"
 #include "sky/observation.hpp"
 
 namespace ddmc::testing {
@@ -21,6 +23,12 @@ inline sky::Observation mini_obs(std::size_t channels = 8,
 /// Small plan used by most functional tests: 8 trials × 64 output samples.
 inline dedisp::Plan mini_plan(std::size_t dms = 8, std::size_t out = 64) {
   return dedisp::Plan::with_output_samples(mini_obs(), dms, out);
+}
+
+/// A tiled-kernel shape as the six kernel axes: the EngineConfig the
+/// engines and sessions take.
+inline engine::EngineConfig tiled_config(const dedisp::KernelConfig& config) {
+  return engine::encode_kernel_config(config);
 }
 
 /// Deterministic pseudo-random input matrix for a plan.

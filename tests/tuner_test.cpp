@@ -1,19 +1,23 @@
-// Tests for the auto-tuner: search-space enumeration and host-execution
-// deduplication, optimum selection and statistics, the guided search
-// strategies (differential against the exhaustive optimum on deterministic
-// synthetic landscapes), the persistent tuning cache with nearest-neighbor
-// transfer, fixed-configuration selection, and result persistence
-// (including a randomized save→load round-trip property).
+// Tests for the auto-tuner: search-space enumeration, the tiled engines'
+// execution deduplication, optimum selection and statistics, the guided
+// search strategies (differential against the exhaustive optimum on
+// deterministic synthetic landscapes), the persistent tuning cache with
+// nearest-neighbor transfer, fixed-configuration selection, and result
+// persistence (including a randomized save→load round-trip property).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <fstream>
 #include <functional>
 #include <limits>
 #include <map>
+#include <memory>
+#include <mutex>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -25,9 +29,7 @@
 #include "ocl/device_presets.hpp"
 #include "test_util.hpp"
 #include "tuner/fixed_config.hpp"
-#include "tuner/host_tuner.hpp"
 #include "tuner/results_io.hpp"
-#include "tuner/search_space.hpp"
 #include "tuner/strategy.hpp"
 #include "tuner/tuner.hpp"
 #include "tuner/tuning_cache.hpp"
@@ -37,9 +39,20 @@ namespace {
 
 using dedisp::KernelConfig;
 using dedisp::Plan;
+using dedisp::SearchSpace;
+using dedisp::default_search_space;
 using ocl::PlanAnalysis;
 using testing::mini_obs;
 using testing::mini_plan;
+using testing::tiled_config;
+
+/// The default tiled engine (cpu_tiled) under \p vectorize.
+std::shared_ptr<const engine::DedispEngine> tiled_engine(
+    bool vectorize = true) {
+  engine::EngineOptions options;
+  options.cpu.vectorize = vectorize;
+  return engine::make_engine("cpu_tiled", options);
+}
 
 // ------------------------------------------------------------ search space --
 
@@ -103,13 +116,14 @@ TEST(SearchSpace, CustomLaddersRespected) {
 }
 
 TEST(SearchSpace, HostEnumerationSweepsChannelBlockAndUnroll) {
-  // On a many-channel plan the host space crosses the paper's four axes
-  // with every meaningful channel_block and unroll ladder value.
+  // On a many-channel plan the tiled engine's space crosses the paper's
+  // four axes with every meaningful channel_block and unroll ladder value.
   const Plan plan = Plan::with_output_samples(sky::apertif(), 16, 200);
-  const auto configs = enumerate_host_configs(plan, 1024);
-  ASSERT_FALSE(configs.empty());
+  const auto space = tiled_engine()->config_space(plan);
+  ASSERT_FALSE(space.empty());
   std::set<std::size_t> blocks, unrolls;
-  for (const KernelConfig& cfg : configs) {
+  for (const engine::EngineConfig& encoded : space) {
+    const KernelConfig cfg = engine::decode_kernel_config(encoded);
     EXPECT_TRUE(cfg.divides(plan)) << cfg.to_string();
     EXPECT_TRUE(cfg.channel_block == 0 ||
                 cfg.channel_block < plan.channels())
@@ -117,18 +131,19 @@ TEST(SearchSpace, HostEnumerationSweepsChannelBlockAndUnroll) {
     blocks.insert(cfg.channel_block);
     unrolls.insert(cfg.unroll);
   }
-  const SearchSpace space = default_search_space();
-  EXPECT_EQ(blocks.size(), space.channel_block.size());
-  EXPECT_EQ(unrolls.size(), space.unroll.size());
+  const SearchSpace ladder = default_search_space();
+  EXPECT_EQ(blocks.size(), ladder.channel_block.size());
+  EXPECT_EQ(unrolls.size(), ladder.unroll.size());
 }
 
 TEST(SearchSpace, HostEnumerationDropsOversizedChannelBlocks) {
   // 8 channels: every ladder block ≥ 8 collapses onto the single-pass 0.
   const Plan plan = mini_plan(8, 64);
-  const auto configs = enumerate_host_configs(plan, 1024);
-  ASSERT_FALSE(configs.empty());
-  for (const KernelConfig& cfg : configs) {
-    EXPECT_EQ(cfg.channel_block, 0u) << cfg.to_string();
+  const auto space = tiled_engine()->config_space(plan);
+  ASSERT_FALSE(space.empty());
+  for (const engine::EngineConfig& cfg : space) {
+    EXPECT_EQ(engine::decode_kernel_config(cfg).channel_block, 0u)
+        << cfg.to_string();
   }
 }
 
@@ -426,63 +441,86 @@ TEST(ResultsIo, LoadsV3RowsUnprunedAndRoundTripsThePrunedFlag) {
 // ----------------------------------------------- host-execution dedup --
 
 TEST(HostDedup, KeyCollapsesWorkItemElementSplits) {
-  // The host engine only sees tile extents: {wi_time=8, elem_time=2} and
+  // The tiled kernel only sees tile extents: {wi_time=8, elem_time=2} and
   // {wi_time=4, elem_time=4} run the identical kernel.
   const Plan plan = mini_plan(8, 64);
-  const auto a = host_kernel_key(KernelConfig{8, 1, 2, 1}, plan, true);
-  const auto b = host_kernel_key(KernelConfig{4, 1, 4, 1}, plan, true);
-  EXPECT_EQ(a, b);
+  const auto simd = tiled_engine(true);
+  const auto key = [&](const engine::DedispEngine& e, const KernelConfig& c) {
+    return e.config_key(plan, tiled_config(c));
+  };
+  const std::string a = key(*simd, KernelConfig{8, 1, 2, 1});
+  EXPECT_EQ(a, key(*simd, KernelConfig{4, 1, 4, 1}));
   // elem_dm is a real axis (register-tile rows): it must NOT collapse.
-  const auto c = host_kernel_key(KernelConfig{8, 1, 2, 2}, plan, true);
-  EXPECT_NE(a, c);
+  EXPECT_NE(a, key(*simd, KernelConfig{8, 1, 2, 2}));
   // The scalar engine ignores the register-tile and unroll knobs.
-  const auto s1 = host_kernel_key(KernelConfig{8, 1, 2, 2, 0, 4}, plan, false);
-  const auto s2 = host_kernel_key(KernelConfig{8, 1, 2, 2, 0, 1}, plan, false);
-  EXPECT_EQ(s1, s2);
-  EXPECT_NE(host_kernel_key(KernelConfig{8, 1, 2, 2, 0, 4}, plan, true),
-            host_kernel_key(KernelConfig{8, 1, 2, 2, 0, 1}, plan, true));
+  const auto scalar = tiled_engine(false);
+  EXPECT_EQ(key(*scalar, KernelConfig{8, 1, 2, 2, 0, 4}),
+            key(*scalar, KernelConfig{8, 1, 2, 2, 0, 1}));
+  EXPECT_NE(key(*simd, KernelConfig{8, 1, 2, 2, 0, 4}),
+            key(*simd, KernelConfig{8, 1, 2, 2, 0, 1}));
   // Oversized channel blocks collapse onto the single-pass key.
-  const auto cb0 = host_kernel_key(KernelConfig{8, 1, 1, 1, 0, 1}, plan, true);
-  const auto cb9 =
-      host_kernel_key(KernelConfig{8, 1, 1, 1, 999, 1}, plan, true);
-  EXPECT_EQ(cb0, cb9);
+  EXPECT_EQ(key(*simd, KernelConfig{8, 1, 1, 1, 0, 1}),
+            key(*simd, KernelConfig{8, 1, 1, 1, 999, 1}));
 }
 
-TEST(HostDedup, DedupeKeepsOneRepresentativePerKernel) {
+TEST(HostDedup, ConfigSpaceHoldsOneConfigPerKernel) {
   const Plan plan = mini_plan(8, 64);
-  const auto raw = enumerate_host_configs(plan, 1024);
-  const auto deduped = dedupe_host_configs(plan, raw, true);
-  ASSERT_FALSE(deduped.empty());
-  EXPECT_LT(deduped.size(), raw.size());  // the ladder has real duplicates
-  EXPECT_EQ(deduped.front(), raw.front());  // first representative wins
-  std::set<HostKernelKey> keys;
-  for (const auto& cfg : deduped) {
-    EXPECT_TRUE(keys.insert(host_kernel_key(cfg, plan, true)).second)
+  const auto simd = tiled_engine(true);
+  const auto space = simd->config_space(plan);
+  ASSERT_FALSE(space.empty());
+  std::set<std::string> keys;
+  for (const engine::EngineConfig& cfg : space) {
+    EXPECT_TRUE(keys.insert(simd->config_key(plan, cfg)).second)
         << cfg.to_string();
+    EXPECT_NO_THROW(simd->validate_config(plan, cfg)) << cfg.to_string();
   }
-  // Dedup loses no kernel: every raw config's key has a representative.
-  for (const auto& cfg : raw) {
-    EXPECT_TRUE(keys.count(host_kernel_key(cfg, plan, true)))
-        << cfg.to_string();
+  // Dedup loses no kernel: every dividing point of the ladder runs a
+  // kernel some entry of the space already represents.
+  const SearchSpace ladder = default_search_space();
+  std::size_t points = 0;
+  for (std::size_t wt : ladder.wi_time) {
+    for (std::size_t wd : ladder.wi_dm) {
+      for (std::size_t et : ladder.elem_time) {
+        for (std::size_t ed : ladder.elem_dm) {
+          for (std::size_t un : ladder.unroll) {
+            const KernelConfig cfg{wt, wd, et, ed, 0, un};
+            if (wt * wd > 1024 || !cfg.divides(plan)) continue;
+            ++points;
+            EXPECT_TRUE(keys.count(simd->config_key(plan, tiled_config(cfg))))
+                << cfg.to_string();
+          }
+        }
+      }
+    }
   }
+  EXPECT_LT(space.size(), points);  // the ladder has real duplicates
   // The scalar engine's key is coarser, so its space is no larger.
-  EXPECT_LE(dedupe_host_configs(plan, raw, false).size(), deduped.size());
+  EXPECT_LE(tiled_engine(false)->config_space(plan).size(), space.size());
 }
 
-TEST(HostDedup, TuneHostTimesEachKernelOnce) {
+TEST(HostDedup, ANonDividingTileFailsValidation) {
+  const Plan plan = mini_plan(8, 64);
+  for (const char* id : {"cpu_tiled", "cpu_tiled_u8"}) {
+    SCOPED_TRACE(id);
+    const auto tiled = engine::make_engine(id);
+    EXPECT_THROW(
+        tiled->validate_config(plan, tiled_config(KernelConfig{5, 1, 1, 1})),
+        config_error);
+    EXPECT_THROW(
+        tiled->validate_config(plan, tiled_config(KernelConfig{8, 3, 1, 1})),
+        config_error);
+    EXPECT_NO_THROW(
+        tiled->validate_config(plan, tiled_config(KernelConfig{8, 1, 1, 1})));
+  }
+}
+
+TEST(HostDedup, ZeroRepetitionsThrowFromTheEvaluator) {
   const Plan plan = mini_plan(8, 64);
   HostTuningOptions opt;
-  opt.repetitions = 1;
-  opt.warmup_runs = 0;
-  opt.threads = 1;
-  // {8,1,1,1} and {1,1,8,1} are the same host kernel; {4,1,1,1} differs.
-  const std::vector<KernelConfig> configs = {
-      KernelConfig{8, 1, 1, 1}, KernelConfig{1, 1, 8, 1},
-      KernelConfig{4, 1, 1, 1}};
-  const HostTuningResult r = tune_host(plan, opt, configs);
-  EXPECT_EQ(r.timings.size(), 2u);
-  EXPECT_EQ(r.timings[0].config, configs[0]);
-  EXPECT_EQ(r.timings[1].config, configs[2]);
+  opt.repetitions = 0;
+  EXPECT_THROW((HostKernelEvaluator(plan, opt)), invalid_argument);
+  EXPECT_THROW((HostKernelEvaluator(tiled_engine(), plan, opt)),
+               invalid_argument);
 }
 
 // ------------------------------------------------------------ strategies --
@@ -543,25 +581,12 @@ class SyntheticEvaluator : public ConfigEvaluator {
   std::size_t calls_ = 0;
 };
 
-/// The host sweep's KernelConfig candidates re-expressed in the
-/// engine-native currency the strategies now speak, plus the declared axes
-/// CoordinateDescent walks.
-std::vector<engine::EngineConfig> engine_candidates(
-    const std::vector<KernelConfig>& configs) {
-  std::vector<engine::EngineConfig> out;
-  out.reserve(configs.size());
-  for (const KernelConfig& cfg : configs) {
-    out.push_back(engine::encode_kernel_config(cfg));
-  }
-  return out;
-}
-
 TEST(Strategies, ExhaustiveFindsTheGlobalSyntheticOptimum) {
   const Plan plan = mini_plan(8, 64);
-  const auto kernel_candidates = host_sweep_candidates(plan);
-  ASSERT_GT(kernel_candidates.size(), 10u);
-  const auto axes = engine::kernel_config_axes(kernel_candidates);
-  const auto candidates = engine_candidates(kernel_candidates);
+  const auto tiled = tiled_engine();
+  const auto axes = tiled->config_axes(plan);
+  const auto candidates = tiled->config_space(plan);
+  ASSERT_GT(candidates.size(), 10u);
   SyntheticEvaluator eval(plan);
   const StrategyResult r =
       ExhaustiveSearch().search(plan, axes, candidates, eval);
@@ -581,9 +606,9 @@ TEST(Strategies, DifferentialCoordinateDescentNearsTheOptimumCheaply) {
   // landscape CoordinateDescent must land within 10% of the exhaustive
   // optimum while evaluating a fraction of the space.
   const Plan plan = mini_plan(8, 64);
-  const auto kernel_candidates = host_sweep_candidates(plan);
-  const auto axes = engine::kernel_config_axes(kernel_candidates);
-  const auto candidates = engine_candidates(kernel_candidates);
+  const auto tiled = tiled_engine();
+  const auto axes = tiled->config_axes(plan);
+  const auto candidates = tiled->config_space(plan);
   SyntheticEvaluator ex_eval(plan);
   const StrategyResult ex =
       ExhaustiveSearch().search(plan, axes, candidates, ex_eval);
@@ -598,9 +623,9 @@ TEST(Strategies, DifferentialCoordinateDescentNearsTheOptimumCheaply) {
 
 TEST(Strategies, DifferentialRandomSearchIsBoundedlyWorse) {
   const Plan plan = mini_plan(8, 64);
-  const auto kernel_candidates = host_sweep_candidates(plan);
-  const auto axes = engine::kernel_config_axes(kernel_candidates);
-  const auto candidates = engine_candidates(kernel_candidates);
+  const auto tiled = tiled_engine();
+  const auto axes = tiled->config_axes(plan);
+  const auto candidates = tiled->config_space(plan);
   SyntheticEvaluator ex_eval(plan);
   const StrategyResult ex =
       ExhaustiveSearch().search(plan, axes, candidates, ex_eval);
@@ -619,9 +644,9 @@ TEST(Strategies, DifferentialRandomSearchIsBoundedlyWorse) {
 
 TEST(Strategies, SeededSearchesAreDeterministic) {
   const Plan plan = mini_plan(8, 64);
-  const auto kernel_candidates = host_sweep_candidates(plan);
-  const auto axes = engine::kernel_config_axes(kernel_candidates);
-  const auto candidates = engine_candidates(kernel_candidates);
+  const auto tiled = tiled_engine();
+  const auto axes = tiled->config_axes(plan);
+  const auto candidates = tiled->config_space(plan);
   for (int run = 0; run < 2; ++run) {
     SyntheticEvaluator e1(plan), e2(plan);
     const StrategyResult a =
@@ -640,9 +665,9 @@ TEST(Strategies, SeededSearchesAreDeterministic) {
 
 TEST(Strategies, CoordinateDescentUsesEarlyAbort) {
   const Plan plan = mini_plan(8, 64);
-  const auto kernel_candidates = host_sweep_candidates(plan);
-  const auto axes = engine::kernel_config_axes(kernel_candidates);
-  const auto candidates = engine_candidates(kernel_candidates);
+  const auto tiled = tiled_engine();
+  const auto axes = tiled->config_axes(plan);
+  const auto candidates = tiled->config_space(plan);
   SyntheticEvaluator eval(plan, /*support_abort=*/true);
   const StrategyResult r =
       CoordinateDescent(7).search(plan, axes, candidates, eval);
@@ -668,10 +693,10 @@ TEST(Strategies, RealMeasurementSmoke) {
   opt.repetitions = 1;
   opt.warmup_runs = 0;
   opt.threads = 1;
-  const auto kernel_candidates = host_sweep_candidates(plan, opt);
-  ASSERT_FALSE(kernel_candidates.empty());
-  const auto axes = engine::kernel_config_axes(kernel_candidates);
-  const auto candidates = engine_candidates(kernel_candidates);
+  const auto tiled = tiled_engine();
+  const auto axes = tiled->config_axes(plan);
+  const auto candidates = tiled->config_space(plan);
+  ASSERT_FALSE(candidates.empty());
   HostKernelEvaluator eval(plan, opt);
   const StrategyResult cd =
       CoordinateDescent(3, 2, 4, 0).search(plan, axes, candidates, eval);
@@ -746,9 +771,9 @@ TEST(Strategies, WithoutABoundCoordinateDescentMeasuresAsALoneSearch) {
   // existed, on the abort-honouring landscape: with no bound, and with an
   // infinite one, the race machinery must not move a single measurement.
   const Plan plan = mini_plan(8, 64);
-  const auto kernel_candidates = host_sweep_candidates(plan);
-  const auto axes = engine::kernel_config_axes(kernel_candidates);
-  const auto candidates = engine_candidates(kernel_candidates);
+  const auto tiled = tiled_engine();
+  const auto axes = tiled->config_axes(plan);
+  const auto candidates = tiled->config_space(plan);
   ASSERT_EQ(candidates.size(), 210u);
   const std::map<std::uint64_t, std::vector<std::size_t>> expected = {
       {7, {84,  104, 78,  64,  131, 65,  67,  70,  55,  187, 199, 188,
@@ -773,9 +798,9 @@ TEST(Strategies, WithoutABoundCoordinateDescentMeasuresAsALoneSearch) {
 
 TEST(Strategies, AnEntrantSlowerThanTheBoundStopsAfterItsProbesAndOneRound) {
   const Plan plan = mini_plan(8, 64);
-  const auto kernel_candidates = host_sweep_candidates(plan);
-  const auto axes = engine::kernel_config_axes(kernel_candidates);
-  const auto candidates = engine_candidates(kernel_candidates);
+  const auto tiled = tiled_engine();
+  const auto axes = tiled->config_axes(plan);
+  const auto candidates = tiled->config_space(plan);
   SyntheticEvaluator landscape(plan);
   const auto seconds = [&](const engine::EngineConfig& cfg) {
     return landscape.true_seconds(cfg);
@@ -859,9 +884,9 @@ TEST(Strategies, OnlyCoordinateDescentNamesAFirstProbe) {
   // Exhaustive and random searches keep their full populations under a
   // bound that every config misses.
   const Plan plan = mini_plan(8, 64);
-  const auto kernel_candidates = host_sweep_candidates(plan);
-  const auto axes = engine::kernel_config_axes(kernel_candidates);
-  const auto configs = engine_candidates(kernel_candidates);
+  const auto tiled = tiled_engine();
+  const auto axes = tiled->config_axes(plan);
+  const auto configs = tiled->config_space(plan);
   SyntheticEvaluator eval(plan, /*support_abort=*/true);
   const StrategyResult ex =
       ExhaustiveSearch().search(plan, axes, configs, eval, 1e-12);
@@ -1302,18 +1327,62 @@ TEST(TuningCacheTest, APrunedEntryIsSearchedWhenTheRaceNoLongerBeatsItsBound) {
   EXPECT_GT(raced.race[1].configs_evaluated, 0u);
 }
 
+/// A race entrant that reliably loses on the miniature plan: the reference
+/// engine behind a 1 ms sleep per call, under its own registry id.
+class SlowReferenceEngine final : public engine::DedispEngine {
+ public:
+  static constexpr const char* kId = "test_slow_reference";
+
+  /// Register the engine (once per process).
+  static void install() {
+    static std::once_flag registered;
+    std::call_once(registered, [] {
+      engine::EngineRegistry::instance().add(
+          kId, [](const engine::EngineOptions& options) {
+            return std::make_shared<const SlowReferenceEngine>(options);
+          });
+    });
+  }
+
+  explicit SlowReferenceEngine(const engine::EngineOptions& options)
+      : inner_(engine::make_engine("reference", options)) {}
+
+  const std::string& id() const override { return id_; }
+  const engine::EngineCapabilities& capabilities() const override {
+    return inner_->capabilities();
+  }
+  const engine::EngineOptions& options() const override {
+    return inner_->options();
+  }
+  std::string variant() const override { return inner_->variant(); }
+
+ protected:
+  engine::EngineRun execute_impl(const Plan& plan,
+                                 const engine::EngineConfig& config,
+                                 ConstView2D<float> in,
+                                 View2D<float> out) const override {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    return inner_->execute(plan, config, in, out);
+  }
+
+ private:
+  std::string id_ = kId;
+  std::shared_ptr<const engine::DedispEngine> inner_;
+};
+
 TEST(TuningCacheTest, ColdRaceUnderCoordinateDescentPrunesItsLosers) {
   // A real race on the miniature plan: cpu_baseline runs a call in about
-  // 4 µs, fdmt in 27–35 µs over its whole space, ocl_sim in about 80 µs.
-  // The seeds put cpu_baseline first, and the two losers, searched against
-  // its time, cannot complete a single config under it.
+  // 4 µs, fdmt in 27–35 µs over its whole space, the slow reference in
+  // over 1 ms. The seeds put cpu_baseline first, and the two losers,
+  // searched against its time, cannot complete a single config under it.
+  SlowReferenceEngine::install();
   const std::string path =
       ::testing::TempDir() + "ddmc_pruned_race_cache_test.csv";
   std::remove(path.c_str());
   const Plan plan = mini_plan(8, 64);
   GuidedTuningOptions opt;
   opt.host.threads = 1;
-  opt.engines = {"fdmt", "ocl_sim", "cpu_baseline"};
+  opt.engines = {"fdmt", SlowReferenceEngine::kId, "cpu_baseline"};
   GuidedTuningOutcome cold;
   {
     TuningCache cache(path);
@@ -1364,6 +1433,55 @@ TEST(TuningCacheTest, ColdRaceUnderCoordinateDescentPrunesItsLosers) {
     ASSERT_EQ(fdmt.race.size(), 1u);
     EXPECT_FALSE(fdmt.race[0].pruned);
   }
+  std::remove(path.c_str());
+}
+
+TEST(TuningCacheTest, AV4RowOfTheRetiredOclSimEngineLoadsAndRacesIgnoreIt) {
+  // Caches written while the device simulator was a registered engine hold
+  // rows signed "ocl_sim|…". Such a file still loads, a race over the
+  // registered engines never answers from that row, and rewriting the
+  // file keeps it.
+  const std::string path =
+      ::testing::TempDir() + "ddmc_retired_engine_cache_test.csv";
+  std::remove(path.c_str());
+  const Plan plan = mini_plan(8, 64);
+  engine::EngineOptions engine_options;
+  engine_options.cpu.threads = 1;
+  const std::string baseline =
+      HostSignature::of(*engine::make_engine("cpu_baseline", engine_options))
+          .encode();
+  const std::string signature = PlanSignature::of(plan).encode();
+  {
+    std::ofstream file(path);
+    file << "# ddmc-tuner-results v4 cols=9\n"
+         << "device,observation,dms,config,gflops,seconds,snr,evaluated,"
+            "pruned\n"
+         << "ocl_sim|AMD_HD7970|t1|staged," << signature
+         << ",8,wi_time=8,9999,1e-12,0,1,0\n"
+         << baseline << "," << signature << ",8,-,1,0.001,0,1,0\n";
+  }
+  {
+    TuningCache cache(path);
+    ASSERT_EQ(cache.size(), 2u);
+    GuidedTuningOptions opt;
+    opt.host.repetitions = 1;
+    opt.host.warmup_runs = 0;
+    opt.host.threads = 1;
+    opt.engines = {"cpu_baseline", "reference"};
+    const GuidedTuningOutcome raced = tune_guided(plan, cache, opt);
+    EXPECT_NE(raced.engine_id, "ocl_sim");
+    EXPECT_TRUE(raced.config.empty()) << raced.config.to_string();
+    ASSERT_EQ(raced.race.size(), 2u);
+    for (const auto& row : raced.race) {
+      EXPECT_NE(row.engine_id, "ocl_sim");
+      EXPECT_TRUE(row.config.empty()) << row.engine_id;
+      if (row.engine_id == "cpu_baseline") {
+        EXPECT_EQ(row.source, GuidedTuningOutcome::Source::kCacheHit);
+      }
+    }
+  }
+  TuningCache reloaded(path);
+  EXPECT_EQ(reloaded.size(), 3u);  // ocl_sim, cpu_baseline, reference
   std::remove(path.c_str());
 }
 
