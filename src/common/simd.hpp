@@ -25,11 +25,10 @@
 /// consumers (detection, intensity weighting) and is NOT used on the
 /// bitwise-equality-critical accumulate path.
 ///
-/// A widening u8 layer (`vload_u8`, `accumulate_span_u8`) serves the
-/// quantized-input engine: samples stay one byte each in memory — a quarter
-/// of the float input traffic, which is the whole game for a
-/// bandwidth-bound kernel — and are unpacked to float lanes only inside
-/// the register tile. The widening is one instruction on AVX-512 and AVX2
+/// A widening u8 load (`vload_u8`) serves the quantized-input engine:
+/// samples stay one byte each in memory — a quarter of the float input
+/// traffic, which is the whole game for a bandwidth-bound kernel — and are
+/// unpacked to float lanes only inside the register tile. The widening is one instruction on AVX-512 and AVX2
 /// (`vpmovzxbd` + convert); plain AVX, which has no 256-bit integer ops,
 /// needs a seven-instruction 128-bit shuffle sequence, and that sequence —
 /// not the memory traffic — set the u8 kernel's speed on AVX builds.
@@ -50,11 +49,12 @@
 ///
 /// `vmax` is the lane-wise maximum of finite values; which operand it
 /// returns for a NaN or a −0/+0 tie differs between backends, so callers
-/// screen those out. `compact_in_range` (and its |x − c| variant) is the
-/// left-pack behind the detector's exact bracketed median: AVX2 packs eight
-/// lanes per step with a movemask-indexed permutation (on the AVX and the
-/// AVX-512 backend alike), every other backend (forced scalar included)
-/// runs a branchless scalar loop.
+/// screen those out. `split` (and its |x − c| variant) is the three-way
+/// partition behind the detector's exact quickselect median: AVX-512 packs
+/// sixteen lanes per step with a register-form `vcompressps` and a full
+/// store into the outputs' slack, AVX2 packs eight with a movemask-indexed
+/// permutation, every other backend (forced scalar included) runs a
+/// branchless scalar loop.
 
 #include <array>
 #include <bit>
@@ -396,68 +396,16 @@ inline void accumulate_span(float* a, const float* s, std::size_t n,
   }
 }
 
-/// a[t] += widen(s[t]) for quantized 8-bit samples: the sample plane stays
-/// one byte per element in memory and is widened to float lanes only inside
-/// the register file. Accumulating raw u8 codes in float lanes is *exact*
-/// as long as the running sum stays below 2^24 (255 · channels ≤ 2^24 for
-/// any survey-sized channel count), so — like the float span — every
-/// instantiation produces bitwise-identical results.
-template <std::size_t Unroll>
-inline void accumulate_span_u8_unrolled(float* a, const std::uint8_t* s,
-                                        std::size_t n) {
-  constexpr std::size_t step = Unroll * kFloatLanes;
-  std::size_t t = 0;
-  for (; t + step <= n; t += step) {
-    for (std::size_t u = 0; u < Unroll; ++u) {
-      const std::size_t off = t + u * kFloatLanes;
-      vstore(a + off, vadd(vload(a + off), vload_u8(s + off)));
-    }
-  }
-  for (; t + kFloatLanes <= n; t += kFloatLanes) {
-    vstore(a + t, vadd(vload(a + t), vload_u8(s + t)));
-  }
-  if constexpr (kMaskedTail) {
-    if (t < n) {
-      const std::size_t r = n - t;
-      vstore_partial(
-          a + t, vadd(vload_partial(a + t, r), vload_u8_partial(s + t, r)),
-          r);
-    }
-  } else {
-    for (; t < n; ++t) a[t] += static_cast<float>(s[t]);
-  }
-}
-
-/// Runtime-unroll dispatch of the u8 widening accumulate, mirror of
-/// accumulate_span above.
-inline void accumulate_span_u8(float* a, const std::uint8_t* s, std::size_t n,
-                               std::size_t unroll = 1) {
-  switch (unroll) {
-    case 8:
-      accumulate_span_u8_unrolled<8>(a, s, n);
-      break;
-    case 4:
-      accumulate_span_u8_unrolled<4>(a, s, n);
-      break;
-    case 2:
-      accumulate_span_u8_unrolled<2>(a, s, n);
-      break;
-    default:
-      accumulate_span_u8_unrolled<1>(a, s, n);
-      break;
-  }
-}
-
-/// Result of a compaction pass: how many inputs fell below the range and
-/// how many were packed into the output.
-struct CompactCounts {
+/// Result of a split pass: how many inputs went below the pivot and how
+/// many above it. The rest compared equal to it.
+struct SplitCounts {
   std::size_t below = 0;
-  std::size_t packed = 0;
+  std::size_t above = 0;
 };
 
 namespace detail {
 
-#if (defined(DDMC_SIMD_AVX512) || defined(DDMC_SIMD_AVX)) && defined(__AVX2__)
+#if defined(DDMC_SIMD_AVX) && defined(__AVX2__)
 /// kCompactPerm[mask] lists the lanes set in an 8-bit lane mask in
 /// ascending order (unused slots 0): the permutation that left-packs them.
 inline constexpr auto kCompactPerm = [] {
@@ -472,62 +420,89 @@ inline constexpr auto kCompactPerm = [] {
 }();
 #endif
 
-/// Shared body of the two compaction entry points: the packed value is x[i]
-/// or, with AbsDiff, |x[i] − c| computed in float.
+/// Shared body of the two split entry points: the value split is x[i] or,
+/// with AbsDiff, |x[i] − c| computed in float. Every full-width store lands
+/// at or before the vector just loaded, so `below` may be `x` itself.
 template <bool AbsDiff>
-inline CompactCounts compact_in_range_impl(const float* x, std::size_t n,
-                                           float c, float lo, float hi,
-                                           float* out) {
-  std::size_t below = 0;
-  std::size_t packed = 0;
+inline SplitCounts split_impl(const float* x, std::size_t n, float c,
+                              float pivot, float* below, float* above) {
+  std::size_t nb = 0;
+  std::size_t na = 0;
   std::size_t i = 0;
-#if (defined(DDMC_SIMD_AVX512) || defined(DDMC_SIMD_AVX)) && defined(__AVX2__)
-  const __m256 vlo = _mm256_set1_ps(lo);
-  const __m256 vhi = _mm256_set1_ps(hi);
+#if defined(DDMC_SIMD_AVX512)
+  const __m512 vp = _mm512_set1_ps(pivot);
+  const __m512 vc = _mm512_set1_ps(c);
+  const auto step = [&](__m512 v, __mmask16 lanes) {
+    if constexpr (AbsDiff) v = _mm512_abs_ps(_mm512_sub_ps(v, vc));
+    const __mmask16 lt = _mm512_mask_cmp_ps_mask(lanes, v, vp, _CMP_LT_OQ);
+    const __mmask16 gt = _mm512_mask_cmp_ps_mask(lanes, v, vp, _CMP_GT_OQ);
+    // Register-form compress and a full store: the lanes past the packed
+    // ones land in the next step's slots or in the outputs' slack.
+    _mm512_storeu_ps(below + nb, _mm512_maskz_compress_ps(lt, v));
+    _mm512_storeu_ps(above + na, _mm512_maskz_compress_ps(gt, v));
+    nb += static_cast<std::size_t>(std::popcount(static_cast<unsigned>(lt)));
+    na += static_cast<std::size_t>(std::popcount(static_cast<unsigned>(gt)));
+  };
+  for (; i + kFloatLanes <= n; i += kFloatLanes) {
+    step(_mm512_loadu_ps(x + i), static_cast<__mmask16>(0xFFFF));
+  }
+  if (i < n) {
+    step(_mm512_maskz_loadu_ps(first_lanes(n - i), x + i),
+         first_lanes(n - i));
+    i = n;
+  }
+#elif defined(DDMC_SIMD_AVX) && defined(__AVX2__)
+  const __m256 vp = _mm256_set1_ps(pivot);
   const __m256 vc = _mm256_set1_ps(c);
   const __m256 sign = _mm256_set1_ps(-0.0f);
   for (; i + 8 <= n; i += 8) {
     __m256 v = _mm256_loadu_ps(x + i);
     if constexpr (AbsDiff) v = _mm256_andnot_ps(sign, _mm256_sub_ps(v, vc));
     const auto lt = static_cast<unsigned>(
-        _mm256_movemask_ps(_mm256_cmp_ps(v, vlo, _CMP_LT_OQ)));
-    const auto in = static_cast<unsigned>(_mm256_movemask_ps(
-        _mm256_and_ps(_mm256_cmp_ps(v, vlo, _CMP_GE_OQ),
-                      _mm256_cmp_ps(v, vhi, _CMP_LE_OQ))));
-    const __m256i perm = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(kCompactPerm[in].data()));
-    // packed <= i, so the full-width store stays inside out[0, i + 8).
-    _mm256_storeu_ps(out + packed, _mm256_permutevar8x32_ps(v, perm));
-    below += static_cast<std::size_t>(std::popcount(lt));
-    packed += static_cast<std::size_t>(std::popcount(in));
+        _mm256_movemask_ps(_mm256_cmp_ps(v, vp, _CMP_LT_OQ)));
+    const auto gt = static_cast<unsigned>(
+        _mm256_movemask_ps(_mm256_cmp_ps(v, vp, _CMP_GT_OQ)));
+    const auto pack = [v](unsigned mask) {
+      return _mm256_permutevar8x32_ps(
+          v, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
+                 kCompactPerm[mask].data())));
+    };
+    // nb, na <= i, so the full-width stores stay inside [0, i + 8).
+    _mm256_storeu_ps(below + nb, pack(lt));
+    _mm256_storeu_ps(above + na, pack(gt));
+    nb += static_cast<std::size_t>(std::popcount(lt));
+    na += static_cast<std::size_t>(std::popcount(gt));
   }
 #endif
   for (; i < n; ++i) {
     const float v = AbsDiff ? std::abs(x[i] - c) : x[i];
-    out[packed] = v;
-    below += static_cast<std::size_t>(v < lo);
-    packed += static_cast<std::size_t>((lo <= v) & (v <= hi));
+    below[nb] = v;
+    above[na] = v;
+    nb += static_cast<std::size_t>(v < pivot);
+    na += static_cast<std::size_t>(v > pivot);
   }
-  return {below, packed};
+  return {nb, na};
 }
 
 }  // namespace detail
 
-/// Left-packs every x[i] with lo <= x[i] <= hi into `out`, in input order,
-/// and counts the x[i] < lo. `out` needs room for n floats (the packed
-/// prefix is the result; the rest is clobbered). NaN inputs are neither
-/// counted nor packed; −0 and +0 compare equal.
-inline CompactCounts compact_in_range(const float* x, std::size_t n, float lo,
-                                      float hi, float* out) {
-  return detail::compact_in_range_impl<false>(x, n, 0.0f, lo, hi, out);
+/// Three-way split around `pivot`: every x[i] < pivot is packed into
+/// `below` and every x[i] > pivot into `above`, each in input order; the
+/// ones equal to it (−0 and +0 compare equal) are only counted, as
+/// n − below − above. Both outputs need room for n + kFloatLanes floats
+/// (full-width stores run into that slack) and are clobbered past their
+/// packed prefix. `below` may be `x` (an in-place split); `above` may not
+/// overlap it. The input must hold no NaN.
+inline SplitCounts split(const float* x, std::size_t n, float pivot,
+                         float* below, float* above) {
+  return detail::split_impl<false>(x, n, 0.0f, pivot, below, above);
 }
 
-/// compact_in_range over the deviations |x[i] − c|, each computed in float
-/// as std::abs(x[i] − c); no deviation array is written.
-inline CompactCounts compact_abs_diff_in_range(const float* x, std::size_t n,
-                                               float c, float lo, float hi,
-                                               float* out) {
-  return detail::compact_in_range_impl<true>(x, n, c, lo, hi, out);
+/// split over the deviations |x[i] − c|, each computed in float as
+/// std::abs(x[i] − c); no deviation array is written.
+inline SplitCounts split_abs_diff(const float* x, std::size_t n, float c,
+                                  float pivot, float* below, float* above) {
+  return detail::split_impl<true>(x, n, c, pivot, below, above);
 }
 
 }  // namespace ddmc::simd

@@ -8,80 +8,101 @@
 #include "common/expect.hpp"
 #include "common/simd.hpp"
 #include "common/statistics.hpp"
+#include "telemetry/tracing.hpp"
 
 namespace ddmc::sky {
 
 namespace {
-/// Rows shorter than this take the plain path: two full selections.
-constexpr std::size_t kBracketMinLength = 256;
-/// Largest strided sample a bracket is placed from.
-constexpr std::size_t kMaxSample = 1024;
-
-/// The k-th smallest element of [first, last) (partially sorts it in place);
-/// with `pair`, the mean of it and the (k−1)-th. nth_element leaves the k
-/// smaller elements in [first, first + k), so the (k−1)-th is their max.
-double select_inplace(float* first, float* last, std::size_t k, bool pair) {
-  std::nth_element(first, first + k, last);
-  const double upper = static_cast<double>(first[k]);
-  if (!pair) return upper;
-  const double lower = static_cast<double>(*std::max_element(first, first + k));
-  return 0.5 * (lower + upper);
-}
+/// Sets this small finish in one std::nth_element.
+constexpr std::size_t kSmallSet = 64;
 
 /// Median of [first, last), partially sorting it in place. Even-length sets
 /// average the two middle elements — taking only the upper-middle one
 /// biases the baseline high, and with it the MAD·1.4826 σ estimate.
+/// nth_element leaves the k smaller elements in [first, first + k), so the
+/// (k−1)-th is their max.
 double median_inplace(float* first, float* last) {
   const auto n = static_cast<std::size_t>(last - first);
-  return select_inplace(first, last, n / 2, n % 2 == 0);
+  std::nth_element(first, first + n / 2, last);
+  const double upper = static_cast<double>(first[n / 2]);
+  if (n % 2 != 0) return upper;
+  const double lower =
+      static_cast<double>(*std::max_element(first, first + n / 2));
+  return 0.5 * (lower + upper);
+}
+
+/// Scratch for rows of up to `cols` samples: two sets with the split slack.
+std::vector<float> select_scratch(std::size_t cols) {
+  return std::vector<float>(2 * (cols + simd::kFloatLanes));
 }
 
 /// Exact median of v(x[i]), where v is the identity or, with AbsDiff,
-/// |x[i] − c| in float — the same value median_inplace returns on the full
-/// array, in linear time. A strided sample places a bracket [lo, hi] around
-/// the median's rank; one pass counts the values below it and left-packs the
-/// values inside, and the selection runs on the packed set only. When the
-/// counts show the median outside the bracket, or the median is zero (which
-/// of −0/+0 nth_element leaves at the rank depends on its permutation), the
-/// full selection runs on a copy instead. `x` must be finite and at least
-/// kBracketMinLength long; `scratch` holds x.size() floats.
+/// |x[i] − c| in float — the value median_inplace returns on the full
+/// array, in expected linear time. Each round splits the current set (at
+/// first the row itself) around the median of nine strided values, packing
+/// the smaller values in place and the larger ones into the other half of
+/// `scratch`, and keeps the side holding the rank; a rank among the values
+/// equal to the pivot ends the search. Sets of kSmallSet values or fewer,
+/// and the set left after two rounds that each kept more than 7/8 of their
+/// input, finish in std::nth_element. The (k−1)-th value of an even length
+/// is the largest one ranked below the k-th: in the final set, or else the
+/// last pivot the search climbed past. `x` must be finite.
 template <bool AbsDiff>
-double bracketed_median(std::span<const float> x, float c,
-                        std::span<float> scratch) {
+double quickselect_median(std::span<const float> x, float c,
+                          std::span<float> scratch) {
   const auto value = [c](float v) { return AbsDiff ? std::abs(v - c) : v; };
   const std::size_t n = x.size();
-  const std::size_t mid = n / 2;
-  const bool pair = n % 2 == 0;
-
-  // Bracket ranks: 3σ of the binomial rank spread, √(m/4), either side of
-  // the sample median.
-  const std::size_t m = std::min(kMaxSample, n / 8);
-  const std::size_t stride = n / m;
-  const auto margin = static_cast<std::size_t>(
-      std::ceil(1.5 * std::sqrt(static_cast<double>(m))));
-  const std::size_t lo_rank = m / 2 > margin ? m / 2 - margin : 0;
-  const std::size_t hi_rank = std::min(m - 1, m / 2 + margin);
-  float* const sample = scratch.data();
-  for (std::size_t j = 0; j < m; ++j) sample[j] = value(x[j * stride]);
-  std::nth_element(sample, sample + lo_rank, sample + m);
-  const float lo = sample[lo_rank];
-  std::nth_element(sample + lo_rank, sample + hi_rank, sample + m);
-  const float hi = sample[hi_rank];
-
-  const simd::CompactCounts counts =
-      AbsDiff ? simd::compact_abs_diff_in_range(x.data(), n, c, lo, hi,
-                                                scratch.data())
-              : simd::compact_in_range(x.data(), n, lo, hi, scratch.data());
-  // Both middle ranks (mid − 1 too when averaging) must sit in the bracket.
-  const std::size_t first_rank = pair ? mid - 1 : mid;
-  if (counts.below <= first_rank && mid < counts.below + counts.packed) {
-    const double median =
-        select_inplace(scratch.data(), scratch.data() + counts.packed,
-                       mid - counts.below, pair);
-    if (median != 0.0) return median;
+  std::size_t k = n / 2;  // rank within the current set
+  std::size_t m = n;      // size of the current set
+  float* set = scratch.data();
+  float* other = set + scratch.size() / 2;
+  bool in_row = true;  // the current set is still the row, read through v
+  float floor = 0.0f;  // largest value ranked below the current set
+  int lopsided = 0;
+  float upper;
+  for (;;) {
+    if (m <= kSmallSet || lopsided == 2) {
+      if (in_row) std::transform(x.begin(), x.end(), set, value);
+      std::nth_element(set, set + k, set + m);
+      upper = set[k];
+      break;
+    }
+    float sample[9];
+    const std::size_t stride = m / 9;
+    for (std::size_t j = 0; j < 9; ++j) {
+      const std::size_t at = j * stride + stride / 2;
+      sample[j] = in_row ? value(x[at]) : set[at];
+    }
+    std::nth_element(sample, sample + 4, sample + 9);
+    const float pivot = sample[4];
+    const simd::SplitCounts counts =
+        !in_row  ? simd::split(set, m, pivot, set, other)
+        : AbsDiff ? simd::split_abs_diff(x.data(), n, c, pivot, set, other)
+                  : simd::split(x.data(), n, pivot, set, other);
+    in_row = false;
+    const std::size_t equal_end = m - counts.above;
+    if (k >= counts.below && k < equal_end) {
+      upper = pivot;
+      // Past the first equal value the (k−1)-th is the pivot too; at it,
+      // the k values packed below are the ones ranked under it.
+      if (k > counts.below) {
+        floor = pivot;
+        k = 0;
+      }
+      break;
+    }
+    const std::size_t kept = k < counts.below ? counts.below : counts.above;
+    if (k >= equal_end) {
+      k -= equal_end;
+      floor = pivot;
+      std::swap(set, other);
+    }
+    if (8 * kept > 7 * m) ++lopsided;
+    m = kept;
   }
-  for (std::size_t i = 0; i < n; ++i) scratch[i] = value(x[i]);
-  return median_inplace(scratch.data(), scratch.data() + n);
+  if (n % 2 != 0) return static_cast<double>(upper);
+  const float lower = k > 0 ? *std::max_element(set, set + k) : floor;
+  return 0.5 * (static_cast<double>(lower) + static_cast<double>(upper));
 }
 
 /// (peak − baseline)/σ with σ = MAD·1.4826, falling back to the plain
@@ -99,8 +120,7 @@ double snr_of(std::span<const float> series, double baseline, double mad,
   return (static_cast<double>(peak) - baseline) / sigma;
 }
 
-/// Plain path for short or non-finite rows: median and MAD by full
-/// selections on a copy.
+/// The two-pass detector: median and MAD by full selections on a copy.
 double plain_snr(std::span<const float> series, std::span<float> scratch) {
   float* const first = scratch.data();
   float* const last = first + series.size();
@@ -147,17 +167,19 @@ std::optional<float> finite_max(std::span<const float> x) {
   return max;
 }
 
-/// series_snr with caller-owned scratch of at least series.size() floats.
-/// Robust baseline and noise estimate (median / MAD): the pulse itself must
-/// not inflate the noise term, or the aligned trial gets penalized for
+/// series_snr with select_scratch(series.size()) or larger. Robust
+/// baseline and noise estimate (median / MAD): the pulse itself must not
+/// inflate the noise term, or the aligned trial gets penalized for
 /// containing exactly the signal it recovered. MAD·1.4826 estimates σ for
 /// Gaussian noise.
 double row_snr(std::span<const float> series, std::span<float> scratch) {
-  if (series.size() < kBracketMinLength) return plain_snr(series, scratch);
   const std::optional<float> max = finite_max(series);
   if (!max) return plain_snr(series, scratch);
-  const double baseline = bracketed_median<false>(series, 0.0f, scratch);
-  const double mad = bracketed_median<true>(
+  const double baseline = quickselect_median<false>(series, 0.0f, scratch);
+  // Which of −0/+0 a zero median is depends on the selection's permutation
+  // (deviations are never −0): take the two-pass detector's.
+  if (baseline == 0.0) return plain_snr(series, scratch);
+  const double mad = quickselect_median<true>(
       series, static_cast<float>(baseline), scratch);
   // A zero maximum can be −0 or +0; max_element's first maximum fixes which.
   const float peak = *max != 0.0f
@@ -169,16 +191,18 @@ double row_snr(std::span<const float> series, std::span<float> scratch) {
 
 double series_snr(std::span<const float> series) {
   DDMC_REQUIRE(!series.empty(), "empty series");
-  std::vector<float> scratch(series.size());
+  std::vector<float> scratch = select_scratch(series.size());
   return row_snr(series, scratch);
 }
 
 DetectionResult detect_best_dm(ConstView2D<float> dedispersed) {
   DDMC_REQUIRE(dedispersed.rows() > 0 && dedispersed.cols() > 0,
                "empty dedispersed matrix");
+  telemetry::TraceSpan span("sky.detect");
+  span.arg("rows", dedispersed.rows()).arg("cols", dedispersed.cols());
   DetectionResult result;
   result.best_snr = -1.0;
-  std::vector<float> scratch(dedispersed.cols());
+  std::vector<float> scratch = select_scratch(dedispersed.cols());
   for (std::size_t trial = 0; trial < dedispersed.rows(); ++trial) {
     const auto row = dedispersed.row(trial);
     const double s = row_snr(row, scratch);

@@ -16,8 +16,10 @@ namespace ddmc::sky {
 
 /// Peak signal-to-noise of one dedispersed time series: (max − median)/σ
 /// with σ = 1.4826·MAD (the plain standard deviation when the MAD is 0),
-/// all estimated from the series itself. The median and MAD are exact and
-/// cost linear time in the series length.
+/// all estimated from the series itself. The median and MAD are exact — the
+/// order statistics a full selection returns — from a vectorized
+/// quickselect: expected linear time in the series length, never worse
+/// than std::nth_element.
 double series_snr(std::span<const float> series);
 
 /// Result of scanning a (DMs × samples) dedispersed matrix.
@@ -27,7 +29,8 @@ struct DetectionResult {
   std::size_t peak_sample = 0; ///< sample index of the peak in that trial
 };
 
-/// Scan every trial and report the strongest candidate.
+/// Scan every trial and report the strongest candidate. Records a
+/// `sky.detect` trace span (args `rows`, `cols`) while tracing is on.
 DetectionResult detect_best_dm(ConstView2D<float> dedispersed);
 
 }  // namespace ddmc::sky

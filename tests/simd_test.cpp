@@ -1,10 +1,11 @@
 // Tests for the portable SIMD layer: backend sanity, per-lane operation
 // semantics, partial (masked) vectors, bitwise equivalence of the vectorized
 // accumulate with the scalar loop across widths, tails and unroll factors,
-// and the left-pack compaction behind the detector's bracketed median.
+// and the three-way split behind the detector's quickselect median.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -12,6 +13,7 @@
 #include <limits>
 #include <memory>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "common/aligned.hpp"
@@ -228,50 +230,6 @@ TEST(Simd, LoadU8ReadsExactlyKFloatLanesBytes) {
   }
 }
 
-TEST(Simd, AccumulateSpanU8MatchesScalarBitwise) {
-  std::mt19937 gen(20260808);
-  std::uniform_int_distribution<int> dist(0, 255);
-  std::uniform_real_distribution<float> fdist(-1.0f, 1.0f);
-  for (std::size_t n : span_lengths()) {
-    for (std::size_t unroll : {1ul, 2ul, 3ul, 4ul, 8ul}) {
-      for (std::size_t offset : {0ul, 1ul}) {
-        std::vector<std::uint8_t> src(n + offset);
-        std::vector<float> acc_simd(n), acc_scalar(n);
-        for (auto& v : src) v = static_cast<std::uint8_t>(dist(gen));
-        for (std::size_t i = 0; i < n; ++i) {
-          acc_simd[i] = acc_scalar[i] = fdist(gen);
-        }
-        accumulate_span_u8(acc_simd.data(), src.data() + offset, n, unroll);
-        for (std::size_t i = 0; i < n; ++i) {
-          acc_scalar[i] += static_cast<float>(src[offset + i]);
-        }
-        for (std::size_t i = 0; i < n; ++i) {
-          EXPECT_EQ(acc_simd[i], acc_scalar[i])
-              << "n=" << n << " unroll=" << unroll << " offset=" << offset
-              << " i=" << i;
-        }
-      }
-    }
-  }
-}
-
-TEST(Simd, AccumulateSpanU8IsAdditiveOverCalls) {
-  // Channel-blocking identity for the u8 path: two blocked passes with
-  // different unroll hints equal one full pass bitwise.
-  const std::size_t n = 70;
-  std::vector<std::uint8_t> a(n), b(n);
-  std::vector<float> acc_once(n, 0.0f), acc_split(n, 0.0f);
-  std::mt19937 gen(9);
-  std::uniform_int_distribution<int> dist(0, 255);
-  for (auto& v : a) v = static_cast<std::uint8_t>(dist(gen));
-  for (auto& v : b) v = static_cast<std::uint8_t>(dist(gen));
-  accumulate_span_u8(acc_once.data(), a.data(), n);
-  accumulate_span_u8(acc_once.data(), b.data(), n);
-  accumulate_span_u8(acc_split.data(), a.data(), n, 4);
-  accumulate_span_u8(acc_split.data(), b.data(), n, 2);
-  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(acc_once[i], acc_split[i]);
-}
-
 TEST(Simd, AccumulateSpanIsAdditiveOverCalls) {
   // Two blocked passes equal one full pass — the channel-blocking identity
   // the tiled engine relies on.
@@ -319,115 +277,143 @@ TEST(Simd, MaxIsLaneWise) {
   }
 }
 
-/// Checks compact_in_range (or, with `c`, compact_abs_diff_in_range) against
-/// a plain branchy loop: counts, and the packed prefix bit for bit in input
-/// order. `out` is exactly n floats, so the sanitizer leg catches any store
-/// past it.
-void expect_compact_matches_loop(const std::vector<float>& x, float lo,
-                                 float hi, const float* c = nullptr) {
-  std::size_t below = 0;
-  std::vector<float> expected;
+/// Floats past each split output's n + kFloatLanes that must stay untouched.
+constexpr std::size_t kGuard = 2 * kFloatLanes;
+constexpr float kSentinel = 12345.0f;
+
+/// Checks split (or, with `c`, split_abs_diff) against a plain branchy
+/// loop: counts, and both packed prefixes bit for bit in input order. Each
+/// output is n + kFloatLanes floats followed by a guard that must keep its
+/// sentinels; with `in_place`, `below` is the input buffer itself.
+void expect_split_matches_loop(const std::vector<float>& x, float pivot,
+                               const float* c = nullptr,
+                               bool in_place = false) {
+  std::vector<float> below_ref, above_ref;
   for (const float raw : x) {
     const float v = c ? std::abs(raw - *c) : raw;
-    if (v < lo) {
-      ++below;
-    } else if (v <= hi) {
-      expected.push_back(v);
-    }
+    if (v < pivot) below_ref.push_back(v);
+    if (v > pivot) above_ref.push_back(v);
   }
-  std::vector<float> out(x.size());
-  const CompactCounts counts =
-      c ? compact_abs_diff_in_range(x.data(), x.size(), *c, lo, hi, out.data())
-        : compact_in_range(x.data(), x.size(), lo, hi, out.data());
-  EXPECT_EQ(counts.below, below) << "n " << x.size();
-  ASSERT_EQ(counts.packed, expected.size()) << "n " << x.size();
-  if (!expected.empty()) {
-    EXPECT_EQ(std::memcmp(out.data(), expected.data(),
-                          expected.size() * sizeof(float)),
-              0)
-        << "n " << x.size();
+  const std::size_t n = x.size();
+  const std::size_t room = n + kFloatLanes;
+  std::vector<float> below(room + kGuard, kSentinel);
+  std::vector<float> above(room + kGuard, kSentinel);
+  const float* in = x.data();
+  if (in_place) {
+    std::copy(x.begin(), x.end(), below.begin());
+    in = below.data();
+  }
+  const SplitCounts counts =
+      c ? split_abs_diff(in, n, *c, pivot, below.data(), above.data())
+        : split(in, n, pivot, below.data(), above.data());
+  const std::string what = "n " + std::to_string(n) + ", pivot " +
+                           std::to_string(pivot) +
+                           (in_place ? ", in place" : "");
+  ASSERT_EQ(counts.below, below_ref.size()) << what;
+  ASSERT_EQ(counts.above, above_ref.size()) << what;
+  EXPECT_EQ(std::memcmp(below.data(), below_ref.data(),
+                        below_ref.size() * sizeof(float)),
+            0)
+      << what;
+  EXPECT_EQ(std::memcmp(above.data(), above_ref.data(),
+                        above_ref.size() * sizeof(float)),
+            0)
+      << what;
+  for (std::size_t i = room; i < room + kGuard; ++i) {
+    EXPECT_EQ(below[i], kSentinel) << what << ": below slot " << i;
+    EXPECT_EQ(above[i], kSentinel) << what << ": above slot " << i;
   }
 }
 
-TEST(Simd, CompactInRangeCoversEveryTail) {
+/// Every variant of one case: split and split_abs_diff, out of place and
+/// in place.
+void expect_split_cases(const std::vector<float>& x, float pivot, float c) {
+  expect_split_matches_loop(x, pivot);
+  expect_split_matches_loop(x, pivot, nullptr, true);
+  expect_split_matches_loop(x, pivot, &c);
+  expect_split_matches_loop(x, pivot, &c, true);
+}
+
+TEST(Simd, SplitCoversEveryLengthAndTail) {
   std::mt19937 gen(3);
   std::uniform_real_distribution<float> dist(-1.0f, 1.0f);
-  const float c = 0.25f;
-  for (std::size_t n = 0; n <= 4 * 8 + 3; ++n) {
+  for (std::size_t n = 0; n <= 3 * kFloatLanes + 1; ++n) {
     std::vector<float> x(n);
     for (auto& v : x) v = dist(gen);
-    expect_compact_matches_loop(x, -0.3f, 0.4f);
-    expect_compact_matches_loop(x, 0.1f, 0.6f, &c);
+    expect_split_cases(x, 0.1f, 0.25f);
+    expect_split_cases(x, -2.0f, 0.25f);  // nothing below
+    expect_split_cases(x, 2.0f, 0.25f);   // nothing above
   }
 }
 
-TEST(Simd, CompactInRangeEmptyAndFullResults) {
-  std::vector<float> x(37);
-  for (std::size_t i = 0; i < x.size(); ++i) x[i] = static_cast<float>(i);
-  expect_compact_matches_loop(x, 100.0f, 200.0f);  // nothing packed, all below
-  expect_compact_matches_loop(x, -5.0f, -1.0f);    // nothing packed or below
-  expect_compact_matches_loop(x, 0.0f, 36.0f);     // everything packed
-  const float c = 18.0f;
-  expect_compact_matches_loop(x, 0.0f, 18.0f, &c);  // every deviation packed
+TEST(Simd, SplitAroundEveryElementAsPivot) {
+  // The detector's pivots are elements of the set they split: the equal
+  // count is then at least one, whichever element it is.
+  std::mt19937 gen(5);
+  std::normal_distribution<float> dist(0.0f, 1.0f);
+  std::vector<float> x(2 * kFloatLanes + 3);
+  for (auto& v : x) v = dist(gen);
+  for (const float pivot : x) {
+    expect_split_cases(x, pivot, x[1]);
+  }
+  // And every deviation as the pivot of the |x − c| split.
+  for (const float v : x) expect_split_matches_loop(x, std::abs(v - x[1]), &x[1]);
 }
 
-TEST(Simd, CompactInRangeIncludesBothEnds) {
-  const std::vector<float> x = {1.0f, 2.0f, 3.0f, 2.0f, 1.0f, 3.0f,
-                                4.0f, 0.5f, 2.0f, 3.0f, 1.0f};
-  std::vector<float> out(x.size());
-  const CompactCounts counts =
-      compact_in_range(x.data(), x.size(), 1.0f, 3.0f, out.data());
-  EXPECT_EQ(counts.below, 1u);   // 0.5
-  EXPECT_EQ(counts.packed, 9u);  // every 1, 2 and 3; not 4 or 0.5
-  expect_compact_matches_loop(x, 2.0f, 2.0f);
-}
-
-TEST(Simd, CompactInRangeTreatsSignedZerosAsEqual) {
+TEST(Simd, SplitTreatsSignedZerosAsEqual) {
   std::vector<float> x;
-  for (int i = 0; i < 19; ++i) {
-    x.push_back(i % 3 == 0 ? -0.0f : i % 3 == 1 ? 0.0f : -1.0f);
+  for (int i = 0; i < 3 * static_cast<int>(kFloatLanes) + 5; ++i) {
+    x.push_back(i % 4 == 0 ? -0.0f : i % 4 == 1 ? 0.0f : i % 4 == 2 ? -1.0f
+                                                                    : 1.0f);
   }
-  expect_compact_matches_loop(x, 0.0f, 0.0f);
-  expect_compact_matches_loop(x, -0.0f, 0.0f);
-  expect_compact_matches_loop(x, 0.0f, 1.0f);  // −0 is not below +0
-  // Packed zeros keep their sign bits.
-  std::vector<float> out(x.size());
-  const CompactCounts counts =
-      compact_in_range(x.data(), x.size(), -0.0f, -0.0f, out.data());
-  ASSERT_EQ(counts.packed, 13u);
-  EXPECT_TRUE(std::signbit(out[0]));
-  EXPECT_FALSE(std::signbit(out[1]));
-  // |x − c| is +0 whether x is −0 or +0.
-  const float c = 0.0f;
-  const CompactCounts dev =
-      compact_abs_diff_in_range(x.data(), x.size(), c, 0.0f, 0.0f, out.data());
-  ASSERT_EQ(dev.packed, 13u);
-  for (std::size_t i = 0; i < dev.packed; ++i) EXPECT_FALSE(std::signbit(out[i]));
+  for (const float pivot : {0.0f, -0.0f}) {
+    expect_split_cases(x, pivot, 0.0f);
+    expect_split_cases(x, pivot, -0.0f);
+    std::vector<float> below(x.size() + kFloatLanes);
+    std::vector<float> above(x.size() + kFloatLanes);
+    const SplitCounts counts =
+        split(x.data(), x.size(), pivot, below.data(), above.data());
+    // Neither −0 nor +0 is below or above a zero pivot.
+    EXPECT_EQ(x.size() - counts.below - counts.above,
+              static_cast<std::size_t>(std::count(x.begin(), x.end(), 0.0f)));
+    for (std::size_t i = 0; i < counts.below; ++i) EXPECT_EQ(below[i], -1.0f);
+    for (std::size_t i = 0; i < counts.above; ++i) EXPECT_EQ(above[i], 1.0f);
+  }
+  // |x − c| is +0 whether x is −0 or +0; a −0 pivot keeps it equal.
+  std::vector<float> zeros = {-0.0f, 0.0f, -0.0f, 0.0f, 2.0f};
+  std::vector<float> above(zeros.size() + kFloatLanes);
+  std::vector<float> below(zeros.size() + kFloatLanes);
+  const SplitCounts dev = split_abs_diff(zeros.data(), zeros.size(), 0.0f,
+                                         -0.0f, below.data(), above.data());
+  EXPECT_EQ(dev.below, 0u);
+  ASSERT_EQ(dev.above, 1u);
+  EXPECT_EQ(above[0], 2.0f);
 }
 
-TEST(Simd, CompactAbsDiffMatchesFloatDeviation) {
+TEST(Simd, SplitHeavyDuplicates) {
+  // Dequantized-u8-like sets: a few distinct values, long equal runs.
+  std::mt19937 gen(7);
+  std::uniform_int_distribution<int> code(0, 3);
+  for (const std::size_t n : {kFloatLanes, 5 * kFloatLanes + 7, std::size_t{301}}) {
+    std::vector<float> x(n);
+    for (auto& v : x) v = 0.5f * static_cast<float>(code(gen));
+    for (const float pivot : {0.0f, 0.5f, 1.0f, 1.5f}) {
+      expect_split_cases(x, pivot, 0.75f);
+    }
+    std::vector<float> constant(n, 0.5f);
+    expect_split_cases(constant, 0.5f, 0.5f);  // everything equal
+  }
+}
+
+TEST(Simd, SplitAbsDiffMatchesFloatDeviation) {
   std::mt19937 gen(9);
   std::normal_distribution<float> dist(3.0f, 2.0f);
   std::vector<float> x(203);
   for (auto& v : x) v = dist(gen);
   x[5] = 3.125f;  // exactly c: deviation +0
-  const float c = 3.125f;
-  expect_compact_matches_loop(x, 0.0f, 1.0f, &c);
-  expect_compact_matches_loop(x, 0.5f, 2.5f, &c);
-  expect_compact_matches_loop(x, 10.0f, 20.0f, &c);  // every deviation below
-}
-
-TEST(Simd, CompactInRangeSkipsNaN) {
-  const float nan = std::numeric_limits<float>::quiet_NaN();
-  std::vector<float> x(21, 1.0f);
-  x[0] = nan;
-  x[9] = nan;
-  x[20] = nan;
-  std::vector<float> out(x.size());
-  const CompactCounts counts =
-      compact_in_range(x.data(), x.size(), 0.0f, 2.0f, out.data());
-  EXPECT_EQ(counts.below, 0u);
-  EXPECT_EQ(counts.packed, 18u);
+  for (const float pivot : {0.0f, 1.0f, 2.5f, 20.0f}) {
+    expect_split_matches_loop(x, pivot, &x[5]);
+  }
 }
 
 }  // namespace

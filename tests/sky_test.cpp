@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -368,7 +369,7 @@ TEST(Detection, FindsRowWithStrongestPeak) {
 }
 
 TEST(Detection, EqualMaximaReportTheFirstIndex) {
-  // Short rows take the plain path, long rows the bracketed one; both must
+  // Short rows finish in one nth_element, long rows split first; both must
   // keep std::max_element's tie-break.
   for (const std::size_t n : {64u, 400u}) {
     Array2D<float> m(3, n);
@@ -399,7 +400,7 @@ TEST(Detection, EqualSnrKeepsTheLowerTrial) {
 
 // ------------------------------------------------- detection vs the oracle --
 //
-// The detector before the bracketed selection: two full nth_element passes
+// The detector before the linear-time selection: two full nth_element passes
 // over a copy of the row, then std::max_element. series_snr and
 // detect_best_dm must reproduce it bit for bit on every input.
 
@@ -480,18 +481,21 @@ enum class RowKind {
   kReverseSorted,
   kBimodal,
   kPulse,
+  kPivotAdversarial,  // the first round's nine pivot samples are the maxima
 };
 
 constexpr RowKind kAllRowKinds[] = {
     RowKind::kGaussian,    RowKind::kDequantizedU8, RowKind::kConstant,
     RowKind::kMajorityTie, RowKind::kSignedZeros,   RowKind::kSorted,
-    RowKind::kReverseSorted, RowKind::kBimodal,     RowKind::kPulse};
+    RowKind::kReverseSorted, RowKind::kBimodal,     RowKind::kPulse,
+    RowKind::kPivotAdversarial};
 
-// Around the bracketed path's 256-sample threshold, plus survey-sized rows
-// (Apertif 0.02 s and 0.1 s chunks, LOFAR 0.1 s), each odd and even.
-constexpr std::size_t kOracleLengths[] = {1,   2,    3,    255,  256,
-                                          257, 400,  401,  1000, 1001,
-                                          2000, 2001, 20000, 20001};
+// Around the quickselect's 64-value small-set cutoff and the former
+// bracketed path's 256-sample threshold, plus survey-sized rows (Apertif
+// 0.02 s and 0.1 s chunks, LOFAR 0.1 s), each odd and even.
+constexpr std::size_t kOracleLengths[] = {1,    2,    3,     63,   64,  65,
+                                          255,  256,  257,   400,  401, 1000,
+                                          1001, 2000, 2001, 20000, 20001};
 
 std::vector<float> make_row(RowKind kind, std::size_t n, Rng& rng) {
   std::vector<float> row(n);
@@ -539,6 +543,26 @@ std::vector<float> make_row(RowKind kind, std::size_t n, Rng& rng) {
       for (auto& v : row) v = gaussian();
       row[rng.next_below(n)] += 20.0f;
       break;
+    case RowKind::kPivotAdversarial: {
+      // A selection round pivots on the median of set[j·s + s/2],
+      // s = size/9, j = 0…8, and the first round's set is the row. Giving
+      // those nine the set's largest values (far above the rest, so also
+      // its largest deviations) makes the round keep all but a few values;
+      // two such rounds send the rest to the nth_element finish.
+      for (auto& v : row) v = gaussian();
+      std::vector<std::size_t> set(n);
+      std::iota(set.begin(), set.end(), std::size_t{0});
+      for (const float base : {200.0f, 100.0f}) {
+        if (set.size() <= 64) break;
+        const std::size_t s = set.size() / 9;
+        for (std::size_t j = 0; j < 9; ++j) {
+          row[set[j * s + s / 2]] = base + static_cast<float>(j);
+        }
+        // The round keeps the values below its pivot, in input order.
+        std::erase_if(set, [&](std::size_t i) { return row[i] >= base + 4.0f; });
+      }
+      break;
+    }
   }
   return row;
 }
@@ -571,10 +595,10 @@ TEST(DetectionOracle, EveryRowKindAndLengthMatchesBitwise) {
 }
 
 TEST(DetectionOracle, StrideAlignedSampleMissesTheBracket) {
-  // Long rows place their bracket from every (n / 1024)-th sample — every
-  // 19th here. Making exactly those samples the largest values puts the
-  // sampled bracket above the median (and, for the MAD, above the median
-  // deviation), so both selections take the full-copy fallback.
+  // A periodic structure: every 19th sample is among the largest values.
+  // It defeated the strided sample of the former bracketed selection (one
+  // sample every n / 1024 = 19 values), putting its bracket above the
+  // median and the median deviation; the quickselect must stay exact too.
   const std::size_t n = 20000;
   std::vector<float> row(n);
   Rng rng(11);
@@ -610,7 +634,7 @@ TEST(DetectionOracle, NonFiniteRowsTakeThePlainPath) {
 
 TEST(DetectionOracleSlowTier, RandomizedSweepMatchesBitwise) {
   for (std::uint64_t seed = 2; seed < 12; ++seed) check_oracle_sweep(seed, 4);
-  // Random lengths across the bracketed range.
+  // Random lengths from 256 up to survey-sized rows.
   Rng lengths(99);
   for (std::uint64_t seed = 0; seed < 200; ++seed) {
     const auto n = static_cast<std::size_t>(256 + lengths.next_below(30000));

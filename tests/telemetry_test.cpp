@@ -17,6 +17,7 @@
 #include "common/json.hpp"
 #include "dedisp/plan.hpp"
 #include "engine/registry.hpp"
+#include "sky/detection.hpp"
 #include "sky/observation.hpp"
 #include "stream/latency.hpp"
 #include "telemetry/export.hpp"
@@ -280,6 +281,29 @@ TEST_F(TelemetryTracerTest, FdmtExecuteEmitsItsStageSpansInsideTheEngineSpan) {
     }
     EXPECT_EQ(found, 1);
   }
+}
+
+TEST_F(TelemetryTracerTest, DetectBestDmRecordsOneSpanWithItsShape) {
+  // Detection's share of a stage comes from the library's own span, with
+  // the matrix shape it scanned.
+  ddmc::Array2D<float> m(3, 100);
+  for (std::size_t r = 0; r < m.rows(); ++r) {
+    for (std::size_t c = 0; c < m.cols(); ++c) {
+      m(r, c) = static_cast<float>((r * 37 + c * 11) % 23);
+    }
+  }
+  ddmc::sky::detect_best_dm(m.cview());  // disabled: records nothing
+  EXPECT_TRUE(Tracer::instance().events().empty());
+  Tracer::instance().set_enabled(true);
+  ddmc::sky::detect_best_dm(m.cview());
+  Tracer::instance().set_enabled(false);
+  const auto events = Tracer::instance().events();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_STREQ(events[0].name, "sky.detect");
+  EXPECT_EQ(events[0].kind, TraceEvent::Kind::kComplete);
+  const auto args = ddmc::json::parse("{" + std::string(events[0].args) + "}");
+  EXPECT_DOUBLE_EQ(args.at("rows").as_number(), 3.0);
+  EXPECT_DOUBLE_EQ(args.at("cols").as_number(), 100.0);
 }
 
 // --------------------------------------------------------------- exporters --

@@ -1328,24 +1328,36 @@ TEST(TuningCacheTest, APrunedEntryIsSearchedWhenTheRaceNoLongerBeatsItsBound) {
 }
 
 /// A race entrant that reliably loses on the miniature plan: the reference
-/// engine behind a 1 ms sleep per call, under its own registry id.
+/// engine behind a sleep per call, under its own registry id. Two are
+/// registered: kId sleeps 1 ms per call, kMildId 200 µs — still far above
+/// what a preempted call of a fast engine costs.
 class SlowReferenceEngine final : public engine::DedispEngine {
  public:
   static constexpr const char* kId = "test_slow_reference";
+  static constexpr const char* kMildId = "test_mild_reference";
 
-  /// Register the engine (once per process).
+  /// Register both engines (once per process).
   static void install() {
     static std::once_flag registered;
     std::call_once(registered, [] {
-      engine::EngineRegistry::instance().add(
-          kId, [](const engine::EngineOptions& options) {
-            return std::make_shared<const SlowReferenceEngine>(options);
-          });
+      for (const auto& [id, delay] :
+           {std::pair{kId, std::chrono::microseconds(1000)},
+            std::pair{kMildId, std::chrono::microseconds(200)}}) {
+        engine::EngineRegistry::instance().add(
+            id, [id = std::string(id), delay = delay](
+                    const engine::EngineOptions& options) {
+              return std::make_shared<const SlowReferenceEngine>(options, id,
+                                                                 delay);
+            });
+      }
     });
   }
 
-  explicit SlowReferenceEngine(const engine::EngineOptions& options)
-      : inner_(engine::make_engine("reference", options)) {}
+  SlowReferenceEngine(const engine::EngineOptions& options, std::string id,
+                      std::chrono::microseconds delay)
+      : id_(std::move(id)),
+        delay_(delay),
+        inner_(engine::make_engine("reference", options)) {}
 
   const std::string& id() const override { return id_; }
   const engine::EngineCapabilities& capabilities() const override {
@@ -1361,20 +1373,22 @@ class SlowReferenceEngine final : public engine::DedispEngine {
                                  const engine::EngineConfig& config,
                                  ConstView2D<float> in,
                                  View2D<float> out) const override {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    std::this_thread::sleep_for(delay_);
     return inner_->execute(plan, config, in, out);
   }
 
  private:
-  std::string id_ = kId;
+  std::string id_;
+  std::chrono::microseconds delay_;
   std::shared_ptr<const engine::DedispEngine> inner_;
 };
 
 TEST(TuningCacheTest, ColdRaceUnderCoordinateDescentPrunesItsLosers) {
   // A real race on the miniature plan: cpu_baseline runs a call in about
-  // 4 µs, fdmt in 27–35 µs over its whole space, the slow reference in
-  // over 1 ms. The seeds put cpu_baseline first, and the two losers,
-  // searched against its time, cannot complete a single config under it.
+  // 4 µs, the two slow references in over 200 µs and over 1 ms. The seeds
+  // put cpu_baseline first — a preempted seed call would have to lose
+  // 200 µs to invert that — and the two losers, searched against its time,
+  // cannot complete a single config under it.
   SlowReferenceEngine::install();
   const std::string path =
       ::testing::TempDir() + "ddmc_pruned_race_cache_test.csv";
@@ -1382,7 +1396,8 @@ TEST(TuningCacheTest, ColdRaceUnderCoordinateDescentPrunesItsLosers) {
   const Plan plan = mini_plan(8, 64);
   GuidedTuningOptions opt;
   opt.host.threads = 1;
-  opt.engines = {"fdmt", SlowReferenceEngine::kId, "cpu_baseline"};
+  opt.engines = {SlowReferenceEngine::kMildId, SlowReferenceEngine::kId,
+                 "cpu_baseline"};
   GuidedTuningOutcome cold;
   {
     TuningCache cache(path);
@@ -1424,14 +1439,14 @@ TEST(TuningCacheTest, ColdRaceUnderCoordinateDescentPrunesItsLosers) {
 
     // Alone, a pruned engine has nothing to lose to: it searches again.
     GuidedTuningOptions alone = opt;
-    alone.engines = {"fdmt"};
-    const GuidedTuningOutcome fdmt = tune_guided(plan, cache, alone);
-    EXPECT_EQ(fdmt.engine_id, "fdmt");
-    EXPECT_EQ(fdmt.source, GuidedTuningOutcome::Source::kSearch);
-    EXPECT_GT(fdmt.configs_evaluated, 0u);
-    EXPECT_GT(fdmt.seconds, 0.0);
-    ASSERT_EQ(fdmt.race.size(), 1u);
-    EXPECT_FALSE(fdmt.race[0].pruned);
+    alone.engines = {SlowReferenceEngine::kMildId};
+    const GuidedTuningOutcome mild = tune_guided(plan, cache, alone);
+    EXPECT_EQ(mild.engine_id, SlowReferenceEngine::kMildId);
+    EXPECT_EQ(mild.source, GuidedTuningOutcome::Source::kSearch);
+    EXPECT_GT(mild.configs_evaluated, 0u);
+    EXPECT_GT(mild.seconds, 0.0);
+    ASSERT_EQ(mild.race.size(), 1u);
+    EXPECT_FALSE(mild.race[0].pruned);
   }
   std::remove(path.c_str());
 }
