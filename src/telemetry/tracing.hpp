@@ -28,6 +28,7 @@
 ///   shard.plan       shard planning             (args: shards)
 ///   shard.task       one shard attempt          (args: shard, attempt)
 ///   shard.reacquire.task  reacquired sub-shard work  (args: shard)
+///   sky.detect       one detect_best_dm scan    (args: rows, cols)
 ///   stream.chunk     chunk compute              (args: chunk)
 ///   stream.sink      sink delivery              (args: chunk)
 ///   tuner.tune       one race entrant's tuning (args: engine, source,

@@ -230,6 +230,50 @@ TEST(Simd, LoadU8ReadsExactlyKFloatLanesBytes) {
   }
 }
 
+TEST(Simd, AccumulateSpanU8MatchesScalarBitwise) {
+  std::mt19937 gen(20260808);
+  std::uniform_int_distribution<int> dist(0, 255);
+  std::uniform_real_distribution<float> fdist(-1.0f, 1.0f);
+  for (std::size_t n : span_lengths()) {
+    for (std::size_t unroll : {1ul, 2ul, 3ul, 4ul, 8ul}) {
+      for (std::size_t offset : {0ul, 1ul}) {
+        std::vector<std::uint8_t> src(n + offset);
+        std::vector<float> acc_simd(n), acc_scalar(n);
+        for (auto& v : src) v = static_cast<std::uint8_t>(dist(gen));
+        for (std::size_t i = 0; i < n; ++i) {
+          acc_simd[i] = acc_scalar[i] = fdist(gen);
+        }
+        accumulate_span_u8(acc_simd.data(), src.data() + offset, n, unroll);
+        for (std::size_t i = 0; i < n; ++i) {
+          acc_scalar[i] += static_cast<float>(src[offset + i]);
+        }
+        for (std::size_t i = 0; i < n; ++i) {
+          EXPECT_EQ(acc_simd[i], acc_scalar[i])
+              << "n=" << n << " unroll=" << unroll << " offset=" << offset
+              << " i=" << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(Simd, AccumulateSpanU8IsAdditiveOverCalls) {
+  // Channel-blocking identity for the u8 path: two blocked passes with
+  // different unroll hints equal one full pass bitwise.
+  const std::size_t n = 70;
+  std::vector<std::uint8_t> a(n), b(n);
+  std::vector<float> acc_once(n, 0.0f), acc_split(n, 0.0f);
+  std::mt19937 gen(9);
+  std::uniform_int_distribution<int> dist(0, 255);
+  for (auto& v : a) v = static_cast<std::uint8_t>(dist(gen));
+  for (auto& v : b) v = static_cast<std::uint8_t>(dist(gen));
+  accumulate_span_u8(acc_once.data(), a.data(), n);
+  accumulate_span_u8(acc_once.data(), b.data(), n);
+  accumulate_span_u8(acc_split.data(), a.data(), n, 4);
+  accumulate_span_u8(acc_split.data(), b.data(), n, 2);
+  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(acc_once[i], acc_split[i]);
+}
+
 TEST(Simd, AccumulateSpanIsAdditiveOverCalls) {
   // Two blocked passes equal one full pass — the channel-blocking identity
   // the tiled engine relies on.
