@@ -29,7 +29,6 @@
 #include "common/timer.hpp"
 #include "dedisp/cpu_baseline.hpp"
 #include "dedisp/cpu_kernel.hpp"
-#include "dedisp/cpu_kernel_u8.hpp"
 #include "dedisp/quantize.hpp"
 #include "dedisp/reference.hpp"
 #include "sky/observation.hpp"

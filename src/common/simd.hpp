@@ -20,19 +20,19 @@
 /// (`a[t] += s[t]`), so vectorizing over the time dimension reorders no
 /// floating-point additions: each output element still sums its channels
 /// in channel order, and SIMD output is bitwise identical to the scalar
-/// reference. `accumulate_span` below is that inner loop, shared by the
-/// tiled kernel and the subband engine; fma is provided for downstream
-/// consumers (detection, intensity weighting) and is NOT used on the
-/// bitwise-equality-critical accumulate path.
+/// reference. `accumulate_span` below is that inner loop as the subband
+/// engine runs it (the tiled kernel register-blocks the same adds); fma is
+/// provided for downstream consumers (detection, intensity weighting) and
+/// is NOT used on the bitwise-equality-critical accumulate path.
 ///
-/// A widening u8 layer (`vload_u8`, `accumulate_span_u8`) serves the
-/// quantized-input engine: samples stay one byte each in memory — a quarter
-/// of the float input traffic, which is the whole game for a
-/// bandwidth-bound kernel — and are unpacked to float lanes only inside
-/// the register tile. The widening is one instruction on AVX-512 and AVX2
-/// (`vpmovzxbd` + convert); plain AVX, which has no 256-bit integer ops,
-/// needs a seven-instruction 128-bit shuffle sequence, and that sequence —
-/// not the memory traffic — set the u8 kernel's speed on AVX builds.
+/// A widening u8 load (`vload_u8`) serves the tiled kernel on quantized
+/// input: samples stay one byte each in memory — a quarter of the float
+/// input traffic, which is the whole game for a bandwidth-bound kernel —
+/// and are unpacked to float lanes only inside the register tile. The
+/// widening is one instruction on AVX-512 and AVX2 (`vpmovzxbd` +
+/// convert); plain AVX, which has no 256-bit integer ops, needs a
+/// seven-instruction 128-bit shuffle sequence, and that sequence — not the
+/// memory traffic — set the u8 kernel's speed on AVX builds.
 ///
 /// Partial vectors (`vload_partial`, `vstore_partial`, `vload_u8_partial`)
 /// touch only the first n < kFloatLanes elements and zero the rest of the
@@ -393,58 +393,6 @@ inline void accumulate_span(float* a, const float* s, std::size_t n,
       break;
     default:
       accumulate_span_unrolled<1>(a, s, n);
-      break;
-  }
-}
-
-/// a[t] += widen(s[t]) for quantized 8-bit samples: the sample plane stays
-/// one byte per element in memory and is widened to float lanes only inside
-/// the register file. Accumulating raw u8 codes in float lanes is *exact*
-/// as long as the running sum stays below 2^24 (255 · channels ≤ 2^24 for
-/// any survey-sized channel count), so — like the float span — every
-/// instantiation produces bitwise-identical results.
-template <std::size_t Unroll>
-inline void accumulate_span_u8_unrolled(float* a, const std::uint8_t* s,
-                                        std::size_t n) {
-  constexpr std::size_t step = Unroll * kFloatLanes;
-  std::size_t t = 0;
-  for (; t + step <= n; t += step) {
-    for (std::size_t u = 0; u < Unroll; ++u) {
-      const std::size_t off = t + u * kFloatLanes;
-      vstore(a + off, vadd(vload(a + off), vload_u8(s + off)));
-    }
-  }
-  for (; t + kFloatLanes <= n; t += kFloatLanes) {
-    vstore(a + t, vadd(vload(a + t), vload_u8(s + t)));
-  }
-  if constexpr (kMaskedTail) {
-    if (t < n) {
-      const std::size_t r = n - t;
-      vstore_partial(
-          a + t, vadd(vload_partial(a + t, r), vload_u8_partial(s + t, r)),
-          r);
-    }
-  } else {
-    for (; t < n; ++t) a[t] += static_cast<float>(s[t]);
-  }
-}
-
-/// Runtime-unroll dispatch of the u8 widening accumulate, mirror of
-/// accumulate_span above.
-inline void accumulate_span_u8(float* a, const std::uint8_t* s, std::size_t n,
-                               std::size_t unroll = 1) {
-  switch (unroll) {
-    case 8:
-      accumulate_span_u8_unrolled<8>(a, s, n);
-      break;
-    case 4:
-      accumulate_span_u8_unrolled<4>(a, s, n);
-      break;
-    case 2:
-      accumulate_span_u8_unrolled<2>(a, s, n);
-      break;
-    default:
-      accumulate_span_u8_unrolled<1>(a, s, n);
       break;
   }
 }

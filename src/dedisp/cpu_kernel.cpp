@@ -1,6 +1,7 @@
 #include "dedisp/cpu_kernel.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -14,7 +15,20 @@ namespace ddmc::dedisp {
 
 namespace {
 
+/// The only element-type-dependent instructions of the kernel: a full and a
+/// partial vector load of input samples into float lanes. Bytes widen here,
+/// inside the register tile, and nowhere else.
+inline simd::vfloat load(const float* p) { return simd::vload(p); }
+inline simd::vfloat load(const std::uint8_t* p) { return simd::vload_u8(p); }
+inline simd::vfloat load_partial(const float* p, std::size_t n) {
+  return simd::vload_partial(p, n);
+}
+inline simd::vfloat load_partial(const std::uint8_t* p, std::size_t n) {
+  return simd::vload_u8_partial(p, n);
+}
+
 /// Per-worker scratch, reused across tiles so the hot loop never allocates.
+template <typename T>
 struct TileScratch {
   /// Tile accumulators, tile_dm rows of acc_pitch floats each — the union
   /// of every work-item's register file in this group. Rows are padded to
@@ -22,11 +36,11 @@ struct TileScratch {
   std::vector<float, AlignedAllocator<float>> acc;
   std::size_t acc_pitch = 0;
   /// Staged input rows of the current (tile, channel-block), one pitched
-  /// row per channel — the engine's "local memory".
-  std::vector<float, AlignedAllocator<float>> staging;
+  /// row of input elements per channel — the engine's "local memory".
+  std::vector<T, AlignedAllocator<T>> staging;
   /// Per-channel base pointer of the current block (staged row or a
   /// pointer straight into the input matrix).
-  std::vector<const float*> src;
+  std::vector<const T*> src;
   /// Delay/shift table of the current DM tile, all channels:
   /// shifts[ch * tile_dm + dm] = Δ(dm0+dm, ch) − lo[ch].
   std::vector<std::size_t> shifts;
@@ -46,9 +60,10 @@ struct TileScratch {
 /// and largest delay are scanned exactly (no monotonicity-in-DM
 /// assumption), so a pathological delay table sizes the staging buffer
 /// correctly instead of reading past it.
+template <typename T>
 void build_shift_table(const sky::DelayTable& delays, std::size_t dm0,
                        std::size_t tile_dm, std::size_t tile_time,
-                       std::size_t channels, TileScratch& s) {
+                       std::size_t channels, TileScratch<T>& s) {
   if (s.shifts_valid && s.shifts_dm0 == dm0) return;
   s.shifts.resize(channels * tile_dm);
   s.lo.resize(channels);
@@ -79,8 +94,8 @@ void build_shift_table(const sky::DelayTable& delays, std::size_t dm0,
 /// vector op. Per output element the channels are still added in ascending
 /// order, so results are bitwise identical to the scalar engine for every
 /// (DR, U) instantiation.
-template <std::size_t DR, std::size_t U>
-void accumulate_block_simd(const TileScratch& s, std::size_t cb0,
+template <typename T, std::size_t DR, std::size_t U>
+void accumulate_block_simd(const TileScratch<T>& s, std::size_t cb0,
                            std::size_t nch, std::size_t tile_dm,
                            std::size_t tile_time, float* acc,
                            std::size_t acc_pitch) {
@@ -98,11 +113,11 @@ void accumulate_block_simd(const TileScratch& s, std::size_t cb0,
       }
       for (std::size_t c = 0; c < nch; ++c) {
         const std::size_t* shift = &s.shifts[(cb0 + c) * tile_dm + dm0];
-        const float* base = s.src[c] + t;
+        const T* base = s.src[c] + t;
         for (std::size_t d = 0; d < DR; ++d) {
-          const float* p = base + shift[d];
+          const T* p = base + shift[d];
           for (std::size_t u = 0; u < U; ++u) {
-            regs[d][u] = simd::vadd(regs[d][u], simd::vload(p + u * kW));
+            regs[d][u] = simd::vadd(regs[d][u], load(p + u * kW));
           }
         }
       }
@@ -122,9 +137,9 @@ void accumulate_block_simd(const TileScratch& s, std::size_t cb0,
       }
       for (std::size_t c = 0; c < nch; ++c) {
         const std::size_t* shift = &s.shifts[(cb0 + c) * tile_dm + dm0];
-        const float* base = s.src[c] + t;
+        const T* base = s.src[c] + t;
         for (std::size_t d = 0; d < DR; ++d) {
-          regs[d] = simd::vadd(regs[d], simd::vload(base + shift[d]));
+          regs[d] = simd::vadd(regs[d], load(base + shift[d]));
         }
       }
       for (std::size_t d = 0; d < DR; ++d) {
@@ -140,10 +155,9 @@ void accumulate_block_simd(const TileScratch& s, std::size_t cb0,
         }
         for (std::size_t c = 0; c < nch; ++c) {
           const std::size_t* shift = &s.shifts[(cb0 + c) * tile_dm + dm0];
-          const float* base = s.src[c] + t;
+          const T* base = s.src[c] + t;
           for (std::size_t d = 0; d < DR; ++d) {
-            regs[d] =
-                simd::vadd(regs[d], simd::vload_partial(base + shift[d], n));
+            regs[d] = simd::vadd(regs[d], load_partial(base + shift[d], n));
           }
         }
         for (std::size_t d = 0; d < DR; ++d) {
@@ -158,8 +172,10 @@ void accumulate_block_simd(const TileScratch& s, std::size_t cb0,
         }
         for (std::size_t c = 0; c < nch; ++c) {
           const std::size_t* shift = &s.shifts[(cb0 + c) * tile_dm + dm0];
-          const float* base = s.src[c] + t;
-          for (std::size_t d = 0; d < DR; ++d) regs[d] += base[shift[d]];
+          const T* base = s.src[c] + t;
+          for (std::size_t d = 0; d < DR; ++d) {
+            regs[d] += static_cast<float>(base[shift[d]]);
+          }
         }
         for (std::size_t d = 0; d < DR; ++d) {
           acc[(dm0 + d) * acc_pitch + t] = regs[d];
@@ -169,79 +185,69 @@ void accumulate_block_simd(const TileScratch& s, std::size_t cb0,
   }
 }
 
-/// Map the config's register-tile knobs onto compiled instantiations: DR is
-/// elem_dm when the ladder covers it (it always divides tile_dm), U is the
-/// unroll knob. Unsupported values fall back to the narrowest kernel.
-template <std::size_t U>
-void dispatch_dr(std::size_t dr, const TileScratch& s, std::size_t cb0,
+/// Map the config's register-tile knobs onto compiled instantiations (see
+/// compiled_register_extent): DR from elem_dm, U from the unroll knob.
+template <typename T, std::size_t U>
+void dispatch_dr(std::size_t dr, const TileScratch<T>& s, std::size_t cb0,
                  std::size_t nch, std::size_t tile_dm,
                  std::size_t tile_time, float* acc, std::size_t acc_pitch) {
-  switch (dr) {
+  switch (compiled_register_extent(dr)) {
     case 8:
-      accumulate_block_simd<8, U>(s, cb0, nch, tile_dm, tile_time, acc,
-                                  acc_pitch);
+      accumulate_block_simd<T, 8, U>(s, cb0, nch, tile_dm, tile_time, acc,
+                                     acc_pitch);
       break;
     case 4:
-      accumulate_block_simd<4, U>(s, cb0, nch, tile_dm, tile_time, acc,
-                                  acc_pitch);
+      accumulate_block_simd<T, 4, U>(s, cb0, nch, tile_dm, tile_time, acc,
+                                     acc_pitch);
       break;
     case 2:
-      accumulate_block_simd<2, U>(s, cb0, nch, tile_dm, tile_time, acc,
-                                  acc_pitch);
+      accumulate_block_simd<T, 2, U>(s, cb0, nch, tile_dm, tile_time, acc,
+                                     acc_pitch);
       break;
     default:
-      accumulate_block_simd<1, U>(s, cb0, nch, tile_dm, tile_time, acc,
-                                  acc_pitch);
+      accumulate_block_simd<T, 1, U>(s, cb0, nch, tile_dm, tile_time, acc,
+                                     acc_pitch);
       break;
   }
 }
 
+template <typename T>
 void dispatch_block_simd(std::size_t dr, std::size_t unroll,
-                         const TileScratch& s, std::size_t cb0,
+                         const TileScratch<T>& s, std::size_t cb0,
                          std::size_t nch, std::size_t tile_dm,
                          std::size_t tile_time, float* acc,
                          std::size_t acc_pitch) {
-  switch (unroll) {
+  switch (compiled_register_extent(unroll)) {
     case 8:
-      dispatch_dr<8>(dr, s, cb0, nch, tile_dm, tile_time, acc, acc_pitch);
+      dispatch_dr<T, 8>(dr, s, cb0, nch, tile_dm, tile_time, acc, acc_pitch);
       break;
     case 4:
-      dispatch_dr<4>(dr, s, cb0, nch, tile_dm, tile_time, acc, acc_pitch);
+      dispatch_dr<T, 4>(dr, s, cb0, nch, tile_dm, tile_time, acc, acc_pitch);
       break;
     case 2:
-      dispatch_dr<2>(dr, s, cb0, nch, tile_dm, tile_time, acc, acc_pitch);
+      dispatch_dr<T, 2>(dr, s, cb0, nch, tile_dm, tile_time, acc, acc_pitch);
       break;
     default:
-      dispatch_dr<1>(dr, s, cb0, nch, tile_dm, tile_time, acc, acc_pitch);
+      dispatch_dr<T, 1>(dr, s, cb0, nch, tile_dm, tile_time, acc, acc_pitch);
       break;
   }
-}
-
-/// The seed's scalar inner loop, kept verbatim as the engine baseline.
-inline void accumulate_span_scalar(float* a, const float* s, std::size_t n) {
-  for (std::size_t t = 0; t < n; ++t) a[t] += s[t];
 }
 
 /// Process one work-group tile: trials [dm0, dm0+tile_dm) × samples
 /// [t0, t0+tile_time). Channel-major accumulation matches the reference;
 /// channel blocking only re-chunks the (ordered) channel loop, so results
-/// are bitwise identical for every block size.
+/// are bitwise identical for every block size. \p writeback turns each
+/// accumulator row into its output row: writeback(acc_row, out_row, n).
+template <typename T, typename Writeback>
 void process_tile(const Plan& plan, const KernelConfig& config,
-                  ConstView2D<float> in, View2D<float> out, std::size_t dm0,
+                  ConstView2D<T> in, View2D<float> out, std::size_t dm0,
                   std::size_t t0, const CpuKernelOptions& options,
-                  TileScratch& scratch) {
+                  const Writeback& writeback, TileScratch<T>& scratch) {
   const sky::DelayTable& delays = plan.delays();
   const std::size_t tile_dm = config.tile_dm();
   const std::size_t tile_time = config.tile_time();
   const std::size_t channels = plan.channels();
   const std::size_t block = config.effective_channel_block(plan);
-
-  // DM rows per register tile: elem_dm where an instantiation exists (it
-  // divides tile_dm by construction), else the narrowest kernel.
-  const std::size_t dr =
-      (config.elem_dm == 2 || config.elem_dm == 4 || config.elem_dm == 8)
-          ? config.elem_dm
-          : 1;
 
   scratch.acc_pitch = round_up(tile_time, simd::kFloatLanes);
   scratch.acc.assign(tile_dm * scratch.acc_pitch, 0.0f);
@@ -261,8 +267,8 @@ void process_tile(const Plan& plan, const KernelConfig& config,
       const std::size_t pitch = round_up(max_span, simd::kFloatLanes);
       scratch.staging.resize(nch * pitch);
       for (std::size_t c = 0; c < nch; ++c) {
-        float* dst = &scratch.staging[c * pitch];
-        const float* row = &in(cb0 + c, t0 + scratch.lo[cb0 + c]);
+        T* dst = &scratch.staging[c * pitch];
+        const T* row = &in(cb0 + c, t0 + scratch.lo[cb0 + c]);
         std::copy(row, row + scratch.span[cb0 + c], dst);
         scratch.src[c] = dst;
       }
@@ -273,55 +279,54 @@ void process_tile(const Plan& plan, const KernelConfig& config,
     }
 
     if (options.vectorize) {
-      dispatch_block_simd(dr, config.unroll, scratch, cb0, nch, tile_dm,
-                          tile_time, scratch.acc.data(), scratch.acc_pitch);
+      dispatch_block_simd(config.elem_dm, config.unroll, scratch, cb0, nch,
+                          tile_dm, tile_time, scratch.acc.data(),
+                          scratch.acc_pitch);
     } else {
       // Seed engine: channel-outer scalar accumulate.
       for (std::size_t c = 0; c < nch; ++c) {
         const std::size_t* shift = &scratch.shifts[(cb0 + c) * tile_dm];
         for (std::size_t dm = 0; dm < tile_dm; ++dm) {
-          accumulate_span_scalar(&scratch.acc[dm * scratch.acc_pitch],
-                                 scratch.src[c] + shift[dm], tile_time);
+          float* a = &scratch.acc[dm * scratch.acc_pitch];
+          const T* s = scratch.src[c] + shift[dm];
+          for (std::size_t t = 0; t < tile_time; ++t) {
+            a[t] += static_cast<float>(s[t]);
+          }
         }
       }
     }
   }
 
   for (std::size_t dm = 0; dm < tile_dm; ++dm) {
-    float* dst = &out(dm0 + dm, t0);
-    const float* a = &scratch.acc[dm * scratch.acc_pitch];
-    std::copy(a, a + tile_time, dst);
+    writeback(&scratch.acc[dm * scratch.acc_pitch], &out(dm0 + dm, t0),
+              tile_time);
   }
 }
 
-void check_shapes(const Plan& plan, ConstView2D<float> in,
-                  View2D<float> out) {
+/// Validate, then distribute the plan's tiles over the requested workers;
+/// every worker reuses one scratch across its tiles.
+template <typename T, typename Writeback>
+void run_tiles(const Plan& plan, const KernelConfig& config,
+               ConstView2D<T> in, View2D<float> out,
+               const CpuKernelOptions& options, const Writeback& writeback) {
+  config.validate(plan);
   DDMC_REQUIRE(in.rows() == plan.channels(), "input rows != channels");
   DDMC_REQUIRE(in.cols() >= plan.in_samples(),
                "input too short for the plan's largest delay");
   DDMC_REQUIRE(out.rows() == plan.dms(), "output rows != trial DMs");
   DDMC_REQUIRE(out.cols() >= plan.out_samples(), "output too short");
-}
-
-}  // namespace
-
-void dedisperse_cpu(const Plan& plan, const KernelConfig& config,
-                    ConstView2D<float> in, View2D<float> out,
-                    const CpuKernelOptions& options) {
-  config.validate(plan);
-  check_shapes(plan, in, out);
 
   const std::size_t groups_dm = config.groups_dm(plan);
   const std::size_t groups_time = config.groups_time(plan);
   const std::size_t total = groups_dm * groups_time;
 
   auto run_range = [&](std::size_t begin, std::size_t end) {
-    TileScratch scratch;  // reused across tiles on this worker
+    TileScratch<T> scratch;  // reused across tiles on this worker
     for (std::size_t g = begin; g < end; ++g) {
       const std::size_t gd = g / groups_time;
       const std::size_t gt = g % groups_time;
       process_tile(plan, config, in, out, gd * config.tile_dm(),
-                   gt * config.tile_time(), options, scratch);
+                   gt * config.tile_time(), options, writeback, scratch);
     }
   };
 
@@ -342,11 +347,54 @@ void dedisperse_cpu(const Plan& plan, const KernelConfig& config,
   pool->parallel_for(0, total, block, run_range);
 }
 
+}  // namespace
+
+void dedisperse_cpu(const Plan& plan, const KernelConfig& config,
+                    ConstView2D<float> in, View2D<float> out,
+                    const CpuKernelOptions& options) {
+  run_tiles(plan, config, in, out, options,
+            [](const float* acc, float* dst, std::size_t n) {
+              std::copy(acc, acc + n, dst);
+            });
+}
+
 Array2D<float> dedisperse_cpu(const Plan& plan, const KernelConfig& config,
                               ConstView2D<float> in,
                               const CpuKernelOptions& options) {
   Array2D<float> out(plan.dms(), plan.out_samples());
   dedisperse_cpu(plan, config, in, out.view(), options);
+  return out;
+}
+
+void dedisperse_cpu_u8(const Plan& plan, const KernelConfig& config,
+                       ConstView2D<std::uint8_t> in,
+                       const QuantizationParams& params, View2D<float> out,
+                       const CpuKernelOptions& options) {
+  // The accumulators hold exact integer code sums; Σ dequant(q) over C
+  // channels = C·lo + scale·Σq, one multiply-add per output element. Its
+  // rounding is fixed rather than left to the compiler's contraction: one
+  // fused rounding where the target has a fast fma, the plain product and
+  // sum otherwise (such targets cannot fuse it).
+  const float base = static_cast<float>(plan.channels()) * params.lo;
+  const float scale = params.scale();
+  run_tiles(plan, config, in, out, options,
+            [base, scale](const float* acc, float* dst, std::size_t n) {
+              for (std::size_t t = 0; t < n; ++t) {
+#ifdef FP_FAST_FMAF
+                dst[t] = std::fma(scale, acc[t], base);
+#else
+                dst[t] = base + scale * acc[t];
+#endif
+              }
+            });
+}
+
+Array2D<float> dedisperse_cpu_u8(const Plan& plan, const KernelConfig& config,
+                                 ConstView2D<std::uint8_t> in,
+                                 const QuantizationParams& params,
+                                 const CpuKernelOptions& options) {
+  Array2D<float> out(plan.dms(), plan.out_samples());
+  dedisperse_cpu_u8(plan, config, in, params, out.view(), options);
   return out;
 }
 

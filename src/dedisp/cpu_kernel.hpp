@@ -1,7 +1,7 @@
 #pragma once
 /// \file cpu_kernel.hpp
 /// \brief SIMD-vectorized, cache-blocked, threaded host twin of the
-/// many-core kernel.
+/// many-core kernel, on float or quantized 8-bit input.
 ///
 /// The iteration space is tiled exactly like the device work-groups of
 /// §III-B (tile_dm × tile_time), and the engine adds the two optimizations
@@ -19,10 +19,29 @@
 /// so scalar, vectorized, blocked and threaded runs are all bit-identical
 /// to dedisp::reference — which is what the equivalence test suite checks.
 /// Tiles are independent and are distributed over a thread pool.
+///
+/// One kernel serves both input element types. Dedispersion is
+/// memory-bandwidth-bound (the paper's central premise), so the only thing
+/// an 8-bit sample plane changes is the load instruction: the bytes stay
+/// one per sample from DRAM through the staged rows into the register
+/// tile, where simd::vload_u8 widens them to float lanes — a quarter of the
+/// float input traffic. The u8 entry point accumulates *raw codes* in float
+/// lanes, which is exact as long as the running sum stays below 2^24, i.e.
+/// for any channel count up to 65 793, and applies the affine
+/// dequantization once per output element at writeback:
+/// out = C·lo + scale·Σq, rounded once where the target has a fast fma and
+/// as a plain product and sum elsewhere. The code sum is an exact integer
+/// added in channel order, so every tile shape, channel block, unroll, SIMD
+/// width and thread count produces bitwise-identical u8 output; targets
+/// with and without fma differ only in that last rounding. Only the
+/// quantization itself is approximate (see quantize.hpp for the bound).
+
+#include <cstdint>
 
 #include "common/array2d.hpp"
 #include "dedisp/kernel_config.hpp"
 #include "dedisp/plan.hpp"
+#include "dedisp/quantize.hpp"
 
 namespace ddmc::dedisp {
 
@@ -38,6 +57,14 @@ struct CpuKernelOptions {
   std::size_t threads = 0;
 };
 
+/// The register-tile extents the vectorized kernel has a compiled
+/// instantiation for: the DM rows it holds in registers (`elem_dm`) and
+/// the unroll are each one of {1, 2, 4, 8}. Any other value runs the
+/// narrowest (1) instantiation; elem_dm divides tile_dm by construction.
+constexpr std::size_t compiled_register_extent(std::size_t v) {
+  return (v == 2 || v == 4 || v == 8) ? v : 1;
+}
+
 /// Execute the tiled kernel. \p config must validate against \p plan.
 void dedisperse_cpu(const Plan& plan, const KernelConfig& config,
                     ConstView2D<float> in, View2D<float> out,
@@ -47,5 +74,19 @@ void dedisperse_cpu(const Plan& plan, const KernelConfig& config,
 Array2D<float> dedisperse_cpu(const Plan& plan, const KernelConfig& config,
                               ConstView2D<float> in,
                               const CpuKernelOptions& options = {});
+
+/// Execute the tiled kernel on a quantized byte plane (channels ×
+/// ≥in_samples codes under \p params). \p config must validate against
+/// \p plan; options are the same host-execution knobs as the float kernel.
+void dedisperse_cpu_u8(const Plan& plan, const KernelConfig& config,
+                       ConstView2D<std::uint8_t> in,
+                       const QuantizationParams& params, View2D<float> out,
+                       const CpuKernelOptions& options = {});
+
+/// Convenience allocating the output matrix.
+Array2D<float> dedisperse_cpu_u8(const Plan& plan, const KernelConfig& config,
+                                 ConstView2D<std::uint8_t> in,
+                                 const QuantizationParams& params,
+                                 const CpuKernelOptions& options = {});
 
 }  // namespace ddmc::dedisp

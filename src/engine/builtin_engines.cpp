@@ -38,7 +38,6 @@
 #include "common/workspace.hpp"
 #include "dedisp/cpu_baseline.hpp"
 #include "dedisp/cpu_kernel.hpp"
-#include "dedisp/cpu_kernel_u8.hpp"
 #include "dedisp/fdmt.hpp"
 #include "dedisp/quantize.hpp"
 #include "dedisp/reference.hpp"
@@ -143,13 +142,8 @@ TiledKernelKey tiled_kernel_key(const dedisp::KernelConfig& config,
   key.tile_dm = config.tile_dm();
   key.channel_block = config.effective_channel_block(plan);
   if (vectorize) {
-    // Mirror the compiled-instantiation dispatch of cpu_kernel.cpp: values
-    // outside the ladder fall back to the narrowest kernel.
-    const auto compiled = [](std::size_t v) {
-      return (v == 2 || v == 4 || v == 8) ? v : std::size_t{1};
-    };
-    key.reg_rows = compiled(config.elem_dm);
-    key.unroll = compiled(config.unroll);
+    key.reg_rows = dedisp::compiled_register_extent(config.elem_dm);
+    key.unroll = dedisp::compiled_register_extent(config.unroll);
   }
   return key;
 }

@@ -15,7 +15,6 @@
 #include "common/expect.hpp"
 #include "dedisp/cpu_baseline.hpp"
 #include "dedisp/cpu_kernel.hpp"
-#include "dedisp/cpu_kernel_u8.hpp"
 #include "dedisp/intensity.hpp"
 #include "dedisp/kernel_config.hpp"
 #include "dedisp/plan.hpp"
@@ -202,6 +201,39 @@ TEST(Reference, RejectsWrongShapes) {
                invalid_argument);
 }
 
+/// Quantization window of the u8 kernel legs; random_input draws from
+/// [-1, 1), so the codes use the middle half of the range.
+const QuantizationParams kU8Params{-2.0f, 2.0f};
+
+/// Backend-independent oracle of the u8 kernel: every output element is
+/// the exact integer code sum Σq, dequantized as C·lo + scale·Σq with the
+/// writeback's one rounding (fused where the target has a fast fma).
+void expect_exact_u8_sums(const Plan& plan,
+                          const Array2D<std::uint8_t>& codes,
+                          const QuantizationParams& params,
+                          const Array2D<float>& got) {
+  ASSERT_EQ(got.rows(), plan.dms());
+  ASSERT_EQ(got.cols(), plan.out_samples());
+  Array2D<float> exact(plan.dms(), plan.out_samples());
+  const float base = static_cast<float>(plan.channels()) * params.lo;
+  const float scale = params.scale();
+  for (std::size_t dm = 0; dm < plan.dms(); ++dm) {
+    for (std::size_t t = 0; t < plan.out_samples(); ++t) {
+      std::uint32_t sum = 0;
+      for (std::size_t ch = 0; ch < plan.channels(); ++ch) {
+        sum += codes(ch, t + static_cast<std::size_t>(
+                                 plan.delays().delay(dm, ch)));
+      }
+#ifdef FP_FAST_FMAF
+      exact(dm, t) = std::fma(scale, static_cast<float>(sum), base);
+#else
+      exact(dm, t) = base + scale * static_cast<float>(sum);
+#endif
+    }
+  }
+  expect_same_matrix(exact, got);
+}
+
 // ----------------------------------------------- tiled CPU kernel (sweep) --
 
 /// Property sweep: every meaningful tiling must reproduce the reference
@@ -318,7 +350,8 @@ TEST(CpuKernel, ScalarEngineMatchesSimdEngine) {
 /// Seeded randomized property sweep: random plan shapes, random extended
 /// configs (channel_block/unroll included), staged/unstaged, scalar/SIMD,
 /// inline and threaded — every combination must reproduce the reference
-/// bit-for-bit.
+/// bit-for-bit, and the same draw on the quantized plane its exact code
+/// sums.
 TEST(CpuKernel, RandomizedExtendedConfigsMatchReference) {
   std::mt19937 gen(20260730);
   auto pick = [&](const std::vector<std::size_t>& v) {
@@ -365,6 +398,19 @@ TEST(CpuKernel, RandomizedExtendedConfigsMatchReference) {
                  std::to_string(opt.threads));
     const Array2D<float> got = dedisperse_cpu(plan, cfg, in.cview(), opt);
     expect_same_matrix(expected, got);
+
+    const Array2D<std::uint8_t> codes =
+        quantize_plane(plan, in.cview(), kU8Params);
+    CpuKernelOptions scalar;
+    scalar.vectorize = false;
+    scalar.threads = 1;
+    const Array2D<float> expected_u8 =
+        dedisperse_cpu_u8(plan, cfg, codes.cview(), kU8Params, scalar);
+    SCOPED_TRACE("u8");
+    expect_exact_u8_sums(plan, codes, kU8Params, expected_u8);
+    expect_same_matrix(
+        expected_u8,
+        dedisperse_cpu_u8(plan, cfg, codes.cview(), kU8Params, opt));
   }
 }
 
@@ -380,6 +426,14 @@ TEST(CpuKernel, StagingSpanEdgeCases) {
     // tile_dm = dms: one tile spans the full delay spread per channel.
     KernelConfig cfg{4, 4, 8, 4};
     cfg.channel_block = 2;
+    const Array2D<std::uint8_t> codes =
+        quantize_plane(plan, in.cview(), kU8Params);
+    CpuKernelOptions scalar;
+    scalar.vectorize = false;
+    scalar.threads = 1;
+    const Array2D<float> expected_u8 =
+        dedisperse_cpu_u8(plan, cfg, codes.cview(), kU8Params, scalar);
+    expect_exact_u8_sums(plan, codes, kU8Params, expected_u8);
     for (bool staged : {true, false}) {
       CpuKernelOptions opt;
       opt.stage_rows = staged;
@@ -388,6 +442,9 @@ TEST(CpuKernel, StagingSpanEdgeCases) {
                    (staged ? " staged" : " unstaged"));
       const Array2D<float> got = dedisperse_cpu(plan, cfg, in.cview(), opt);
       expect_same_matrix(expected, got);
+      expect_same_matrix(
+          expected_u8,
+          dedisperse_cpu_u8(plan, cfg, codes.cview(), kU8Params, opt));
     }
   }
 }
@@ -464,7 +521,7 @@ TEST(CpuKernelTails, TiledMatchesReferenceForEveryTailWidth) {
 }
 
 TEST(CpuKernelTails, U8MatchesItsScalarEngineForEveryTailWidth) {
-  const QuantizationParams params{-2.0f, 2.0f};
+  const QuantizationParams& params = kU8Params;
   for (const std::size_t tile_time : kTailTileTimes) {
     const Plan plan = mini_plan(8, 2 * tile_time);
     const Array2D<float> in = random_input(plan, tile_time);
@@ -476,20 +533,6 @@ TEST(CpuKernelTails, U8MatchesItsScalarEngineForEveryTailWidth) {
         guarded(ch, t) = codes(ch, t);
       }
     }
-    // Backend-independent oracle: the exact integer code sum, dequantized
-    // the way the kernel's writeback does it.
-    Array2D<float> exact(plan.dms(), plan.out_samples());
-    const float base = static_cast<float>(plan.channels()) * params.lo;
-    for (std::size_t dm = 0; dm < plan.dms(); ++dm) {
-      for (std::size_t t = 0; t < plan.out_samples(); ++t) {
-        std::uint32_t sum = 0;
-        for (std::size_t ch = 0; ch < plan.channels(); ++ch) {
-          sum += codes(ch, t + static_cast<std::size_t>(
-                                   plan.delays().delay(dm, ch)));
-        }
-        exact(dm, t) = base + params.scale() * static_cast<float>(sum);
-      }
-    }
     for (const KernelConfig& cfg : tail_configs(tile_time)) {
       CpuKernelOptions scalar;
       scalar.vectorize = false;
@@ -497,7 +540,7 @@ TEST(CpuKernelTails, U8MatchesItsScalarEngineForEveryTailWidth) {
       const Array2D<float> expected =
           dedisperse_cpu_u8(plan, cfg, guarded.cview(), params, scalar);
       SCOPED_TRACE(cfg.to_string());
-      expect_same_matrix(exact, expected);
+      expect_exact_u8_sums(plan, codes, params, expected);
       for (const bool staged : {true, false}) {
         CpuKernelOptions opt;
         opt.stage_rows = staged;

@@ -1218,10 +1218,11 @@ TEST(EngineTraffic, ReportedBytesFollowTheDeclaredElementSize) {
 // ---------------------------------------------------------- config validity --
 
 TEST(EngineConfig, UnsupportedUnrollHintsFailFast) {
-  // simd::accumulate_span* compile exactly the {1,2,4,8} instantiations;
-  // any other hint used to fall back silently, measuring the un-unrolled
-  // loop under the wrong label and poisoning the tuning cache. Validation
-  // now rejects it at every entry point.
+  // The tiled kernel compiles exactly the {1,2,4,8} unroll instantiations
+  // (dedisp::compiled_register_extent); any other hint used to fall back
+  // silently, measuring the un-unrolled loop under the wrong label and
+  // poisoning the tuning cache. Validation now rejects it at every entry
+  // point.
   const Plan plan = testing::mini_plan(8, 64);
   for (const std::size_t bad : {std::size_t{0}, std::size_t{3},
                                 std::size_t{5}, std::size_t{6},
