@@ -63,12 +63,14 @@ int main(int argc, char** argv) {
 
   TextTable table({"coarse step", "MFLOP", "vs brute", "time", "smear",
                    "detected DM", "S/N"});
+  Array2D<float> two_stage(plan.dms(), plan.out_samples());
+  dedisp::SubbandWorkspace workspace;
   for (std::size_t step : {1ul, 2ul, 4ul, 8ul, 16ul}) {
     if (dms % step != 0) continue;
     const dedisp::SubbandConfig cfg{subbands, step};
     clock.reset();
-    const Array2D<float> two_stage =
-        dedisp::dedisperse_subband(plan, cfg, data.cview());
+    dedisp::dedisperse_subband(plan, cfg, data.cview(), two_stage.view(),
+                               workspace, cpu_options);
     const double ms = clock.milliseconds();
     const sky::DetectionResult hit = sky::detect_best_dm(two_stage.cview());
     const double flop = dedisp::subband_flop(plan, cfg);

@@ -20,10 +20,9 @@
 /// (`a[t] += s[t]`), so vectorizing over the time dimension reorders no
 /// floating-point additions: each output element still sums its channels
 /// in channel order, and SIMD output is bitwise identical to the scalar
-/// reference. `accumulate_span` below is that inner loop as the subband
-/// engine runs it (the tiled kernel register-blocks the same adds); fma is
-/// provided for downstream consumers (detection, intensity weighting) and
-/// is NOT used on the bitwise-equality-critical accumulate path.
+/// reference. fma is provided for downstream consumers (detection,
+/// intensity weighting) and is NOT used on the bitwise-equality-critical
+/// accumulate path.
 ///
 /// A widening u8 load (`vload_u8`) serves the tiled kernel on quantized
 /// input: samples stay one byte each in memory — a quarter of the float
@@ -339,62 +338,12 @@ inline vfloat vload_u8_partial(const std::uint8_t* p, std::size_t n) {
 }
 #endif
 
-/// a[t] += s[t] for t in [0, n), `Unroll` vectors per iteration of the main
-/// loop. Per-element addition order is unchanged by lane width or unroll, so
-/// every instantiation produces bitwise-identical results.
-template <std::size_t Unroll>
-inline void accumulate_span_unrolled(float* a, const float* s, std::size_t n) {
-  constexpr std::size_t step = Unroll * kFloatLanes;
-  std::size_t t = 0;
-  for (; t + step <= n; t += step) {
-    for (std::size_t u = 0; u < Unroll; ++u) {
-      const std::size_t off = t + u * kFloatLanes;
-      vstore(a + off, vadd(vload(a + off), vload(s + off)));
-    }
-  }
-  for (; t + kFloatLanes <= n; t += kFloatLanes) {
-    vstore(a + t, vadd(vload(a + t), vload(s + t)));
-  }
-  if constexpr (kMaskedTail) {
-    if (t < n) {
-      const std::size_t r = n - t;
-      vstore_partial(a + t,
-                     vadd(vload_partial(a + t, r), vload_partial(s + t, r)),
-                     r);
-    }
-  } else {
-    for (; t < n; ++t) a[t] += s[t];
-  }
-}
-
 /// The unroll hints with a compiled instantiation behind them. Anything
 /// else would silently measure the un-unrolled loop under the wrong label,
 /// so KernelConfig::validate rejects unsupported hints before they reach a
 /// kernel or a tuning measurement.
 inline constexpr bool is_supported_unroll(std::size_t unroll) {
   return unroll == 1 || unroll == 2 || unroll == 4 || unroll == 8;
-}
-
-/// a[t] += s[t] with a runtime unroll hint (the kernel's `unroll` knob).
-/// Hints outside is_supported_unroll run the un-unrolled loop; validated
-/// configs never carry one (KernelConfig::validate rejects them), so the
-/// fallback only serves direct low-level callers.
-inline void accumulate_span(float* a, const float* s, std::size_t n,
-                            std::size_t unroll = 1) {
-  switch (unroll) {
-    case 8:
-      accumulate_span_unrolled<8>(a, s, n);
-      break;
-    case 4:
-      accumulate_span_unrolled<4>(a, s, n);
-      break;
-    case 2:
-      accumulate_span_unrolled<2>(a, s, n);
-      break;
-    default:
-      accumulate_span_unrolled<1>(a, s, n);
-      break;
-  }
 }
 
 /// Result of a split pass: how many inputs went below the pivot and how

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/aligned.hpp"
@@ -46,44 +47,46 @@ struct TileScratch {
   std::vector<std::size_t> shifts;
   /// Per-channel smallest delay over the tile's trials.
   std::vector<std::size_t> lo;
-  /// Per-channel staging span (largest − smallest delay + tile_time).
-  std::vector<std::size_t> span;
-  /// DM tile the table was built for. The table depends on dm0 only, so
-  /// consecutive time tiles of one DM row (workers sweep gt innermost)
-  /// reuse it instead of rescanning the delay table.
-  std::size_t shifts_dm0 = static_cast<std::size_t>(-1);
-  bool shifts_valid = false;
+  /// Per-channel delay spread over the tile's trials (largest − smallest);
+  /// a tile of n samples stages spread + n input elements of the channel.
+  std::vector<std::size_t> spread;
+  /// First delay-table row of the DM tile the table was built for: the
+  /// time tiles of one DM row (swept innermost) reuse the table.
+  const std::int64_t* shifts_row = nullptr;
 };
 
-/// Precompute the shift table of every channel for the DM tile
-/// [dm0, dm0+tile_dm), unless the scratch already holds it. The smallest
-/// and largest delay are scanned exactly (no monotonicity-in-DM
-/// assumption), so a pathological delay table sizes the staging buffer
-/// correctly instead of reading past it.
+/// Precompute the shift table of every channel for the trials
+/// [dm0, dm0+tile_dm) of \p delays, unless the scratch already holds it.
+/// The smallest and largest delay are scanned exactly (no
+/// monotonicity-in-DM assumption), so a pathological delay table sizes the
+/// staging buffer correctly instead of reading past it; a delay beyond
+/// \p max_delay, the input's slack past the output length, is rejected.
 template <typename T>
-void build_shift_table(const sky::DelayTable& delays, std::size_t dm0,
-                       std::size_t tile_dm, std::size_t tile_time,
-                       std::size_t channels, TileScratch<T>& s) {
-  if (s.shifts_valid && s.shifts_dm0 == dm0) return;
+void build_shift_table(ConstView2D<std::int64_t> delays, std::size_t dm0,
+                       std::size_t tile_dm, std::size_t max_delay,
+                       TileScratch<T>& s) {
+  if (s.shifts_row == &delays(dm0, 0)) return;
+  const std::size_t channels = delays.cols();
   s.shifts.resize(channels * tile_dm);
   s.lo.resize(channels);
-  s.span.resize(channels);
+  s.spread.resize(channels);
   for (std::size_t ch = 0; ch < channels; ++ch) {
-    std::size_t lo = static_cast<std::size_t>(delays.delay(dm0, ch));
+    std::size_t lo = static_cast<std::size_t>(delays(dm0, ch));
     std::size_t hi = lo;
     std::size_t* row = &s.shifts[ch * tile_dm];
     for (std::size_t dm = 0; dm < tile_dm; ++dm) {
-      const auto d = static_cast<std::size_t>(delays.delay(dm0 + dm, ch));
+      const auto d = static_cast<std::size_t>(delays(dm0 + dm, ch));
       row[dm] = d;
       lo = std::min(lo, d);
       hi = std::max(hi, d);
     }
+    DDMC_REQUIRE(hi <= max_delay,
+                 "input too short for the delay table's largest delay");
     for (std::size_t dm = 0; dm < tile_dm; ++dm) row[dm] -= lo;
     s.lo[ch] = lo;
-    s.span[ch] = (hi - lo) + tile_time;
+    s.spread[ch] = hi - lo;
   }
-  s.shifts_dm0 = dm0;
-  s.shifts_valid = true;
+  s.shifts_row = &delays(dm0, 0);
 }
 
 /// Register-blocked SIMD accumulate of one channel block into the tile
@@ -233,25 +236,27 @@ void dispatch_block_simd(std::size_t dr, std::size_t unroll,
   }
 }
 
-/// Process one work-group tile: trials [dm0, dm0+tile_dm) × samples
-/// [t0, t0+tile_time). Channel-major accumulation matches the reference;
-/// channel blocking only re-chunks the (ordered) channel loop, so results
-/// are bitwise identical for every block size. \p writeback turns each
-/// accumulator row into its output row: writeback(acc_row, out_row, n).
+/// Process one work-group tile of \p job: trials [dm0, dm0+tile_dm) ×
+/// samples [t0, t0+tile_time) (the last tile of a row may be shorter).
+/// Channel-major accumulation matches the reference; channel blocking only
+/// re-chunks the (ordered) channel loop, so results are bitwise identical
+/// for every block size. \p writeback turns each accumulator row into its
+/// output row: writeback(acc_row, out_row, n).
 template <typename T, typename Writeback>
-void process_tile(const Plan& plan, const KernelConfig& config,
-                  ConstView2D<T> in, View2D<float> out, std::size_t dm0,
-                  std::size_t t0, const CpuKernelOptions& options,
-                  const Writeback& writeback, TileScratch<T>& scratch) {
-  const sky::DelayTable& delays = plan.delays();
+void process_tile(const KernelConfig& config, const TileJob<T>& job,
+                  std::size_t dm0, std::size_t t0, std::size_t tile_time,
+                  const CpuKernelOptions& options, const Writeback& writeback,
+                  TileScratch<T>& scratch) {
   const std::size_t tile_dm = config.tile_dm();
-  const std::size_t tile_time = config.tile_time();
-  const std::size_t channels = plan.channels();
-  const std::size_t block = config.effective_channel_block(plan);
+  const std::size_t channels = job.delays.cols();
+  const std::size_t block = config.channel_block == 0
+                                ? channels
+                                : std::min(config.channel_block, channels);
 
   scratch.acc_pitch = round_up(tile_time, simd::kFloatLanes);
   scratch.acc.assign(tile_dm * scratch.acc_pitch, 0.0f);
-  build_shift_table(delays, dm0, tile_dm, tile_time, channels, scratch);
+  build_shift_table(job.delays, dm0, tile_dm,
+                    job.in.cols() - job.out.cols(), scratch);
 
   for (std::size_t cb0 = 0; cb0 < channels; cb0 += block) {
     const std::size_t cb1 = std::min(channels, cb0 + block);
@@ -262,19 +267,20 @@ void process_tile(const Plan& plan, const KernelConfig& config,
     // span covers every read any work-item performs for that channel).
     scratch.src.resize(nch);
     if (options.stage_rows) {
-      const std::size_t max_span = *std::max_element(
-          scratch.span.begin() + cb0, scratch.span.begin() + cb1);
-      const std::size_t pitch = round_up(max_span, simd::kFloatLanes);
+      const std::size_t max_spread = *std::max_element(
+          scratch.spread.begin() + cb0, scratch.spread.begin() + cb1);
+      const std::size_t pitch =
+          round_up(max_spread + tile_time, simd::kFloatLanes);
       scratch.staging.resize(nch * pitch);
       for (std::size_t c = 0; c < nch; ++c) {
         T* dst = &scratch.staging[c * pitch];
-        const T* row = &in(cb0 + c, t0 + scratch.lo[cb0 + c]);
-        std::copy(row, row + scratch.span[cb0 + c], dst);
+        const T* row = &job.in(cb0 + c, t0 + scratch.lo[cb0 + c]);
+        std::copy(row, row + scratch.spread[cb0 + c] + tile_time, dst);
         scratch.src[c] = dst;
       }
     } else {
       for (std::size_t c = 0; c < nch; ++c) {
-        scratch.src[c] = &in(cb0 + c, t0 + scratch.lo[cb0 + c]);
+        scratch.src[c] = &job.in(cb0 + c, t0 + scratch.lo[cb0 + c]);
       }
     }
 
@@ -298,35 +304,48 @@ void process_tile(const Plan& plan, const KernelConfig& config,
   }
 
   for (std::size_t dm = 0; dm < tile_dm; ++dm) {
-    writeback(&scratch.acc[dm * scratch.acc_pitch], &out(dm0 + dm, t0),
+    writeback(&scratch.acc[dm * scratch.acc_pitch], &job.out(dm0 + dm, t0),
               tile_time);
   }
 }
 
-/// Validate, then distribute the plan's tiles over the requested workers;
-/// every worker reuses one scratch across its tiles.
+/// Check the jobs' shared shape, then distribute the tiles of all jobs over
+/// the requested workers; every worker reuses one scratch across tiles.
 template <typename T, typename Writeback>
-void run_tiles(const Plan& plan, const KernelConfig& config,
-               ConstView2D<T> in, View2D<float> out,
+void run_tiles(std::span<const TileJob<T>> jobs, const KernelConfig& config,
                const CpuKernelOptions& options, const Writeback& writeback) {
-  config.validate(plan);
-  DDMC_REQUIRE(in.rows() == plan.channels(), "input rows != channels");
-  DDMC_REQUIRE(in.cols() >= plan.in_samples(),
-               "input too short for the plan's largest delay");
-  DDMC_REQUIRE(out.rows() == plan.dms(), "output rows != trial DMs");
-  DDMC_REQUIRE(out.cols() >= plan.out_samples(), "output too short");
+  if (jobs.empty()) return;
+  const std::size_t trials = jobs[0].delays.rows();
+  const std::size_t channels = jobs[0].delays.cols();
+  const std::size_t samples = jobs[0].out.cols();
+  DDMC_REQUIRE(config.tile_dm() > 0 && config.tile_time() > 0 &&
+                   trials % config.tile_dm() == 0,
+               "DM tile must divide the trial count: " + config.to_string());
+  for (const TileJob<T>& job : jobs) {
+    DDMC_REQUIRE(job.delays.rows() == trials && job.out.rows() == trials &&
+                     job.delays.cols() == channels &&
+                     job.in.rows() == channels &&
+                     job.in.cols() == jobs[0].in.cols() &&
+                     job.out.cols() == samples,
+                 "jobs of one dispatch must share one shape");
+  }
+  DDMC_REQUIRE(jobs[0].in.cols() >= samples, "input shorter than the output");
 
-  const std::size_t groups_dm = config.groups_dm(plan);
-  const std::size_t groups_time = config.groups_time(plan);
-  const std::size_t total = groups_dm * groups_time;
+  const std::size_t groups_dm = trials / config.tile_dm();
+  const std::size_t groups_time =
+      (samples + config.tile_time() - 1) / config.tile_time();
+  const std::size_t tiles_per_job = groups_dm * groups_time;
+  const std::size_t total = jobs.size() * tiles_per_job;
 
   auto run_range = [&](std::size_t begin, std::size_t end) {
     TileScratch<T> scratch;  // reused across tiles on this worker
     for (std::size_t g = begin; g < end; ++g) {
-      const std::size_t gd = g / groups_time;
-      const std::size_t gt = g % groups_time;
-      process_tile(plan, config, in, out, gd * config.tile_dm(),
-                   gt * config.tile_time(), options, writeback, scratch);
+      const TileJob<T>& job = jobs[g / tiles_per_job];
+      const std::size_t tile = g % tiles_per_job;
+      const std::size_t t0 = (tile % groups_time) * config.tile_time();
+      process_tile(config, job, (tile / groups_time) * config.tile_dm(), t0,
+                   std::min(config.tile_time(), samples - t0), options,
+                   writeback, scratch);
     }
   };
 
@@ -334,28 +353,49 @@ void run_tiles(const Plan& plan, const KernelConfig& config,
     run_range(0, total);
     return;
   }
-  ThreadPool* pool = nullptr;
   std::unique_ptr<ThreadPool> owned;
-  if (options.threads == 0) {
-    pool = &global_pool();
-  } else {
+  if (options.threads != 0) {
     owned = std::make_unique<ThreadPool>(options.threads);
-    pool = owned.get();
   }
+  ThreadPool& pool = owned ? *owned : global_pool();
   const std::size_t block =
-      std::max<std::size_t>(1, total / (pool->worker_count() * 4));
-  pool->parallel_for(0, total, block, run_range);
+      std::max<std::size_t>(1, total / (pool.worker_count() * 4));
+  pool.parallel_for(0, total, block, run_range);
 }
 
+/// The plan entry points: the paper's divisibility check, then one job.
+template <typename T, typename Writeback>
+void run_plan(const Plan& plan, const KernelConfig& config, ConstView2D<T> in,
+              View2D<float> out, const CpuKernelOptions& options,
+              const Writeback& writeback) {
+  config.validate(plan);
+  DDMC_REQUIRE(in.cols() >= plan.in_samples(),
+               "input too short for the plan's largest delay");
+  DDMC_REQUIRE(out.rows() == plan.dms(), "output rows != trial DMs");
+  DDMC_REQUIRE(out.cols() >= plan.out_samples(), "output too short");
+  const TileJob<T> job{
+      plan.delays().view(), in,
+      View2D<float>(out.data(), plan.dms(), plan.out_samples(), out.pitch())};
+  run_tiles(std::span<const TileJob<T>>(&job, 1), config, options, writeback);
+}
+
+/// The float writeback: accumulators are the output.
+constexpr auto copy_row = [](const float* acc, float* dst, std::size_t n) {
+  std::copy(acc, acc + n, dst);
+};
+
 }  // namespace
+
+void dedisperse_tiled(std::span<const TileJob<float>> jobs,
+                      const KernelConfig& config,
+                      const CpuKernelOptions& options) {
+  run_tiles(jobs, config, options, copy_row);
+}
 
 void dedisperse_cpu(const Plan& plan, const KernelConfig& config,
                     ConstView2D<float> in, View2D<float> out,
                     const CpuKernelOptions& options) {
-  run_tiles(plan, config, in, out, options,
-            [](const float* acc, float* dst, std::size_t n) {
-              std::copy(acc, acc + n, dst);
-            });
+  run_plan(plan, config, in, out, options, copy_row);
 }
 
 Array2D<float> dedisperse_cpu(const Plan& plan, const KernelConfig& config,
@@ -377,16 +417,16 @@ void dedisperse_cpu_u8(const Plan& plan, const KernelConfig& config,
   // sum otherwise (such targets cannot fuse it).
   const float base = static_cast<float>(plan.channels()) * params.lo;
   const float scale = params.scale();
-  run_tiles(plan, config, in, out, options,
-            [base, scale](const float* acc, float* dst, std::size_t n) {
-              for (std::size_t t = 0; t < n; ++t) {
+  run_plan(plan, config, in, out, options,
+           [base, scale](const float* acc, float* dst, std::size_t n) {
+             for (std::size_t t = 0; t < n; ++t) {
 #ifdef FP_FAST_FMAF
-                dst[t] = std::fma(scale, acc[t], base);
+               dst[t] = std::fma(scale, acc[t], base);
 #else
-                dst[t] = base + scale * acc[t];
+               dst[t] = base + scale * acc[t];
 #endif
-              }
-            });
+             }
+           });
 }
 
 Array2D<float> dedisperse_cpu_u8(const Plan& plan, const KernelConfig& config,

@@ -37,6 +37,7 @@
 /// quantization itself is approximate (see quantize.hpp for the bound).
 
 #include <cstdint>
+#include <span>
 
 #include "common/array2d.hpp"
 #include "dedisp/kernel_config.hpp"
@@ -64,6 +65,25 @@ struct CpuKernelOptions {
 constexpr std::size_t compiled_register_extent(std::size_t v) {
   return (v == 2 || v == 4 || v == 8) ? v : 1;
 }
+
+/// One problem for the tiled kernel, given by a delay table instead of a
+/// plan (subband.hpp runs both of its stages as jobs): out(d, t) =
+/// Σ_c in(c, delays(d, c) + t), channels added in ascending order from
+/// 0.0f. \p delays is trials × channels; \p in needs out.cols() + the
+/// largest delay columns.
+template <typename T>
+struct TileJob {
+  ConstView2D<std::int64_t> delays;
+  ConstView2D<T> in;
+  View2D<float> out;
+};
+
+/// Execute the tiled kernel on \p jobs (all of one shape) in one dispatch
+/// over the workers. The DM tile must divide the trial count; the last
+/// time tile of a row may be shorter than the config's.
+void dedisperse_tiled(std::span<const TileJob<float>> jobs,
+                      const KernelConfig& config,
+                      const CpuKernelOptions& options = {});
 
 /// Execute the tiled kernel. \p config must validate against \p plan.
 void dedisperse_cpu(const Plan& plan, const KernelConfig& config,

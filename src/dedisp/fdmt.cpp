@@ -20,15 +20,6 @@ namespace {
 
 constexpr double kTau = 6.283185307179586476925286766559;
 
-void check_split(const Plan& plan, const SubbandConfig& split) {
-  DDMC_REQUIRE(split.subbands > 0 && split.coarse_step > 0,
-               "fdmt split parameters must be positive");
-  DDMC_REQUIRE(plan.channels() % split.subbands == 0,
-               "fdmt subband count must divide the channel count");
-  DDMC_REQUIRE(plan.dms() % split.coarse_step == 0,
-               "fdmt coarse step must divide the trial count");
-}
-
 /// The split's composed shifts, read straight from the plan's DelayTable
 /// (never recomputed from frequencies, so shard plans — whose tables are
 /// sliced bit-for-bit — compose exactly the shifts their parent would).
@@ -53,7 +44,7 @@ struct SplitDelays {
 /// its tables.
 void fill_split_delays(const Plan& plan, const SubbandConfig& split,
                        SplitDelays& sd) {
-  check_split(plan, split);
+  split.validate(plan);
   const sky::DelayTable& delays = plan.delays();
   const std::size_t channels = plan.channels();
   const std::size_t dms = plan.dms();
@@ -251,7 +242,7 @@ double fdmt_error_bound(const Plan& plan, const SubbandConfig& split,
 }
 
 double fdmt_flop(const Plan& plan, const FdmtConfig& config) {
-  check_split(plan, config.split);
+  config.split.validate(plan);
   const std::size_t n = fdmt_fft_size(plan, config.split);
   const double bins = static_cast<double>(fft::rfft_bins(n));
   const double d = static_cast<double>(plan.dms());
@@ -283,7 +274,7 @@ FdmtWorkspace::~FdmtWorkspace() = default;
 void dedisperse_fdmt(const Plan& plan, const FdmtConfig& config,
                      ConstView2D<float> in, View2D<float> out,
                      FdmtWorkspace& workspace) {
-  check_split(plan, config.split);
+  config.split.validate(plan);
   const std::size_t channels = plan.channels();
   const std::size_t dms = plan.dms();
   const std::size_t samples = plan.out_samples();

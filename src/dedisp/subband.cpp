@@ -1,27 +1,89 @@
 #include "dedisp/subband.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "common/expect.hpp"
-#include "common/simd.hpp"
+#include "dedisp/cpu_kernel.hpp"
 #include "sky/delay.hpp"
+#include "telemetry/tracing.hpp"
 
 namespace ddmc::dedisp {
 
 namespace {
 
-void check_config(const Plan& plan, const SubbandConfig& config) {
-  DDMC_REQUIRE(config.subbands > 0 && config.coarse_step > 0,
-               "subband parameters must be positive");
-  DDMC_REQUIRE(plan.channels() % config.subbands == 0,
-               "subband count must divide the channel count");
-  DDMC_REQUIRE(plan.dms() % config.coarse_step == 0,
-               "coarse step must divide the trial count");
+/// Subband \p band's reference frequency: its own top edge.
+double subband_top(const sky::Observation& obs, std::size_t cs,
+                   std::size_t band) {
+  return obs.channel_freq_mhz(band * cs + cs - 1) + obs.channel_bw_mhz();
+}
+
+/// Fill the split delay tables and return their maxima {intra, inter}:
+/// \p intra (coarse trials × channels) shifts each channel to its
+/// subband's top edge, \p inter (trials × subbands) each subband's top
+/// edge to the band's.
+std::pair<std::int64_t, std::int64_t> split_delays(
+    const Plan& plan, const SubbandConfig& config,
+    std::vector<std::int64_t>& intra, std::vector<std::int64_t>& inter) {
+  const sky::Observation& obs = plan.observation();
+  const std::size_t channels = plan.channels();
+  const std::size_t cs = channels / config.subbands;
+  const double rate = obs.sampling_rate();
+  const double f_top = obs.f_max_mhz();
+  std::int64_t max_intra = 0;
+  std::int64_t max_inter = 0;
+  inter.resize(plan.dms() * config.subbands);
+  for (std::size_t dm = 0; dm < plan.dms(); ++dm) {
+    for (std::size_t band = 0; band < config.subbands; ++band) {
+      const std::int64_t k = sky::dispersion_delay_samples(
+          obs.dm_value(dm), subband_top(obs, cs, band), f_top, rate);
+      inter[dm * config.subbands + band] = k;
+      max_inter = std::max(max_inter, k);
+    }
+  }
+  const std::size_t n_coarse = plan.dms() / config.coarse_step;
+  intra.resize(n_coarse * channels);
+  for (std::size_t ci = 0; ci < n_coarse; ++ci) {
+    const double coarse_dm = obs.dm_value(ci * config.coarse_step);
+    for (std::size_t ch = 0; ch < channels; ++ch) {
+      const std::int64_t k = sky::dispersion_delay_samples(
+          coarse_dm, obs.channel_freq_mhz(ch), subband_top(obs, cs, ch / cs),
+          rate);
+      intra[ci * channels + ch] = k;
+      max_intra = std::max(max_intra, k);
+    }
+  }
+  return {max_intra, max_inter};
+}
+
+/// Stage-1 plane budget: more coarse trials per block give stage 1 more
+/// trials per register tile, but the plane must not grow with the plan.
+constexpr std::size_t kStage1BlockBytes = std::size_t{4} << 20;
+
+/// The tile of a stage call over \p rows trials, a fixed rule: up to eight
+/// trials in registers, eight accumulator vectors, 512 samples and every
+/// channel in one pass.
+KernelConfig stage_config(std::size_t rows) {
+  KernelConfig config;
+  config.elem_dm = std::gcd(rows, std::size_t{8});
+  config.unroll = 8 / config.elem_dm;
+  config.wi_time = 512;
+  return config;
 }
 
 }  // namespace
+
+void SubbandConfig::validate(const Plan& plan) const {
+  DDMC_REQUIRE(subbands > 0 && coarse_step > 0,
+               "subband parameters must be positive");
+  DDMC_REQUIRE(plan.channels() % subbands == 0,
+               "subband count must divide the channel count");
+  DDMC_REQUIRE(plan.dms() % coarse_step == 0,
+               "coarse step must divide the trial count");
+}
 
 SubbandConfig SubbandConfig::adapted_to(const Plan& plan) const {
   SubbandConfig adapted = *this;
@@ -33,7 +95,7 @@ SubbandConfig SubbandConfig::adapted_to(const Plan& plan) const {
 }
 
 double subband_flop(const Plan& plan, const SubbandConfig& config) {
-  check_config(plan, config);
+  config.validate(plan);
   const double d = static_cast<double>(plan.dms());
   const double s = static_cast<double>(plan.out_samples());
   const double c = static_cast<double>(plan.channels());
@@ -43,7 +105,7 @@ double subband_flop(const Plan& plan, const SubbandConfig& config) {
 
 std::int64_t subband_max_delay_error(const Plan& plan,
                                      const SubbandConfig& config) {
-  check_config(plan, config);
+  config.validate(plan);
   const sky::Observation& obs = plan.observation();
   const std::size_t cs = plan.channels() / config.subbands;
   const double rate = obs.sampling_rate();
@@ -57,8 +119,7 @@ std::int64_t subband_max_delay_error(const Plan& plan,
     const double coarse_dm = obs.dm_value(coarse);
     for (std::size_t band = 0; band < config.subbands; ++band) {
       const double f_lo = obs.channel_freq_mhz(band * cs);
-      const double f_hi = obs.channel_freq_mhz(band * cs + cs - 1) +
-                          obs.channel_bw_mhz();
+      const double f_hi = subband_top(obs, cs, band);
       const std::int64_t fine =
           sky::dispersion_delay_samples(fine_dm, f_lo, f_hi, rate);
       const std::int64_t used =
@@ -71,137 +132,85 @@ std::int64_t subband_max_delay_error(const Plan& plan,
 
 std::size_t subband_min_input_samples(const Plan& plan,
                                       const SubbandConfig& config) {
-  check_config(plan, config);
-  const sky::Observation& obs = plan.observation();
-  const std::size_t channels = plan.channels();
-  const std::size_t cs = channels / config.subbands;
-  const double rate = obs.sampling_rate();
-  const double f_top = obs.f_max_mhz();
-  auto subband_top = [&](std::size_t band) {
-    return obs.channel_freq_mhz(band * cs + cs - 1) + obs.channel_bw_mhz();
-  };
-  // Same maxima the execution computes: worst inter-subband shift over
-  // (trial, band) plus worst intra-subband shift over (coarse trial,
-  // channel) — the two stages' reads compose additively.
-  std::int64_t max_inter = 0;
-  for (std::size_t dm = 0; dm < plan.dms(); ++dm) {
-    for (std::size_t band = 0; band < config.subbands; ++band) {
-      max_inter = std::max(max_inter, sky::dispersion_delay_samples(
-                                          obs.dm_value(dm),
-                                          subband_top(band), f_top, rate));
-    }
-  }
-  std::int64_t max_intra = 0;
-  const std::size_t n_coarse = plan.dms() / config.coarse_step;
-  for (std::size_t ci = 0; ci < n_coarse; ++ci) {
-    const double coarse_dm = obs.dm_value(ci * config.coarse_step);
-    for (std::size_t ch = 0; ch < channels; ++ch) {
-      max_intra = std::max(max_intra, sky::dispersion_delay_samples(
-                                          coarse_dm, obs.channel_freq_mhz(ch),
-                                          subband_top(ch / cs), rate));
-    }
-  }
-  return plan.out_samples() + static_cast<std::size_t>(max_inter + max_intra);
+  config.validate(plan);
+  std::vector<std::int64_t> intra, inter;
+  const auto [max_intra, max_inter] = split_delays(plan, config, intra, inter);
+  return plan.out_samples() + static_cast<std::size_t>(max_intra + max_inter);
 }
 
 void dedisperse_subband(const Plan& plan, const SubbandConfig& config,
                         ConstView2D<float> in, View2D<float> out,
-                        SubbandWorkspace& workspace) {
-  check_config(plan, config);
-  const sky::Observation& obs = plan.observation();
+                        SubbandWorkspace& workspace,
+                        const CpuKernelOptions& options) {
+  config.validate(plan);
   const std::size_t channels = plan.channels();
   const std::size_t samples = plan.out_samples();
-  const std::size_t dms = plan.dms();
-  const std::size_t cs = channels / config.subbands;
-  const double rate = obs.sampling_rate();
-  const double f_top = obs.f_max_mhz();
+  const std::size_t subbands = config.subbands;
+  const std::size_t step = config.coarse_step;
+  const std::size_t cs = channels / subbands;
 
   DDMC_REQUIRE(in.rows() == channels, "input rows != channels");
-  DDMC_REQUIRE(out.rows() == dms, "output rows != trial DMs");
+  DDMC_REQUIRE(out.rows() == plan.dms(), "output rows != trial DMs");
   DDMC_REQUIRE(out.cols() >= samples, "output too short");
 
-  // Inter-subband delays: subband b is referenced to its own top edge.
-  auto subband_top = [&](std::size_t band) {
-    return obs.channel_freq_mhz(band * cs + cs - 1) + obs.channel_bw_mhz();
-  };
-  std::vector<std::int64_t>& inter = workspace.inter;
-  inter.resize(dms * config.subbands);
-  std::int64_t max_inter = 0;
-  for (std::size_t dm = 0; dm < dms; ++dm) {
-    for (std::size_t band = 0; band < config.subbands; ++band) {
-      const std::int64_t k = sky::dispersion_delay_samples(
-          obs.dm_value(dm), subband_top(band), f_top, rate);
-      inter[dm * config.subbands + band] = k;
-      max_inter = std::max(max_inter, k);
-    }
-  }
-
-  // Intra-subband delays per coarse trial.
-  const std::size_t n_coarse = dms / config.coarse_step;
-  std::vector<std::int64_t>& intra = workspace.intra;
-  intra.resize(n_coarse * channels);
-  std::int64_t max_intra = 0;
-  for (std::size_t ci = 0; ci < n_coarse; ++ci) {
-    const double coarse_dm = obs.dm_value(ci * config.coarse_step);
-    for (std::size_t ch = 0; ch < channels; ++ch) {
-      const std::int64_t k = sky::dispersion_delay_samples(
-          coarse_dm, obs.channel_freq_mhz(ch), subband_top(ch / cs), rate);
-      intra[ci * channels + ch] = k;
-      max_intra = std::max(max_intra, k);
-    }
-  }
-
+  const auto [max_intra, max_inter] =
+      split_delays(plan, config, workspace.intra, workspace.inter);
   const std::size_t needed =
-      samples + static_cast<std::size_t>(max_inter + max_intra);
+      samples + static_cast<std::size_t>(max_intra + max_inter);
   DDMC_REQUIRE(in.cols() >= needed,
                "input too short for the split delays: need " +
                    std::to_string(needed) + " columns, have " +
                    std::to_string(in.cols()));
 
-  // Stage 1: per coarse trial, collapse each subband to one series long
-  // enough for every stage-2 shift. A subband is exactly a channel block of
-  // the tiled engine: the intra-subband shifts are precomputed above, the
-  // per-band accumulator row stays cache-resident across its cs channels,
-  // and the accumulate over time is SIMD-vectorized. Channel order within a
-  // band and band order within a trial are unchanged, so results match the
-  // scalar implementation bitwise.
-  const std::size_t inter_span = samples + static_cast<std::size_t>(max_inter);
-  const View2D<float> stage1 =
-      workspace.stage1.matrix(config.subbands, inter_span);
-  for (std::size_t ci = 0; ci < n_coarse; ++ci) {
-    for (std::size_t band = 0; band < config.subbands; ++band) {
-      std::fill_n(&stage1(band, 0), inter_span, 0.0f);
-    }
-    const std::int64_t* intra_row = &intra[ci * channels];
-    for (std::size_t band = 0; band < config.subbands; ++band) {
-      float* dst = &stage1(band, 0);
-      for (std::size_t ch = band * cs; ch < (band + 1) * cs; ++ch) {
-        const auto shift = static_cast<std::size_t>(intra_row[ch]);
-        simd::accumulate_span(dst, &in(ch, shift), inter_span);
+  // Stage-1 rows are long enough for every stage-2 shift; plane row
+  // j·subbands + band holds band for coarse trial ci0 + j of the block.
+  const std::size_t span = samples + static_cast<std::size_t>(max_inter);
+  const std::size_t n_coarse = plan.dms() / step;
+  const std::size_t coarse_bytes =
+      subbands * round_up(span * sizeof(float), kCacheLineBytes);
+  const std::size_t block = std::bit_floor(
+      std::clamp<std::size_t>(kStage1BlockBytes / coarse_bytes, 1, n_coarse));
+  const View2D<float> plane = workspace.stage1.matrix(block * subbands, span);
+  std::vector<TileJob<float>>& jobs = workspace.jobs;
+  // A stage tile holds eight trials at most, often one or two, so staging
+  // would copy about as many elements as the kernel adds.
+  CpuKernelOptions stage_options = options;
+  stage_options.stage_rows = false;
+
+  for (std::size_t ci0 = 0; ci0 < n_coarse; ci0 += block) {
+    const std::size_t nb = std::min(block, n_coarse - ci0);
+    {
+      // Stage 1: each band's channels over the block's coarse trials.
+      telemetry::TraceSpan stage("subband.stage1");
+      jobs.clear();
+      for (std::size_t band = 0; band < subbands; ++band) {
+        jobs.push_back(
+            {ConstView2D<std::int64_t>(
+                 &workspace.intra[ci0 * channels + band * cs], nb, cs,
+                 channels),
+             ConstView2D<float>(&in(band * cs, 0), cs, in.cols(),
+                                in.pitch()),
+             View2D<float>(&plane(band, 0), nb, span,
+                           subbands * plane.pitch())});
       }
+      dedisperse_tiled(jobs, stage_config(nb), stage_options);
     }
-    // Stage 2: every fine trial of this coarse bucket combines the same
-    // subband series with its own inter-subband shifts.
-    for (std::size_t j = 0; j < config.coarse_step; ++j) {
-      const std::size_t dm = ci * config.coarse_step + j;
-      const std::int64_t* inter_row = &inter[dm * config.subbands];
-      float* dst = &out(dm, 0);
-      std::fill(dst, dst + samples, 0.0f);
-      for (std::size_t band = 0; band < config.subbands; ++band) {
-        const auto shift = static_cast<std::size_t>(inter_row[band]);
-        simd::accumulate_span(dst, &stage1(band, shift), samples);
+    {
+      // Stage 2: each coarse trial's band rows over its fine trials.
+      telemetry::TraceSpan stage("subband.stage2");
+      jobs.clear();
+      for (std::size_t j = 0; j < nb; ++j) {
+        const std::size_t dm0 = (ci0 + j) * step;
+        jobs.push_back(
+            {ConstView2D<std::int64_t>(&workspace.inter[dm0 * subbands],
+                                       step, subbands, subbands),
+             ConstView2D<float>(&plane(j * subbands, 0), subbands, span,
+                                plane.pitch()),
+             View2D<float>(&out(dm0, 0), step, samples, out.pitch())});
       }
+      dedisperse_tiled(jobs, stage_config(step), stage_options);
     }
   }
-}
-
-Array2D<float> dedisperse_subband(const Plan& plan,
-                                  const SubbandConfig& config,
-                                  ConstView2D<float> in) {
-  Array2D<float> out(plan.dms(), plan.out_samples());
-  SubbandWorkspace workspace;
-  dedisperse_subband(plan, config, in, out.view(), workspace);
-  return out;
 }
 
 }  // namespace ddmc::dedisp

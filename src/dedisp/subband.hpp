@@ -15,12 +15,19 @@
 /// intra-subband delay error. With one channel per subband and a coarse
 /// step of one the method degenerates to exact brute force, which is the
 /// equivalence anchor the tests use.
+///
+/// Both stages are brute-force dedispersions over a smaller delay table
+/// (Barsdell et al., arXiv:1201.5380) and run through the tiled kernel
+/// (cpu_kernel.hpp): stage 1 over the intra-subband delays, stage 2 over
+/// the inter-subband ones, one dispatch each per block of coarse trials.
+/// The result does not depend on SIMD width, tile shape or thread count.
 
 #include <cstdint>
 #include <vector>
 
 #include "common/array2d.hpp"
 #include "common/workspace.hpp"
+#include "dedisp/cpu_kernel.hpp"
 #include "dedisp/plan.hpp"
 
 namespace ddmc::dedisp {
@@ -36,6 +43,10 @@ struct SubbandConfig {
   /// ≥ 1), so any plan runs. Shrinking either only makes the approximation
   /// *more* exact.
   SubbandConfig adapted_to(const Plan& plan) const;
+
+  /// Throws ddmc::invalid_argument unless both parameters are positive and
+  /// divide \p plan (the subband and fdmt engines share this rule).
+  void validate(const Plan& plan) const;
 };
 
 /// Floating point operations of the two-stage method for \p plan
@@ -55,26 +66,25 @@ std::size_t subband_min_input_samples(const Plan& plan,
                                       const SubbandConfig& config);
 
 /// The buffers dedisperse_subband works in, kept between calls: the split
-/// delay tables and the stage-1 plane (subbands × out_samples + the
-/// largest inter-subband delay). Both grow when a call's shape needs more
-/// and are otherwise reused. One call at a time per workspace.
+/// delay tables, the stage-1 plane (the subband series of one block of
+/// coarse trials, at most 4 MiB unless one coarse trial needs more) and
+/// the stage jobs. They grow when a call's shape needs more and are
+/// otherwise reused. One call at a time per workspace.
 struct SubbandWorkspace {
   std::vector<std::int64_t> inter;
   std::vector<std::int64_t> intra;
   ScratchBuffer<float> stage1;
+  std::vector<TileJob<float>> jobs;
 };
 
 /// Two-stage dedispersion into \p out (dms × out_samples), working in
-/// \p workspace. The input must provide in_samples + 2 columns of padding
+/// \p workspace, on \p options' threads and vectorization (the stages
+/// never stage rows). The input must provide in_samples + 2 columns
 /// (delay splitting rounds the intra and inter shifts separately, costing
 /// up to two extra samples).
 void dedisperse_subband(const Plan& plan, const SubbandConfig& config,
                         ConstView2D<float> in, View2D<float> out,
-                        SubbandWorkspace& workspace);
-
-/// Convenience allocating the output and a workspace for one call.
-Array2D<float> dedisperse_subband(const Plan& plan,
-                                  const SubbandConfig& config,
-                                  ConstView2D<float> in);
+                        SubbandWorkspace& workspace,
+                        const CpuKernelOptions& options = {});
 
 }  // namespace ddmc::dedisp

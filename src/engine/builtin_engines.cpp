@@ -31,6 +31,7 @@
 #include <cstring>
 #include <numeric>
 #include <set>
+#include <string_view>
 #include <utility>
 
 #include "common/expect.hpp"
@@ -59,6 +60,12 @@ class EngineBase : public DedispEngine {
   const std::string& id() const override { return id_; }
   const EngineCapabilities& capabilities() const override { return caps_; }
   const EngineOptions& options() const override { return options_; }
+
+  /// The variant of the tiled kernel, which the tiled engines and subband
+  /// run: the compiled SIMD backend, or "scalar" without vectorization.
+  std::string variant() const override {
+    return options_.cpu.vectorize ? simd::backend_name() : "scalar";
+  }
 
  protected:
   void check_shapes(const dedisp::Plan& plan, ConstView2D<float> in,
@@ -195,10 +202,6 @@ std::vector<dedisp::KernelConfig> tiled_candidates(const dedisp::Plan& plan,
 class CpuTiledBase : public EngineBase {
  public:
   using EngineBase::EngineBase;
-
-  std::string variant() const override {
-    return options_.cpu.vectorize ? simd::backend_name() : "scalar";
-  }
 
   std::vector<AxisSpec> config_axes(
       const dedisp::Plan& plan) const override {
@@ -459,6 +462,97 @@ std::vector<std::int64_t> divisor_ladder(std::size_t n, std::size_t cap) {
   return out;
 }
 
+// The split axes the two-stage engines (subband, fdmt) share.
+
+/// `subbands` and `coarse_step` over the plan's divisors, at most \p cap
+/// values each, defaulting to \p def.
+std::vector<AxisSpec> split_axes(const dedisp::Plan& plan,
+                                 const dedisp::SubbandConfig& def,
+                                 std::size_t cap) {
+  AxisSpec subbands;
+  subbands.name = "subbands";
+  subbands.values = divisor_ladder(plan.channels(), cap);
+  subbands.default_value = static_cast<std::int64_t>(def.subbands);
+  AxisSpec coarse;
+  coarse.name = "coarse_step";
+  coarse.values = divisor_ladder(plan.dms(), cap);
+  coarse.default_value = static_cast<std::int64_t>(def.coarse_step);
+  return {std::move(subbands), std::move(coarse)};
+}
+
+/// The splits on the ladders of \p axes whose smearing bound (\p error)
+/// does not exceed \p def's: shrinking either knob only makes the
+/// approximation more exact, so tuning may trade throughput within the
+/// accuracy the caller already accepted, never loosen it silently.
+template <typename Error>
+std::vector<dedisp::SubbandConfig> splits_within(
+    const std::vector<AxisSpec>& axes, const dedisp::SubbandConfig& def,
+    const Error& error) {
+  const std::int64_t budget = error(def);
+  std::vector<dedisp::SubbandConfig> splits;
+  for (const std::int64_t sb : axes[0].values) {
+    for (const std::int64_t cs : axes[1].values) {
+      const dedisp::SubbandConfig split{static_cast<std::size_t>(sb),
+                                        static_cast<std::size_t>(cs)};
+      if (error(split) <= budget) splits.push_back(split);
+    }
+  }
+  return splits;
+}
+
+/// \p split as its two axes.
+EngineConfig split_config(const dedisp::SubbandConfig& split) {
+  EngineConfig config;
+  config.set("subbands", static_cast<std::int64_t>(split.subbands))
+      .set("coarse_step", static_cast<std::int64_t>(split.coarse_step));
+  return config;
+}
+
+/// The split \p config selects: its axes where present, \p split's values
+/// where absent (so the empty config — and any kernel-shaped config
+/// another engine tuned — runs the configured split).
+dedisp::SubbandConfig split_of(const EngineConfig& config,
+                               dedisp::SubbandConfig split) {
+  if (config.has("subbands")) {
+    split.subbands = static_cast<std::size_t>(
+        std::max<std::int64_t>(config.get("subbands", 1), 1));
+  }
+  if (config.has("coarse_step")) {
+    split.coarse_step = static_cast<std::size_t>(
+        std::max<std::int64_t>(config.get("coarse_step", 1), 1));
+  }
+  return split;
+}
+
+/// Reject an axis of \p config that engine \p id does not declare
+/// (\p names), a value below 1, and a split axis that does not divide
+/// \p plan.
+void validate_split_config(const std::string& id, const dedisp::Plan& plan,
+                           const EngineConfig& config,
+                           std::initializer_list<std::string_view> names) {
+  for (const auto& [name, value] : config.axes) {
+    if (std::find(names.begin(), names.end(), name) == names.end()) {
+      throw config_error("engine '" + id + "' declares no config axis '" +
+                         name + "'");
+    }
+    if (value < 1) {
+      throw config_error("engine '" + id + "': axis '" + name +
+                         "' must be >= 1");
+    }
+  }
+  const auto check_divides = [&](const std::string& axis, std::size_t n,
+                                 const std::string& what) {
+    if (config.has(axis) &&
+        n % static_cast<std::size_t>(config.get(axis, 1)) != 0) {
+      throw config_error("engine '" + id + "': axis '" + axis +
+                         "' must divide the " + what + " " +
+                         std::to_string(n));
+    }
+  };
+  check_divides("subbands", plan.channels(), "channel count");
+  check_divides("coarse_step", plan.dms(), "trial count");
+}
+
 /// Two-stage engine. Its tuning axes are its *real* knobs — `subbands`
 /// (how many adjacent-channel groups stage 1 dedisperses) and
 /// `coarse_step` (fine trials reusing one coarse trial's shifts) — not the
@@ -472,87 +566,36 @@ class SubbandEngine final : public EngineBase {
       : EngineBase("subband",
                    EngineCapabilities{.supports_streaming = true,
                                       .tunable = true,
-                                      .input_padding = 2},
+                                      .input_padding = 2,
+                                      .threaded = true},
                    std::move(options)) {}
-
-  std::string variant() const override { return simd::backend_name(); }
 
   std::vector<AxisSpec> config_axes(
       const dedisp::Plan& plan) const override {
-    const dedisp::SubbandConfig def = options_.subband.adapted_to(plan);
-    AxisSpec subbands;
-    subbands.name = "subbands";
-    subbands.values = divisor_ladder(plan.channels(), 12);
-    subbands.default_value = static_cast<std::int64_t>(def.subbands);
-    AxisSpec coarse;
-    coarse.name = "coarse_step";
-    coarse.values = divisor_ladder(plan.dms(), 12);
-    coarse.default_value = static_cast<std::int64_t>(def.coarse_step);
-    return {std::move(subbands), std::move(coarse)};
+    return split_axes(plan, options_.subband.adapted_to(plan), 12);
   }
 
   std::vector<EngineConfig> config_space(
       const dedisp::Plan& plan) const override {
-    const std::vector<AxisSpec> axes = config_axes(plan);
-    const dedisp::SubbandConfig def = options_.subband.adapted_to(plan);
-    const std::int64_t budget = dedisp::subband_max_delay_error(plan, def);
     std::vector<EngineConfig> space;
-    for (const std::int64_t sb : axes[0].values) {
-      for (const std::int64_t cs : axes[1].values) {
-        const dedisp::SubbandConfig split{static_cast<std::size_t>(sb),
-                                          static_cast<std::size_t>(cs)};
-        // Smearing budget: shrinking either knob only makes the
-        // approximation more exact, so the filter keeps every split at
-        // least as accurate as the configured default.
-        if (dedisp::subband_max_delay_error(plan, split) > budget) continue;
-        EngineConfig cfg;
-        cfg.set("subbands", sb).set("coarse_step", cs);
-        space.push_back(std::move(cfg));
-      }
+    for (const dedisp::SubbandConfig& split : splits_within(
+             config_axes(plan), options_.subband.adapted_to(plan),
+             [&](const dedisp::SubbandConfig& split) {
+               return dedisp::subband_max_delay_error(plan, split);
+             })) {
+      space.push_back(split_config(split));
     }
     return space;
   }
 
   void validate_config(const dedisp::Plan& plan,
                        const EngineConfig& config) const override {
-    for (const auto& [name, value] : config.axes) {
-      if (name != "subbands" && name != "coarse_step") {
-        throw config_error("engine 'subband' declares no config axis '" +
-                           name + "'");
-      }
-      if (value < 1) {
-        throw config_error("engine 'subband': axis '" + name +
-                           "' must be >= 1");
-      }
-    }
-    if (config.has("subbands") &&
-        plan.channels() %
-                static_cast<std::size_t>(config.get("subbands", 1)) !=
-            0) {
-      throw config_error(
-          "engine 'subband': axis 'subbands' must divide the channel "
-          "count " +
-          std::to_string(plan.channels()));
-    }
-    if (config.has("coarse_step") &&
-        plan.dms() %
-                static_cast<std::size_t>(config.get("coarse_step", 1)) !=
-            0) {
-      throw config_error(
-          "engine 'subband': axis 'coarse_step' must divide the trial "
-          "count " +
-          std::to_string(plan.dms()));
-    }
+    validate_split_config(id_, plan, config, {"subbands", "coarse_step"});
   }
 
   EngineConfig adapt_config(const dedisp::Plan& plan,
                             const EngineConfig& config) const override {
-    const dedisp::SubbandConfig split = split_of(config).adapted_to(plan);
-    EngineConfig adapted;
-    adapted.set("subbands", static_cast<std::int64_t>(split.subbands));
-    adapted.set("coarse_step",
-                static_cast<std::int64_t>(split.coarse_step));
-    return adapted;
+    return split_config(split_of(config, options_.subband).adapted_to(plan));
   }
 
   std::string config_key(const dedisp::Plan& plan,
@@ -566,7 +609,8 @@ class SubbandEngine final : public EngineBase {
                          ConstView2D<float> in,
                          View2D<float> out) const override {
     check_shapes(plan, in, out);
-    const dedisp::SubbandConfig sub = split_of(config).adapted_to(plan);
+    const dedisp::SubbandConfig sub =
+        split_of(config, options_.subband).adapted_to(plan);
     // The split delays may read up to input_padding columns past
     // in_samples. Callers that provide the worst-case padding (the
     // streaming chunker and the tuning evaluator do) take the direct path
@@ -574,42 +618,26 @@ class SubbandEngine final : public EngineBase {
     // requirement — usually at or near in_samples — and only stage into a
     // zero-padded copy when the input is genuinely short, which bounds the
     // tail error by the padding width instead of rejecting the input.
+    const std::size_t required =
+        in.cols() >= plan.in_samples() + caps_.input_padding
+            ? 0
+            : dedisp::subband_min_input_samples(plan, sub);
     const auto workspace = workspaces_.acquire();
-    if (in.cols() >= plan.in_samples() + caps_.input_padding) {
-      dedisp::dedisperse_subband(plan, sub, in, out, *workspace);
-      return {};
-    }
-    const std::size_t required = dedisp::subband_min_input_samples(plan, sub);
     if (in.cols() >= required) {
-      dedisp::dedisperse_subband(plan, sub, in, out, *workspace);
+      dedisp::dedisperse_subband(plan, sub, in, out, *workspace,
+                                 options_.cpu);
       return {};
     }
     Array2D<float> padded(plan.channels(), required);  // zero-initialized
     for (std::size_t ch = 0; ch < in.rows(); ++ch) {
       std::memcpy(&padded(ch, 0), &in(ch, 0), in.cols() * sizeof(float));
     }
-    dedisp::dedisperse_subband(plan, sub, padded.cview(), out, *workspace);
+    dedisp::dedisperse_subband(plan, sub, padded.cview(), out, *workspace,
+                               options_.cpu);
     return {};
   }
 
  private:
-  /// The split a config selects: its axes where present, the engine's
-  /// configured default where absent (so the empty config — and any
-  /// kernel-shaped config another engine tuned — runs the configured
-  /// split, exactly the pre-axes behavior).
-  dedisp::SubbandConfig split_of(const EngineConfig& config) const {
-    dedisp::SubbandConfig split = options_.subband;
-    if (config.has("subbands")) {
-      split.subbands = static_cast<std::size_t>(
-          std::max<std::int64_t>(config.get("subbands", 1), 1));
-    }
-    if (config.has("coarse_step")) {
-      split.coarse_step = static_cast<std::size_t>(
-          std::max<std::int64_t>(config.get("coarse_step", 1), 1));
-    }
-    return split;
-  }
-
   mutable WorkspacePool<dedisp::SubbandWorkspace> workspaces_;
 };
 
@@ -653,41 +681,26 @@ class FdmtEngine final : public EngineBase {
   std::vector<AxisSpec> config_axes(
       const dedisp::Plan& plan) const override {
     const dedisp::FdmtConfig def = default_config().adapted_to(plan);
-    AxisSpec subbands;
-    subbands.name = "subbands";
-    subbands.values = divisor_ladder(plan.channels(), 8);
-    subbands.default_value = static_cast<std::int64_t>(def.split.subbands);
-    AxisSpec coarse;
-    coarse.name = "coarse_step";
-    coarse.values = divisor_ladder(plan.dms(), 8);
-    coarse.default_value = static_cast<std::int64_t>(def.split.coarse_step);
+    std::vector<AxisSpec> axes = split_axes(plan, def.split, 8);
     AxisSpec block;
     block.name = "block";
     block.values = {512, 2048, 8192};
     block.default_value = static_cast<std::int64_t>(def.block);
-    return {std::move(subbands), std::move(coarse), std::move(block)};
+    axes.push_back(std::move(block));
+    return axes;
   }
 
   std::vector<EngineConfig> config_space(
       const dedisp::Plan& plan) const override {
     const std::vector<AxisSpec> axes = config_axes(plan);
-    const dedisp::FdmtConfig def = default_config().adapted_to(plan);
-    const std::int64_t budget =
-        dedisp::fdmt_max_delay_error(plan, def.split);
     std::vector<EngineConfig> space;
-    for (const std::int64_t sb : axes[0].values) {
-      for (const std::int64_t cs : axes[1].values) {
-        const dedisp::SubbandConfig split{static_cast<std::size_t>(sb),
-                                          static_cast<std::size_t>(cs)};
-        // Same smearing-budget filter as the subband engine: tuning may
-        // trade throughput within the accuracy the caller configured,
-        // never loosen it silently.
-        if (dedisp::fdmt_max_delay_error(plan, split) > budget) continue;
-        for (const std::int64_t blk : axes[2].values) {
-          EngineConfig cfg;
-          cfg.set("subbands", sb).set("coarse_step", cs).set("block", blk);
-          space.push_back(std::move(cfg));
-        }
+    for (const dedisp::SubbandConfig& split : splits_within(
+             axes, default_config().adapted_to(plan).split,
+             [&](const dedisp::SubbandConfig& split) {
+               return dedisp::fdmt_max_delay_error(plan, split);
+             })) {
+      for (const std::int64_t blk : axes[2].values) {
+        space.push_back(split_config(split).set("block", blk));
       }
     }
     return space;
@@ -695,43 +708,15 @@ class FdmtEngine final : public EngineBase {
 
   void validate_config(const dedisp::Plan& plan,
                        const EngineConfig& config) const override {
-    for (const auto& [name, value] : config.axes) {
-      if (name != "subbands" && name != "coarse_step" && name != "block") {
-        throw config_error("engine 'fdmt' declares no config axis '" +
-                           name + "'");
-      }
-      if (value < 1) {
-        throw config_error("engine 'fdmt': axis '" + name +
-                           "' must be >= 1");
-      }
-    }
-    if (config.has("subbands") &&
-        plan.channels() %
-                static_cast<std::size_t>(config.get("subbands", 1)) !=
-            0) {
-      throw config_error(
-          "engine 'fdmt': axis 'subbands' must divide the channel count " +
-          std::to_string(plan.channels()));
-    }
-    if (config.has("coarse_step") &&
-        plan.dms() %
-                static_cast<std::size_t>(config.get("coarse_step", 1)) !=
-            0) {
-      throw config_error(
-          "engine 'fdmt': axis 'coarse_step' must divide the trial count " +
-          std::to_string(plan.dms()));
-    }
+    validate_split_config(id_, plan, config,
+                          {"subbands", "coarse_step", "block"});
   }
 
   EngineConfig adapt_config(const dedisp::Plan& plan,
                             const EngineConfig& config) const override {
     const dedisp::FdmtConfig cfg = config_of(config).adapted_to(plan);
-    EngineConfig adapted;
-    adapted.set("subbands", static_cast<std::int64_t>(cfg.split.subbands));
-    adapted.set("coarse_step",
-                static_cast<std::int64_t>(cfg.split.coarse_step));
-    adapted.set("block", static_cast<std::int64_t>(cfg.block));
-    return adapted;
+    return split_config(cfg.split)
+        .set("block", static_cast<std::int64_t>(cfg.block));
   }
 
   std::string config_key(const dedisp::Plan& plan,
@@ -763,14 +748,7 @@ class FdmtEngine final : public EngineBase {
   /// kernel-shaped config another engine tuned) runs the defaults.
   dedisp::FdmtConfig config_of(const EngineConfig& config) const {
     dedisp::FdmtConfig cfg = default_config();
-    if (config.has("subbands")) {
-      cfg.split.subbands = static_cast<std::size_t>(
-          std::max<std::int64_t>(config.get("subbands", 1), 1));
-    }
-    if (config.has("coarse_step")) {
-      cfg.split.coarse_step = static_cast<std::size_t>(
-          std::max<std::int64_t>(config.get("coarse_step", 1), 1));
-    }
+    cfg.split = split_of(config, cfg.split);
     if (config.has("block")) {
       cfg.block = static_cast<std::size_t>(
           std::max<std::int64_t>(config.get("block", 1), 1));

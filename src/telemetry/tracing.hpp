@@ -31,6 +31,8 @@
 ///   sky.detect       one detect_best_dm scan    (args: rows, cols)
 ///   stream.chunk     chunk compute              (args: chunk)
 ///   stream.sink      sink delivery              (args: chunk)
+///   subband.stage1   subband: intra-subband stage, per block of coarse trials
+///   subband.stage2   subband: inter-subband stage, per block of coarse trials
 ///   tuner.tune       one race entrant's tuning (args: engine, source,
 ///                    threads, pruned, bound_ms, evaluated)
 ///   tuner.seed       one timed call ordering a race (args: engine, ms)

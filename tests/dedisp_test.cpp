@@ -8,6 +8,8 @@
 #include <cmath>
 #include <cstdint>
 #include <random>
+#include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -287,6 +289,53 @@ TEST(CpuKernel, GlobalPoolPathMatchesReference) {
   const Array2D<float> got =
       dedisperse_cpu(plan, KernelConfig{8, 2, 4, 2}, in.cview());
   expect_same_matrix(expected, got);
+}
+
+TEST(CpuKernel, TileJobsWithRaggedTimeTilesMatchReference) {
+  // The plan's delay table split into two jobs of four trials, run in one
+  // dispatch with a time tile that does not divide the 67 output samples:
+  // every job row equals the reference row, staged or not, inline or
+  // threaded.
+  const Plan plan = mini_plan(8, 67);
+  const Array2D<float> in = random_input(plan);
+  const Array2D<float> expected = dedisperse_reference(plan, in.cview());
+  const ConstView2D<std::int64_t> delays = plan.delays().view();
+  const KernelConfig config{16, 2, 1, 2, 0, 2};
+  for (const bool staged : {true, false}) {
+    for (const std::size_t threads : {1ul, 3ul}) {
+      SCOPED_TRACE(std::to_string(threads) + (staged ? " staged" : ""));
+      Array2D<float> got(plan.dms(), plan.out_samples());
+      std::vector<TileJob<float>> jobs;
+      for (std::size_t dm0 : {0ul, 4ul}) {
+        jobs.push_back(
+            {ConstView2D<std::int64_t>(&delays(dm0, 0), 4, delays.cols(),
+                                       delays.pitch()),
+             in.cview(),
+             View2D<float>(&got(dm0, 0), 4, got.cols(), got.pitch())});
+      }
+      CpuKernelOptions opt;
+      opt.stage_rows = staged;
+      opt.threads = threads;
+      dedisperse_tiled(jobs, config, opt);
+      expect_same_matrix(expected, got);
+    }
+  }
+}
+
+TEST(CpuKernel, TileJobRejectsAnInputShorterThanItsDelays) {
+  const Plan plan = mini_plan(8, 64);
+  const Array2D<float> in = random_input(plan);
+  Array2D<float> out(plan.dms(), plan.out_samples());
+  const TileJob<float> job{
+      plan.delays().view(),
+      ConstView2D<float>(in.cview().data(), in.rows(), plan.in_samples() - 1,
+                         in.pitch()),
+      out.view()};
+  CpuKernelOptions opt;
+  opt.threads = 1;
+  EXPECT_THROW(dedisperse_tiled(std::span<const TileJob<float>>(&job, 1),
+                                KernelConfig{8, 1, 1, 1}, opt),
+               invalid_argument);
 }
 
 TEST(CpuKernel, InvalidConfigThrows) {

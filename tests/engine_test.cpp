@@ -328,12 +328,20 @@ TEST(EngineCapabilities, MatrixMatchesTheContract) {
 
   // The subband engine now declares its own axes (subbands, coarse_step):
   // tunable through the engine-native config space, still not shardable.
+  // Both its stages run the tiled kernel, so it runs on the kernel's
+  // workers like the tiled engines.
   const EngineCapabilities subband = caps("subband");
   EXPECT_FALSE(subband.supports_sharding);
   EXPECT_TRUE(subband.supports_streaming);
   EXPECT_FALSE(subband.bitwise_exact);
   EXPECT_TRUE(subband.tunable);
   EXPECT_EQ(subband.input_padding, 2u);
+  EXPECT_TRUE(subband.threaded);
+  EngineOptions scalar;
+  scalar.cpu.vectorize = false;
+  EXPECT_EQ(make_engine("subband", scalar)->variant(), "scalar");
+  EXPECT_EQ(make_engine("subband")->variant(),
+            make_engine("cpu_tiled")->variant());
 
   // The Fourier-domain engine shards (per-shard phase tables compose from
   // the sliced delay tables) and tunes, but does not stream — a chunk
@@ -347,6 +355,7 @@ TEST(EngineCapabilities, MatrixMatchesTheContract) {
   EXPECT_TRUE(fdmt.tunable);
   EXPECT_EQ(fdmt.input_padding, 0u);
   EXPECT_EQ(fdmt.input_element_bytes, sizeof(float));
+  EXPECT_FALSE(fdmt.threaded);
 }
 
 TEST(EngineCapabilities, VariantsAreSignatureSafe) {

@@ -3,12 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include "common/expect.hpp"
 #include "dedisp/reference.hpp"
 #include "dedisp/subband.hpp"
 #include "pipeline/multibeam.hpp"
+#include "sky/delay.hpp"
 #include "sky/detection.hpp"
 #include "sky/signal.hpp"
 #include "engine/registry.hpp"
@@ -38,6 +43,15 @@ Array2D<float> padded_input(const Plan& plan, std::uint64_t seed = 7) {
 }
 
 // ---------------------------------------------------------------- subband --
+
+/// Two-stage dedispersion of \p in into a fresh output.
+Array2D<float> subband(const Plan& plan, const SubbandConfig& cfg,
+                       ConstView2D<float> in) {
+  Array2D<float> out(plan.dms(), plan.out_samples());
+  dedisp::SubbandWorkspace workspace;
+  dedisp::dedisperse_subband(plan, cfg, in, out.view(), workspace);
+  return out;
+}
 
 TEST(Subband, FlopCountFollowsTheTwoStageFormula) {
   const Plan plan = testing::mini_plan(8, 64);
@@ -71,8 +85,7 @@ TEST(Subband, ZeroDmObservationIsExactUpToAssociation) {
       Plan::with_output_samples(mini_obs().zero_dm_variant(), 8, 64);
   const Array2D<float> in = padded_input(plan);
   const Array2D<float> expected = dedisp::dedisperse_reference(plan, in.cview());
-  const Array2D<float> got =
-      dedisp::dedisperse_subband(plan, SubbandConfig{4, 2}, in.cview());
+  const Array2D<float> got = subband(plan, SubbandConfig{4, 2}, in.cview());
   for (std::size_t dm = 0; dm < plan.dms(); ++dm) {
     for (std::size_t t = 0; t < plan.out_samples(); ++t) {
       ASSERT_NEAR(expected(dm, t), got(dm, t), 1e-5)
@@ -107,8 +120,7 @@ TEST(Subband, RampInputDeviationBoundedBySmearing) {
   }
   const Array2D<float> expected = dedisp::dedisperse_reference(plan, in.cview());
   const SubbandConfig cfg{4, 4};
-  const Array2D<float> got =
-      dedisp::dedisperse_subband(plan, cfg, in.cview());
+  const Array2D<float> got = subband(plan, cfg, in.cview());
   const double bound =
       static_cast<double>(plan.channels()) *
       (static_cast<double>(dedisp::subband_max_delay_error(plan, cfg)) + 2.0);
@@ -134,8 +146,7 @@ TEST(Subband, RecoversThePulsarLikeBruteForce) {
   sky::generate_noise(obs, data.view(), noise);
   sky::inject_pulsar(obs, data.view(), pulsar);
 
-  const Array2D<float> out =
-      dedisp::dedisperse_subband(plan, SubbandConfig{4, 2}, data.cview());
+  const Array2D<float> out = subband(plan, SubbandConfig{4, 2}, data.cview());
   const sky::DetectionResult res = sky::detect_best_dm(out.cview());
   EXPECT_NEAR(static_cast<double>(res.best_trial), 4.0, 1.0);
   EXPECT_GT(res.best_snr, 5.0);
@@ -150,6 +161,94 @@ TEST(Subband, InputPaddingIsEnforced) {
                                           exact.cview(), out.view(),
                                           workspace),
                invalid_argument);
+}
+
+/// The two-stage method as plain scalar loops: stage 1 sums each subband's
+/// channels at the coarse trial's intra-subband shifts, stage 2 sums the
+/// subband series at each fine trial's inter-subband shifts, both in
+/// ascending order from 0.0f.
+Array2D<float> two_stage_oracle(const Plan& plan, const SubbandConfig& cfg,
+                                const Array2D<float>& in) {
+  const sky::Observation& obs = plan.observation();
+  const std::size_t cs = plan.channels() / cfg.subbands;
+  const double rate = obs.sampling_rate();
+  auto top = [&](std::size_t band) {
+    return obs.channel_freq_mhz(band * cs + cs - 1) + obs.channel_bw_mhz();
+  };
+  auto inter = [&](std::size_t dm, std::size_t band) {
+    return static_cast<std::size_t>(sky::dispersion_delay_samples(
+        obs.dm_value(dm), top(band), obs.f_max_mhz(), rate));
+  };
+  std::size_t span = plan.out_samples();
+  for (std::size_t dm = 0; dm < plan.dms(); ++dm) {
+    for (std::size_t band = 0; band < cfg.subbands; ++band) {
+      span = std::max(span, plan.out_samples() + inter(dm, band));
+    }
+  }
+  Array2D<float> out(plan.dms(), plan.out_samples());
+  for (std::size_t ci = 0; ci < plan.dms() / cfg.coarse_step; ++ci) {
+    const double coarse_dm = obs.dm_value(ci * cfg.coarse_step);
+    std::vector<std::vector<float>> stage1(cfg.subbands,
+                                           std::vector<float>(span, 0.0f));
+    for (std::size_t ch = 0; ch < plan.channels(); ++ch) {
+      const auto shift =
+          static_cast<std::size_t>(sky::dispersion_delay_samples(
+              coarse_dm, obs.channel_freq_mhz(ch), top(ch / cs), rate));
+      for (std::size_t t = 0; t < span; ++t) {
+        stage1[ch / cs][t] += in(ch, shift + t);
+      }
+    }
+    for (std::size_t dm = ci * cfg.coarse_step;
+         dm < (ci + 1) * cfg.coarse_step; ++dm) {
+      for (std::size_t t = 0; t < plan.out_samples(); ++t) {
+        float sum = 0.0f;
+        for (std::size_t band = 0; band < cfg.subbands; ++band) {
+          sum += stage1[band][inter(dm, band) + t];
+        }
+        out(dm, t) = sum;
+      }
+    }
+  }
+  return out;
+}
+
+TEST(Subband, MatchesTwoStageOracleBitwise) {
+  // The engine's output, bit for bit, over splits from exact brute force
+  // ({channels, 1}) through the tune_cold default ({32, 16}) to one
+  // subband, output lengths with SIMD tails, and inline and pooled runs.
+  const std::size_t channels = 64;
+  const std::vector<SubbandConfig> splits = {
+      {channels, 1}, {32, 16}, {8, 4}, {16, 2}, {1, 32}};
+  for (const std::size_t samples : {61ul, 64ul, 67ul}) {
+    const Plan plan = Plan::with_output_samples(mini_obs(channels, 0.25), 32,
+                                                samples);
+    Array2D<float> in(plan.channels(), plan.in_samples() + 2);
+    Rng rng(samples);
+    for (std::size_t ch = 0; ch < in.rows(); ++ch) {
+      for (auto& v : in.row(ch)) v = rng.next_float(-1.0f, 1.0f);
+    }
+    for (const SubbandConfig& split : splits) {
+      const Array2D<float> expected = two_stage_oracle(plan, split, in);
+      engine::EngineConfig config;
+      config.set("subbands", static_cast<std::int64_t>(split.subbands))
+          .set("coarse_step", static_cast<std::int64_t>(split.coarse_step));
+      for (const std::size_t threads : {1ul, 3ul}) {
+        SCOPED_TRACE(config.encode() + " samples=" + std::to_string(samples) +
+                     " threads=" + std::to_string(threads));
+        engine::EngineOptions options;
+        options.cpu.threads = threads;
+        Array2D<float> out(plan.dms(), plan.out_samples());
+        engine::make_engine("subband", options)
+            ->execute(plan, config, in.cview(), out.view());
+        for (std::size_t dm = 0; dm < plan.dms(); ++dm) {
+          EXPECT_EQ(std::memcmp(&out(dm, 0), &expected(dm, 0),
+                                samples * sizeof(float)),
+                    0)
+              << "trial " << dm;
+        }
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------------- host tuner --

@@ -90,16 +90,6 @@ TEST(Simd, FmaIsCloseToMulAdd) {
   }
 }
 
-/// Every span length up to three vectors and one past (each tail of the
-/// single-vector loop and of the masked step), plus long spans that run
-/// the unrolled loop.
-std::vector<std::size_t> span_lengths() {
-  std::vector<std::size_t> lengths;
-  for (std::size_t n = 0; n <= 3 * kFloatLanes + 1; ++n) lengths.push_back(n);
-  for (std::size_t n : {31ul, 64ul, 97ul, 200ul}) lengths.push_back(n);
-  return lengths;
-}
-
 TEST(Simd, PartialLoadZeroFillsMissingLanes) {
   // Each source ends exactly at n elements, so the sanitizer leg catches a
   // partial load that reads past them.
@@ -145,39 +135,6 @@ TEST(Simd, PartialLoadU8WidensAndZeroFills) {
     for (std::size_t i = 0; i < kFloatLanes; ++i) {
       EXPECT_EQ(out[i], i < n ? static_cast<float>(src[i]) : 0.0f)
           << "n=" << n << " i=" << i;
-    }
-  }
-}
-
-TEST(Simd, AccumulateSpanMatchesScalarBitwise) {
-  std::mt19937 gen(20260730);
-  std::uniform_real_distribution<float> dist(-1.0f, 1.0f);
-  // Cover empty spans, every tail, exact multiples and long spans, at
-  // unaligned source offsets, for every unroll hint. Sources end exactly
-  // at the span, so a tail that reads past it trips the sanitizer leg.
-  // Unroll 3 has no
-  // compiled instantiation — KernelConfig::validate rejects it upstream —
-  // but the low-level dispatcher still maps it to the plain loop for
-  // direct callers, and that fallback must stay bitwise-correct.
-  for (std::size_t n : span_lengths()) {
-    for (std::size_t unroll : {1ul, 2ul, 3ul, 4ul, 8ul}) {
-      for (std::size_t offset : {0ul, 1ul}) {
-        std::vector<float> src(n + offset);
-        std::vector<float> acc_simd(n), acc_scalar(n);
-        for (auto& v : src) v = dist(gen);
-        for (std::size_t i = 0; i < n; ++i) {
-          acc_simd[i] = acc_scalar[i] = dist(gen);
-        }
-        accumulate_span(acc_simd.data(), src.data() + offset, n, unroll);
-        for (std::size_t i = 0; i < n; ++i) {
-          acc_scalar[i] += src[offset + i];
-        }
-        for (std::size_t i = 0; i < n; ++i) {
-          EXPECT_EQ(acc_simd[i], acc_scalar[i])
-              << "n=" << n << " unroll=" << unroll << " offset=" << offset
-              << " i=" << i;
-        }
-      }
     }
   }
 }
@@ -228,22 +185,6 @@ TEST(Simd, LoadU8ReadsExactlyKFloatLanesBytes) {
           << "offset=" << offset << " i=" << i;
     }
   }
-}
-
-TEST(Simd, AccumulateSpanIsAdditiveOverCalls) {
-  // Two blocked passes equal one full pass — the channel-blocking identity
-  // the tiled engine relies on.
-  const std::size_t n = 70;
-  std::vector<float> a(n), b(n), acc_once(n, 0.0f), acc_split(n, 0.0f);
-  std::mt19937 gen(7);
-  std::uniform_real_distribution<float> dist(-1.0f, 1.0f);
-  for (auto& v : a) v = dist(gen);
-  for (auto& v : b) v = dist(gen);
-  accumulate_span(acc_once.data(), a.data(), n);
-  accumulate_span(acc_once.data(), b.data(), n);
-  accumulate_span(acc_split.data(), a.data(), n, 4);
-  accumulate_span(acc_split.data(), b.data(), n, 2);
-  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(acc_once[i], acc_split[i]);
 }
 
 TEST(Simd, TransposeMovesLaneIOfVectorJToLaneJOfVectorI) {

@@ -283,6 +283,39 @@ TEST_F(TelemetryTracerTest, FdmtExecuteEmitsItsStageSpansInsideTheEngineSpan) {
   }
 }
 
+TEST_F(TelemetryTracerTest, SubbandExecuteEmitsOneSpanPerStage) {
+  // The subband engine's two tiled-kernel stages are readable from a
+  // trace: one span each per execute, on the executing thread, nested in
+  // engine.execute.
+  const auto plan = ddmc::dedisp::Plan::with_output_samples(
+      ddmc::sky::apertif(), 8, 64);
+  ddmc::Array2D<float> in(plan.channels(), plan.in_samples() + 2);
+  ddmc::Array2D<float> out(plan.dms(), plan.out_samples());
+  const auto engine = ddmc::engine::make_engine("subband");
+  Tracer::instance().set_enabled(true);
+  engine->execute(plan, ddmc::engine::EngineConfig{}, in.cview(), out.view());
+  Tracer::instance().set_enabled(false);
+
+  const auto events = Tracer::instance().events();
+  const TraceEvent* outer = nullptr;
+  for (const TraceEvent& e : events) {
+    if (std::string(e.name) == "engine.execute") outer = &e;
+  }
+  ASSERT_NE(outer, nullptr);
+  for (const char* stage : {"subband.stage1", "subband.stage2"}) {
+    SCOPED_TRACE(stage);
+    int found = 0;
+    for (const TraceEvent& e : events) {
+      if (std::string(e.name) != stage) continue;
+      ++found;
+      EXPECT_EQ(e.tid, outer->tid);
+      EXPECT_GE(e.start_ns, outer->start_ns);
+      EXPECT_LE(e.start_ns + e.dur_ns, outer->start_ns + outer->dur_ns);
+    }
+    EXPECT_EQ(found, 1);
+  }
+}
+
 TEST_F(TelemetryTracerTest, DetectBestDmRecordsOneSpanWithItsShape) {
   // Detection's share of a stage comes from the library's own span, with
   // the matrix shape it scanned.

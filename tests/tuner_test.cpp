@@ -1243,6 +1243,26 @@ TEST(TuningCacheTest, ThreeWayRaceWithFdmtResolvesWarmAndRanksBySeconds) {
   EXPECT_DOUBLE_EQ(reranked.gflops, 0.5);  // the winner's display figure
 }
 
+TEST(TuningCacheTest, RaceAtTwoThreadsRunsTiledAndSubbandOnTwoThreads) {
+  // Both subband stages run the tiled kernel on its workers, so a race at
+  // a fixed thread count compares cpu_tiled and subband at that count, and
+  // the record says so.
+  const Plan plan = mini_plan(8, 64);
+  TuningCache cache;
+  GuidedTuningOptions opt;
+  opt.host.repetitions = 1;
+  opt.host.warmup_runs = 0;
+  opt.host.threads = 2;
+  opt.strategy = StrategyKind::kRandom;
+  opt.random_samples = 2;
+  opt.engines = {"cpu_tiled", "subband"};
+  const GuidedTuningOutcome outcome = tune_guided(plan, cache, opt);
+  ASSERT_EQ(outcome.race.size(), 2u);
+  for (const auto& row : outcome.race) {
+    EXPECT_EQ(row.threads, 2u) << row.engine_id;
+  }
+}
+
 TEST(TuningCacheTest, PrunedEntriesNeverTransferAndMissWhenUnbeaten) {
   // A pruned entry records only that its engine lost to a bound. It is
   // never a transfer source, and a race in which nothing beats its bound
