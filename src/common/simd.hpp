@@ -33,6 +33,19 @@
 /// seven-instruction 128-bit shuffle sequence, and that sequence — not the
 /// memory traffic — set the u8 kernel's speed on AVX builds.
 ///
+/// Backends with integer vectors (AVX-512BW, AVX2, SSE2, NEON) define
+/// DDMC_SIMD_CODE_LANES and a second lane type for the u8 register tile:
+/// `vcode` holds kCodeLanes = 2·kFloatLanes unsigned 16-bit code sums in
+/// the same register width. `vcode_zero` clears it, `vcode_add_u8`
+/// zero-extends the next kCodeLanes bytes to 16 bits and adds them
+/// (`vpmovzxbw` + `vpaddw`, `vaddw_u8` on NEON: two instructions per
+/// kCodeLanes samples, where widening to float lanes costs three per
+/// kFloatLanes), and `vcode_widen_add` adds the lanes into kCodeLanes
+/// floats of a row through an exact u16 → i32 → float conversion. Lanes
+/// wrap modulo 2^16, so a caller adds at most 257 bytes into a lane
+/// (255·257 = 65 535) before widening it. AVX without AVX2 and the scalar
+/// fallback have no integer lanes and declare none of this.
+///
 /// Partial vectors (`vload_partial`, `vstore_partial`, `vload_u8_partial`)
 /// touch only the first n < kFloatLanes elements and zero the rest of the
 /// lanes. On AVX-512 they are single masked instructions whose masked-off
@@ -108,6 +121,26 @@ inline vfloat vload_u8(const std::uint8_t* p) {
   // Exactly kFloatLanes bytes, zero-extended to 32 bits in one instruction.
   const __m128i b = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
   return {_mm512_cvtepi32_ps(_mm512_cvtepu8_epi32(b))};
+}
+
+#define DDMC_SIMD_CODE_LANES 1
+inline constexpr std::size_t kCodeLanes = 32;
+struct vcode {
+  __m512i v;
+};
+inline vcode vcode_zero() { return {_mm512_setzero_si512()}; }
+inline vcode vcode_add_u8(vcode a, const std::uint8_t* p) {
+  // Exactly kCodeLanes bytes, zero-extended to 16 bits in one instruction.
+  const __m256i b = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+  return {_mm512_add_epi16(a.v, _mm512_cvtepu8_epi16(b))};
+}
+inline void vcode_widen_add(float* row, vcode a) {
+  const __m512i lo = _mm512_cvtepu16_epi32(_mm512_castsi512_si256(a.v));
+  const __m512i hi = _mm512_cvtepu16_epi32(_mm512_extracti64x4_epi64(a.v, 1));
+  _mm512_storeu_ps(row,
+                   _mm512_add_ps(_mm512_loadu_ps(row), _mm512_cvtepi32_ps(lo)));
+  _mm512_storeu_ps(row + 16, _mm512_add_ps(_mm512_loadu_ps(row + 16),
+                                           _mm512_cvtepi32_ps(hi)));
 }
 
 namespace detail {
@@ -194,6 +227,26 @@ inline vfloat vload_u8(const std::uint8_t* p) {
   return {_mm256_insertf128_ps(_mm256_castps128_ps256(lo), hi, 1)};
 #endif
 }
+#if defined(__AVX2__)
+#define DDMC_SIMD_CODE_LANES 1
+inline constexpr std::size_t kCodeLanes = 16;
+struct vcode {
+  __m256i v;
+};
+inline vcode vcode_zero() { return {_mm256_setzero_si256()}; }
+inline vcode vcode_add_u8(vcode a, const std::uint8_t* p) {
+  const __m128i b = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+  return {_mm256_add_epi16(a.v, _mm256_cvtepu8_epi16(b))};
+}
+inline void vcode_widen_add(float* row, vcode a) {
+  const __m256i lo = _mm256_cvtepu16_epi32(_mm256_castsi256_si128(a.v));
+  const __m256i hi = _mm256_cvtepu16_epi32(_mm256_extracti128_si256(a.v, 1));
+  _mm256_storeu_ps(row,
+                   _mm256_add_ps(_mm256_loadu_ps(row), _mm256_cvtepi32_ps(lo)));
+  _mm256_storeu_ps(row + 8, _mm256_add_ps(_mm256_loadu_ps(row + 8),
+                                          _mm256_cvtepi32_ps(hi)));
+}
+#endif
 inline void vtranspose(vfloat (&r)[kFloatLanes]) {
   // Per 128-bit lane, 4x4 transposes of rows 0-3 and 4-7 (unpack +
   // shuffle), then one 128-bit block swap pairs the two halves.
@@ -245,6 +298,23 @@ inline vfloat vload_u8(const std::uint8_t* p) {
   const __m128i w = _mm_unpacklo_epi8(b, zero);
   return {_mm_cvtepi32_ps(_mm_unpacklo_epi16(w, zero))};
 }
+#define DDMC_SIMD_CODE_LANES 1
+inline constexpr std::size_t kCodeLanes = 8;
+struct vcode {
+  __m128i v;
+};
+inline vcode vcode_zero() { return {_mm_setzero_si128()}; }
+inline vcode vcode_add_u8(vcode a, const std::uint8_t* p) {
+  const __m128i b = _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p));
+  return {_mm_add_epi16(a.v, _mm_unpacklo_epi8(b, _mm_setzero_si128()))};
+}
+inline void vcode_widen_add(float* row, vcode a) {
+  const __m128i zero = _mm_setzero_si128();
+  const __m128 lo = _mm_cvtepi32_ps(_mm_unpacklo_epi16(a.v, zero));
+  const __m128 hi = _mm_cvtepi32_ps(_mm_unpackhi_epi16(a.v, zero));
+  _mm_storeu_ps(row, _mm_add_ps(_mm_loadu_ps(row), lo));
+  _mm_storeu_ps(row + 4, _mm_add_ps(_mm_loadu_ps(row + 4), hi));
+}
 inline void vtranspose(vfloat (&r)[kFloatLanes]) {
   _MM_TRANSPOSE4_PS(r[0].v, r[1].v, r[2].v, r[3].v);
 }
@@ -278,6 +348,21 @@ inline vfloat vload_u8(const std::uint8_t* p) {
   const uint8x8_t b = vreinterpret_u8_u32(vdup_n_u32(raw));
   const uint16x4_t w = vget_low_u16(vmovl_u8(b));
   return {vcvtq_f32_u32(vmovl_u16(w))};
+}
+#define DDMC_SIMD_CODE_LANES 1
+inline constexpr std::size_t kCodeLanes = 8;
+struct vcode {
+  uint16x8_t v;
+};
+inline vcode vcode_zero() { return {vdupq_n_u16(0)}; }
+inline vcode vcode_add_u8(vcode a, const std::uint8_t* p) {
+  return {vaddw_u8(a.v, vld1_u8(p))};
+}
+inline void vcode_widen_add(float* row, vcode a) {
+  const float32x4_t lo = vcvtq_f32_u32(vmovl_u16(vget_low_u16(a.v)));
+  const float32x4_t hi = vcvtq_f32_u32(vmovl_u16(vget_high_u16(a.v)));
+  vst1q_f32(row, vaddq_f32(vld1q_f32(row), lo));
+  vst1q_f32(row + 4, vaddq_f32(vld1q_f32(row + 4), hi));
 }
 
 #else  // scalar fallback

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "common/aligned.hpp"
@@ -16,9 +17,10 @@ namespace ddmc::dedisp {
 
 namespace {
 
-/// The only element-type-dependent instructions of the kernel: a full and a
-/// partial vector load of input samples into float lanes. Bytes widen here,
-/// inside the register tile, and nowhere else.
+/// The element-type-dependent instructions of the float-lane tile: a full
+/// and a partial vector load of input samples into float lanes. Bytes
+/// widen here, or into 16-bit lanes in accumulate_codes, inside the
+/// register tile and nowhere else.
 inline simd::vfloat load(const float* p) { return simd::vload(p); }
 inline simd::vfloat load(const std::uint8_t* p) { return simd::vload_u8(p); }
 inline simd::vfloat load_partial(const float* p, std::size_t n) {
@@ -89,6 +91,57 @@ void build_shift_table(ConstView2D<std::int64_t> delays, std::size_t dm0,
   s.shifts_row = &delays(dm0, 0);
 }
 
+#if defined(DDMC_SIMD_CODE_LANES)
+/// The most channels whose byte codes a 16-bit lane can sum without
+/// wrapping: 255 · 257 = 65 535.
+constexpr std::size_t kCodeSumChannels = 257;
+
+/// The u8 register tile's full steps for rows [dm0, dm0+DR): the same
+/// DR × (U·kFloatLanes) patch as the float tile, held as DR × U/2 vectors
+/// of 16-bit code sums. The channel loop runs in sub-blocks of at most
+/// kCodeSumChannels, each widened exactly into the accumulator rows, so
+/// every partial sum equals the float tile's exact integer. Returns the
+/// first sample the steps left for the single-vector remainder.
+template <std::size_t DR, std::size_t U>
+std::size_t accumulate_codes(const TileScratch<std::uint8_t>& s,
+                             std::size_t cb0, std::size_t nch,
+                             std::size_t tile_dm, std::size_t dm0,
+                             std::size_t tile_time, float* acc,
+                             std::size_t acc_pitch) {
+  static_assert(simd::kCodeLanes == 2 * simd::kFloatLanes);
+  constexpr std::size_t kW = simd::kCodeLanes;
+  constexpr std::size_t kV = U / 2;
+  constexpr std::size_t kStep = kV * kW;
+  std::size_t t = 0;
+  for (; t + kStep <= tile_time; t += kStep) {
+    for (std::size_t c0 = 0; c0 < nch; c0 += kCodeSumChannels) {
+      const std::size_t c1 = std::min(nch, c0 + kCodeSumChannels);
+      simd::vcode regs[DR][kV];
+      for (std::size_t d = 0; d < DR; ++d) {
+        for (std::size_t v = 0; v < kV; ++v) regs[d][v] = simd::vcode_zero();
+      }
+      for (std::size_t c = c0; c < c1; ++c) {
+        const std::size_t* shift = &s.shifts[(cb0 + c) * tile_dm + dm0];
+        const std::uint8_t* base = s.src[c] + t;
+        for (std::size_t d = 0; d < DR; ++d) {
+          const std::uint8_t* p = base + shift[d];
+          for (std::size_t v = 0; v < kV; ++v) {
+            regs[d][v] = simd::vcode_add_u8(regs[d][v], p + v * kW);
+          }
+        }
+      }
+      for (std::size_t d = 0; d < DR; ++d) {
+        for (std::size_t v = 0; v < kV; ++v) {
+          simd::vcode_widen_add(acc + (dm0 + d) * acc_pitch + t + v * kW,
+                                regs[d][v]);
+        }
+      }
+    }
+  }
+  return t;
+}
+#endif
+
 /// Register-blocked SIMD accumulate of one channel block into the tile
 /// accumulators: the host twin of the paper's work-item, holding a
 /// DR × (U·kFloatLanes) patch of output elements in vector registers while
@@ -96,7 +149,8 @@ void build_shift_table(ConstView2D<std::int64_t> delays, std::size_t dm0,
 /// channel block instead of once per channel, and every add is a packed
 /// vector op. Per output element the channels are still added in ascending
 /// order, so results are bitwise identical to the scalar engine for every
-/// (DR, U) instantiation.
+/// (DR, U) instantiation. On u8 input with an even U, the full steps sum
+/// codes in 16-bit lanes where the backend has them (accumulate_codes).
 template <typename T, std::size_t DR, std::size_t U>
 void accumulate_block_simd(const TileScratch<T>& s, std::size_t cb0,
                            std::size_t nch, std::size_t tile_dm,
@@ -106,6 +160,12 @@ void accumulate_block_simd(const TileScratch<T>& s, std::size_t cb0,
   constexpr std::size_t kStep = U * kW;
   for (std::size_t dm0 = 0; dm0 < tile_dm; dm0 += DR) {
     std::size_t t = 0;
+#if defined(DDMC_SIMD_CODE_LANES)
+    if constexpr (std::is_same_v<T, std::uint8_t> && U % 2 == 0) {
+      t = accumulate_codes<DR, U>(s, cb0, nch, tile_dm, dm0, tile_time, acc,
+                                  acc_pitch);
+    }
+#endif
     for (; t + kStep <= tile_time; t += kStep) {
       simd::vfloat regs[DR][U];
       for (std::size_t d = 0; d < DR; ++d) {
@@ -284,12 +344,13 @@ void process_tile(const KernelConfig& config, const TileJob<T>& job,
       }
     }
 
-    if (options.vectorize) {
+    if (runs_register_tile(options)) {
       dispatch_block_simd(config.elem_dm, config.unroll, scratch, cb0, nch,
                           tile_dm, tile_time, scratch.acc.data(),
                           scratch.acc_pitch);
     } else {
-      // Seed engine: channel-outer scalar accumulate.
+      // Channel-outer accumulate: the seed engine, and every run of a
+      // one-lane build, where the compiler vectorizes this loop itself.
       for (std::size_t c = 0; c < nch; ++c) {
         const std::size_t* shift = &scratch.shifts[(cb0 + c) * tile_dm];
         for (std::size_t dm = 0; dm < tile_dm; ++dm) {
@@ -385,6 +446,10 @@ constexpr auto copy_row = [](const float* acc, float* dst, std::size_t n) {
 };
 
 }  // namespace
+
+bool runs_register_tile(const CpuKernelOptions& options) {
+  return options.vectorize && simd::kFloatLanes > 1;
+}
 
 void dedisperse_tiled(std::span<const TileJob<float>> jobs,
                       const KernelConfig& config,

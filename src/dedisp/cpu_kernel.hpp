@@ -21,20 +21,27 @@
 /// Tiles are independent and are distributed over a thread pool.
 ///
 /// One kernel serves both input element types. Dedispersion is
-/// memory-bandwidth-bound (the paper's central premise), so the only thing
-/// an 8-bit sample plane changes is the load instruction: the bytes stay
-/// one per sample from DRAM through the staged rows into the register
-/// tile, where simd::vload_u8 widens them to float lanes — a quarter of the
-/// float input traffic. The u8 entry point accumulates *raw codes* in float
-/// lanes, which is exact as long as the running sum stays below 2^24, i.e.
-/// for any channel count up to 65 793, and applies the affine
+/// memory-bandwidth-bound (the paper's central premise), so on quantized
+/// 8-bit input the bytes stay one per sample from DRAM through the staged
+/// rows into the register tile: a quarter of the float input traffic. The
+/// u8 entry point accumulates *raw codes* and applies the affine
 /// dequantization once per output element at writeback:
 /// out = C·lo + scale·Σq, rounded once where the target has a fast fma and
-/// as a plain product and sum elsewhere. The code sum is an exact integer
-/// added in channel order, so every tile shape, channel block, unroll, SIMD
-/// width and thread count produces bitwise-identical u8 output; targets
-/// with and without fma differ only in that last rounding. Only the
-/// quantization itself is approximate (see quantize.hpp for the bound).
+/// as a plain product and sum elsewhere. Where the SIMD backend has integer
+/// vectors (simd::vcode), the register tile's full steps sum the codes in
+/// 16-bit lanes: twice the samples per register, and two instructions per
+/// load-and-add where widening bytes to float lanes takes three. The
+/// channel loop then runs in sub-blocks of at most 257 channels
+/// (255·257 = 65 535, so no lane wraps), and each sub-block is widened
+/// exactly (u16 → i32 → float) into the float accumulator row. The
+/// single-vector steps, the tails, unroll 1 and the backends without
+/// integer vectors (AVX without AVX2, scalar) add codes in float lanes
+/// (simd::vload_u8). Either way every partial sum is an exact integer
+/// below 2^24, for any channel count up to 65 793, so every tile shape,
+/// channel block, unroll, SIMD width, staging mode and thread count
+/// produces bitwise-identical u8 output; targets with and without fma
+/// differ only in that last rounding. Only the quantization itself is
+/// approximate (see quantize.hpp for the bound).
 
 #include <cstdint>
 #include <span>
@@ -51,12 +58,19 @@ struct CpuKernelOptions {
   /// before accumulating (mirrors the device local-memory path).
   bool stage_rows = true;
   /// Use the explicit SIMD engine; false runs the seed's scalar inner loop
-  /// (the baseline the benchmarks compare against).
+  /// (the baseline the benchmarks compare against). One-lane builds
+  /// (simd::kFloatLanes == 1) run that loop either way.
   bool vectorize = true;
   /// Worker threads; 0 = use the global pool sized to the machine,
   /// 1 = run inline on the calling thread (deterministic profiling).
   std::size_t threads = 0;
 };
+
+/// Whether the kernel runs its register tile, and so reads elem_dm and
+/// unroll, under \p options: vectorized runs of a multi-lane SIMD build.
+/// One-lane builds run the channel-outer loop instead, which the compiler
+/// vectorizes and a one-lane register tile is slower than.
+bool runs_register_tile(const CpuKernelOptions& options);
 
 /// The register-tile extents the vectorized kernel has a compiled
 /// instantiation for: the DM rows it holds in registers (`elem_dm`) and

@@ -45,6 +45,7 @@
 #include "dedisp/subband.hpp"
 #include "engine/registry.hpp"
 #include "resilience/fault_injection.hpp"
+#include "telemetry/tracing.hpp"
 
 namespace ddmc::engine {
 
@@ -129,26 +130,28 @@ dedisp::KernelConfig adapt_kernel_config(const dedisp::Plan& plan,
 /// tile extents, its register-tile rows (elem_dm, collapsed onto the
 /// compiled {1,2,4,8} instantiations), the effective channel block and the
 /// unroll instantiation — so e.g. {wi_time=8, elem_time=2} and
-/// {wi_time=4, elem_time=4} run the identical kernel. The scalar loop
-/// ignores the register-tile and unroll knobs entirely.
+/// {wi_time=4, elem_time=4} run the identical kernel. Runs without the
+/// register tile (dedisp::runs_register_tile) ignore the register-tile and
+/// unroll knobs entirely.
 struct TiledKernelKey {
   std::size_t tile_time = 0;
   std::size_t tile_dm = 0;
-  std::size_t reg_rows = 1;       ///< compiled DR (1 when not vectorizing)
+  std::size_t reg_rows = 1;       ///< compiled DR (1 without the tile)
   std::size_t channel_block = 0;  ///< effective block for the plan
-  std::size_t unroll = 1;         ///< compiled U (1 when not vectorizing)
+  std::size_t unroll = 1;         ///< compiled U (1 without the tile)
 
   friend auto operator<=>(const TiledKernelKey&,
                           const TiledKernelKey&) = default;
 };
 
 TiledKernelKey tiled_kernel_key(const dedisp::KernelConfig& config,
-                                const dedisp::Plan& plan, bool vectorize) {
+                                const dedisp::Plan& plan,
+                                bool register_tile) {
   TiledKernelKey key;
   key.tile_time = config.tile_time();
   key.tile_dm = config.tile_dm();
   key.channel_block = config.effective_channel_block(plan);
-  if (vectorize) {
+  if (register_tile) {
     key.reg_rows = dedisp::compiled_register_extent(config.elem_dm);
     key.unroll = dedisp::compiled_register_extent(config.unroll);
   }
@@ -169,7 +172,7 @@ constexpr std::size_t kMaxWorkGroupSize = 1024;
 /// candidates reaches the same host kernel under many (wi, elem) splits,
 /// and timing a kernel twice only wastes sweep time.
 std::vector<dedisp::KernelConfig> tiled_candidates(const dedisp::Plan& plan,
-                                                   bool vectorize) {
+                                                   bool register_tile) {
   const dedisp::SearchSpace space = dedisp::default_search_space();
   std::vector<dedisp::KernelConfig> out;
   std::set<TiledKernelKey> seen;
@@ -184,7 +187,7 @@ std::vector<dedisp::KernelConfig> tiled_candidates(const dedisp::Plan& plan,
             if (cb >= plan.channels() && cb != 0) continue;
             for (std::size_t un : space.unroll) {
               const dedisp::KernelConfig cfg{wt, wd, et, ed, cb, un};
-              if (seen.insert(tiled_kernel_key(cfg, plan, vectorize))
+              if (seen.insert(tiled_kernel_key(cfg, plan, register_tile))
                       .second) {
                 out.push_back(cfg);
               }
@@ -206,14 +209,14 @@ class CpuTiledBase : public EngineBase {
   std::vector<AxisSpec> config_axes(
       const dedisp::Plan& plan) const override {
     return kernel_config_axes(
-        tiled_candidates(plan, options_.cpu.vectorize));
+        tiled_candidates(plan, dedisp::runs_register_tile(options_.cpu)));
   }
 
   std::vector<EngineConfig> config_space(
       const dedisp::Plan& plan) const override {
     std::vector<EngineConfig> space;
     for (const dedisp::KernelConfig& cfg :
-         tiled_candidates(plan, options_.cpu.vectorize)) {
+         tiled_candidates(plan, dedisp::runs_register_tile(options_.cpu))) {
       space.push_back(encode_kernel_config(cfg));
     }
     return space;
@@ -244,7 +247,8 @@ class CpuTiledBase : public EngineBase {
     // Two configs that compile to the same host kernel are one
     // measurement; extra axes append so they stay distinguishing.
     const TiledKernelKey key = tiled_kernel_key(
-        decode_kernel_config(config), plan, options_.cpu.vectorize);
+        decode_kernel_config(config), plan,
+        dedisp::runs_register_tile(options_.cpu));
     std::string out = "tT=" + std::to_string(key.tile_time) +
                       ";tD=" + std::to_string(key.tile_dm) +
                       ";rr=" + std::to_string(key.reg_rows) +
@@ -329,7 +333,9 @@ class CpuTiledU8Engine final : public CpuTiledBase {
                                .bitwise_exact = false,
                                .tunable = true,
                                .input_element_bytes = sizeof(std::uint8_t),
-                               .threaded = true},
+                               .threaded = true,
+                               // 1: code sums in 16-bit lanes.
+                               .epoch = 1},
             std::move(options)) {}
 
   std::vector<AxisSpec> config_axes(
@@ -360,7 +366,10 @@ class CpuTiledU8Engine final : public CpuTiledBase {
     const View2D<std::uint8_t> plane =
         workspace->matrix(plan.channels(), plan.in_samples());
     const dedisp::QuantizationParams quant = quant_of(config);
-    dedisp::quantize_plane(in, quant, plane);
+    {
+      telemetry::TraceSpan span("u8.quantize");
+      dedisp::quantize_plane(in, quant, plane);
+    }
     dedisp::dedisperse_cpu_u8(plan, decode_kernel_config(config), plane,
                               quant, out, options_.cpu);
     return {};
@@ -567,7 +576,10 @@ class SubbandEngine final : public EngineBase {
                    EngineCapabilities{.supports_streaming = true,
                                       .tunable = true,
                                       .input_padding = 2,
-                                      .threaded = true},
+                                      .threaded = true,
+                                      // 1: stages run on the kernel's
+                                      // workers, not one thread.
+                                      .epoch = 1},
                    std::move(options)) {}
 
   std::vector<AxisSpec> config_axes(

@@ -91,6 +91,11 @@ struct EngineCapabilities {
   /// (0 = one per hardware thread). False: it runs on the calling thread
   /// whatever the options say (subband, fdmt, the reference).
   bool threaded = false;
+  /// Version of what a config of this engine measures. Tuning-cache rows
+  /// carry it in their host signature, so bumping it — on any change that
+  /// makes an old row's timing describe a different execution — turns the
+  /// engine's cached rows into misses instead of stale answers.
+  std::size_t epoch = 0;
 
   friend bool operator==(const EngineCapabilities&,
                          const EngineCapabilities&) = default;

@@ -36,6 +36,7 @@
 ///   tuner.tune       one race entrant's tuning (args: engine, source,
 ///                    threads, pruned, bound_ms, evaluated)
 ///   tuner.seed       one timed call ordering a race (args: engine, ms)
+///   u8.quantize      cpu_tiled_u8: float → byte plane (inside engine.execute)
 ///   ring.push.wait   producer blocked on a full ring
 ///   ring.pop.wait    consumer blocked on an empty ring
 ///

@@ -135,6 +135,7 @@ HostSignature HostSignature::of(const engine::DedispEngine& engine) {
   sig.variant = engine.variant();
   sig.threads = engine.options().cpu.threads;
   sig.stage_rows = engine.options().cpu.stage_rows;
+  sig.epoch = engine.capabilities().epoch;
   return sig;
 }
 
@@ -146,11 +147,21 @@ HostSignature HostSignature::of(const dedisp::CpuKernelOptions& options) {
 
 std::string HostSignature::encode() const {
   return engine_id + "|" + variant + "|t" + std::to_string(threads) + "|" +
-         (stage_rows ? "staged" : "direct");
+         (stage_rows ? "staged" : "direct") +
+         (epoch > 0 ? "|e" + std::to_string(epoch) : "");
 }
 
 std::optional<HostSignature> HostSignature::decode(const std::string& text) {
-  const auto parts = split(text, '|');
+  auto parts = split(text, '|');
+  // An epoch part is last and only follows the engine-axis form.
+  std::size_t epoch = 0;
+  if (parts.size() == 5) {
+    if (parts[4].size() < 2 || parts[4][0] != 'e') return std::nullopt;
+    const auto e = parse_size_opt(parts[4].substr(1));
+    if (!e) return std::nullopt;
+    epoch = *e;
+    parts.pop_back();
+  }
   // Legacy three-part form ("variant|tN|staged") predates the engine axis:
   // everything it describes ran the tiled host engine.
   if (parts.size() != 3 && parts.size() != 4) return std::nullopt;
@@ -171,6 +182,7 @@ std::optional<HostSignature> HostSignature::decode(const std::string& text) {
   sig.variant = parts[base];
   sig.threads = *threads;
   sig.stage_rows = parts[base + 2] == "staged";
+  sig.epoch = epoch;
   return sig;
 }
 

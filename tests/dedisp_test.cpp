@@ -498,6 +498,42 @@ TEST(CpuKernel, StagingSpanEdgeCases) {
   }
 }
 
+TEST(CpuKernel, U8LaneMaxCodesSumExactlyAtEveryChannelCount) {
+  // Every code 255 is the worst case for the u8 register tile's 16-bit
+  // code lanes: 257 channels fill a lane to 65 535 and one more would wrap.
+  // The channel counts sit at, around and at multiples of that sub-block
+  // edge; channel blocks of 100 and 300 cut the channel loop below and
+  // above it; both output lengths end in single-vector steps and a tail.
+  const QuantizationParams params{-1.0f, 1.0f};
+  for (std::size_t channels : {256ul, 257ul, 258ul, 514ul, 1024ul}) {
+    for (std::size_t out : {67ul, 300ul}) {
+      const Plan plan = Plan::with_output_samples(mini_obs(channels), 4, out);
+      Array2D<std::uint8_t> codes(plan.channels(), plan.in_samples());
+      for (std::size_t ch = 0; ch < codes.rows(); ++ch) {
+        for (auto& q : codes.row(ch)) q = 255;
+      }
+      for (std::size_t block : {0ul, 100ul, 300ul}) {
+        for (std::size_t unroll : {2ul, 8ul}) {
+          const KernelConfig cfg{out, 2, 1, 2, block, unroll};
+          for (bool staged : {true, false}) {
+            for (std::size_t threads : {1ul, 3ul}) {
+              CpuKernelOptions opt;
+              opt.stage_rows = staged;
+              opt.threads = threads;
+              SCOPED_TRACE(std::to_string(channels) + " channels, " +
+                           cfg.to_string() + (staged ? " staged" : " direct") +
+                           ", threads=" + std::to_string(threads));
+              expect_exact_u8_sums(
+                  plan, codes, params,
+                  dedisperse_cpu_u8(plan, cfg, codes.cview(), params, opt));
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 // ------------------------------------------- partial-vector kernel tails --
 
 /// A rows × cols matrix whose every row is followed by guard elements that

@@ -36,6 +36,17 @@ TEST(Simd, BackendIsSane) {
   EXPECT_STREQ(backend_name(), "scalar");
   EXPECT_EQ(kFloatLanes, 1u);
 #endif
+  // 16-bit code lanes exist wherever the backend has integer vectors:
+  // everywhere but the scalar fallback and AVX without AVX2.
+#if defined(DDMC_SIMD_CODE_LANES)
+  EXPECT_GT(kFloatLanes, 1u);
+#else
+  const std::string name = backend_name();
+  EXPECT_TRUE(name == "scalar" || name == "avx") << name;
+#if defined(__AVX2__) && !defined(DDMC_FORCE_SCALAR)
+  ADD_FAILURE() << "an AVX2 build has no 16-bit code lanes";
+#endif
+#endif
 }
 
 TEST(Simd, LoadStoreRoundTrip) {
@@ -186,6 +197,66 @@ TEST(Simd, LoadU8ReadsExactlyKFloatLanesBytes) {
     }
   }
 }
+
+#if defined(DDMC_SIMD_CODE_LANES)
+TEST(Simd, CodeLanesSumBytesExactlyUpToTheLaneMax) {
+  // 257 adds of code 255 fill a lane to 65 535, its unsigned maximum, and
+  // the widen-add carries it into the float row exactly (a sign-extending
+  // widen would add −1). Every load offset reads exactly kCodeLanes bytes
+  // of an exactly sized allocation (the sanitizer leg checks the bound).
+  static_assert(kCodeLanes == 2 * kFloatLanes);
+  for (std::size_t offset = 0; offset <= kCodeLanes; ++offset) {
+    auto bytes = std::make_unique<std::uint8_t[]>(offset + kCodeLanes);
+    for (std::size_t i = 0; i < offset + kCodeLanes; ++i) {
+      bytes[i] = i < offset ? static_cast<std::uint8_t>(i) : 255;
+    }
+    vcode sums = vcode_zero();
+    for (int k = 0; k < 257; ++k) sums = vcode_add_u8(sums, bytes.get() + offset);
+    std::vector<float> row(kCodeLanes + 1);
+    for (std::size_t i = 0; i < row.size(); ++i) {
+      row[i] = static_cast<float>(16'000'000 + i);
+    }
+    vcode_widen_add(row.data(), sums);
+    for (std::size_t i = 0; i < kCodeLanes; ++i) {
+      EXPECT_EQ(row[i], static_cast<float>(16'000'000 + i + 65'535))
+          << "offset=" << offset << " i=" << i;
+    }
+    // The row past kCodeLanes floats is untouched.
+    EXPECT_EQ(row[kCodeLanes], static_cast<float>(16'000'000 + kCodeLanes));
+  }
+}
+
+TEST(Simd, CodeLanesAddEachByteToItsOwnLane) {
+  // Lane i sums byte i of every load, at every offset; one add past the
+  // lane max wraps modulo 2^16, which is why the kernel widens after at
+  // most 257 channels.
+  std::vector<std::uint8_t> src(3 * kCodeLanes);
+  for (std::size_t i = 0; i < src.size(); ++i) {
+    src[i] = static_cast<std::uint8_t>((i * 37 + 11) % 256);
+  }
+  for (std::size_t offset = 0; offset <= kCodeLanes; ++offset) {
+    vcode sums = vcode_zero();
+    for (std::size_t k = 0; k < 3; ++k) {
+      sums = vcode_add_u8(sums, src.data() + offset + (k % 2));
+    }
+    std::vector<float> row(kCodeLanes, 0.0f);
+    vcode_widen_add(row.data(), sums);
+    for (std::size_t i = 0; i < kCodeLanes; ++i) {
+      const std::size_t j = offset + i;
+      EXPECT_EQ(row[i], static_cast<float>(2 * src[j] + src[j + 1]))
+          << "offset=" << offset << " i=" << i;
+    }
+  }
+  const std::vector<std::uint8_t> full(kCodeLanes, 255);
+  vcode sums = vcode_zero();
+  for (int k = 0; k < 258; ++k) sums = vcode_add_u8(sums, full.data());
+  std::vector<float> row(kCodeLanes, 0.0f);
+  vcode_widen_add(row.data(), sums);
+  for (std::size_t i = 0; i < kCodeLanes; ++i) {
+    EXPECT_EQ(row[i], static_cast<float>(258 * 255 - 65'536));
+  }
+}
+#endif
 
 TEST(Simd, TransposeMovesLaneIOfVectorJToLaneJOfVectorI) {
   alignas(64) float m[kFloatLanes][kFloatLanes];

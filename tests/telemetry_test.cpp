@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <string>
@@ -313,6 +314,40 @@ TEST_F(TelemetryTracerTest, SubbandExecuteEmitsOneSpanPerStage) {
       EXPECT_LE(e.start_ns + e.dur_ns, outer->start_ns + outer->dur_ns);
     }
     EXPECT_EQ(found, 1);
+  }
+}
+
+TEST_F(TelemetryTracerTest, U8ExecuteEmitsOneQuantizeSpan) {
+  // A trace splits the u8 engine's call into quantizing the float input
+  // and the kernel: one u8.quantize span per execute, on the executing
+  // thread, nested in engine.execute.
+  const auto plan = ddmc::dedisp::Plan::with_output_samples(
+      ddmc::sky::apertif(), 8, 64);
+  ddmc::Array2D<float> in(plan.channels(), plan.in_samples());
+  ddmc::Array2D<float> out(plan.dms(), plan.out_samples());
+  const auto engine = ddmc::engine::make_engine("cpu_tiled_u8");
+  Tracer::instance().set_enabled(true);
+  for (int call = 0; call < 2; ++call) {
+    engine->execute(plan, ddmc::engine::EngineConfig{}, in.cview(),
+                    out.view());
+  }
+  Tracer::instance().set_enabled(false);
+
+  std::vector<const TraceEvent*> outer;
+  std::vector<const TraceEvent*> quantize;
+  const auto events = Tracer::instance().events();
+  for (const TraceEvent& e : events) {
+    if (std::string(e.name) == "engine.execute") outer.push_back(&e);
+    if (std::string(e.name) == "u8.quantize") quantize.push_back(&e);
+  }
+  ASSERT_EQ(outer.size(), 2u);
+  ASSERT_EQ(quantize.size(), 2u);
+  for (const TraceEvent* q : quantize) {
+    const auto inside = [q](const TraceEvent* o) {
+      return q->tid == o->tid && q->start_ns >= o->start_ns &&
+             q->start_ns + q->dur_ns <= o->start_ns + o->dur_ns;
+    };
+    EXPECT_EQ(std::count_if(outer.begin(), outer.end(), inside), 1);
   }
 }
 

@@ -24,6 +24,7 @@
 
 #include "common/expect.hpp"
 #include "common/random.hpp"
+#include "dedisp/cpu_kernel.hpp"
 #include "engine/engine_config.hpp"
 #include "engine/registry.hpp"
 #include "ocl/device_presets.hpp"
@@ -52,6 +53,55 @@ std::shared_ptr<const engine::DedispEngine> tiled_engine(
   engine::EngineOptions options;
   options.cpu.vectorize = vectorize;
   return engine::make_engine("cpu_tiled", options);
+}
+
+/// The strategy tests' candidate list: the vectorized tiled engine's config
+/// space as a multi-lane build enumerates it, one config per distinct
+/// register tile. One-lane builds run every register tile as the same loop
+/// and collapse the engine's own space onto the scalar one, so the list is
+/// built here from the shared ladder, and multi-lane builds check it
+/// against the engine.
+std::vector<engine::EngineConfig> register_tile_space(const Plan& plan) {
+  const SearchSpace ladder = default_search_space();
+  std::vector<engine::EngineConfig> space;
+  std::set<std::vector<std::size_t>> seen;
+  for (std::size_t wt : ladder.wi_time) {
+    for (std::size_t wd : ladder.wi_dm) {
+      if (wt * wd > 1024) continue;
+      for (std::size_t et : ladder.elem_time) {
+        for (std::size_t ed : ladder.elem_dm) {
+          for (std::size_t cb : ladder.channel_block) {
+            if (cb >= plan.channels() && cb != 0) continue;
+            for (std::size_t un : ladder.unroll) {
+              const KernelConfig cfg{wt, wd, et, ed, cb, un};
+              if (!cfg.divides(plan)) continue;
+              const std::vector<std::size_t> key = {
+                  cfg.tile_time(), cfg.tile_dm(),
+                  dedisp::compiled_register_extent(ed),
+                  cfg.effective_channel_block(plan),
+                  dedisp::compiled_register_extent(un)};
+              if (seen.insert(key).second) {
+                space.push_back(tiled_config(cfg));
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  if (dedisp::runs_register_tile({})) {
+    EXPECT_EQ(space, tiled_engine()->config_space(plan));
+  }
+  return space;
+}
+
+/// The kernel axes of register_tile_space(plan).
+std::vector<engine::AxisSpec> register_tile_axes(const Plan& plan) {
+  std::vector<KernelConfig> configs;
+  for (const engine::EngineConfig& cfg : register_tile_space(plan)) {
+    configs.push_back(engine::decode_kernel_config(cfg));
+  }
+  return engine::kernel_config_axes(configs);
 }
 
 // ------------------------------------------------------------ search space --
@@ -133,7 +183,12 @@ TEST(SearchSpace, HostEnumerationSweepsChannelBlockAndUnroll) {
   }
   const SearchSpace ladder = default_search_space();
   EXPECT_EQ(blocks.size(), ladder.channel_block.size());
-  EXPECT_EQ(unrolls.size(), ladder.unroll.size());
+  if (dedisp::runs_register_tile({})) {
+    EXPECT_EQ(unrolls.size(), ladder.unroll.size());
+  } else {
+    // One-lane builds run no register tile: unroll selects nothing.
+    EXPECT_EQ(unrolls, std::set<std::size_t>{1});
+  }
 }
 
 TEST(SearchSpace, HostEnumerationDropsOversizedChannelBlocks) {
@@ -450,14 +505,22 @@ TEST(HostDedup, KeyCollapsesWorkItemElementSplits) {
   };
   const std::string a = key(*simd, KernelConfig{8, 1, 2, 1});
   EXPECT_EQ(a, key(*simd, KernelConfig{4, 1, 4, 1}));
-  // elem_dm is a real axis (register-tile rows): it must NOT collapse.
-  EXPECT_NE(a, key(*simd, KernelConfig{8, 1, 2, 2}));
   // The scalar engine ignores the register-tile and unroll knobs.
   const auto scalar = tiled_engine(false);
   EXPECT_EQ(key(*scalar, KernelConfig{8, 1, 2, 2, 0, 4}),
             key(*scalar, KernelConfig{8, 1, 2, 2, 0, 1}));
-  EXPECT_NE(key(*simd, KernelConfig{8, 1, 2, 2, 0, 4}),
-            key(*simd, KernelConfig{8, 1, 2, 2, 0, 1}));
+  if (dedisp::runs_register_tile({})) {
+    // elem_dm is a real axis (register-tile rows): it must NOT collapse.
+    EXPECT_NE(a, key(*simd, KernelConfig{8, 1, 2, 2}));
+    EXPECT_NE(key(*simd, KernelConfig{8, 1, 2, 2, 0, 4}),
+              key(*simd, KernelConfig{8, 1, 2, 2, 0, 1}));
+  } else {
+    // A one-lane build runs the scalar loop either way: same keys.
+    for (const KernelConfig& c :
+         {KernelConfig{8, 1, 2, 2}, KernelConfig{8, 1, 2, 2, 0, 4}}) {
+      EXPECT_EQ(key(*simd, c), key(*scalar, c)) << c.to_string();
+    }
+  }
   // Oversized channel blocks collapse onto the single-pass key.
   EXPECT_EQ(key(*simd, KernelConfig{8, 1, 1, 1, 0, 1}),
             key(*simd, KernelConfig{8, 1, 1, 1, 999, 1}));
@@ -606,9 +669,8 @@ TEST(Strategies, DifferentialCoordinateDescentNearsTheOptimumCheaply) {
   // landscape CoordinateDescent must land within 10% of the exhaustive
   // optimum while evaluating a fraction of the space.
   const Plan plan = mini_plan(8, 64);
-  const auto tiled = tiled_engine();
-  const auto axes = tiled->config_axes(plan);
-  const auto candidates = tiled->config_space(plan);
+  const auto axes = register_tile_axes(plan);
+  const auto candidates = register_tile_space(plan);
   SyntheticEvaluator ex_eval(plan);
   const StrategyResult ex =
       ExhaustiveSearch().search(plan, axes, candidates, ex_eval);
@@ -771,9 +833,8 @@ TEST(Strategies, WithoutABoundCoordinateDescentMeasuresAsALoneSearch) {
   // existed, on the abort-honouring landscape: with no bound, and with an
   // infinite one, the race machinery must not move a single measurement.
   const Plan plan = mini_plan(8, 64);
-  const auto tiled = tiled_engine();
-  const auto axes = tiled->config_axes(plan);
-  const auto candidates = tiled->config_space(plan);
+  const auto axes = register_tile_axes(plan);
+  const auto candidates = register_tile_space(plan);
   ASSERT_EQ(candidates.size(), 210u);
   const std::map<std::uint64_t, std::vector<std::size_t>> expected = {
       {7, {84,  104, 78,  64,  131, 65,  67,  70,  55,  187, 199, 188,
@@ -927,6 +988,89 @@ TEST(TuningCacheTest, SignaturesRoundTripThroughEncode) {
 
   EXPECT_FALSE(PlanSignature::decode("not a signature").has_value());
   EXPECT_FALSE(HostSignature::decode("HD7970").has_value());
+}
+
+TEST(TuningCacheTest, EngineEpochRoundTripsAndOlderRowsDecodeAsEpochZero) {
+  engine::EngineOptions options;
+  options.cpu.threads = 1;
+  const auto signature = [&](const char* id) {
+    return HostSignature::of(*engine::make_engine(id, options));
+  };
+  const HostSignature u8 = signature("cpu_tiled_u8");
+  EXPECT_EQ(u8.epoch, 1u);
+  EXPECT_EQ(signature("subband").epoch, 1u);
+  const HostSignature tiled = signature("cpu_tiled");
+  EXPECT_EQ(tiled.epoch, 0u);
+
+  // A bumped engine signs its epoch last; epoch 0 keeps the four-part form
+  // that caches written before epochs existed hold.
+  const std::string encoded = u8.encode();
+  EXPECT_EQ(encoded.substr(encoded.size() - 3), "|e1") << encoded;
+  const auto decoded = HostSignature::decode(encoded);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(*decoded, u8);
+  EXPECT_EQ(tiled.encode().find("|e"), std::string::npos) << tiled.encode();
+
+  const auto four_part = HostSignature::decode("cpu_tiled_u8|avx512|t1|staged");
+  ASSERT_TRUE(four_part.has_value());
+  EXPECT_EQ(four_part->engine_id, "cpu_tiled_u8");
+  EXPECT_EQ(four_part->epoch, 0u);
+  const auto three_part = HostSignature::decode("scalar|t3|staged");
+  ASSERT_TRUE(three_part.has_value());
+  EXPECT_EQ(three_part->epoch, 0u);
+
+  for (const char* bad :
+       {"cpu_tiled|avx|t1|staged|1", "cpu_tiled|avx|t1|staged|e",
+        "cpu_tiled|avx|t1|staged|ex", "avx|t1|staged|e1",
+        "a|cpu_tiled|avx|t1|staged|e1"}) {
+    EXPECT_FALSE(HostSignature::decode(bad).has_value()) << bad;
+  }
+}
+
+TEST(TuningCacheTest, RowsOlderThanTheEngineEpochMissAndUnbumpedEnginesHit) {
+  // A cache written before epochs existed: one row each for two engines
+  // whose epoch is now 1 and one for an engine still at 0. Only the last
+  // answers; the others miss exactly and as transfer sources.
+  const std::string path =
+      ::testing::TempDir() + "ddmc_engine_epoch_cache_test.csv";
+  std::remove(path.c_str());
+  const Plan plan = mini_plan(8, 64);
+  engine::EngineOptions options;
+  options.cpu.threads = 1;
+  const auto signature = [&](const char* id) {
+    return HostSignature::of(*engine::make_engine(id, options));
+  };
+  const std::string plan_sig = PlanSignature::of(plan).encode();
+  const auto legacy = [&](const char* id) {
+    HostSignature sig = signature(id);
+    sig.epoch = 0;
+    return sig.encode();
+  };
+  {
+    std::ofstream file(path);
+    file << "# ddmc-tuner-results v4 cols=9\n"
+         << "device,observation,dms,config,gflops,seconds,snr,evaluated,"
+            "pruned\n"
+         << legacy("cpu_tiled_u8") << "," << plan_sig
+         << ",8,unroll=2,1,0.001,0,1,0\n"
+         << legacy("subband") << "," << plan_sig
+         << ",8,coarse_step=2;subbands=4,1,0.001,0,1,0\n"
+         << legacy("cpu_tiled") << "," << plan_sig
+         << ",8,unroll=2,1,0.001,0,1,0\n";
+  }
+  TuningCache cache(path);
+  ASSERT_EQ(cache.size(), 3u);
+  const PlanSignature psig = PlanSignature::of(plan);
+  for (const char* stale : {"cpu_tiled_u8", "subband"}) {
+    SCOPED_TRACE(stale);
+    EXPECT_FALSE(cache.find_exact(signature(stale), psig).has_value());
+    EXPECT_FALSE(cache.find_nearest(signature(stale), plan).has_value());
+  }
+  const auto hit = cache.find_exact(signature("cpu_tiled"), psig);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->config.get("unroll", 0), 2);
+  EXPECT_TRUE(cache.find_nearest(signature("cpu_tiled"), plan).has_value());
+  std::remove(path.c_str());
 }
 
 TEST(TuningCacheTest, HostileObservationNamesCannotCorruptTheCache) {
