@@ -372,9 +372,12 @@ void process_tile(const KernelConfig& config, const TileJob<T>& job,
 
 /// Check the jobs' shared shape, then distribute the tiles of all jobs over
 /// the requested workers; every worker reuses one scratch across tiles.
+/// Runs on \p pool when the caller passes one, else on a pool built for
+/// this call (global_pool() for threads = 0); threads = 1 runs inline.
 template <typename T, typename Writeback>
 void run_tiles(std::span<const TileJob<T>> jobs, const KernelConfig& config,
-               const CpuKernelOptions& options, const Writeback& writeback) {
+               const CpuKernelOptions& options, const Writeback& writeback,
+               ThreadPool* pool = nullptr) {
   if (jobs.empty()) return;
   const std::size_t trials = jobs[0].delays.rows();
   const std::size_t channels = jobs[0].delays.cols();
@@ -415,13 +418,14 @@ void run_tiles(std::span<const TileJob<T>> jobs, const KernelConfig& config,
     return;
   }
   std::unique_ptr<ThreadPool> owned;
-  if (options.threads != 0) {
+  if (pool == nullptr && options.threads != 0) {
     owned = std::make_unique<ThreadPool>(options.threads);
+    pool = owned.get();
   }
-  ThreadPool& pool = owned ? *owned : global_pool();
+  if (pool == nullptr) pool = &global_pool();
   const std::size_t block =
-      std::max<std::size_t>(1, total / (pool.worker_count() * 4));
-  pool.parallel_for(0, total, block, run_range);
+      std::max<std::size_t>(1, total / (pool->worker_count() * 4));
+  pool->parallel_for(0, total, block, run_range);
 }
 
 /// The plan entry points: the paper's divisibility check, then one job.
@@ -453,8 +457,8 @@ bool runs_register_tile(const CpuKernelOptions& options) {
 
 void dedisperse_tiled(std::span<const TileJob<float>> jobs,
                       const KernelConfig& config,
-                      const CpuKernelOptions& options) {
-  run_tiles(jobs, config, options, copy_row);
+                      const CpuKernelOptions& options, ThreadPool* pool) {
+  run_tiles(jobs, config, options, copy_row, pool);
 }
 
 void dedisperse_cpu(const Plan& plan, const KernelConfig& config,

@@ -47,6 +47,7 @@
 #include <span>
 
 #include "common/array2d.hpp"
+#include "common/thread_pool.hpp"
 #include "dedisp/kernel_config.hpp"
 #include "dedisp/plan.hpp"
 #include "dedisp/quantize.hpp"
@@ -94,10 +95,14 @@ struct TileJob {
 
 /// Execute the tiled kernel on \p jobs (all of one shape) in one dispatch
 /// over the workers. The DM tile must divide the trial count; the last
-/// time tile of a row may be shorter than the config's.
+/// time tile of a row may be shorter than the config's. The tiles run on
+/// \p pool unless options.threads is 1 (inline); without a pool the call
+/// builds one of options.threads workers (global_pool() for 0), so a
+/// caller that dispatches repeatedly should pass its own.
 void dedisperse_tiled(std::span<const TileJob<float>> jobs,
                       const KernelConfig& config,
-                      const CpuKernelOptions& options = {});
+                      const CpuKernelOptions& options = {},
+                      ThreadPool* pool = nullptr);
 
 /// Execute the tiled kernel. \p config must validate against \p plan.
 void dedisperse_cpu(const Plan& plan, const KernelConfig& config,

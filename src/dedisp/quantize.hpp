@@ -19,6 +19,7 @@
 /// quantization_error_bound() below, the bound the engine documents and
 /// the equivalence tests enforce.
 
+#include <cstddef>
 #include <cstdint>
 
 #include "common/array2d.hpp"
@@ -64,6 +65,19 @@ struct QuantizationParams {
 /// kernel will read).
 void quantize_plane(ConstView2D<float> in, const QuantizationParams& params,
                     View2D<std::uint8_t> out);
+
+/// quantize_plane() that also returns how many samples clipped: fell
+/// below lo, above hi, or were NaN. The streaming chunker quantizes each
+/// sample once through here, so its count is the stream's; the batch
+/// quantize_plane() stays uncounted.
+std::size_t quantize_plane_counting_clipped(ConstView2D<float> in,
+                                            const QuantizationParams& params,
+                                            View2D<std::uint8_t> out);
+
+/// The clipped-sample count of quantize_plane_counting_clipped() over all
+/// of \p in, without writing codes.
+std::size_t count_clipped(ConstView2D<float> in,
+                          const QuantizationParams& params);
 
 /// Convenience allocating the byte plane: channels × in_samples of \p plan.
 Array2D<std::uint8_t> quantize_plane(const dedisp::Plan& plan,

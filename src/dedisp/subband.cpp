@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <bit>
 #include <numeric>
+#include <optional>
 #include <utility>
 #include <vector>
 
 #include "common/expect.hpp"
+#include "common/thread_pool.hpp"
 #include "dedisp/cpu_kernel.hpp"
 #include "sky/delay.hpp"
 #include "telemetry/tracing.hpp"
@@ -176,6 +178,14 @@ void dedisperse_subband(const Plan& plan, const SubbandConfig& config,
   // would copy about as many elements as the kernel adds.
   CpuKernelOptions stage_options = options;
   stage_options.stage_rows = false;
+  // Both stages of every block run on one pool per call.
+  std::optional<ThreadPool> owned;
+  ThreadPool* pool = nullptr;
+  if (options.threads == 0) {
+    pool = &global_pool();
+  } else if (options.threads > 1) {
+    pool = &owned.emplace(options.threads);
+  }
 
   for (std::size_t ci0 = 0; ci0 < n_coarse; ci0 += block) {
     const std::size_t nb = std::min(block, n_coarse - ci0);
@@ -193,7 +203,7 @@ void dedisperse_subband(const Plan& plan, const SubbandConfig& config,
              View2D<float>(&plane(band, 0), nb, span,
                            subbands * plane.pitch())});
       }
-      dedisperse_tiled(jobs, stage_config(nb), stage_options);
+      dedisperse_tiled(jobs, stage_config(nb), stage_options, pool);
     }
     {
       // Stage 2: each coarse trial's band rows over its fine trials.
@@ -208,7 +218,7 @@ void dedisperse_subband(const Plan& plan, const SubbandConfig& config,
                                 plane.pitch()),
              View2D<float>(&out(dm0, 0), step, samples, out.pitch())});
       }
-      dedisperse_tiled(jobs, stage_config(step), stage_options);
+      dedisperse_tiled(jobs, stage_config(step), stage_options, pool);
     }
   }
 }

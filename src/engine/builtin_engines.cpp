@@ -69,7 +69,8 @@ class EngineBase : public DedispEngine {
   }
 
  protected:
-  void check_shapes(const dedisp::Plan& plan, ConstView2D<float> in,
+  template <typename T>
+  void check_shapes(const dedisp::Plan& plan, ConstView2D<T> in,
                     View2D<float> out) const {
     DDMC_REQUIRE(in.rows() == plan.channels(),
                  "engine '" + id_ + "': input rows != plan channels");
@@ -349,29 +350,39 @@ class CpuTiledU8Engine final : public CpuTiledBase {
     return axes;
   }
 
+  std::optional<dedisp::QuantizationParams> input_quantizer(
+      const EngineConfig& config) const override {
+    return quant_of(config);
+  }
+
   EngineRun execute_impl(const dedisp::Plan& plan, const EngineConfig& config,
                          ConstView2D<float> in,
                          View2D<float> out) const override {
     check_shapes(plan, in, out);
-    // The engine contract hands samples as float, so quantize into the
-    // byte plane the kernel consumes — an adapter for this library's float
-    // front end; a survey recording 8-bit natively would feed the kernel
-    // directly. The staging write is excluded from the engine's declared
-    // traffic model, which counts the kernel's own streaming.
-    //
-    // The plane comes from the engine's workspace pool: a streaming
-    // session re-quantizes every chunk, and a fresh allocation's page
-    // faults cost about as much as the (vectorized) quantize pass itself.
+    // Float samples are quantized here, then take the code-plane path. A
+    // streaming session's full chunks skip this pass: its chunker
+    // quantizes each sample once as it arrives and hands over the codes.
+    // The staging write is excluded from the engine's declared traffic
+    // model, which counts the kernel's own streaming. The plane comes
+    // from the engine's workspace pool: a fresh allocation's page faults
+    // cost about as much as the (vectorized) quantize pass itself.
     const auto workspace = planes_.acquire();
     const View2D<std::uint8_t> plane =
         workspace->matrix(plan.channels(), plan.in_samples());
-    const dedisp::QuantizationParams quant = quant_of(config);
     {
       telemetry::TraceSpan span("u8.quantize");
-      dedisp::quantize_plane(in, quant, plane);
+      dedisp::quantize_plane(in, quant_of(config), plane);
     }
-    dedisp::dedisperse_cpu_u8(plan, decode_kernel_config(config), plane,
-                              quant, out, options_.cpu);
+    accumulate(plan, config, plane, out);
+    return {};
+  }
+
+  EngineRun execute_codes_impl(const dedisp::Plan& plan,
+                               const EngineConfig& config,
+                               ConstView2D<std::uint8_t> in,
+                               View2D<float> out) const override {
+    check_shapes(plan, in, out);
+    accumulate(plan, config, in, out);
     return {};
   }
 
@@ -391,6 +402,11 @@ class CpuTiledU8Engine final : public CpuTiledBase {
   std::int64_t default_window() const {
     const double half = (options_.quant.hi - options_.quant.lo) / 2.0;
     return std::max<std::int64_t>(1, static_cast<std::int64_t>(half + 0.5));
+  }
+  void accumulate(const dedisp::Plan& plan, const EngineConfig& config,
+                  ConstView2D<std::uint8_t> codes, View2D<float> out) const {
+    dedisp::dedisperse_cpu_u8(plan, decode_kernel_config(config), codes,
+                              quant_of(config), out, options_.cpu);
   }
   dedisp::QuantizationParams quant_of(const EngineConfig& config) const {
     if (!config.has("quant_window")) return options_.quant;

@@ -4,6 +4,8 @@
 
 #include "engine/engine.hpp"
 
+#include <type_traits>
+
 #include "common/expect.hpp"
 #include "common/thread_pool.hpp"
 #include "common/timer.hpp"
@@ -96,9 +98,38 @@ EngineRun DedispEngine::execute(const dedisp::Plan& plan,
                                 const EngineConfig& config,
                                 ConstView2D<float> in,
                                 View2D<float> out) const {
+  return instrumented(plan, config, in, out);
+}
+
+EngineRun DedispEngine::execute(const dedisp::Plan& plan,
+                                const EngineConfig& config,
+                                ConstView2D<std::uint8_t> in,
+                                View2D<float> out) const {
+  return instrumented(plan, config, in, out);
+}
+
+EngineRun DedispEngine::execute_codes_impl(const dedisp::Plan&,
+                                           const EngineConfig&,
+                                           ConstView2D<std::uint8_t>,
+                                           View2D<float>) const {
+  throw invalid_argument("engine '" + id() +
+                         "' reads float samples: it declares no "
+                         "input_quantizer and cannot execute a code plane");
+}
+
+template <typename T>
+EngineRun DedispEngine::instrumented(const dedisp::Plan& plan,
+                                     const EngineConfig& config,
+                                     ConstView2D<T> in,
+                                     View2D<float> out) const {
   telemetry::TraceSpan span("engine.execute");
   Stopwatch watch;
-  EngineRun run = execute_impl(plan, config, in, out);
+  EngineRun run;
+  if constexpr (std::is_same_v<T, float>) {
+    run = execute_impl(plan, config, in, out);
+  } else {
+    run = execute_codes_impl(plan, config, in, out);
+  }
   run.seconds = watch.seconds();
   // An engine that stamped its own algorithmic FLOP count (the fdmt
   // transform does — its operation count is not the plan's canonical

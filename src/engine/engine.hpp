@@ -11,7 +11,9 @@
 ///
 ///  - every engine executes the same contract — `execute(plan, config, in,
 ///    out)` fills the dms × out_samples trial matrix from a channels ×
-///    ≥in_samples input;
+///    ≥in_samples input; an engine whose kernel reads 8-bit codes
+///    (cpu_tiled_u8) declares its code map (`input_quantizer`) and also
+///    takes the input already quantized, as a code plane;
 ///  - a capabilities struct declares what a consumer may do with the engine
 ///    (shard its DM grid, stream it chunk-by-chunk, trust bitwise equality
 ///    with the reference, search its configuration space), so the pipeline,
@@ -42,7 +44,9 @@
 /// instance (builtin_engines.cpp), so a steady-state call allocates
 /// nothing and never changes another call's output.
 
+#include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -240,12 +244,46 @@ class DedispEngine {
   EngineRun execute(const dedisp::Plan& plan, const EngineConfig& config,
                     ConstView2D<float> in, View2D<float> out) const;
 
+  /// The 8-bit code map the engine's kernel reads its samples through
+  /// under \p config, or empty for engines that read float samples (the
+  /// default). An engine that declares one accepts the code-plane
+  /// execute() below, and its float execute() is that same call on
+  /// samples it quantizes itself with exactly these parameters. A caller
+  /// that quantizes each sample once as it arrives (the streaming chunker)
+  /// then hands over codes and the engine does only the accumulate, with
+  /// output bitwise equal to the float call on the same samples.
+  virtual std::optional<dedisp::QuantizationParams> input_quantizer(
+      const EngineConfig& config) const {
+    (void)config;
+    return std::nullopt;
+  }
+
+  /// Dedisperse a code plane \p in (channels × ≥in_samples codes under
+  /// input_quantizer(config)) into \p out. Same contract and the same
+  /// non-virtual wrapper (span, metrics, EngineRun stamping) as the float
+  /// execute(). Throws ddmc::invalid_argument on an engine that declares
+  /// no input_quantizer.
+  EngineRun execute(const dedisp::Plan& plan, const EngineConfig& config,
+                    ConstView2D<std::uint8_t> in, View2D<float> out) const;
+
  protected:
   /// The engine's actual execution path; contract as execute() above.
   virtual EngineRun execute_impl(const dedisp::Plan& plan,
                                  const EngineConfig& config,
                                  ConstView2D<float> in,
                                  View2D<float> out) const = 0;
+  /// The code-plane execution path of an engine that declares an
+  /// input_quantizer. Default: rejects the call.
+  virtual EngineRun execute_codes_impl(const dedisp::Plan& plan,
+                                       const EngineConfig& config,
+                                       ConstView2D<std::uint8_t> in,
+                                       View2D<float> out) const;
+
+ private:
+  /// The wrapper both execute() overloads share.
+  template <typename T>
+  EngineRun instrumented(const dedisp::Plan& plan, const EngineConfig& config,
+                         ConstView2D<T> in, View2D<float> out) const;
 };
 
 }  // namespace ddmc::engine

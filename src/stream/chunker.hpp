@@ -20,13 +20,26 @@
 /// An asynchronous session lends the assembled window to its engine in
 /// place (hold()) and keeps feeding: samples that arrive meanwhile go to a
 /// chunk-sized lookahead, and release() carries the overlap forward and
-/// appends the lookahead once the engine is done. Memory stays one window
+/// appends the lookahead once the engine is done. Memory is one window
 /// plus one chunk, with no second window to copy into.
+///
+/// For an engine that reads 8-bit codes (DedispEngine::input_quantizer)
+/// the chunker also keeps a byte mirror of the window and the lookahead:
+/// each sample is quantized once, as it is fed, on the feeding thread, and
+/// advance()/release() carry the overlap's codes like its floats. Because
+/// quantization is pointwise with fixed parameters, the mirrored window
+/// holds exactly the codes the engine would make from the float window,
+/// and the engine only accumulates. That adds a quarter of the float
+/// window and lookahead in bytes.
 
 #include <cstddef>
+#include <cstdint>
+#include <optional>
 
 #include "common/array2d.hpp"
+#include "common/workspace.hpp"
 #include "dedisp/plan.hpp"
+#include "dedisp/quantize.hpp"
 
 namespace ddmc::stream {
 
@@ -41,10 +54,12 @@ class OverlapChunker {
   /// input_padding: the subband engine's split-delay rounding reads up to
   /// two columns past in_samples, and carrying real samples for them keeps
   /// chunked output identical to a batch run over a padded input). \p
-  /// lookahead allocates the chunk-sized buffer that hold() needs.
-  explicit OverlapChunker(const dedisp::Plan& chunk_plan,
-                          std::size_t extra_overlap = 0,
-                          bool lookahead = false);
+  /// lookahead allocates the chunk-sized buffer that hold() needs. \p codes
+  /// keeps the byte mirror under that code map.
+  explicit OverlapChunker(
+      const dedisp::Plan& chunk_plan, std::size_t extra_overlap = 0,
+      bool lookahead = false,
+      std::optional<dedisp::QuantizationParams> codes = std::nullopt);
 
   std::size_t channels() const { return window_.rows(); }
   /// Output samples emitted per full chunk.
@@ -74,6 +89,15 @@ class OverlapChunker {
   /// ready()); invalidated by advance() and feed().
   ConstView2D<float> chunk_input() const;
 
+  /// True when the chunker keeps the byte mirror.
+  bool has_codes() const { return codes_.has_value(); }
+  /// The window's codes, same shape and validity as chunk_input().
+  /// Requires has_codes().
+  ConstView2D<std::uint8_t> chunk_codes() const;
+  /// Samples fed so far that the code map clipped (below lo, above hi or
+  /// NaN), each counted once (see skip_chunk()); 0 without the mirror.
+  std::size_t clipped() const { return clipped_; }
+
   /// Index of the chunk currently assembling / assembled.
   std::size_t chunk_index() const { return chunk_index_; }
   /// Global output sample index of the current chunk's first column.
@@ -85,25 +109,33 @@ class OverlapChunker {
 
   /// Consume the emitted chunk like advance(), but leave its window in
   /// place for an engine on another thread to read: later feed()s fill the
-  /// lookahead. Requires ready() and a lookahead.
+  /// lookahead. Requires ready() and a lookahead. Completes a
+  /// release(false): the floats move while the engine reads the codes.
   void hold();
   /// True between hold() and release() (or load()).
   bool held() const { return held_; }
   /// The engine is done reading the held window: carry its overlap to the
-  /// front and append the lookahead.
-  void release();
+  /// front and append the lookahead. With \p floats false (and the byte
+  /// mirror) only the codes move now, so the next window can go to a
+  /// code-reading engine at once; hold() moves the floats. Until then
+  /// chunk_input() and partial_input() throw, and the other mutators move
+  /// them first.
+  void release(bool floats = true);
 
   /// Replace the current window by \p window (channels × window_samples()),
   /// the caller's block that holds all of it, so the assembled prefix and
-  /// the lookahead are duplicates. A held window must no longer be read.
+  /// the lookahead are duplicates: only the columns not already assembled
+  /// are copied (and quantized). A held window must no longer be read.
   void load(ConstView2D<float> window);
 
-  /// Zero-copy accounting: the caller dedispersed window chunk_index()
-  /// directly from its own contiguous sample block, so whatever prefix was
-  /// assembled here is a duplicate of block content. Advances the chunk
-  /// index and empties the window; the caller must resume feeding from
-  /// global input column chunk_index() · chunk_out() afterwards.
-  void skip_chunk();
+  /// Zero-copy accounting: the caller dedispersed \p window, window
+  /// chunk_index(), directly from its own contiguous sample block, so
+  /// whatever prefix was assembled here is a duplicate of block content.
+  /// Advances the chunk index and empties the window; the caller must
+  /// resume feeding from global input column chunk_index() · chunk_out()
+  /// afterwards. With the byte mirror, the window's samples count toward
+  /// clipped() once, here or when they were fed, never again on a re-feed.
+  void skip_chunk(ConstView2D<float> window);
 
   /// Output samples a final partial chunk would emit from the samples
   /// buffered so far (0 while nothing beyond the carried history is
@@ -123,8 +155,31 @@ class OverlapChunker {
   ConstView2D<float> partial_input() const;
 
  private:
+  /// Copy columns [offset, offset + n) of \p samples to column \p col of
+  /// \p dst, and their codes to the same column of \p dst_codes.
+  void store(ConstView2D<float> samples, std::size_t offset, std::size_t n,
+             Array2D<float>& dst, View2D<std::uint8_t> dst_codes,
+             std::size_t col);
+  /// Carry the window's trailing overlap to its front, then append the
+  /// first \p ahead lookahead columns: of the floats, of the codes.
+  void move_floats(std::size_t ahead);
+  void move_codes(std::size_t ahead);
+  /// Carry the floats a release(false) left behind; a no-op otherwise.
+  void carry_floats();
+
   Array2D<float> window_;     // channels × (chunk_out + overlap)
   Array2D<float> lookahead_;  // channels × chunk_out, or empty
+  std::optional<dedisp::QuantizationParams> codes_;
+  // The mirror is left uninitialized (every code is stored before it is
+  // read), so a session's setup does not pay to zero it.
+  ScratchBuffer<std::uint8_t> window_codes_storage_;
+  ScratchBuffer<std::uint8_t> lookahead_codes_storage_;
+  View2D<std::uint8_t> window_codes_;     // window_'s codes, or empty
+  View2D<std::uint8_t> lookahead_codes_;  // lookahead_'s codes, or empty
+  std::size_t clipped_ = 0;
+  std::size_t counted_ = 0;  // global input columns counted into clipped_
+  /// Lookahead columns of a release(false) whose floats are not carried.
+  std::optional<std::size_t> floats_behind_;
   bool held_ = false;
   std::size_t chunk_out_ = 0;
   std::size_t overlap_ = 0;       // carried samples: max_delay + extra

@@ -13,14 +13,6 @@ namespace ddmc::stream {
 
 namespace {
 
-/// Config for flush-time partial chunks, whose length is arbitrary and
-/// need not divide the tuned tile. The empty config means "the engine's
-/// defaults", which every engine accepts on every plan shape (the tiled
-/// engines run 1×1 tiles; subband re-adapts its split), and the
-/// bitwise-exact engines stay identical across configs, so only the final
-/// (typically short) chunk pays the untuned shape.
-engine::EngineConfig partial_chunk_config() { return engine::EngineConfig{}; }
-
 /// The one place StreamingOptions maps onto engine-factory options: every
 /// consumer site (session engine, sharded executors, per-chunk multi-beam)
 /// goes through here, so a new EngineOptions field is wired once, not at
@@ -64,6 +56,16 @@ std::size_t session_input_padding(const StreamingOptions& options,
   return std::max(padding, fallback->capabilities().input_padding);
 }
 
+/// The code map the session's chunker quantizes with: the engine's
+/// input_quantizer, unless full chunks go through the sharded executor,
+/// which takes float windows.
+std::optional<dedisp::QuantizationParams> session_quantizer(
+    const StreamingOptions& options, const engine::DedispEngine& engine,
+    const engine::EngineConfig& config) {
+  if (options.shard_workers >= 2) return std::nullopt;
+  return engine.input_quantizer(config);
+}
+
 }  // namespace
 
 StreamingDedisperser::StreamingDedisperser(dedisp::Plan chunk_plan,
@@ -76,7 +78,8 @@ StreamingDedisperser::StreamingDedisperser(dedisp::Plan chunk_plan,
       options_(options),
       engine_(streaming_engine(options_)),
       chunker_(plan_, session_input_padding(options_, *engine_),
-               /*lookahead=*/options_.async) {
+               /*lookahead=*/options_.async,
+               session_quantizer(options_, *engine_, config_)) {
   engine_->validate_config(plan_, config_);
   out_full_[0] = Array2D<float>(plan_.dms(), plan_.out_samples());
   if (options_.async) {
@@ -103,6 +106,8 @@ StreamingDedisperser::StreamingDedisperser(dedisp::Plan chunk_plan,
       registry.counter("ddmc.stream.deadline_overruns_total", session);
   degradations_metric_ =
       registry.counter("ddmc.stream.degradations_total", session);
+  quant_clipped_metric_ =
+      registry.counter("ddmc.stream.quant_clipped_total", session);
   if (options_.supervision.enabled && options_.supervision.degrade_after > 0) {
     degrade_engine_id_ = resilience::select_degrade_engine(
         options_.engine, options_.supervision);
@@ -205,22 +210,28 @@ void StreamingDedisperser::push(ConstView2D<float> samples) {
       if (options_.async) {
         reclaim_window(/*wait=*/true);
         chunker_.load(window);
-        dispatch(assembled_at);
+        publish_clipped();
+        dispatch(assembled_at, takes_codes());
         offset = start + window_cols;
       } else {
         submit(window, chunker_.chunk_out(), assembled_at);
-        chunker_.skip_chunk();
+        chunker_.skip_chunk(window);
+        publish_clipped();
         offset = start + chunker_.chunk_out();
       }
       continue;
     }
     offset += chunker_.feed(samples, offset);
+    publish_clipped();
     if (chunker_.filled() == window_cols) {
       // The window's last sample has arrived: stamp it before waiting for
       // the compute thread, so the chunk's latency counts that wait.
       const double assembled_at = session_clock_.seconds();
-      reclaim_window(/*wait=*/true);
-      dispatch(assembled_at);
+      // A window that goes out as codes is lent once its codes are
+      // carried; its floats follow while the engine reads the codes.
+      const bool codes = takes_codes();
+      reclaim_window(/*wait=*/true, /*floats=*/!codes);
+      dispatch(assembled_at, codes);
     }
   }
 }
@@ -247,14 +258,23 @@ void StreamingDedisperser::consume(SampleRing& ring) {
   }
 }
 
+void StreamingDedisperser::publish_clipped() {
+  const std::size_t clipped = chunker_.clipped();
+  if (clipped == clipped_published_) return;
+  quant_clipped_metric_->add(static_cast<double>(clipped - clipped_published_));
+  clipped_published_ = clipped;
+}
+
 void StreamingDedisperser::submit(ConstView2D<float> window,
                                   std::size_t out_samples,
-                                  double assembled_at) {
+                                  double assembled_at,
+                                  ConstView2D<std::uint8_t> codes) {
   Job job;
   job.index = chunker_.chunk_index();
   job.first_sample = chunker_.first_out_sample();
   job.out_samples = out_samples;
   job.input = window;
+  job.codes = codes;
   job.assembled_at = assembled_at;
 
   if (!options_.async) {
@@ -268,8 +288,18 @@ void StreamingDedisperser::submit(ConstView2D<float> window,
   cv_job_.notify_one();
 }
 
-void StreamingDedisperser::dispatch(double assembled_at) {
-  submit(chunker_.chunk_input(), chunker_.chunk_out(), assembled_at);
+bool StreamingDedisperser::takes_codes() const {
+  if (!chunker_.has_codes()) return false;
+  std::lock_guard<std::mutex> lock(mutex_);
+  return !health_.degraded;
+}
+
+void StreamingDedisperser::dispatch(double assembled_at, bool codes) {
+  if (codes) {
+    submit({}, chunker_.chunk_out(), assembled_at, chunker_.chunk_codes());
+  } else {
+    submit(chunker_.chunk_input(), chunker_.chunk_out(), assembled_at);
+  }
   if (options_.async) {
     chunker_.hold();
   } else {
@@ -277,7 +307,7 @@ void StreamingDedisperser::dispatch(double assembled_at) {
   }
 }
 
-void StreamingDedisperser::reclaim_window(bool wait) {
+void StreamingDedisperser::reclaim_window(bool wait, bool floats) {
   if (!chunker_.held()) return;
   {
     std::unique_lock<std::mutex> lock(mutex_);
@@ -287,7 +317,7 @@ void StreamingDedisperser::reclaim_window(bool wait) {
       return;
     }
   }
-  chunker_.release();
+  chunker_.release(floats);
 }
 
 void StreamingDedisperser::compute_loop() {
@@ -354,13 +384,20 @@ StreamingDedisperser::Delivery StreamingDedisperser::compute(
   const bool full = job.out_samples == plan_.out_samples();
   const dedisp::Plan plan =
       full ? plan_ : plan_.with_chunk(job.out_samples);
-  const engine::EngineConfig config =
-      full ? config_ : partial_chunk_config();
+  // A window lent as codes runs on the session engine even if the session
+  // degraded since: its floats may still be moving.
+  const bool codes = job.codes.data() != nullptr;
   bool degraded = false;
-  {
+  if (!codes) {
     std::lock_guard<std::mutex> lock(mutex_);
     degraded = health_.degraded;
   }
+  const engine::DedispEngine& engine = degraded ? *degrade_engine_ : *engine_;
+  // A flush chunk's length need not divide the tuned tile: adaptation
+  // keeps every other axis (a pinned quant_window or split) and shrinks
+  // the tile, down to 1×1, until it divides.
+  const engine::EngineConfig config =
+      full ? config_ : engine.adapt_config(plan, config_);
 
   Delivery delivery;
   delivery.job = job;
@@ -386,9 +423,9 @@ StreamingDedisperser::Delivery StreamingDedisperser::compute(
       DDMC_FAILPOINT_CTX("stream.chunk", job.index);
       if (full && sharded_ && !degraded) {
         sharded_->dedisperse(job.input, out);
+      } else if (codes) {
+        delivery.run = engine.execute(plan, config, job.codes, out);
       } else {
-        const engine::DedispEngine& engine =
-            degraded ? *degrade_engine_ : *engine_;
         delivery.run = engine.execute(plan, config, job.input, out);
       }
       break;
@@ -649,7 +686,8 @@ void MultiBeamStreamingDedisperser::close() {
   std::vector<ConstView2D<float>> windows;
   windows.reserve(beams());
   for (const auto& c : chunkers_) windows.push_back(c.partial_input());
-  run_chunk(plan_.with_chunk(pending), partial_chunk_config(), windows,
+  const dedisp::Plan plan = plan_.with_chunk(pending);
+  run_chunk(plan, engine_->adapt_config(plan, config_), windows,
             chunkers_[0].chunk_index(), chunkers_[0].first_out_sample());
 }
 

@@ -37,6 +37,15 @@
 /// one window + one output buffer). The final partial chunk gets its own
 /// output buffer.
 ///
+/// When the engine reads 8-bit codes (DedispEngine::input_quantizer) and
+/// the session is not sharded, the chunker also keeps the window's codes,
+/// quantizing each sample once as it is pushed, and full chunks reach the
+/// engine as that code plane: the compute stage only accumulates. The
+/// flush chunk, a window dedispersed straight from the caller's block and
+/// a session degraded to a float engine take the float call. The samples
+/// the code map clips are counted once, at ingest, in the session's
+/// `ddmc.stream.quant_clipped_total` counter.
+///
 /// The sink runs on the delivery thread (async mode) or the pushing thread
 /// (sync mode). Its calls are serialized, in chunk order and never
 /// concurrent; the output view is valid for the duration of the call. It
@@ -232,6 +241,10 @@ class StreamingDedisperser {
     /// batch run over the same samples would. In async mode this is the
     /// chunker's own window, lent until the compute thread is done.
     ConstView2D<float> input;
+    /// The window as codes: set for the full windows of a code-reading
+    /// session that has not degraded, and then input is unset. The flush
+    /// chunk and a borrowed window take the float call.
+    ConstView2D<std::uint8_t> codes;
     double assembled_at = 0.0;  ///< session-clock time the window completed
   };
 
@@ -250,12 +263,20 @@ class StreamingDedisperser {
   /// Start chunk \p window (sync: run it inline; async: hand it to the
   /// compute thread, which reads it in place).
   void submit(ConstView2D<float> window, std::size_t out_samples,
-              double assembled_at);
-  /// Submit the chunker's assembled window and move the chunker on.
-  void dispatch(double assembled_at);
+              double assembled_at, ConstView2D<std::uint8_t> codes = {});
+  /// Add the samples the chunker clipped since the last call to the
+  /// session's quant_clipped_total counter.
+  void publish_clipped();
+  /// Whether the next full window goes to the engine as codes: the
+  /// chunker keeps them and the session has not degraded.
+  bool takes_codes() const;
+  /// Submit the chunker's assembled window, as \p codes or as floats, and
+  /// move the chunker on.
+  void dispatch(double assembled_at, bool codes);
   /// Async sessions: once the compute thread is done with the held window,
-  /// release it in the chunker. With \p wait, block until it is done.
-  void reclaim_window(bool wait);
+  /// release it in the chunker. With \p wait, block until it is done;
+  /// without \p floats, leave the floats to dispatch().
+  void reclaim_window(bool wait, bool floats = true);
   /// Compute stage: the engine with the watchdog's retry rung, into
   /// \p out_full for full chunks. Throws a failure no rung absorbs.
   Delivery compute(const Job& job, View2D<float> out_full);
@@ -321,6 +342,10 @@ class StreamingDedisperser {
   std::shared_ptr<telemetry::Counter> chunks_skipped_metric_;
   std::shared_ptr<telemetry::Counter> overruns_metric_;
   std::shared_ptr<telemetry::Counter> degradations_metric_;
+  /// Samples the chunker's code map clipped, each counted once at ingest
+  /// (code-reading engines only).
+  std::shared_ptr<telemetry::Counter> quant_clipped_metric_;
+  std::size_t clipped_published_ = 0;  // pushing thread only
   engine::SessionTraffic traffic_;      // guarded by mutex_
   std::size_t pressure_streak_ = 0;     // guarded by mutex_
   mutable std::mutex mutex_;

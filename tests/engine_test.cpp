@@ -21,6 +21,7 @@
 #include <cstdlib>
 #include <limits>
 #include <new>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -36,6 +37,8 @@
 #include "engine/registry.hpp"
 #include "pipeline/dedisperser.hpp"
 #include "pipeline/sharding.hpp"
+#include "resilience/fault_injection.hpp"
+#include "resilience/supervisor.hpp"
 #include "stream/streaming_dedisperser.hpp"
 #include "test_util.hpp"
 #include "tuner/tuning_cache.hpp"
@@ -949,53 +952,148 @@ TEST(EngineStreaming, EveryStreamingEngineMatchesItsBatchRun) {
   // batch run does. total_out = 80 also covers the boundary where the
   // last nominally-full chunk cannot complete its padded window and is
   // flushed as a full-length partial instead.
+  //
+  // Every path a chunk can take runs: inline and pipelined sessions,
+  // ragged feeds and blocks large enough for the zero-copy path (a sync
+  // session dedisperses the borrowed block, an async one loads it into
+  // its chunker), a supervised session that retries one chunk and skips
+  // another, and one degraded to subband mid-stream. For cpu_tiled_u8
+  // these are the full chunks that take the chunker's codes and those
+  // that take the float call (the flush, a borrowed window, a degraded
+  // session).
+  enum class Fault { kNone, kRetryAndSkip, kDegrade };
+  struct Case {
+    const char* name;
+    std::size_t chunk;
+    bool async;
+    bool block;  // one push of the whole input, else 17/3-column feeds
+    Fault fault = Fault::kNone;
+  };
+  const Case cases[] = {
+      {"ragged sync", 40, false, false},
+      {"ragged async", 40, true, false},
+      {"block sync", 20, false, true},
+      {"block async", 20, true, true},
+      {"retry+skip sync", 20, false, false, Fault::kRetryAndSkip},
+      {"retry+skip async", 20, true, false, Fault::kRetryAndSkip},
+      {"degrade sync", 20, false, false, Fault::kDegrade},
+      {"degrade async", 20, true, false, Fault::kDegrade},
+  };
   const sky::Observation obs = mini_obs();
   const std::size_t dms = 6;
   for (const std::size_t total_out : {std::size_t{90}, std::size_t{80}}) {
     const Plan batch_plan = Plan::with_output_samples(obs, dms, total_out);
-    const Plan chunk_plan = batch_plan.with_chunk(40);
+    const Array2D<float> in = padded_input(batch_plan, 0);
+    const Array2D<float> fallback =
+        run_engine(*make_engine("subband"), batch_plan,
+                   KernelConfig{1, 1, 1, 1}, in.cview());
 
     // kBuiltins, not ids(): other suites register deliberately broken
     // engines under engine_test_* names in the process-global registry.
     for (const std::string id : kBuiltins) {
       const auto engine = make_engine(id);
       if (!engine->capabilities().supports_streaming) continue;
-      SCOPED_TRACE(id + " total_out=" + std::to_string(total_out));
-      const Array2D<float> in = padded_input(batch_plan, 0);
       const Array2D<float> expected = run_engine(
           *engine, batch_plan, KernelConfig{1, 1, 1, 1}, in.cview());
+      for (const Case& c : cases) {
+        if (c.fault == Fault::kDegrade && id == "subband") continue;
+        SCOPED_TRACE(id + " total_out=" + std::to_string(total_out) + " " +
+                     c.name);
+        stream::StreamingOptions options;
+        options.engine = id;
+        options.async = c.async;
+        resilience::FaultSpec spec;
+        if (c.fault == Fault::kRetryAndSkip) {
+          // Chunk 0 passes; chunk 1 fails both attempts and is skipped;
+          // chunk 2 fails once and its retry succeeds.
+          options.supervision.enabled = true;
+          options.supervision.max_chunk_retries = 1;
+          options.supervision.degrade_after = 0;
+          spec.skip = 1;
+          spec.max_fires = 3;
+        } else if (c.fault == Fault::kDegrade) {
+          // Chunk 1 fails and is skipped, which degrades the session:
+          // every later chunk runs on subband.
+          options.supervision.enabled = true;
+          options.supervision.max_chunk_retries = 0;
+          options.supervision.degrade_after = 1;
+          options.supervision.degrade_engine = "subband";
+          spec.context = 1;
+          spec.max_fires = 0;
+        }
+        std::optional<resilience::ScopedFault> fault;
+        if (c.fault != Fault::kNone) fault.emplace("stream.chunk", spec);
 
-      Array2D<float> streamed(dms, total_out);
-      std::size_t streamed_out = 0;
-      stream::StreamingOptions options;
-      options.engine = id;
-      options.async = false;
-      stream::StreamingDedisperser session(
-          chunk_plan, EngineConfig{},
-          [&](const stream::StreamChunk& chunk) {
-            for (std::size_t dm = 0; dm < dms; ++dm) {
-              for (std::size_t t = 0; t < chunk.out_samples; ++t) {
-                streamed(dm, chunk.first_sample + t) = chunk.output(dm, t);
+        struct Delivered {
+          std::size_t index, first, out;
+        };
+        std::vector<Delivered> delivered;
+        Array2D<float> streamed(dms, total_out);
+        stream::StreamingDedisperser session(
+            batch_plan.with_chunk(c.chunk), EngineConfig{},
+            [&](const stream::StreamChunk& chunk) {
+              for (std::size_t dm = 0; dm < dms; ++dm) {
+                for (std::size_t t = 0; t < chunk.out_samples; ++t) {
+                  streamed(dm, chunk.first_sample + t) = chunk.output(dm, t);
+                }
               }
+              delivered.push_back(
+                  {chunk.index, chunk.first_sample, chunk.out_samples});
+            },
+            options);
+        std::size_t offset = 0;
+        std::size_t step = c.block ? in.cols() : 17;
+        while (offset < in.cols()) {
+          const std::size_t n = std::min(step, in.cols() - offset);
+          session.push(ConstView2D<float>(&in.cview()(0, offset), in.rows(),
+                                          n, in.pitch()));
+          offset += n;
+          if (!c.block) step = step == 17 ? 3 : 17;
+        }
+        session.close();
+        fault.reset();
+
+        // Every chunk but a skipped one arrives, in order, and together
+        // they cover the batch output — the widened overlap must not eat
+        // trailing output.
+        const bool skips = c.fault != Fault::kNone;
+        std::size_t covered = skips ? c.chunk : 0;
+        for (std::size_t k = 0; k < delivered.size(); ++k) {
+          EXPECT_EQ(delivered[k].index, skips && k >= 1 ? k + 1 : k);
+          covered += delivered[k].out;
+        }
+        EXPECT_EQ(covered, total_out);
+        if (skips) {
+          const resilience::StreamHealth health = session.health();
+          EXPECT_EQ(health.chunks_skipped, 1u);
+          EXPECT_EQ(health.degraded, c.fault == Fault::kDegrade);
+          if (c.fault == Fault::kRetryAndSkip) {
+            EXPECT_EQ(health.chunks_retried, 2u);  // the skip retried too
+          }
+        }
+        const auto matches = [&](const Array2D<float>& want,
+                                 const Delivered& d) {
+          for (std::size_t dm = 0; dm < dms; ++dm) {
+            for (std::size_t t = d.first; t < d.first + d.out; ++t) {
+              if (want(dm, t) != streamed(dm, t)) return false;
             }
-            streamed_out += chunk.out_samples;
-          },
-          options);
-      // Feed in awkward granularities to exercise the assembly path.
-      std::size_t offset = 0;
-      std::size_t step = 17;
-      while (offset < in.cols()) {
-        const std::size_t n = std::min(step, in.cols() - offset);
-        session.push(ConstView2D<float>(&in.cview()(0, offset), in.rows(), n,
-                                        in.pitch()));
-        offset += n;
-        step = step == 17 ? 3 : 17;
+          }
+          return true;
+        };
+        for (const Delivered& d : delivered) {
+          SCOPED_TRACE("chunk " + std::to_string(d.index));
+          if (c.fault != Fault::kDegrade || d.index < 2) {
+            EXPECT_TRUE(matches(expected, d));
+          } else if (c.async && d.out == c.chunk && &d != &delivered.back()) {
+            // The compute stage may start a chunk before the skip that
+            // degrades the session is delivered: that chunk runs on the
+            // session engine. The flush always runs degraded.
+            EXPECT_TRUE(matches(expected, d) || matches(fallback, d));
+          } else {
+            EXPECT_TRUE(matches(fallback, d));
+          }
+        }
       }
-      session.close();
-      // Regression: the widened overlap must not eat trailing output —
-      // the session emits every sample the batch run would.
-      EXPECT_EQ(streamed_out, total_out);
-      expect_same_matrix(expected, streamed);
     }
   }
 }

@@ -8,6 +8,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <utility>
 #include <thread>
 #include <vector>
 
@@ -20,6 +24,7 @@
 #include "stream/latency.hpp"
 #include "stream/ring_buffer.hpp"
 #include "stream/streaming_dedisperser.hpp"
+#include "telemetry/metrics.hpp"
 #include "probe_engine.hpp"
 #include "test_util.hpp"
 
@@ -323,29 +328,45 @@ TEST(OverlapChunker, WindowsAreTheBatchInputColumns) {
   const Array2D<float> input = random_input(batch);
   // With a lookahead, each window is held (as an engine on another thread
   // would read it) while the next one's samples arrive in 5-sample feeds,
-  // and released only once they complete it.
+  // and released only once they complete it. The byte mirror holds the
+  // codes of exactly those columns.
+  const dedisp::QuantizationParams quant{-0.5f, 0.5f};
   for (const bool lookahead : {false, true}) {
     SCOPED_TRACE(lookahead ? "hold/release" : "advance");
-    OverlapChunker chunker(chunk, 0, lookahead);
+    OverlapChunker chunker(chunk, 0, lookahead, quant);
+    ASSERT_TRUE(chunker.has_codes());
     EXPECT_EQ(chunker.overlap(), batch.max_delay());
     EXPECT_EQ(chunker.window_samples(), 32 + batch.max_delay());
 
+    // Every other held window is released codes first, as a session does
+    // for a code-reading engine: its floats are carried by the next
+    // hold(), and the windows after it show whether they were.
     std::size_t t = 0;
     std::size_t seen = 0;
+    bool codes_first = false;
     while (t < input.cols()) {
       const ConstView2D<float> feed(input.cview().data(), input.rows(),
                                     std::min(input.cols(), t + 5),
                                     input.pitch());
       t += chunker.feed(feed, t);
       if (chunker.held() && chunker.filled() == chunker.window_samples()) {
-        chunker.release();
+        codes_first = seen % 2 == 1;
+        chunker.release(/*floats=*/!codes_first);
       }
       if (!chunker.ready()) continue;
-      const ConstView2D<float> window = chunker.chunk_input();
+      const ConstView2D<std::uint8_t> codes = chunker.chunk_codes();
       const std::size_t base = chunker.first_out_sample();
+      if (codes_first) {
+        EXPECT_THROW(chunker.chunk_input(), invalid_argument);
+      }
       for (std::size_t ch = 0; ch < input.rows(); ++ch) {
-        for (std::size_t i = 0; i < window.cols(); ++i) {
-          ASSERT_EQ(window(ch, i), input(ch, base + i))
+        for (std::size_t i = 0; i < chunker.window_samples(); ++i) {
+          if (!codes_first) {
+            ASSERT_EQ(chunker.chunk_input()(ch, i), input(ch, base + i))
+                << "chunk " << chunker.chunk_index() << " ch " << ch
+                << " i " << i;
+          }
+          ASSERT_EQ(codes(ch, i), quant.quantize(input(ch, base + i)))
               << "chunk " << chunker.chunk_index() << " ch " << ch << " i "
               << i;
         }
@@ -360,6 +381,13 @@ TEST(OverlapChunker, WindowsAreTheBatchInputColumns) {
     // 96 output samples = exactly 3 chunks of 32; nothing is left over.
     EXPECT_EQ(seen, 3u);
     EXPECT_EQ(chunker.pending_out(), 0u);
+    // Each fed sample outside [-0.5, 0.5] counts once, the carried
+    // overlap included.
+    std::size_t outside = 0;
+    for (std::size_t ch = 0; ch < input.rows(); ++ch) {
+      for (const float v : input.row(ch)) outside += v < -0.5f || v > 0.5f;
+    }
+    EXPECT_EQ(chunker.clipped(), outside);
     if (chunker.held()) chunker.release();
 
     // A few extra samples become the pending partial chunk.
@@ -368,6 +396,37 @@ TEST(OverlapChunker, WindowsAreTheBatchInputColumns) {
     EXPECT_FALSE(chunker.ready());
     EXPECT_EQ(chunker.pending_out(), 7u);
     EXPECT_EQ(chunker.partial_input().cols(), chunker.overlap() + 7u);
+  }
+}
+
+TEST(OverlapChunker, LoadQuantizesOnlyTheColumnsItDidNotHold) {
+  // load() takes a block that repeats the assembled prefix; the mirror
+  // ends up with the codes of the whole window either way, and each
+  // sample is counted once.
+  const Plan batch = Plan::with_output_samples(mini_obs(), 8, 96);
+  const Plan chunk = batch.with_chunk(32);
+  const Array2D<float> input = random_input(batch);
+  const dedisp::QuantizationParams quant{-0.5f, 0.5f};
+  for (const bool lookahead : {false, true}) {
+    SCOPED_TRACE(lookahead ? "lookahead" : "no lookahead");
+    OverlapChunker chunker(chunk, 0, lookahead, quant);
+    chunker.feed(ConstView2D<float>(input.cview().data(), input.rows(), 11,
+                                    input.pitch()));
+    chunker.load(ConstView2D<float>(input.cview().data(), input.rows(),
+                                    chunker.window_samples(), input.pitch()));
+    ASSERT_TRUE(chunker.ready());
+    const ConstView2D<float> window = chunker.chunk_input();
+    const ConstView2D<std::uint8_t> codes = chunker.chunk_codes();
+    std::size_t outside = 0;
+    for (std::size_t ch = 0; ch < input.rows(); ++ch) {
+      for (std::size_t i = 0; i < window.cols(); ++i) {
+        ASSERT_EQ(window(ch, i), input(ch, i)) << "ch " << ch << " i " << i;
+        ASSERT_EQ(codes(ch, i), quant.quantize(input(ch, i)))
+            << "ch " << ch << " i " << i;
+        outside += input(ch, i) < -0.5f || input(ch, i) > 0.5f;
+      }
+    }
+    EXPECT_EQ(chunker.clipped(), outside);
   }
 }
 
@@ -450,6 +509,90 @@ TEST(StreamingDedisperser, BitwiseEqualToBatchAcrossGranularities) {
     session.close();
     EXPECT_EQ(collect.emitted, total_out);
     expect_same_matrix(expected, collect.total);
+  }
+}
+
+TEST(StreamingDedisperser, FlushChunkKeepsThePinnedQuantWindow) {
+  // Regression: the flush chunk ran with the empty config, so a u8
+  // session with a pinned quant_window quantized its last, partial chunk
+  // over the engine's default window. Adapting the session config keeps
+  // the window and shrinks only the tile.
+  const std::size_t total_out = 209;  // 3 full chunks of 64 + partial 17
+  const Plan batch = Plan::with_output_samples(mini_obs(), 8, total_out);
+  const Array2D<float> input = random_input(batch);
+  engine::EngineConfig batch_config;
+  batch_config.set("quant_window", 4);  // the engine's default is 8
+  const auto engine = engine::make_engine("cpu_tiled_u8");
+  Array2D<float> expected(batch.dms(), total_out);
+  engine->execute(batch, batch_config, input.cview(), expected.view());
+  engine::EngineConfig config = tiled_config(KernelConfig{8, 2, 4, 2});
+  config.set("quant_window", 4);
+
+  for (const bool async : {false, true}) {
+    SCOPED_TRACE(async ? "async" : "sync");
+    Collector collect(batch.dms(), total_out);
+    StreamingOptions opts;
+    opts.engine = "cpu_tiled_u8";
+    opts.async = async;
+    opts.cpu.threads = 1;
+    StreamingDedisperser session(batch.with_chunk(64), config,
+                                 std::ref(collect), opts);
+    feed_in_slices(session, input, 23, 99);
+    session.close();
+    EXPECT_EQ(collect.emitted, total_out);
+    expect_same_matrix(expected, collect.total);
+  }
+}
+
+TEST(StreamingDedisperser, CountsClippedSamplesOnceAtIngest) {
+  // The chunker quantizes each sample once, so the session's
+  // quant_clipped_total counts each clipped sample once, however many
+  // windows its column is carried through: ±inf, NaN and finite samples
+  // outside the ±8 window clip, the window's edges do not. The output
+  // stays the batch run's, bitwise.
+  const std::size_t total_out = 209;
+  const Plan batch = Plan::with_output_samples(mini_obs(), 8, total_out);
+  Array2D<float> input = random_input(batch);
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  // Columns 60..80 lie in the overlap of chunks 0 and 1 (chunks of 64).
+  const std::vector<std::pair<std::size_t, float>> clipped = {
+      {3, inf},   {70, inf},   {150, inf}, {5, -inf},  {75, -inf},
+      {9, nan},   {66, nan},   {130, nan}, {200, nan}, {1, 8.5f},
+      {64, 1e6f}, {72, -9.0f}, {180, -8.001f}, {220, 100.0f}};
+  for (std::size_t k = 0; k < clipped.size(); ++k) {
+    input(k % input.rows(), clipped[k].first) = clipped[k].second;
+  }
+  input(2, 10) = 8.0f;  // on the window's edges: not clipped
+  input(3, 68) = -8.0f;
+  const auto engine = engine::make_engine("cpu_tiled_u8");
+  Array2D<float> expected(batch.dms(), total_out);
+  engine->execute(batch, engine::EngineConfig{}, input.cview(),
+                  expected.view());
+
+  for (const bool async : {false, true}) {
+    // Slices of up to 90 columns let a sync session dedisperse some
+    // windows in place and then re-feed part of them to its chunker.
+    for (const std::size_t slice :
+         {std::size_t{7}, std::size_t{90}, input.cols()}) {
+      SCOPED_TRACE(std::string(async ? "async" : "sync") +
+                   " slice=" + std::to_string(slice));
+      Collector collect(batch.dms(), total_out);
+      StreamingOptions opts;
+      opts.engine = "cpu_tiled_u8";
+      opts.async = async;
+      opts.cpu.threads = 1;
+      StreamingDedisperser session(batch.with_chunk(64),
+                                   engine::EngineConfig{},
+                                   std::ref(collect), opts);
+      feed_in_slices(session, input, slice, 5);
+      session.close();
+      expect_same_matrix(expected, collect.total);
+      const auto counter = telemetry::MetricsRegistry::instance().counter(
+          "ddmc.stream.quant_clipped_total",
+          {{"session", session.session_label()}});
+      EXPECT_EQ(counter->value(), static_cast<double>(clipped.size()));
+    }
   }
 }
 

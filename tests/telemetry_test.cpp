@@ -21,6 +21,7 @@
 #include "sky/detection.hpp"
 #include "sky/observation.hpp"
 #include "stream/latency.hpp"
+#include "stream/streaming_dedisperser.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/tracing.hpp"
@@ -348,6 +349,58 @@ TEST_F(TelemetryTracerTest, U8ExecuteEmitsOneQuantizeSpan) {
              q->start_ns + q->dur_ns <= o->start_ns + o->dur_ns;
     };
     EXPECT_EQ(std::count_if(outer.begin(), outer.end(), inside), 1);
+  }
+}
+
+TEST_F(TelemetryTracerTest, U8SessionQuantizesOnlyItsFlushChunk) {
+  // A u8 streaming session quantizes each sample once, in its chunker:
+  // a full chunk's engine.execute holds no u8.quantize span. Only the
+  // flush chunk, which takes the float call, quantizes inside the engine.
+  const auto batch = ddmc::dedisp::Plan::with_output_samples(
+      ddmc::sky::apertif(), 8, 3 * 64 + 10);
+  ddmc::Array2D<float> in(batch.channels(), batch.in_samples());
+  ddmc::stream::StreamingOptions options;
+  options.engine = "cpu_tiled_u8";
+  options.cpu.threads = 1;
+  for (const bool async : {false, true}) {
+    SCOPED_TRACE(async ? "async" : "sync");
+    Tracer::instance().clear();
+    options.async = async;
+    ddmc::stream::StreamingDedisperser session(batch.with_chunk(64),
+                                               ddmc::engine::EngineConfig{},
+                                               nullptr, options);
+    Tracer::instance().set_enabled(true);
+    for (std::size_t t = 0; t < in.cols(); t += 50) {
+      session.push(ddmc::ConstView2D<float>(
+          &in(0, t), in.rows(), std::min<std::size_t>(50, in.cols() - t),
+          in.pitch()));
+    }
+    session.close();
+    Tracer::instance().set_enabled(false);
+
+    std::vector<TraceEvent> chunks, executes, quantizes;
+    for (const TraceEvent& e : Tracer::instance().events()) {
+      const std::string name = e.name;
+      if (name == "stream.chunk") chunks.push_back(e);
+      if (name == "engine.execute") executes.push_back(e);
+      if (name == "u8.quantize") quantizes.push_back(e);
+    }
+    ASSERT_EQ(chunks.size(), 4u);
+    ASSERT_EQ(executes.size(), 4u);
+    ASSERT_EQ(quantizes.size(), 1u);
+    const auto inside = [](const TraceEvent& in, const TraceEvent& out) {
+      return in.tid == out.tid && in.start_ns >= out.start_ns &&
+             in.start_ns + in.dur_ns <= out.start_ns + out.dur_ns;
+    };
+    const TraceEvent& q = quantizes[0];
+    EXPECT_EQ(std::count_if(executes.begin(), executes.end(),
+                            [&](const TraceEvent& e) { return inside(q, e); }),
+              1);
+    for (const TraceEvent& c : chunks) {
+      const bool flush =
+          std::string(c.args).find("\"out_samples\": 10") != std::string::npos;
+      EXPECT_EQ(inside(q, c), flush) << c.args;
+    }
   }
 }
 
