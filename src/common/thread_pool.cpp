@@ -122,4 +122,10 @@ ThreadPool& global_pool() {
   return pool;
 }
 
+ThreadPool* pool_for(std::size_t threads, std::optional<ThreadPool>& owned) {
+  if (threads == 1) return nullptr;
+  if (threads == 0) return &global_pool();
+  return &owned.emplace(threads);
+}
+
 }  // namespace ddmc

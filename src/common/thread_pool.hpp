@@ -13,6 +13,7 @@
 #include <exception>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -67,5 +68,10 @@ std::size_t hardware_workers();
 
 /// Singleton pool sized to the machine, for library-internal parallelism.
 ThreadPool& global_pool();
+
+/// The pool a call asking for \p threads workers runs on: none (run
+/// inline) for 1, global_pool() for 0, else a pool of that many workers
+/// built into \p owned, which the caller keeps for the call.
+ThreadPool* pool_for(std::size_t threads, std::optional<ThreadPool>& owned);
 
 }  // namespace ddmc

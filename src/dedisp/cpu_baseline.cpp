@@ -1,7 +1,7 @@
 #include "dedisp/cpu_baseline.hpp"
 
 #include <algorithm>
-#include <memory>
+#include <optional>
 
 #include "common/expect.hpp"
 #include "common/thread_pool.hpp"
@@ -69,17 +69,11 @@ void dedisperse_cpu_baseline(const Plan& plan, ConstView2D<float> in,
     }
   };
 
-  if (options.threads == 1) {
+  std::optional<ThreadPool> owned;
+  ThreadPool* const pool = pool_for(options.threads, owned);
+  if (pool == nullptr) {
     run_range(0, total);
     return;
-  }
-  ThreadPool* pool = nullptr;
-  std::unique_ptr<ThreadPool> owned;
-  if (options.threads == 0) {
-    pool = &global_pool();
-  } else {
-    owned = std::make_unique<ThreadPool>(options.threads);
-    pool = owned.get();
   }
   const std::size_t chunk =
       std::max<std::size_t>(1, total / (pool->worker_count() * 4));

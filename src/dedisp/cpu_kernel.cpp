@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <memory>
+#include <optional>
 #include <span>
 #include <type_traits>
 #include <vector>
@@ -372,8 +372,8 @@ void process_tile(const KernelConfig& config, const TileJob<T>& job,
 
 /// Check the jobs' shared shape, then distribute the tiles of all jobs over
 /// the requested workers; every worker reuses one scratch across tiles.
-/// Runs on \p pool when the caller passes one, else on a pool built for
-/// this call (global_pool() for threads = 0); threads = 1 runs inline.
+/// Runs on \p pool when the caller passes one, else on pool_for(threads);
+/// threads = 1 runs inline.
 template <typename T, typename Writeback>
 void run_tiles(std::span<const TileJob<T>> jobs, const KernelConfig& config,
                const CpuKernelOptions& options, const Writeback& writeback,
@@ -417,12 +417,8 @@ void run_tiles(std::span<const TileJob<T>> jobs, const KernelConfig& config,
     run_range(0, total);
     return;
   }
-  std::unique_ptr<ThreadPool> owned;
-  if (pool == nullptr && options.threads != 0) {
-    owned = std::make_unique<ThreadPool>(options.threads);
-    pool = owned.get();
-  }
-  if (pool == nullptr) pool = &global_pool();
+  std::optional<ThreadPool> owned;
+  if (pool == nullptr) pool = pool_for(options.threads, owned);
   const std::size_t block =
       std::max<std::size_t>(1, total / (pool->worker_count() * 4));
   pool->parallel_for(0, total, block, run_range);

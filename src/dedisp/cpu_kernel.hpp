@@ -97,8 +97,8 @@ struct TileJob {
 /// over the workers. The DM tile must divide the trial count; the last
 /// time tile of a row may be shorter than the config's. The tiles run on
 /// \p pool unless options.threads is 1 (inline); without a pool the call
-/// builds one of options.threads workers (global_pool() for 0), so a
-/// caller that dispatches repeatedly should pass its own.
+/// runs on pool_for(options.threads), which builds a pool for threads > 1,
+/// so a caller that dispatches repeatedly should pass its own.
 void dedisperse_tiled(std::span<const TileJob<float>> jobs,
                       const KernelConfig& config,
                       const CpuKernelOptions& options = {},

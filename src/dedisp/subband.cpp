@@ -180,12 +180,7 @@ void dedisperse_subband(const Plan& plan, const SubbandConfig& config,
   stage_options.stage_rows = false;
   // Both stages of every block run on one pool per call.
   std::optional<ThreadPool> owned;
-  ThreadPool* pool = nullptr;
-  if (options.threads == 0) {
-    pool = &global_pool();
-  } else if (options.threads > 1) {
-    pool = &owned.emplace(options.threads);
-  }
+  ThreadPool* const pool = pool_for(options.threads, owned);
 
   for (std::size_t ci0 = 0; ci0 < n_coarse; ci0 += block) {
     const std::size_t nb = std::min(block, n_coarse - ci0);

@@ -1,6 +1,6 @@
 #include "pipeline/multibeam.hpp"
 
-#include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -67,17 +67,12 @@ std::vector<Array2D<float>> MultiBeamDedisperser::dedisperse(
     }
   };
 
-  if (threads == 1 || beams.size() == 1) {
+  std::optional<ThreadPool> owned;
+  ThreadPool* const pool =
+      beams.size() == 1 ? nullptr : pool_for(threads, owned);
+  if (pool == nullptr) {
     run_beam(0, beams.size());
     return outputs;
-  }
-  ThreadPool* pool = nullptr;
-  std::unique_ptr<ThreadPool> owned;
-  if (threads == 0) {
-    pool = &global_pool();
-  } else {
-    owned = std::make_unique<ThreadPool>(threads);
-    pool = owned.get();
   }
   pool->parallel_for(0, beams.size(), 1, run_beam);
   return outputs;

@@ -288,9 +288,14 @@ void StreamingDedisperser::submit(ConstView2D<float> window,
   cv_job_.notify_one();
 }
 
-bool StreamingDedisperser::takes_codes() const {
+bool StreamingDedisperser::takes_codes() {
   if (!chunker_.has_codes()) return false;
-  std::lock_guard<std::mutex> lock(mutex_);
+  if (!degrade_engine_) return true;  // the session cannot degrade
+  std::unique_lock<std::mutex> lock(mutex_);
+  // Decide once the chunk in flight is computed and handed to delivery:
+  // the compute stage waited out the delivery before it first, so the flag
+  // holds every outcome the compute stage would see starting this chunk.
+  cv_idle_.wait(lock, [&] { return !job_pending_ && !settling_; });
   return !health_.degraded;
 }
 
@@ -342,10 +347,13 @@ void StreamingDedisperser::compute_loop() {
     next_out ^= 1;
     std::unique_lock<std::mutex> lock(mutex_);
     job_pending_ = false;  // the window is the pushing thread's again
+    settling_ = true;
     cv_idle_.notify_all();
     // At most one delivery in flight: the previous chunk's returns first,
     // which also orders a failure after every earlier chunk's delivery.
     cv_slot_.wait(lock, [&] { return !delivery_pending_; });
+    settling_ = false;
+    cv_idle_.notify_all();
     if (error_) continue;  // a latched failure: deliver no later chunk
     if (failure) {
       error_ = failure;
@@ -384,8 +392,9 @@ StreamingDedisperser::Delivery StreamingDedisperser::compute(
   const bool full = job.out_samples == plan_.out_samples();
   const dedisp::Plan plan =
       full ? plan_ : plan_.with_chunk(job.out_samples);
-  // A window lent as codes runs on the session engine even if the session
-  // degraded since: its floats may still be moving.
+  // A window lent as codes runs on the session engine: the session was
+  // healthy when it was lent (takes_codes()), and its floats may still be
+  // moving.
   const bool codes = job.codes.data() != nullptr;
   bool degraded = false;
   if (!codes) {

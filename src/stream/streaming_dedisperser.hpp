@@ -268,8 +268,11 @@ class StreamingDedisperser {
   /// session's quant_clipped_total counter.
   void publish_clipped();
   /// Whether the next full window goes to the engine as codes: the
-  /// chunker keeps them and the session has not degraded.
-  bool takes_codes() const;
+  /// chunker keeps them and the session has not degraded. A session that
+  /// can degrade first waits until the chunk in flight is handed to
+  /// delivery, so the decision sees what a chunk start on the compute
+  /// stage would.
+  bool takes_codes();
   /// Submit the chunker's assembled window, as \p codes or as floats, and
   /// move the chunker on.
   void dispatch(double assembled_at, bool codes);
@@ -323,6 +326,7 @@ class StreamingDedisperser {
   std::array<Array2D<float>, 2> out_full_;
   Job job_;                     // guarded by mutex_
   bool job_pending_ = false;    // the compute thread owns the window
+  bool settling_ = false;       // computed, waiting for the delivery slot
   Delivery delivery_;           // owned by the delivery thread while pending
   bool delivery_pending_ = false;
   bool stop_ = false;           // compute: no job follows
@@ -350,7 +354,7 @@ class StreamingDedisperser {
   std::size_t pressure_streak_ = 0;     // guarded by mutex_
   mutable std::mutex mutex_;
   std::condition_variable cv_job_;       // compute: job_pending_ || stop_
-  std::condition_variable cv_idle_;      // push: !job_pending_
+  std::condition_variable cv_idle_;      // push: !job_pending_, !settling_
   std::condition_variable cv_delivery_;  // delivery: record || stop
   std::condition_variable cv_slot_;      // compute: !delivery_pending_
   std::thread delivery_thread_;

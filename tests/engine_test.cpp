@@ -1053,23 +1053,27 @@ TEST(EngineStreaming, EveryStreamingEngineMatchesItsBatchRun) {
         session.close();
         fault.reset();
 
-        // Every chunk but a skipped one arrives, in order, and together
-        // they cover the batch output — the widened overlap must not eat
-        // trailing output.
+        // Every chunk but a skipped one arrives, in order, each starting
+        // where the chunk before it ended, and together they cover the
+        // batch output — the widened overlap must not eat trailing output.
         const bool skips = c.fault != Fault::kNone;
-        std::size_t covered = skips ? c.chunk : 0;
+        std::size_t next = 0;
         for (std::size_t k = 0; k < delivered.size(); ++k) {
+          if (skips && k == 1) next += c.chunk;  // chunk 1 was skipped
           EXPECT_EQ(delivered[k].index, skips && k >= 1 ? k + 1 : k);
-          covered += delivered[k].out;
+          EXPECT_EQ(delivered[k].first, next);
+          next = delivered[k].first + delivered[k].out;
         }
-        EXPECT_EQ(covered, total_out);
-        if (skips) {
-          const resilience::StreamHealth health = session.health();
-          EXPECT_EQ(health.chunks_skipped, 1u);
-          EXPECT_EQ(health.degraded, c.fault == Fault::kDegrade);
-          if (c.fault == Fault::kRetryAndSkip) {
-            EXPECT_EQ(health.chunks_retried, 2u);  // the skip retried too
-          }
+        EXPECT_EQ(next, total_out);
+        if (!skips) {
+          expect_same_matrix(expected, streamed);
+          continue;
+        }
+        const resilience::StreamHealth health = session.health();
+        EXPECT_EQ(health.chunks_skipped, 1u);
+        EXPECT_EQ(health.degraded, c.fault == Fault::kDegrade);
+        if (c.fault == Fault::kRetryAndSkip) {
+          EXPECT_EQ(health.chunks_retried, 2u);  // the skip retried too
         }
         const auto matches = [&](const Array2D<float>& want,
                                  const Delivered& d) {
@@ -1084,10 +1088,11 @@ TEST(EngineStreaming, EveryStreamingEngineMatchesItsBatchRun) {
           SCOPED_TRACE("chunk " + std::to_string(d.index));
           if (c.fault != Fault::kDegrade || d.index < 2) {
             EXPECT_TRUE(matches(expected, d));
-          } else if (c.async && d.out == c.chunk && &d != &delivered.back()) {
-            // The compute stage may start a chunk before the skip that
-            // degrades the session is delivered: that chunk runs on the
-            // session engine. The flush always runs degraded.
+          } else if (c.async && d.index == 2) {
+            // The compute stage may start chunk 2 before the skip of chunk
+            // 1, which degrades the session, is delivered: chunk 2 may run
+            // on the session engine. It starts chunk 3 only once that
+            // delivery is done, so every later chunk runs degraded.
             EXPECT_TRUE(matches(expected, d) || matches(fallback, d));
           } else {
             EXPECT_TRUE(matches(fallback, d));

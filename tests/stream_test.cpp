@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <string>
 #include <utility>
 #include <thread>
@@ -323,79 +324,97 @@ TEST(SampleRingStressSlowTier, ConcurrentConsumersDrainAfterClose) {
 }
 
 TEST(OverlapChunker, WindowsAreTheBatchInputColumns) {
-  const Plan batch = Plan::with_output_samples(mini_obs(), 8, 96);
+  const Plan batch = Plan::with_output_samples(mini_obs(), 8, 128);
   const Plan chunk = batch.with_chunk(32);
   const Array2D<float> input = random_input(batch);
   // With a lookahead, each window is held (as an engine on another thread
   // would read it) while the next one's samples arrive in 5-sample feeds,
-  // and released only once they complete it. The byte mirror holds the
-  // codes of exactly those columns.
+  // and released only once they complete it. The byte mirror, when kept,
+  // holds the codes of exactly those columns.
   const dedisp::QuantizationParams quant{-0.5f, 0.5f};
-  for (const bool lookahead : {false, true}) {
-    SCOPED_TRACE(lookahead ? "hold/release" : "advance");
-    OverlapChunker chunker(chunk, 0, lookahead, quant);
-    ASSERT_TRUE(chunker.has_codes());
-    EXPECT_EQ(chunker.overlap(), batch.max_delay());
-    EXPECT_EQ(chunker.window_samples(), 32 + batch.max_delay());
+  for (const std::optional<dedisp::QuantizationParams> mirror :
+       {std::optional<dedisp::QuantizationParams>{}, std::optional{quant}}) {
+    for (const bool lookahead : {false, true}) {
+      SCOPED_TRACE(std::string(lookahead ? "hold/release" : "advance") +
+                   (mirror ? " codes" : " floats"));
+      OverlapChunker chunker(chunk, 0, lookahead, mirror);
+      ASSERT_EQ(chunker.has_codes(), mirror.has_value());
+      EXPECT_EQ(chunker.overlap(), batch.max_delay());
+      EXPECT_EQ(chunker.window_samples(), 32 + batch.max_delay());
 
-    // Every other held window is released codes first, as a session does
-    // for a code-reading engine: its floats are carried by the next
-    // hold(), and the windows after it show whether they were.
-    std::size_t t = 0;
-    std::size_t seen = 0;
-    bool codes_first = false;
-    while (t < input.cols()) {
-      const ConstView2D<float> feed(input.cview().data(), input.rows(),
-                                    std::min(input.cols(), t + 5),
-                                    input.pitch());
-      t += chunker.feed(feed, t);
-      if (chunker.held() && chunker.filled() == chunker.window_samples()) {
-        codes_first = seen % 2 == 1;
-        chunker.release(/*floats=*/!codes_first);
-      }
-      if (!chunker.ready()) continue;
-      const ConstView2D<std::uint8_t> codes = chunker.chunk_codes();
-      const std::size_t base = chunker.first_out_sample();
-      if (codes_first) {
-        EXPECT_THROW(chunker.chunk_input(), invalid_argument);
-      }
-      for (std::size_t ch = 0; ch < input.rows(); ++ch) {
-        for (std::size_t i = 0; i < chunker.window_samples(); ++i) {
-          if (!codes_first) {
-            ASSERT_EQ(chunker.chunk_input()(ch, i), input(ch, base + i))
-                << "chunk " << chunker.chunk_index() << " ch " << ch
-                << " i " << i;
+      // With a lookahead and the mirror, windows 1 and 3 are released
+      // codes first, as a session does for a code-reading engine: their
+      // floats are carried by the next hold(). Window 2's floats, which
+      // start with window 1's carried overlap, and the final partial
+      // window, which starts with window 3's, show whether they were.
+      std::size_t t = 0;
+      std::size_t seen = 0;
+      bool codes_first = false;
+      while (t < input.cols()) {
+        const ConstView2D<float> feed(input.cview().data(), input.rows(),
+                                      std::min(input.cols(), t + 5),
+                                      input.pitch());
+        t += chunker.feed(feed, t);
+        if (chunker.held() && chunker.filled() == chunker.window_samples()) {
+          codes_first = mirror && seen % 2 == 1;
+          chunker.release(/*floats=*/!codes_first);
+        }
+        if (!chunker.ready()) continue;
+        const std::size_t base = chunker.first_out_sample();
+        if (codes_first) {
+          EXPECT_THROW(chunker.chunk_input(), invalid_argument);
+        }
+        for (std::size_t ch = 0; ch < input.rows(); ++ch) {
+          for (std::size_t i = 0; i < chunker.window_samples(); ++i) {
+            if (!codes_first) {
+              ASSERT_EQ(chunker.chunk_input()(ch, i), input(ch, base + i))
+                  << "chunk " << chunker.chunk_index() << " ch " << ch
+                  << " i " << i;
+            }
+            if (mirror) {
+              ASSERT_EQ(chunker.chunk_codes()(ch, i),
+                        quant.quantize(input(ch, base + i)))
+                  << "chunk " << chunker.chunk_index() << " ch " << ch
+                  << " i " << i;
+            }
           }
-          ASSERT_EQ(codes(ch, i), quant.quantize(input(ch, base + i)))
-              << "chunk " << chunker.chunk_index() << " ch " << ch << " i "
-              << i;
+        }
+        ++seen;
+        if (lookahead) {
+          chunker.hold();
+        } else {
+          chunker.advance();
         }
       }
-      ++seen;
-      if (lookahead) {
-        chunker.hold();
-      } else {
-        chunker.advance();
+      // 128 output samples = exactly 4 chunks of 32; nothing is left over.
+      EXPECT_EQ(seen, 4u);
+      EXPECT_EQ(chunker.pending_out(), 0u);
+      // Each fed sample outside [-0.5, 0.5] counts once, the carried
+      // overlap included.
+      std::size_t outside = 0;
+      for (std::size_t ch = 0; ch < input.rows(); ++ch) {
+        for (const float v : input.row(ch)) outside += v < -0.5f || v > 0.5f;
+      }
+      EXPECT_EQ(chunker.clipped(), mirror ? outside : 0u);
+      if (chunker.held()) chunker.release();
+
+      // A few extra samples become the pending partial chunk, behind the
+      // last window's carried overlap: the input's last columns.
+      Array2D<float> extra(input.rows(), 7);
+      chunker.feed(extra.cview());
+      EXPECT_FALSE(chunker.ready());
+      EXPECT_EQ(chunker.pending_out(), 7u);
+      const ConstView2D<float> partial = chunker.partial_input();
+      ASSERT_EQ(partial.cols(), chunker.overlap() + 7u);
+      const std::size_t tail = input.cols() - chunker.overlap();
+      for (std::size_t ch = 0; ch < input.rows(); ++ch) {
+        for (std::size_t i = 0; i < partial.cols(); ++i) {
+          ASSERT_EQ(partial(ch, i),
+                    i < chunker.overlap() ? input(ch, tail + i) : 0.0f)
+              << "ch " << ch << " i " << i;
+        }
       }
     }
-    // 96 output samples = exactly 3 chunks of 32; nothing is left over.
-    EXPECT_EQ(seen, 3u);
-    EXPECT_EQ(chunker.pending_out(), 0u);
-    // Each fed sample outside [-0.5, 0.5] counts once, the carried
-    // overlap included.
-    std::size_t outside = 0;
-    for (std::size_t ch = 0; ch < input.rows(); ++ch) {
-      for (const float v : input.row(ch)) outside += v < -0.5f || v > 0.5f;
-    }
-    EXPECT_EQ(chunker.clipped(), outside);
-    if (chunker.held()) chunker.release();
-
-    // A few extra samples become the pending partial chunk.
-    Array2D<float> extra(input.rows(), 7);
-    chunker.feed(extra.cview());
-    EXPECT_FALSE(chunker.ready());
-    EXPECT_EQ(chunker.pending_out(), 7u);
-    EXPECT_EQ(chunker.partial_input().cols(), chunker.overlap() + 7u);
   }
 }
 
