@@ -12,7 +12,11 @@
 ///  - ScratchBuffer<T> is cache-line aligned storage that only grows: a
 ///    request within its capacity reuses it as is (contents unspecified),
 ///    a larger one frees the old block before mapping the new, so a
-///    sequence of calls on one shape allocates once.
+///    sequence of calls on one shape allocates once. A new block is not
+///    zeroed, so its pages are touched first by the caller's first write;
+///    sanitized builds (DDMC_SANITIZE) fill it with 0xFF bytes — NaN
+///    floats, code 255 — so a read before the first write shows up in
+///    the bitwise-equality tests rather than reading a fresh zero page.
 ///  - WorkspacePool<W> hands each concurrent caller its own W and takes it
 ///    back when the caller is done, so an engine instance shared by shard
 ///    workers or racing threads never lets two calls write one buffer.
@@ -20,6 +24,7 @@
 ///    with the pool — in the engines, with the engine instance.
 
 #include <cstddef>
+#include <cstring>
 #include <memory>
 #include <mutex>
 #include <new>
@@ -47,9 +52,12 @@ class ScratchBuffer {
     if (count > capacity_) {
       data_.reset();  // free before mapping the larger block
       capacity_ = 0;
-      data_.reset(static_cast<T*>(::operator new(
-          round_up(count * sizeof(T), kCacheLineBytes),
-          std::align_val_t{kCacheLineBytes})));
+      const std::size_t bytes = round_up(count * sizeof(T), kCacheLineBytes);
+      data_.reset(static_cast<T*>(
+          ::operator new(bytes, std::align_val_t{kCacheLineBytes})));
+#ifdef DDMC_SANITIZE
+      std::memset(data_.get(), 0xFF, bytes);
+#endif
       capacity_ = count;
     }
     return {data_.get(), count};

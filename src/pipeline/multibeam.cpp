@@ -43,7 +43,23 @@ void MultiBeamDedisperser::rebuild_engine() {
 
 std::vector<Array2D<float>> MultiBeamDedisperser::dedisperse(
     const std::vector<ConstView2D<float>>& beams, std::size_t threads) const {
+  std::vector<Array2D<float>> outputs;
+  std::vector<View2D<float>> views;
+  outputs.reserve(beams.size());
+  views.reserve(beams.size());
+  for (std::size_t b = 0; b < beams.size(); ++b) {
+    views.push_back(outputs.emplace_back(plan_.dms(), plan_.out_samples())
+                        .view());
+  }
+  dedisperse(beams, views, threads);
+  return outputs;
+}
+
+void MultiBeamDedisperser::dedisperse(
+    const std::vector<ConstView2D<float>>& beams,
+    const std::vector<View2D<float>>& outputs, std::size_t threads) const {
   DDMC_REQUIRE(!beams.empty(), "need at least one beam");
+  DDMC_REQUIRE(outputs.size() == beams.size(), "need one output per beam");
   for (std::size_t b = 0; b < beams.size(); ++b) {
     DDMC_REQUIRE(beams[b].rows() == plan_.channels(),
                  "beam " + std::to_string(b) + " has " +
@@ -55,15 +71,10 @@ std::vector<Array2D<float>> MultiBeamDedisperser::dedisperse(
                      " samples, plan needs in_samples = " +
                      std::to_string(plan_.in_samples()));
   }
-  std::vector<Array2D<float>> outputs;
-  outputs.reserve(beams.size());
-  for (std::size_t b = 0; b < beams.size(); ++b) {
-    outputs.emplace_back(plan_.dms(), plan_.out_samples());
-  }
 
   auto run_beam = [&](std::size_t begin, std::size_t end) {
     for (std::size_t b = begin; b < end; ++b) {
-      engine_->execute(plan_, config_, beams[b], outputs[b].view());
+      engine_->execute(plan_, config_, beams[b], outputs[b]);
     }
   };
 
@@ -72,10 +83,9 @@ std::vector<Array2D<float>> MultiBeamDedisperser::dedisperse(
       beams.size() == 1 ? nullptr : pool_for(threads, owned);
   if (pool == nullptr) {
     run_beam(0, beams.size());
-    return outputs;
+    return;
   }
   pool->parallel_for(0, beams.size(), 1, run_beam);
-  return outputs;
 }
 
 std::vector<Array2D<float>> MultiBeamDedisperser::dedisperse_sharded(

@@ -58,6 +58,12 @@ class MultiBeamDedisperser {
   std::vector<Array2D<float>> dedisperse(
       const std::vector<ConstView2D<float>>& beams,
       std::size_t threads = 0) const;
+  /// Same, into the caller's dms × out_samples matrices, one per beam, so
+  /// a caller that dedisperses beam sets of one shape over and over (a
+  /// streaming session) reuses its outputs.
+  void dedisperse(const std::vector<ConstView2D<float>>& beams,
+                  const std::vector<View2D<float>>& outputs,
+                  std::size_t threads = 0) const;
 
   /// Same decomposition with the DM grid additionally sharded: all
   /// beams × shards jobs are batched onto one pool of \p workers threads

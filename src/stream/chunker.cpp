@@ -9,171 +9,135 @@
 namespace ddmc::stream {
 
 OverlapChunker::OverlapChunker(
-    const dedisp::Plan& chunk_plan, std::size_t extra_overlap, bool lookahead,
-    std::optional<dedisp::QuantizationParams> codes)
-    : window_(chunk_plan.channels(), chunk_plan.in_samples() + extra_overlap),
-      codes_(codes),
+    const dedisp::Plan& chunk_plan, std::size_t extra_overlap,
+    std::optional<dedisp::QuantizationParams> codes, bool floats)
+    : channels_(chunk_plan.channels()),
+      quant_(codes),
       chunk_out_(chunk_plan.out_samples()),
       overlap_(chunk_plan.max_delay() + extra_overlap),
       data_overlap_(chunk_plan.max_delay()) {
   DDMC_REQUIRE(chunk_plan.in_samples() == chunk_out_ + chunk_plan.max_delay(),
                "chunk plan must be unrounded: in = out + max_delay "
                "(use Plan::with_chunk or Plan::with_output_samples)");
-  if (lookahead) lookahead_ = Array2D<float>(channels(), chunk_out_);
-  if (codes_) {
-    window_codes_ = window_codes_storage_.matrix(channels(), window_.cols());
-    if (lookahead) {
-      lookahead_codes_ =
-          lookahead_codes_storage_.matrix(channels(), chunk_out_);
+  DDMC_REQUIRE(floats || codes, "chunker must keep floats or codes");
+  for (std::size_t w = 0; w < 2; ++w) {
+    if (floats) {
+      floats_[w] = float_storage_[w].matrix(channels_, window_samples());
+    }
+    if (codes) {
+      codes_[w] = code_storage_[w].matrix(channels_, window_samples());
     }
   }
 }
 
-void OverlapChunker::store(ConstView2D<float> samples, std::size_t offset,
-                           std::size_t n, Array2D<float>& dst,
-                           View2D<std::uint8_t> dst_codes,
-                           std::size_t col) {
-  if (n == 0) return;
-  for (std::size_t ch = 0; ch < channels(); ++ch) {
-    std::memcpy(&dst(ch, col), &samples(ch, offset), n * sizeof(float));
+void OverlapChunker::carry() {
+  if (!carry_) return;
+  carry_ = false;
+  const std::size_t prev = cur_ ^ 1;
+  for (std::size_t ch = 0; ch < channels_; ++ch) {
+    if (has_floats()) {
+      std::memcpy(&floats_[cur_](ch, 0), &floats_[prev](ch, chunk_out_),
+                  overlap_ * sizeof(float));
+    }
+    if (has_codes()) {
+      std::memcpy(&codes_[cur_](ch, 0), &codes_[prev](ch, chunk_out_),
+                  overlap_);
+    }
   }
-  if (!codes_) return;
+}
+
+void OverlapChunker::quantize(ConstView2D<float> samples, std::size_t offset,
+                              std::size_t n) {
   const auto in = [&](std::size_t from, std::size_t to) {
-    return ConstView2D<float>(&samples(0, offset + from), channels(),
+    return ConstView2D<float>(&samples(0, offset + from), channels_,
                               to - from, samples.pitch());
   };
   const auto out = [&](std::size_t from, std::size_t to) {
-    return View2D<std::uint8_t>(&dst_codes(0, col + from), channels(),
-                                to - from, dst_codes.pitch());
+    return View2D<std::uint8_t>(&codes_[cur_](0, filled_ + from), channels_,
+                                to - from, codes_[cur_].pitch());
   };
   // A sync session re-feeds columns of a window it dedispersed from its
   // own block (skip_chunk()); their clipped samples are counted already.
   const std::size_t first = chunk_index_ * chunk_out_ + filled_;
   const std::size_t seen = std::min(n, counted_ > first ? counted_ - first : 0);
-  dedisp::quantize_plane(in(0, seen), *codes_, out(0, seen));
-  clipped_ += dedisp::quantize_plane_counting_clipped(in(seen, n), *codes_,
+  dedisp::quantize_plane(in(0, seen), *quant_, out(0, seen));
+  clipped_ += dedisp::quantize_plane_counting_clipped(in(seen, n), *quant_,
                                                       out(seen, n));
   counted_ = std::max(counted_, first + n);
 }
 
 std::size_t OverlapChunker::feed(ConstView2D<float> samples,
                                  std::size_t offset) {
-  DDMC_REQUIRE(samples.rows() == channels(), "sample block rows != channels");
+  DDMC_REQUIRE(samples.rows() == channels_, "sample block rows != channels");
   DDMC_REQUIRE(offset <= samples.cols(), "feed offset out of range");
   // Context = chunk being assembled, so a test can corrupt one window feed.
   DDMC_FAILPOINT_CTX("chunker.feed", chunk_index_);
   const std::size_t n =
-      std::min(samples.cols() - offset, window_.cols() - filled_);
+      std::min(samples.cols() - offset, window_samples() - filled_);
   if (n == 0) return 0;
-  carry_floats();
-  if (held_) {
-    store(samples, offset, n, lookahead_, lookahead_codes_,
-          filled_ - overlap_);
-  } else {
-    store(samples, offset, n, window_, window_codes_, filled_);
+  carry();
+  if (has_floats()) {
+    for (std::size_t ch = 0; ch < channels_; ++ch) {
+      std::memcpy(&floats_[cur_](ch, filled_), &samples(ch, offset),
+                  n * sizeof(float));
+    }
   }
+  if (has_codes()) quantize(samples, offset, n);
   filled_ += n;
   return n;
 }
 
+View2D<float> OverlapChunker::free_columns() {
+  DDMC_REQUIRE(has_floats(), "chunker keeps no float window");
+  carry();
+  return View2D<float>(&floats_[cur_](0, filled_), channels_,
+                       window_samples() - filled_, floats_[cur_].pitch());
+}
+
+void OverlapChunker::commit(std::size_t n) {
+  DDMC_REQUIRE(has_floats(), "chunker keeps no float window");
+  DDMC_REQUIRE(n <= window_samples() - filled_, "commit past the window");
+  DDMC_FAILPOINT_CTX("chunker.feed", chunk_index_);
+  if (n == 0) return;
+  if (has_codes()) quantize(floats_[cur_], filled_, n);
+  filled_ += n;
+}
+
 ConstView2D<float> OverlapChunker::chunk_input() const {
   DDMC_REQUIRE(ready(), "chunk window is not fully assembled");
-  DDMC_REQUIRE(!floats_behind_, "the floats are not carried yet");
-  return window_.cview();
+  DDMC_REQUIRE(has_floats(), "chunker keeps no float window");
+  return floats_[cur_];
 }
 
 ConstView2D<std::uint8_t> OverlapChunker::chunk_codes() const {
   DDMC_REQUIRE(ready(), "chunk window is not fully assembled");
-  DDMC_REQUIRE(has_codes(), "chunker keeps no code mirror");
-  return window_codes_;
-}
-
-void OverlapChunker::move_floats(std::size_t ahead) {
-  for (std::size_t ch = 0; ch < channels(); ++ch) {
-    std::memmove(&window_(ch, 0), &window_(ch, chunk_out_),
-                 overlap_ * sizeof(float));
-    if (ahead > 0) {
-      std::memcpy(&window_(ch, overlap_), &lookahead_(ch, 0),
-                  ahead * sizeof(float));
-    }
-  }
-}
-
-void OverlapChunker::move_codes(std::size_t ahead) {
-  if (!codes_) return;
-  for (std::size_t ch = 0; ch < channels(); ++ch) {
-    std::memmove(&window_codes_(ch, 0), &window_codes_(ch, chunk_out_),
-                 overlap_);
-    if (ahead > 0) {
-      std::memcpy(&window_codes_(ch, overlap_), &lookahead_codes_(ch, 0),
-                  ahead);
-    }
-  }
-}
-
-void OverlapChunker::carry_floats() {
-  if (!floats_behind_) return;
-  move_floats(*floats_behind_);
-  floats_behind_.reset();
+  DDMC_REQUIRE(has_codes(), "chunker keeps no code window");
+  return codes_[cur_];
 }
 
 void OverlapChunker::advance() {
   DDMC_REQUIRE(ready(), "cannot advance before the window is full");
-  carry_floats();
-  move_floats(0);
-  move_codes(0);
+  cur_ ^= 1;
+  carry_ = true;
   filled_ = overlap_;
   ++chunk_index_;
-}
-
-void OverlapChunker::hold() {
-  DDMC_REQUIRE(ready(), "cannot hold a window that is not full");
-  DDMC_REQUIRE(lookahead_.cols() > 0, "chunker has no lookahead to hold with");
-  held_ = true;
-  filled_ = overlap_;
-  ++chunk_index_;
-  carry_floats();
-}
-
-void OverlapChunker::release(bool floats) {
-  DDMC_REQUIRE(held_, "no window is held");
-  carry_floats();
-  const std::size_t ahead = filled_ - overlap_;
-  move_codes(ahead);
-  if (floats || !codes_) {
-    move_floats(ahead);
-  } else {
-    floats_behind_ = ahead;
-  }
-  held_ = false;
-}
-
-void OverlapChunker::load(ConstView2D<float> window) {
-  DDMC_REQUIRE(window.rows() == channels() &&
-                   window.cols() == window_samples(),
-               "loaded window shape != chunk window");
-  if (held_) release();
-  carry_floats();
-  store(window, filled_, window.cols() - filled_, window_, window_codes_,
-        filled_);
-  filled_ = window_samples();
 }
 
 void OverlapChunker::skip_chunk(ConstView2D<float> window) {
-  DDMC_REQUIRE(!held_, "cannot skip past a held window");
-  DDMC_REQUIRE(window.rows() == channels() &&
+  DDMC_REQUIRE(window.rows() == channels_ &&
                    window.cols() == window_samples(),
                "skipped window shape != chunk window");
-  if (codes_) {
+  if (has_codes()) {
     const std::size_t first = chunk_index_ * chunk_out_;
     const std::size_t seen =  // the assembled prefix, or more
         std::min(window.cols(), counted_ > first ? counted_ - first : 0);
     clipped_ += dedisp::count_clipped(
-        ConstView2D<float>(&window(0, seen), channels(), window.cols() - seen,
+        ConstView2D<float>(&window(0, seen), channels_, window.cols() - seen,
                            window.pitch()),
-        *codes_);
+        *quant_);
     counted_ = first + window.cols();
   }
+  carry_ = false;
   filled_ = 0;
   ++chunk_index_;
 }
@@ -182,12 +146,20 @@ std::size_t OverlapChunker::pending_out() const {
   return filled_ > data_overlap_ ? filled_ - data_overlap_ : 0;
 }
 
-ConstView2D<float> OverlapChunker::partial_input() const {
+ConstView2D<float> OverlapChunker::partial_input() {
   DDMC_REQUIRE(pending_out() > 0, "no partial chunk is buffered");
-  DDMC_REQUIRE(!held_, "release the held window before the partial chunk");
-  DDMC_REQUIRE(!floats_behind_, "the floats are not carried yet");
-  return ConstView2D<float>(window_.cview().data(), channels(), filled_,
-                            window_.pitch());
+  DDMC_REQUIRE(has_floats(), "chunker keeps no float window");
+  carry();
+  return ConstView2D<float>(floats_[cur_].data(), channels_, filled_,
+                            floats_[cur_].pitch());
+}
+
+ConstView2D<std::uint8_t> OverlapChunker::partial_codes() {
+  DDMC_REQUIRE(pending_out() > 0, "no partial chunk is buffered");
+  DDMC_REQUIRE(has_codes(), "chunker keeps no code window");
+  carry();
+  return ConstView2D<std::uint8_t>(codes_[cur_].data(), channels_, filled_,
+                                   codes_[cur_].pitch());
 }
 
 }  // namespace ddmc::stream

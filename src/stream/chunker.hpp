@@ -17,21 +17,29 @@
 /// concatenated chunk outputs are bitwise equal to one batch run — the
 /// property tests/stream_test.cpp asserts.
 ///
-/// An asynchronous session lends the assembled window to its engine in
-/// place (hold()) and keeps feeding: samples that arrive meanwhile go to a
-/// chunk-sized lookahead, and release() carries the overlap forward and
-/// appends the lookahead once the engine is done. Memory is one window
-/// plus one chunk, with no second window to copy into.
+/// Two windows alternate: window k is assembled in buffer k mod 2. After
+/// advance() the emitted window stays intact, so an engine on another
+/// thread can read it while the next one is assembled in the other buffer;
+/// the first write to that buffer copies the emitted window's overlap tail
+/// to its front (a read of the emitted window). The caller only has to keep
+/// the engine off the buffer being assembled, window() — which is the one
+/// the engine read *two* chunks back.
 ///
-/// For an engine that reads 8-bit codes (DedispEngine::input_quantizer)
-/// the chunker also keeps a byte mirror of the window and the lookahead:
-/// each sample is quantized once, as it is fed, on the feeding thread, and
-/// advance()/release() carry the overlap's codes like its floats. Because
-/// quantization is pointwise with fixed parameters, the mirrored window
-/// holds exactly the codes the engine would make from the float window,
-/// and the engine only accumulates. That adds a quarter of the float
-/// window and lookahead in bytes.
+/// Windows hold the element type the session's engines read: floats, and
+/// for an engine that reads 8-bit codes (DedispEngine::input_quantizer)
+/// codes, each sample quantized once, as it is fed, on the feeding thread.
+/// Quantization is pointwise with fixed parameters, so a code window holds
+/// exactly the codes the engine would make from the float window. A
+/// session that only ever runs the code-reading engine keeps code windows
+/// alone. The two windows of the benchmark plans (channels × window
+/// columns × element bytes, each): `apertif_rt` 2 × 11.7 MB of floats
+/// (1,024 × 2,836 × 4), `apertif_lowlat` 2 × 2.1 MB of floats (1,024 ×
+/// 502 × 4), `lofar_rt` 2 × 2.4 MB of codes (32 × 76,011 × 1).
+///
+/// The buffers are left uninitialized: every column is written before it
+/// is read, so a session's setup does not pay to zero them.
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -53,49 +61,64 @@ class OverlapChunker {
   /// widens the carried overlap beyond max_delay (an engine's declared
   /// input_padding: the subband engine's split-delay rounding reads up to
   /// two columns past in_samples, and carrying real samples for them keeps
-  /// chunked output identical to a batch run over a padded input). \p
-  /// lookahead allocates the chunk-sized buffer that hold() needs. \p codes
-  /// keeps the byte mirror under that code map.
+  /// chunked output identical to a batch run over a padded input). \p codes
+  /// keeps code windows under that code map; \p floats keeps float windows
+  /// (at least one of the two).
   explicit OverlapChunker(
       const dedisp::Plan& chunk_plan, std::size_t extra_overlap = 0,
-      bool lookahead = false,
-      std::optional<dedisp::QuantizationParams> codes = std::nullopt);
+      std::optional<dedisp::QuantizationParams> codes = std::nullopt,
+      bool floats = true);
 
-  std::size_t channels() const { return window_.rows(); }
+  std::size_t channels() const { return channels_; }
   /// Output samples emitted per full chunk.
   std::size_t chunk_out() const { return chunk_out_; }
   /// Samples carried between consecutive windows (the plan's max_delay
   /// plus the construction-time extra_overlap).
   std::size_t overlap() const { return overlap_; }
   /// Input samples per assembled window (= chunk_out + overlap).
-  std::size_t window_samples() const { return window_.cols(); }
+  std::size_t window_samples() const { return chunk_out_ + overlap_; }
+
+  /// True when the chunker keeps float windows.
+  bool has_floats() const { return floats_[0].data() != nullptr; }
+  /// True when the chunker keeps code windows.
+  bool has_codes() const { return quant_.has_value(); }
+
+  /// Buffer (0 or 1) of the window being assembled: the one feed(),
+  /// free_columns() and partial_*() write.
+  std::size_t window() const { return cur_; }
 
   /// Absorb up to samples.cols() − offset samples starting at column
   /// \p offset, stopping when the current window fills. Returns the number
   /// absorbed; the caller loops feed → (ready? emit, advance) until its
-  /// samples are exhausted, which keeps the chunker's memory bounded at one
-  /// window regardless of feed granularity. While the window is held the
-  /// samples go to the lookahead, up to the current window's last sample.
+  /// samples are exhausted. A block that holds the whole window is fed
+  /// from the end of the assembled prefix, which it repeats: only the
+  /// missing columns are copied (and quantized).
   std::size_t feed(ConstView2D<float> samples, std::size_t offset = 0);
 
+  /// The current window's unassembled float columns, for a caller that
+  /// writes samples in place (a ring pop) and then commit()s them.
+  /// Requires has_floats().
+  View2D<float> free_columns();
+  /// The caller wrote the first \p n columns of free_columns(): count them
+  /// assembled (and quantize them into the code window, if kept).
+  void commit(std::size_t n);
+
   /// Assembled columns of the current window (0 after skip_chunk(),
-  /// overlap() right after advance() or hold()), the lookahead included.
+  /// overlap() right after advance()).
   std::size_t filled() const { return filled_; }
 
-  /// True when a full window is assembled in place and can be dedispersed.
-  bool ready() const { return !held_ && filled_ == window_.cols(); }
+  /// True when a full window is assembled and can be dedispersed.
+  bool ready() const { return filled_ == window_samples(); }
 
-  /// The assembled channels × window_samples() input window (valid while
-  /// ready()); invalidated by advance() and feed().
+  /// The assembled channels × window_samples() window (valid while
+  /// ready(), and after advance() until the next write to its buffer).
+  /// Requires has_floats().
   ConstView2D<float> chunk_input() const;
-
-  /// True when the chunker keeps the byte mirror.
-  bool has_codes() const { return codes_.has_value(); }
-  /// The window's codes, same shape and validity as chunk_input().
-  /// Requires has_codes().
+  /// The window's codes, same shape and validity. Requires has_codes().
   ConstView2D<std::uint8_t> chunk_codes() const;
+
   /// Samples fed so far that the code map clipped (below lo, above hi or
-  /// NaN), each counted once (see skip_chunk()); 0 without the mirror.
+  /// NaN), each counted once (see skip_chunk()); 0 without code windows.
   std::size_t clipped() const { return clipped_; }
 
   /// Index of the chunk currently assembling / assembled.
@@ -103,37 +126,18 @@ class OverlapChunker {
   /// Global output sample index of the current chunk's first column.
   std::size_t first_out_sample() const { return chunk_index_ * chunk_out_; }
 
-  /// Consume the emitted chunk: carry the trailing overlap() samples to the
-  /// window's front and start assembling the next chunk.
+  /// Consume the emitted chunk: assemble the next window in the other
+  /// buffer, starting with the emitted window's trailing overlap() samples.
+  /// The emitted window is left as it is; its tail is copied by the first
+  /// write to the next window.
   void advance();
-
-  /// Consume the emitted chunk like advance(), but leave its window in
-  /// place for an engine on another thread to read: later feed()s fill the
-  /// lookahead. Requires ready() and a lookahead. Completes a
-  /// release(false): the floats move while the engine reads the codes.
-  void hold();
-  /// True between hold() and release() (or load()).
-  bool held() const { return held_; }
-  /// The engine is done reading the held window: carry its overlap to the
-  /// front and append the lookahead. With \p floats false (and the byte
-  /// mirror) only the codes move now, so the next window can go to a
-  /// code-reading engine at once; hold() moves the floats. Until then
-  /// chunk_input() and partial_input() throw, and the other mutators move
-  /// them first.
-  void release(bool floats = true);
-
-  /// Replace the current window by \p window (channels × window_samples()),
-  /// the caller's block that holds all of it, so the assembled prefix and
-  /// the lookahead are duplicates: only the columns not already assembled
-  /// are copied (and quantized). A held window must no longer be read.
-  void load(ConstView2D<float> window);
 
   /// Zero-copy accounting: the caller dedispersed \p window, window
   /// chunk_index(), directly from its own contiguous sample block, so
   /// whatever prefix was assembled here is a duplicate of block content.
   /// Advances the chunk index and empties the window; the caller must
   /// resume feeding from global input column chunk_index() · chunk_out()
-  /// afterwards. With the byte mirror, the window's samples count toward
+  /// afterwards. With code windows, the window's samples count toward
   /// clipped() once, here or when they were fed, never again on a re-feed.
   void skip_chunk(ConstView2D<float> window);
 
@@ -149,38 +153,32 @@ class OverlapChunker {
 
   /// Input window of the final partial chunk: channels × (max_delay +
   /// pending_out() + whatever extra_overlap columns were actually fed).
-  /// Valid while pending_out() > 0, the window is not held and no further
-  /// feed() happens; dedisperse it with a plan of pending_out() output
-  /// samples.
-  ConstView2D<float> partial_input() const;
+  /// Valid while pending_out() > 0 and no further feed() happens;
+  /// dedisperse it with a plan of pending_out() output samples. Writes the
+  /// current window (the carried overlap), like feed(). The floats require
+  /// has_floats(), the codes has_codes().
+  ConstView2D<float> partial_input();
+  ConstView2D<std::uint8_t> partial_codes();
 
  private:
-  /// Copy columns [offset, offset + n) of \p samples to column \p col of
-  /// \p dst, and their codes to the same column of \p dst_codes.
-  void store(ConstView2D<float> samples, std::size_t offset, std::size_t n,
-             Array2D<float>& dst, View2D<std::uint8_t> dst_codes,
-             std::size_t col);
-  /// Carry the window's trailing overlap to its front, then append the
-  /// first \p ahead lookahead columns: of the floats, of the codes.
-  void move_floats(std::size_t ahead);
-  void move_codes(std::size_t ahead);
-  /// Carry the floats a release(false) left behind; a no-op otherwise.
-  void carry_floats();
+  /// Copy the previous window's overlap tail to the current window's
+  /// front, if advance() left it behind.
+  void carry();
+  /// Quantize columns [offset, offset + n) of \p samples into the current
+  /// code window at filled(), counting the clipped samples not yet seen.
+  void quantize(ConstView2D<float> samples, std::size_t offset,
+                std::size_t n);
 
-  Array2D<float> window_;     // channels × (chunk_out + overlap)
-  Array2D<float> lookahead_;  // channels × chunk_out, or empty
-  std::optional<dedisp::QuantizationParams> codes_;
-  // The mirror is left uninitialized (every code is stored before it is
-  // read), so a session's setup does not pay to zero it.
-  ScratchBuffer<std::uint8_t> window_codes_storage_;
-  ScratchBuffer<std::uint8_t> lookahead_codes_storage_;
-  View2D<std::uint8_t> window_codes_;     // window_'s codes, or empty
-  View2D<std::uint8_t> lookahead_codes_;  // lookahead_'s codes, or empty
+  std::size_t channels_ = 0;
+  std::optional<dedisp::QuantizationParams> quant_;
+  std::array<ScratchBuffer<float>, 2> float_storage_;
+  std::array<ScratchBuffer<std::uint8_t>, 2> code_storage_;
+  std::array<View2D<float>, 2> floats_;        // or empty
+  std::array<View2D<std::uint8_t>, 2> codes_;  // or empty
+  std::size_t cur_ = 0;       // buffer of the window being assembled
+  bool carry_ = false;        // the other buffer's tail is not copied yet
   std::size_t clipped_ = 0;
   std::size_t counted_ = 0;  // global input columns counted into clipped_
-  /// Lookahead columns of a release(false) whose floats are not carried.
-  std::optional<std::size_t> floats_behind_;
-  bool held_ = false;
   std::size_t chunk_out_ = 0;
   std::size_t overlap_ = 0;       // carried samples: max_delay + extra
   std::size_t data_overlap_ = 0;  // history that costs output: max_delay

@@ -37,6 +37,14 @@ std::shared_ptr<const engine::DedispEngine> streaming_engine(
   return engine;
 }
 
+/// Whether the session's watchdog can switch it to another engine.
+bool can_degrade(const StreamingOptions& options) {
+  return options.supervision.enabled && options.supervision.degrade_after > 0 &&
+         !resilience::select_degrade_engine(options.engine,
+                                            options.supervision)
+              .empty();
+}
+
 /// Carried-overlap width of a supervised session: when the watchdog can
 /// degrade, the chunker must already carry enough real samples for the
 /// *fallback* engine too — its input_padding may exceed the session
@@ -44,15 +52,13 @@ std::shared_ptr<const engine::DedispEngine> streaming_engine(
 /// cannot widen windows retroactively.
 std::size_t session_input_padding(const StreamingOptions& options,
                                   const engine::DedispEngine& engine) {
-  std::size_t padding = engine.capabilities().input_padding;
-  if (!options.supervision.enabled || options.supervision.degrade_after == 0) {
-    return padding;
-  }
-  const std::string target = resilience::select_degrade_engine(
-      options.engine, options.supervision);
-  if (target.empty()) return padding;
+  const std::size_t padding = engine.capabilities().input_padding;
+  if (!can_degrade(options)) return padding;
   const std::shared_ptr<const engine::DedispEngine> fallback =
-      engine::make_engine(target, engine_factory_options(options));
+      engine::make_engine(
+          resilience::select_degrade_engine(options.engine,
+                                            options.supervision),
+          engine_factory_options(options));
   return std::max(padding, fallback->capabilities().input_padding);
 }
 
@@ -66,6 +72,19 @@ std::optional<dedisp::QuantizationParams> session_quantizer(
   return engine.input_quantizer(config);
 }
 
+/// The session's chunker: code windows for a code-reading engine, float
+/// windows for any other, and both when a code-reading session can
+/// degrade to a float engine.
+OverlapChunker session_chunker(const dedisp::Plan& plan,
+                               const StreamingOptions& options,
+                               const engine::DedispEngine& engine,
+                               const engine::EngineConfig& config) {
+  const std::optional<dedisp::QuantizationParams> codes =
+      session_quantizer(options, engine, config);
+  return OverlapChunker(plan, session_input_padding(options, engine), codes,
+                        /*floats=*/!codes || can_degrade(options));
+}
+
 }  // namespace
 
 StreamingDedisperser::StreamingDedisperser(dedisp::Plan chunk_plan,
@@ -77,13 +96,10 @@ StreamingDedisperser::StreamingDedisperser(dedisp::Plan chunk_plan,
       sink_(std::move(sink)),
       options_(options),
       engine_(streaming_engine(options_)),
-      chunker_(plan_, session_input_padding(options_, *engine_),
-               /*lookahead=*/options_.async,
-               session_quantizer(options_, *engine_, config_)) {
+      chunker_(session_chunker(plan_, options_, *engine_, config_)) {
   engine_->validate_config(plan_, config_);
-  out_full_[0] = Array2D<float>(plan_.dms(), plan_.out_samples());
-  if (options_.async) {
-    out_full_[1] = Array2D<float>(plan_.dms(), plan_.out_samples());
+  for (std::size_t b = 0; b < (options_.async ? 2 : 1); ++b) {
+    out_full_[b] = out_storage_[b].matrix(plan_.dms(), plan_.out_samples());
   }
   if (options_.shard_workers >= 2) {
     pipeline::ShardedOptions sharded;
@@ -108,13 +124,11 @@ StreamingDedisperser::StreamingDedisperser(dedisp::Plan chunk_plan,
       registry.counter("ddmc.stream.degradations_total", session);
   quant_clipped_metric_ =
       registry.counter("ddmc.stream.quant_clipped_total", session);
-  if (options_.supervision.enabled && options_.supervision.degrade_after > 0) {
+  if (can_degrade(options_)) {
     degrade_engine_id_ = resilience::select_degrade_engine(
         options_.engine, options_.supervision);
-    if (!degrade_engine_id_.empty()) {
-      degrade_engine_ = engine::make_engine(degrade_engine_id_,
-                                            engine_factory_options(options_));
-    }
+    degrade_engine_ = engine::make_engine(degrade_engine_id_,
+                                          engine_factory_options(options_));
   }
   if (options_.async) {
     delivery_thread_ = std::thread([this] { delivery_loop(); });
@@ -189,64 +203,65 @@ void StreamingDedisperser::push(ConstView2D<float> samples) {
   const std::size_t window_cols = chunker_.window_samples();
   std::size_t offset = 0;
   while (offset < samples.cols()) {
-    // Release the held window as soon as the engine is done with it, so
-    // the copy happens off the window-complete path.
-    reclaim_window(/*wait=*/false);
-    // Zero-copy fast path: when the caller's block contains the whole
-    // current window — the dominant case when a receiver hands over large
-    // buffers — take the window straight from it. Any assembled window
-    // prefix is, by construction, a copy of the last filled() samples fed,
-    // i.e. block columns [offset − filled, offset), so the window starts
-    // filled() columns back in the block. A sync session dedisperses the
-    // borrowed window inline and skip_chunk() drops the duplicate prefix;
-    // an async session copies it into the chunker's window once the
-    // compute thread has released that.
+    // Zero-copy fast path of a sync session: when the caller's block
+    // contains the whole current window — the dominant case when a
+    // receiver hands over large buffers — dedisperse it straight from the
+    // block. Any assembled window prefix is, by construction, a copy of
+    // the last filled() samples fed, i.e. block columns [offset − filled,
+    // offset), so the window starts filled() columns back in the block,
+    // and skip_chunk() drops the duplicate prefix. An async session must
+    // not keep the block past push(): feed() copies the window's missing
+    // columns in one go.
     const std::size_t filled = chunker_.filled();
-    if (filled <= offset && samples.cols() - offset >= window_cols - filled) {
+    if (!options_.async && filled <= offset &&
+        samples.cols() - offset >= window_cols - filled) {
       const std::size_t start = offset - filled;
-      const ConstView2D<float> window(&samples(0, start), channels(),
-                                      window_cols, samples.pitch());
-      const double assembled_at = session_clock_.seconds();
-      if (options_.async) {
-        reclaim_window(/*wait=*/true);
-        chunker_.load(window);
-        publish_clipped();
-        dispatch(assembled_at, takes_codes());
-        offset = start + window_cols;
-      } else {
-        submit(window, chunker_.chunk_out(), assembled_at);
-        chunker_.skip_chunk(window);
-        publish_clipped();
-        offset = start + chunker_.chunk_out();
-      }
+      Job job;
+      job.index = chunker_.chunk_index();
+      job.first_sample = chunker_.first_out_sample();
+      job.out_samples = chunker_.chunk_out();
+      job.input = ConstView2D<float>(&samples(0, start), channels(),
+                                     window_cols, samples.pitch());
+      job.assembled_at = session_clock_.seconds();
+      submit(job);
+      chunker_.skip_chunk(job.input);
+      publish_clipped();
+      offset = start + chunker_.chunk_out();
       continue;
     }
+    acquire_window();
     offset += chunker_.feed(samples, offset);
     publish_clipped();
-    if (chunker_.filled() == window_cols) {
-      // The window's last sample has arrived: stamp it before waiting for
-      // the compute thread, so the chunk's latency counts that wait.
-      const double assembled_at = session_clock_.seconds();
-      // A window that goes out as codes is lent once its codes are
-      // carried; its floats follow while the engine reads the codes.
-      const bool codes = takes_codes();
-      reclaim_window(/*wait=*/true, /*floats=*/!codes);
-      dispatch(assembled_at, codes);
-    }
+    if (chunker_.ready()) dispatch();
   }
 }
 
 void StreamingDedisperser::consume(SampleRing& ring) {
   DDMC_REQUIRE(ring.channels() == channels(),
                "ring channels != plan channels");
-  Array2D<float> transfer(channels(),
-                          std::min<std::size_t>(ring.capacity(), 4096));
+  DDMC_REQUIRE(!closed_, "consume into a closed streaming session");
+  ScratchBuffer<float> transfer_storage;
+  View2D<float> transfer;
+  if (!chunker_.has_floats()) {
+    transfer = transfer_storage.matrix(
+        channels(), std::min(ring.capacity(), chunker_.chunk_out()));
+  }
   for (;;) {
-    const std::size_t n = ring.pop(transfer.view());
-    if (n == 0) break;  // closed and drained
     try {
-      push(ConstView2D<float>(transfer.cview().data(), channels(), n,
-                              transfer.pitch()));
+      if (transfer.data() != nullptr) {
+        const std::size_t n = ring.pop(transfer);
+        if (n == 0) break;  // closed and drained
+        push(ConstView2D<float>(transfer.data(), channels(), n,
+                                transfer.pitch()));
+        continue;
+      }
+      rethrow_pending_error();
+      acquire_window();
+      const std::size_t n = ring.pop(chunker_.free_columns());
+      if (n == 0) break;  // closed and drained
+      chunker_.commit(n);
+      publish_clipped();
+      if (chunker_.ready()) dispatch();
     } catch (...) {
       // A dead consumer must never leave producers blocked against the
       // ring's backpressure: poison it so their push() calls abort with
@@ -265,64 +280,56 @@ void StreamingDedisperser::publish_clipped() {
   clipped_published_ = clipped;
 }
 
-void StreamingDedisperser::submit(ConstView2D<float> window,
-                                  std::size_t out_samples,
-                                  double assembled_at,
-                                  ConstView2D<std::uint8_t> codes) {
-  Job job;
-  job.index = chunker_.chunk_index();
-  job.first_sample = chunker_.first_out_sample();
-  job.out_samples = out_samples;
-  job.input = window;
-  job.codes = codes;
-  job.assembled_at = assembled_at;
-
+void StreamingDedisperser::submit(Job job) {
   if (!options_.async) {
-    deliver(compute(job, out_full_[0].view()));
+    deliver(compute(job, out_full_[0]));
     return;
   }
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::unique_lock<std::mutex> lock(mutex_);
+  if (job_pending_) {  // only before the compute thread's first chunk
+    telemetry::TraceSpan span("stream.window.wait");
+    span.arg("chunk", job.index);
+    cv_taken_.wait(lock, [&] { return !job_pending_; });
+  }
   if (error_) std::rethrow_exception(error_);
   job_ = job;
   job_pending_ = true;
   cv_job_.notify_one();
 }
 
-bool StreamingDedisperser::takes_codes() {
-  if (!chunker_.has_codes()) return false;
-  if (!degrade_engine_) return true;  // the session cannot degrade
+void StreamingDedisperser::acquire_window() {
+  if (owned_) return;
   std::unique_lock<std::mutex> lock(mutex_);
-  // Decide once the chunk in flight is computed and handed to delivery:
-  // the compute stage waited out the delivery before it first, so the flag
-  // holds every outcome the compute stage would see starting this chunk.
-  cv_idle_.wait(lock, [&] { return !job_pending_ && !settling_; });
-  return !health_.degraded;
+  // The slot holds the window posted last, the other buffer; so only the
+  // window the compute thread is reading can be this one.
+  if (reading_ == chunker_.window()) {
+    telemetry::TraceSpan span("stream.window.wait");
+    span.arg("chunk", chunker_.chunk_index());
+    cv_taken_.wait(lock, [&] { return reading_ != chunker_.window(); });
+  }
+  owned_ = true;
 }
 
-void StreamingDedisperser::dispatch(double assembled_at, bool codes) {
-  if (codes) {
-    submit({}, chunker_.chunk_out(), assembled_at, chunker_.chunk_codes());
-  } else {
-    submit(chunker_.chunk_input(), chunker_.chunk_out(), assembled_at);
+StreamingDedisperser::Job StreamingDedisperser::window_job(bool partial) {
+  Job job;
+  job.index = chunker_.chunk_index();
+  job.first_sample = chunker_.first_out_sample();
+  job.out_samples = partial ? chunker_.pending_out() : chunker_.chunk_out();
+  if (chunker_.has_floats()) {
+    job.input = partial ? chunker_.partial_input() : chunker_.chunk_input();
   }
-  if (options_.async) {
-    chunker_.hold();
-  } else {
-    chunker_.advance();
+  if (chunker_.has_codes()) {
+    job.codes = partial ? chunker_.partial_codes() : chunker_.chunk_codes();
   }
+  job.window = chunker_.window();
+  job.assembled_at = session_clock_.seconds();
+  return job;
 }
 
-void StreamingDedisperser::reclaim_window(bool wait, bool floats) {
-  if (!chunker_.held()) return;
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    if (wait) {
-      cv_idle_.wait(lock, [&] { return !job_pending_; });
-    } else if (job_pending_) {
-      return;
-    }
-  }
-  chunker_.release(floats);
+void StreamingDedisperser::dispatch() {
+  submit(window_job(/*partial=*/false));
+  chunker_.advance();
+  owned_ = !options_.async;
 }
 
 void StreamingDedisperser::compute_loop() {
@@ -333,27 +340,28 @@ void StreamingDedisperser::compute_loop() {
     Job job;
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      cv_job_.wait(lock, [&] { return job_pending_ || stop_; });
-      if (!job_pending_) return;  // stop requested, queue drained
+      if (!job_pending_ && !stop_) {
+        telemetry::TraceSpan span("stream.job.wait");
+        cv_job_.wait(lock, [&] { return job_pending_ || stop_; });
+      }
+      if (!job_pending_) return;  // stop requested, slot drained
       job = job_;
+      job_pending_ = false;
+      reading_ = job.window;  // the window taken before is free again
     }
+    cv_taken_.notify_all();
     std::optional<Delivery> delivery;
     std::exception_ptr failure;
     try {
-      delivery = compute(job, out_full_[next_out].view());
+      delivery = compute(job, out_full_[next_out]);
     } catch (...) {
       failure = std::current_exception();
     }
     next_out ^= 1;
     std::unique_lock<std::mutex> lock(mutex_);
-    job_pending_ = false;  // the window is the pushing thread's again
-    settling_ = true;
-    cv_idle_.notify_all();
     // At most one delivery in flight: the previous chunk's returns first,
     // which also orders a failure after every earlier chunk's delivery.
     cv_slot_.wait(lock, [&] { return !delivery_pending_; });
-    settling_ = false;
-    cv_idle_.notify_all();
     if (error_) continue;  // a latched failure: deliver no later chunk
     if (failure) {
       error_ = failure;
@@ -392,16 +400,15 @@ StreamingDedisperser::Delivery StreamingDedisperser::compute(
   const bool full = job.out_samples == plan_.out_samples();
   const dedisp::Plan plan =
       full ? plan_ : plan_.with_chunk(job.out_samples);
-  // A window lent as codes runs on the session engine: the session was
-  // healthy when it was lent (takes_codes()), and its floats may still be
-  // moving.
-  const bool codes = job.codes.data() != nullptr;
   bool degraded = false;
-  if (!codes) {
+  {
     std::lock_guard<std::mutex> lock(mutex_);
     degraded = health_.degraded;
   }
   const engine::DedispEngine& engine = degraded ? *degrade_engine_ : *engine_;
+  // The session engine reads the codes whenever the window has them; the
+  // flush chunk's adapted config keeps the code map they were made with.
+  const bool codes = !degraded && job.codes.data() != nullptr;
   // A flush chunk's length need not divide the tuned tile: adaptation
   // keeps every other axis (a pinned quant_window or split) and shrinks
   // the tile, down to 1×1, until it divides.
@@ -592,10 +599,9 @@ void StreamingDedisperser::close() {
     // would be destroyed.
     std::exception_ptr flush_error;
     try {
-      reclaim_window(/*wait=*/true);
       if (chunker_.pending_out() > 0) {
-        submit(chunker_.partial_input(), chunker_.pending_out(),
-               session_clock_.seconds());
+        acquire_window();  // the partial window starts with a carry
+        submit(window_job(/*partial=*/true));
       }
     } catch (...) {
       flush_error = std::current_exception();
@@ -650,6 +656,16 @@ MultiBeamStreamingDedisperser::MultiBeamStreamingDedisperser(
     sharded.supervision = options_.shard_supervision;
     sharded_ = std::make_unique<pipeline::ShardedDedisperser>(
         plan_, config_, std::move(sharded));
+  } else {
+    // The session's full factory options ride along, so e.g. a configured
+    // subband split reaches the per-beam engines, not just the gate.
+    multibeam_ = std::make_unique<pipeline::MultiBeamDedisperser>(
+        plan_, config_, options_.engine, engine_factory_options(options_));
+    outputs_.reserve(beams);
+    for (std::size_t b = 0; b < beams; ++b) {
+      output_views_.push_back(
+          outputs_.emplace_back(plan_.dms(), plan_.out_samples()).view());
+    }
   }
   const std::size_t padding = engine_->capabilities().input_padding;
   chunkers_.reserve(beams);
@@ -694,7 +710,7 @@ void MultiBeamStreamingDedisperser::close() {
   if (pending == 0) return;
   std::vector<ConstView2D<float>> windows;
   windows.reserve(beams());
-  for (const auto& c : chunkers_) windows.push_back(c.partial_input());
+  for (auto& c : chunkers_) windows.push_back(c.partial_input());
   const dedisp::Plan plan = plan_.with_chunk(pending);
   run_chunk(plan, engine_->adapt_config(plan, config_), windows,
             chunkers_[0].chunk_index(), chunkers_[0].first_out_sample());
@@ -709,22 +725,22 @@ void MultiBeamStreamingDedisperser::run_chunk(
     const std::vector<ConstView2D<float>>& windows, std::size_t index,
     std::size_t first_sample) {
   const double assembled_at = session_clock_.seconds();
-  // Full chunks reuse the session's sharded executor; the final partial
-  // chunk (different plan shape) takes the beam-parallel path, whose
+  // Full chunks reuse the session's executor; the final partial chunk
+  // (different plan shape) takes a beam-parallel one of its own, whose
   // output is bitwise identical anyway.
-  const bool use_sharded =
-      sharded_ && plan.out_samples() == plan_.out_samples();
+  const bool full = plan.out_samples() == plan_.out_samples();
   Stopwatch compute;
-  std::vector<Array2D<float>> outputs;
-  if (use_sharded) {
-    outputs = sharded_->dedisperse_batch(windows);
+  std::vector<Array2D<float>> flush_outputs;
+  if (full && sharded_) {
+    outputs_ = sharded_->dedisperse_batch(windows);
+  } else if (full) {
+    multibeam_->dedisperse(windows, output_views_, options_.cpu.threads);
   } else {
-    // The session's full factory options ride along, so e.g. a configured
-    // subband split reaches the per-beam engines, not just the gate.
-    pipeline::MultiBeamDedisperser mb(plan, config, options_.engine,
-                                      engine_factory_options(options_));
-    outputs = mb.dedisperse(windows, options_.cpu.threads);
+    const pipeline::MultiBeamDedisperser mb(plan, config, options_.engine,
+                                            engine_factory_options(options_));
+    flush_outputs = mb.dedisperse(windows, options_.cpu.threads);
   }
+  const std::vector<Array2D<float>>& outputs = full ? outputs_ : flush_outputs;
 
   MultiBeamStreamChunk chunk;
   chunk.index = index;

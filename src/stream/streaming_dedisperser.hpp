@@ -22,29 +22,32 @@
 /// run emits, concatenated, the bitwise-identical output matrix. An async
 /// session (the default) is a three-stage pipeline:
 ///
-///   pushing thread    assembly: feed the chunker; a full window is lent to
-///                     the compute thread in place, and the next window's
-///                     samples fill a chunk-sized lookahead meanwhile
+///   pushing thread    assembly: feed the chunker's two windows in turn and
+///                     post each full one to a one-deep job slot
 ///   compute thread    the engine, alternating two output buffers
 ///   delivery thread   detection (StreamingOptions::detect), the sink,
 ///                     latency/traffic/retry accounting and the watchdog's
 ///                     deadline, skip and degradation pressure, one chunk
 ///                     at a time and in chunk order
 ///
-/// so chunk k+1 dedisperses while chunk k is delivered, and a chunk costs
-/// the slower of the two stages rather than their sum. Memory: one input
-/// window + one chunk of lookahead + two output buffers (a sync session:
-/// one window + one output buffer). The final partial chunk gets its own
-/// output buffer.
+/// so window k+1 is assembled while chunk k dedisperses and chunk k−1 is
+/// delivered, and a chunk costs the slowest of the three stages rather
+/// than their sum. The compute thread empties the slot when it starts a
+/// chunk, so at the end of one engine call the next window is already
+/// waiting for it. Memory: two input windows + two output buffers (a sync
+/// session: two windows + one output buffer), all left uninitialized until
+/// first written. The final partial chunk gets its own output buffer.
 ///
 /// When the engine reads 8-bit codes (DedispEngine::input_quantizer) and
-/// the session is not sharded, the chunker also keeps the window's codes,
-/// quantizing each sample once as it is pushed, and full chunks reach the
-/// engine as that code plane: the compute stage only accumulates. The
-/// flush chunk, a window dedispersed straight from the caller's block and
-/// a session degraded to a float engine take the float call. The samples
-/// the code map clips are counted once, at ingest, in the session's
-/// `ddmc.stream.quant_clipped_total` counter.
+/// the session is not sharded, the chunker's windows hold codes, each
+/// sample quantized once as it is pushed, and every chunk reaches the
+/// engine as a code plane — the flush chunk too, under the adapted config,
+/// whose code map is the session's: the compute stage only accumulates.
+/// Such a session keeps float windows as well only when it can degrade to
+/// a float engine; a degraded chunk takes them. A window dedispersed
+/// straight from the caller's block (sync sessions) takes the float call.
+/// The samples the code map clips are counted once, at ingest, in the
+/// session's `ddmc.stream.quant_clipped_total` counter.
 ///
 /// The sink runs on the delivery thread (async mode) or the pushing thread
 /// (sync mode). Its calls are serialized, in chunk order and never
@@ -172,12 +175,15 @@ class StreamingDedisperser {
 
   /// Feed samples.cols() samples (channels × n, any n ≥ 0 — down to one
   /// sample). Completed chunks are dispatched as a side effect; blocks only
-  /// while the lookahead is full and the compute thread still reads the
-  /// window (backpressure from compute, and through it from delivery).
-  /// Rethrows a sink/kernel failure from the pipeline threads.
+  /// to write into the window the engine still reads (backpressure from
+  /// compute, and through it from delivery). Rethrows a sink/kernel
+  /// failure from the pipeline threads.
   void push(ConstView2D<float> samples);
 
-  /// Drain \p ring until it is closed and empty, push()ing everything.
+  /// Drain \p ring until it is closed and empty, like push()ing
+  /// everything. Samples are popped straight into the float window being
+  /// assembled; a session with code windows alone pops at most a chunk at
+  /// a time into a float transfer and quantizes from it.
   void consume(SampleRing& ring);
 
   /// Flush the final partial chunk (if any), drain the compute and then the
@@ -235,16 +241,16 @@ class StreamingDedisperser {
     std::size_t index = 0;
     std::size_t first_sample = 0;
     std::size_t out_samples = 0;
-    /// The chunk's input window. Full chunks read the whole window (out +
-    /// overlap incl. engine padding); the final partial flush reads only
-    /// what was actually fed — the engine zero-pads the rest, exactly as a
-    /// batch run over the same samples would. In async mode this is the
-    /// chunker's own window, lent until the compute thread is done.
+    /// The chunk's input window, as floats and/or as codes (whichever the
+    /// chunker keeps; a borrowed block is floats only). Full chunks read
+    /// the whole window (out + overlap incl. engine padding); the final
+    /// partial flush reads only what was actually fed — the engine
+    /// zero-pads the rest, exactly as a batch run over the same samples
+    /// would. In async mode this is one of the chunker's windows, lent
+    /// until the compute thread takes the next job.
     ConstView2D<float> input;
-    /// The window as codes: set for the full windows of a code-reading
-    /// session that has not degraded, and then input is unset. The flush
-    /// chunk and a borrowed window take the float call.
     ConstView2D<std::uint8_t> codes;
+    std::size_t window = 0;     ///< the chunker buffer input/codes live in
     double assembled_at = 0.0;  ///< session-clock time the window completed
   };
 
@@ -260,26 +266,21 @@ class StreamingDedisperser {
     std::optional<engine::EngineRun> run;  ///< single-engine executions
   };
 
-  /// Start chunk \p window (sync: run it inline; async: hand it to the
-  /// compute thread, which reads it in place).
-  void submit(ConstView2D<float> window, std::size_t out_samples,
-              double assembled_at, ConstView2D<std::uint8_t> codes = {});
+  /// Start \p job (sync: run it inline; async: post it to the job slot,
+  /// waiting only while the slot still holds the previous window).
+  void submit(Job job);
   /// Add the samples the chunker clipped since the last call to the
   /// session's quant_clipped_total counter.
   void publish_clipped();
-  /// Whether the next full window goes to the engine as codes: the
-  /// chunker keeps them and the session has not degraded. A session that
-  /// can degrade first waits until the chunk in flight is handed to
-  /// delivery, so the decision sees what a chunk start on the compute
-  /// stage would.
-  bool takes_codes();
-  /// Submit the chunker's assembled window, as \p codes or as floats, and
-  /// move the chunker on.
-  void dispatch(double assembled_at, bool codes);
-  /// Async sessions: once the compute thread is done with the held window,
-  /// release it in the chunker. With \p wait, block until it is done;
-  /// without \p floats, leave the floats to dispatch().
-  void reclaim_window(bool wait, bool floats = true);
+  /// Async sessions: before the pushing thread writes the chunker's
+  /// current window, wait until the compute thread no longer reads it.
+  void acquire_window();
+  /// The chunker's current window as a job: the full window, or with
+  /// \p partial the final partial one.
+  Job window_job(bool partial);
+  /// Submit the chunker's assembled window and move the chunker on to its
+  /// other window.
+  void dispatch();
   /// Compute stage: the engine with the watchdog's retry rung, into
   /// \p out_full for full chunks. Throws a failure no rung absorbs.
   Delivery compute(const Job& job, View2D<float> out_full);
@@ -313,9 +314,17 @@ class StreamingDedisperser {
   /// final partial chunk keeps the single-engine 1×1 path, whose output is
   /// bitwise identical anyway.
   std::unique_ptr<pipeline::ShardedDedisperser> sharded_;
-  /// Async sessions build it with a lookahead: it holds the window the
-  /// compute thread reads and assembles the next one meanwhile.
+  /// Window ownership in an async session. The pushing thread assembles
+  /// the chunker's current window() and owns it until it posts it to the
+  /// job slot (job_, job_pending_). The compute thread takes the job from
+  /// the slot when it starts the chunk and holds that window (reading_)
+  /// until it takes the next job. The pushing thread, having posted window
+  /// k, writes window k+1 into the other buffer, which the compute thread
+  /// may still hold as window k−1: acquire_window() waits until it has
+  /// taken window k. Meanwhile the pushing thread reads window k, to carry
+  /// its overlap tail, but never writes it.
   OverlapChunker chunker_;
+  bool owned_ = true;  // pushing thread only: it may write chunker_.window()
   Stopwatch session_clock_;
   LatencyTracker tracker_;  // guarded by mutex_ in async mode
 
@@ -323,10 +332,12 @@ class StreamingDedisperser {
   /// during the sink call. Async sessions alternate both, and at most one
   /// delivery is in flight, so the compute thread never writes the buffer
   /// being delivered; sync sessions allocate only the first.
-  std::array<Array2D<float>, 2> out_full_;
-  Job job_;                     // guarded by mutex_
-  bool job_pending_ = false;    // the compute thread owns the window
-  bool settling_ = false;       // computed, waiting for the delivery slot
+  std::array<ScratchBuffer<float>, 2> out_storage_;
+  std::array<View2D<float>, 2> out_full_;
+  Job job_;                     // the job slot, guarded by mutex_
+  bool job_pending_ = false;    // the slot holds a job
+  /// Chunker buffer of the job the compute thread took last (2: none yet).
+  std::size_t reading_ = 2;     // guarded by mutex_
   Delivery delivery_;           // owned by the delivery thread while pending
   bool delivery_pending_ = false;
   bool stop_ = false;           // compute: no job follows
@@ -354,7 +365,7 @@ class StreamingDedisperser {
   std::size_t pressure_streak_ = 0;     // guarded by mutex_
   mutable std::mutex mutex_;
   std::condition_variable cv_job_;       // compute: job_pending_ || stop_
-  std::condition_variable cv_idle_;      // push: !job_pending_, !settling_
+  std::condition_variable cv_taken_;     // push: the compute thread took a job
   std::condition_variable cv_delivery_;  // delivery: record || stop
   std::condition_variable cv_slot_;      // compute: !delivery_pending_
   std::thread delivery_thread_;
@@ -417,6 +428,12 @@ class MultiBeamStreamingDedisperser {
   /// Sharded executor reused by every full chunk (shard_workers ≥ 2);
   /// per-chunk construction would pay pool spawn + planning each time.
   std::unique_ptr<pipeline::ShardedDedisperser> sharded_;
+  /// Beam-parallel executor of full chunks otherwise, with the per-beam
+  /// outputs it writes: built once, so its engine's workspaces and the
+  /// outputs are reused by every chunk. The flush chunk builds its own.
+  std::unique_ptr<pipeline::MultiBeamDedisperser> multibeam_;
+  std::vector<Array2D<float>> outputs_;
+  std::vector<View2D<float>> output_views_;
   std::vector<OverlapChunker> chunkers_;
   Stopwatch session_clock_;
   LatencyTracker tracker_;

@@ -31,6 +31,10 @@
 ///   sky.detect       one detect_best_dm scan    (args: rows, cols)
 ///   stream.chunk     chunk compute              (args: chunk)
 ///   stream.sink      sink delivery              (args: chunk)
+///   stream.job.wait  compute thread idle: the next window is not posted
+///                    yet (recorded only when it blocked)
+///   stream.window.wait  pushing thread blocked: the window it must write
+///                    next is still read by the engine (args: chunk)
 ///   subband.stage1   subband: intra-subband stage, per block of coarse trials
 ///   subband.stage2   subband: inter-subband stage, per block of coarse trials
 ///   tuner.tune       one race entrant's tuning (args: engine, source,

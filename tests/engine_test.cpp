@@ -40,6 +40,7 @@
 #include "resilience/fault_injection.hpp"
 #include "resilience/supervisor.hpp"
 #include "stream/streaming_dedisperser.hpp"
+#include "telemetry/tracing.hpp"
 #include "test_util.hpp"
 #include "tuner/tuning_cache.hpp"
 
@@ -958,9 +959,12 @@ TEST(EngineStreaming, EveryStreamingEngineMatchesItsBatchRun) {
   // session dedisperses the borrowed block, an async one loads it into
   // its chunker), a supervised session that retries one chunk and skips
   // another, and one degraded to subband mid-stream. For cpu_tiled_u8
-  // these are the full chunks that take the chunker's codes and those
-  // that take the float call (the flush, a borrowed window, a degraded
-  // session).
+  // every chunk but a sync session's borrowed window reads the chunker's
+  // codes — the flush chunk too, under its adapted config. A session that
+  // cannot degrade keeps code windows alone, so its windows and its flush
+  // exist only as codes; one that can degrade keeps float windows too,
+  // for the chunks it runs degraded. The trace shows where the engine
+  // quantized: a borrowed window only.
   enum class Fault { kNone, kRetryAndSkip, kDegrade };
   struct Case {
     const char* name;
@@ -1023,6 +1027,8 @@ TEST(EngineStreaming, EveryStreamingEngineMatchesItsBatchRun) {
         }
         std::optional<resilience::ScopedFault> fault;
         if (c.fault != Fault::kNone) fault.emplace("stream.chunk", spec);
+        telemetry::Tracer::instance().clear();
+        telemetry::Tracer::instance().set_enabled(true);
 
         struct Delivered {
           std::size_t index, first, out;
@@ -1052,6 +1058,20 @@ TEST(EngineStreaming, EveryStreamingEngineMatchesItsBatchRun) {
         }
         session.close();
         fault.reset();
+        telemetry::Tracer::instance().set_enabled(false);
+        if (id == "cpu_tiled_u8") {
+          std::size_t quantized = 0;
+          for (const telemetry::TraceEvent& e :
+               telemetry::Tracer::instance().events()) {
+            quantized += std::string(e.name) == "u8.quantize";
+          }
+          if (c.block && !c.async) {
+            EXPECT_GT(quantized, 0u);
+          } else {
+            EXPECT_EQ(quantized, 0u);
+          }
+        }
+        telemetry::Tracer::instance().clear();
 
         // Every chunk but a skipped one arrives, in order, each starting
         // where the chunk before it ended, and together they cover the
@@ -1485,6 +1505,36 @@ TEST(EngineWorkspace, RepeatedCallAllocatesNoLargeBlock) {
   fresh->execute(plan, EngineConfig{}, in.cview(), out.view());
   g_count_allocations.store(false);
   EXPECT_GT(g_large_allocations.load(), 0u);
+}
+
+TEST(EngineWorkspace, MultiBeamSessionChunkAllocatesNoLargeBlock) {
+  // A multi-beam streaming session builds its beam-parallel executor and
+  // the per-beam outputs once: a full chunk after the first finds the
+  // engine's workspace (the u8 byte plane) and the outputs in place.
+  const Plan batch = Plan::with_output_samples(sky::apertif(), 16, 3 * 128);
+  const Plan chunk = batch.with_chunk(128);
+  const Array2D<float> in = padded_input(batch, 0);
+  stream::StreamingOptions options;
+  options.engine = "cpu_tiled_u8";
+  options.cpu.threads = 1;
+  std::size_t chunks = 0;
+  stream::MultiBeamStreamingDedisperser session(
+      chunk, EngineConfig{}, /*beams=*/2,
+      [&](const stream::MultiBeamStreamChunk&) { ++chunks; }, options);
+  const auto columns = [&](std::size_t from, std::size_t to) {
+    const ConstView2D<float> part(&in.cview()(0, from), in.rows(), to - from,
+                                  in.pitch());
+    return std::vector<ConstView2D<float>>{part, part};
+  };
+  const std::size_t first = chunk.in_samples();
+  session.push(columns(0, first));  // chunk 0 sizes everything
+  ASSERT_EQ(chunks, 1u);
+  g_large_allocations.store(0);
+  g_count_allocations.store(true);
+  session.push(columns(first, first + 128));  // chunk 1
+  g_count_allocations.store(false);
+  EXPECT_EQ(chunks, 2u);
+  EXPECT_EQ(g_large_allocations.load(), 0u);
 }
 
 TEST(EngineWorkspace, StableSortScratchGoesThroughTheReplacedAllocator) {

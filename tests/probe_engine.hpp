@@ -1,7 +1,8 @@
 #pragma once
 /// A streaming engine that lets a test watch and steer a session's compute
 /// stage: it runs the reference engine under its own registry id, counts
-/// the executions that have started, and can make one of them slow.
+/// the executions that have started and finished, and can make one of
+/// them slow.
 
 #include <chrono>
 #include <condition_variable>
@@ -31,6 +32,7 @@ class ProbeEngine final : public engine::DedispEngine {
     });
     std::lock_guard<std::mutex> lock(state().mutex);
     state().started = 0;
+    state().finished = 0;
     state().slow_execution = 0;
   }
 
@@ -47,6 +49,12 @@ class ProbeEngine final : public engine::DedispEngine {
     std::unique_lock<std::mutex> lock(state().mutex);
     return state().cv.wait_for(lock, timeout,
                                [&] { return state().started >= n; });
+  }
+
+  /// Executions that have returned so far.
+  static std::size_t finished() {
+    std::lock_guard<std::mutex> lock(state().mutex);
+    return state().finished;
   }
 
   explicit ProbeEngine(const engine::EngineOptions& options)
@@ -74,7 +82,10 @@ class ProbeEngine final : public engine::DedispEngine {
     }
     state().cv.notify_all();
     std::this_thread::sleep_for(delay);
-    return inner_->execute(plan, config, in, out);
+    const engine::EngineRun run = inner_->execute(plan, config, in, out);
+    std::lock_guard<std::mutex> lock(state().mutex);
+    ++state().finished;
+    return run;
   }
 
  private:
@@ -82,6 +93,7 @@ class ProbeEngine final : public engine::DedispEngine {
     std::mutex mutex;
     std::condition_variable cv;
     std::size_t started = 0;
+    std::size_t finished = 0;
     std::size_t slow_execution = 0;
     std::chrono::milliseconds delay{0};
   };

@@ -58,8 +58,9 @@ void feed_in_slices(StreamingDedisperser& session,
 }
 
 /// Feed one block that completes the session's first window and carries
-/// \p ahead samples beyond it (an async session's lookahead fills while the
-/// engine reads the window), then everything else as one block.
+/// \p ahead samples beyond it (an async session assembles them in its
+/// second window while the engine reads the first), then everything else
+/// as one block.
 void feed_window_then_rest(StreamingDedisperser& session,
                            const Array2D<float>& input, std::size_t ahead) {
   const std::size_t first = std::min(
@@ -327,90 +328,114 @@ TEST(OverlapChunker, WindowsAreTheBatchInputColumns) {
   const Plan batch = Plan::with_output_samples(mini_obs(), 8, 128);
   const Plan chunk = batch.with_chunk(32);
   const Array2D<float> input = random_input(batch);
-  // With a lookahead, each window is held (as an engine on another thread
-  // would read it) while the next one's samples arrive in 5-sample feeds,
-  // and released only once they complete it. The byte mirror, when kept,
-  // holds the codes of exactly those columns.
+  // Windows alternate between two buffers. Each emitted window stays
+  // intact, as an engine on another thread would read it, while the next
+  // one's samples arrive in 5-sample feeds behind its carried overlap. The
+  // code windows, when kept, hold the codes of exactly those columns.
   const dedisp::QuantizationParams quant{-0.5f, 0.5f};
-  for (const std::optional<dedisp::QuantizationParams> mirror :
-       {std::optional<dedisp::QuantizationParams>{}, std::optional{quant}}) {
-    for (const bool lookahead : {false, true}) {
-      SCOPED_TRACE(std::string(lookahead ? "hold/release" : "advance") +
-                   (mirror ? " codes" : " floats"));
-      OverlapChunker chunker(chunk, 0, lookahead, mirror);
-      ASSERT_EQ(chunker.has_codes(), mirror.has_value());
-      EXPECT_EQ(chunker.overlap(), batch.max_delay());
-      EXPECT_EQ(chunker.window_samples(), 32 + batch.max_delay());
+  struct Planes {
+    const char* name;
+    bool floats;
+    bool codes;
+  };
+  for (const Planes planes : {Planes{"floats", true, false},
+                              Planes{"codes", false, true},
+                              Planes{"floats+codes", true, true}}) {
+    SCOPED_TRACE(planes.name);
+    OverlapChunker chunker(
+        chunk, 0,
+        planes.codes ? std::optional{quant}
+                     : std::optional<dedisp::QuantizationParams>{},
+        planes.floats);
+    ASSERT_EQ(chunker.has_floats(), planes.floats);
+    ASSERT_EQ(chunker.has_codes(), planes.codes);
+    EXPECT_EQ(chunker.overlap(), batch.max_delay());
+    EXPECT_EQ(chunker.window_samples(), 32 + batch.max_delay());
 
-      // With a lookahead and the mirror, windows 1 and 3 are released
-      // codes first, as a session does for a code-reading engine: their
-      // floats are carried by the next hold(). Window 2's floats, which
-      // start with window 1's carried overlap, and the final partial
-      // window, which starts with window 3's, show whether they were.
-      std::size_t t = 0;
-      std::size_t seen = 0;
-      bool codes_first = false;
-      while (t < input.cols()) {
-        const ConstView2D<float> feed(input.cview().data(), input.rows(),
-                                      std::min(input.cols(), t + 5),
-                                      input.pitch());
-        t += chunker.feed(feed, t);
-        if (chunker.held() && chunker.filled() == chunker.window_samples()) {
-          codes_first = mirror && seen % 2 == 1;
-          chunker.release(/*floats=*/!codes_first);
-        }
-        if (!chunker.ready()) continue;
-        const std::size_t base = chunker.first_out_sample();
-        if (codes_first) {
-          EXPECT_THROW(chunker.chunk_input(), invalid_argument);
-        }
-        for (std::size_t ch = 0; ch < input.rows(); ++ch) {
-          for (std::size_t i = 0; i < chunker.window_samples(); ++i) {
-            if (!codes_first) {
-              ASSERT_EQ(chunker.chunk_input()(ch, i), input(ch, base + i))
-                  << "chunk " << chunker.chunk_index() << " ch " << ch
-                  << " i " << i;
-            }
-            if (mirror) {
-              ASSERT_EQ(chunker.chunk_codes()(ch, i),
-                        quant.quantize(input(ch, base + i)))
-                  << "chunk " << chunker.chunk_index() << " ch " << ch
-                  << " i " << i;
-            }
+    // Window k as an engine reads it: batch input columns from k·32 on.
+    const auto expect_window = [&](ConstView2D<float> floats,
+                                   ConstView2D<std::uint8_t> codes,
+                                   std::size_t k) {
+      for (std::size_t ch = 0; ch < input.rows(); ++ch) {
+        for (std::size_t i = 0; i < chunker.window_samples(); ++i) {
+          const float want = input(ch, k * 32 + i);
+          if (planes.floats) {
+            ASSERT_EQ(floats(ch, i), want)
+                << "chunk " << k << " ch " << ch << " i " << i;
+          }
+          if (planes.codes) {
+            ASSERT_EQ(codes(ch, i), quant.quantize(want))
+                << "chunk " << k << " ch " << ch << " i " << i;
           }
         }
-        ++seen;
-        if (lookahead) {
-          chunker.hold();
-        } else {
-          chunker.advance();
-        }
       }
-      // 128 output samples = exactly 4 chunks of 32; nothing is left over.
-      EXPECT_EQ(seen, 4u);
-      EXPECT_EQ(chunker.pending_out(), 0u);
-      // Each fed sample outside [-0.5, 0.5] counts once, the carried
-      // overlap included.
-      std::size_t outside = 0;
-      for (std::size_t ch = 0; ch < input.rows(); ++ch) {
-        for (const float v : input.row(ch)) outside += v < -0.5f || v > 0.5f;
+    };
+    ConstView2D<float> lent_floats;
+    ConstView2D<std::uint8_t> lent_codes;
+    std::size_t t = 0;
+    std::size_t seen = 0;
+    while (t < input.cols()) {
+      const ConstView2D<float> feed(input.cview().data(), input.rows(),
+                                    std::min(input.cols(), t + 5),
+                                    input.pitch());
+      t += chunker.feed(feed, t);
+      // The carry into the next window reads the lent one, never writes it.
+      if (seen > 0) expect_window(lent_floats, lent_codes, seen - 1);
+      if (!chunker.ready()) continue;
+      EXPECT_EQ(chunker.chunk_index(), seen);
+      EXPECT_EQ(chunker.window(), seen % 2);
+      if (planes.floats) {
+        lent_floats = chunker.chunk_input();
+      } else {
+        EXPECT_THROW(chunker.chunk_input(), invalid_argument);
       }
-      EXPECT_EQ(chunker.clipped(), mirror ? outside : 0u);
-      if (chunker.held()) chunker.release();
+      if (planes.codes) {
+        lent_codes = chunker.chunk_codes();
+      } else {
+        EXPECT_THROW(chunker.chunk_codes(), invalid_argument);
+      }
+      expect_window(lent_floats, lent_codes, seen);
+      ++seen;
+      chunker.advance();
+      EXPECT_EQ(chunker.window(), seen % 2);
+    }
+    // 128 output samples = exactly 4 chunks of 32; nothing is left over.
+    EXPECT_EQ(seen, 4u);
+    EXPECT_EQ(chunker.pending_out(), 0u);
+    // Each fed sample outside [-0.5, 0.5] counts once, the carried
+    // overlap included.
+    std::size_t outside = 0;
+    for (std::size_t ch = 0; ch < input.rows(); ++ch) {
+      for (const float v : input.row(ch)) outside += v < -0.5f || v > 0.5f;
+    }
+    EXPECT_EQ(chunker.clipped(), planes.codes ? outside : 0u);
 
-      // A few extra samples become the pending partial chunk, behind the
-      // last window's carried overlap: the input's last columns.
-      Array2D<float> extra(input.rows(), 7);
-      chunker.feed(extra.cview());
-      EXPECT_FALSE(chunker.ready());
-      EXPECT_EQ(chunker.pending_out(), 7u);
+    // A few extra samples become the pending partial chunk, behind the
+    // last window's carried overlap: the input's last columns. A session
+    // flushes it from the floats or, with code windows, from the codes.
+    Array2D<float> extra(input.rows(), 7);
+    chunker.feed(extra.cview());
+    EXPECT_FALSE(chunker.ready());
+    EXPECT_EQ(chunker.pending_out(), 7u);
+    const std::size_t tail = input.cols() - chunker.overlap();
+    const auto want = [&](std::size_t ch, std::size_t i) {
+      return i < chunker.overlap() ? input(ch, tail + i) : 0.0f;
+    };
+    if (planes.floats) {
       const ConstView2D<float> partial = chunker.partial_input();
       ASSERT_EQ(partial.cols(), chunker.overlap() + 7u);
-      const std::size_t tail = input.cols() - chunker.overlap();
       for (std::size_t ch = 0; ch < input.rows(); ++ch) {
         for (std::size_t i = 0; i < partial.cols(); ++i) {
-          ASSERT_EQ(partial(ch, i),
-                    i < chunker.overlap() ? input(ch, tail + i) : 0.0f)
+          ASSERT_EQ(partial(ch, i), want(ch, i)) << "ch " << ch << " i " << i;
+        }
+      }
+    }
+    if (planes.codes) {
+      const ConstView2D<std::uint8_t> partial = chunker.partial_codes();
+      ASSERT_EQ(partial.cols(), chunker.overlap() + 7u);
+      for (std::size_t ch = 0; ch < input.rows(); ++ch) {
+        for (std::size_t i = 0; i < partial.cols(); ++i) {
+          ASSERT_EQ(partial(ch, i), quant.quantize(want(ch, i)))
               << "ch " << ch << " i " << i;
         }
       }
@@ -418,21 +443,34 @@ TEST(OverlapChunker, WindowsAreTheBatchInputColumns) {
   }
 }
 
-TEST(OverlapChunker, LoadQuantizesOnlyTheColumnsItDidNotHold) {
-  // load() takes a block that repeats the assembled prefix; the mirror
-  // ends up with the codes of the whole window either way, and each
-  // sample is counted once.
+TEST(OverlapChunker, AWindowCompletedAtOnceQuantizesOnlyItsNewColumns) {
+  // A block that holds the whole window repeats the assembled prefix:
+  // feed() from the prefix's end copies (and quantizes) only the rest.
+  // Columns a caller writes in place and commit()s are quantized the
+  // same way. The code window ends up with the codes of the whole window
+  // either way, and each sample is counted once.
   const Plan batch = Plan::with_output_samples(mini_obs(), 8, 96);
   const Plan chunk = batch.with_chunk(32);
   const Array2D<float> input = random_input(batch);
   const dedisp::QuantizationParams quant{-0.5f, 0.5f};
-  for (const bool lookahead : {false, true}) {
-    SCOPED_TRACE(lookahead ? "lookahead" : "no lookahead");
-    OverlapChunker chunker(chunk, 0, lookahead, quant);
-    chunker.feed(ConstView2D<float>(input.cview().data(), input.rows(), 11,
-                                    input.pitch()));
-    chunker.load(ConstView2D<float>(input.cview().data(), input.rows(),
-                                    chunker.window_samples(), input.pitch()));
+  for (const bool in_place : {false, true}) {
+    SCOPED_TRACE(in_place ? "commit" : "feed");
+    OverlapChunker chunker(chunk, 0, quant);
+    const ConstView2D<float> block(input.cview().data(), input.rows(),
+                                   chunker.window_samples(), input.pitch());
+    if (in_place) {
+      const View2D<float> free = chunker.free_columns();
+      ASSERT_EQ(free.cols(), chunker.window_samples());
+      for (std::size_t ch = 0; ch < input.rows(); ++ch) {
+        for (std::size_t i = 0; i < 11; ++i) free(ch, i) = input(ch, i);
+      }
+      chunker.commit(11);
+    } else {
+      chunker.feed(ConstView2D<float>(block.data(), input.rows(), 11,
+                                      input.pitch()));
+    }
+    EXPECT_EQ(chunker.feed(block, chunker.filled()),
+              chunker.window_samples() - 11);
     ASSERT_TRUE(chunker.ready());
     const ConstView2D<float> window = chunker.chunk_input();
     const ConstView2D<std::uint8_t> codes = chunker.chunk_codes();
@@ -506,7 +544,7 @@ TEST(StreamingDedisperser, BitwiseEqualToBatchAcrossGranularities) {
       {32, 5, true},
       {96, 201, false}, // slices larger than a chunk
       {32, 300, true},  // slices larger than a window
-      {32, 0, true, 20},  // a part-filled lookahead, then one large block
+      {32, 0, true, 20},  // a part-filled next window, then one large block
       {32, 0, false, 20},
   };
   for (const Case& c : cases) {
@@ -757,7 +795,7 @@ TEST(StreamingDedisperser, RandomizedChunkAndFeedProperty) {
   const std::vector<std::size_t> chunk_sizes = {32, 64, 96, 160};
   // Rounds 0–3 alternate sync and async sessions on small slices; rounds
   // 4–7 are async on slices up to three windows long, the odd ones a
-  // part-filled lookahead followed by one large block.
+  // part-filled next window followed by one large block.
   for (int round = 0; round < 8; ++round) {
     const std::size_t total_out =
         64 + static_cast<std::size_t>(rng.next_below(160));
@@ -921,6 +959,40 @@ TEST(StreamingPipeline, NextChunkDedispersesWhileTheSinkRuns) {
   session.close();
   EXPECT_TRUE(overlapped)
       << "chunk 1 did not start dedispersing while chunk 0 was delivered";
+  EXPECT_EQ(collect.emitted, batch.out_samples());
+  expect_same_matrix(expected, collect.total);
+}
+
+TEST(StreamingPipeline, NextWindowIsAssembledWhileTheEngineRuns) {
+  // Execution 1 sleeps 300 ms. The samples of windows 0 and 1, pushed one
+  // column at a time, are all absorbed meanwhile: window 1 is assembled in
+  // the chunker's other window, its carried overlap read from window 0 as
+  // the engine reads it, and waits in the job slot, so execution 2 starts
+  // as soon as execution 1 ends, without a further push.
+  ProbeEngine::install();
+  ProbeEngine::slow_down(1, std::chrono::milliseconds(300));
+  const Plan batch = Plan::with_output_samples(mini_obs(), 8, 64);
+  const Array2D<float> input = random_input(batch);
+  const Array2D<float> expected =
+      dedisp::dedisperse_reference(batch, input.cview());
+  StreamingOptions opts;
+  opts.engine = ProbeEngine::kId;
+  opts.cpu.threads = 1;
+  Collector collect(batch.dms(), batch.out_samples());
+  StreamingDedisperser session(batch.with_chunk(32), engine::EngineConfig{},
+                               std::ref(collect), opts);
+  ASSERT_EQ(input.cols(), session.chunk_plan().in_samples() + 32);
+  for (std::size_t t = 0; t < input.cols(); ++t) {
+    session.push(ConstView2D<float>(&input.cview()(0, t), input.rows(), 1,
+                                    input.pitch()));
+  }
+  EXPECT_TRUE(ProbeEngine::wait_started(1, std::chrono::seconds(5)));
+  EXPECT_EQ(ProbeEngine::finished(), 0u)
+      << "push() waited for execution 1 to end";
+  EXPECT_TRUE(ProbeEngine::wait_started(2, std::chrono::seconds(5)))
+      << "window 1 did not reach the engine without a further push";
+  session.close();
+  EXPECT_EQ(ProbeEngine::finished(), 2u);
   EXPECT_EQ(collect.emitted, batch.out_samples());
   expect_same_matrix(expected, collect.total);
 }

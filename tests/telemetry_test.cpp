@@ -8,7 +8,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,6 +27,7 @@
 #include "telemetry/export.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/tracing.hpp"
+#include "probe_engine.hpp"
 
 namespace {
 
@@ -352,10 +355,10 @@ TEST_F(TelemetryTracerTest, U8ExecuteEmitsOneQuantizeSpan) {
   }
 }
 
-TEST_F(TelemetryTracerTest, U8SessionQuantizesOnlyItsFlushChunk) {
-  // A u8 streaming session quantizes each sample once, in its chunker:
-  // a full chunk's engine.execute holds no u8.quantize span. Only the
-  // flush chunk, which takes the float call, quantizes inside the engine.
+TEST_F(TelemetryTracerTest, U8SessionNeverQuantizesInItsEngine) {
+  // A u8 streaming session quantizes each sample once, in its chunker,
+  // and every chunk reaches the engine as codes, the flush chunk too: no
+  // engine.execute holds a u8.quantize span.
   const auto batch = ddmc::dedisp::Plan::with_output_samples(
       ddmc::sky::apertif(), 8, 3 * 64 + 10);
   ddmc::Array2D<float> in(batch.channels(), batch.in_samples());
@@ -378,29 +381,117 @@ TEST_F(TelemetryTracerTest, U8SessionQuantizesOnlyItsFlushChunk) {
     session.close();
     Tracer::instance().set_enabled(false);
 
-    std::vector<TraceEvent> chunks, executes, quantizes;
+    std::size_t chunks = 0, executes = 0, quantizes = 0, flushes = 0;
     for (const TraceEvent& e : Tracer::instance().events()) {
       const std::string name = e.name;
-      if (name == "stream.chunk") chunks.push_back(e);
-      if (name == "engine.execute") executes.push_back(e);
-      if (name == "u8.quantize") quantizes.push_back(e);
+      if (name == "stream.chunk") {
+        ++chunks;
+        flushes += std::string(e.args).find("\"out_samples\": 10") !=
+                   std::string::npos;
+      }
+      executes += name == "engine.execute";
+      quantizes += name == "u8.quantize";
     }
-    ASSERT_EQ(chunks.size(), 4u);
-    ASSERT_EQ(executes.size(), 4u);
-    ASSERT_EQ(quantizes.size(), 1u);
-    const auto inside = [](const TraceEvent& in, const TraceEvent& out) {
-      return in.tid == out.tid && in.start_ns >= out.start_ns &&
-             in.start_ns + in.dur_ns <= out.start_ns + out.dur_ns;
-    };
-    const TraceEvent& q = quantizes[0];
-    EXPECT_EQ(std::count_if(executes.begin(), executes.end(),
-                            [&](const TraceEvent& e) { return inside(q, e); }),
-              1);
-    for (const TraceEvent& c : chunks) {
-      const bool flush =
-          std::string(c.args).find("\"out_samples\": 10") != std::string::npos;
-      EXPECT_EQ(inside(q, c), flush) << c.args;
+    EXPECT_EQ(chunks, 4u);
+    EXPECT_EQ(flushes, 1u);
+    EXPECT_EQ(executes, 4u);
+    EXPECT_EQ(quantizes, 0u);
+  }
+}
+
+/// The recorded events named \p name.
+std::vector<TraceEvent> events_named(const char* name) {
+  std::vector<TraceEvent> out;
+  for (const TraceEvent& e : Tracer::instance().events()) {
+    if (std::string(e.name) == name) out.push_back(e);
+  }
+  return out;
+}
+
+TEST_F(TelemetryTracerTest, JobWaitSpansTheComputeThreadIdle) {
+  // The compute thread records stream.job.wait only when it found the job
+  // slot empty, at most once per chunk (plus its final wait for close()).
+  // Window 1 is pushed 100 ms after chunk 0 was delivered, so the compute
+  // thread, idle since it handed chunk 0 to delivery, waited about that
+  // long for it.
+  const auto batch = ddmc::dedisp::Plan::with_output_samples(
+      ddmc::sky::apertif(), 8, 4 * 64);
+  const auto chunk = batch.with_chunk(64);
+  ddmc::Array2D<float> in(batch.channels(), batch.in_samples());
+  ddmc::stream::StreamingOptions options;
+  options.cpu.threads = 1;
+  std::promise<void> delivered;
+  Tracer::instance().set_enabled(true);
+  {
+    ddmc::stream::StreamingDedisperser session(
+        chunk, ddmc::engine::EngineConfig{},
+        [&](const ddmc::stream::StreamChunk& c) {
+          if (c.index == 0) delivered.set_value();
+        },
+        options);
+    const std::size_t first = chunk.in_samples();
+    session.push(ddmc::ConstView2D<float>(&in(0, 0), in.rows(), first,
+                                          in.pitch()));
+    ASSERT_EQ(delivered.get_future().wait_for(std::chrono::seconds(10)),
+              std::future_status::ready);
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    session.push(ddmc::ConstView2D<float>(&in(0, first), in.rows(),
+                                          in.cols() - first, in.pitch()));
+    session.close();
+  }
+  Tracer::instance().set_enabled(false);
+  const std::vector<TraceEvent> chunks = events_named("stream.chunk");
+  const std::vector<TraceEvent> waits = events_named("stream.job.wait");
+  ASSERT_EQ(chunks.size(), 4u);
+  ASSERT_GE(waits.size(), 1u);
+  EXPECT_LE(waits.size(), chunks.size() + 1);
+  std::uint64_t longest = 0;
+  for (const TraceEvent& w : waits) {
+    EXPECT_EQ(w.tid, chunks[0].tid) << "not on the compute thread";
+    longest = std::max(longest, w.dur_ns);
+  }
+  EXPECT_GE(longest, 50'000'000u);
+}
+
+TEST_F(TelemetryTracerTest, WindowWaitSpansThePushingThreadBlocked) {
+  // The first engine call sleeps 100 ms. Window 1 is assembled meanwhile;
+  // window 2's first sample must be written into the buffer the engine
+  // still reads, so the pushing thread records stream.window.wait for
+  // chunk 2, on its own thread.
+  ddmc::testing::ProbeEngine::install();
+  ddmc::testing::ProbeEngine::slow_down(1, std::chrono::milliseconds(100));
+  const auto batch = ddmc::dedisp::Plan::with_output_samples(
+      ddmc::sky::apertif(), 8, 3 * 64);
+  const auto chunk = batch.with_chunk(64);
+  ddmc::Array2D<float> in(batch.channels(), batch.in_samples());
+  ddmc::stream::StreamingOptions options;
+  options.engine = ddmc::testing::ProbeEngine::kId;
+  options.cpu.threads = 1;
+  Tracer::instance().set_enabled(true);
+  {
+    ddmc::stream::StreamingDedisperser session(chunk,
+                                               ddmc::engine::EngineConfig{},
+                                               nullptr, options);
+    for (std::size_t t = 0; t < in.cols(); t += 16) {
+      session.push(ddmc::ConstView2D<float>(
+          &in(0, t), in.rows(), std::min<std::size_t>(16, in.cols() - t),
+          in.pitch()));
     }
+    session.close();
+  }
+  Tracer::instance().set_enabled(false);
+  const std::vector<TraceEvent> chunks = events_named("stream.chunk");
+  const std::vector<TraceEvent> waits = events_named("stream.window.wait");
+  ASSERT_EQ(chunks.size(), 3u);
+  EXPECT_LE(waits.size(), chunks.size());
+  const auto chunk_2 = std::find_if(
+      waits.begin(), waits.end(), [](const TraceEvent& w) {
+        return std::string(w.args).find("\"chunk\": 2") != std::string::npos;
+      });
+  ASSERT_NE(chunk_2, waits.end());
+  EXPECT_GE(chunk_2->dur_ns, 50'000'000u);
+  for (const TraceEvent& w : waits) {
+    EXPECT_NE(w.tid, chunks[0].tid) << "recorded on the compute thread";
   }
 }
 
