@@ -47,7 +47,6 @@ int main(int argc, char** argv) {
   opt.vectorize = !cli.get_flag("scalar");
 
   engine::EngineOptions engine_options;
-  engine_options.cpu.stage_rows = opt.stage_rows;
   engine_options.cpu.vectorize = opt.vectorize;
   engine_options.cpu.threads = opt.threads;
   const auto tiled = engine::make_engine("cpu_tiled", engine_options);

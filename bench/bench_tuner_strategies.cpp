@@ -72,7 +72,6 @@ int main(int argc, char** argv) {
   // config_space() is already valid for the plan and deduplicated to one
   // candidate per distinct host kernel.
   engine::EngineOptions engine_options;
-  engine_options.cpu.stage_rows = opt.stage_rows;
   engine_options.cpu.vectorize = opt.vectorize;
   engine_options.cpu.threads = opt.threads;
   const auto tiled = engine::make_engine("cpu_tiled", engine_options);

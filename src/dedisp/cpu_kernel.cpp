@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <span>
 #include <type_traits>
@@ -296,6 +297,13 @@ void dispatch_block_simd(std::size_t dr, std::size_t unroll,
   }
 }
 
+/// Channels per block of \p config over \p channels (0: all in one pass).
+std::size_t channels_per_block(const KernelConfig& config,
+                               std::size_t channels) {
+  return config.channel_block == 0 ? channels
+                                   : std::min(config.channel_block, channels);
+}
+
 /// Process one work-group tile of \p job: trials [dm0, dm0+tile_dm) ×
 /// samples [t0, t0+tile_time) (the last tile of a row may be shorter).
 /// Channel-major accumulation matches the reference; channel blocking only
@@ -309,9 +317,7 @@ void process_tile(const KernelConfig& config, const TileJob<T>& job,
                   TileScratch<T>& scratch) {
   const std::size_t tile_dm = config.tile_dm();
   const std::size_t channels = job.delays.cols();
-  const std::size_t block = config.channel_block == 0
-                                ? channels
-                                : std::min(config.channel_block, channels);
+  const std::size_t block = channels_per_block(config, channels);
 
   scratch.acc_pitch = round_up(tile_time, simd::kFloatLanes);
   scratch.acc.assign(tile_dm * scratch.acc_pitch, 0.0f);
@@ -322,20 +328,22 @@ void process_tile(const KernelConfig& config, const TileJob<T>& job,
     const std::size_t cb1 = std::min(channels, cb0 + block);
     const std::size_t nch = cb1 - cb0;
 
-    // Resolve per-channel source rows; the staged path copies each span
-    // into the block-local staging buffer first (collaborative load: the
-    // span covers every read any work-item performs for that channel).
+    // Resolve per-channel source rows. Where staging pays, each span is
+    // copied into the block-local staging buffer first (collaborative
+    // load: the span covers every read any work-item performs for that
+    // channel); elsewhere the rows are read in place.
     scratch.src.resize(nch);
-    if (options.stage_rows) {
-      const std::size_t max_spread = *std::max_element(
-          scratch.spread.begin() + cb0, scratch.spread.begin() + cb1);
+    const std::span<const std::size_t> spread(&scratch.spread[cb0], nch);
+    if (staging_pays(tile_dm, tile_time, spread)) {
+      const std::size_t max_spread =
+          *std::max_element(spread.begin(), spread.end());
       const std::size_t pitch =
           round_up(max_spread + tile_time, simd::kFloatLanes);
       scratch.staging.resize(nch * pitch);
       for (std::size_t c = 0; c < nch; ++c) {
         T* dst = &scratch.staging[c * pitch];
         const T* row = &job.in(cb0 + c, t0 + scratch.lo[cb0 + c]);
-        std::copy(row, row + scratch.spread[cb0 + c] + tile_time, dst);
+        std::copy(row, row + spread[c] + tile_time, dst);
         scratch.src[c] = dst;
       }
     } else {
@@ -446,6 +454,38 @@ constexpr auto copy_row = [](const float* acc, float* dst, std::size_t n) {
 };
 
 }  // namespace
+
+bool staging_pays(std::size_t tile_dm, std::size_t tile_time,
+                  std::span<const std::size_t> spread) {
+  // Every staged element is read at most tile_dm times.
+  if (tile_dm < kStagingMinReuse) return false;
+  std::size_t copied = 0;
+  for (const std::size_t s : spread) copied += s + tile_time;
+  return tile_dm * tile_time * spread.size() >= kStagingMinReuse * copied;
+}
+
+StagingTally staging_tally(ConstView2D<std::int64_t> delays,
+                           std::size_t samples, const KernelConfig& config) {
+  const std::size_t tile_dm = config.tile_dm();
+  const std::size_t channels = delays.cols();
+  const std::size_t block = channels_per_block(config, channels);
+  StagingTally tally;
+  TileScratch<float> scratch;
+  for (std::size_t dm0 = 0; dm0 + tile_dm <= delays.rows(); dm0 += tile_dm) {
+    build_shift_table(delays, dm0, tile_dm,
+                      std::numeric_limits<std::size_t>::max(), scratch);
+    for (std::size_t t0 = 0; t0 < samples; t0 += config.tile_time()) {
+      const std::size_t tile_time = std::min(config.tile_time(), samples - t0);
+      for (std::size_t cb0 = 0; cb0 < channels; cb0 += block) {
+        const std::size_t nch = std::min(block, channels - cb0);
+        const std::span<const std::size_t> spread(&scratch.spread[cb0], nch);
+        ++tally.blocks;
+        if (staging_pays(tile_dm, tile_time, spread)) ++tally.staged;
+      }
+    }
+  }
+  return tally;
+}
 
 bool runs_register_tile(const CpuKernelOptions& options) {
   return options.vectorize && simd::kFloatLanes > 1;

@@ -11,9 +11,18 @@
 ///    through the portable layer of common/simd.hpp (AVX-512/AVX/SSE2/NEON
 ///    with a scalar fallback), with a tunable unroll factor;
 ///  - the channel loop is blocked (`KernelConfig::channel_block`) so the
-///    staged input rows and the tile's accumulators stay L1/L2-resident,
+///    block's input rows and the tile's accumulators stay L1/L2-resident,
 ///    and the per-(tile, channel-block) delay/shift tables are precomputed
 ///    once so no delay lookup remains in the hot loops.
+///
+/// Each (tile, channel block) either copies its input rows into a pitched
+/// staging buffer first (the device's local-memory path) or reads them in
+/// place. One rule decides, from the delay table (staging_pays): the copy
+/// pays only where every copied element is read often enough — Apertif's
+/// 128-trial real-time tiles read each one 63–126 times, LOFAR's four-trial
+/// tiles about 2.6 times, and a tile of fewer than kStagingMinReuse trials
+/// never reaches the threshold. The choice moves no arithmetic, so outputs
+/// do not depend on it.
 ///
 /// Every output element still accumulates its channels in channel order,
 /// so scalar, vectorized, blocked and threaded runs are all bit-identical
@@ -22,7 +31,7 @@
 ///
 /// One kernel serves both input element types. Dedispersion is
 /// memory-bandwidth-bound (the paper's central premise), so on quantized
-/// 8-bit input the bytes stay one per sample from DRAM through the staged
+/// 8-bit input the bytes stay one per sample from DRAM through any staged
 /// rows into the register tile: a quarter of the float input traffic. The
 /// u8 entry point accumulates *raw codes* and applies the affine
 /// dequantization once per output element at writeback:
@@ -38,7 +47,7 @@
 /// integer vectors (AVX without AVX2, scalar) add codes in float lanes
 /// (simd::vload_u8). Either way every partial sum is an exact integer
 /// below 2^24, for any channel count up to 65 793, so every tile shape,
-/// channel block, unroll, SIMD width, staging mode and thread count
+/// channel block, unroll, SIMD width, staging choice and thread count
 /// produces bitwise-identical u8 output; targets with and without fma
 /// differ only in that last rounding. Only the quantization itself is
 /// approximate (see quantize.hpp for the bound).
@@ -55,9 +64,6 @@
 namespace ddmc::dedisp {
 
 struct CpuKernelOptions {
-  /// Stage each (channel, dm-tile) input span into a thread-local buffer
-  /// before accumulating (mirrors the device local-memory path).
-  bool stage_rows = true;
   /// Use the explicit SIMD engine; false runs the seed's scalar inner loop
   /// (the baseline the benchmarks compare against). One-lane builds
   /// (simd::kFloatLanes == 1) run that loop either way.
@@ -72,6 +78,35 @@ struct CpuKernelOptions {
 /// One-lane builds run the channel-outer loop instead, which the compiler
 /// vectorizes and a one-lane register tile is slower than.
 bool runs_register_tile(const CpuKernelOptions& options);
+
+/// Reads of each copied input element from which a (tile, channel block)
+/// stages its rows. Measured on the streaming workloads: tiles at 2.6 and
+/// 4.9 reads per element (LOFAR) ran faster in place, tiles at 63–126
+/// (Apertif real time) faster staged.
+inline constexpr std::size_t kStagingMinReuse = 16;
+
+/// Whether the kernel stages the input rows of one (tile, channel block):
+/// a tile of \p tile_dm trials × \p tile_time samples reads
+/// tile_dm·tile_time elements of each channel's row, and staging copies
+/// spread_c + tile_time of them, where spread_c is the channel's delay
+/// spread over the tile's trials. It stages when
+/// tile_dm·tile_time·nch ≥ kStagingMinReuse·Σ_c (spread_c + tile_time),
+/// so never for fewer than kStagingMinReuse trials.
+bool staging_pays(std::size_t tile_dm, std::size_t tile_time,
+                  std::span<const std::size_t> spread);
+
+/// The (tile, channel block) pairs of one dispatch and how many of them
+/// stage their rows.
+struct StagingTally {
+  std::size_t staged = 0;
+  std::size_t blocks = 0;
+};
+
+/// Apply staging_pays to every (tile, channel block) that \p config cuts
+/// from a problem of \p delays (trials × channels) and \p samples output
+/// columns, as the kernel does.
+StagingTally staging_tally(ConstView2D<std::int64_t> delays,
+                           std::size_t samples, const KernelConfig& config);
 
 /// The register-tile extents the vectorized kernel has a compiled
 /// instantiation for: the DM rows it holds in registers (`elem_dm`) and

@@ -18,7 +18,7 @@
 /// defaulted so that every device-model consumer keeps its semantics:
 ///  - `channel_block`: channels accumulated per pass over a tile before
 ///    moving to the next block (0 = all channels in one pass). Blocking
-///    keeps the staged input rows and the tile's accumulators resident in
+///    keeps the block's input rows and the tile's accumulators resident in
 ///    L1/L2 — the host analogue of sizing local memory on a device.
 ///  - `unroll`: SIMD vectors per inner-loop iteration of the vectorized
 ///    accumulate (1 = no unrolling).

@@ -4,6 +4,7 @@
 #include <bit>
 #include <numeric>
 #include <optional>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -61,14 +62,28 @@ std::pair<std::int64_t, std::int64_t> split_delays(
   return {max_intra, max_inter};
 }
 
+/// The split tables of \p plan under \p config in \p ws, rebuilt unless
+/// \p ws already holds them.
+void ensure_split_tables(const Plan& plan, const SubbandConfig& config,
+                         SubbandWorkspace& ws) {
+  const SubbandSplitKey key = SubbandSplitKey::of(plan, config);
+  if (ws.split_key == key) return;
+  ws.split_key.reset();
+  std::tie(ws.max_intra, ws.max_inter) =
+      split_delays(plan, config, ws.intra, ws.inter);
+  ws.split_key = key;
+}
+
 /// Stage-1 plane budget: more coarse trials per block give stage 1 more
 /// trials per register tile, but the plane must not grow with the plan.
 constexpr std::size_t kStage1BlockBytes = std::size_t{4} << 20;
 
 /// The tile of a stage call over \p rows trials, a fixed rule: up to eight
 /// trials in registers, eight accumulator vectors, 512 samples and every
-/// channel in one pass.
+/// channel in one pass. Eight trials are too few for staging to pay, so
+/// the stages read their input rows in place.
 KernelConfig stage_config(std::size_t rows) {
+  static_assert(8 < kStagingMinReuse);
   KernelConfig config;
   config.elem_dm = std::gcd(rows, std::size_t{8});
   config.unroll = 8 / config.elem_dm;
@@ -77,6 +92,14 @@ KernelConfig stage_config(std::size_t rows) {
 }
 
 }  // namespace
+
+SubbandSplitKey SubbandSplitKey::of(const Plan& plan,
+                                    const SubbandConfig& config) {
+  const sky::Observation& obs = plan.observation();
+  return {obs.sampling_rate(), obs.f_min_mhz(), obs.channel_bw_mhz(),
+          obs.channels(),      obs.dm_first(),  obs.dm_step(),
+          plan.dms(),          config.subbands, config.coarse_step};
+}
 
 void SubbandConfig::validate(const Plan& plan) const {
   DDMC_REQUIRE(subbands > 0 && coarse_step > 0,
@@ -155,10 +178,11 @@ void dedisperse_subband(const Plan& plan, const SubbandConfig& config,
   DDMC_REQUIRE(out.rows() == plan.dms(), "output rows != trial DMs");
   DDMC_REQUIRE(out.cols() >= samples, "output too short");
 
-  const auto [max_intra, max_inter] =
-      split_delays(plan, config, workspace.intra, workspace.inter);
+  ensure_split_tables(plan, config, workspace);
+  const std::size_t max_inter =
+      static_cast<std::size_t>(workspace.max_inter);
   const std::size_t needed =
-      samples + static_cast<std::size_t>(max_intra + max_inter);
+      samples + static_cast<std::size_t>(workspace.max_intra) + max_inter;
   DDMC_REQUIRE(in.cols() >= needed,
                "input too short for the split delays: need " +
                    std::to_string(needed) + " columns, have " +
@@ -166,7 +190,7 @@ void dedisperse_subband(const Plan& plan, const SubbandConfig& config,
 
   // Stage-1 rows are long enough for every stage-2 shift; plane row
   // j·subbands + band holds band for coarse trial ci0 + j of the block.
-  const std::size_t span = samples + static_cast<std::size_t>(max_inter);
+  const std::size_t span = samples + max_inter;
   const std::size_t n_coarse = plan.dms() / step;
   const std::size_t coarse_bytes =
       subbands * round_up(span * sizeof(float), kCacheLineBytes);
@@ -174,10 +198,6 @@ void dedisperse_subband(const Plan& plan, const SubbandConfig& config,
       std::clamp<std::size_t>(kStage1BlockBytes / coarse_bytes, 1, n_coarse));
   const View2D<float> plane = workspace.stage1.matrix(block * subbands, span);
   std::vector<TileJob<float>>& jobs = workspace.jobs;
-  // A stage tile holds eight trials at most, often one or two, so staging
-  // would copy about as many elements as the kernel adds.
-  CpuKernelOptions stage_options = options;
-  stage_options.stage_rows = false;
   // Both stages of every block run on one pool per call.
   std::optional<ThreadPool> owned;
   ThreadPool* const pool = pool_for(options.threads, owned);
@@ -198,7 +218,7 @@ void dedisperse_subband(const Plan& plan, const SubbandConfig& config,
              View2D<float>(&plane(band, 0), nb, span,
                            subbands * plane.pitch())});
       }
-      dedisperse_tiled(jobs, stage_config(nb), stage_options, pool);
+      dedisperse_tiled(jobs, stage_config(nb), options, pool);
     }
     {
       // Stage 2: each coarse trial's band rows over its fine trials.
@@ -213,7 +233,7 @@ void dedisperse_subband(const Plan& plan, const SubbandConfig& config,
                                 plane.pitch()),
              View2D<float>(&out(dm0, 0), step, samples, out.pitch())});
       }
-      dedisperse_tiled(jobs, stage_config(step), stage_options, pool);
+      dedisperse_tiled(jobs, stage_config(step), options, pool);
     }
   }
 }

@@ -23,6 +23,7 @@
 /// The result does not depend on SIMD width, tile shape or thread count.
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "common/array2d.hpp"
@@ -65,21 +66,49 @@ std::int64_t subband_max_delay_error(const Plan& plan,
 std::size_t subband_min_input_samples(const Plan& plan,
                                       const SubbandConfig& config);
 
+/// What the split delay tables are computed from: the observation's band
+/// and sampling, the plan's trial-DM grid and the split. Two plans with
+/// equal keys have equal tables, whatever their output windows (a chunk
+/// plan and its flush plan share one key).
+struct SubbandSplitKey {
+  double sampling_rate = 0.0;
+  double f_min_mhz = 0.0;
+  double channel_bw_mhz = 0.0;
+  std::size_t channels = 0;
+  double dm_first = 0.0;
+  double dm_step = 0.0;
+  std::size_t dms = 0;
+  std::size_t subbands = 0;
+  std::size_t coarse_step = 0;
+
+  static SubbandSplitKey of(const Plan& plan, const SubbandConfig& config);
+
+  friend bool operator==(const SubbandSplitKey&, const SubbandSplitKey&) =
+      default;
+};
+
 /// The buffers dedisperse_subband works in, kept between calls: the split
-/// delay tables, the stage-1 plane (the subband series of one block of
-/// coarse trials, at most 4 MiB unless one coarse trial needs more) and
-/// the stage jobs. They grow when a call's shape needs more and are
-/// otherwise reused. One call at a time per workspace.
+/// delay tables of the last call's key (\p intra: coarse trials × channels,
+/// \p inter: trials × subbands, and their largest delays), the stage-1
+/// plane (the subband series of one block of coarse trials, at most 4 MiB
+/// unless one coarse trial needs more) and the stage jobs. A call with the
+/// same key reuses the tables; any other key rebuilds them. The buffers
+/// grow when a call's shape needs more and are otherwise reused. One call
+/// at a time per workspace.
 struct SubbandWorkspace {
+  std::optional<SubbandSplitKey> split_key;
   std::vector<std::int64_t> inter;
   std::vector<std::int64_t> intra;
+  std::int64_t max_intra = 0;
+  std::int64_t max_inter = 0;
   ScratchBuffer<float> stage1;
   std::vector<TileJob<float>> jobs;
 };
 
 /// Two-stage dedispersion into \p out (dms × out_samples), working in
-/// \p workspace, on \p options' threads and vectorization (the stages
-/// never stage rows). The input must provide in_samples + 2 columns
+/// \p workspace, on \p options' threads and vectorization. The stage
+/// tiles hold at most eight trials, so they read their rows in place
+/// (staging_pays). The input must provide in_samples + 2 columns
 /// (delay splitting rounds the intra and inter shifts separately, costing
 /// up to two extra samples).
 void dedisperse_subband(const Plan& plan, const SubbandConfig& config,

@@ -290,7 +290,10 @@ class CpuTiledEngine final : public CpuTiledBase {
                                         .supports_streaming = true,
                                         .bitwise_exact = true,
                                         .tunable = true,
-                                        .threaded = true},
+                                        .threaded = true,
+                                        // 1: staging only where it pays
+                                        // (dedisp::staging_pays).
+                                        .epoch = 1},
                      std::move(options)) {}
 
   EngineRun execute_impl(const dedisp::Plan& plan, const EngineConfig& config,
@@ -306,7 +309,7 @@ class CpuTiledEngine final : public CpuTiledBase {
 // ----------------------------------------------------------- cpu_tiled_u8 --
 
 /// The tiled kernel on quantized 8-bit samples: the sample plane is one
-/// byte per element from staging into the register tile, so the streamed
+/// byte per element up to the register tile, so the streamed
 /// input traffic is a quarter of cpu_tiled's — the decisive saving for a
 /// memory-bandwidth-bound kernel, and why real surveys record 8-bit data.
 ///
@@ -335,8 +338,9 @@ class CpuTiledU8Engine final : public CpuTiledBase {
                                .tunable = true,
                                .input_element_bytes = sizeof(std::uint8_t),
                                .threaded = true,
-                               // 1: code sums in 16-bit lanes.
-                               .epoch = 1},
+                               // 1: code sums in 16-bit lanes; 2:
+                               // staging only where it pays.
+                               .epoch = 2},
             std::move(options)) {}
 
   std::vector<AxisSpec> config_axes(

@@ -109,8 +109,10 @@ struct EngineCapabilities {
 /// reads the fields it understands and ignores the rest, so one options
 /// struct configures any registry id.
 struct EngineOptions {
-  /// Host-execution knobs (staging, SIMD-vs-scalar, worker threads) of the
-  /// cpu engines; threads also drives the cpu_baseline pool.
+  /// Host-execution knobs (SIMD-vs-scalar, worker threads) of the cpu
+  /// engines; threads also drives the cpu_baseline pool. Whether a tile
+  /// stages its input rows is not a knob: the kernel decides it from the
+  /// delay table (dedisp::staging_pays).
   dedisp::CpuKernelOptions cpu;
   /// Two-stage split of the subband engine, and the default channel-split
   /// / coarse-step factorization of the fdmt engine (same divisibility

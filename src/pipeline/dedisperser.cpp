@@ -56,7 +56,6 @@ tuner::GuidedTuningOutcome Dedisperser::tune_cached(
     tuner::TuningCache& cache, tuner::GuidedTuningOptions options) {
   if (options.engines.empty()) options.engines = {engine_id_};
   options.engine_options = engine_options_;
-  options.host.stage_rows = engine_options_.cpu.stage_rows;
   options.host.vectorize = engine_options_.cpu.vectorize;
   options.host.threads = engine_options_.cpu.threads;
   tuner::GuidedTuningOutcome outcome = tuner::tune_guided(plan_, cache, options);

@@ -86,8 +86,8 @@ class Dedisperser {
   void set_config(const engine::EngineConfig& config);
   const engine::EngineConfig& config() const { return config_; }
 
-  /// Host-execution knobs (engine selection, staging, threads) passed to
-  /// the engine factory — the knobs of the cpu engines.
+  /// Host-execution knobs (SIMD-vs-scalar, threads) passed to the engine
+  /// factory — the knobs of the cpu engines.
   void set_cpu_options(const dedisp::CpuKernelOptions& options);
   const dedisp::CpuKernelOptions& cpu_options() const {
     return engine_options_.cpu;

@@ -40,8 +40,7 @@ class MultiBeamDedisperser {
 
   /// Host-execution knobs shared by every beam. The per-beam thread count
   /// is always forced to 1 — beams are the parallel dimension — but
-  /// staging and SIMD-vs-scalar selection pass through to the engine
-  /// factory.
+  /// SIMD-vs-scalar selection passes through to the engine factory.
   void set_cpu_options(const dedisp::CpuKernelOptions& options);
   const dedisp::CpuKernelOptions& cpu_options() const {
     return engine_options_.cpu;

@@ -197,7 +197,6 @@ ShardedDedisperser::ShardedDedisperser(dedisp::Plan plan,
     : ShardedDedisperser(std::move(plan), std::move(options)) {
   if (tuning.engines.empty()) tuning.engines = {options_.engine};
   tuning.engine_options = options_.engine_options;
-  tuning.host.stage_rows = options_.engine_options.cpu.stage_rows;
   tuning.host.vectorize = options_.engine_options.cpu.vectorize;
   tuning.host.threads = options_.engine_options.cpu.threads;
   // Several engines race once on the *full* plan and every shard adopts

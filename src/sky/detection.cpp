@@ -136,23 +136,41 @@ double plain_snr(std::span<const float> series, std::span<float> scratch) {
 
 /// Maximum of a row, or nullopt when a sample is not finite, in one vector
 /// pass: v − v is 0 for a finite v and NaN otherwise, and a NaN survives
-/// the sum.
+/// the sum. Four independent max and sum chains keep the pass off the
+/// latency of a single chain; a maximum and a sum of zeros do not depend
+/// on the order they are taken in.
 std::optional<float> finite_max(std::span<const float> x) {
   using namespace simd;
+  constexpr std::size_t kChains = 4;
   const float* p = x.data();
   const std::size_t n = x.size();
-  vfloat peak = vbroadcast(p[0]);
-  vfloat nonfinite = vzero();
+  vfloat peak[kChains];
+  vfloat nonfinite[kChains];
+  for (std::size_t k = 0; k < kChains; ++k) {
+    peak[k] = vbroadcast(p[0]);
+    nonfinite[k] = vzero();
+  }
   std::size_t i = 0;
+  for (; i + kChains * kFloatLanes <= n; i += kChains * kFloatLanes) {
+    for (std::size_t k = 0; k < kChains; ++k) {
+      const vfloat v = vload(p + i + k * kFloatLanes);
+      peak[k] = vmax(peak[k], v);
+      nonfinite[k] = vadd(nonfinite[k], vsub(v, v));
+    }
+  }
   for (; i + kFloatLanes <= n; i += kFloatLanes) {
     const vfloat v = vload(p + i);
-    peak = vmax(peak, v);
-    nonfinite = vadd(nonfinite, vsub(v, v));
+    peak[0] = vmax(peak[0], v);
+    nonfinite[0] = vadd(nonfinite[0], vsub(v, v));
+  }
+  for (std::size_t k = 1; k < kChains; ++k) {
+    peak[0] = vmax(peak[0], peak[k]);
+    nonfinite[0] = vadd(nonfinite[0], nonfinite[k]);
   }
   float peak_lanes[kFloatLanes];
   float nonfinite_lanes[kFloatLanes];
-  vstore(peak_lanes, peak);
-  vstore(nonfinite_lanes, nonfinite);
+  vstore(peak_lanes, peak[0]);
+  vstore(nonfinite_lanes, nonfinite[0]);
   float max = peak_lanes[0];
   float sum = 0.0f;
   for (std::size_t l = 0; l < kFloatLanes; ++l) {

@@ -151,7 +151,6 @@ StreamingDedisperser::TunedPlan StreamingDedisperser::resolve_tuning(
     StreamingOptions options, tuner::GuidedTuningOptions tuning) {
   if (tuning.engines.empty()) tuning.engines = {options.engine};
   tuning.engine_options = engine_factory_options(options);
-  tuning.host.stage_rows = options.cpu.stage_rows;
   tuning.host.vectorize = options.cpu.vectorize;
   tuning.host.threads = options.cpu.threads;
   tuner::GuidedTuningOutcome outcome =

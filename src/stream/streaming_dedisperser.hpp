@@ -101,7 +101,7 @@ struct StreamingOptions {
   /// Registry id of the engine the session runs; must report the
   /// supports_streaming capability.
   std::string engine = engine::kDefaultEngineId;
-  /// Host-execution knobs passed to the engine factory (threads, staging,
+  /// Host-execution knobs passed to the engine factory (threads,
   /// SIMD-vs-scalar).
   dedisp::CpuKernelOptions cpu;
   /// Two-stage split of the subband engine (adapted to the plan by gcd).

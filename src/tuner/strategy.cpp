@@ -62,7 +62,6 @@ namespace {
 std::shared_ptr<const engine::DedispEngine> default_tuning_engine(
     const HostTuningOptions& options) {
   engine::EngineOptions engine_options;
-  engine_options.cpu.stage_rows = options.stage_rows;
   engine_options.cpu.vectorize = options.vectorize;
   engine_options.cpu.threads = options.threads;
   return engine::make_engine(engine::kDefaultEngineId, engine_options);

@@ -62,7 +62,6 @@ namespace ddmc::tuner {
 struct HostTuningOptions {
   std::size_t repetitions = 3;   ///< timed runs per configuration (paper: 10)
   std::size_t warmup_runs = 1;   ///< untimed cache-warming runs
-  bool stage_rows = true;        ///< staged (local-memory-style) kernel path
   bool vectorize = true;         ///< SIMD engine; false sweeps the scalar loop
   std::size_t threads = 0;       ///< 0 = machine-sized pool
 };

@@ -134,7 +134,6 @@ HostSignature HostSignature::of(const engine::DedispEngine& engine) {
   sig.engine_id = engine.id();
   sig.variant = engine.variant();
   sig.threads = engine.options().cpu.threads;
-  sig.stage_rows = engine.options().cpu.stage_rows;
   sig.epoch = engine.capabilities().epoch;
   return sig;
 }
@@ -146,9 +145,8 @@ HostSignature HostSignature::of(const dedisp::CpuKernelOptions& options) {
 }
 
 std::string HostSignature::encode() const {
-  return engine_id + "|" + variant + "|t" + std::to_string(threads) + "|" +
-         (stage_rows ? "staged" : "direct") +
-         (epoch > 0 ? "|e" + std::to_string(epoch) : "");
+  return engine_id + "|" + variant + "|t" + std::to_string(threads) +
+         "|staged" + (epoch > 0 ? "|e" + std::to_string(epoch) : "");
 }
 
 std::optional<HostSignature> HostSignature::decode(const std::string& text) {
@@ -180,8 +178,9 @@ std::optional<HostSignature> HostSignature::decode(const std::string& text) {
   HostSignature sig;
   sig.engine_id = base == 1 ? parts[0] : std::string(engine::kDefaultEngineId);
   sig.variant = parts[base];
+  // A direct row timed a kernel that never staged: no engine runs it now.
+  if (parts[base + 2] == "direct") sig.variant += "~direct";
   sig.threads = *threads;
-  sig.stage_rows = parts[base + 2] == "staged";
   sig.epoch = epoch;
   return sig;
 }
@@ -593,7 +592,6 @@ GuidedTuningOutcome tune_guided(const dedisp::Plan& plan, TuningCache& cache,
           ? std::vector<std::string>{engine::kDefaultEngineId}
           : options.engines;
   engine::EngineOptions engine_options = options.engine_options;
-  engine_options.cpu.stage_rows = options.host.stage_rows;
   engine_options.cpu.vectorize = options.host.vectorize;
   engine_options.cpu.threads = options.host.threads;
   const auto strategy =

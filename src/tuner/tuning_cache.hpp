@@ -56,8 +56,8 @@ namespace ddmc::tuner {
 /// What the tuned numbers were measured *on*: the registry engine id (a
 /// first-class tuning axis — platform choice is itself a tuning decision),
 /// its execution variant (the compiled SIMD backend, the scalar loop, a
-/// device preset), the staging mode, the thread count and the engine's
-/// epoch (EngineCapabilities::epoch). Configs tuned
+/// device preset), the thread count and the engine's epoch
+/// (EngineCapabilities::epoch). Configs tuned
 /// under a different engine do not transfer — an AVX optimum says little
 /// about the scalar loop, and nothing about the subband split — so every
 /// cache operation filters on this first.
@@ -65,11 +65,10 @@ struct HostSignature {
   std::string engine_id = engine::kDefaultEngineId;  ///< registry id
   std::string variant;     ///< DedispEngine::variant() of the measured run
   std::size_t threads = 0; ///< CpuKernelOptions::threads (0 = machine pool)
-  bool stage_rows = true;
   std::size_t epoch = 0;   ///< EngineCapabilities::epoch of the engine
 
-  /// Signature of \p engine as configured (id, variant, thread count and
-  /// staging mode from its options, epoch from its capabilities).
+  /// Signature of \p engine as configured (id, variant and thread count
+  /// from its options, epoch from its capabilities).
   static HostSignature of(const engine::DedispEngine& engine);
 
   /// Signature of the default cpu_tiled engine under \p options.
@@ -77,10 +76,15 @@ struct HostSignature {
 
   /// "engine_id|variant|t<threads>|staged|e<epoch>" — the cache's `device`
   /// column; epoch 0 omits the last part, so an unbumped engine's rows read
-  /// as they did before epochs existed. decode() also accepts the legacy
-  /// three-part "variant|t<threads>|staged" form (caches written before
-  /// the engine axis existed), which maps to the cpu_tiled engine. Both
-  /// shorter forms decode as epoch 0.
+  /// as they did before epochs existed. The fourth part is a legacy field:
+  /// it named a staging mode when staging was an option, and is always
+  /// written as `staged`. A row written with `direct` there was measured
+  /// with staging switched off on every tile, an execution that no longer
+  /// exists: it decodes with the variant "<variant>~direct", which no
+  /// engine reports, so it never resolves. decode() also accepts the
+  /// legacy three-part "variant|t<threads>|staged" form (caches written
+  /// before the engine axis existed), which maps to the cpu_tiled engine.
+  /// Both shorter forms decode as epoch 0.
   std::string encode() const;
   static std::optional<HostSignature> decode(const std::string& text);
 

@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <iostream>
 #include <random>
 #include <span>
 #include <string>
@@ -22,6 +23,7 @@
 #include "dedisp/plan.hpp"
 #include "dedisp/quantize.hpp"
 #include "dedisp/reference.hpp"
+#include "sky/observation.hpp"
 #include "test_util.hpp"
 
 #if defined(__has_include)
@@ -238,49 +240,142 @@ void expect_exact_u8_sums(const Plan& plan,
 
 // ----------------------------------------------- tiled CPU kernel (sweep) --
 
+/// A plan whose tiles fall on both sides of the staging rule
+/// (staging_pays): 32 trials on a gentle DM grid, so tiles of all 32
+/// trials stage their rows and tiles of up to eight read them in place.
+Plan staging_plan(std::size_t out = 64) {
+  return Plan::with_output_samples(mini_obs(8, 0.05), 32, out);
+}
+
+/// Which side of the staging rule \p config's tiles of \p plan take, as
+/// "staged s/n": s of its n (tile, channel block) pairs copy their rows.
+std::string staging_note(const Plan& plan, const KernelConfig& config) {
+  const StagingTally tally = staging_tally(
+      plan.delays().view(), plan.out_samples(), config);
+  return "staged " + std::to_string(tally.staged) + "/" +
+         std::to_string(tally.blocks);
+}
+
 /// Property sweep: every meaningful tiling must reproduce the reference
-/// bit-for-bit, staged or not, threaded or inline.
+/// bit-for-bit on float input and the exact code sums on u8 input, inline
+/// and threaded, whether its tiles stage their rows or read them in place.
+const KernelConfig kEquivalenceGrid[] = {
+    // Up to eight trials per tile: every tile reads in place.
+    KernelConfig{1, 1, 1, 1}, KernelConfig{2, 1, 1, 1},
+    KernelConfig{1, 2, 1, 1}, KernelConfig{4, 2, 2, 2},
+    KernelConfig{8, 1, 8, 1}, KernelConfig{2, 4, 4, 2},
+    KernelConfig{16, 2, 2, 2}, KernelConfig{4, 8, 1, 1},
+    KernelConfig{8, 2, 2, 4}, KernelConfig{1, 8, 1, 1},
+    KernelConfig{32, 1, 2, 8}, KernelConfig{16, 4, 4, 2},
+    KernelConfig{64, 1, 1, 1}, KernelConfig{2, 2, 16, 2},
+    // All 32 trials in one tile: 64-sample tiles stage every block.
+    KernelConfig{1, 32, 64, 1}, KernelConfig{2, 16, 32, 2},
+    KernelConfig{4, 4, 16, 8, 3, 4},
+    // 8-sample tiles of 32 trials: only blocks of small spread stage.
+    KernelConfig{8, 4, 1, 8, 1, 2}};
+
 class CpuKernelEquivalence
     : public ::testing::TestWithParam<KernelConfig> {};
 
-TEST_P(CpuKernelEquivalence, MatchesReferenceStagedInline) {
-  const Plan plan = mini_plan(8, 64);
+TEST_P(CpuKernelEquivalence, MatchesReferenceInlineAndThreaded) {
+  const Plan plan = staging_plan();
+  const KernelConfig& cfg = GetParam();
+  const std::string note = staging_note(plan, cfg);
+  std::cout << "[ staging  ] " << cfg.to_string() << ": " << note << "\n";
+  SCOPED_TRACE(note);
   const Array2D<float> in = random_input(plan);
   const Array2D<float> expected = dedisperse_reference(plan, in.cview());
-  CpuKernelOptions opt;
-  opt.stage_rows = true;
-  opt.threads = 1;
-  const Array2D<float> got = dedisperse_cpu(plan, GetParam(), in.cview(), opt);
-  expect_same_matrix(expected, got);
-}
-
-TEST_P(CpuKernelEquivalence, MatchesReferenceUnstagedThreaded) {
-  const Plan plan = mini_plan(8, 64);
-  const Array2D<float> in = random_input(plan);
-  const Array2D<float> expected = dedisperse_reference(plan, in.cview());
-  CpuKernelOptions opt;
-  opt.stage_rows = false;
-  opt.threads = 3;
-  const Array2D<float> got = dedisperse_cpu(plan, GetParam(), in.cview(), opt);
-  expect_same_matrix(expected, got);
+  const Array2D<std::uint8_t> codes =
+      quantize_plane(plan, in.cview(), kU8Params);
+  for (const std::size_t threads : {1ul, 3ul}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    CpuKernelOptions opt;
+    opt.threads = threads;
+    expect_same_matrix(expected, dedisperse_cpu(plan, cfg, in.cview(), opt));
+    expect_exact_u8_sums(
+        plan, codes, kU8Params,
+        dedisperse_cpu_u8(plan, cfg, codes.cview(), kU8Params, opt));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    ConfigGrid, CpuKernelEquivalence,
-    ::testing::Values(
-        KernelConfig{1, 1, 1, 1}, KernelConfig{2, 1, 1, 1},
-        KernelConfig{1, 2, 1, 1}, KernelConfig{4, 2, 2, 2},
-        KernelConfig{8, 1, 8, 1}, KernelConfig{2, 4, 4, 2},
-        KernelConfig{16, 2, 2, 2}, KernelConfig{4, 8, 1, 1},
-        KernelConfig{8, 2, 2, 4}, KernelConfig{1, 8, 1, 1},
-        KernelConfig{32, 1, 2, 8}, KernelConfig{16, 4, 4, 2},
-        KernelConfig{64, 1, 1, 1}, KernelConfig{2, 2, 16, 2}),
+    ConfigGrid, CpuKernelEquivalence, ::testing::ValuesIn(kEquivalenceGrid),
     [](const ::testing::TestParamInfo<KernelConfig>& pinfo) {
       const KernelConfig& c = pinfo.param;
       return "wt" + std::to_string(c.wi_time) + "_wd" +
              std::to_string(c.wi_dm) + "_et" + std::to_string(c.elem_time) +
-             "_ed" + std::to_string(c.elem_dm);
+             "_ed" + std::to_string(c.elem_dm) + "_cb" +
+             std::to_string(c.channel_block);
     });
+
+TEST(CpuKernel, EquivalenceGridCoversBothSidesOfTheStagingRule) {
+  const Plan plan = staging_plan();
+  std::size_t all = 0, none = 0, mixed = 0;
+  for (const KernelConfig& cfg : kEquivalenceGrid) {
+    const StagingTally tally =
+        staging_tally(plan.delays().view(), plan.out_samples(), cfg);
+    if (tally.staged == tally.blocks) {
+      ++all;
+    } else if (tally.staged == 0) {
+      ++none;
+    } else {
+      ++mixed;
+    }
+  }
+  EXPECT_EQ(all, 3u);
+  EXPECT_EQ(none, 14u);
+  EXPECT_EQ(mixed, 1u);
+}
+
+// ------------------------------------------------------- the staging rule --
+
+TEST(StagingRule, StagesFromSixteenReadsPerCopiedElement) {
+  const std::vector<std::size_t> flat(8, 0);
+  // No spread: a tile of n trials reads each copied element n times.
+  EXPECT_TRUE(staging_pays(16, 64, flat));
+  EXPECT_FALSE(staging_pays(15, 64, flat));
+  // 32·64 reads of 64 + spread copied elements: 16 reads each at 64.
+  EXPECT_TRUE(staging_pays(32, 64, std::vector<std::size_t>{64}));
+  EXPECT_FALSE(staging_pays(32, 64, std::vector<std::size_t>{65}));
+  // The sum runs over the block: one steep channel can tip it.
+  EXPECT_TRUE(staging_pays(32, 64, std::vector<std::size_t>{0, 128}));
+  EXPECT_FALSE(staging_pays(32, 64, std::vector<std::size_t>{0, 129}));
+  // A stage tile of subband holds at most eight trials: never staged.
+  for (const std::size_t tile_dm : {1ul, 2ul, 4ul, 8ul}) {
+    EXPECT_FALSE(staging_pays(tile_dm, 512, flat)) << tile_dm;
+    EXPECT_FALSE(staging_pays(tile_dm, 512, std::vector<std::size_t>(256, 0)))
+        << tile_dm;
+  }
+}
+
+/// The pinned configs of the repository benchmark's streaming workloads
+/// (bench/ddmc_bench/workloads.cpp) on their chunk plans.
+TEST(StagingRule, ApertifTilesStageAndLofarTilesReadInPlace) {
+  const auto tally = [](const sky::Observation& obs, std::size_t dms,
+                        std::size_t out, const KernelConfig& cfg) {
+    const Plan plan = Plan::with_output_samples(obs, dms, out);
+    return staging_tally(plan.delays().view(), plan.out_samples(), cfg);
+  };
+  // apertif_rt: 128 × 400 tiles, blocks of 32 channels, reuse 63–126.
+  const StagingTally rt =
+      tally(sky::apertif(), 256, 2000, KernelConfig{8, 16, 50, 8, 32, 4});
+  EXPECT_EQ(rt.staged, rt.blocks);
+  EXPECT_EQ(rt.blocks, 2u * 5u * 32u);
+  // apertif_lowlat: 32 × 200 tiles, blocks of 32 channels, reuse 21–32.
+  const StagingTally lowlat =
+      tally(sky::apertif(), 32, 400, KernelConfig{4, 4, 50, 8, 32, 4});
+  EXPECT_EQ(lowlat.staged, lowlat.blocks);
+  EXPECT_EQ(lowlat.blocks, 2u * 32u);
+  // lofar_rt: 4 × 2500 tiles over all 32 channels, reuse 2.6; a 32-trial
+  // tile of the same plan reaches 4.9.
+  const StagingTally lofar =
+      tally(sky::lofar(), 64, 20000, KernelConfig{50, 4, 50, 1, 0, 4});
+  EXPECT_EQ(lofar.staged, 0u);
+  EXPECT_EQ(lofar.blocks, 16u * 8u);
+  const StagingTally lofar32 =
+      tally(sky::lofar(), 64, 20000, KernelConfig{50, 4, 50, 8, 0, 4});
+  EXPECT_EQ(lofar32.staged, 0u);
+}
 
 TEST(CpuKernel, GlobalPoolPathMatchesReference) {
   const Plan plan = mini_plan(8, 64);
@@ -292,29 +387,37 @@ TEST(CpuKernel, GlobalPoolPathMatchesReference) {
 }
 
 TEST(CpuKernel, TileJobsWithRaggedTimeTilesMatchReference) {
-  // The plan's delay table split into two jobs of four trials, run in one
-  // dispatch with a time tile that does not divide the 67 output samples:
-  // every job row equals the reference row, staged or not, inline or
-  // threaded.
-  const Plan plan = mini_plan(8, 67);
+  // The plan's delay table split into two jobs of 32 trials, run in one
+  // dispatch with time tiles that do not divide the 67 output samples:
+  // every job row equals the reference row, inline or threaded. The
+  // 4-trial tiles read in place; the 32-trial tiles stage their full
+  // 32-sample tiles and read the ragged 3-sample ones in place.
+  const Plan plan = Plan::with_output_samples(mini_obs(8, 0.05), 64, 67);
   const Array2D<float> in = random_input(plan);
   const Array2D<float> expected = dedisperse_reference(plan, in.cview());
   const ConstView2D<std::int64_t> delays = plan.delays().view();
-  const KernelConfig config{16, 2, 1, 2, 0, 2};
-  for (const bool staged : {true, false}) {
+  for (const KernelConfig& config :
+       {KernelConfig{16, 2, 1, 2, 0, 2}, KernelConfig{16, 4, 2, 8, 0, 2}}) {
+    const StagingTally tally = staging_tally(
+        ConstView2D<std::int64_t>(delays.data(), 32, delays.cols(),
+                                  delays.pitch()),
+        plan.out_samples(), config);
+    SCOPED_TRACE(config.to_string() + " staged " +
+                 std::to_string(tally.staged) + "/" +
+                 std::to_string(tally.blocks));
+    EXPECT_EQ(tally.staged, config.tile_dm() == 32 ? 2u : 0u);
     for (const std::size_t threads : {1ul, 3ul}) {
-      SCOPED_TRACE(std::to_string(threads) + (staged ? " staged" : ""));
+      SCOPED_TRACE("threads=" + std::to_string(threads));
       Array2D<float> got(plan.dms(), plan.out_samples());
       std::vector<TileJob<float>> jobs;
-      for (std::size_t dm0 : {0ul, 4ul}) {
+      for (std::size_t dm0 : {0ul, 32ul}) {
         jobs.push_back(
-            {ConstView2D<std::int64_t>(&delays(dm0, 0), 4, delays.cols(),
+            {ConstView2D<std::int64_t>(&delays(dm0, 0), 32, delays.cols(),
                                        delays.pitch()),
              in.cview(),
-             View2D<float>(&got(dm0, 0), 4, got.cols(), got.pitch())});
+             View2D<float>(&got(dm0, 0), 32, got.cols(), got.pitch())});
       }
       CpuKernelOptions opt;
-      opt.stage_rows = staged;
       opt.threads = threads;
       dedisperse_tiled(jobs, config, opt);
       expect_same_matrix(expected, got);
@@ -360,21 +463,23 @@ TEST(CpuKernel, WorksOnZeroDmObservation) {
 // ------------------------------------------- SIMD / channel-blocked engine --
 
 TEST(CpuKernel, ChannelBlockAndUnrollAreBitExact) {
-  const Plan plan = mini_plan(8, 64);
+  // An 8-trial tile reads in place; a 32-trial tile stages its blocks, a
+  // block at a time, channel by channel where the block is one channel.
+  const Plan plan = staging_plan();
   const Array2D<float> in = random_input(plan);
   const Array2D<float> expected = dedisperse_reference(plan, in.cview());
-  for (std::size_t cb : {0ul, 1ul, 2ul, 3ul, 5ul, 8ul, 100ul}) {
-    for (std::size_t unroll : {1ul, 2ul, 4ul}) {
-      KernelConfig cfg{4, 2, 2, 2};
-      cfg.channel_block = cb;
-      cfg.unroll = unroll;
-      for (bool staged : {true, false}) {
+  for (const KernelConfig& base :
+       {KernelConfig{4, 2, 2, 2}, KernelConfig{4, 4, 16, 8}}) {
+    for (std::size_t cb : {0ul, 1ul, 2ul, 3ul, 5ul, 8ul, 100ul}) {
+      for (std::size_t unroll : {1ul, 2ul, 4ul}) {
+        KernelConfig cfg = base;
+        cfg.channel_block = cb;
+        cfg.unroll = unroll;
         CpuKernelOptions opt;
-        opt.stage_rows = staged;
         opt.threads = 1;
         const Array2D<float> got =
             dedisperse_cpu(plan, cfg, in.cview(), opt);
-        SCOPED_TRACE(cfg.to_string() + (staged ? " staged" : " unstaged"));
+        SCOPED_TRACE(cfg.to_string() + " " + staging_note(plan, cfg));
         expect_same_matrix(expected, got);
       }
     }
@@ -396,32 +501,35 @@ TEST(CpuKernel, ScalarEngineMatchesSimdEngine) {
                      dedisperse_cpu(plan, cfg, in.cview(), simd_opt));
 }
 
-/// Seeded randomized property sweep: random plan shapes, random extended
-/// configs (channel_block/unroll included), staged/unstaged, scalar/SIMD,
+/// Seeded randomized property sweep: random plan shapes and DM grids,
+/// random extended configs (channel_block/unroll included), scalar/SIMD,
 /// inline and threaded — every combination must reproduce the reference
 /// bit-for-bit, and the same draw on the quantized plane its exact code
-/// sums.
+/// sums. The draws put tiles on both sides of the staging rule.
 TEST(CpuKernel, RandomizedExtendedConfigsMatchReference) {
   std::mt19937 gen(20260730);
   auto pick = [&](const std::vector<std::size_t>& v) {
     return v[gen() % v.size()];
   };
-  for (int iter = 0; iter < 30; ++iter) {
+  std::size_t staged_draws = 0;  // draws that staged any block
+  for (int iter = 0; iter < 40; ++iter) {
     const std::size_t channels = pick({4, 8});
-    const std::size_t dms = pick({4, 8, 16});
+    const std::size_t dms = pick({4, 8, 16, 32});
     const std::size_t out = pick({32, 48, 64});
+    const double dm_step = std::vector<double>{0.5, 0.05, 0.0}[gen() % 3];
     const Plan plan = dedisp::Plan::with_output_samples(
-        mini_obs(channels), dms, out);
+        mini_obs(channels, dm_step), dms, out);
     const Array2D<float> in = random_input(plan, 1000 + iter);
     const Array2D<float> expected = dedisperse_reference(plan, in.cview());
 
     // Random dividing tile: factor dms and out into (wi, elem) pairs.
-    auto split = [&](std::size_t total) {
+    // Half the DM tiles hold every trial, the tiles most likely to stage.
+    auto split = [&](std::size_t total, bool whole) {
       std::vector<std::size_t> divisors;
       for (std::size_t d = 1; d <= total; ++d) {
         if (total % d == 0) divisors.push_back(d);
       }
-      const std::size_t tile = pick(divisors);
+      const std::size_t tile = whole ? total : pick(divisors);
       std::vector<std::size_t> sub;
       for (std::size_t d = 1; d <= tile; ++d) {
         if (tile % d == 0) sub.push_back(d);
@@ -429,20 +537,25 @@ TEST(CpuKernel, RandomizedExtendedConfigsMatchReference) {
       const std::size_t wi = pick(sub);
       return std::pair<std::size_t, std::size_t>{wi, tile / wi};
     };
-    const auto [wt, et] = split(out);
-    const auto [wd, ed] = split(dms);
+    const auto [wt, et] = split(out, false);
+    const auto [wd, ed] = split(dms, gen() % 2 == 0);
     KernelConfig cfg{wt, wd, et, ed};
     cfg.channel_block = pick({0, 1, 2, 3, 5, channels, 64});
     cfg.unroll = pick({1, 2, 4, 8});  // the validated set
 
     CpuKernelOptions opt;
-    opt.stage_rows = (gen() % 2) == 0;
     opt.vectorize = (gen() % 4) != 0;  // bias toward the SIMD engine
     opt.threads = pick({1, 2, 3});
+    if (staging_tally(plan.delays().view(), plan.out_samples(), cfg).staged >
+        0) {
+      ++staged_draws;
+    }
     SCOPED_TRACE("iter " + std::to_string(iter) + " ch=" +
                  std::to_string(channels) + " dms=" + std::to_string(dms) +
-                 " out=" + std::to_string(out) + " cfg=" + cfg.to_string() +
-                 (opt.stage_rows ? " staged" : " unstaged") +
+                 " out=" + std::to_string(out) +
+                 " dm_step=" + std::to_string(dm_step) +
+                 " cfg=" + cfg.to_string() + " " +
+                 staging_note(plan, cfg) +
                  (opt.vectorize ? " simd" : " scalar") + " threads=" +
                  std::to_string(opt.threads));
     const Array2D<float> got = dedisperse_cpu(plan, cfg, in.cview(), opt);
@@ -461,40 +574,37 @@ TEST(CpuKernel, RandomizedExtendedConfigsMatchReference) {
         expected_u8,
         dedisperse_cpu_u8(plan, cfg, codes.cview(), kU8Params, opt));
   }
+  // Both sides of the rule were drawn.
+  EXPECT_GT(staged_draws, 4u);
+  EXPECT_LT(staged_draws, 36u);
 }
 
 TEST(CpuKernel, StagingSpanEdgeCases) {
-  // Steep delay tables (large dm_step) make the staged span of the deepest
-  // DM tile reach the very end of the input matrix; the staged and
-  // unstaged paths must agree with the reference at that edge.
-  for (double dm_step : {2.0, 4.0, 8.0}) {
+  // One tile spans every trial, so the span of the deepest channel ends at
+  // the very last input column. On the gentlest delay table every block
+  // stages, copying up to that column; on the steep ones (large dm_step)
+  // every block reads in place up to it; in between the blocks split.
+  for (double dm_step : {0.02, 0.05, 2.0, 4.0, 8.0}) {
     const sky::Observation obs = mini_obs(8, dm_step);
-    const Plan plan = Plan::with_output_samples(obs, 16, 32);
+    const Plan plan = Plan::with_output_samples(obs, 32, 32);
     const Array2D<float> in = random_input(plan);
     const Array2D<float> expected = dedisperse_reference(plan, in.cview());
-    // tile_dm = dms: one tile spans the full delay spread per channel.
-    KernelConfig cfg{4, 4, 8, 4};
+    KernelConfig cfg{4, 4, 8, 8};
     cfg.channel_block = 2;
+    const StagingTally tally =
+        staging_tally(plan.delays().view(), plan.out_samples(), cfg);
+    SCOPED_TRACE("dm_step=" + std::to_string(dm_step) + " " +
+                 staging_note(plan, cfg));
+    if (dm_step < 0.03) EXPECT_EQ(tally.staged, tally.blocks);
+    if (dm_step > 1.0) EXPECT_EQ(tally.staged, 0u);
     const Array2D<std::uint8_t> codes =
         quantize_plane(plan, in.cview(), kU8Params);
-    CpuKernelOptions scalar;
-    scalar.vectorize = false;
-    scalar.threads = 1;
-    const Array2D<float> expected_u8 =
-        dedisperse_cpu_u8(plan, cfg, codes.cview(), kU8Params, scalar);
-    expect_exact_u8_sums(plan, codes, kU8Params, expected_u8);
-    for (bool staged : {true, false}) {
-      CpuKernelOptions opt;
-      opt.stage_rows = staged;
-      opt.threads = 1;
-      SCOPED_TRACE("dm_step=" + std::to_string(dm_step) +
-                   (staged ? " staged" : " unstaged"));
-      const Array2D<float> got = dedisperse_cpu(plan, cfg, in.cview(), opt);
-      expect_same_matrix(expected, got);
-      expect_same_matrix(
-          expected_u8,
-          dedisperse_cpu_u8(plan, cfg, codes.cview(), kU8Params, opt));
-    }
+    CpuKernelOptions opt;
+    opt.threads = 1;
+    expect_same_matrix(expected, dedisperse_cpu(plan, cfg, in.cview(), opt));
+    expect_exact_u8_sums(
+        plan, codes, kU8Params,
+        dedisperse_cpu_u8(plan, cfg, codes.cview(), kU8Params, opt));
   }
 }
 
@@ -504,24 +614,31 @@ TEST(CpuKernel, U8LaneMaxCodesSumExactlyAtEveryChannelCount) {
   // The channel counts sit at, around and at multiples of that sub-block
   // edge; channel blocks of 100 and 300 cut the channel loop below and
   // above it; both output lengths end in single-vector steps and a tail.
+  // Tiles of four trials read the codes in place; tiles of 16 trials on a
+  // zero-DM grid stage them.
   const QuantizationParams params{-1.0f, 1.0f};
   for (std::size_t channels : {256ul, 257ul, 258ul, 514ul, 1024ul}) {
-    for (std::size_t out : {67ul, 300ul}) {
-      const Plan plan = Plan::with_output_samples(mini_obs(channels), 4, out);
-      Array2D<std::uint8_t> codes(plan.channels(), plan.in_samples());
-      for (std::size_t ch = 0; ch < codes.rows(); ++ch) {
-        for (auto& q : codes.row(ch)) q = 255;
-      }
-      for (std::size_t block : {0ul, 100ul, 300ul}) {
-        for (std::size_t unroll : {2ul, 8ul}) {
-          const KernelConfig cfg{out, 2, 1, 2, block, unroll};
-          for (bool staged : {true, false}) {
+    for (const std::size_t dms : {4ul, 16ul}) {
+      const sky::Observation obs = dms == 4
+                                       ? mini_obs(channels)
+                                       : mini_obs(channels).zero_dm_variant();
+      for (std::size_t out : {67ul, 300ul}) {
+        const Plan plan = Plan::with_output_samples(obs, dms, out);
+        Array2D<std::uint8_t> codes(plan.channels(), plan.in_samples());
+        for (std::size_t ch = 0; ch < codes.rows(); ++ch) {
+          for (auto& q : codes.row(ch)) q = 255;
+        }
+        for (std::size_t block : {0ul, 100ul, 300ul}) {
+          for (std::size_t unroll : {2ul, 8ul}) {
+            const KernelConfig cfg{out, 2, 1, dms / 2, block, unroll};
+            const StagingTally tally =
+                staging_tally(plan.delays().view(), out, cfg);
+            EXPECT_EQ(tally.staged, dms == 4 ? 0u : tally.blocks);
             for (std::size_t threads : {1ul, 3ul}) {
               CpuKernelOptions opt;
-              opt.stage_rows = staged;
               opt.threads = threads;
               SCOPED_TRACE(std::to_string(channels) + " channels, " +
-                           cfg.to_string() + (staged ? " staged" : " direct") +
+                           cfg.to_string() + " " + staging_note(plan, cfg) +
                            ", threads=" + std::to_string(threads));
               expect_exact_u8_sums(
                   plan, codes, params,
@@ -537,8 +654,8 @@ TEST(CpuKernel, U8LaneMaxCodesSumExactlyAtEveryChannelCount) {
 // ------------------------------------------- partial-vector kernel tails --
 
 /// A rows × cols matrix whose every row is followed by guard elements that
-/// AddressSanitizer poisons, so an unstaged kernel read past the end of any
-/// row faults on the sanitizer leg — not only a read past the last row.
+/// AddressSanitizer poisons, so a kernel reading its rows in place past the
+/// end of any row faults on the sanitizer leg — not only a read past the last row.
 template <typename T>
 class GuardedRows {
  public:
@@ -571,33 +688,63 @@ class GuardedRows {
 /// (apertif_lowlat) and 2500-sample (lofar_rt) tiles.
 constexpr std::size_t kTailTileTimes[] = {1, 4, 15, 17, 20, 24, 47, 200, 2500};
 
-/// Two register tiles per time tile: 8 DM rows at once, and 2 rows with the
-/// widest unroll and a channel block that splits the band unevenly.
-std::vector<KernelConfig> tail_configs(std::size_t tile_time) {
+/// Plans and register tiles of one time tile. On an 8-trial plan: 8 DM
+/// rows at once, and 2 rows with the widest unroll and a channel block
+/// that splits the band unevenly; their tiles read in place. On a 32-trial
+/// plan of small delays: one tile of every trial, which stages its rows
+/// from 15-sample tiles up.
+struct TailCase {
+  Plan plan;
+  std::vector<KernelConfig> configs;
+};
+
+std::vector<TailCase> tail_cases(std::size_t tile_time) {
   KernelConfig wide{tile_time, 1, 1, 8};
   KernelConfig unrolled{tile_time, 2, 1, 2};
   unrolled.unroll = 8;
   unrolled.channel_block = 3;
-  return {wide, unrolled};
+  std::vector<TailCase> cases;
+  cases.push_back({mini_plan(8, 2 * tile_time), {wide, unrolled}});
+  cases.push_back(
+      {Plan::with_output_samples(mini_obs(8, 0.01), 32, 2 * tile_time),
+       {KernelConfig{tile_time, 4, 1, 8}}});
+  return cases;
+}
+
+/// \p values copied into rows guarded by poisoned memory.
+template <typename T>
+void fill_guarded(const Array2D<T>& values, GuardedRows<T>& guarded) {
+  for (std::size_t ch = 0; ch < values.rows(); ++ch) {
+    for (std::size_t t = 0; t < values.cols(); ++t) {
+      guarded(ch, t) = values(ch, t);
+    }
+  }
+}
+
+/// The staging note of \p cfg on \p plan, checking that a 32-trial tile of
+/// 15 samples or more stages every block and any smaller tile none.
+std::string checked_tail_staging(const Plan& plan, const KernelConfig& cfg) {
+  const StagingTally tally =
+      staging_tally(plan.delays().view(), plan.out_samples(), cfg);
+  if (cfg.tile_dm() < kStagingMinReuse) EXPECT_EQ(tally.staged, 0u);
+  if (cfg.tile_dm() == 32 && cfg.tile_time() >= 15) {
+    EXPECT_EQ(tally.staged, tally.blocks);
+  }
+  return cfg.to_string() + " " + staging_note(plan, cfg);
 }
 
 TEST(CpuKernelTails, TiledMatchesReferenceForEveryTailWidth) {
   for (const std::size_t tile_time : kTailTileTimes) {
-    const Plan plan = mini_plan(8, 2 * tile_time);
-    const Array2D<float> in = random_input(plan, tile_time);
-    const Array2D<float> expected = dedisperse_reference(plan, in.cview());
-    GuardedRows<float> guarded(plan.channels(), plan.in_samples());
-    for (std::size_t ch = 0; ch < plan.channels(); ++ch) {
-      for (std::size_t t = 0; t < plan.in_samples(); ++t) {
-        guarded(ch, t) = in(ch, t);
-      }
-    }
-    for (const KernelConfig& cfg : tail_configs(tile_time)) {
-      for (const bool staged : {true, false}) {
+    for (const TailCase& tc : tail_cases(tile_time)) {
+      const Plan& plan = tc.plan;
+      const Array2D<float> in = random_input(plan, tile_time);
+      const Array2D<float> expected = dedisperse_reference(plan, in.cview());
+      GuardedRows<float> guarded(plan.channels(), plan.in_samples());
+      fill_guarded(in, guarded);
+      for (const KernelConfig& cfg : tc.configs) {
+        SCOPED_TRACE(checked_tail_staging(plan, cfg));
         CpuKernelOptions opt;
-        opt.stage_rows = staged;
         opt.threads = 1;
-        SCOPED_TRACE(cfg.to_string() + (staged ? " staged" : " unstaged"));
         expect_same_matrix(expected,
                            dedisperse_cpu(plan, cfg, guarded.cview(), opt));
       }
@@ -608,29 +755,23 @@ TEST(CpuKernelTails, TiledMatchesReferenceForEveryTailWidth) {
 TEST(CpuKernelTails, U8MatchesItsScalarEngineForEveryTailWidth) {
   const QuantizationParams& params = kU8Params;
   for (const std::size_t tile_time : kTailTileTimes) {
-    const Plan plan = mini_plan(8, 2 * tile_time);
-    const Array2D<float> in = random_input(plan, tile_time);
-    const Array2D<std::uint8_t> codes =
-        quantize_plane(plan, in.cview(), params);
-    GuardedRows<std::uint8_t> guarded(plan.channels(), plan.in_samples());
-    for (std::size_t ch = 0; ch < plan.channels(); ++ch) {
-      for (std::size_t t = 0; t < plan.in_samples(); ++t) {
-        guarded(ch, t) = codes(ch, t);
-      }
-    }
-    for (const KernelConfig& cfg : tail_configs(tile_time)) {
-      CpuKernelOptions scalar;
-      scalar.vectorize = false;
-      scalar.threads = 1;
-      const Array2D<float> expected =
-          dedisperse_cpu_u8(plan, cfg, guarded.cview(), params, scalar);
-      SCOPED_TRACE(cfg.to_string());
-      expect_exact_u8_sums(plan, codes, params, expected);
-      for (const bool staged : {true, false}) {
+    for (const TailCase& tc : tail_cases(tile_time)) {
+      const Plan& plan = tc.plan;
+      const Array2D<float> in = random_input(plan, tile_time);
+      const Array2D<std::uint8_t> codes =
+          quantize_plane(plan, in.cview(), params);
+      GuardedRows<std::uint8_t> guarded(plan.channels(), plan.in_samples());
+      fill_guarded(codes, guarded);
+      for (const KernelConfig& cfg : tc.configs) {
+        SCOPED_TRACE(checked_tail_staging(plan, cfg));
+        CpuKernelOptions scalar;
+        scalar.vectorize = false;
+        scalar.threads = 1;
+        const Array2D<float> expected =
+            dedisperse_cpu_u8(plan, cfg, guarded.cview(), params, scalar);
+        expect_exact_u8_sums(plan, codes, params, expected);
         CpuKernelOptions opt;
-        opt.stage_rows = staged;
         opt.threads = 1;
-        SCOPED_TRACE(staged ? "staged" : "unstaged");
         expect_same_matrix(expected, dedisperse_cpu_u8(plan, cfg,
                                                        guarded.cview(), params,
                                                        opt));

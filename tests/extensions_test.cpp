@@ -251,6 +251,46 @@ TEST(Subband, MatchesTwoStageOracleBitwise) {
   }
 }
 
+TEST(Subband, WorkspaceTablesFollowThePlanAndTheSplit) {
+  // One workspace alternates two DM grids (each plan built anew per call,
+  // so they may share an address), a chunk plan of the first, a DM shard
+  // of the second, and two splits. After every call its split tables and
+  // its output equal those of a fresh workspace.
+  const std::vector<SubbandConfig> splits = {{4, 2}, {2, 4}};
+  const auto make_plan = [](std::size_t which) {
+    const Plan base = Plan::with_output_samples(
+        mini_obs(8, which % 2 == 0 ? 0.5 : 0.25), 8, 64);
+    if (which == 2) return base.with_chunk(32);
+    if (which == 3) return base.dm_shard(4, 4);
+    return base;
+  };
+  const Array2D<float> in = padded_input(make_plan(0));
+  dedisp::SubbandWorkspace shared;
+  for (int round = 0; round < 2; ++round) {
+    for (std::size_t which = 0; which < 4; ++which) {
+      for (const SubbandConfig& split : splits) {
+        const Plan plan = make_plan(which);
+        SCOPED_TRACE("round " + std::to_string(round) + ", plan " +
+                     std::to_string(which) + ", split " +
+                     std::to_string(split.subbands) + "/" +
+                     std::to_string(split.coarse_step));
+        Array2D<float> got(plan.dms(), plan.out_samples());
+        dedisp::dedisperse_subband(plan, split, in.cview(), got.view(),
+                                   shared);
+        Array2D<float> want(plan.dms(), plan.out_samples());
+        dedisp::SubbandWorkspace fresh;
+        dedisp::dedisperse_subband(plan, split, in.cview(), want.view(),
+                                   fresh);
+        EXPECT_EQ(shared.intra, fresh.intra);
+        EXPECT_EQ(shared.inter, fresh.inter);
+        EXPECT_EQ(shared.max_intra, fresh.max_intra);
+        EXPECT_EQ(shared.max_inter, fresh.max_inter);
+        testing::expect_same_matrix(want, got);
+      }
+    }
+  }
+}
+
 // ------------------------------------------------------------- host tuner --
 
 /// Single-threaded, single-repetition measurement options.

@@ -492,10 +492,12 @@ constexpr RowKind kAllRowKinds[] = {
 
 // Around the quickselect's 64-value small-set cutoff and the former
 // bracketed path's 256-sample threshold, plus survey-sized rows (Apertif
-// 0.02 s and 0.1 s chunks, LOFAR 0.1 s), each odd and even.
-constexpr std::size_t kOracleLengths[] = {1,    2,    3,     63,   64,  65,
-                                          255,  256,  257,   400,  401, 1000,
-                                          1001, 2000, 2001, 20000, 20001};
+// 0.02 s and 0.1 s chunks, LOFAR 0.1 s), each odd and even. The maximum
+// pass steps four vectors (up to 64 lanes) at a time: 127, 129, 191 and
+// 200 end in single-vector steps and a scalar tail on every backend.
+constexpr std::size_t kOracleLengths[] = {
+    1,   2,   3,   63,  64,  65,   127,  129,  191,  200,   255,
+    256, 257, 400, 401, 1000, 1001, 2000, 2001, 20000, 20001};
 
 std::vector<float> make_row(RowKind kind, std::size_t n, Rng& rng) {
   std::vector<float> row(n);
@@ -618,16 +620,22 @@ TEST(DetectionOracle, NonFiniteRowsTakeThePlainPath) {
   for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
                           std::numeric_limits<float>::infinity(),
                           -std::numeric_limits<float>::infinity()}) {
-    for (const std::size_t n : {64u, 2000u}) {
-      Rng rng(n);
-      Array2D<float> m(3, n);
-      for (std::size_t r = 0; r < 3; ++r)
-        for (auto& v : m.row(r)) v = static_cast<float>(rng.next_normal());
-      m(1, n / 3) = bad;
-      const std::string what = "bad " + std::to_string(bad) + ", n " +
-                               std::to_string(n);
-      expect_snr_matches_oracle(m.row(1), what);
-      expect_detection_matches_oracle(m, what);
+    for (const std::size_t n : {64u, 127u, 2000u, 2001u}) {
+      // In each of the maximum pass's four vector chains, in its
+      // single-vector steps and in its scalar tail.
+      for (const std::size_t at : {std::size_t{0}, std::size_t{20},
+                                   std::size_t{40}, n / 3, n - 9, n - 1}) {
+        Rng rng(n);
+        Array2D<float> m(3, n);
+        for (std::size_t r = 0; r < 3; ++r)
+          for (auto& v : m.row(r)) v = static_cast<float>(rng.next_normal());
+        m(1, at) = bad;
+        const std::string what = "bad " + std::to_string(bad) + ", n " +
+                                 std::to_string(n) + ", at " +
+                                 std::to_string(at);
+        expect_snr_matches_oracle(m.row(1), what);
+        expect_detection_matches_oracle(m, what);
+      }
     }
   }
 }

@@ -986,6 +986,10 @@ TEST(TuningCacheTest, SignaturesRoundTripThroughEncode) {
   EXPECT_EQ(legacy->variant, "scalar");
   EXPECT_EQ(legacy->threads, 3u);
 
+  // The fourth part is a legacy field, always written as `staged`.
+  const std::string encoded = hsig.encode();
+  EXPECT_NE(encoded.find("|t3|staged"), std::string::npos) << encoded;
+
   EXPECT_FALSE(PlanSignature::decode("not a signature").has_value());
   EXPECT_FALSE(HostSignature::decode("HD7970").has_value());
 }
@@ -997,19 +1001,22 @@ TEST(TuningCacheTest, EngineEpochRoundTripsAndOlderRowsDecodeAsEpochZero) {
     return HostSignature::of(*engine::make_engine(id, options));
   };
   const HostSignature u8 = signature("cpu_tiled_u8");
-  EXPECT_EQ(u8.epoch, 1u);
+  EXPECT_EQ(u8.epoch, 2u);
   EXPECT_EQ(signature("subband").epoch, 1u);
   const HostSignature tiled = signature("cpu_tiled");
-  EXPECT_EQ(tiled.epoch, 0u);
+  EXPECT_EQ(tiled.epoch, 1u);
 
   // A bumped engine signs its epoch last; epoch 0 keeps the four-part form
   // that caches written before epochs existed hold.
   const std::string encoded = u8.encode();
-  EXPECT_EQ(encoded.substr(encoded.size() - 3), "|e1") << encoded;
+  EXPECT_EQ(encoded.substr(encoded.size() - 3), "|e2") << encoded;
   const auto decoded = HostSignature::decode(encoded);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(*decoded, u8);
-  EXPECT_EQ(tiled.encode().find("|e"), std::string::npos) << tiled.encode();
+  HostSignature unbumped = tiled;
+  unbumped.epoch = 0;
+  EXPECT_EQ(unbumped.encode().find("|e"), std::string::npos)
+      << unbumped.encode();
 
   const auto four_part = HostSignature::decode("cpu_tiled_u8|avx512|t1|staged");
   ASSERT_TRUE(four_part.has_value());
@@ -1027,9 +1034,25 @@ TEST(TuningCacheTest, EngineEpochRoundTripsAndOlderRowsDecodeAsEpochZero) {
   }
 }
 
+/// A cache file in the v4 layout holding one row per (device, config) pair
+/// for \p plan.
+void write_cache_rows(
+    const std::string& path, const Plan& plan,
+    const std::vector<std::pair<std::string, std::string>>& rows) {
+  std::ofstream file(path);
+  file << "# ddmc-tuner-results v4 cols=9\n"
+       << "device,observation,dms,config,gflops,seconds,snr,evaluated,"
+          "pruned\n";
+  for (const auto& [device, config] : rows) {
+    file << device << "," << PlanSignature::of(plan).encode() << ","
+         << plan.dms() << "," << config << ",1,0.001,0,1,0\n";
+  }
+}
+
 TEST(TuningCacheTest, RowsOlderThanTheEngineEpochMissAndUnbumpedEnginesHit) {
-  // A cache written before epochs existed: one row each for two engines
-  // whose epoch is now 1 and one for an engine still at 0. Only the last
+  // A cache written before the staging rule: the two tiled engines timed
+  // every tile staged (cpu_tiled at epoch 0, cpu_tiled_u8 at 1), and
+  // subband, whose stages never staged, is still at epoch 1. Only subband
   // answers; the others miss exactly and as transfer sources.
   const std::string path =
       ::testing::TempDir() + "ddmc_engine_epoch_cache_test.csv";
@@ -1040,36 +1063,78 @@ TEST(TuningCacheTest, RowsOlderThanTheEngineEpochMissAndUnbumpedEnginesHit) {
   const auto signature = [&](const char* id) {
     return HostSignature::of(*engine::make_engine(id, options));
   };
-  const std::string plan_sig = PlanSignature::of(plan).encode();
-  const auto legacy = [&](const char* id) {
+  const auto at_epoch = [&](const char* id, std::size_t epoch) {
     HostSignature sig = signature(id);
-    sig.epoch = 0;
+    sig.epoch = epoch;
     return sig.encode();
   };
-  {
-    std::ofstream file(path);
-    file << "# ddmc-tuner-results v4 cols=9\n"
-         << "device,observation,dms,config,gflops,seconds,snr,evaluated,"
-            "pruned\n"
-         << legacy("cpu_tiled_u8") << "," << plan_sig
-         << ",8,unroll=2,1,0.001,0,1,0\n"
-         << legacy("subband") << "," << plan_sig
-         << ",8,coarse_step=2;subbands=4,1,0.001,0,1,0\n"
-         << legacy("cpu_tiled") << "," << plan_sig
-         << ",8,unroll=2,1,0.001,0,1,0\n";
-  }
+  write_cache_rows(path, plan,
+                   {{at_epoch("cpu_tiled_u8", 1), "unroll=2"},
+                    {at_epoch("subband", 1), "coarse_step=2;subbands=4"},
+                    {at_epoch("cpu_tiled", 0), "unroll=2"}});
   TuningCache cache(path);
   ASSERT_EQ(cache.size(), 3u);
   const PlanSignature psig = PlanSignature::of(plan);
-  for (const char* stale : {"cpu_tiled_u8", "subband"}) {
+  for (const char* stale : {"cpu_tiled_u8", "cpu_tiled"}) {
     SCOPED_TRACE(stale);
     EXPECT_FALSE(cache.find_exact(signature(stale), psig).has_value());
     EXPECT_FALSE(cache.find_nearest(signature(stale), plan).has_value());
   }
-  const auto hit = cache.find_exact(signature("cpu_tiled"), psig);
+  const auto hit = cache.find_exact(signature("subband"), psig);
   ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->config.get("unroll", 0), 2);
-  EXPECT_TRUE(cache.find_nearest(signature("cpu_tiled"), plan).has_value());
+  EXPECT_EQ(hit->config.get("subbands", 0), 4);
+  EXPECT_TRUE(cache.find_nearest(signature("subband"), plan).has_value());
+  std::remove(path.c_str());
+}
+
+TEST(TuningCacheTest, DirectRowsDecodeButNeverResolve) {
+  // A row whose fourth device part is `direct` was timed with staging off
+  // on every tile. It loads, under a variant no engine reports, and answers
+  // no lookup, even at the engine's current epoch; rewriting the cache
+  // keeps it that way.
+  const std::string path =
+      ::testing::TempDir() + "ddmc_direct_rows_cache_test.csv";
+  std::remove(path.c_str());
+  const Plan plan = mini_plan(8, 64);
+  engine::EngineOptions options;
+  options.cpu.threads = 1;
+  std::vector<std::pair<std::string, std::string>> rows;
+  for (const char* id : {"cpu_tiled", "cpu_tiled_u8", "subband"}) {
+    const HostSignature sig =
+        HostSignature::of(*engine::make_engine(id, options));
+    std::string device = sig.encode();
+    device.replace(device.find("|staged"), 7, "|direct");
+    const auto decoded = HostSignature::decode(device);
+    ASSERT_TRUE(decoded.has_value()) << device;
+    EXPECT_EQ(decoded->variant, sig.variant + "~direct");
+    EXPECT_NE(*decoded, sig);
+    rows.push_back({device, std::string(id) == "subband"
+                                ? "coarse_step=2;subbands=4"
+                                : "unroll=2"});
+  }
+  write_cache_rows(path, plan, rows);
+  const PlanSignature psig = PlanSignature::of(plan);
+  for (int pass = 0; pass < 2; ++pass) {
+    SCOPED_TRACE(pass == 0 ? "as written" : "after a rewrite");
+    TuningCache cache(path);
+    ASSERT_EQ(cache.size(), pass == 0 ? 3u : 4u);
+    for (const char* id : {"cpu_tiled", "cpu_tiled_u8", "subband"}) {
+      SCOPED_TRACE(id);
+      const HostSignature sig =
+          HostSignature::of(*engine::make_engine(id, options));
+      EXPECT_FALSE(cache.find_exact(sig, psig).has_value());
+      EXPECT_FALSE(cache.find_nearest(sig, plan).has_value());
+    }
+    if (pass == 0) {
+      // Storing an unrelated row rewrites the file with the loaded rows.
+      CacheEntry entry;
+      entry.host = HostSignature::of(*engine::make_engine("fdmt", options));
+      entry.plan = psig;
+      entry.seconds = 0.001;
+      cache.store(entry);
+      ASSERT_EQ(cache.size(), 4u);
+    }
+  }
   std::remove(path.c_str());
 }
 
