@@ -20,6 +20,8 @@
 #include "common/cli.hpp"
 #include "common/expect.hpp"
 #include "common/json.hpp"
+#include "common/simd.hpp"
+#include "common/thread_pool.hpp"
 #include "common/table.hpp"
 #include "dedisp/plan.hpp"
 #include "ocl/device_presets.hpp"
@@ -91,6 +93,24 @@ inline std::string json_number(double v) { return json::number(v); }
 /// Throws ddmc::invalid_argument when the file cannot be opened.
 inline void write_json_file(const std::string& path, const JsonObject& root) {
   json::write_file(path, root);
+}
+
+/// The machine a recorded file was measured on: the CPU model (from
+/// /proc/cpuinfo, empty where that is unreadable), its hardware threads
+/// and the compiled SIMD backend.
+inline JsonObject host_description() {
+  std::string model;
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; model.empty() && std::getline(cpuinfo, line);) {
+    if (line.rfind("model name", 0) == 0 && line.find(':') != line.npos) {
+      model = line.substr(line.find(':') + 1);
+      model.erase(0, model.find_first_not_of(' '));
+    }
+  }
+  return JsonObject()
+      .set("cpu_model", model)
+      .set("hardware_threads", hardware_workers())
+      .set("simd_backend", simd::backend_name());
 }
 
 /// Print a per-device series table: one row per instance, one column per

@@ -17,7 +17,12 @@
 /// bench-native config): the fdmt engine's asymptotic win only pays above
 /// some number of DM trials, and whether it pays against the best engine
 /// for the plan — not only against brute force — is a property of this
-/// machine worth recording next to the single-scenario matrix.
+/// machine worth recording next to the single-scenario matrix. Each engine
+/// runs at 1 and at 4 threads, one engine object per thread count (so its
+/// pool is built once, outside the timing), and the sweep reports the
+/// median and minimum of at least five calls for both, plus every point
+/// where the 4-thread call is slower than the 1-thread one. The race
+/// itself is decided at 1 thread.
 ///
 ///   ./bench_engine_matrix [--dms 64] [--out-samples 10000] [--reps 3]
 ///                         [--sweep-dms 16,64,256,1024] [--json out.json]
@@ -25,6 +30,7 @@
 #include <algorithm>
 #include <cmath>
 #include <iostream>
+#include <iterator>
 #include <limits>
 #include <numeric>
 #include <sstream>
@@ -63,24 +69,39 @@ struct EngineResult {
   std::string modeled_note;
 };
 
-/// One trial-count point of the sweep: best-of wall seconds per raced
-/// engine, in race order.
-struct SweepPoint {
-  std::size_t dms = 0;
-  std::vector<std::pair<std::string, double>> seconds;
+/// Thread counts every swept engine runs at: inline, and a pool of four.
+constexpr std::size_t kSweepThreads[] = {1, 4};
 
+/// Median and minimum wall seconds of repeated calls.
+struct Timing {
+  double median = 0.0;
+  double min = 0.0;
+};
+
+/// One trial-count point of the sweep: per raced engine, in race order,
+/// its timing at each of kSweepThreads.
+struct SweepPoint {
+  struct Entry {
+    std::string id;
+    bool threaded = false;  ///< false: every thread count runs inline
+    Timing at[std::size(kSweepThreads)];
+  };
+  std::size_t dms = 0;
+  std::vector<Entry> entries;
+
+  /// Best 1-thread seconds of \p id: what the race compares.
   double of(const std::string& id) const {
-    for (const auto& [engine, s] : seconds) {
-      if (engine == id) return s;
+    for (const Entry& e : entries) {
+      if (e.id == id) return e.at[0].min;
     }
     return std::numeric_limits<double>::infinity();
   }
   const std::string& winner() const {
-    return std::min_element(seconds.begin(), seconds.end(),
-                            [](const auto& a, const auto& b) {
-                              return a.second < b.second;
+    return std::min_element(entries.begin(), entries.end(),
+                            [](const Entry& a, const Entry& b) {
+                              return a.at[0].min < b.at[0].min;
                             })
-        ->first;
+        ->id;
   }
 };
 
@@ -114,19 +135,24 @@ engine::EngineConfig fdmt_native_config(const dedisp::Plan& plan,
   return eng.adapt_config(plan, cfg);
 }
 
-/// Best-of-\p reps wall seconds of \p eng on \p config (best-of, not mean:
-/// the sweep compares two engines per point and minimum time is the
-/// noise-robust comparator on a shared container host).
-double best_of(const engine::DedispEngine& eng, const dedisp::Plan& plan,
-               const engine::EngineConfig& config, ConstView2D<float> in,
-               View2D<float> out, std::size_t reps) {
-  double best = std::numeric_limits<double>::infinity();
+/// Median and minimum wall seconds of \p reps calls of \p eng on
+/// \p config, after one untimed call: engines that keep workspaces size
+/// them on their first call, like a session's first chunk. The minimum is
+/// the noise-robust comparator on a shared host; the median shows the
+/// spread next to it.
+Timing time_calls(const engine::DedispEngine& eng, const dedisp::Plan& plan,
+                  const engine::EngineConfig& config, ConstView2D<float> in,
+                  View2D<float> out, std::size_t reps) {
+  eng.execute(plan, config, in, out);
+  std::vector<double> seconds;
   for (std::size_t r = 0; r < reps; ++r) {
     Stopwatch clock;
     eng.execute(plan, config, in, out);
-    best = std::min(best, clock.seconds());
+    seconds.push_back(clock.seconds());
   }
-  return best;
+  std::sort(seconds.begin(), seconds.end());
+  const std::size_t n = seconds.size();
+  return {(seconds[(n - 1) / 2] + seconds[n / 2]) / 2.0, seconds.front()};
 }
 
 }  // namespace
@@ -324,6 +350,8 @@ int main(int argc, char** argv) {
   for (const std::string& id : engine::EngineRegistry::instance().ids()) {
     if (engine::make_engine(id)->capabilities().tunable) racers.push_back(id);
   }
+  // At least five timed calls per engine and thread count.
+  const std::size_t sweep_reps = std::max<std::size_t>(reps, 5);
   if (!sweep_dms.empty()) {
     for (const std::size_t n : sweep_dms) {
       const dedisp::Plan sweep_plan =
@@ -344,21 +372,25 @@ int main(int argc, char** argv) {
       SweepPoint point;
       point.dms = n;
       for (const std::string& id : racers) {
-        const auto eng = engine::make_engine(id);
-        // The same native configs as the matrix above: the tuned tile
-        // shapes, fdmt's native split, subband's configured default.
-        engine::EngineConfig config;
-        if (id == "cpu_tiled") config = engine::encode_kernel_config(shape);
-        if (id == "cpu_tiled_u8") {
-          config = engine::encode_kernel_config(shape_u8);
+        SweepPoint::Entry entry;
+        entry.id = id;
+        for (std::size_t k = 0; k < std::size(kSweepThreads); ++k) {
+          engine::EngineOptions options;
+          options.cpu.threads = kSweepThreads[k];
+          const auto eng = engine::make_engine(id, options);
+          // The same native configs as the matrix above: the tuned tile
+          // shapes, fdmt's native split, subband's configured default.
+          engine::EngineConfig config;
+          if (id == "cpu_tiled") config = engine::encode_kernel_config(shape);
+          if (id == "cpu_tiled_u8") {
+            config = engine::encode_kernel_config(shape_u8);
+          }
+          if (id == "fdmt") config = fdmt_native_config(sweep_plan, *eng);
+          entry.threaded = eng->capabilities().threaded;
+          entry.at[k] = time_calls(*eng, sweep_plan, config, in.cview(),
+                                   out.view(), sweep_reps);
         }
-        if (id == "fdmt") config = fdmt_native_config(sweep_plan, *eng);
-        // One untimed call first: engines that keep workspaces size them
-        // on their first call, like a session's first chunk.
-        eng->execute(sweep_plan, config, in.cview(), out.view());
-        point.seconds.emplace_back(
-            id, best_of(*eng, sweep_plan, config, in.cview(), out.view(),
-                        reps));
+        point.entries.push_back(std::move(entry));
       }
       sweep.push_back(std::move(point));
     }
@@ -371,26 +403,43 @@ int main(int argc, char** argv) {
         });
 
     std::cout << "\n== engine race per trial count, " << out_samples
-              << " samples, best of " << reps << " ==\n\n";
-    std::vector<std::string> header = {"DMs"};
-    for (const std::string& id : racers) header.push_back(id + " ms");
-    header.push_back("winner");
-    TextTable sweep_table(header);
+              << " samples, median (min) ms of " << sweep_reps
+              << " calls at 1 and 4 threads ==\n\n";
+    TextTable sweep_table({"DMs", "engine", "1 thread", "4 threads",
+                           "speedup (median)"});
     for (const SweepPoint& p : sweep) {
-      std::vector<std::string> row = {std::to_string(p.dms)};
-      for (const auto& [id, seconds] : p.seconds) {
-        row.push_back(TextTable::num(seconds * 1e3, 1));
+      for (const SweepPoint::Entry& e : p.entries) {
+        const auto cell = [](const Timing& t) {
+          return TextTable::num(t.median * 1e3, 2) + " (" +
+                 TextTable::num(t.min * 1e3, 2) + ")";
+        };
+        sweep_table.add_row(
+            {std::to_string(p.dms), e.threaded ? e.id : e.id + "*",
+             cell(e.at[0]), cell(e.at[1]),
+             TextTable::num(e.at[0].median / e.at[1].median, 2) + "x"});
       }
-      row.push_back(p.winner());
-      sweep_table.add_row(row);
     }
     sweep_table.print(std::cout);
     const auto from = [](std::size_t dms) {
       return dms > 0 ? "from " + std::to_string(dms) + " trials"
                      : std::string("nowhere on this ladder");
     };
-    std::cout << "\n(fdmt beats cpu_tiled " << from(fdmt_beats_tiled)
-              << "; it wins the race " << from(fdmt_wins) << ")\n";
+    std::cout << "\n(* not threaded: both columns run on one thread; at "
+                 "1 thread: fdmt beats cpu_tiled "
+              << from(fdmt_beats_tiled) << "; it wins the race "
+              << from(fdmt_wins) << ")\n";
+    std::cout << "4-thread calls slower than 1-thread (median):";
+    bool any_slower = false;
+    for (const SweepPoint& p : sweep) {
+      for (const SweepPoint::Entry& e : p.entries) {
+        if (e.at[1].median > e.at[0].median) {
+          std::cout << " " << e.id << (e.threaded ? "" : "*") << "@"
+                    << p.dms;
+          any_slower = true;
+        }
+      }
+    }
+    std::cout << (any_slower ? "" : " none") << "\n";
   }
 
   const std::string json_path = cli.get("json");
@@ -416,6 +465,7 @@ int main(int argc, char** argv) {
     }
     bench::JsonObject root;
     root.set("bench", "bench_engine_matrix")
+        .set_raw("host", bench::host_description().dump())
         .set("simd_backend", simd::backend_name())
         .set("host_cpus", host_cpus)
         .set_raw("plan", bench::JsonObject()
@@ -428,18 +478,33 @@ int main(int argc, char** argv) {
         .set_raw("engines", arr.dump());
     if (!sweep.empty()) {
       bench::JsonArray sweep_arr;
+      bench::JsonArray slower;
       for (const SweepPoint& p : sweep) {
         bench::JsonObject point;
         point.set("dms", p.dms);
-        for (const auto& [id, seconds] : p.seconds) {
-          point.set(id + "_seconds", seconds);
+        for (const SweepPoint::Entry& e : p.entries) {
+          for (std::size_t k = 0; k < std::size(kSweepThreads); ++k) {
+            const std::string key =
+                e.id + "_" + std::to_string(kSweepThreads[k]) + "t_";
+            point.set(key + "median_s", e.at[k].median)
+                .set(key + "min_s", e.at[k].min);
+          }
+          point.set(e.id + "_speedup_4t", e.at[0].median / e.at[1].median);
+          if (e.at[1].median > e.at[0].median) {
+            slower.add(bench::JsonObject()
+                           .set("dms", p.dms)
+                           .set("engine", e.id)
+                           .set("threaded", e.threaded));
+          }
         }
         sweep_arr.add(point.set("winner", p.winner()));
       }
       // crossover_dms: the smallest swept trial count at which fdmt wins
       // the race outright; fdmt_beats_cpu_tiled_dms: the brute-force
       // crossover alone. 0 = not on this ladder.
-      root.set_raw("dm_sweep", sweep_arr.dump())
+      root.set("dm_sweep_reps", sweep_reps)
+          .set_raw("dm_sweep", sweep_arr.dump())
+          .set_raw("slower_at_4_threads", slower.dump())
           .set("crossover_dms",
                first_dms(sweep,
                          [](const SweepPoint& p) {

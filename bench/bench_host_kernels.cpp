@@ -27,6 +27,7 @@
 #include "common/random.hpp"
 #include "common/simd.hpp"
 #include "common/table.hpp"
+#include "common/thread_pool.hpp"
 #include "common/timer.hpp"
 #include "dedisp/cpu_baseline.hpp"
 #include "dedisp/cpu_kernel.hpp"
@@ -80,6 +81,8 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(cli.get_int("out-samples"));
   const auto reps = static_cast<std::size_t>(cli.get_int("reps"));
   const auto threads = static_cast<std::size_t>(cli.get_int("threads"));
+  // Resolved once, as an engine does: no timed call spawns a thread.
+  const WorkerPool workers(threads);
 
   const dedisp::Plan plan =
       dedisp::Plan::with_output_samples(sky::apertif(), dms, out_samples);
@@ -116,14 +119,10 @@ int main(int argc, char** argv) {
   record({"reference", "reference"}, time_mean_seconds([&] {
            dedisp::dedisperse_reference(plan, input.cview(), output.view());
          }, reps));
-  {
-    dedisp::CpuBaselineOptions opt;
-    opt.threads = threads;
-    record({"cpu_baseline", "baseline"}, time_mean_seconds([&] {
-             dedisp::dedisperse_cpu_baseline(plan, input.cview(),
-                                             output.view(), opt);
-           }, reps));
-  }
+  record({"cpu_baseline", "baseline"}, time_mean_seconds([&] {
+           dedisp::dedisperse_cpu_baseline(plan, input.cview(), output.view(),
+                                           {}, workers.get());
+         }, reps));
 
   // The seed bench's representative tile shapes.
   const std::vector<dedisp::KernelConfig> shapes = {
@@ -136,9 +135,9 @@ int main(int argc, char** argv) {
   auto run_tiled = [&](const dedisp::KernelConfig& cfg, bool vectorize) {
     dedisp::CpuKernelOptions opt;
     opt.vectorize = vectorize;
-    opt.threads = threads;
     return time_mean_seconds([&] {
-      dedisp::dedisperse_cpu(plan, cfg, input.cview(), output.view(), opt);
+      dedisp::dedisperse_cpu(plan, cfg, input.cview(), output.view(), opt,
+                             workers.get());
     }, reps);
   };
   auto tiled_entry = [&](std::string name, std::string engine,
@@ -188,15 +187,13 @@ int main(int argc, char** argv) {
     const dedisp::QuantizationParams quant;
     const Array2D<std::uint8_t> qplane =
         dedisp::quantize_plane(plan, input.cview(), quant);
-    dedisp::CpuKernelOptions opt;
-    opt.threads = threads;
     for (const auto& cfg : shapes) {
       if (!cfg.divides(plan)) continue;
       Entry e = tiled_entry("tiled_u8", "simd_u8", cfg);
       e.elem_bytes = sizeof(std::uint8_t);
       record(std::move(e), time_mean_seconds([&] {
                dedisp::dedisperse_cpu_u8(plan, cfg, qplane.cview(), quant,
-                                         output.view(), opt);
+                                         output.view(), {}, workers.get());
              }, reps));
     }
   }
@@ -276,6 +273,7 @@ int main(int argc, char** argv) {
     }
     bench::JsonObject root;
     root.set("bench", "bench_host_kernels")
+        .set_raw("host", bench::host_description().dump())
         .set("simd_backend", simd::backend_name())
         .set("simd_lanes", simd::kFloatLanes)
         .set("threads", threads)

@@ -82,12 +82,13 @@ int main(int argc, char** argv) {
 
   dedisp::CpuKernelOptions cpu;
   cpu.threads = threads;
+  const WorkerPool workers(threads);
 
   // Batch reference: the one-shot path the streaming session must match.
   Array2D<float> batch_out(batch_plan.dms(), batch_plan.out_samples());
   auto run_batch = [&] {
     dedisp::dedisperse_cpu(batch_plan, config, input.cview(),
-                           batch_out.view(), cpu);
+                           batch_out.view(), cpu, workers.get());
   };
   run_batch();  // warmup
   double batch_seconds = 0.0;

@@ -46,11 +46,11 @@ int main(int argc, char** argv) {
   sky::inject_pulsar(obs, data.view(), pulsar);
 
   // Brute force (tiled host kernel).
-  dedisp::CpuKernelOptions cpu_options;
-  cpu_options.threads = static_cast<std::size_t>(cli.get_int("threads"));
+  const WorkerPool workers(static_cast<std::size_t>(cli.get_int("threads")));
   Stopwatch clock;
   const Array2D<float> brute = dedisp::dedisperse_cpu(
-      plan, dedisp::KernelConfig{50, 2, 4, 2}, data.cview(), cpu_options);
+      plan, dedisp::KernelConfig{50, 2, 4, 2}, data.cview(), {},
+      workers.get());
   const double brute_ms = clock.milliseconds();
   const sky::DetectionResult brute_hit = sky::detect_best_dm(brute.cview());
 
@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
     const dedisp::SubbandConfig cfg{subbands, step};
     clock.reset();
     dedisp::dedisperse_subband(plan, cfg, data.cview(), two_stage.view(),
-                               workspace, cpu_options);
+                               workspace, {}, workers.get());
     const double ms = clock.milliseconds();
     const sky::DetectionResult hit = sky::detect_best_dm(two_stage.cview());
     const double flop = dedisp::subband_flop(plan, cfg);

@@ -1,7 +1,6 @@
 #include "common/thread_pool.hpp"
 
 #include <algorithm>
-#include <memory>
 
 #include "common/aligned.hpp"
 #include "common/expect.hpp"
@@ -122,10 +121,8 @@ ThreadPool& global_pool() {
   return pool;
 }
 
-ThreadPool* pool_for(std::size_t threads, std::optional<ThreadPool>& owned) {
-  if (threads == 1) return nullptr;
-  if (threads == 0) return &global_pool();
-  return &owned.emplace(threads);
-}
+WorkerPool::WorkerPool(std::size_t threads)
+    : threads_(threads),
+      owned_(threads >= 2 ? std::make_unique<ThreadPool>(threads) : nullptr) {}
 
 }  // namespace ddmc

@@ -12,8 +12,8 @@
 #include <deque>
 #include <exception>
 #include <functional>
+#include <memory>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <vector>
 
@@ -69,9 +69,25 @@ std::size_t hardware_workers();
 /// Singleton pool sized to the machine, for library-internal parallelism.
 ThreadPool& global_pool();
 
-/// The pool a call asking for \p threads workers runs on: none (run
-/// inline) for 1, global_pool() for 0, else a pool of that many workers
-/// built into \p owned, which the caller keeps for the call.
-ThreadPool* pool_for(std::size_t threads, std::optional<ThreadPool>& owned);
+/// The workers of a component sized for \p threads, resolved once, when
+/// the component is built: none (run inline) for 1, global_pool() for 0,
+/// else a pool of that many workers owned here and joined with it. So a
+/// component called over and over (an engine once per chunk and beam)
+/// never spawns a thread on a call.
+class WorkerPool {
+ public:
+  explicit WorkerPool(std::size_t threads);
+
+  /// The pool to run on; nullptr runs inline on the calling thread. The
+  /// global pool is looked up here rather than at construction, so a
+  /// component built only to be inspected starts no threads.
+  ThreadPool* get() const {
+    return threads_ == 0 ? &global_pool() : owned_.get();
+  }
+
+ private:
+  std::size_t threads_;
+  std::unique_ptr<ThreadPool> owned_;
+};
 
 }  // namespace ddmc

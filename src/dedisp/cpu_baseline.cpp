@@ -1,10 +1,8 @@
 #include "dedisp/cpu_baseline.hpp"
 
 #include <algorithm>
-#include <optional>
 
 #include "common/expect.hpp"
-#include "common/thread_pool.hpp"
 
 namespace ddmc::dedisp {
 
@@ -48,7 +46,8 @@ void process_block(const Plan& plan, ConstView2D<float> in,
 
 void dedisperse_cpu_baseline(const Plan& plan, ConstView2D<float> in,
                              View2D<float> out,
-                             const CpuBaselineOptions& options) {
+                             const CpuBaselineOptions& options,
+                             ThreadPool* pool) {
   DDMC_REQUIRE(in.rows() == plan.channels(), "input rows != channels");
   DDMC_REQUIRE(in.cols() >= plan.in_samples(), "input too short");
   DDMC_REQUIRE(out.rows() == plan.dms(), "output rows != trial DMs");
@@ -69,8 +68,6 @@ void dedisperse_cpu_baseline(const Plan& plan, ConstView2D<float> in,
     }
   };
 
-  std::optional<ThreadPool> owned;
-  ThreadPool* const pool = pool_for(options.threads, owned);
   if (pool == nullptr) {
     run_range(0, total);
     return;
@@ -82,9 +79,10 @@ void dedisperse_cpu_baseline(const Plan& plan, ConstView2D<float> in,
 
 Array2D<float> dedisperse_cpu_baseline(const Plan& plan,
                                        ConstView2D<float> in,
-                                       const CpuBaselineOptions& options) {
+                                       const CpuBaselineOptions& options,
+                                       ThreadPool* pool) {
   Array2D<float> out(plan.dms(), plan.out_samples());
-  dedisperse_cpu_baseline(plan, in, out.view(), options);
+  dedisperse_cpu_baseline(plan, in, out.view(), options, pool);
   return out;
 }
 

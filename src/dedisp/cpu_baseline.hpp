@@ -14,23 +14,26 @@
 /// suite runnable everywhere.
 
 #include "common/array2d.hpp"
+#include "common/thread_pool.hpp"
 #include "dedisp/plan.hpp"
 
 namespace ddmc::dedisp {
 
 struct CpuBaselineOptions {
-  std::size_t threads = 0;      ///< 0 = machine-sized pool, 1 = inline
   std::size_t time_block = 512; ///< samples per work unit (multiple of 8)
 };
 
 /// Dedisperse with the baseline structure (threads over DMs and time blocks,
-/// 8-sample inner chunks). Output is bit-identical to the reference.
+/// 8-sample inner chunks) on \p pool, or inline without one. Output is
+/// bit-identical to the reference.
 void dedisperse_cpu_baseline(const Plan& plan, ConstView2D<float> in,
                              View2D<float> out,
-                             const CpuBaselineOptions& options = {});
+                             const CpuBaselineOptions& options = {},
+                             ThreadPool* pool = nullptr);
 
 Array2D<float> dedisperse_cpu_baseline(const Plan& plan,
                                        ConstView2D<float> in,
-                                       const CpuBaselineOptions& options = {});
+                                       const CpuBaselineOptions& options = {},
+                                       ThreadPool* pool = nullptr);
 
 }  // namespace ddmc::dedisp

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <optional>
 #include <span>
 #include <type_traits>
 #include <vector>
@@ -379,13 +378,12 @@ void process_tile(const KernelConfig& config, const TileJob<T>& job,
 }
 
 /// Check the jobs' shared shape, then distribute the tiles of all jobs over
-/// the requested workers; every worker reuses one scratch across tiles.
-/// Runs on \p pool when the caller passes one, else on pool_for(threads);
-/// threads = 1 runs inline.
+/// \p pool's workers, or run them inline without one; every worker reuses
+/// one scratch across tiles.
 template <typename T, typename Writeback>
 void run_tiles(std::span<const TileJob<T>> jobs, const KernelConfig& config,
                const CpuKernelOptions& options, const Writeback& writeback,
-               ThreadPool* pool = nullptr) {
+               ThreadPool* pool) {
   if (jobs.empty()) return;
   const std::size_t trials = jobs[0].delays.rows();
   const std::size_t channels = jobs[0].delays.cols();
@@ -421,12 +419,10 @@ void run_tiles(std::span<const TileJob<T>> jobs, const KernelConfig& config,
     }
   };
 
-  if (options.threads == 1) {
+  if (pool == nullptr) {
     run_range(0, total);
     return;
   }
-  std::optional<ThreadPool> owned;
-  if (pool == nullptr) pool = pool_for(options.threads, owned);
   const std::size_t block =
       std::max<std::size_t>(1, total / (pool->worker_count() * 4));
   pool->parallel_for(0, total, block, run_range);
@@ -436,7 +432,7 @@ void run_tiles(std::span<const TileJob<T>> jobs, const KernelConfig& config,
 template <typename T, typename Writeback>
 void run_plan(const Plan& plan, const KernelConfig& config, ConstView2D<T> in,
               View2D<float> out, const CpuKernelOptions& options,
-              const Writeback& writeback) {
+              ThreadPool* pool, const Writeback& writeback) {
   config.validate(plan);
   DDMC_REQUIRE(in.cols() >= plan.in_samples(),
                "input too short for the plan's largest delay");
@@ -445,7 +441,8 @@ void run_plan(const Plan& plan, const KernelConfig& config, ConstView2D<T> in,
   const TileJob<T> job{
       plan.delays().view(), in,
       View2D<float>(out.data(), plan.dms(), plan.out_samples(), out.pitch())};
-  run_tiles(std::span<const TileJob<T>>(&job, 1), config, options, writeback);
+  run_tiles(std::span<const TileJob<T>>(&job, 1), config, options, writeback,
+            pool);
 }
 
 /// The float writeback: accumulators are the output.
@@ -499,22 +496,23 @@ void dedisperse_tiled(std::span<const TileJob<float>> jobs,
 
 void dedisperse_cpu(const Plan& plan, const KernelConfig& config,
                     ConstView2D<float> in, View2D<float> out,
-                    const CpuKernelOptions& options) {
-  run_plan(plan, config, in, out, options, copy_row);
+                    const CpuKernelOptions& options, ThreadPool* pool) {
+  run_plan(plan, config, in, out, options, pool, copy_row);
 }
 
 Array2D<float> dedisperse_cpu(const Plan& plan, const KernelConfig& config,
                               ConstView2D<float> in,
-                              const CpuKernelOptions& options) {
+                              const CpuKernelOptions& options,
+                              ThreadPool* pool) {
   Array2D<float> out(plan.dms(), plan.out_samples());
-  dedisperse_cpu(plan, config, in, out.view(), options);
+  dedisperse_cpu(plan, config, in, out.view(), options, pool);
   return out;
 }
 
 void dedisperse_cpu_u8(const Plan& plan, const KernelConfig& config,
                        ConstView2D<std::uint8_t> in,
                        const QuantizationParams& params, View2D<float> out,
-                       const CpuKernelOptions& options) {
+                       const CpuKernelOptions& options, ThreadPool* pool) {
   // The accumulators hold exact integer code sums; Σ dequant(q) over C
   // channels = C·lo + scale·Σq, one multiply-add per output element. Its
   // rounding is fixed rather than left to the compiler's contraction: one
@@ -522,7 +520,7 @@ void dedisperse_cpu_u8(const Plan& plan, const KernelConfig& config,
   // sum otherwise (such targets cannot fuse it).
   const float base = static_cast<float>(plan.channels()) * params.lo;
   const float scale = params.scale();
-  run_plan(plan, config, in, out, options,
+  run_plan(plan, config, in, out, options, pool,
            [base, scale](const float* acc, float* dst, std::size_t n) {
              for (std::size_t t = 0; t < n; ++t) {
 #ifdef FP_FAST_FMAF
@@ -537,9 +535,10 @@ void dedisperse_cpu_u8(const Plan& plan, const KernelConfig& config,
 Array2D<float> dedisperse_cpu_u8(const Plan& plan, const KernelConfig& config,
                                  ConstView2D<std::uint8_t> in,
                                  const QuantizationParams& params,
-                                 const CpuKernelOptions& options) {
+                                 const CpuKernelOptions& options,
+                                 ThreadPool* pool) {
   Array2D<float> out(plan.dms(), plan.out_samples());
-  dedisperse_cpu_u8(plan, config, in, params, out.view(), options);
+  dedisperse_cpu_u8(plan, config, in, params, out.view(), options, pool);
   return out;
 }
 

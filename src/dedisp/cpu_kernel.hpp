@@ -68,8 +68,11 @@ struct CpuKernelOptions {
   /// (the baseline the benchmarks compare against). One-lane builds
   /// (simd::kFloatLanes == 1) run that loop either way.
   bool vectorize = true;
-  /// Worker threads; 0 = use the global pool sized to the machine,
-  /// 1 = run inline on the calling thread (deterministic profiling).
+  /// Worker threads of an engine built with these options, resolved once
+  /// when it is built (WorkerPool): 0 = the global pool sized to the
+  /// machine, 1 = inline on the calling thread (deterministic profiling),
+  /// n = a pool of n workers the engine owns. The kernel entry points below
+  /// do not read it: they run on the pool they are passed.
   std::size_t threads = 0;
 };
 
@@ -130,10 +133,9 @@ struct TileJob {
 
 /// Execute the tiled kernel on \p jobs (all of one shape) in one dispatch
 /// over the workers. The DM tile must divide the trial count; the last
-/// time tile of a row may be shorter than the config's. The tiles run on
-/// \p pool unless options.threads is 1 (inline); without a pool the call
-/// runs on pool_for(options.threads), which builds a pool for threads > 1,
-/// so a caller that dispatches repeatedly should pass its own.
+/// time tile of a row may be shorter than the config's. Every entry point
+/// runs its tiles on \p pool, or inline on the calling thread without one;
+/// none builds a pool.
 void dedisperse_tiled(std::span<const TileJob<float>> jobs,
                       const KernelConfig& config,
                       const CpuKernelOptions& options = {},
@@ -142,12 +144,14 @@ void dedisperse_tiled(std::span<const TileJob<float>> jobs,
 /// Execute the tiled kernel. \p config must validate against \p plan.
 void dedisperse_cpu(const Plan& plan, const KernelConfig& config,
                     ConstView2D<float> in, View2D<float> out,
-                    const CpuKernelOptions& options = {});
+                    const CpuKernelOptions& options = {},
+                    ThreadPool* pool = nullptr);
 
 /// Convenience allocating the output matrix.
 Array2D<float> dedisperse_cpu(const Plan& plan, const KernelConfig& config,
                               ConstView2D<float> in,
-                              const CpuKernelOptions& options = {});
+                              const CpuKernelOptions& options = {},
+                              ThreadPool* pool = nullptr);
 
 /// Execute the tiled kernel on a quantized byte plane (channels ×
 /// ≥in_samples codes under \p params). \p config must validate against
@@ -155,12 +159,14 @@ Array2D<float> dedisperse_cpu(const Plan& plan, const KernelConfig& config,
 void dedisperse_cpu_u8(const Plan& plan, const KernelConfig& config,
                        ConstView2D<std::uint8_t> in,
                        const QuantizationParams& params, View2D<float> out,
-                       const CpuKernelOptions& options = {});
+                       const CpuKernelOptions& options = {},
+                       ThreadPool* pool = nullptr);
 
 /// Convenience allocating the output matrix.
 Array2D<float> dedisperse_cpu_u8(const Plan& plan, const KernelConfig& config,
                                  ConstView2D<std::uint8_t> in,
                                  const QuantizationParams& params,
-                                 const CpuKernelOptions& options = {});
+                                 const CpuKernelOptions& options = {},
+                                 ThreadPool* pool = nullptr);
 
 }  // namespace ddmc::dedisp

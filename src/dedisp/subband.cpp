@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <numeric>
-#include <optional>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -166,7 +165,7 @@ std::size_t subband_min_input_samples(const Plan& plan,
 void dedisperse_subband(const Plan& plan, const SubbandConfig& config,
                         ConstView2D<float> in, View2D<float> out,
                         SubbandWorkspace& workspace,
-                        const CpuKernelOptions& options) {
+                        const CpuKernelOptions& options, ThreadPool* pool) {
   config.validate(plan);
   const std::size_t channels = plan.channels();
   const std::size_t samples = plan.out_samples();
@@ -198,9 +197,6 @@ void dedisperse_subband(const Plan& plan, const SubbandConfig& config,
       std::clamp<std::size_t>(kStage1BlockBytes / coarse_bytes, 1, n_coarse));
   const View2D<float> plane = workspace.stage1.matrix(block * subbands, span);
   std::vector<TileJob<float>>& jobs = workspace.jobs;
-  // Both stages of every block run on one pool per call.
-  std::optional<ThreadPool> owned;
-  ThreadPool* const pool = pool_for(options.threads, owned);
 
   for (std::size_t ci0 = 0; ci0 < n_coarse; ci0 += block) {
     const std::size_t nb = std::min(block, n_coarse - ci0);

@@ -106,7 +106,8 @@ struct SubbandWorkspace {
 };
 
 /// Two-stage dedispersion into \p out (dms × out_samples), working in
-/// \p workspace, on \p options' threads and vectorization. The stage
+/// \p workspace, with \p options' vectorization, both stages of every
+/// block on \p pool (inline without one). The stage
 /// tiles hold at most eight trials, so they read their rows in place
 /// (staging_pays). The input must provide in_samples + 2 columns
 /// (delay splitting rounds the intra and inter shifts separately, costing
@@ -114,6 +115,7 @@ struct SubbandWorkspace {
 void dedisperse_subband(const Plan& plan, const SubbandConfig& config,
                         ConstView2D<float> in, View2D<float> out,
                         SubbandWorkspace& workspace,
-                        const CpuKernelOptions& options = {});
+                        const CpuKernelOptions& options = {},
+                        ThreadPool* pool = nullptr);
 
 }  // namespace ddmc::dedisp

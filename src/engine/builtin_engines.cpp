@@ -25,6 +25,13 @@
 /// them are freed with the engine instance. A steady-state call on one
 /// shape therefore allocates no new buffers, and the const engine stays
 /// safe to execute from many threads at once.
+///
+/// The threaded engines (capabilities().threaded) also resolve their
+/// workers once, at construction (common/thread_pool.hpp WorkerPool):
+/// inline for EngineOptions::cpu.threads = 1, the global pool for 0, and a
+/// pool of their own for any other count. Every execute() runs its kernel
+/// on that pool, so no call spawns a thread, and concurrent calls share
+/// the pool's workers.
 
 #include <algorithm>
 #include <cstdint>
@@ -36,6 +43,7 @@
 
 #include "common/expect.hpp"
 #include "common/simd.hpp"
+#include "common/thread_pool.hpp"
 #include "common/workspace.hpp"
 #include "dedisp/cpu_baseline.hpp"
 #include "dedisp/cpu_kernel.hpp"
@@ -56,7 +64,10 @@ namespace {
 class EngineBase : public DedispEngine {
  public:
   EngineBase(std::string id, EngineCapabilities caps, EngineOptions options)
-      : id_(std::move(id)), caps_(caps), options_(std::move(options)) {}
+      : id_(std::move(id)),
+        caps_(caps),
+        options_(std::move(options)),
+        workers_(caps_.threaded ? options_.cpu.threads : 1) {}
 
   const std::string& id() const override { return id_; }
   const EngineCapabilities& capabilities() const override { return caps_; }
@@ -86,9 +97,15 @@ class EngineBase : public DedispEngine {
     DDMC_FAILPOINT("engine.execute");
   }
 
+  /// The pool every call of a threaded engine runs its kernel on.
+  ThreadPool* pool() const { return workers_.get(); }
+
   const std::string id_;
   const EngineCapabilities caps_;
   const EngineOptions options_;
+
+ private:
+  const WorkerPool workers_;
 };
 
 // ------------------------------------------------------- tiled engines --
@@ -301,7 +318,7 @@ class CpuTiledEngine final : public CpuTiledBase {
                          View2D<float> out) const override {
     check_shapes(plan, in, out);
     dedisp::dedisperse_cpu(plan, decode_kernel_config(config), in, out,
-                           options_.cpu);
+                           options_.cpu, pool());
     return {};
   }
 };
@@ -410,7 +427,7 @@ class CpuTiledU8Engine final : public CpuTiledBase {
   void accumulate(const dedisp::Plan& plan, const EngineConfig& config,
                   ConstView2D<std::uint8_t> codes, View2D<float> out) const {
     dedisp::dedisperse_cpu_u8(plan, decode_kernel_config(config), codes,
-                              quant_of(config), out, options_.cpu);
+                              quant_of(config), out, options_.cpu, pool());
   }
   dedisp::QuantizationParams quant_of(const EngineConfig& config) const {
     if (!config.has("quant_window")) return options_.quant;
@@ -441,9 +458,7 @@ class CpuBaselineEngine final : public EngineBase {
                          View2D<float> out) const override {
     (void)config;  // no tunable knobs
     check_shapes(plan, in, out);
-    dedisp::CpuBaselineOptions baseline;
-    baseline.threads = options_.cpu.threads;
-    dedisp::dedisperse_cpu_baseline(plan, in, out, baseline);
+    dedisp::dedisperse_cpu_baseline(plan, in, out, {}, pool());
     return {};
   }
 };
@@ -657,7 +672,7 @@ class SubbandEngine final : public EngineBase {
     const auto workspace = workspaces_.acquire();
     if (in.cols() >= required) {
       dedisp::dedisperse_subband(plan, sub, in, out, *workspace,
-                                 options_.cpu);
+                                 options_.cpu, pool());
       return {};
     }
     Array2D<float> padded(plan.channels(), required);  // zero-initialized
@@ -665,7 +680,7 @@ class SubbandEngine final : public EngineBase {
       std::memcpy(&padded(ch, 0), &in(ch, 0), in.cols() * sizeof(float));
     }
     dedisp::dedisperse_subband(plan, sub, padded.cview(), out, *workspace,
-                               options_.cpu);
+                               options_.cpu, pool());
     return {};
   }
 

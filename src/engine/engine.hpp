@@ -92,8 +92,9 @@ struct EngineCapabilities {
   /// the number that makes the quantized engine's bandwidth win honest.
   std::size_t input_element_bytes = sizeof(float);
   /// execute() spreads its work over EngineOptions::cpu.threads workers
-  /// (0 = one per hardware thread). False: it runs on the calling thread
-  /// whatever the options say (subband, fdmt, the reference).
+  /// (0 = one per hardware thread), on a pool the engine resolves once at
+  /// construction. False: it runs on the calling thread whatever the
+  /// options say (fdmt, the reference).
   bool threaded = false;
   /// Version of what a config of this engine measures. Tuning-cache rows
   /// carry it in their host signature, so bumping it — on any change that
@@ -109,10 +110,10 @@ struct EngineCapabilities {
 /// reads the fields it understands and ignores the rest, so one options
 /// struct configures any registry id.
 struct EngineOptions {
-  /// Host-execution knobs (SIMD-vs-scalar, worker threads) of the cpu
-  /// engines; threads also drives the cpu_baseline pool. Whether a tile
-  /// stages its input rows is not a knob: the kernel decides it from the
-  /// delay table (dedisp::staging_pays).
+  /// Host-execution knobs (SIMD-vs-scalar, worker threads) of the
+  /// threaded engines; threads sizes the pool each one resolves when it is
+  /// built. Whether a tile stages its input rows is not a knob: the kernel
+  /// decides it from the delay table (dedisp::staging_pays).
   dedisp::CpuKernelOptions cpu;
   /// Two-stage split of the subband engine, and the default channel-split
   /// / coarse-step factorization of the fdmt engine (same divisibility

@@ -1,11 +1,9 @@
 #include "pipeline/multibeam.hpp"
 
-#include <optional>
 #include <string>
 #include <utility>
 
 #include "common/expect.hpp"
-#include "common/thread_pool.hpp"
 #include "engine/registry.hpp"
 #include "pipeline/sharding.hpp"
 
@@ -14,11 +12,13 @@ namespace ddmc::pipeline {
 MultiBeamDedisperser::MultiBeamDedisperser(dedisp::Plan plan,
                                            engine::EngineConfig config,
                                            std::string engine,
-                                           engine::EngineOptions options)
+                                           engine::EngineOptions options,
+                                           std::size_t threads)
     : plan_(std::move(plan)),
       config_(std::move(config)),
       engine_id_(std::move(engine)),
-      engine_options_(std::move(options)) {
+      engine_options_(std::move(options)),
+      workers_(threads) {
   rebuild_engine();
   engine_->validate_config(plan_, config_);
 }
@@ -42,24 +42,8 @@ void MultiBeamDedisperser::rebuild_engine() {
 }
 
 std::vector<Array2D<float>> MultiBeamDedisperser::dedisperse(
-    const std::vector<ConstView2D<float>>& beams, std::size_t threads) const {
-  std::vector<Array2D<float>> outputs;
-  std::vector<View2D<float>> views;
-  outputs.reserve(beams.size());
-  views.reserve(beams.size());
-  for (std::size_t b = 0; b < beams.size(); ++b) {
-    views.push_back(outputs.emplace_back(plan_.dms(), plan_.out_samples())
-                        .view());
-  }
-  dedisperse(beams, views, threads);
-  return outputs;
-}
-
-void MultiBeamDedisperser::dedisperse(
-    const std::vector<ConstView2D<float>>& beams,
-    const std::vector<View2D<float>>& outputs, std::size_t threads) const {
+    const std::vector<ConstView2D<float>>& beams) const {
   DDMC_REQUIRE(!beams.empty(), "need at least one beam");
-  DDMC_REQUIRE(outputs.size() == beams.size(), "need one output per beam");
   for (std::size_t b = 0; b < beams.size(); ++b) {
     DDMC_REQUIRE(beams[b].rows() == plan_.channels(),
                  "beam " + std::to_string(b) + " has " +
@@ -72,20 +56,23 @@ void MultiBeamDedisperser::dedisperse(
                      std::to_string(plan_.in_samples()));
   }
 
+  std::vector<Array2D<float>> outputs;
+  outputs.reserve(beams.size());
+  for (std::size_t b = 0; b < beams.size(); ++b) {
+    outputs.emplace_back(plan_.dms(), plan_.out_samples());
+  }
   auto run_beam = [&](std::size_t begin, std::size_t end) {
     for (std::size_t b = begin; b < end; ++b) {
-      engine_->execute(plan_, config_, beams[b], outputs[b]);
+      engine_->execute(plan_, config_, beams[b], outputs[b].view());
     }
   };
-
-  std::optional<ThreadPool> owned;
-  ThreadPool* const pool =
-      beams.size() == 1 ? nullptr : pool_for(threads, owned);
-  if (pool == nullptr) {
+  ThreadPool* const pool = workers_.get();
+  if (pool == nullptr || beams.size() == 1) {
     run_beam(0, beams.size());
-    return;
+  } else {
+    pool->parallel_for(0, beams.size(), 1, run_beam);
   }
-  pool->parallel_for(0, beams.size(), 1, run_beam);
+  return outputs;
 }
 
 std::vector<Array2D<float>> MultiBeamDedisperser::dedisperse_sharded(
@@ -99,8 +86,8 @@ std::vector<Array2D<float>> MultiBeamDedisperser::dedisperse_sharded(
 }
 
 MultiBeamDedisperser::BeamCandidate MultiBeamDedisperser::search(
-    const std::vector<ConstView2D<float>>& beams, std::size_t threads) const {
-  const std::vector<Array2D<float>> outputs = dedisperse(beams, threads);
+    const std::vector<ConstView2D<float>>& beams) const {
+  const std::vector<Array2D<float>> outputs = dedisperse(beams);
   BeamCandidate best;
   best.detection.best_snr = -1.0;
   for (std::size_t b = 0; b < outputs.size(); ++b) {

@@ -6,17 +6,19 @@
 ///
 /// One plan and one tuned configuration are shared by every beam (the
 /// beams see the same band and DM grid); beams are dispatched in parallel
-/// over the worker pool, each running the selected engine inline on its
-/// worker — the same decomposition a production survey backend uses. The
-/// engine is selected by registry id (engine/registry.hpp) and never
-/// branched on: any engine runs beam-parallel, and dedisperse_sharded
-/// additionally requires the supports_sharding capability.
+/// over the dedisperser's worker pool, resolved once when it is built,
+/// each running the selected engine inline on its worker — the same
+/// decomposition a production survey backend uses. The engine is selected
+/// by registry id (engine/registry.hpp) and never branched on: any engine
+/// runs beam-parallel, and dedisperse_sharded additionally requires the
+/// supports_sharding capability.
 
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/array2d.hpp"
+#include "common/thread_pool.hpp"
 #include "dedisp/cpu_kernel.hpp"
 #include "dedisp/plan.hpp"
 #include "engine/engine.hpp"
@@ -28,10 +30,13 @@ class MultiBeamDedisperser {
  public:
   /// \p config must validate against \p plan on the selected engine;
   /// \p engine is a registry id, created with \p options (subband split,
-  /// quantization window, cpu knobs).
+  /// quantization window, cpu knobs). Beams run on \p threads workers: 1
+  /// runs them inline, 0 on the machine-sized global pool, any other count
+  /// on a pool built here once and reused by every call.
   MultiBeamDedisperser(dedisp::Plan plan, engine::EngineConfig config,
                        std::string engine = engine::kDefaultEngineId,
-                       engine::EngineOptions options = {});
+                       engine::EngineOptions options = {},
+                       std::size_t threads = 0);
 
   const dedisp::Plan& plan() const { return plan_; }
   const engine::EngineConfig& config() const { return config_; }
@@ -53,16 +58,9 @@ class MultiBeamDedisperser {
   }
 
   /// Dedisperse every beam (each channels × ≥in_samples) into its own
-  /// trial matrix. \p threads = 0 uses the machine-sized global pool.
+  /// trial matrix.
   std::vector<Array2D<float>> dedisperse(
-      const std::vector<ConstView2D<float>>& beams,
-      std::size_t threads = 0) const;
-  /// Same, into the caller's dms × out_samples matrices, one per beam, so
-  /// a caller that dedisperses beam sets of one shape over and over (a
-  /// streaming session) reuses its outputs.
-  void dedisperse(const std::vector<ConstView2D<float>>& beams,
-                  const std::vector<View2D<float>>& outputs,
-                  std::size_t threads = 0) const;
+      const std::vector<ConstView2D<float>>& beams) const;
 
   /// Same decomposition with the DM grid additionally sharded: all
   /// beams × shards jobs are batched onto one pool of \p workers threads
@@ -82,8 +80,7 @@ class MultiBeamDedisperser {
   /// Dedisperse and return the strongest candidate across all beams.
   /// Equal peak S/N ties break deterministically to the lowest beam index
   /// (candidates are compared with strict >, beams scanned in order).
-  BeamCandidate search(const std::vector<ConstView2D<float>>& beams,
-                       std::size_t threads = 0) const;
+  BeamCandidate search(const std::vector<ConstView2D<float>>& beams) const;
 
  private:
   /// Recreate the per-beam engine (thread count forced to 1).
@@ -94,6 +91,7 @@ class MultiBeamDedisperser {
   std::string engine_id_;
   engine::EngineOptions engine_options_;
   std::shared_ptr<const engine::DedispEngine> engine_;
+  WorkerPool workers_;
 };
 
 }  // namespace ddmc::pipeline

@@ -10,8 +10,9 @@ namespace ddmc::stream {
 
 OverlapChunker::OverlapChunker(
     const dedisp::Plan& chunk_plan, std::size_t extra_overlap,
-    std::optional<dedisp::QuantizationParams> codes, bool floats)
-    : channels_(chunk_plan.channels()),
+    std::optional<dedisp::QuantizationParams> codes, bool floats,
+    std::size_t beams)
+    : rows_(beams * chunk_plan.channels()),
       quant_(codes),
       chunk_out_(chunk_plan.out_samples()),
       overlap_(chunk_plan.max_delay() + extra_overlap),
@@ -20,12 +21,13 @@ OverlapChunker::OverlapChunker(
                "chunk plan must be unrounded: in = out + max_delay "
                "(use Plan::with_chunk or Plan::with_output_samples)");
   DDMC_REQUIRE(floats || codes, "chunker must keep floats or codes");
+  DDMC_REQUIRE(beams > 0, "need at least one beam");
   for (std::size_t w = 0; w < 2; ++w) {
     if (floats) {
-      floats_[w] = float_storage_[w].matrix(channels_, window_samples());
+      floats_[w] = float_storage_[w].matrix(rows_, window_samples());
     }
     if (codes) {
-      codes_[w] = code_storage_[w].matrix(channels_, window_samples());
+      codes_[w] = code_storage_[w].matrix(rows_, window_samples());
     }
   }
 }
@@ -34,7 +36,7 @@ void OverlapChunker::carry() {
   if (!carry_) return;
   carry_ = false;
   const std::size_t prev = cur_ ^ 1;
-  for (std::size_t ch = 0; ch < channels_; ++ch) {
+  for (std::size_t ch = 0; ch < rows_; ++ch) {
     if (has_floats()) {
       std::memcpy(&floats_[cur_](ch, 0), &floats_[prev](ch, chunk_out_),
                   overlap_ * sizeof(float));
@@ -49,11 +51,11 @@ void OverlapChunker::carry() {
 void OverlapChunker::quantize(ConstView2D<float> samples, std::size_t offset,
                               std::size_t n) {
   const auto in = [&](std::size_t from, std::size_t to) {
-    return ConstView2D<float>(&samples(0, offset + from), channels_,
+    return ConstView2D<float>(&samples(0, offset + from), rows_,
                               to - from, samples.pitch());
   };
   const auto out = [&](std::size_t from, std::size_t to) {
-    return View2D<std::uint8_t>(&codes_[cur_](0, filled_ + from), channels_,
+    return View2D<std::uint8_t>(&codes_[cur_](0, filled_ + from), rows_,
                                 to - from, codes_[cur_].pitch());
   };
   // A sync session re-feeds columns of a window it dedispersed from its
@@ -68,7 +70,8 @@ void OverlapChunker::quantize(ConstView2D<float> samples, std::size_t offset,
 
 std::size_t OverlapChunker::feed(ConstView2D<float> samples,
                                  std::size_t offset) {
-  DDMC_REQUIRE(samples.rows() == channels_, "sample block rows != channels");
+  DDMC_REQUIRE(samples.rows() == rows_,
+               "sample block rows != beams × channels");
   DDMC_REQUIRE(offset <= samples.cols(), "feed offset out of range");
   // Context = chunk being assembled, so a test can corrupt one window feed.
   DDMC_FAILPOINT_CTX("chunker.feed", chunk_index_);
@@ -77,7 +80,7 @@ std::size_t OverlapChunker::feed(ConstView2D<float> samples,
   if (n == 0) return 0;
   carry();
   if (has_floats()) {
-    for (std::size_t ch = 0; ch < channels_; ++ch) {
+    for (std::size_t ch = 0; ch < rows_; ++ch) {
       std::memcpy(&floats_[cur_](ch, filled_), &samples(ch, offset),
                   n * sizeof(float));
     }
@@ -90,7 +93,7 @@ std::size_t OverlapChunker::feed(ConstView2D<float> samples,
 View2D<float> OverlapChunker::free_columns() {
   DDMC_REQUIRE(has_floats(), "chunker keeps no float window");
   carry();
-  return View2D<float>(&floats_[cur_](0, filled_), channels_,
+  return View2D<float>(&floats_[cur_](0, filled_), rows_,
                        window_samples() - filled_, floats_[cur_].pitch());
 }
 
@@ -124,7 +127,7 @@ void OverlapChunker::advance() {
 }
 
 void OverlapChunker::skip_chunk(ConstView2D<float> window) {
-  DDMC_REQUIRE(window.rows() == channels_ &&
+  DDMC_REQUIRE(window.rows() == rows_ &&
                    window.cols() == window_samples(),
                "skipped window shape != chunk window");
   if (has_codes()) {
@@ -132,7 +135,7 @@ void OverlapChunker::skip_chunk(ConstView2D<float> window) {
     const std::size_t seen =  // the assembled prefix, or more
         std::min(window.cols(), counted_ > first ? counted_ - first : 0);
     clipped_ += dedisp::count_clipped(
-        ConstView2D<float>(&window(0, seen), channels_, window.cols() - seen,
+        ConstView2D<float>(&window(0, seen), rows_, window.cols() - seen,
                            window.pitch()),
         *quant_);
     counted_ = first + window.cols();
@@ -150,7 +153,7 @@ ConstView2D<float> OverlapChunker::partial_input() {
   DDMC_REQUIRE(pending_out() > 0, "no partial chunk is buffered");
   DDMC_REQUIRE(has_floats(), "chunker keeps no float window");
   carry();
-  return ConstView2D<float>(floats_[cur_].data(), channels_, filled_,
+  return ConstView2D<float>(floats_[cur_].data(), rows_, filled_,
                             floats_[cur_].pitch());
 }
 
@@ -158,7 +161,7 @@ ConstView2D<std::uint8_t> OverlapChunker::partial_codes() {
   DDMC_REQUIRE(pending_out() > 0, "no partial chunk is buffered");
   DDMC_REQUIRE(has_codes(), "chunker keeps no code window");
   carry();
-  return ConstView2D<std::uint8_t>(codes_[cur_].data(), channels_, filled_,
+  return ConstView2D<std::uint8_t>(codes_[cur_].data(), rows_, filled_,
                                    codes_[cur_].pitch());
 }
 

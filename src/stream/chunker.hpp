@@ -51,7 +51,10 @@
 
 namespace ddmc::stream {
 
-/// Assembles overlap-carry chunk windows for one beam.
+/// Assembles overlap-carry chunk windows. Several beams of one plan share
+/// one chunker: their channels are stacked along the rows, beam b at rows
+/// [b·C, (b+1)·C) of every block fed and every window, so one feed and one
+/// carry move every beam's samples.
 class OverlapChunker {
  public:
   /// \p chunk_plan is a plan whose out_samples is the chunk length
@@ -63,13 +66,15 @@ class OverlapChunker {
   /// two columns past in_samples, and carrying real samples for them keeps
   /// chunked output identical to a batch run over a padded input). \p codes
   /// keeps code windows under that code map; \p floats keeps float windows
-  /// (at least one of the two).
+  /// (at least one of the two). Windows hold \p beams × the plan's
+  /// channels rows.
   explicit OverlapChunker(
       const dedisp::Plan& chunk_plan, std::size_t extra_overlap = 0,
       std::optional<dedisp::QuantizationParams> codes = std::nullopt,
-      bool floats = true);
+      bool floats = true, std::size_t beams = 1);
 
-  std::size_t channels() const { return channels_; }
+  /// Rows of every block fed and every window: beams × channels.
+  std::size_t rows() const { return rows_; }
   /// Output samples emitted per full chunk.
   std::size_t chunk_out() const { return chunk_out_; }
   /// Samples carried between consecutive windows (the plan's max_delay
@@ -110,7 +115,7 @@ class OverlapChunker {
   /// True when a full window is assembled and can be dedispersed.
   bool ready() const { return filled_ == window_samples(); }
 
-  /// The assembled channels × window_samples() window (valid while
+  /// The assembled rows() × window_samples() window (valid while
   /// ready(), and after advance() until the next write to its buffer).
   /// Requires has_floats().
   ConstView2D<float> chunk_input() const;
@@ -151,7 +156,7 @@ class OverlapChunker {
   /// session the batch input yields the batch output count.
   std::size_t pending_out() const;
 
-  /// Input window of the final partial chunk: channels × (max_delay +
+  /// Input window of the final partial chunk: rows() × (max_delay +
   /// pending_out() + whatever extra_overlap columns were actually fed).
   /// Valid while pending_out() > 0 and no further feed() happens;
   /// dedisperse it with a plan of pending_out() output samples. Writes the
@@ -169,7 +174,7 @@ class OverlapChunker {
   void quantize(ConstView2D<float> samples, std::size_t offset,
                 std::size_t n);
 
-  std::size_t channels_ = 0;
+  std::size_t rows_ = 0;
   std::optional<dedisp::QuantizationParams> quant_;
   std::array<ScratchBuffer<float>, 2> float_storage_;
   std::array<ScratchBuffer<std::uint8_t>, 2> code_storage_;

@@ -14,7 +14,7 @@ namespace ddmc::stream {
 namespace {
 
 /// The one place StreamingOptions maps onto engine-factory options: every
-/// consumer site (session engine, sharded executors, per-chunk multi-beam)
+/// consumer site (session engine, sharded executor, degradation target)
 /// goes through here, so a new EngineOptions field is wired once, not at
 /// each site — missing one silently computes with defaults.
 engine::EngineOptions engine_factory_options(const StreamingOptions& options) {
@@ -72,9 +72,9 @@ std::optional<dedisp::QuantizationParams> session_quantizer(
   return engine.input_quantizer(config);
 }
 
-/// The session's chunker: code windows for a code-reading engine, float
-/// windows for any other, and both when a code-reading session can
-/// degrade to a float engine.
+/// The session's chunker over every beam's rows: code windows for a
+/// code-reading engine, float windows for any other, and both when a
+/// code-reading session can degrade to a float engine.
 OverlapChunker session_chunker(const dedisp::Plan& plan,
                                const StreamingOptions& options,
                                const engine::DedispEngine& engine,
@@ -82,7 +82,14 @@ OverlapChunker session_chunker(const dedisp::Plan& plan,
   const std::optional<dedisp::QuantizationParams> codes =
       session_quantizer(options, engine, config);
   return OverlapChunker(plan, session_input_padding(options, engine), codes,
-                        /*floats=*/!codes || can_degrade(options));
+                        /*floats=*/!codes || can_degrade(options),
+                        options.beams);
+}
+
+/// Beam \p beam's rows of a beam-stacked view of \p n rows per beam.
+template <typename View>
+View beam_rows(View view, std::size_t beam, std::size_t n) {
+  return View(&view(beam * n, 0), n, view.cols(), view.pitch());
 }
 
 }  // namespace
@@ -99,7 +106,8 @@ StreamingDedisperser::StreamingDedisperser(dedisp::Plan chunk_plan,
       chunker_(session_chunker(plan_, options_, *engine_, config_)) {
   engine_->validate_config(plan_, config_);
   for (std::size_t b = 0; b < (options_.async ? 2 : 1); ++b) {
-    out_full_[b] = out_storage_[b].matrix(plan_.dms(), plan_.out_samples());
+    out_full_[b] = out_storage_[b].matrix(beams() * plan_.dms(),
+                                          plan_.out_samples());
   }
   if (options_.shard_workers >= 2) {
     pipeline::ShardedOptions sharded;
@@ -195,8 +203,8 @@ void StreamingDedisperser::rethrow_pending_error() {
 }
 
 void StreamingDedisperser::push(ConstView2D<float> samples) {
-  DDMC_REQUIRE(samples.rows() == channels(),
-               "sample block rows != plan channels");
+  DDMC_REQUIRE(samples.rows() == chunker_.rows(),
+               "sample block rows != beams × plan channels");
   DDMC_REQUIRE(!closed_, "push into a closed streaming session");
   rethrow_pending_error();
   const std::size_t window_cols = chunker_.window_samples();
@@ -219,7 +227,7 @@ void StreamingDedisperser::push(ConstView2D<float> samples) {
       job.index = chunker_.chunk_index();
       job.first_sample = chunker_.first_out_sample();
       job.out_samples = chunker_.chunk_out();
-      job.input = ConstView2D<float>(&samples(0, start), channels(),
+      job.input = ConstView2D<float>(&samples(0, start), chunker_.rows(),
                                      window_cols, samples.pitch());
       job.assembled_at = session_clock_.seconds();
       submit(job);
@@ -236,21 +244,21 @@ void StreamingDedisperser::push(ConstView2D<float> samples) {
 }
 
 void StreamingDedisperser::consume(SampleRing& ring) {
-  DDMC_REQUIRE(ring.channels() == channels(),
-               "ring channels != plan channels");
+  DDMC_REQUIRE(ring.channels() == chunker_.rows(),
+               "ring channels != beams × plan channels");
   DDMC_REQUIRE(!closed_, "consume into a closed streaming session");
   ScratchBuffer<float> transfer_storage;
   View2D<float> transfer;
   if (!chunker_.has_floats()) {
     transfer = transfer_storage.matrix(
-        channels(), std::min(ring.capacity(), chunker_.chunk_out()));
+        chunker_.rows(), std::min(ring.capacity(), chunker_.chunk_out()));
   }
   for (;;) {
     try {
       if (transfer.data() != nullptr) {
         const std::size_t n = ring.pop(transfer);
         if (n == 0) break;  // closed and drained
-        push(ConstView2D<float>(transfer.data(), channels(), n,
+        push(ConstView2D<float>(transfer.data(), chunker_.rows(), n,
                                 transfer.pitch()));
         continue;
       }
@@ -420,7 +428,8 @@ StreamingDedisperser::Delivery StreamingDedisperser::compute(
   // should not allocate megabytes per chunk); only the final partial
   // flush, whose shape differs, allocates its own.
   if (!full) {
-    delivery.partial_output = Array2D<float>(plan.dms(), plan.out_samples());
+    delivery.partial_output =
+        Array2D<float>(beams() * plan.dms(), plan.out_samples());
   }
   const View2D<float> out = full ? out_full : delivery.partial_output.view();
 
@@ -433,15 +442,23 @@ StreamingDedisperser::Delivery StreamingDedisperser::compute(
   // covering the failed attempts: the deadline judges the chunk's real
   // wall cost, which is what the ring feels.
   const Stopwatch engine_clock;
+  const std::size_t channels = plan.channels();
+  const std::size_t dms = plan.dms();
   for (;;) {
     try {
       DDMC_FAILPOINT_CTX("stream.chunk", job.index);
-      if (full && sharded_ && !degraded) {
-        sharded_->dedisperse(job.input, out);
-      } else if (codes) {
-        delivery.run = engine.execute(plan, config, job.codes, out);
-      } else {
-        delivery.run = engine.execute(plan, config, job.input, out);
+      delivery.runs.clear();
+      for (std::size_t b = 0; b < beams(); ++b) {
+        const View2D<float> beam_out = beam_rows(out, b, dms);
+        if (full && sharded_ && !degraded) {
+          sharded_->dedisperse(beam_rows(job.input, b, channels), beam_out);
+        } else if (codes) {
+          delivery.runs.push_back(engine.execute(
+              plan, config, beam_rows(job.codes, b, channels), beam_out));
+        } else {
+          delivery.runs.push_back(engine.execute(
+              plan, config, beam_rows(job.input, b, channels), beam_out));
+        }
       }
       break;
     } catch (...) {
@@ -491,25 +508,29 @@ void StreamingDedisperser::deliver(const Delivery& delivery) {
   chunk.index = job.index;
   chunk.first_sample = job.first_sample;
   chunk.out_samples = job.out_samples;
-  chunk.output = delivery.output;
-  const Stopwatch detect;
-  if (options_.detect) {
-    chunk.detection = sky::detect_best_dm(delivery.output);
-  }
-  chunk.timing.compute_seconds = delivery.engine_seconds + detect.seconds();
   chunk.timing.data_seconds = data_seconds;
-  chunk.timing.latency_seconds = session_clock_.seconds() - job.assembled_at;
-  if (sink_) {
-    telemetry::TraceSpan sink_span("stream.sink");
-    sink_span.arg("chunk", job.index);
-    sink_(chunk);
+  double detect_seconds = 0.0;
+  for (std::size_t b = 0; b < beams(); ++b) {
+    chunk.beam = b;
+    chunk.output = beam_rows(delivery.output, b, plan_.dms());
+    const Stopwatch detect;
+    if (options_.detect) chunk.detection = sky::detect_best_dm(chunk.output);
+    detect_seconds += detect.seconds();
+    chunk.timing.compute_seconds = delivery.engine_seconds + detect_seconds;
+    chunk.timing.latency_seconds =
+        session_clock_.seconds() - job.assembled_at;
+    if (sink_) {
+      telemetry::TraceSpan sink_span("stream.sink");
+      sink_span.arg("chunk", job.index);
+      sink_(chunk);
+    }
   }
 
   std::unique_lock<std::mutex> lock(mutex_);
   tracker_.record(chunk.timing);
   ++emitted_;
-  if (delivery.run) {
-    traffic_.add(*delivery.run, full ? plan_ : plan_.with_chunk(job.out_samples));
+  for (const engine::EngineRun& run : delivery.runs) {
+    traffic_.add(run, full ? plan_ : plan_.with_chunk(job.out_samples));
   }
   // Rung 3 pressure — the deadline is the real-time-margin criterion per
   // chunk: factor × data seconds of compute budget. An overrun still
@@ -633,140 +654,6 @@ std::size_t StreamingDedisperser::chunks_emitted() const {
 LatencyReport StreamingDedisperser::latency() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return tracker_.report();
-}
-
-// ----------------------------------------------------------- multi-beam --
-
-MultiBeamStreamingDedisperser::MultiBeamStreamingDedisperser(
-    dedisp::Plan chunk_plan, engine::EngineConfig config, std::size_t beams,
-    Sink sink, StreamingOptions options)
-    : plan_(std::move(chunk_plan)),
-      config_(std::move(config)),
-      sink_(std::move(sink)),
-      options_(options),
-      engine_(streaming_engine(options_)) {
-  DDMC_REQUIRE(beams > 0, "need at least one beam");
-  engine_->validate_config(plan_, config_);
-  if (options_.shard_workers >= 2) {
-    pipeline::ShardedOptions sharded;
-    sharded.workers = options_.shard_workers;
-    sharded.engine = options_.engine;
-    sharded.engine_options = engine_factory_options(options_);
-    sharded.supervision = options_.shard_supervision;
-    sharded_ = std::make_unique<pipeline::ShardedDedisperser>(
-        plan_, config_, std::move(sharded));
-  } else {
-    // The session's full factory options ride along, so e.g. a configured
-    // subband split reaches the per-beam engines, not just the gate.
-    multibeam_ = std::make_unique<pipeline::MultiBeamDedisperser>(
-        plan_, config_, options_.engine, engine_factory_options(options_));
-    outputs_.reserve(beams);
-    for (std::size_t b = 0; b < beams; ++b) {
-      output_views_.push_back(
-          outputs_.emplace_back(plan_.dms(), plan_.out_samples()).view());
-    }
-  }
-  const std::size_t padding = engine_->capabilities().input_padding;
-  chunkers_.reserve(beams);
-  for (std::size_t b = 0; b < beams; ++b) {
-    chunkers_.emplace_back(plan_, padding);
-  }
-}
-
-void MultiBeamStreamingDedisperser::push(
-    const std::vector<ConstView2D<float>>& beam_samples) {
-  DDMC_REQUIRE(beam_samples.size() == beams(),
-               "feed must cover every beam of the session");
-  DDMC_REQUIRE(!closed_, "push into a closed streaming session");
-  const std::size_t n = beam_samples[0].cols();
-  for (const auto& s : beam_samples) {
-    DDMC_REQUIRE(s.cols() == n,
-                 "beams must be fed the same number of samples");
-  }
-  std::size_t offset = 0;
-  while (offset < n) {
-    const std::size_t absorbed = chunkers_[0].feed(beam_samples[0], offset);
-    for (std::size_t b = 1; b < beams(); ++b) {
-      const std::size_t a = chunkers_[b].feed(beam_samples[b], offset);
-      DDMC_ENSURE(a == absorbed, "beam chunkers fell out of lockstep");
-    }
-    offset += absorbed;
-    if (chunkers_[0].ready()) {
-      std::vector<ConstView2D<float>> windows;
-      windows.reserve(beams());
-      for (const auto& c : chunkers_) windows.push_back(c.chunk_input());
-      run_chunk(plan_, config_, windows, chunkers_[0].chunk_index(),
-                chunkers_[0].first_out_sample());
-      for (auto& c : chunkers_) c.advance();
-    }
-  }
-}
-
-void MultiBeamStreamingDedisperser::close() {
-  if (closed_) return;
-  closed_ = true;
-  const std::size_t pending = chunkers_[0].pending_out();
-  if (pending == 0) return;
-  std::vector<ConstView2D<float>> windows;
-  windows.reserve(beams());
-  for (auto& c : chunkers_) windows.push_back(c.partial_input());
-  const dedisp::Plan plan = plan_.with_chunk(pending);
-  run_chunk(plan, engine_->adapt_config(plan, config_), windows,
-            chunkers_[0].chunk_index(), chunkers_[0].first_out_sample());
-}
-
-engine::SessionTraffic MultiBeamStreamingDedisperser::telemetry() const {
-  return sharded_ ? sharded_->telemetry() : engine::SessionTraffic{};
-}
-
-void MultiBeamStreamingDedisperser::run_chunk(
-    const dedisp::Plan& plan, const engine::EngineConfig& config,
-    const std::vector<ConstView2D<float>>& windows, std::size_t index,
-    std::size_t first_sample) {
-  const double assembled_at = session_clock_.seconds();
-  // Full chunks reuse the session's executor; the final partial chunk
-  // (different plan shape) takes a beam-parallel one of its own, whose
-  // output is bitwise identical anyway.
-  const bool full = plan.out_samples() == plan_.out_samples();
-  Stopwatch compute;
-  std::vector<Array2D<float>> flush_outputs;
-  if (full && sharded_) {
-    outputs_ = sharded_->dedisperse_batch(windows);
-  } else if (full) {
-    multibeam_->dedisperse(windows, output_views_, options_.cpu.threads);
-  } else {
-    const pipeline::MultiBeamDedisperser mb(plan, config, options_.engine,
-                                            engine_factory_options(options_));
-    flush_outputs = mb.dedisperse(windows, options_.cpu.threads);
-  }
-  const std::vector<Array2D<float>>& outputs = full ? outputs_ : flush_outputs;
-
-  MultiBeamStreamChunk chunk;
-  chunk.index = index;
-  chunk.first_sample = first_sample;
-  chunk.out_samples = plan.out_samples();
-  chunk.outputs = &outputs;
-  if (options_.detect) {
-    // Same scan and tie-break as MultiBeamDedisperser::search: strictly
-    // greater S/N wins, so ties go to the lowest beam index.
-    pipeline::MultiBeamDedisperser::BeamCandidate best;
-    best.detection.best_snr = -1.0;
-    for (std::size_t b = 0; b < outputs.size(); ++b) {
-      const sky::DetectionResult res = sky::detect_best_dm(outputs[b].cview());
-      if (res.best_snr > best.detection.best_snr) {
-        best.beam = b;
-        best.detection = res;
-      }
-    }
-    chunk.candidate = best;
-  }
-  chunk.timing.compute_seconds = compute.seconds();
-  chunk.timing.data_seconds = static_cast<double>(plan.out_samples()) /
-                              plan.observation().sampling_rate();
-  chunk.timing.latency_seconds = session_clock_.seconds() - assembled_at;
-  if (sink_) sink_(chunk);
-  tracker_.record(chunk.timing);
-  ++emitted_;
 }
 
 }  // namespace ddmc::stream

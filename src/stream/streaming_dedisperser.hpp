@@ -1,6 +1,6 @@
 #pragma once
 /// \file streaming_dedisperser.hpp
-/// \brief Streaming real-time dedispersion sessions (single- and multi-beam).
+/// \brief Streaming real-time dedispersion session, for any number of beams.
 ///
 /// The batch API (`pipeline::Dedisperser`) needs the whole channels ×
 /// in_samples matrix up front; a survey backend has samples *arriving*. A
@@ -10,6 +10,17 @@
 ///     └─ OverlapChunker                   assembles overlap-carry windows
 ///          └─ DedispEngine                any streaming-capable engine
 ///               └─ sink callback          dms × chunk output (+ detection)
+///
+/// One session serves B = StreamingOptions::beams beams of one plan (the
+/// beams of one telescope see the same band and DM grid). Their channels
+/// are stacked along the rows: every block pushed, every ring and every
+/// window holds B·channels rows, beam b at rows [b·C, (b+1)·C). The one
+/// chunker carries all beams at once; the compute stage runs each beam's
+/// rows through the engine (or the sharded executor) into rows
+/// [b·dms, (b+1)·dms) of the chunk's output, and the watchdog's retry, skip
+/// and degradation rungs act on the whole chunk. The sink is called once
+/// per beam, in beam order, with StreamChunk::beam set; B = 1 is the
+/// single-beam session.
 ///
 /// The engine is selected by registry id (StreamingOptions::engine); a
 /// session requires the supports_streaming capability and widens the
@@ -36,7 +47,8 @@
 /// chunk, so at the end of one engine call the next window is already
 /// waiting for it. Memory: two input windows + two output buffers (a sync
 /// session: two windows + one output buffer), all left uninitialized until
-/// first written. The final partial chunk gets its own output buffer.
+/// first written. Each output buffer holds B·dms rows. The final partial
+/// chunk gets its own output buffer.
 ///
 /// When the engine reads 8-bit codes (DedispEngine::input_quantizer) and
 /// the session is not sharded, the chunker's windows hold codes, each
@@ -50,9 +62,9 @@
 /// session's `ddmc.stream.quant_clipped_total` counter.
 ///
 /// The sink runs on the delivery thread (async mode) or the pushing thread
-/// (sync mode). Its calls are serialized, in chunk order and never
-/// concurrent; the output view is valid for the duration of the call. It
-/// must not call back into the session.
+/// (sync mode). Its calls are serialized, in chunk order and, within a
+/// chunk, in beam order, never concurrent; the output view is valid for
+/// the duration of the call. It must not call back into the session.
 
 #include <array>
 #include <condition_variable>
@@ -70,7 +82,6 @@
 #include "dedisp/cpu_kernel.hpp"
 #include "dedisp/plan.hpp"
 #include "engine/engine.hpp"
-#include "pipeline/multibeam.hpp"
 #include "pipeline/sharding.hpp"
 #include "resilience/supervisor.hpp"
 #include "sky/detection.hpp"
@@ -82,9 +93,11 @@
 
 namespace ddmc::stream {
 
-/// One delivered chunk: dms × out_samples trial matrix plus accounting.
+/// One delivered chunk of one beam: dms × out_samples trial matrix plus
+/// accounting.
 struct StreamChunk {
   std::size_t index = 0;         ///< chunk sequence number
+  std::size_t beam = 0;          ///< beam of the output, 0 ≤ beam < beams
   std::size_t first_sample = 0;  ///< global output sample of column 0
   /// Chunk length: the session's chunk size for full chunks; the flush
   /// chunk covers whatever remained (usually shorter, at most chunk size
@@ -92,8 +105,10 @@ struct StreamChunk {
   std::size_t out_samples = 0;
   /// Dedispersed output; valid only during the sink call.
   ConstView2D<float> output;
-  /// Strongest candidate in this chunk (StreamingOptions::detect).
+  /// Strongest candidate in this beam's chunk (StreamingOptions::detect).
   std::optional<sky::DetectionResult> detection;
+  /// The chunk's timing up to this sink call: engine time of every beam,
+  /// detection of beams 0..beam.
   ChunkTiming timing;
 };
 
@@ -101,6 +116,9 @@ struct StreamingOptions {
   /// Registry id of the engine the session runs; must report the
   /// supports_streaming capability.
   std::string engine = engine::kDefaultEngineId;
+  /// Beams the session dedisperses, stacked along the rows of every block
+  /// (beams × the plan's channels rows); at least 1.
+  std::size_t beams = 1;
   /// Host-execution knobs passed to the engine factory (threads,
   /// SIMD-vs-scalar).
   dedisp::CpuKernelOptions cpu;
@@ -125,9 +143,10 @@ struct StreamingOptions {
   /// recovery to the chunk-level watchdog below; a shard-level retry budget
   /// absorbs transient faults without repeating the chunk's other shards.
   resilience::SupervisionPolicy shard_supervision;
-  /// Watchdog ladder on chunk failure / deadline overrun (single-beam
-  /// sessions only): retry transient failures → skip the chunk with gap
-  /// accounting → degrade to a cheaper streaming-capable engine. Disabled
+  /// Watchdog ladder on chunk failure / deadline overrun, acting on the
+  /// whole chunk (every beam): retry transient failures → skip the chunk
+  /// with gap accounting → degrade to a cheaper streaming-capable engine.
+  /// The deadline judges the chunk's compute over all beams. Disabled
   /// by default: an unsupervised session latches the first error exactly
   /// as before. When enabled with a degradation target available, the
   /// chunker's carried overlap is widened to the larger of the two
@@ -135,7 +154,7 @@ struct StreamingOptions {
   resilience::StreamPolicy supervision;
 };
 
-/// Single-beam streaming session.
+/// Streaming session of StreamingOptions::beams beams.
 class StreamingDedisperser {
  public:
   using Sink = std::function<void(const StreamChunk&)>;
@@ -172,18 +191,20 @@ class StreamingDedisperser {
   const dedisp::Plan& chunk_plan() const { return plan_; }
   std::size_t chunk_samples() const { return plan_.out_samples(); }
   std::size_t channels() const { return plan_.channels(); }
+  std::size_t beams() const { return options_.beams; }
 
-  /// Feed samples.cols() samples (channels × n, any n ≥ 0 — down to one
-  /// sample). Completed chunks are dispatched as a side effect; blocks only
-  /// to write into the window the engine still reads (backpressure from
-  /// compute, and through it from delivery). Rethrows a sink/kernel
+  /// Feed samples.cols() samples (beams·channels × n, any n ≥ 0 — down to
+  /// one sample). Completed chunks are dispatched as a side effect; blocks
+  /// only to write into the window the engine still reads (backpressure
+  /// from compute, and through it from delivery). Rethrows a sink/kernel
   /// failure from the pipeline threads.
   void push(ConstView2D<float> samples);
 
-  /// Drain \p ring until it is closed and empty, like push()ing
-  /// everything. Samples are popped straight into the float window being
-  /// assembled; a session with code windows alone pops at most a chunk at
-  /// a time into a float transfer and quantizes from it.
+  /// Drain \p ring (beams·channels channels) until it is closed and
+  /// empty, like push()ing everything. Samples are popped straight into
+  /// the float window being assembled; a session with code windows alone
+  /// pops at most a chunk at a time into a float transfer and quantizes
+  /// from it.
   void consume(SampleRing& ring);
 
   /// Flush the final partial chunk (if any), drain the compute and then the
@@ -191,7 +212,7 @@ class StreamingDedisperser {
   /// destructor. Rethrows the first sink/kernel failure, if any.
   void close();
 
-  /// Chunks delivered to the sink so far.
+  /// Chunks delivered to the sink so far (each one sink call per beam).
   std::size_t chunks_emitted() const;
 
   /// Latency/throughput statistics of the chunks delivered so far
@@ -257,13 +278,13 @@ class StreamingDedisperser {
   /// A chunk on its way from the compute stage to the delivery stage.
   struct Delivery {
     Job job;
-    View2D<float> output;           ///< unset when the chunk was skipped
+    View2D<float> output;           ///< beams·dms rows; unset when skipped
     Array2D<float> partial_output;  ///< owns the final flush chunk's output
     /// Set when the watchdog skipped the chunk: delivered as a gap record.
     std::optional<std::string> gap_reason;
     std::size_t retries = 0;
     double engine_seconds = 0.0;  ///< failed attempts included
-    std::optional<engine::EngineRun> run;  ///< single-engine executions
+    std::vector<engine::EngineRun> runs;  ///< single-engine executions
   };
 
   /// Start \p job (sync: run it inline; async: post it to the job slot,
@@ -281,11 +302,12 @@ class StreamingDedisperser {
   /// Submit the chunker's assembled window and move the chunker on to its
   /// other window.
   void dispatch();
-  /// Compute stage: the engine with the watchdog's retry rung, into
-  /// \p out_full for full chunks. Throws a failure no rung absorbs.
+  /// Compute stage: the engine over every beam with the watchdog's retry
+  /// rung, into \p out_full for full chunks. Throws a failure no rung
+  /// absorbs.
   Delivery compute(const Job& job, View2D<float> out_full);
-  /// Delivery stage: detection, the sink and the accounting, or the gap
-  /// record of a skipped chunk.
+  /// Delivery stage: detection and the sink for each beam, then the
+  /// accounting, or the gap record of a skipped chunk.
   void deliver(const Delivery& delivery);
   /// Watchdog rung 2: account the never-emitted chunk as a gap and apply
   /// degradation pressure.
@@ -370,75 +392,6 @@ class StreamingDedisperser {
   std::condition_variable cv_slot_;      // compute: !delivery_pending_
   std::thread delivery_thread_;
   std::thread compute_thread_;
-};
-
-/// One delivered multi-beam chunk: per-beam trial matrices plus the
-/// strongest candidate across beams.
-struct MultiBeamStreamChunk {
-  std::size_t index = 0;
-  std::size_t first_sample = 0;
-  std::size_t out_samples = 0;
-  /// outputs[beam] is dms × out_samples; valid only during the sink call.
-  const std::vector<Array2D<float>>* outputs = nullptr;
-  std::optional<pipeline::MultiBeamDedisperser::BeamCandidate> candidate;
-  ChunkTiming timing;
-};
-
-/// Multi-beam streaming session: one overlap-carry chunker per beam, fed in
-/// lockstep, dedispersed with the MultiBeamDedisperser decomposition (beams
-/// are the parallel dimension over the worker pool). Synchronous: chunks
-/// run on the pushing thread, which is itself typically one consumer thread
-/// of a beam-former.
-class MultiBeamStreamingDedisperser {
- public:
-  using Sink = std::function<void(const MultiBeamStreamChunk&)>;
-
-  MultiBeamStreamingDedisperser(dedisp::Plan chunk_plan,
-                                engine::EngineConfig config,
-                                std::size_t beams, Sink sink,
-                                StreamingOptions options = {});
-
-  const dedisp::Plan& chunk_plan() const { return plan_; }
-  std::size_t beams() const { return chunkers_.size(); }
-
-  /// Feed the same number of new samples for every beam
-  /// (beam_samples.size() == beams(), each channels × n with one shared n).
-  void push(const std::vector<ConstView2D<float>>& beam_samples);
-
-  /// Flush the final partial chunk (if any). Idempotent.
-  void close();
-
-  std::size_t chunks_emitted() const { return emitted_; }
-  LatencyReport latency() const { return tracker_.report(); }
-
-  /// Traffic aggregate of the session's sharded executor (full chunks when
-  /// shard_workers ≥ 2); the beam-parallel path does not report EngineRuns.
-  engine::SessionTraffic telemetry() const;
-
- private:
-  void run_chunk(const dedisp::Plan& plan, const engine::EngineConfig& config,
-                 const std::vector<ConstView2D<float>>& windows,
-                 std::size_t index, std::size_t first_sample);
-
-  dedisp::Plan plan_;
-  engine::EngineConfig config_;
-  Sink sink_;
-  StreamingOptions options_;
-  std::shared_ptr<const engine::DedispEngine> engine_;
-  /// Sharded executor reused by every full chunk (shard_workers ≥ 2);
-  /// per-chunk construction would pay pool spawn + planning each time.
-  std::unique_ptr<pipeline::ShardedDedisperser> sharded_;
-  /// Beam-parallel executor of full chunks otherwise, with the per-beam
-  /// outputs it writes: built once, so its engine's workspaces and the
-  /// outputs are reused by every chunk. The flush chunk builds its own.
-  std::unique_ptr<pipeline::MultiBeamDedisperser> multibeam_;
-  std::vector<Array2D<float>> outputs_;
-  std::vector<View2D<float>> output_views_;
-  std::vector<OverlapChunker> chunkers_;
-  Stopwatch session_clock_;
-  LatencyTracker tracker_;
-  std::size_t emitted_ = 0;
-  bool closed_ = false;
 };
 
 }  // namespace ddmc::stream

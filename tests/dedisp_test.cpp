@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdint>
 #include <iostream>
+#include <map>
 #include <random>
 #include <span>
 #include <string>
@@ -16,6 +17,7 @@
 
 #include "common/aligned.hpp"
 #include "common/expect.hpp"
+#include "common/thread_pool.hpp"
 #include "dedisp/cpu_baseline.hpp"
 #include "dedisp/cpu_kernel.hpp"
 #include "dedisp/intensity.hpp"
@@ -43,6 +45,13 @@ using testing::expect_same_matrix;
 using testing::mini_obs;
 using testing::mini_plan;
 using testing::random_input;
+
+/// The pool a kernel call on \p threads workers runs on, one per count for
+/// the whole test binary; 1 runs inline.
+ThreadPool* kernel_pool(std::size_t threads) {
+  static std::map<std::size_t, WorkerPool> pools;
+  return pools.try_emplace(threads, threads).first->second.get();
+}
 
 // ------------------------------------------------------------------- plan --
 
@@ -289,12 +298,12 @@ TEST_P(CpuKernelEquivalence, MatchesReferenceInlineAndThreaded) {
       quantize_plane(plan, in.cview(), kU8Params);
   for (const std::size_t threads : {1ul, 3ul}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    CpuKernelOptions opt;
-    opt.threads = threads;
-    expect_same_matrix(expected, dedisperse_cpu(plan, cfg, in.cview(), opt));
+    ThreadPool* const pool = kernel_pool(threads);
+    expect_same_matrix(expected,
+                       dedisperse_cpu(plan, cfg, in.cview(), {}, pool));
     expect_exact_u8_sums(
         plan, codes, kU8Params,
-        dedisperse_cpu_u8(plan, cfg, codes.cview(), kU8Params, opt));
+        dedisperse_cpu_u8(plan, cfg, codes.cview(), kU8Params, {}, pool));
   }
 }
 
@@ -417,9 +426,7 @@ TEST(CpuKernel, TileJobsWithRaggedTimeTilesMatchReference) {
              in.cview(),
              View2D<float>(&got(dm0, 0), 32, got.cols(), got.pitch())});
       }
-      CpuKernelOptions opt;
-      opt.threads = threads;
-      dedisperse_tiled(jobs, config, opt);
+      dedisperse_tiled(jobs, config, {}, kernel_pool(threads));
       expect_same_matrix(expected, got);
     }
   }
@@ -434,10 +441,8 @@ TEST(CpuKernel, TileJobRejectsAnInputShorterThanItsDelays) {
       ConstView2D<float>(in.cview().data(), in.rows(), plan.in_samples() - 1,
                          in.pitch()),
       out.view()};
-  CpuKernelOptions opt;
-  opt.threads = 1;
   EXPECT_THROW(dedisperse_tiled(std::span<const TileJob<float>>(&job, 1),
-                                KernelConfig{8, 1, 1, 1}, opt),
+                                KernelConfig{8, 1, 1, 1}),
                invalid_argument);
 }
 
@@ -476,7 +481,6 @@ TEST(CpuKernel, ChannelBlockAndUnrollAreBitExact) {
         cfg.channel_block = cb;
         cfg.unroll = unroll;
         CpuKernelOptions opt;
-        opt.threads = 1;
         const Array2D<float> got =
             dedisperse_cpu(plan, cfg, in.cview(), opt);
         SCOPED_TRACE(cfg.to_string() + " " + staging_note(plan, cfg));
@@ -493,10 +497,8 @@ TEST(CpuKernel, ScalarEngineMatchesSimdEngine) {
   cfg.channel_block = 3;
   CpuKernelOptions scalar_opt;
   scalar_opt.vectorize = false;
-  scalar_opt.threads = 1;
   CpuKernelOptions simd_opt;
   simd_opt.vectorize = true;
-  simd_opt.threads = 1;
   expect_same_matrix(dedisperse_cpu(plan, cfg, in.cview(), scalar_opt),
                      dedisperse_cpu(plan, cfg, in.cview(), simd_opt));
 }
@@ -545,7 +547,7 @@ TEST(CpuKernel, RandomizedExtendedConfigsMatchReference) {
 
     CpuKernelOptions opt;
     opt.vectorize = (gen() % 4) != 0;  // bias toward the SIMD engine
-    opt.threads = pick({1, 2, 3});
+    const std::size_t threads = pick({1, 2, 3});
     if (staging_tally(plan.delays().view(), plan.out_samples(), cfg).staged >
         0) {
       ++staged_draws;
@@ -557,22 +559,22 @@ TEST(CpuKernel, RandomizedExtendedConfigsMatchReference) {
                  " cfg=" + cfg.to_string() + " " +
                  staging_note(plan, cfg) +
                  (opt.vectorize ? " simd" : " scalar") + " threads=" +
-                 std::to_string(opt.threads));
-    const Array2D<float> got = dedisperse_cpu(plan, cfg, in.cview(), opt);
+                 std::to_string(threads));
+    const Array2D<float> got =
+        dedisperse_cpu(plan, cfg, in.cview(), opt, kernel_pool(threads));
     expect_same_matrix(expected, got);
 
     const Array2D<std::uint8_t> codes =
         quantize_plane(plan, in.cview(), kU8Params);
     CpuKernelOptions scalar;
     scalar.vectorize = false;
-    scalar.threads = 1;
     const Array2D<float> expected_u8 =
         dedisperse_cpu_u8(plan, cfg, codes.cview(), kU8Params, scalar);
     SCOPED_TRACE("u8");
     expect_exact_u8_sums(plan, codes, kU8Params, expected_u8);
-    expect_same_matrix(
-        expected_u8,
-        dedisperse_cpu_u8(plan, cfg, codes.cview(), kU8Params, opt));
+    expect_same_matrix(expected_u8,
+                       dedisperse_cpu_u8(plan, cfg, codes.cview(), kU8Params,
+                                         opt, kernel_pool(threads)));
   }
   // Both sides of the rule were drawn.
   EXPECT_GT(staged_draws, 4u);
@@ -600,7 +602,6 @@ TEST(CpuKernel, StagingSpanEdgeCases) {
     const Array2D<std::uint8_t> codes =
         quantize_plane(plan, in.cview(), kU8Params);
     CpuKernelOptions opt;
-    opt.threads = 1;
     expect_same_matrix(expected, dedisperse_cpu(plan, cfg, in.cview(), opt));
     expect_exact_u8_sums(
         plan, codes, kU8Params,
@@ -635,14 +636,13 @@ TEST(CpuKernel, U8LaneMaxCodesSumExactlyAtEveryChannelCount) {
                 staging_tally(plan.delays().view(), out, cfg);
             EXPECT_EQ(tally.staged, dms == 4 ? 0u : tally.blocks);
             for (std::size_t threads : {1ul, 3ul}) {
-              CpuKernelOptions opt;
-              opt.threads = threads;
               SCOPED_TRACE(std::to_string(channels) + " channels, " +
                            cfg.to_string() + " " + staging_note(plan, cfg) +
                            ", threads=" + std::to_string(threads));
               expect_exact_u8_sums(
                   plan, codes, params,
-                  dedisperse_cpu_u8(plan, cfg, codes.cview(), params, opt));
+                  dedisperse_cpu_u8(plan, cfg, codes.cview(), params, {},
+                                    kernel_pool(threads)));
             }
           }
         }
@@ -744,7 +744,6 @@ TEST(CpuKernelTails, TiledMatchesReferenceForEveryTailWidth) {
       for (const KernelConfig& cfg : tc.configs) {
         SCOPED_TRACE(checked_tail_staging(plan, cfg));
         CpuKernelOptions opt;
-        opt.threads = 1;
         expect_same_matrix(expected,
                            dedisperse_cpu(plan, cfg, guarded.cview(), opt));
       }
@@ -766,12 +765,10 @@ TEST(CpuKernelTails, U8MatchesItsScalarEngineForEveryTailWidth) {
         SCOPED_TRACE(checked_tail_staging(plan, cfg));
         CpuKernelOptions scalar;
         scalar.vectorize = false;
-        scalar.threads = 1;
         const Array2D<float> expected =
             dedisperse_cpu_u8(plan, cfg, guarded.cview(), params, scalar);
         expect_exact_u8_sums(plan, codes, params, expected);
         CpuKernelOptions opt;
-        opt.threads = 1;
         expect_same_matrix(expected, dedisperse_cpu_u8(plan, cfg,
                                                        guarded.cview(), params,
                                                        opt));
@@ -782,12 +779,16 @@ TEST(CpuKernelTails, U8MatchesItsScalarEngineForEveryTailWidth) {
 
 // ----------------------------------------------------------- CPU baseline --
 
-TEST(CpuBaseline, MatchesReference) {
+TEST(CpuBaseline, MatchesReferenceInlineAndThreaded) {
   const Plan plan = mini_plan(8, 64);
   const Array2D<float> in = random_input(plan);
   const Array2D<float> expected = dedisperse_reference(plan, in.cview());
-  const Array2D<float> got = dedisperse_cpu_baseline(plan, in.cview());
-  expect_same_matrix(expected, got);
+  for (const std::size_t threads : {1ul, 3ul}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    expect_same_matrix(expected,
+                       dedisperse_cpu_baseline(plan, in.cview(), {},
+                                               kernel_pool(threads)));
+  }
 }
 
 TEST(CpuBaseline, HandlesNonMultipleOfEightTails) {
@@ -795,9 +796,7 @@ TEST(CpuBaseline, HandlesNonMultipleOfEightTails) {
   const Plan plan = Plan::with_output_samples(mini_obs(), 4, 37);
   const Array2D<float> in = random_input(plan);
   const Array2D<float> expected = dedisperse_reference(plan, in.cview());
-  CpuBaselineOptions opt;
-  opt.threads = 1;
-  const Array2D<float> got = dedisperse_cpu_baseline(plan, in.cview(), opt);
+  const Array2D<float> got = dedisperse_cpu_baseline(plan, in.cview());
   expect_same_matrix(expected, got);
 }
 

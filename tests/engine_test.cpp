@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <limits>
 #include <new>
 #include <optional>
@@ -1124,9 +1125,9 @@ TEST(EngineStreaming, EveryStreamingEngineMatchesItsBatchRun) {
 }
 
 TEST(EngineStreaming, MultiBeamSubbandSessionHonorsTheConfiguredSplit) {
-  // Regression: the multi-beam chunk path used to rebuild its per-beam
-  // engines from the cpu knobs alone, silently dropping
-  // StreamingOptions::subband and computing with the default split.
+  // Regression: a multi-beam chunk path once rebuilt its per-beam engines
+  // from the cpu knobs alone, silently dropping StreamingOptions::subband
+  // and computing with the default split.
   const sky::Observation obs = mini_obs();
   const std::size_t dms = 8;
   const std::size_t total_out = 80;
@@ -1141,36 +1142,31 @@ TEST(EngineStreaming, MultiBeamSubbandSessionHonorsTheConfiguredSplit) {
       run_engine(*make_engine("subband", engine_options), batch_plan,
                  KernelConfig{1, 1, 1, 1}, in.cview());
 
-  Array2D<float> streamed(dms, total_out);
+  testing::BeamCollector streamed(2, dms, total_out);
   stream::StreamingOptions options;
   options.engine = "subband";
   options.subband = split;
-  stream::MultiBeamStreamingDedisperser session(
-      chunk_plan, EngineConfig{}, /*beams=*/2,
-      [&](const stream::MultiBeamStreamChunk& chunk) {
-        const Array2D<float>& beam0 = (*chunk.outputs)[0];
-        for (std::size_t dm = 0; dm < dms; ++dm) {
-          for (std::size_t t = 0; t < chunk.out_samples; ++t) {
-            streamed(dm, chunk.first_sample + t) = beam0(dm, t);
-          }
-        }
-      },
-      options);
-  session.push({in.cview(), in.cview()});
+  options.beams = 2;
+  stream::StreamingDedisperser session(chunk_plan, EngineConfig{},
+                                       std::ref(streamed), options);
+  session.push(testing::stack_beams({in, in}).cview());
   session.close();
-  expect_same_matrix(expected, streamed);
+  for (std::size_t b = 0; b < 2; ++b) {
+    SCOPED_TRACE("beam " + std::to_string(b));
+    expect_same_matrix(expected, streamed.totals[b]);
+  }
 }
 
 TEST(EngineStreaming, NonStreamableEngineIsRejectedWithTheCapabilityName) {
-  // The multi-beam session gates on the same capability as the
-  // single-beam one (see the fdmt test below).
+  // A multi-beam session gates on the same capability as a single-beam
+  // one (see the fdmt test below).
   const Plan chunk_plan = testing::mini_plan(4, 32);
   stream::StreamingOptions options;
   options.engine = "fdmt";
+  options.beams = 2;
   try {
-    stream::MultiBeamStreamingDedisperser session(chunk_plan, EngineConfig{},
-                                                  /*beams=*/2, nullptr,
-                                                  options);
+    stream::StreamingDedisperser session(chunk_plan, EngineConfig{}, nullptr,
+                                         options);
     FAIL() << "streaming session accepted an engine without "
               "supports_streaming";
   } catch (const invalid_argument& e) {
@@ -1480,6 +1476,47 @@ TEST(EngineWorkspace, ConcurrentCallsOnTwoShapesMatchSequentialCalls) {
   }
 }
 
+TEST(EnginePool, ConcurrentCallersShareOneEnginesPool) {
+  // Each threaded engine resolves its pool once: three workers here, which
+  // four callers' executions share. Every output equals the inline one.
+  const Plan plan = Plan::with_output_samples(mini_obs(64), 16, 256);
+  const Array2D<float> in = padded_input(plan, 2, 11);
+  const KernelConfig config{8, 2, 4, 2};  // 32 tiles; ignored by the rest
+  constexpr std::size_t kCallers = 4;
+  constexpr std::size_t kCallsPerCaller = 3;
+  for (const char* id :
+       {"cpu_tiled", "cpu_tiled_u8", "subband", "cpu_baseline"}) {
+    SCOPED_TRACE(id);
+    EngineOptions three;
+    three.cpu.threads = 3;
+    const auto engine = make_engine(id, three);
+    ASSERT_TRUE(engine->capabilities().threaded);
+    EXPECT_EQ(engine->threads(), 3u);
+    const Array2D<float> expected =
+        run_engine(*make_engine(id, single_threaded()), plan, config,
+                   in.cview());
+    std::vector<std::vector<Array2D<float>>> outputs(kCallers);
+    std::vector<std::thread> callers;
+    std::atomic<std::size_t> ready{0};
+    for (std::size_t c = 0; c < kCallers; ++c) {
+      callers.emplace_back([&, c] {
+        ready.fetch_add(1);
+        while (ready.load() < kCallers) std::this_thread::yield();
+        for (std::size_t k = 0; k < kCallsPerCaller; ++k) {
+          outputs[c].push_back(run_engine(*engine, plan, config, in.cview()));
+        }
+      });
+    }
+    for (auto& caller : callers) caller.join();
+    for (std::size_t c = 0; c < kCallers; ++c) {
+      ASSERT_EQ(outputs[c].size(), kCallsPerCaller);
+      for (const Array2D<float>& out : outputs[c]) {
+        expect_same_matrix(expected, out);
+      }
+    }
+  }
+}
+
 TEST(EngineWorkspace, RepeatedCallAllocatesNoLargeBlock) {
   // Apertif-sized channels so every kept buffer is well above the 64 KiB
   // threshold: the fdmt spectra, the subband stage-1 plane and the u8
@@ -1508,32 +1545,34 @@ TEST(EngineWorkspace, RepeatedCallAllocatesNoLargeBlock) {
 }
 
 TEST(EngineWorkspace, MultiBeamSessionChunkAllocatesNoLargeBlock) {
-  // A multi-beam streaming session builds its beam-parallel executor and
-  // the per-beam outputs once: a full chunk after the first finds the
-  // engine's workspace (the u8 byte plane) and the outputs in place.
+  // A multi-beam streaming session allocates its windows and its B·dms
+  // output buffer once: a full chunk after the first finds the engine's
+  // workspace (the u8 byte plane) and every buffer in place.
   const Plan batch = Plan::with_output_samples(sky::apertif(), 16, 3 * 128);
   const Plan chunk = batch.with_chunk(128);
   const Array2D<float> in = padded_input(batch, 0);
+  const Array2D<float> stacked = testing::stack_beams({in, in});
   stream::StreamingOptions options;
   options.engine = "cpu_tiled_u8";
   options.cpu.threads = 1;
-  std::size_t chunks = 0;
-  stream::MultiBeamStreamingDedisperser session(
-      chunk, EngineConfig{}, /*beams=*/2,
-      [&](const stream::MultiBeamStreamChunk&) { ++chunks; }, options);
+  options.async = false;
+  options.beams = 2;
+  std::size_t calls = 0;
+  stream::StreamingDedisperser session(
+      chunk, EngineConfig{}, [&](const stream::StreamChunk&) { ++calls; },
+      options);
   const auto columns = [&](std::size_t from, std::size_t to) {
-    const ConstView2D<float> part(&in.cview()(0, from), in.rows(), to - from,
-                                  in.pitch());
-    return std::vector<ConstView2D<float>>{part, part};
+    return ConstView2D<float>(&stacked.cview()(0, from), stacked.rows(),
+                              to - from, stacked.pitch());
   };
   const std::size_t first = chunk.in_samples();
   session.push(columns(0, first));  // chunk 0 sizes everything
-  ASSERT_EQ(chunks, 1u);
+  ASSERT_EQ(calls, 2u);
   g_large_allocations.store(0);
   g_count_allocations.store(true);
   session.push(columns(first, first + 128));  // chunk 1
   g_count_allocations.store(false);
-  EXPECT_EQ(chunks, 2u);
+  EXPECT_EQ(calls, 4u);
   EXPECT_EQ(g_large_allocations.load(), 0u);
 }
 

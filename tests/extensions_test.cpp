@@ -356,8 +356,9 @@ TEST(HostTuner, RejectsZeroRepetitions) {
 
 TEST(MultiBeam, EveryBeamMatchesTheReference) {
   const Plan plan = testing::mini_plan(8, 64);
-  pipeline::MultiBeamDedisperser mb(plan,
-                                    tiled_config(KernelConfig{8, 2, 4, 2}));
+  pipeline::MultiBeamDedisperser mb(
+      plan, tiled_config(KernelConfig{8, 2, 4, 2}), engine::kDefaultEngineId,
+      {}, /*threads=*/2);
 
   std::vector<Array2D<float>> beam_data;
   std::vector<ConstView2D<float>> views;
@@ -366,7 +367,7 @@ TEST(MultiBeam, EveryBeamMatchesTheReference) {
   }
   for (const auto& b : beam_data) views.push_back(b.cview());
 
-  const std::vector<Array2D<float>> outputs = mb.dedisperse(views, 2);
+  const std::vector<Array2D<float>> outputs = mb.dedisperse(views);
   ASSERT_EQ(outputs.size(), 3u);
   for (std::size_t b = 0; b < 3; ++b) {
     const Array2D<float> expected =
@@ -378,8 +379,9 @@ TEST(MultiBeam, EveryBeamMatchesTheReference) {
 TEST(MultiBeam, SearchFindsTheBeamWithThePulsar) {
   const sky::Observation obs = mini_obs();
   const Plan plan = Plan::with_output_samples(obs, 8, 128);
-  pipeline::MultiBeamDedisperser mb(plan,
-                                    tiled_config(KernelConfig{16, 2, 4, 2}));
+  pipeline::MultiBeamDedisperser mb(
+      plan, tiled_config(KernelConfig{16, 2, 4, 2}), engine::kDefaultEngineId,
+      {}, /*threads=*/2);
 
   sky::NoiseParams noise;
   noise.sigma = 0.5;
@@ -401,7 +403,7 @@ TEST(MultiBeam, SearchFindsTheBeamWithThePulsar) {
   std::vector<ConstView2D<float>> views;
   for (const auto& b : beams) views.push_back(b.cview());
 
-  const auto candidate = mb.search(views, 2);
+  const auto candidate = mb.search(views);
   EXPECT_EQ(candidate.beam, 2u);
   EXPECT_GT(candidate.detection.best_snr, 5.0);
 }
@@ -444,13 +446,14 @@ TEST(MultiBeam, SearchTieBreaksToTheLowestBeamIndex) {
   // Identical beams produce identical (bitwise) outputs and hence exactly
   // equal peak S/N — the candidate must deterministically be beam 0.
   const Plan plan = testing::mini_plan(8, 64);
-  pipeline::MultiBeamDedisperser mb(plan,
-                                    tiled_config(KernelConfig{8, 2, 4, 2}));
   const Array2D<float> data = random_input(plan);
   const std::vector<ConstView2D<float>> beams = {
       data.cview(), data.cview(), data.cview()};
   for (std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
-    const auto candidate = mb.search(beams, threads);
+    const pipeline::MultiBeamDedisperser mb(
+        plan, tiled_config(KernelConfig{8, 2, 4, 2}),
+        engine::kDefaultEngineId, {}, threads);
+    const auto candidate = mb.search(beams);
     EXPECT_EQ(candidate.beam, 0u) << "threads=" << threads;
   }
 }

@@ -691,6 +691,57 @@ TEST(StreamingWatchdog, ConsecutiveSkipsDegradeToTheCheaperEngine) {
   EXPECT_EQ(session.latency().gap_chunks, 2u);
 }
 
+TEST(StreamingWatchdog, RungsActOnEveryBeamOfAChunk) {
+  // A two-beam code-window session: chunks 0 and 1 fail and are skipped
+  // for both beams, the session degrades to a float engine, and each
+  // beam's delivered chunks equal a single-beam session's under the same
+  // faults.
+  const std::size_t total_out = 128;  // 4 full chunks of 32
+  const Plan batch = Plan::with_output_samples(mini_obs(), 12, total_out);
+  const std::vector<Array2D<float>> inputs = {random_input(batch, 3),
+                                              random_input(batch, 4)};
+  const auto run = [&](std::size_t beams, const Array2D<float>& input) {
+    FaultSpec spec;
+    spec.max_fires = 2;
+    ScopedFault fault("stream.chunk", spec);
+    testing::BeamCollector collect(beams, batch.dms(), total_out);
+    std::vector<std::size_t> indices;
+    stream::StreamingOptions opts;
+    opts.engine = "cpu_tiled_u8";
+    opts.async = false;  // the switch lands between the same two chunks
+    opts.cpu.threads = 1;
+    opts.beams = beams;
+    opts.supervision.enabled = true;
+    opts.supervision.max_chunk_retries = 0;
+    opts.supervision.degrade_after = 2;
+    stream::StreamingDedisperser session(
+        batch.with_chunk(32), tiled_config(KernelConfig{8, 2, 4, 2}),
+        [&](const stream::StreamChunk& chunk) {
+          indices.push_back(chunk.index);
+          collect(chunk);
+        },
+        opts);
+    session.push(input.cview());
+    session.close();
+    const resilience::StreamHealth health = session.health();
+    EXPECT_EQ(health.chunks_skipped, 2u);
+    EXPECT_TRUE(health.degraded);
+    EXPECT_EQ(health.chunks_emitted, 2u);
+    std::vector<std::size_t> expected_indices;
+    for (const std::size_t index : {2u, 3u}) {
+      expected_indices.insert(expected_indices.end(), beams, index);
+    }
+    EXPECT_EQ(indices, expected_indices);
+    return collect.totals;
+  };
+  const std::vector<Array2D<float>> both =
+      run(2, testing::stack_beams(inputs));
+  for (std::size_t b = 0; b < inputs.size(); ++b) {
+    SCOPED_TRACE("beam " + std::to_string(b));
+    expect_same_matrix(run(1, inputs[b])[0], both[b]);
+  }
+}
+
 TEST(StreamingWatchdog, DeadlineOverrunsApplyDegradationPressure) {
   const std::size_t total_out = 128;
   const Plan batch = Plan::with_output_samples(mini_obs(), 12, total_out);

@@ -329,14 +329,15 @@ TEST(Dedisperser, ShardedExecutionRequiresTheShardingCapability) {
 
 TEST(MultiBeamDedisperser, ShardedBatchMatchesTheBeamParallelPath) {
   const Plan plan = Plan::with_output_samples(mini_obs(), 12, 60);
-  MultiBeamDedisperser mb(plan, tiled_config(KernelConfig{5, 2, 4, 2}));
+  MultiBeamDedisperser mb(plan, tiled_config(KernelConfig{5, 2, 4, 2}),
+                          engine::kDefaultEngineId, {}, /*threads=*/1);
   std::vector<Array2D<float>> inputs;
   std::vector<ConstView2D<float>> views;
   for (std::size_t b = 0; b < 3; ++b) {
     inputs.push_back(random_input(plan, 500 + b));
     views.push_back(inputs.back().cview());
   }
-  const std::vector<Array2D<float>> expected = mb.dedisperse(views, 1);
+  const std::vector<Array2D<float>> expected = mb.dedisperse(views);
   const std::vector<Array2D<float>> got = mb.dedisperse_sharded(views, 4);
   ASSERT_EQ(got.size(), expected.size());
   for (std::size_t b = 0; b < got.size(); ++b) {
@@ -391,41 +392,29 @@ TEST(StreamingDedisperser, ShardedChunksAreBitwiseEqualToBatch) {
   }
 }
 
-TEST(MultiBeamStreamingDedisperser, ShardedChunksMatchTheUnshardedSession) {
+TEST(BeamStreaming, ShardedChunksMatchTheUnshardedSession) {
   const std::size_t total_out = 80;  // 2 full chunks of 32 + partial 16
   const Plan batch = Plan::with_output_samples(mini_obs(), 8, total_out);
   const std::size_t beams = 2;
   std::vector<Array2D<float>> inputs;
-  std::vector<ConstView2D<float>> views;
   for (std::size_t b = 0; b < beams; ++b) {
     inputs.push_back(random_input(batch, 900 + b));
-    views.push_back(inputs.back().cview());
   }
+  const Array2D<float> stacked = testing::stack_beams(inputs);
 
   const auto run = [&](std::size_t shard_workers) {
-    std::vector<Array2D<float>> totals;
-    for (std::size_t b = 0; b < beams; ++b) {
-      totals.emplace_back(batch.dms(), total_out);
-    }
+    testing::BeamCollector collect(beams, batch.dms(), total_out);
     stream::StreamingOptions opts;
     opts.cpu.threads = 1;
     opts.shard_workers = shard_workers;
-    stream::MultiBeamStreamingDedisperser session(
-        batch.with_chunk(32), tiled_config(KernelConfig{8, 2, 4, 2}), beams,
-        [&](const stream::MultiBeamStreamChunk& chunk) {
-          for (std::size_t b = 0; b < beams; ++b) {
-            for (std::size_t dm = 0; dm < batch.dms(); ++dm) {
-              for (std::size_t t = 0; t < chunk.out_samples; ++t) {
-                totals[b](dm, chunk.first_sample + t) =
-                    (*chunk.outputs)[b](dm, t);
-              }
-            }
-          }
-        },
-        opts);
-    session.push(views);
+    opts.beams = beams;
+    stream::StreamingDedisperser session(
+        batch.with_chunk(32), tiled_config(KernelConfig{8, 2, 4, 2}),
+        std::ref(collect), opts);
+    session.push(stacked.cview());
     session.close();
-    return totals;
+    EXPECT_EQ(collect.calls, 3 * beams);
+    return collect.totals;
   };
 
   const std::vector<Array2D<float>> plain = run(0);

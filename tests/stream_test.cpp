@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <optional>
 #include <string>
@@ -1061,78 +1062,159 @@ TEST(StreamingPipeline, SinkFailureDeliversNoLaterChunk) {
 
 // ------------------------------------------------------------ multi-beam --
 
-TEST(MultiBeamStreaming, BitwiseEqualToBatchPerBeam) {
+/// Every beam's random input (seeds \p seed, \p seed + 1, …) for \p plan.
+std::vector<Array2D<float>> beam_inputs(const Plan& plan, std::size_t beams,
+                                        std::uint64_t seed) {
+  std::vector<Array2D<float>> inputs;
+  for (std::size_t b = 0; b < beams; ++b) {
+    inputs.push_back(random_input(plan, seed + b));
+  }
+  return inputs;
+}
+
+/// Feed \p input to a session of \p options in ragged slices and collect
+/// each beam's output.
+testing::BeamCollector stream_beams(const Plan& chunk_plan,
+                                    const engine::EngineConfig& config,
+                                    const StreamingOptions& options,
+                                    const Array2D<float>& input,
+                                    std::size_t total_out) {
+  testing::BeamCollector collect(options.beams, chunk_plan.dms(), total_out);
+  StreamingDedisperser session(chunk_plan, config, std::ref(collect),
+                               options);
+  feed_in_slices(session, input, 23, options.beams);
+  session.close();
+  return collect;
+}
+
+TEST(BeamStreaming, EachBeamBitwiseEqualToBatch) {
   const std::size_t total_out = 145;  // 2 full chunks of 64 + partial 17
   const Plan batch = Plan::with_output_samples(mini_obs(), 8, total_out);
   const std::size_t beams = 3;
+  const std::vector<Array2D<float>> inputs = beam_inputs(batch, beams, 10);
 
-  std::vector<Array2D<float>> inputs;
-  std::vector<Array2D<float>> expected;
-  for (std::size_t b = 0; b < beams; ++b) {
-    inputs.push_back(random_input(batch, 10 + b));
-    expected.push_back(
-        dedisp::dedisperse_reference(batch, inputs[b].cview()));
-  }
-
-  std::vector<Array2D<float>> collected;
-  for (std::size_t b = 0; b < beams; ++b) {
-    collected.emplace_back(batch.dms(), total_out);
-  }
-  std::size_t emitted = 0;
+  testing::BeamCollector collect(beams, batch.dms(), total_out);
+  std::size_t detections = 0;
   StreamingOptions opts;
+  opts.beams = beams;
   opts.detect = true;
   opts.cpu.threads = 1;
-  MultiBeamStreamingDedisperser session(
-      batch.with_chunk(64), tiled_config(KernelConfig{8, 2, 4, 2}), beams,
-      [&](const MultiBeamStreamChunk& chunk) {
-        ASSERT_NE(chunk.outputs, nullptr);
-        ASSERT_EQ(chunk.outputs->size(), beams);
-        EXPECT_TRUE(chunk.candidate.has_value());
-        for (std::size_t b = 0; b < beams; ++b) {
-          for (std::size_t dm = 0; dm < batch.dms(); ++dm) {
-            for (std::size_t t = 0; t < chunk.out_samples; ++t) {
-              collected[b](dm, chunk.first_sample + t) =
-                  (*chunk.outputs)[b](dm, t);
-            }
-          }
-        }
-        emitted += chunk.out_samples;
+  StreamingDedisperser session(
+      batch.with_chunk(64), tiled_config(KernelConfig{8, 2, 4, 2}),
+      [&](const StreamChunk& chunk) {
+        if (chunk.detection) ++detections;
+        collect(chunk);
       },
       opts);
-
-  // Ragged lockstep feeds.
-  Rng rng(3);
-  std::size_t t = 0;
-  while (t < inputs[0].cols()) {
-    const std::size_t n = std::min<std::size_t>(
-        inputs[0].cols() - t, 1 + static_cast<std::size_t>(rng.next_below(23)));
-    std::vector<ConstView2D<float>> slices;
-    for (const auto& in : inputs) {
-      slices.emplace_back(&in.cview()(0, t), in.rows(), n, in.pitch());
-    }
-    session.push(slices);
-    t += n;
-  }
+  EXPECT_EQ(session.beams(), beams);
+  feed_in_slices(session, testing::stack_beams(inputs), 23, 3);
   session.close();
 
-  EXPECT_EQ(emitted, total_out);
+  EXPECT_EQ(collect.calls, 3 * beams);
+  EXPECT_EQ(detections, 3 * beams);
   EXPECT_EQ(session.chunks_emitted(), 3u);
   EXPECT_EQ(session.latency().chunks, 3u);
   for (std::size_t b = 0; b < beams; ++b) {
-    expect_same_matrix(expected[b], collected[b]);
+    SCOPED_TRACE("beam " + std::to_string(b));
+    expect_same_matrix(dedisp::dedisperse_reference(batch, inputs[b].cview()),
+                       collect.totals[b]);
   }
 }
 
-TEST(MultiBeamStreaming, ValidatesLockstepFeeds) {
+TEST(BeamStreaming, EachBeamMatchesASingleBeamSession) {
+  // Sync and async sessions, float and code windows, sharded and unsharded
+  // full chunks; the flush chunk (17 samples) of every one.
+  const std::size_t total_out = 81;
+  const Plan batch = Plan::with_output_samples(mini_obs(), 8, total_out);
+  const Plan chunk = batch.with_chunk(32);
+  const engine::EngineConfig config = tiled_config(KernelConfig{8, 2, 4, 2});
+  const std::size_t beams = 3;
+  const std::vector<Array2D<float>> inputs = beam_inputs(batch, beams, 60);
+  const Array2D<float> stacked = testing::stack_beams(inputs);
+  for (const bool async : {false, true}) {
+    for (const char* engine : {"cpu_tiled", "cpu_tiled_u8"}) {
+      for (const std::size_t shard_workers : {0ul, 3ul}) {
+        SCOPED_TRACE(std::string(engine) + (async ? " async" : " sync") +
+                     " shard_workers=" + std::to_string(shard_workers));
+        StreamingOptions opts;
+        opts.engine = engine;
+        opts.async = async;
+        opts.shard_workers = shard_workers;
+        opts.cpu.threads = 1;
+        opts.beams = beams;
+        const testing::BeamCollector all =
+            stream_beams(chunk, config, opts, stacked, total_out);
+        EXPECT_EQ(all.calls, 3 * beams);
+        opts.beams = 1;
+        for (std::size_t b = 0; b < beams; ++b) {
+          SCOPED_TRACE("beam " + std::to_string(b));
+          const testing::BeamCollector one =
+              stream_beams(chunk, config, opts, inputs[b], total_out);
+          expect_same_matrix(one.totals[0], all.totals[b]);
+        }
+      }
+    }
+  }
+}
+
+TEST(BeamStreaming, AsyncU8SessionConsumesAStackedRingLikeOneSessionPerBeam) {
+  const std::size_t total_out = 150;  // 4 full chunks of 32 + flush of 22
+  const Plan batch = Plan::with_output_samples(mini_obs(), 8, total_out);
+  const Plan chunk = batch.with_chunk(32);
+  const engine::EngineConfig config = tiled_config(KernelConfig{8, 2, 4, 2});
+  const std::size_t beams = 3;
+  const std::vector<Array2D<float>> inputs = beam_inputs(batch, beams, 40);
+  const Array2D<float> stacked = testing::stack_beams(inputs);
+
+  StreamingOptions opts;
+  opts.engine = "cpu_tiled_u8";
+  opts.cpu.threads = 1;
+  opts.beams = beams;
+  testing::BeamCollector all(beams, batch.dms(), total_out);
+  SampleRing ring(stacked.rows(), 40);
+  StreamingDedisperser session(chunk, config, std::ref(all), opts);
+  std::thread producer([&] {
+    Rng rng(5);
+    for (std::size_t t = 0; t < stacked.cols();) {
+      const std::size_t n = std::min<std::size_t>(
+          stacked.cols() - t, 1 + static_cast<std::size_t>(rng.next_below(29)));
+      ring.push(ConstView2D<float>(&stacked.cview()(0, t), stacked.rows(), n,
+                                   stacked.pitch()));
+      t += n;
+    }
+    ring.close();
+  });
+  session.consume(ring);
+  producer.join();
+  session.close();
+  EXPECT_EQ(session.chunks_emitted(), 5u);
+  EXPECT_EQ(all.calls, 5 * beams);
+
+  opts.beams = 1;
+  for (std::size_t b = 0; b < beams; ++b) {
+    SCOPED_TRACE("beam " + std::to_string(b));
+    const testing::BeamCollector one =
+        stream_beams(chunk, config, opts, inputs[b], total_out);
+    expect_same_matrix(one.totals[0], all.totals[b]);
+  }
+}
+
+TEST(BeamStreaming, RejectsBlocksRingsAndBeamCountsThatDoNotStack) {
   const Plan chunk = Plan::with_output_samples(mini_obs(), 8, 64);
-  MultiBeamStreamingDedisperser session(
-      chunk, tiled_config(KernelConfig{8, 2, 4, 2}), 2, nullptr);
-  Array2D<float> a(8, 10);
-  Array2D<float> b(8, 7);
-  EXPECT_THROW(session.push({a.cview(), b.cview()}), invalid_argument);
-  EXPECT_THROW(session.push({a.cview()}), invalid_argument);
-  EXPECT_THROW(MultiBeamStreamingDedisperser(
-                   chunk, tiled_config(KernelConfig{8, 2, 4, 2}), 0, nullptr),
+  const engine::EngineConfig config = tiled_config(KernelConfig{8, 2, 4, 2});
+  StreamingOptions opts;
+  opts.beams = 2;
+  StreamingDedisperser session(chunk, config, nullptr, opts);
+  const Array2D<float> one_beam(8, 10);
+  const Array2D<float> three_beams(24, 10);
+  EXPECT_THROW(session.push(one_beam.cview()), invalid_argument);
+  EXPECT_THROW(session.push(three_beams.cview()), invalid_argument);
+  SampleRing one_beam_ring(8, 16);
+  EXPECT_THROW(session.consume(one_beam_ring), invalid_argument);
+  const Array2D<float> two_beams(16, 10);
+  EXPECT_NO_THROW(session.push(two_beams.cview()));
+  opts.beams = 0;
+  EXPECT_THROW(StreamingDedisperser(chunk, config, nullptr, opts),
                invalid_argument);
 }
 

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/array2d.hpp"
 #include "common/random.hpp"
 #include "dedisp/kernel_config.hpp"
@@ -54,5 +57,46 @@ inline void expect_same_matrix(const Array2D<float>& expected,
     }
   }
 }
+
+/// \p beams (each C × n) stacked along the rows, beam b at rows
+/// [b·C, (b+1)·C): the block layout of a multi-beam streaming session.
+inline Array2D<float> stack_beams(const std::vector<Array2D<float>>& beams) {
+  const std::size_t channels = beams.at(0).rows();
+  Array2D<float> stacked(beams.size() * channels, beams[0].cols());
+  for (std::size_t b = 0; b < beams.size(); ++b) {
+    for (std::size_t ch = 0; ch < channels; ++ch) {
+      const auto from = beams[b].cview().row(ch);
+      std::copy(from.begin(), from.end(),
+                stacked.view().row(b * channels + ch).begin());
+    }
+  }
+  return stacked;
+}
+
+/// Reassembles a multi-beam session's sink calls into one dms × total
+/// matrix per beam, by StreamChunk::beam and first_sample, and checks that
+/// every chunk reaches the sink once per beam, in beam order.
+struct BeamCollector {
+  std::vector<Array2D<float>> totals;
+  std::size_t calls = 0;
+
+  BeamCollector(std::size_t beams, std::size_t dms, std::size_t out) {
+    for (std::size_t b = 0; b < beams; ++b) totals.emplace_back(dms, out);
+  }
+
+  template <typename Chunk>
+  void operator()(const Chunk& chunk) {
+    EXPECT_EQ(chunk.beam, calls % totals.size()) << "chunk " << chunk.index;
+    ++calls;
+    Array2D<float>& total = totals.at(chunk.beam);
+    ASSERT_EQ(chunk.output.rows(), total.rows());
+    ASSERT_LE(chunk.first_sample + chunk.out_samples, total.cols());
+    for (std::size_t dm = 0; dm < total.rows(); ++dm) {
+      for (std::size_t t = 0; t < chunk.out_samples; ++t) {
+        total(dm, chunk.first_sample + t) = chunk.output(dm, t);
+      }
+    }
+  }
+};
 
 }  // namespace ddmc::testing
