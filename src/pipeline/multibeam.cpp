@@ -1,5 +1,7 @@
 #include "pipeline/multibeam.hpp"
 
+#include <memory>
+#include <mutex>
 #include <string>
 #include <utility>
 
@@ -13,15 +15,19 @@ MultiBeamDedisperser::MultiBeamDedisperser(dedisp::Plan plan,
                                            engine::EngineConfig config,
                                            std::string engine,
                                            engine::EngineOptions options,
-                                           std::size_t threads)
+                                           std::size_t threads,
+                                           std::size_t shard_workers)
     : plan_(std::move(plan)),
       config_(std::move(config)),
       engine_id_(std::move(engine)),
       engine_options_(std::move(options)),
-      workers_(threads) {
+      workers_(threads),
+      shard_workers_(shard_workers) {
   rebuild_engine();
   engine_->validate_config(plan_, config_);
 }
+
+MultiBeamDedisperser::~MultiBeamDedisperser() = default;
 
 void MultiBeamDedisperser::set_cpu_options(
     const dedisp::CpuKernelOptions& options) {
@@ -39,6 +45,7 @@ void MultiBeamDedisperser::rebuild_engine() {
   engine::EngineOptions options = engine_options_;
   options.cpu.threads = 1;  // beams are the parallel dimension
   engine_ = engine::make_engine(engine_id_, options);
+  sharded_ = std::make_unique<LazySharded>();
 }
 
 std::vector<Array2D<float>> MultiBeamDedisperser::dedisperse(
@@ -76,13 +83,16 @@ std::vector<Array2D<float>> MultiBeamDedisperser::dedisperse(
 }
 
 std::vector<Array2D<float>> MultiBeamDedisperser::dedisperse_sharded(
-    const std::vector<ConstView2D<float>>& beams, std::size_t workers) const {
-  ShardedOptions options;
-  options.workers = workers;
-  options.engine = engine_id_;
-  options.engine_options = engine_options_;
-  const ShardedDedisperser sharded(plan_, config_, std::move(options));
-  return sharded.dedisperse_batch(beams);
+    const std::vector<ConstView2D<float>>& beams) const {
+  std::call_once(sharded_->once, [this] {
+    ShardedOptions options;
+    options.workers = shard_workers_;
+    options.engine = engine_id_;
+    options.engine_options = engine_options_;
+    sharded_->executor =
+        std::make_unique<ShardedDedisperser>(plan_, config_, std::move(options));
+  });
+  return sharded_->executor->dedisperse_batch(beams);
 }
 
 MultiBeamDedisperser::BeamCandidate MultiBeamDedisperser::search(

@@ -14,6 +14,7 @@
 /// supports_sharding capability.
 
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -26,6 +27,8 @@
 
 namespace ddmc::pipeline {
 
+class ShardedDedisperser;
+
 class MultiBeamDedisperser {
  public:
   /// \p config must validate against \p plan on the selected engine;
@@ -33,10 +36,13 @@ class MultiBeamDedisperser {
   /// quantization window, cpu knobs). Beams run on \p threads workers: 1
   /// runs them inline, 0 on the machine-sized global pool, any other count
   /// on a pool built here once and reused by every call.
+  /// dedisperse_sharded runs on \p shard_workers threads (0 = machine
+  /// concurrency).
   MultiBeamDedisperser(dedisp::Plan plan, engine::EngineConfig config,
                        std::string engine = engine::kDefaultEngineId,
                        engine::EngineOptions options = {},
-                       std::size_t threads = 0);
+                       std::size_t threads = 0, std::size_t shard_workers = 0);
+  ~MultiBeamDedisperser();
 
   const dedisp::Plan& plan() const { return plan_; }
   const engine::EngineConfig& config() const { return config_; }
@@ -63,13 +69,18 @@ class MultiBeamDedisperser {
       const std::vector<ConstView2D<float>>& beams) const;
 
   /// Same decomposition with the DM grid additionally sharded: all
-  /// beams × shards jobs are batched onto one pool of \p workers threads
-  /// (0 = machine concurrency), so a few beams still saturate many
-  /// workers. Bitwise identical to dedisperse(); requires the engine's
-  /// supports_sharding capability.
+  /// beams × shards jobs are batched onto one pool of the constructor's
+  /// shard_workers threads, so a few beams still saturate many workers.
+  /// Bitwise identical to dedisperse(); requires the engine's
+  /// supports_sharding capability. The executor (its pool and shard plan)
+  /// is built on the first call and reused by every later one, until the
+  /// engine options change.
   std::vector<Array2D<float>> dedisperse_sharded(
-      const std::vector<ConstView2D<float>>& beams,
-      std::size_t workers = 0) const;
+      const std::vector<ConstView2D<float>>& beams) const;
+
+  /// The executor dedisperse_sharded runs on; null before its first call.
+  /// Not safe concurrently with that first call.
+  const ShardedDedisperser* sharded() const { return sharded_->executor.get(); }
 
   /// Candidate found by scanning every beam's dedispersed matrix.
   struct BeamCandidate {
@@ -83,8 +94,16 @@ class MultiBeamDedisperser {
   BeamCandidate search(const std::vector<ConstView2D<float>>& beams) const;
 
  private:
-  /// Recreate the per-beam engine (thread count forced to 1).
+  /// Recreate the per-beam engine (thread count forced to 1) and drop the
+  /// sharded executor built with the old options.
   void rebuild_engine();
+
+  /// dedisperse_sharded's executor, built once on first use. Boxed so the
+  /// once_flag can be replaced when the engine options change.
+  struct LazySharded {
+    std::once_flag once;
+    std::unique_ptr<ShardedDedisperser> executor;
+  };
 
   dedisp::Plan plan_;
   engine::EngineConfig config_;
@@ -92,6 +111,8 @@ class MultiBeamDedisperser {
   engine::EngineOptions engine_options_;
   std::shared_ptr<const engine::DedispEngine> engine_;
   WorkerPool workers_;
+  std::size_t shard_workers_;
+  std::unique_ptr<LazySharded> sharded_;
 };
 
 }  // namespace ddmc::pipeline

@@ -1,13 +1,19 @@
 #include "sky/detection.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <condition_variable>
+#include <exception>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <vector>
 
 #include "common/expect.hpp"
 #include "common/simd.hpp"
 #include "common/statistics.hpp"
+#include "common/thread_pool.hpp"
 #include "telemetry/tracing.hpp"
 
 namespace ddmc::sky {
@@ -31,9 +37,14 @@ double median_inplace(float* first, float* last) {
   return 0.5 * (lower + upper);
 }
 
-/// Scratch for rows of up to `cols` samples: two sets with the split slack.
-std::vector<float> select_scratch(std::size_t cols) {
-  return std::vector<float>(2 * (cols + simd::kFloatLanes));
+/// This thread's scratch for rows of up to `cols` samples: two sets with
+/// the split slack. It is kept across calls and grows to the longest row
+/// the thread has scored.
+std::span<float> select_scratch(std::size_t cols) {
+  thread_local std::vector<float> scratch;
+  const std::size_t size = 2 * (cols + simd::kFloatLanes);
+  if (scratch.size() < size) scratch.resize(size);
+  return {scratch.data(), size};
 }
 
 /// Exact median of v(x[i]), where v is the identity or, with AbsDiff,
@@ -194,9 +205,11 @@ double row_snr(std::span<const float> series, std::span<float> scratch) {
   const std::optional<float> max = finite_max(series);
   if (!max) return plain_snr(series, scratch);
   const double baseline = quickselect_median<false>(series, 0.0f, scratch);
-  // Which of −0/+0 a zero median is depends on the selection's permutation
-  // (deviations are never −0): take the two-pass detector's.
-  if (baseline == 0.0) return plain_snr(series, scratch);
+  // Which of −0/+0 a zero median is depends on the selection's permutation.
+  // The deviations |x − c| and the stddev fallback do not see the sign;
+  // peak − baseline does only when the peak is a zero too. Then take the
+  // two-pass detector's.
+  if (baseline == 0.0 && *max == 0.0f) return plain_snr(series, scratch);
   const double mad = quickselect_median<true>(
       series, static_cast<float>(baseline), scratch);
   // A zero maximum can be −0 or +0; max_element's first maximum fixes which.
@@ -205,31 +218,89 @@ double row_snr(std::span<const float> series, std::span<float> scratch) {
                          : *std::max_element(series.begin(), series.end());
   return snr_of(series, baseline, mad, peak);
 }
+
+/// Samples one part of a split call scores at least: about 0.5 ms of
+/// selection at ~2 ns per sample, so waking a worker for it stays a small
+/// share of the part.
+constexpr std::size_t kSamplesPerPart = std::size_t{1} << 18;
+
+/// One detect_best_dm call's rows, shared by the caller and the pool tasks
+/// it queued. Every participant claims the next row from `next` and writes
+/// that row's S/N. A task that starts after every row was claimed touches
+/// only `next`, so it may run after the call has returned.
+struct RowShare {
+  explicit RowShare(ConstView2D<float> m) : matrix(m), snr(m.rows()) {}
+
+  /// Score rows until none is left to claim.
+  void score_rows() {
+    const std::size_t rows = matrix.rows();
+    for (std::size_t r = next.fetch_add(1, std::memory_order_relaxed);
+         r < rows; r = next.fetch_add(1, std::memory_order_relaxed)) {
+      std::exception_ptr failure;
+      try {
+        snr[r] = row_snr(matrix.row(r), select_scratch(matrix.cols()));
+      } catch (...) {
+        failure = std::current_exception();
+      }
+      std::lock_guard lock(mutex);
+      if (failure && !error) error = failure;
+      if (++scored == rows) all_scored.notify_all();
+    }
+  }
+
+  /// Blocks until every row is scored; rethrows the first row's failure.
+  void wait_scored() {
+    std::unique_lock lock(mutex);
+    all_scored.wait(lock, [this] { return scored == matrix.rows(); });
+    if (error) std::rethrow_exception(error);
+  }
+
+  const ConstView2D<float> matrix;
+  std::vector<double> snr;
+  std::atomic<std::size_t> next{0};
+  std::mutex mutex;  // guards scored and error
+  std::size_t scored = 0;
+  std::exception_ptr error;
+  std::condition_variable all_scored;
+};
 }  // namespace
 
 double series_snr(std::span<const float> series) {
   DDMC_REQUIRE(!series.empty(), "empty series");
-  std::vector<float> scratch = select_scratch(series.size());
-  return row_snr(series, scratch);
+  return row_snr(series, select_scratch(series.size()));
 }
 
 DetectionResult detect_best_dm(ConstView2D<float> dedispersed) {
-  DDMC_REQUIRE(dedispersed.rows() > 0 && dedispersed.cols() > 0,
-               "empty dedispersed matrix");
+  const std::size_t rows = dedispersed.rows();
+  DDMC_REQUIRE(rows > 0 && dedispersed.cols() > 0, "empty dedispersed matrix");
+  static const std::size_t workers = hardware_workers();
+  const std::size_t parts = std::max<std::size_t>(
+      1, std::min({rows, workers,
+                   rows * dedispersed.cols() / kSamplesPerPart}));
   telemetry::TraceSpan span("sky.detect");
-  span.arg("rows", dedispersed.rows()).arg("cols", dedispersed.cols());
+  span.arg("rows", rows).arg("cols", dedispersed.cols()).arg("parts", parts);
+
+  const auto share = std::make_shared<RowShare>(dedispersed);
+  for (std::size_t p = 1; p < parts; ++p) {
+    global_pool().run([share] { share->score_rows(); });
+  }
+  share->score_rows();
+  share->wait_scored();
+
+  // The first maximum in trial order wins, as in a serial scan. A NaN S/N
+  // never wins; with no S/N above −1 the result stays trial 0, sample 0.
   DetectionResult result;
   result.best_snr = -1.0;
-  std::vector<float> scratch = select_scratch(dedispersed.cols());
-  for (std::size_t trial = 0; trial < dedispersed.rows(); ++trial) {
-    const auto row = dedispersed.row(trial);
-    const double s = row_snr(row, scratch);
-    if (s > result.best_snr) {
-      result.best_snr = s;
+  for (std::size_t trial = 0; trial < rows; ++trial) {
+    if (share->snr[trial] > result.best_snr) {
+      result.best_snr = share->snr[trial];
       result.best_trial = trial;
-      result.peak_sample = static_cast<std::size_t>(
-          std::max_element(row.begin(), row.end()) - row.begin());
     }
+  }
+  if (result.best_snr > -1.0) {
+    const auto row = dedispersed.row(result.best_trial);
+    result.peak_sample = static_cast<std::size_t>(
+        std::max_element(row.begin(), row.end()) - row.begin());
   }
   return result;
 }

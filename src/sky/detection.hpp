@@ -29,8 +29,22 @@ struct DetectionResult {
   std::size_t peak_sample = 0; ///< sample index of the peak in that trial
 };
 
-/// Scan every trial and report the strongest candidate. Records a
-/// `sky.detect` trace span (args `rows`, `cols`) while tracing is on.
+/// Scan every trial and report the strongest candidate: the first trial in
+/// trial order with the highest S/N, and the first maximum sample of that
+/// row. With no S/N above −1 (every row NaN) the result is trial 0,
+/// sample 0.
+///
+/// Rows are scored in `parts = min(rows, hardware_workers(), rows·cols /
+/// 2^18)` parts, at least one: the calling thread and parts − 1 tasks on
+/// global_pool() claim rows one at a time from a shared counter. So a part
+/// carries at least 2^18 samples (about 0.5 ms of selection), and smaller
+/// matrices run inline. The caller scores every row no worker has claimed,
+/// so a call from inside a global_pool() task finishes even when every
+/// worker is busy, and it never waits behind tasks queued before its own.
+/// Each row's S/N is computed alone and the winner comes from a serial
+/// scan, so the output is bitwise the same for any number of parts.
+/// Records a `sky.detect` trace span (args `rows`, `cols`, `parts`) while
+/// tracing is on.
 DetectionResult detect_best_dm(ConstView2D<float> dedispersed);
 
 }  // namespace ddmc::sky

@@ -28,7 +28,8 @@
 ///   shard.plan       shard planning             (args: shards)
 ///   shard.task       one shard attempt          (args: shard, attempt)
 ///   shard.reacquire.task  reacquired sub-shard work  (args: shard)
-///   sky.detect       one detect_best_dm scan    (args: rows, cols)
+///   sky.detect       one detect_best_dm scan    (args: rows, cols, parts:
+///                    the caller plus the global_pool() tasks sharing rows)
 ///   stream.chunk     chunk compute              (args: chunk)
 ///   stream.sink      sink delivery              (args: chunk)
 ///   stream.job.wait  compute thread idle: the next window is not posted

@@ -330,7 +330,8 @@ TEST(Dedisperser, ShardedExecutionRequiresTheShardingCapability) {
 TEST(MultiBeamDedisperser, ShardedBatchMatchesTheBeamParallelPath) {
   const Plan plan = Plan::with_output_samples(mini_obs(), 12, 60);
   MultiBeamDedisperser mb(plan, tiled_config(KernelConfig{5, 2, 4, 2}),
-                          engine::kDefaultEngineId, {}, /*threads=*/1);
+                          engine::kDefaultEngineId, {}, /*threads=*/1,
+                          /*shard_workers=*/4);
   std::vector<Array2D<float>> inputs;
   std::vector<ConstView2D<float>> views;
   for (std::size_t b = 0; b < 3; ++b) {
@@ -338,11 +339,49 @@ TEST(MultiBeamDedisperser, ShardedBatchMatchesTheBeamParallelPath) {
     views.push_back(inputs.back().cview());
   }
   const std::vector<Array2D<float>> expected = mb.dedisperse(views);
-  const std::vector<Array2D<float>> got = mb.dedisperse_sharded(views, 4);
+  const std::vector<Array2D<float>> got = mb.dedisperse_sharded(views);
   ASSERT_EQ(got.size(), expected.size());
   for (std::size_t b = 0; b < got.size(); ++b) {
     SCOPED_TRACE("beam " + std::to_string(b));
     expect_same_matrix(expected[b], got[b]);
+  }
+}
+
+TEST(MultiBeamDedisperser, RepeatedShardedCallsReuseOneExecutor) {
+  // The executor, its pool and its shard plan are built on the first call
+  // only; a later call runs on the same one and gives the same bits.
+  const Plan plan = Plan::with_output_samples(mini_obs(), 12, 60);
+  MultiBeamDedisperser mb(plan, tiled_config(KernelConfig{5, 2, 4, 2}),
+                          engine::kDefaultEngineId, {}, /*threads=*/1,
+                          /*shard_workers=*/3);
+  EXPECT_EQ(mb.sharded(), nullptr);
+  std::vector<Array2D<float>> inputs;
+  std::vector<ConstView2D<float>> views;
+  for (std::size_t b = 0; b < 2; ++b) {
+    inputs.push_back(random_input(plan, 600 + b));
+    views.push_back(inputs.back().cview());
+  }
+  const std::vector<Array2D<float>> first = mb.dedisperse_sharded(views);
+  const ShardedDedisperser* const executor = mb.sharded();
+  ASSERT_NE(executor, nullptr);
+  EXPECT_EQ(executor->workers(), 3u);
+  for (int call = 0; call < 3; ++call) {
+    const std::vector<Array2D<float>> again = mb.dedisperse_sharded(views);
+    EXPECT_EQ(mb.sharded(), executor);
+    ASSERT_EQ(again.size(), first.size());
+    for (std::size_t b = 0; b < again.size(); ++b) {
+      SCOPED_TRACE("call " + std::to_string(call) + ", beam " +
+                   std::to_string(b));
+      expect_same_matrix(first[b], again[b]);
+    }
+  }
+  EXPECT_EQ(executor->telemetry().runs, 4 * executor->shard_count() * 2);
+  // New engine options drop the executor built with the old ones.
+  mb.set_engine_options(mb.engine_options());
+  EXPECT_EQ(mb.sharded(), nullptr);
+  const std::vector<Array2D<float>> rebuilt = mb.dedisperse_sharded(views);
+  for (std::size_t b = 0; b < rebuilt.size(); ++b) {
+    expect_same_matrix(first[b], rebuilt[b]);
   }
 }
 

@@ -13,11 +13,14 @@
 #include <vector>
 
 #include "common/expect.hpp"
+#include "common/json.hpp"
 #include "common/statistics.hpp"
+#include "common/thread_pool.hpp"
 #include "sky/delay.hpp"
 #include "sky/detection.hpp"
 #include "sky/observation.hpp"
 #include "sky/signal.hpp"
+#include "telemetry/tracing.hpp"
 #include "test_util.hpp"
 
 namespace ddmc::sky {
@@ -482,13 +485,14 @@ enum class RowKind {
   kBimodal,
   kPulse,
   kPivotAdversarial,  // the first round's nine pivot samples are the maxima
+  kRoundedGaussian,   // integers: a median of mixed ±0, a positive peak
 };
 
 constexpr RowKind kAllRowKinds[] = {
     RowKind::kGaussian,    RowKind::kDequantizedU8, RowKind::kConstant,
     RowKind::kMajorityTie, RowKind::kSignedZeros,   RowKind::kSorted,
     RowKind::kReverseSorted, RowKind::kBimodal,     RowKind::kPulse,
-    RowKind::kPivotAdversarial};
+    RowKind::kPivotAdversarial, RowKind::kRoundedGaussian};
 
 // Around the quickselect's 64-value small-set cutoff and the former
 // bracketed path's 256-sample threshold, plus survey-sized rows (Apertif
@@ -565,8 +569,23 @@ std::vector<float> make_row(RowKind kind, std::size_t n, Rng& rng) {
       }
       break;
     }
+    case RowKind::kRoundedGaussian:
+      // std::round keeps the sign: values in (−0.5, 0) round to −0.
+      for (auto& v : row) v = std::round(gaussian());
+      break;
   }
   return row;
+}
+
+/// A rows × cols matrix of one kind, every row drawn afresh.
+Array2D<float> make_matrix(RowKind kind, std::size_t rows, std::size_t cols,
+                           Rng& rng) {
+  Array2D<float> m(rows, cols);
+  for (std::size_t r = 0; r < rows; ++r) {
+    const std::vector<float> row = make_row(kind, cols, rng);
+    std::copy(row.begin(), row.end(), m.row(r).begin());
+  }
+  return m;
 }
 
 std::string describe(RowKind kind, std::size_t n, std::uint64_t seed) {
@@ -582,12 +601,7 @@ void check_oracle_sweep(std::uint64_t seed, std::size_t rows) {
       Rng rng(seed * 1000 + n);
       const std::string what = describe(kind, n, seed);
       expect_snr_matches_oracle(make_row(kind, n, rng), what);
-      Array2D<float> m(rows, n);
-      for (std::size_t r = 0; r < rows; ++r) {
-        const std::vector<float> row = make_row(kind, n, rng);
-        std::copy(row.begin(), row.end(), m.row(r).begin());
-      }
-      expect_detection_matches_oracle(m, what);
+      expect_detection_matches_oracle(make_matrix(kind, rows, n, rng), what);
     }
   }
 }
@@ -637,6 +651,114 @@ TEST(DetectionOracle, NonFiniteRowsTakeThePlainPath) {
         expect_detection_matches_oracle(m, what);
       }
     }
+  }
+}
+
+// ------------------------------------------------- row-parallel detection --
+//
+// 64 × 20,001 carries 4.9 · 2^18 samples: detect_best_dm scores it in four
+// parts on a machine with four hardware threads or more, as it does
+// lofar_rt's 64 × 20,000 chunks; fewer threads split it into fewer parts.
+
+constexpr std::size_t kSplitRows = 64;
+constexpr std::size_t kSplitCols = 20001;
+
+std::size_t split_parts() {
+  return std::min<std::size_t>(4, hardware_workers());
+}
+
+/// The `parts` arg of the `sky.detect` span one call on \p m records.
+std::size_t traced_parts(const Array2D<float>& m) {
+  telemetry::Tracer& tracer = telemetry::Tracer::instance();
+  tracer.clear();
+  tracer.set_enabled(true);
+  detect_best_dm(m.cview());
+  tracer.set_enabled(false);
+  const std::vector<telemetry::TraceEvent> events = tracer.events();
+  tracer.clear();
+  EXPECT_EQ(events.size(), 1u);
+  if (events.empty()) return 0;
+  const json::Value args =
+      json::parse("{" + std::string(events[0].args) + "}");
+  return static_cast<std::size_t>(args.at("parts").as_number());
+}
+
+TEST(DetectionOracle, SplitMatricesOfEveryRowKindMatchBitwise) {
+  for (const RowKind kind : kAllRowKinds) {
+    Rng rng(7);
+    const Array2D<float> m = make_matrix(kind, kSplitRows, kSplitCols, rng);
+    expect_detection_matches_oracle(m, describe(kind, kSplitCols, 7));
+  }
+}
+
+TEST(DetectionSplit, PartsFollowTheMatrixSize) {
+  Rng rng(3);
+  EXPECT_EQ(traced_parts(make_matrix(RowKind::kGaussian, kSplitRows,
+                                     kSplitCols, rng)),
+            split_parts());
+  // 64 × 4,000 is 256,000 samples, below one part's 2^18: inline.
+  EXPECT_EQ(traced_parts(make_matrix(RowKind::kGaussian, kSplitRows, 4000,
+                                     rng)),
+            1u);
+  // Never more parts than rows.
+  EXPECT_EQ(traced_parts(make_matrix(RowKind::kGaussian, 1, 300000, rng)),
+            1u);
+}
+
+TEST(DetectionSplit, EqualSnrAcrossPartsGoesToTheFirstTrial) {
+  // Rows are claimed one at a time, so copies spread over the matrix land
+  // in different parts; the serial scan must still pick the first copy.
+  Rng rng(21);
+  Array2D<float> m =
+      make_matrix(RowKind::kGaussian, kSplitRows, kSplitCols, rng);
+  std::vector<float> loud = make_row(RowKind::kGaussian, kSplitCols, rng);
+  loud[1234] += 50.0f;
+  for (const std::size_t trial : {9u, 10u, 40u, 63u}) {
+    std::copy(loud.begin(), loud.end(), m.row(trial).begin());
+  }
+  for (int call = 0; call < 10; ++call) {
+    const DetectionResult res = detect_best_dm(m.cview());
+    EXPECT_EQ(res.best_trial, 9u) << "call " << call;
+    EXPECT_EQ(res.peak_sample, 1234u) << "call " << call;
+  }
+  expect_detection_matches_oracle(m, "duplicated rows");
+}
+
+TEST(DetectionSplit, NanRowsNeverWin) {
+  Rng rng(31);
+  Array2D<float> m = make_matrix(RowKind::kPulse, kSplitRows, kSplitCols, rng);
+  m(kSplitRows - 4, 777) = std::numeric_limits<float>::quiet_NaN();
+  expect_detection_matches_oracle(m, "NaN in a late row");
+  // No S/N beats −1: trial 0, sample 0, as the serial scan reports.
+  for (std::size_t r = 0; r < m.rows(); ++r) {
+    std::fill(m.row(r).begin(), m.row(r).end(),
+              std::numeric_limits<float>::quiet_NaN());
+  }
+  const DetectionResult res = detect_best_dm(m.cview());
+  EXPECT_EQ(res.best_trial, 0u);
+  EXPECT_EQ(res.peak_sample, 0u);
+  EXPECT_EQ(res.best_snr, -1.0);
+}
+
+TEST(DetectionSplit, CallsFromEveryPoolWorkerFinish) {
+  // One more call than global_pool() has workers, each from a task on that
+  // pool: every worker is inside a call while the calls' own tasks wait
+  // behind them, so each caller must score its rows alone.
+  Rng rng(41);
+  const Array2D<float> m =
+      make_matrix(RowKind::kPulse, kSplitRows, kSplitCols, rng);
+  const DetectionResult expected = reference_detect_best_dm(m.cview());
+  std::vector<DetectionResult> got(hardware_workers() + 1);
+  global_pool().parallel_for(0, got.size(), 1,
+                             [&](std::size_t begin, std::size_t end) {
+                               for (std::size_t i = begin; i < end; ++i) {
+                                 got[i] = detect_best_dm(m.cview());
+                               }
+                             });
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].best_trial, expected.best_trial) << "call " << i;
+    EXPECT_EQ(got[i].peak_sample, expected.peak_sample) << "call " << i;
+    EXPECT_TRUE(same_bits(got[i].best_snr, expected.best_snr)) << "call " << i;
   }
 }
 

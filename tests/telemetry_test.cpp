@@ -516,6 +516,7 @@ TEST_F(TelemetryTracerTest, DetectBestDmRecordsOneSpanWithItsShape) {
   const auto args = ddmc::json::parse("{" + std::string(events[0].args) + "}");
   EXPECT_DOUBLE_EQ(args.at("rows").as_number(), 3.0);
   EXPECT_DOUBLE_EQ(args.at("cols").as_number(), 100.0);
+  EXPECT_DOUBLE_EQ(args.at("parts").as_number(), 1.0);  // 300 samples: inline
 }
 
 // --------------------------------------------------------------- exporters --
