@@ -14,7 +14,7 @@
 
 #include <iostream>
 
-#include "bench_common.hpp"
+#include "paper_sweep.hpp"
 
 namespace {
 

@@ -11,7 +11,7 @@
 
 #include <iostream>
 
-#include "bench_common.hpp"
+#include "paper_sweep.hpp"
 
 namespace {
 

@@ -13,7 +13,7 @@
 
 #include <iostream>
 
-#include "bench_common.hpp"
+#include "paper_sweep.hpp"
 #include "tuner/fixed_config.hpp"
 
 namespace {

@@ -5,8 +5,8 @@
 /// pool grows. For each worker count the bench runs the ShardedDedisperser
 /// over the identical input, checks the output is bitwise identical to the
 /// single-engine batch path, and reports measured GFLOP/s next to the
-/// planner's *modeled* speedup (modeled single-shard seconds / modeled
-/// critical path) — on a machine with fewer cores than workers the measured
+/// planner's *modeled* speedup (the single shard's cost / the critical
+/// path's cost, both in input elements read) — on a machine with fewer cores than workers the measured
 /// curve flattens at the core count while the modeled curve shows what the
 /// balanced partition sustains when every worker owns real hardware, so
 /// both are recorded.
@@ -116,8 +116,8 @@ int main(int argc, char** argv) {
   const double single_gflops = flop / single_seconds * 1e-9;
 
   const pipeline::DmShardPlanner planner(plan);
-  const double modeled_one =
-      planner.partition(1).modeled_max_seconds;
+  const auto modeled_one =
+      static_cast<double>(planner.partition(1).max_cost);
 
   std::vector<WorkerResult> results;
   for (std::size_t workers : worker_counts) {
@@ -130,7 +130,7 @@ int main(int argc, char** argv) {
         plan, engine::encode_kernel_config(config), opts);
     res.shards = sharded.shard_count();
     res.modeled_speedup =
-        modeled_one / sharded.layout().modeled_max_seconds;
+        modeled_one / static_cast<double>(sharded.layout().max_cost);
     res.modeled_imbalance = sharded.layout().imbalance();
 
     Array2D<float> out(plan.dms(), plan.out_samples());

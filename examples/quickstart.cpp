@@ -18,6 +18,7 @@
 #include "sky/delay.hpp"
 #include "sky/detection.hpp"
 #include "sky/signal.hpp"
+#include "tuner/tuner.hpp"
 
 int main(int argc, char** argv) {
   using namespace ddmc;
@@ -49,7 +50,7 @@ int main(int argc, char** argv) {
   cpu_options.threads = static_cast<std::size_t>(cli.get_int("threads"));
   dd.set_cpu_options(cpu_options);
   const ocl::DeviceModel device = ocl::device_by_name(cli.get("device"));
-  const tuner::TuningResult tuned = dd.tune_for(device);
+  const tuner::TuningResult tuned = tuner::tune_for(dd, device);
   std::cout << "engine " << dd.engine_id() << " (variant "
             << dd.engine().variant() << "), tuned for " << device.name
             << ": " << tuned.best.config.to_string() << "\n"

@@ -166,8 +166,16 @@ class Parser {
   Value parse_value() {
     skip_ws();
     switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        if (++depth_ > kMaxDepth) {
+          fail_at(pos_, "nesting deeper than " + std::to_string(kMaxDepth) +
+                            " levels");
+        }
+        Value v = peek() == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': {
         Value v;
         v.kind_ = Value::Kind::kString;
@@ -317,6 +325,7 @@ class Parser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< arrays and objects open at pos_
 };
 
 Value parse(const std::string& text) { return Parser(text).run(); }

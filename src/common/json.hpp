@@ -128,9 +128,14 @@ class Value {
   std::vector<std::pair<std::string, Value>> object_;
 };
 
+/// Deepest nesting of arrays and objects parse() accepts. The parser
+/// recurses once per level, so the cap bounds its stack on hostile input.
+inline constexpr std::size_t kMaxDepth = 512;
+
 /// Parse \p text as one strict JSON document (trailing whitespace allowed,
 /// anything else after the value is an error). Throws ddmc::invalid_argument
-/// with a character offset on malformed input.
+/// with a character offset on malformed input, and on nesting deeper than
+/// kMaxDepth.
 Value parse(const std::string& text);
 
 }  // namespace ddmc::json

@@ -41,17 +41,6 @@ engine::SessionTraffic Dedisperser::telemetry() const {
   return total;
 }
 
-tuner::TuningResult Dedisperser::tune_for(const ocl::DeviceModel& device) {
-  ocl::PlanAnalysis analysis(plan_);
-  tuner::TuningResult result = tuner::tune(device, analysis);
-  // The model tuner parameterizes the tiled kernel; the engine bends the
-  // optimum onto its own axes (an engine without them keeps its defaults).
-  config_ = engine_->adapt_config(
-      plan_, engine::encode_kernel_config(result.best.config));
-  absorb_sharded();
-  return result;
-}
-
 tuner::GuidedTuningOutcome Dedisperser::tune_cached(
     tuner::TuningCache& cache, tuner::GuidedTuningOptions options) {
   if (options.engines.empty()) options.engines = {engine_id_};

@@ -7,7 +7,8 @@
 /// \code{.cpp}
 ///   using namespace ddmc;
 ///   pipeline::Dedisperser dd(sky::apertif(), /*dms=*/256);   // cpu_tiled
-///   dd.tune_for(ocl::amd_hd7970());               // optional
+///   tuner::TuningCache cache;
+///   dd.tune_cached(cache);                                    // optional
 ///   Array2D<float> out = dd.dedisperse(input.cview());
 /// \endcode
 ///
@@ -17,6 +18,10 @@
 /// `fdmt`, or any engine registered by downstream code. The Dedisperser
 /// never branches on the engine's identity — every mode decision
 /// (sharding, tuning) gates on the engine's declared capabilities.
+///
+/// Tuning here is by measurement (tune_cached). The paper's model tuner,
+/// which picks a config for a simulated device, is the free function
+/// tuner::tune_for in tuner/tuner.hpp, part of ddmc_paper.
 ///
 /// For samples that *arrive* instead of sitting in memory, use the
 /// streaming sessions in stream/streaming_dedisperser.hpp: they run any
@@ -30,7 +35,6 @@
 #include "dedisp/cpu_kernel.hpp"
 #include "dedisp/plan.hpp"
 #include "engine/engine.hpp"
-#include "tuner/tuner.hpp"
 #include "tuner/tuning_cache.hpp"
 
 namespace ddmc::pipeline {
@@ -58,12 +62,6 @@ class Dedisperser {
   const dedisp::Plan& plan() const { return plan_; }
   const std::string& engine_id() const { return engine_id_; }
   const engine::DedispEngine& engine() const { return *engine_; }
-
-  /// Auto-tune the kernel configuration for \p device using the performance
-  /// model and apply the optimum through the engine's adapt_config: the
-  /// tiled engines run the model's tile shape, other engines keep their
-  /// defaults. Returns the full tuning result for inspection.
-  tuner::TuningResult tune_for(const ocl::DeviceModel& device);
 
   /// Tune-on-first-use by *measurement*: answer from \p cache when it
   /// holds a matching (engine, host, plan) tuple or a transferable

@@ -10,8 +10,6 @@
 
 #include "common/expect.hpp"
 #include "engine/registry.hpp"
-#include "ocl/device_presets.hpp"
-#include "ocl/perf_model.hpp"
 #include "resilience/fault_injection.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/tracing.hpp"
@@ -20,8 +18,7 @@ namespace ddmc::pipeline {
 
 // ---------------------------------------------------------------- planner --
 
-DmShardPlanner::DmShardPlanner(const dedisp::Plan& plan,
-                               const ocl::DeviceModel& cost_device)
+DmShardPlanner::DmShardPlanner(const dedisp::Plan& plan)
     : out_samples_(plan.out_samples()), channels_(plan.channels()) {
   const sky::DelayTable& delays = plan.delays();
   max_delay_.resize(plan.dms());
@@ -30,119 +27,81 @@ DmShardPlanner::DmShardPlanner(const dedisp::Plan& plan,
     for (std::size_t ch = 0; ch < channels_; ++ch) {
       running = std::max(running, delays.delay(dm, ch));
     }
-    max_delay_[dm] = running;
+    max_delay_[dm] = static_cast<std::size_t>(running);
   }
-
-  // Anchor the per-trial term on the PerfEstimate of the whole instance:
-  // (execution − fixed overhead) / trials. The staging term prices one
-  // cold DRAM pass over a shard's unique input floats; launch overhead is
-  // paid once per shard.
-  const ocl::PerfEstimate est = ocl::estimate_cpu_baseline(cost_device, plan);
-  seconds_per_trial_ = std::max(0.0, est.seconds - est.overhead_seconds) /
-                       static_cast<double>(plan.dms());
-  seconds_per_input_float_ =
-      4.0 / (cost_device.peak_bandwidth_gbs * 1e9 * cost_device.bw_efficiency);
-  shard_overhead_seconds_ = cost_device.launch_overhead_us * 1e-6;
 }
 
-DmShardPlanner::DmShardPlanner(const dedisp::Plan& plan)
-    : DmShardPlanner(plan, ocl::intel_xeon_e5_2620()) {}
-
-double DmShardPlanner::shard_seconds(std::size_t first_dm,
-                                     std::size_t dms) const {
+std::size_t DmShardPlanner::shard_cost(std::size_t first_dm,
+                                       std::size_t dms) const {
   DDMC_REQUIRE(dms > 0, "shard needs at least one trial");
   DDMC_REQUIRE(first_dm + dms <= max_delay_.size(),
                "shard exceeds the plan's DM grid");
-  const double window = static_cast<double>(out_samples_) +
-                        static_cast<double>(max_delay_[first_dm + dms - 1]);
-  return shard_overhead_seconds_ +
-         seconds_per_trial_ * static_cast<double>(dms) +
-         seconds_per_input_float_ * static_cast<double>(channels_) * window;
+  return channels_ * (dms * out_samples_ + out_samples_ +
+                      max_delay_[first_dm + dms - 1]);
 }
 
 ShardLayout DmShardPlanner::partition(std::size_t workers) const {
   const std::size_t n = max_delay_.size();
   const std::size_t target = std::min(std::max<std::size_t>(workers, 1), n);
 
-  // Shards needed when no shard may exceed budget: greedy maximal packing.
-  // Cost is monotone in both the trial count and the range end (running-max
-  // delays), so packing as much as fits is optimal and per-shard extension
-  // binary-searches the furthest affordable end.
-  const auto shards_needed = [&](double budget) {
-    std::size_t first = 0;
-    std::size_t used = 0;
-    while (first < n) {
-      if (shard_seconds(first, 1) > budget) return n + 1;  // infeasible
-      std::size_t lo = 1;
-      std::size_t hi = n - first;
-      while (lo < hi) {
-        const std::size_t mid = lo + (hi - lo + 1) / 2;
-        if (shard_seconds(first, mid) <= budget) {
-          lo = mid;
-        } else {
-          hi = mid - 1;
-        }
+  // Every budget tried below is at least the costliest single trial, so a
+  // shard of one trial always fits. Cost is monotone in both the trial
+  // count and the range end (running-max delays), so the longest shard
+  // starting at \p first that fits \p budget binary-searches, and greedy
+  // maximal packing is optimal.
+  const auto longest_fit = [&](std::size_t first, std::size_t budget) {
+    std::size_t lo = 1;
+    std::size_t hi = n - first;
+    while (lo < hi) {
+      const std::size_t mid = lo + (hi - lo + 1) / 2;
+      if (shard_cost(first, mid) <= budget) {
+        lo = mid;
+      } else {
+        hi = mid - 1;
       }
-      first += lo;
-      ++used;
-      if (used > n) break;  // defensive: cannot need more than n shards
     }
-    return used;
+    return lo;
+  };
+  const auto fits_in_target = [&](std::size_t budget) {
+    std::size_t used = 0;
+    for (std::size_t first = 0; first < n; ++used) {
+      if (used == target) return false;
+      first += longest_fit(first, budget);
+    }
+    return true;
   };
 
-  // Binary search the min-max budget; `hi` stays feasible throughout, so
-  // the final greedy pass is guaranteed to fit the worker count.
-  double lo = shard_seconds(0, 1);
-  for (std::size_t d = 1; d < n; ++d) {
-    lo = std::max(lo, shard_seconds(d, 1));
-  }
-  double budget = lo;
-  if (shards_needed(lo) > target) {
-    double hi = shard_seconds(0, n);
-    for (int iter = 0; iter < 48; ++iter) {
-      const double mid = 0.5 * (lo + hi);
-      if (shards_needed(mid) <= target) {
-        hi = mid;
-      } else {
-        lo = mid;
-      }
+  // The min-max budget: the smallest integer cost that packs into target
+  // shards. A whole-grid shard always fits one worker.
+  std::size_t lo = 0;
+  for (std::size_t d = 0; d < n; ++d) lo = std::max(lo, shard_cost(d, 1));
+  std::size_t hi = shard_cost(0, n);
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (fits_in_target(mid)) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
     }
-    budget = hi;
   }
+  const std::size_t budget = lo;
 
   ShardLayout layout;
-  std::size_t first = 0;
-  while (first < n) {
-    std::size_t lo_c = 1;
-    std::size_t hi_c = n - first;
-    while (lo_c < hi_c) {
-      const std::size_t mid = lo_c + (hi_c - lo_c + 1) / 2;
-      if (shard_seconds(first, mid) <= budget) {
-        lo_c = mid;
-      } else {
-        hi_c = mid - 1;
-      }
-    }
+  for (std::size_t first = 0; first < n;) {
     // Leave at least one trial for every remaining worker so the surplus
     // trials never pile onto a final over-budget shard; the last worker
     // takes whatever is left (≤ budget by the feasibility of `budget`).
     const std::size_t remaining_shards = target - layout.shards.size();
-    std::size_t count = lo_c;
-    if (remaining_shards == 1) {
-      count = n - first;
-    } else {
-      count = std::max<std::size_t>(
-          std::min(count, n - first - (remaining_shards - 1)), 1);
-    }
-    layout.shards.push_back(DmShard{first, count, 0.0});
+    const std::size_t count =
+        remaining_shards == 1
+            ? n - first
+            : std::min(longest_fit(first, budget),
+                       n - first - (remaining_shards - 1));
+    const std::size_t cost = shard_cost(first, count);
+    layout.shards.push_back(DmShard{first, count, cost});
+    layout.max_cost = std::max(layout.max_cost, cost);
+    layout.total_cost += cost;
     first += count;
-  }
-
-  for (DmShard& s : layout.shards) {
-    s.modeled_seconds = shard_seconds(s.first_dm, s.dms);
-    layout.modeled_max_seconds =
-        std::max(layout.modeled_max_seconds, s.modeled_seconds);
-    layout.modeled_total_seconds += s.modeled_seconds;
   }
   // The greedy pass reserves a trial for every remaining worker and hands
   // the last worker the remainder, so every worker owns exactly one shard.
@@ -152,8 +111,6 @@ ShardLayout DmShardPlanner::partition(std::size_t workers) const {
 }
 
 // --------------------------------------------------------------- executor --
-
-ShardedOptions::ShardedOptions() : cost_device(ocl::intel_xeon_e5_2620()) {}
 
 ShardedDedisperser::ShardedDedisperser(dedisp::Plan plan,
                                        ShardedOptions options)
@@ -167,7 +124,7 @@ ShardedDedisperser::ShardedDedisperser(dedisp::Plan plan,
                    "supports_sharding is false");
   pool_ = std::make_unique<ThreadPool>(options_.workers);
   telemetry::TraceSpan span("shard.plan");
-  const DmShardPlanner planner(plan_, options_.cost_device);
+  const DmShardPlanner planner(plan_);
   layout_ = planner.partition(pool_->worker_count());
   span.arg("shards", layout_.shards.size()).arg("dms", plan_.dms());
   shard_plans_.reserve(layout_.shards.size());
@@ -342,7 +299,7 @@ void ShardedDedisperser::run_batch(
   // Phase 2 — reacquisition: a shard that exhausted its retries on
   // *transient* failures is a dead worker, not a poisoned request, so the
   // surviving workers take over its DM range. The range is re-partitioned
-  // through the same DmShardPlanner cost model (on the shard's own plan —
+  // by the same DmShardPlanner cost (on the shard's own plan —
   // a slice of a slice keeps the delay rows bit-for-bit) and the
   // sub-shards run with the same retry budget, one level deep.
   if (policy.reacquire && !failures.empty()) {
@@ -358,8 +315,7 @@ void ShardedDedisperser::run_batch(
           std::max<std::size_t>(pool_->worker_count() - 1, 1);
       const std::size_t splits =
           policy.reacquire_splits > 0 ? policy.reacquire_splits : survivors;
-      const DmShardPlanner sub_planner(shard_plans_[shard],
-                                       options_.cost_device);
+      const DmShardPlanner sub_planner(shard_plans_[shard]);
       const ShardLayout sub_layout = sub_planner.partition(splits);
       {
         std::lock_guard<std::mutex> lock(report_mutex_);

@@ -10,10 +10,11 @@
 /// the host-side architectural step those backends plug into:
 ///
 ///  - DmShardPlanner cuts a plan's DM grid into contiguous per-worker
-///    ranges balanced by *modeled cost* (derived from ocl::PerfEstimate),
-///    not equal trial counts: a high-DM shard drags a larger input window
-///    through memory (its dispersion sweep is longer), so equal-count
-///    splits systematically overload the top shard.
+///    ranges balanced by *cost* — the input elements each range reads,
+///    counted from the plan — not equal trial counts: a high-DM shard
+///    drags a larger input window through memory (its dispersion sweep is
+///    longer), so equal-count splits systematically overload the top
+///    shard.
 ///  - ShardedDedisperser executes the shards across an owned worker pool,
 ///    through any engine whose capabilities report supports_sharding
 ///    (ShardedOptions::engine selects it by registry id; an engine without
@@ -33,8 +34,8 @@
 ///  - Execution is *supervised* (ShardedOptions::supervision): a failing
 ///    shard job is retried with bounded backoff while its failures stay
 ///    transient; a shard whose retries exhaust is declared dead and its DM
-///    range reacquired by the surviving workers — re-partitioned through
-///    the same DmShardPlanner cost model and executed as sub-shards, so one
+///    range reacquired by the surviving workers — re-partitioned by the
+///    same DmShardPlanner cost and executed as sub-shards, so one
 ///    dead worker costs throughput, never coverage. Every recovery path
 ///    preserves the bitwise guarantee (sub-shard plans are slices of
 ///    slices), jobs that still fail are aggregated into one
@@ -52,7 +53,6 @@
 #include "dedisp/cpu_kernel.hpp"
 #include "dedisp/plan.hpp"
 #include "engine/engine.hpp"
-#include "ocl/device.hpp"
 #include "resilience/supervisor.hpp"
 #include "tuner/tuning_cache.hpp"
 
@@ -60,46 +60,44 @@ namespace ddmc::pipeline {
 
 /// One contiguous DM range owned by one worker.
 struct DmShard {
-  std::size_t first_dm = 0;      ///< first trial of the range
-  std::size_t dms = 0;           ///< trials in the range
-  double modeled_seconds = 0.0;  ///< planner cost estimate for the range
+  std::size_t first_dm = 0;  ///< first trial of the range
+  std::size_t dms = 0;       ///< trials in the range
+  std::size_t cost = 0;      ///< DmShardPlanner::shard_cost of the range
 };
 
 /// A full partition of a plan's DM grid.
 struct ShardLayout {
-  std::vector<DmShard> shards;        ///< contiguous, in DM order
-  double modeled_max_seconds = 0.0;   ///< slowest shard (the critical path)
-  double modeled_total_seconds = 0.0; ///< Σ modeled_seconds
+  std::vector<DmShard> shards;  ///< contiguous, in DM order
+  std::size_t max_cost = 0;     ///< costliest shard (the critical path)
+  std::size_t total_cost = 0;   ///< Σ cost
 
-  /// max / mean modeled shard cost; 1 = perfectly balanced.
+  /// max / mean shard cost; 1 = perfectly balanced.
   double imbalance() const {
-    if (shards.empty() || modeled_total_seconds <= 0.0) return 1.0;
-    return modeled_max_seconds * static_cast<double>(shards.size()) /
-           modeled_total_seconds;
+    if (shards.empty() || total_cost == 0) return 1.0;
+    return static_cast<double>(max_cost) *
+           static_cast<double>(shards.size()) /
+           static_cast<double>(total_cost);
   }
 };
 
-/// Partitions a plan's DM grid into per-worker shards, minimizing the
-/// modeled cost of the slowest shard (the quantity that bounds wall time).
+/// Partitions a plan's DM grid into per-worker shards, minimizing the cost
+/// of the costliest shard (the quantity that bounds wall time).
 ///
-/// The cost model is anchored on ocl::estimate_cpu_baseline (a
-/// PerfEstimate on \p cost_device): its per-trial execution time prices the
-/// accumulate work, and a staging term prices reading the shard's unique
-/// input window — channels × (out_samples + max delay of the shard's top
-/// trial) floats — at the device's achievable bandwidth. The second term is
-/// what makes high-DM shards more expensive than low-DM shards of equal
-/// trial count.
+/// Dedispersion is memory-bound, so a shard is priced by the input
+/// elements it reads, from the plan alone: every trial reads
+/// channels × out_samples elements, and staging the shard's unique input
+/// window reads channels × (out_samples + max delay of the shard's top
+/// trial) more. The second term is what makes high-DM shards more
+/// expensive than low-DM shards of equal trial count.
 class DmShardPlanner {
  public:
-  explicit DmShardPlanner(const dedisp::Plan& plan,
-                          const ocl::DeviceModel& cost_device);
-  /// Costs on the §V-D comparison CPU model (the executor's default).
   explicit DmShardPlanner(const dedisp::Plan& plan);
 
   std::size_t dms() const { return max_delay_.size(); }
 
-  /// Modeled wall seconds for one worker owning [first_dm, first_dm+dms).
-  double shard_seconds(std::size_t first_dm, std::size_t dms) const;
+  /// Input elements one worker owning [first_dm, first_dm+dms) reads:
+  /// channels × (dms·out_samples + out_samples + max_delay(top trial)).
+  std::size_t shard_cost(std::size_t first_dm, std::size_t dms) const;
 
   /// Optimal min-max contiguous partition into exactly
   /// min(\p workers, dms()) shards — every shard holds ≥ 1 trial, so more
@@ -113,10 +111,7 @@ class DmShardPlanner {
   /// Running max over channels and trials ≤ d — monotone by construction,
   /// so shard cost is monotone in the range end and greedy packing against
   /// a cost threshold is optimal.
-  std::vector<std::int64_t> max_delay_;
-  double seconds_per_trial_ = 0.0;
-  double seconds_per_input_float_ = 0.0;
-  double shard_overhead_seconds_ = 0.0;
+  std::vector<std::size_t> max_delay_;
 };
 
 struct ShardedOptions {
@@ -130,8 +125,6 @@ struct ShardedOptions {
   /// per-worker thread count is always forced to 1 — shards (× beams) are
   /// the parallel dimension.
   engine::EngineOptions engine_options;
-  /// Device model pricing the planner's cost terms.
-  ocl::DeviceModel cost_device;
   /// Supervision of the worker jobs: per-shard bounded retry with backoff
   /// and (optionally) reacquisition of a dead worker's DM range by the
   /// surviving workers. The default (one attempt, no reacquisition) keeps
@@ -139,8 +132,6 @@ struct ShardedOptions {
   /// are now aggregated into one resilience::ShardExecutionError naming
   /// each failed shard and its cause, instead of rethrowing only the first.
   resilience::SupervisionPolicy supervision;
-
-  ShardedOptions();
 };
 
 /// Executes a plan as DM shards on an owned worker pool.

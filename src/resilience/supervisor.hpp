@@ -15,9 +15,9 @@
 ///                       TransientErrors are retried (error.hpp taxonomy).
 ///   SupervisionPolicy   RetryPolicy + shard reacquisition: a shard whose
 ///                       retries exhaust is re-partitioned across the
-///                       surviving workers via the DmShardPlanner cost
-///                       model, so one dead worker degrades throughput, not
-///                       coverage.
+///                       surviving workers by the DmShardPlanner cost (the
+///                       input elements each range reads), so one dead
+///                       worker degrades throughput, not coverage.
 ///   ShardExecutionReport  attempts / retries / reassignments per shard —
 ///                       the observability a heartbeat monitor would export.
 ///   StreamPolicy        the streaming watchdog's ordered ladder on chunk
@@ -64,10 +64,10 @@ struct SupervisionPolicy {
   RetryPolicy retry;
   /// After a shard exhausts its retries on transient failures, declare its
   /// worker dead and re-partition the shard's DM range across the surviving
-  /// workers (DmShardPlanner cost model on the shard plan). Sub-shard tasks
-  /// get the same retry budget but are never re-reacquired — one level
-  /// bounds the recursion, and a fault pattern that kills every split is
-  /// reported as the shard's failure.
+  /// workers (DmShardPlanner's input-element cost on the shard plan).
+  /// Sub-shard tasks get the same retry budget but are never re-reacquired
+  /// — one level bounds the recursion, and a fault pattern that kills every
+  /// split is reported as the shard's failure.
   bool reacquire = false;
   /// Sub-shards a reacquired range splits into; 0 = surviving worker count.
   std::size_t reacquire_splits = 0;

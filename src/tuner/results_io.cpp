@@ -132,19 +132,6 @@ ResultRow parse_v2_row(const std::vector<std::string>& cells) {
 }
 }  // namespace
 
-ResultRow to_row(const TuningResult& result) {
-  ResultRow row;
-  row.device = result.device_name;
-  row.observation = result.observation_name;
-  row.dms = result.dms;
-  row.config = engine::encode_kernel_config(result.best.config);
-  row.gflops = result.best.perf.gflops;
-  row.seconds = result.best.perf.seconds;
-  row.snr = result.snr_of_optimum();
-  row.evaluated = result.evaluated;
-  return row;
-}
-
 void save_results(std::ostream& os, const std::vector<ResultRow>& rows) {
   // max_digits10: doubles survive save→load bitwise, so a reloaded sweep
   // (or TuningCache file) compares exactly equal to the one that wrote it.

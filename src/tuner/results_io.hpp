@@ -6,12 +6,12 @@
 /// … for every combination of platform, observational setup and input
 /// instance" (§IV-A).
 
+#include <cstddef>
 #include <iosfwd>
 #include <string>
 #include <vector>
 
 #include "engine/engine_config.hpp"
-#include "tuner/tuner.hpp"
 
 namespace ddmc::tuner {
 
@@ -33,8 +33,6 @@ struct ResultRow {
 
   friend bool operator==(const ResultRow&, const ResultRow&) = default;
 };
-
-ResultRow to_row(const TuningResult& result);
 
 /// Write rows as CSV, led by a schema line ("# ddmc-tuner-results v4
 /// cols=9") and a fixed column header. The config cell is the

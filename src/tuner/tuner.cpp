@@ -1,6 +1,8 @@
 #include "tuner/tuner.hpp"
 
 #include "common/expect.hpp"
+#include "engine/engine_config.hpp"
+#include "pipeline/dedisperser.hpp"
 
 namespace ddmc::tuner {
 
@@ -73,6 +75,29 @@ TuningResult tune(const ocl::DeviceModel& device,
   result.stats.max = stats.max();
   result.stats.snr_of_max =
       snr(result.stats.max, result.stats.mean, result.stats.stddev);
+  return result;
+}
+
+ResultRow to_row(const TuningResult& result) {
+  ResultRow row;
+  row.device = result.device_name;
+  row.observation = result.observation_name;
+  row.dms = result.dms;
+  row.config = engine::encode_kernel_config(result.best.config);
+  row.gflops = result.best.perf.gflops;
+  row.seconds = result.best.perf.seconds;
+  row.snr = result.snr_of_optimum();
+  row.evaluated = result.evaluated;
+  return row;
+}
+
+TuningResult tune_for(pipeline::Dedisperser& dd,
+                      const ocl::DeviceModel& device) {
+  TuningResult result = tune(device, ocl::PlanAnalysis(dd.plan()));
+  // The model tuner parameterizes the tiled kernel; the engine bends the
+  // optimum onto its own axes (an engine without them keeps its defaults).
+  dd.set_config(dd.engine().adapt_config(
+      dd.plan(), engine::encode_kernel_config(result.best.config)));
   return result;
 }
 

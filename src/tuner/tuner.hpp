@@ -7,13 +7,22 @@
 /// The sweep also retains the whole performance population, from which the
 /// paper's impact statistics are derived: the SNR of the optimum (Figs. 8–9),
 /// the configuration histogram (Fig. 10) and the Chebyshev guessing bound.
+///
+/// Part of ddmc_paper: the production library tunes by measurement
+/// (tuner/strategy.hpp, tuner/tuning_cache.hpp) and never links this file.
 
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "common/statistics.hpp"
 #include "dedisp/kernel_config.hpp"
 #include "ocl/perf_model.hpp"
+#include "tuner/results_io.hpp"
+
+namespace ddmc::pipeline {
+class Dedisperser;
+}
 
 namespace ddmc::tuner {
 
@@ -63,5 +72,15 @@ TuningResult tune(const ocl::DeviceModel& device,
                   const ocl::PlanAnalysis& analysis,
                   const TuningOptions& options = {},
                   const std::vector<dedisp::KernelConfig>& configs = {});
+
+/// The persisted tuple of a sweep: its optimum and headline statistics.
+ResultRow to_row(const TuningResult& result);
+
+/// Tune \p dd's plan for \p device on the performance model and set the
+/// optimum as its config through the engine's adapt_config: the tiled
+/// engines run the model's tile shape, other engines keep their defaults.
+/// Returns the full tuning result for inspection.
+TuningResult tune_for(pipeline::Dedisperser& dd,
+                      const ocl::DeviceModel& device);
 
 }  // namespace ddmc::tuner

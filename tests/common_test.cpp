@@ -1,5 +1,6 @@
 // Unit tests for the common substrate: aligned buffers, pitched matrices,
-// the thread pool, statistics, the deterministic RNG, tables and the CLI.
+// the thread pool, statistics, the deterministic RNG, tables, the CLI and
+// the JSON parser on hostile input.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +11,7 @@
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -18,6 +20,7 @@
 #include "common/cli.hpp"
 #include "common/expect.hpp"
 #include "common/fft.hpp"
+#include "common/json.hpp"
 #include "common/random.hpp"
 #include "common/simd.hpp"
 #include "common/statistics.hpp"
@@ -25,6 +28,8 @@
 #include "common/thread_pool.hpp"
 #include "common/timer.hpp"
 #include "common/workspace.hpp"
+#include "telemetry/export.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace ddmc {
 namespace {
@@ -706,6 +711,98 @@ TEST(Workspace, PoolLendsOneWorkspacePerConcurrentCaller) {
   auto other = pool.acquire();
   EXPECT_TRUE(again->capacity() == 64u || other->capacity() == 64u);
   EXPECT_TRUE(again->take(64).data() == lent || other->take(64).data() == lent);
+}
+
+// ------------------------------------------------------------------- json --
+
+/// True when \p text parses, false when the parser rejects it with
+/// ddmc::invalid_argument; any other outcome (a crash, another exception)
+/// fails the test.
+bool parses(const std::string& text) {
+  try {
+    json::parse(text);
+    return true;
+  } catch (const invalid_argument&) {
+    return false;
+  }
+}
+
+TEST(JsonParse, DeepNestingThrowsAtItsOffsetInsteadOfOverflowingTheStack) {
+  const std::size_t cap = json::kMaxDepth;
+  EXPECT_TRUE(parses(std::string(cap, '[') + std::string(cap, ']')));
+  try {
+    json::parse(std::string(cap + 1, '[') + std::string(cap + 1, ']'));
+    FAIL() << "nesting past the cap parsed";
+  } catch (const invalid_argument& e) {
+    // The bracket that opens level cap + 1 sits at offset cap.
+    EXPECT_NE(std::string(e.what()).find("offset " + std::to_string(cap)),
+              std::string::npos)
+        << e.what();
+  }
+  for (const std::string level : {"[", "{\"k\":", "[1,"}) {
+    std::string deep;
+    for (int i = 0; i < 1000000; ++i) deep += level;
+    EXPECT_FALSE(parses(deep)) << level;
+  }
+}
+
+TEST(JsonParse, CorruptedSnapshotsParseOrThrowNeverCrash) {
+  // A real document: the metrics snapshot, with series of every kind.
+  auto& registry = telemetry::MetricsRegistry::instance();
+  for (const char* engine : {"cpu_tiled", "fdmt", "we\"ird\\name"}) {
+    const telemetry::Labels labels = {{"engine", engine}};
+    registry.counter("ddmc.test.json_runs_total", labels)->add(3);
+    registry.gauge("ddmc.test.json_threads", labels)->set(4);
+    const auto histogram = registry.histogram("ddmc.test.json_ms", labels);
+    for (int i = 0; i < 5; ++i) histogram->record(0.5 * i);
+  }
+  const std::string doc = telemetry::snapshot_json().dump();
+  ASSERT_TRUE(parses(doc));
+
+  // Every strict prefix of an object document lacks its closing brace.
+  for (std::size_t len = 0; len < doc.size(); ++len) {
+    EXPECT_FALSE(parses(doc.substr(0, len))) << "prefix of " << len;
+  }
+  // Byte flips: one to four random bytes set to random values.
+  Rng rng(2026);
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::string bad = doc;
+    const std::uint64_t flips = 1 + rng.next_u64() % 4;
+    for (std::uint64_t f = 0; f < flips; ++f) {
+      bad[rng.next_u64() % bad.size()] = static_cast<char>(rng.next_u64());
+    }
+    parses(bad);
+  }
+  // Deep nesting: the document wrapped in arrays under and past the cap,
+  // and a million brackets spliced in where a member's value starts (after
+  // a ':' outside any string) or at any offset (inside a string they are
+  // text, so only the crash-free outcome is required there).
+  const auto wrapped = [&](std::size_t levels) {
+    return std::string(levels, '[') + doc + std::string(levels, ']');
+  };
+  EXPECT_TRUE(parses(wrapped(json::kMaxDepth / 2)));
+  EXPECT_FALSE(parses(wrapped(json::kMaxDepth)));
+  std::vector<std::size_t> value_starts;
+  bool in_string = false;
+  for (std::size_t i = 0; i < doc.size(); ++i) {
+    if (in_string && doc[i] == '\\') {
+      ++i;
+    } else if (doc[i] == '"') {
+      in_string = !in_string;
+    } else if (!in_string && doc[i] == ':') {
+      value_starts.push_back(i + 1);
+    }
+  }
+  ASSERT_FALSE(value_starts.empty());
+  const std::string brackets(1000000, '[');
+  for (int trial = 0; trial < 4; ++trial) {
+    std::string bad = doc;
+    bad.insert(value_starts[rng.next_u64() % value_starts.size()], brackets);
+    EXPECT_FALSE(parses(bad));
+    bad = doc;
+    bad.insert(rng.next_u64() % bad.size(), brackets);
+    parses(bad);
+  }
 }
 
 }  // namespace

@@ -1,7 +1,11 @@
 // End-to-end tests across modules: pulsar injection → dedispersion →
-// detection; tuner → simulator → codegen; measured vs analytic traffic.
+// detection; tuner → simulator → codegen; measured vs analytic traffic;
+// the model tuner applied to a Dedisperser; the §V-D survey sizing.
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
 
 #include "codegen/opencl_codegen.hpp"
 #include "common/expect.hpp"
@@ -13,6 +17,7 @@
 #include "ocl/perf_model.hpp"
 #include "ocl/sim_dedisp.hpp"
 #include "pipeline/dedisperser.hpp"
+#include "pipeline/survey.hpp"
 #include "sky/detection.hpp"
 #include "sky/signal.hpp"
 #include "test_util.hpp"
@@ -166,7 +171,7 @@ TEST(Integration, PipelineQuickstartFlow) {
   const PulsarScenario sc = make_scenario();
   pipeline::Dedisperser dd = pipeline::Dedisperser::with_output_samples(
       mini_obs(), sc.plan.dms(), sc.plan.out_samples(), "cpu_tiled");
-  dd.tune_for(ocl::nvidia_gtx_titan());
+  tuner::tune_for(dd, ocl::nvidia_gtx_titan());
   const Array2D<float> out = dd.dedisperse(sc.data.cview());
   const sky::DetectionResult res = sky::detect_best_dm(out.cview());
   EXPECT_EQ(res.best_trial, sc.true_trial);
@@ -174,3 +179,114 @@ TEST(Integration, PipelineQuickstartFlow) {
 
 }  // namespace
 }  // namespace ddmc
+
+namespace ddmc::pipeline {
+namespace {
+
+using testing::mini_obs;
+using testing::random_input;
+
+// ------------------------------------------------------- model tuner (§IV) --
+
+TEST(Dedisperser, TuneForSetsTheOptimalConfig) {
+  Dedisperser dd =
+      Dedisperser::with_output_samples(mini_obs(), 8, 64, "cpu_tiled");
+  const tuner::TuningResult r = tuner::tune_for(dd, ocl::amd_hd7970());
+  EXPECT_EQ(dd.config(), engine::encode_kernel_config(r.best.config));
+  EXPECT_GT(r.evaluated, 0u);
+  // The tuned config must execute.
+  const Array2D<float> in = random_input(dd.plan());
+  EXPECT_NO_THROW(dd.dedisperse(in.cview()));
+}
+
+// ------------------------------------------------------------ survey (§V-D) --
+
+TEST(Survey, ApertifSizingIsFeasibleOnHd7970) {
+  // The paper: 2,000 DMs, 450 beams, HD7970 ⇒ ~0.1 s per beam-second,
+  // several beams per GPU, tens of GPUs in total.
+  const SurveySizing s =
+      size_survey(ocl::amd_hd7970(), sky::apertif(), 2000, 450);
+  EXPECT_TRUE(s.feasible);
+  EXPECT_LT(s.seconds_per_beam, 1.0);
+  EXPECT_GE(s.beams_per_device, 1u);
+  EXPECT_LE(s.devices_needed, 450u);
+  EXPECT_GE(s.devices_needed, 450u / std::max<std::size_t>(
+                                         s.beams_per_device, 1) /
+                                  2);
+}
+
+TEST(Survey, MemoryAndComputeBothLimitBeams) {
+  const SurveySizing s =
+      size_survey(ocl::amd_hd7970(), sky::apertif(), 2000, 450);
+  EXPECT_EQ(s.beams_per_device,
+            std::min(s.beams_per_device_compute, s.beams_per_device_memory));
+}
+
+TEST(Survey, MoreBeamsNeedMoreDevices) {
+  const SurveySizing few =
+      size_survey(ocl::amd_hd7970(), sky::apertif(), 500, 50);
+  const SurveySizing many =
+      size_survey(ocl::amd_hd7970(), sky::apertif(), 500, 400);
+  EXPECT_LE(few.devices_needed, many.devices_needed);
+}
+
+TEST(Survey, CpusVastlyOutnumberAccelerators) {
+  // §V-D: "50 GPUs, instead of the 1,800 CPUs".
+  const SurveySizing gpus =
+      size_survey(ocl::amd_hd7970(), sky::apertif(), 2000, 450);
+  const std::size_t cpus =
+      cpus_needed(ocl::intel_xeon_e5_2620(), sky::apertif(), 2000, 450);
+  EXPECT_GT(cpus, 10 * gpus.devices_needed);
+}
+
+TEST(Survey, RejectsZeroBeams) {
+  EXPECT_THROW(size_survey(ocl::amd_hd7970(), sky::apertif(), 64, 0),
+               invalid_argument);
+}
+
+TEST(Survey, FastDevicePathPinsThePackingFormula) {
+  // Regression guard for the fast regime: nothing about beam packing
+  // changed — floor-packed beams per device, ceil-divided device count,
+  // and the fractional pressure is the exact reciprocal of the beam time.
+  const SurveySizing s =
+      size_survey(ocl::amd_hd7970(), sky::apertif(), 2000, 450);
+  ASSERT_TRUE(s.feasible);
+  ASSERT_LT(s.seconds_per_beam, 1.0);
+  EXPECT_DOUBLE_EQ(s.beams_per_device_realtime, 1.0 / s.seconds_per_beam);
+  EXPECT_EQ(s.beams_per_device_compute,
+            static_cast<std::size_t>(std::floor(s.beams_per_device_realtime)));
+  EXPECT_EQ(s.devices_needed, ceil_div<std::size_t>(450, s.beams_per_device));
+}
+
+TEST(Survey, SlowDevicesShareBeamsInsteadOfBeingInfeasible) {
+  // Regression: a device needing > 1 s per beam-second used to make the
+  // whole survey "infeasible" (beams_per_device_compute == 0), while
+  // cpus_needed correctly let several devices share one beam. Both paths
+  // now agree on the sharing semantics.
+  ocl::DeviceModel slow = ocl::intel_xeon_e5_2620();
+  slow.name = "E5-2620/100";
+  slow.clock_ghz /= 100.0;
+  slow.peak_gflops /= 100.0;
+  slow.peak_bandwidth_gbs /= 100.0;
+  const SurveySizing s = size_survey(slow, sky::apertif(), 2000, 450);
+  ASSERT_GT(s.seconds_per_beam, 1.0);
+  EXPECT_EQ(s.beams_per_device_compute, 0u);
+  EXPECT_GT(s.beams_per_device_realtime, 0.0);
+  EXPECT_LT(s.beams_per_device_realtime, 1.0);
+  EXPECT_TRUE(s.feasible);
+  EXPECT_EQ(s.devices_needed,
+            static_cast<std::size_t>(
+                std::ceil(s.seconds_per_beam * 450.0)));
+  EXPECT_GT(s.devices_needed, 450u);  // sharing: more devices than beams
+
+  // Only a beam that cannot fit device memory is genuinely infeasible.
+  ocl::DeviceModel tiny = ocl::amd_hd7970();
+  tiny.memory_gb = 1e-6;
+  const SurveySizing none = size_survey(tiny, sky::apertif(), 2000, 450);
+  EXPECT_FALSE(none.feasible);
+  EXPECT_EQ(none.beams_per_device_memory, 0u);
+  EXPECT_EQ(none.devices_needed, 0u);
+}
+
+}  // namespace
+}  // namespace ddmc::pipeline

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/expect.hpp"
@@ -83,14 +84,14 @@ TEST(DmShardPlanner, PartitionCoversTheGridContiguously) {
     for (const DmShard& s : layout.shards) {
       EXPECT_EQ(s.first_dm, next);
       EXPECT_GE(s.dms, 1u);
-      EXPECT_GT(s.modeled_seconds, 0.0);
+      EXPECT_EQ(s.cost, planner.shard_cost(s.first_dm, s.dms));
       next += s.dms;
     }
     EXPECT_EQ(next, 24u);
   }
 }
 
-TEST(DmShardPlanner, ModeledCostIsBalancedWithinTolerance) {
+TEST(DmShardPlanner, CostIsBalancedWithinTolerance) {
   // A steep DM grid (large step) makes the top shard's input window much
   // larger than the bottom's, which is exactly what the cost model must
   // absorb: the balanced layout's critical path must not exceed the mean
@@ -112,23 +113,23 @@ TEST(DmShardPlanner, BeatsOrMatchesEqualCountSplits) {
   const DmShardPlanner planner(plan);
   for (std::size_t workers : {2u, 4u, 8u}) {
     SCOPED_TRACE("workers=" + std::to_string(workers));
-    double equal_max = 0.0;
+    std::size_t equal_max = 0;
     const std::size_t per = 64 / workers;
     for (std::size_t w = 0; w < workers; ++w) {
-      equal_max = std::max(equal_max, planner.shard_seconds(w * per, per));
+      equal_max = std::max(equal_max, planner.shard_cost(w * per, per));
     }
     const ShardLayout layout = planner.partition(workers);
-    EXPECT_LE(layout.modeled_max_seconds, equal_max * (1.0 + 1e-12));
+    EXPECT_LE(layout.max_cost, equal_max);
   }
 }
 
 TEST(DmShardPlanner, MoreWorkersNeverRaiseTheCriticalPath) {
   const Plan plan = Plan::with_output_samples(mini_obs(), 32, 60);
   const DmShardPlanner planner(plan);
-  double prev = planner.partition(1).modeled_max_seconds;
+  std::size_t prev = planner.partition(1).max_cost;
   for (std::size_t workers : {2u, 3u, 4u, 6u, 8u}) {
-    const double now = planner.partition(workers).modeled_max_seconds;
-    EXPECT_LE(now, prev * (1.0 + 1e-12)) << "workers=" << workers;
+    const std::size_t now = planner.partition(workers).max_cost;
+    EXPECT_LE(now, prev) << "workers=" << workers;
     prev = now;
   }
 }
@@ -137,9 +138,50 @@ TEST(DmShardPlanner, HigherShardsCostMoreAtEqualCounts) {
   const Plan plan =
       Plan::with_output_samples(mini_obs(8, /*dm_step=*/4.0), 64, 50);
   const DmShardPlanner planner(plan);
-  EXPECT_GT(planner.shard_seconds(48, 16), planner.shard_seconds(0, 16));
-  EXPECT_THROW(planner.shard_seconds(60, 8), invalid_argument);
-  EXPECT_THROW(planner.shard_seconds(0, 0), invalid_argument);
+  EXPECT_GT(planner.shard_cost(48, 16), planner.shard_cost(0, 16));
+  EXPECT_THROW(planner.shard_cost(60, 8), invalid_argument);
+  EXPECT_THROW(planner.shard_cost(0, 0), invalid_argument);
+}
+
+TEST(DmShardPlanner, CostCountsTheInputElementsAShardReads) {
+  // channels × (dms·out_samples + out_samples + max_delay(top trial)):
+  // every trial reads channels × out_samples elements, and the shard's
+  // staged window spans its top trial's dispersion sweep.
+  const Plan plan = Plan::with_output_samples(mini_obs(), 12, 60);
+  const DmShardPlanner planner(plan);
+  for (const auto& [first, dms] :
+       std::vector<std::pair<std::size_t, std::size_t>>{
+           {0, 1}, {0, 12}, {5, 4}, {11, 1}}) {
+    SCOPED_TRACE("shard [" + std::to_string(first) + ", +" +
+                 std::to_string(dms) + ")");
+    const std::size_t max_delay = plan.dm_shard(0, first + dms).max_delay();
+    EXPECT_EQ(planner.shard_cost(first, dms),
+              8 * (dms * 60 + 60 + max_delay));
+  }
+  // A layout's totals are its shards' costs.
+  const ShardLayout layout = planner.partition(3);
+  std::size_t total = 0;
+  for (const DmShard& s : layout.shards) total += s.cost;
+  EXPECT_EQ(layout.total_cost, total);
+}
+
+TEST(DmShardPlanner, PinsTheApertifLayouts) {
+  // 128 Apertif DMs × 1000 samples: the sweep is short next to the output,
+  // so the balanced layouts are the equal-count splits, with the remainder
+  // on the low-DM shards.
+  const Plan plan = Plan::with_output_samples(sky::apertif(), 128, 1000);
+  const DmShardPlanner planner(plan);
+  const auto counts = [&](std::size_t workers) {
+    std::vector<std::size_t> dms;
+    for (const DmShard& s : planner.partition(workers).shards) {
+      dms.push_back(s.dms);
+    }
+    return dms;
+  };
+  EXPECT_EQ(counts(2), (std::vector<std::size_t>{64, 64}));
+  EXPECT_EQ(counts(3), (std::vector<std::size_t>{43, 43, 42}));
+  EXPECT_EQ(counts(4), (std::vector<std::size_t>(4, 32)));
+  EXPECT_EQ(counts(8), (std::vector<std::size_t>(8, 16)));
 }
 
 // -------------------------------------------------------------- executor --

@@ -1,9 +1,9 @@
-// Tests for the auto-tuner: search-space enumeration, the tiled engines'
-// execution deduplication, optimum selection and statistics, the guided
-// search strategies (differential against the exhaustive optimum on
-// deterministic synthetic landscapes), the persistent tuning cache with
-// nearest-neighbor transfer, fixed-configuration selection, and result
-// persistence (including a randomized save→load round-trip property).
+// Tests for tuning by measurement: the tiled engines' search space and
+// execution deduplication, the guided search strategies (differential
+// against the exhaustive optimum on deterministic synthetic landscapes),
+// the persistent tuning cache with nearest-neighbor transfer, and result
+// persistence (including a randomized save→load round-trip property). The
+// paper's model tuner is tested in model_properties_test.
 
 #include <gtest/gtest.h>
 
@@ -27,12 +27,9 @@
 #include "dedisp/cpu_kernel.hpp"
 #include "engine/engine_config.hpp"
 #include "engine/registry.hpp"
-#include "ocl/device_presets.hpp"
 #include "test_util.hpp"
-#include "tuner/fixed_config.hpp"
 #include "tuner/results_io.hpp"
 #include "tuner/strategy.hpp"
-#include "tuner/tuner.hpp"
 #include "tuner/tuning_cache.hpp"
 
 namespace ddmc::tuner {
@@ -42,7 +39,6 @@ using dedisp::KernelConfig;
 using dedisp::Plan;
 using dedisp::SearchSpace;
 using dedisp::default_search_space;
-using ocl::PlanAnalysis;
 using testing::mini_obs;
 using testing::mini_plan;
 using testing::tiled_config;
@@ -118,53 +114,6 @@ TEST(SearchSpace, DefaultLaddersAreNonEmptyAndSorted) {
   EXPECT_TRUE(std::count(s.wi_time.begin(), s.wi_time.end(), 250));
 }
 
-TEST(SearchSpace, EveryEnumeratedConfigSatisfiesCheapConstraints) {
-  const Plan plan = mini_plan(8, 64);
-  for (const ocl::DeviceModel& dev : ocl::table1_devices()) {
-    const auto configs = enumerate_configs(dev, plan);
-    EXPECT_FALSE(configs.empty()) << dev.name;
-    for (const KernelConfig& cfg : configs) {
-      EXPECT_TRUE(cfg.divides(plan)) << dev.name << " " << cfg.to_string();
-      EXPECT_LE(cfg.work_group_size(), dev.max_work_group_size) << dev.name;
-      EXPECT_LE(cfg.accumulators_per_item() + dev.reg_overhead_per_item,
-                dev.max_regs_per_item)
-          << dev.name;
-    }
-  }
-}
-
-TEST(SearchSpace, EnumerationIsDeterministicAndDuplicateFree) {
-  const Plan plan = mini_plan(8, 64);
-  const auto a = enumerate_configs(ocl::amd_hd7970(), plan);
-  const auto b = enumerate_configs(ocl::amd_hd7970(), plan);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
-  std::set<std::string> keys;
-  for (const auto& cfg : a) keys.insert(cfg.to_string());
-  EXPECT_EQ(keys.size(), a.size());
-}
-
-TEST(SearchSpace, RegisterCapShrinksGtx680Space) {
-  // GK104's 63-register cap must prune configurations GK110 keeps.
-  const Plan plan(sky::apertif(), 128);
-  const auto gk104 = enumerate_configs(ocl::nvidia_gtx680(), plan);
-  const auto gk110 = enumerate_configs(ocl::nvidia_k20(), plan);
-  EXPECT_LT(gk104.size(), gk110.size());
-}
-
-TEST(SearchSpace, CustomLaddersRespected) {
-  const Plan plan = mini_plan(8, 64);
-  SearchSpace tiny;
-  tiny.wi_time = {8};
-  tiny.wi_dm = {1, 2};
-  tiny.elem_time = {1};
-  tiny.elem_dm = {1};
-  const auto configs = enumerate_configs(ocl::amd_hd7970(), plan, tiny);
-  ASSERT_EQ(configs.size(), 2u);
-  EXPECT_EQ(configs[0], (KernelConfig{8, 1, 1, 1}));
-  EXPECT_EQ(configs[1], (KernelConfig{8, 2, 1, 1}));
-}
-
 TEST(SearchSpace, HostEnumerationSweepsChannelBlockAndUnroll) {
   // On a many-channel plan the tiled engine's space crosses the paper's
   // four axes with every meaningful channel_block and unroll ladder value.
@@ -202,143 +151,7 @@ TEST(SearchSpace, HostEnumerationDropsOversizedChannelBlocks) {
   }
 }
 
-TEST(SearchSpace, DeviceEnumerationKeepsHostAxesAtDefaults) {
-  const Plan plan = mini_plan(8, 64);
-  for (const KernelConfig& cfg :
-       enumerate_configs(ocl::amd_hd7970(), plan)) {
-    EXPECT_EQ(cfg.channel_block, 0u);
-    EXPECT_EQ(cfg.unroll, 1u);
-  }
-}
-
-// ------------------------------------------------------------------ tuner --
-
-TEST(Tuner, OptimumDominatesPopulation) {
-  const PlanAnalysis analysis(mini_plan(8, 64));
-  TuningOptions opt;
-  opt.keep_population = true;
-  const TuningResult r = tune(ocl::amd_hd7970(), analysis, opt);
-  EXPECT_GT(r.evaluated, 0u);
-  ASSERT_EQ(r.population.size(), r.evaluated);
-  for (const ConfigPerf& cp : r.population) {
-    EXPECT_LE(cp.perf.gflops, r.best.perf.gflops) << cp.config.to_string();
-  }
-  EXPECT_DOUBLE_EQ(r.stats.max, r.best.perf.gflops);
-  EXPECT_EQ(r.stats.count, r.evaluated);
-}
-
-TEST(Tuner, PopulationNotKeptByDefault) {
-  const PlanAnalysis analysis(mini_plan(8, 64));
-  const TuningResult r = tune(ocl::amd_hd7970(), analysis);
-  EXPECT_TRUE(r.population.empty());
-  EXPECT_GT(r.evaluated, 0u);
-}
-
-TEST(Tuner, MetadataIdentifiesTheSweep) {
-  const PlanAnalysis analysis(mini_plan(8, 64));
-  const TuningResult r = tune(ocl::nvidia_k20(), analysis);
-  EXPECT_EQ(r.device_name, "K20");
-  EXPECT_EQ(r.observation_name, "mini");
-  EXPECT_EQ(r.dms, 8u);
-}
-
-TEST(Tuner, SnrOfOptimumIsNonNegative) {
-  const PlanAnalysis analysis(mini_plan(8, 64));
-  const TuningResult r = tune(ocl::amd_hd7970(), analysis);
-  EXPECT_GE(r.snr_of_optimum(), 0.0);
-}
-
-TEST(Tuner, ExplicitConfigListRestrictsTheSweep) {
-  const PlanAnalysis analysis(mini_plan(8, 64));
-  const std::vector<KernelConfig> only = {KernelConfig{8, 1, 1, 1},
-                                          KernelConfig{8, 2, 1, 1}};
-  const TuningResult r = tune(ocl::amd_hd7970(), analysis, {}, only);
-  EXPECT_LE(r.evaluated + r.skipped, 2u);
-  EXPECT_TRUE(r.best.config == only[0] || r.best.config == only[1]);
-}
-
-TEST(Tuner, InvalidConfigsAreSkippedNotFatal) {
-  const PlanAnalysis analysis(mini_plan(8, 64));
-  const std::vector<KernelConfig> mixed = {
-      KernelConfig{5, 1, 1, 1},   // non-dividing: skipped
-      KernelConfig{8, 1, 1, 1}};  // valid
-  const TuningResult r = tune(ocl::amd_hd7970(), analysis, {}, mixed);
-  EXPECT_EQ(r.skipped, 1u);
-  EXPECT_EQ(r.evaluated, 1u);
-  EXPECT_EQ(r.best.config, (KernelConfig{8, 1, 1, 1}));
-}
-
-TEST(Tuner, ThrowsWhenNothingIsMeaningful) {
-  const PlanAnalysis analysis(mini_plan(8, 64));
-  const std::vector<KernelConfig> bad = {KernelConfig{5, 1, 1, 1},
-                                         KernelConfig{7, 3, 1, 1}};
-  EXPECT_THROW(tune(ocl::amd_hd7970(), analysis, {}, bad), config_error);
-}
-
-TEST(Tuner, ZeroDmTuningFindsAtLeastRealPerformance) {
-  // §V-C: the tuned optimum under perfect reuse is at least the real one.
-  const PlanAnalysis real(Plan::with_output_samples(mini_obs(), 8, 64));
-  const PlanAnalysis zero(
-      Plan::with_output_samples(mini_obs().zero_dm_variant(), 8, 64));
-  const double g_real = tune(ocl::amd_hd7970(), real).best.perf.gflops;
-  const double g_zero = tune(ocl::amd_hd7970(), zero).best.perf.gflops;
-  EXPECT_GE(g_zero, g_real * 0.999);
-}
-
-// ----------------------------------------------------------- fixed config --
-
-TEST(FixedConfig, ValidOnEveryInstanceAndNeverBeatsTuned) {
-  const sky::Observation obs = mini_obs();
-  std::vector<PlanAnalysis> analyses;
-  analyses.reserve(3);
-  for (std::size_t dms : {2u, 4u, 8u}) {
-    analyses.emplace_back(Plan::with_output_samples(obs, dms, 64));
-  }
-  std::vector<const PlanAnalysis*> ptrs;
-  for (const auto& a : analyses) ptrs.push_back(&a);
-
-  const FixedConfigResult fixed =
-      best_fixed_config(ocl::amd_hd7970(), ptrs);
-  ASSERT_EQ(fixed.per_instance_gflops.size(), 3u);
-
-  double total = 0.0;
-  for (std::size_t i = 0; i < ptrs.size(); ++i) {
-    // The fixed config runs everywhere…
-    const ocl::PerfEstimate p =
-        ocl::estimate_performance(ocl::amd_hd7970(), *ptrs[i], fixed.config);
-    EXPECT_NEAR(p.gflops, fixed.per_instance_gflops[i], 1e-9);
-    total += p.gflops;
-    // …and the per-instance tuned optimum dominates it (Figs. 13–14 have
-    // speedup ≥ 1 everywhere).
-    const TuningResult tuned = tune(ocl::amd_hd7970(), *ptrs[i]);
-    EXPECT_GE(tuned.best.perf.gflops, p.gflops * 0.999);
-  }
-  EXPECT_NEAR(total, fixed.total_gflops, 1e-9);
-}
-
-TEST(FixedConfig, RequiresInstances) {
-  std::vector<const PlanAnalysis*> none;
-  EXPECT_THROW(best_fixed_config(ocl::amd_hd7970(), none), invalid_argument);
-}
-
 // ------------------------------------------------------------- results io --
-
-TEST(ResultsIo, RoundTrips) {
-  const PlanAnalysis analysis(mini_plan(8, 64));
-  std::vector<ResultRow> rows;
-  rows.push_back(to_row(tune(ocl::amd_hd7970(), analysis)));
-  rows.push_back(to_row(tune(ocl::nvidia_k20(), analysis)));
-
-  std::stringstream ss;
-  save_results(ss, rows);
-  const std::vector<ResultRow> loaded = load_results(ss);
-  ASSERT_EQ(loaded.size(), 2u);
-  EXPECT_EQ(loaded[0].device, "HD7970");
-  EXPECT_EQ(loaded[1].device, "K20");
-  EXPECT_EQ(loaded[0].config, rows[0].config);
-  EXPECT_NEAR(loaded[0].gflops, rows[0].gflops, 1e-6 * rows[0].gflops);
-  EXPECT_EQ(loaded[0].dms, 8u);
-}
 
 namespace {
 constexpr const char* kSchemaLine = "# ddmc-tuner-results v3 cols=8\n";
@@ -359,6 +172,32 @@ std::string error_of(std::istream& is) {
   return "";
 }
 }  // namespace
+
+TEST(ResultsIo, RoundTrips) {
+  std::vector<ResultRow> rows(2);
+  rows[0].device = "HD7970";
+  rows[0].observation = "mini";
+  rows[0].dms = 8;
+  rows[0].config = tiled_config(KernelConfig{8, 2, 4, 2});
+  rows[0].gflops = 123.456789;
+  rows[0].seconds = 1.5e-4;
+  rows[0].snr = 2.75;
+  rows[0].evaluated = 42;
+  rows[1] = rows[0];
+  rows[1].device = "K20";
+  rows[1].config = tiled_config(KernelConfig{16, 1, 2, 4});
+
+  std::stringstream ss;
+  save_results(ss, rows);
+  const std::vector<ResultRow> loaded = load_results(ss);
+  ASSERT_EQ(loaded.size(), 2u);
+  EXPECT_EQ(loaded[0].device, "HD7970");
+  EXPECT_EQ(loaded[1].device, "K20");
+  EXPECT_EQ(loaded[0].config, rows[0].config);
+  EXPECT_NEAR(loaded[0].gflops, rows[0].gflops, 1e-6 * rows[0].gflops);
+  EXPECT_EQ(loaded[0].dms, 8u);
+  EXPECT_EQ(loaded, rows);
+}
 
 TEST(ResultsIo, SavesTheSchemaLineFirst) {
   std::stringstream ss;
