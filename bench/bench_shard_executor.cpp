@@ -1,24 +1,24 @@
-/// DM-sharded executor throughput vs. worker count on this machine.
+/// DM-sharded executor against the engine's own pool, by worker count.
 ///
-/// The sharded path exists to scale one plan across workers (and, later,
-/// devices): the number that matters is how throughput moves as the worker
-/// pool grows. For each worker count the bench runs the ShardedDedisperser
-/// over the identical input, checks the output is bitwise identical to the
-/// single-engine batch path, and reports measured GFLOP/s next to the
+/// The sharded path exists to isolate faults per DM range and to scale one
+/// plan across devices; on one host it competes with the engine's own
+/// worker pool, which spreads the same plan over the same cores inside one
+/// call. For each worker count the bench runs the ShardedDedisperser on
+/// that many workers and the cpu_tiled engine on a pool of that many
+/// threads over the identical input, interleaving their calls. It checks
+/// both outputs are bitwise identical to a one-thread engine call and
+/// reports the median and minimum of --reps calls of each, next to the
 /// planner's *modeled* speedup (the single shard's cost / the critical
-/// path's cost, both in input elements read) — on a machine with fewer cores than workers the measured
-/// curve flattens at the core count while the modeled curve shows what the
-/// balanced partition sustains when every worker owns real hardware, so
-/// both are recorded.
+/// path's cost, both in input elements read). Shards are cut on the
+/// config's DM tile, so every shard runs the parent config.
 ///
-///   ./bench_shard_executor [--dms 128] [--out-samples 10000] [--reps 3]
-///                          [--workers 1,2,4,8] [--json out.json]
+///   ./bench_shard_executor [--dms 1024] [--out-samples 2000] [--reps 5]
+///                          [--workers 1,2,3,4] [--json out.json]
 
 #include <algorithm>
 #include <iostream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -26,8 +26,11 @@
 #include "common/random.hpp"
 #include "common/simd.hpp"
 #include "common/table.hpp"
+#include "common/thread_pool.hpp"
 #include "common/timer.hpp"
-#include "dedisp/cpu_kernel.hpp"
+#include "dedisp/kernel_config.hpp"
+#include "engine/engine_config.hpp"
+#include "engine/registry.hpp"
 #include "pipeline/sharding.hpp"
 #include "sky/observation.hpp"
 
@@ -48,25 +51,62 @@ std::vector<std::size_t> parse_worker_list(const std::string& text) {
   return workers;
 }
 
+/// Median and minimum wall seconds of repeated calls.
+struct Timing {
+  std::vector<double> seconds;
+
+  void add(double s) { seconds.push_back(s); }
+  double median() const {
+    std::vector<double> v = seconds;
+    std::sort(v.begin(), v.end());
+    return (v[(v.size() - 1) / 2] + v[v.size() / 2]) / 2.0;
+  }
+  double min() const {
+    return *std::min_element(seconds.begin(), seconds.end());
+  }
+  bench::JsonObject json(double flop) const {
+    return bench::JsonObject()
+        .set("median_s", median())
+        .set("min_s", min())
+        .set("gflops_median", flop / median() * 1e-9);
+  }
+};
+
 struct WorkerResult {
   std::size_t workers = 0;
-  std::size_t shards = 0;
-  double seconds = 0.0;
-  double gflops = 0.0;
-  double speedup_vs_one = 0.0;   ///< measured, vs the 1-worker sharded run
+  std::vector<std::size_t> shard_dms;  ///< trials per shard, in DM order
+  Timing sharded;
+  Timing pool;
   double modeled_speedup = 0.0;  ///< modeled 1-shard cost / critical path
   double modeled_imbalance = 0.0;
 };
+
+std::string ms(const Timing& t) {
+  return TextTable::num(t.median() * 1e3, 1) + " (" +
+         TextTable::num(t.min() * 1e3, 1) + ")";
+}
+
+void require_same(const Array2D<float>& expected, const Array2D<float>& got,
+                  const char* what) {
+  for (std::size_t dm = 0; dm < expected.rows(); ++dm) {
+    for (std::size_t t = 0; t < expected.cols(); ++t) {
+      DDMC_REQUIRE(got(dm, t) == expected(dm, t),
+                   std::string(what) +
+                       " output diverged from the one-thread engine call");
+    }
+  }
+}
 
 }  // namespace
 
 int main(int argc, char** argv) {
   Cli cli("bench_shard_executor",
-          "DM-sharded executor throughput vs worker count");
-  cli.add_option("dms", "number of trial DMs", "128");
-  cli.add_option("out-samples", "output samples per trial", "10000");
-  cli.add_option("reps", "timed repetitions", "3");
-  cli.add_option("workers", "comma-separated worker counts", "1,2,4,8");
+          "DM-sharded executor against the engine's own pool, by worker "
+          "count");
+  cli.add_option("dms", "number of trial DMs", "1024");
+  cli.add_option("out-samples", "output samples per trial", "2000");
+  cli.add_option("reps", "timed calls per side and worker count", "5");
+  cli.add_option("workers", "comma-separated worker counts", "1,2,3,4");
   cli.add_option("json", "write machine-readable results to this path", "");
   if (!cli.parse(argc, argv)) return 0;
 
@@ -74,9 +114,10 @@ int main(int argc, char** argv) {
   const auto out_samples =
       static_cast<std::size_t>(cli.get_int("out-samples"));
   const auto reps = static_cast<std::size_t>(cli.get_int("reps"));
+  DDMC_REQUIRE(reps > 0, "--reps must be positive");
   std::vector<std::size_t> worker_counts =
       parse_worker_list(cli.get("workers"));
-  // The scaling column normalizes against a real 1-worker run, so one is
+  // The scaling columns normalize against real 1-worker runs, so one is
   // always measured even when --workers omits it.
   if (std::find(worker_counts.begin(), worker_counts.end(), 1u) ==
       worker_counts.end()) {
@@ -88,9 +129,10 @@ int main(int argc, char** argv) {
       dedisp::Plan::with_output_samples(obs, dms, out_samples);
   const double flop = plan.total_flop();
 
-  // The PR-1 host-sweep optimum shape, shrunk by each shard as needed.
-  dedisp::KernelConfig config{50, 2, 4, 2, 32, 4};
-  if (!config.divides(plan)) config = dedisp::KernelConfig{1, 1, 1, 1, 32, 4};
+  // The PR-1 host-sweep optimum shape (DM tile 4).
+  dedisp::KernelConfig kernel{50, 2, 4, 2, 32, 4};
+  if (!kernel.divides(plan)) kernel = dedisp::KernelConfig{1, 1, 1, 1, 32, 4};
+  const engine::EngineConfig config = engine::encode_kernel_config(kernel);
 
   Array2D<float> input(plan.channels(), plan.in_samples());
   Rng rng(99);
@@ -98,26 +140,15 @@ int main(int argc, char** argv) {
     for (auto& v : input.row(ch)) v = rng.next_float(-1.0f, 1.0f);
   }
 
-  // Single-engine batch reference (one thread): correctness anchor and the
-  // absolute baseline a sharded deployment replaces.
-  dedisp::CpuKernelOptions single_cpu;
-  single_cpu.threads = 1;
+  // One-thread engine call: the correctness anchor of both sides.
+  engine::EngineOptions one_thread;
+  one_thread.cpu.threads = 1;
   Array2D<float> expected(plan.dms(), plan.out_samples());
-  dedisp::dedisperse_cpu(plan, config, input.cview(), expected.view(),
-                         single_cpu);
-  double single_seconds = 0.0;
-  for (std::size_t r = 0; r < reps; ++r) {
-    Stopwatch clock;
-    dedisp::dedisperse_cpu(plan, config, input.cview(), expected.view(),
-                           single_cpu);
-    single_seconds += clock.seconds();
-  }
-  single_seconds /= static_cast<double>(reps);
-  const double single_gflops = flop / single_seconds * 1e-9;
+  engine::make_engine(engine::kDefaultEngineId, one_thread)
+      ->execute(plan, config, input.cview(), expected.view());
 
-  const pipeline::DmShardPlanner planner(plan);
-  const auto modeled_one =
-      static_cast<double>(planner.partition(1).max_cost);
+  const auto modeled_one = static_cast<double>(
+      pipeline::DmShardPlanner(plan).partition(1).max_cost);
 
   std::vector<WorkerResult> results;
   for (std::size_t workers : worker_counts) {
@@ -126,57 +157,62 @@ int main(int argc, char** argv) {
 
     pipeline::ShardedOptions opts;
     opts.workers = workers;
-    const pipeline::ShardedDedisperser sharded(
-        plan, engine::encode_kernel_config(config), opts);
-    res.shards = sharded.shard_count();
+    const pipeline::ShardedDedisperser sharded(plan, config, opts);
+    for (const pipeline::DmShard& s : sharded.layout().shards) {
+      res.shard_dms.push_back(s.dms);
+    }
     res.modeled_speedup =
         modeled_one / static_cast<double>(sharded.layout().max_cost);
     res.modeled_imbalance = sharded.layout().imbalance();
 
+    engine::EngineOptions pool_options;
+    pool_options.cpu.threads = workers;
+    const auto pool =
+        engine::make_engine(engine::kDefaultEngineId, pool_options);
+
+    // Untimed first calls (workspaces, pool threads), checked bitwise.
     Array2D<float> out(plan.dms(), plan.out_samples());
-    sharded.dedisperse(input.cview(), out.view());  // warmup
-    for (std::size_t dm = 0; dm < plan.dms(); ++dm) {
-      for (std::size_t t = 0; t < plan.out_samples(); ++t) {
-        DDMC_REQUIRE(out(dm, t) == expected(dm, t),
-                     "sharded output diverged from the single-engine path");
-      }
-    }
-    double total = 0.0;
+    sharded.dedisperse(input.cview(), out.view());
+    require_same(expected, out, "sharded");
+    pool->execute(plan, config, input.cview(), out.view());
+    require_same(expected, out, "pool");
     for (std::size_t r = 0; r < reps; ++r) {
-      Stopwatch clock;
+      Stopwatch shard_clock;
       sharded.dedisperse(input.cview(), out.view());
-      total += clock.seconds();
+      res.sharded.add(shard_clock.seconds());
+      Stopwatch pool_clock;
+      pool->execute(plan, config, input.cview(), out.view());
+      res.pool.add(pool_clock.seconds());
     }
-    res.seconds = total / static_cast<double>(reps);
-    res.gflops = flop / res.seconds * 1e-9;
-    results.push_back(res);
+    results.push_back(std::move(res));
   }
-  double one_worker_seconds = 0.0;
+  const WorkerResult* one = nullptr;
   for (const WorkerResult& r : results) {
-    if (r.workers == 1) one_worker_seconds = r.seconds;
-  }
-  for (WorkerResult& r : results) {
-    r.speedup_vs_one = one_worker_seconds / r.seconds;
+    if (r.workers == 1) one = &r;
   }
 
-  const std::size_t host_cpus =
-      std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  std::cout << "== DM-sharded executor, " << obs.name() << ", " << dms
-            << " DMs x " << out_samples << " samples, config "
-            << config.to_string() << ", simd " << simd::backend_name()
-            << ", host cpus " << host_cpus << " ==\n\n"
-            << "single engine (1 thread): " << TextTable::num(single_gflops, 2)
-            << " GFLOP/s (" << TextTable::num(single_seconds * 1e3, 1)
-            << " ms)\n\n";
+  std::cout << "== DM-sharded executor vs the engine's pool, " << obs.name()
+            << ", " << dms << " DMs x " << out_samples << " samples, config "
+            << kernel.to_string() << ", simd " << simd::backend_name()
+            << ", host threads " << hardware_workers() << " ==\n"
+            << "median (min) ms of " << reps
+            << " interleaved calls per side\n\n";
 
-  TextTable table({"workers", "shards", "GFLOP/s", "vs 1 worker",
-                   "modeled speedup", "modeled imbalance"});
+  TextTable table({"workers", "shard DMs", "sharded ms", "vs 1 worker",
+                   "pool ms", "vs 1 thread", "sharded/pool",
+                   "modeled speedup"});
   for (const WorkerResult& r : results) {
-    table.add_row({std::to_string(r.workers), std::to_string(r.shards),
-                   TextTable::num(r.gflops, 2),
-                   TextTable::num(r.speedup_vs_one, 2) + "x",
-                   TextTable::num(r.modeled_speedup, 2) + "x",
-                   TextTable::num(r.modeled_imbalance, 3)});
+    std::string layout;
+    for (std::size_t d : r.shard_dms) {
+      layout += (layout.empty() ? "" : "/") + std::to_string(d);
+    }
+    table.add_row(
+        {std::to_string(r.workers), layout, ms(r.sharded),
+         TextTable::num(one->sharded.median() / r.sharded.median(), 2) + "x",
+         ms(r.pool),
+         TextTable::num(one->pool.median() / r.pool.median(), 2) + "x",
+         TextTable::num(r.sharded.median() / r.pool.median(), 2),
+         TextTable::num(r.modeled_speedup, 2) + "x"});
   }
   table.print(std::cout);
   std::cout << "\n(modeled speedup = planner critical-path ratio with every "
@@ -187,20 +223,26 @@ int main(int argc, char** argv) {
   if (!json_path.empty()) {
     bench::JsonArray arr;
     for (const WorkerResult& r : results) {
+      bench::JsonArray layout;
+      for (std::size_t d : r.shard_dms) layout.add_raw(std::to_string(d));
       arr.add(bench::JsonObject()
                   .set("workers", r.workers)
-                  .set("shards", r.shards)
-                  .set("seconds", r.seconds)
-                  .set("gflops", r.gflops)
-                  .set("speedup_vs_one_worker", r.speedup_vs_one)
+                  .set("shards", r.shard_dms.size())
+                  .set_raw("shard_dms", layout.dump())
+                  .set_raw("sharded", r.sharded.json(flop).dump())
+                  .set_raw("pool", r.pool.json(flop).dump())
+                  .set("speedup_vs_one_worker",
+                       one->sharded.median() / r.sharded.median())
+                  .set("pool_speedup_vs_one_thread",
+                       one->pool.median() / r.pool.median())
                   .set("modeled_speedup", r.modeled_speedup)
                   .set("modeled_imbalance", r.modeled_imbalance));
     }
     bench::JsonObject root;
     root.set("bench", "bench_shard_executor")
-        .set("simd_backend", simd::backend_name())
-        .set("host_cpus", host_cpus)
-        .set("config", config.to_string())
+        .set_raw("host", bench::host_description().dump())
+        .set("config", kernel.to_string())
+        .set("reps", reps)
         .set_raw("plan", bench::JsonObject()
                              .set("observation", obs.name())
                              .set("dms", dms)
@@ -208,12 +250,7 @@ int main(int argc, char** argv) {
                              .set("channels", plan.channels())
                              .set("max_delay", plan.max_delay())
                              .dump())
-        .set_raw("single_engine",
-                 bench::JsonObject()
-                     .set("seconds", single_seconds)
-                     .set("gflops", single_gflops)
-                     .dump())
-        .set_raw("sharded", arr.dump());
+        .set_raw("workers", arr.dump());
     bench::write_json_file(json_path, root);
     std::cout << "\nwrote " << json_path << "\n";
   }

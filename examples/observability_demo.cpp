@@ -1,18 +1,25 @@
-/// Observability demo: one supervised, DM-sharded streaming session under
-/// injected faults, watched end-to-end through the telemetry subsystem.
+/// Observability demo: one supervised streaming session and one supervised
+/// DM-sharded batch call under injected faults, watched end-to-end through
+/// the telemetry subsystem.
 ///
-/// Everything the pipeline does here lands in the process-wide registry and
-/// trace buffer: engine executions (per-engine GFLOP/s), shard attempts and
-/// retries, chunk latencies, ring backpressure, the watchdog's recoveries.
-/// After the stream closes, the same numbers are exported three ways —
+/// The session runs its engine on the engine's own pool, and its chunk
+/// watchdog retries the chunks whose `stream.chunk` faults were injected.
+/// The batch call then dedisperses two windows of the same data as DM
+/// shards (pipeline::ShardedDedisperser::dedisperse_batch), and its
+/// per-shard supervision retries the injected `shard.task` faults without
+/// repeating the other shards. Everything lands in the process-wide
+/// registry and trace buffer: engine executions (per-engine GFLOP/s),
+/// chunk retries and latencies, shard attempts and retries. Afterwards
+/// the same numbers are exported three ways —
 ///
 ///   <prefix>.prom        Prometheus text exposition (scrape-endpoint body)
 ///   <prefix>.json        JSON snapshot of every metric + trace status
 ///   <prefix>.trace.json  Chrome trace_event timeline: open it in
 ///                        chrome://tracing or https://ui.perfetto.dev to see
-///                        stream.chunk > shard.task > engine.execute spans
-///                        nested per worker thread, with shard.retry markers
-///                        at the injected faults
+///                        stream.chunk > engine.execute spans, then
+///                        shard.task > engine.execute spans nested per
+///                        worker thread, with shard.retry markers at the
+///                        injected shard faults
 ///
 /// and the session's own report() views are printed next to them: they are
 /// assembled from the same registry objects, so they cannot disagree.
@@ -22,11 +29,14 @@
 
 #include <fstream>
 #include <iostream>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/cli.hpp"
 #include "common/table.hpp"
 #include "dedisp/plan.hpp"
+#include "pipeline/sharding.hpp"
 #include "resilience/fault_injection.hpp"
 #include "sky/signal.hpp"
 #include "stream/streaming_dedisperser.hpp"
@@ -48,19 +58,22 @@ void write_text(const std::string& path, const std::string& body) {
 int main(int argc, char** argv) {
   using namespace ddmc;
   Cli cli("observability_demo",
-          "sharded streaming under faults, exported as Prometheus text, "
-          "JSON and a Chrome trace");
+          "supervised streaming and sharded execution under faults, "
+          "exported as Prometheus text, JSON and a Chrome trace");
   cli.add_option("dms", "number of trial DMs", "64");
   cli.add_option("seconds", "seconds of data to stream", "2");
   cli.add_option("chunk-seconds", "output chunk length in seconds", "0.25");
-  cli.add_option("shard-workers", "DM-shard worker threads", "3");
+  cli.add_option("shard-workers",
+                 "worker threads of the streaming engine's pool and of the "
+                 "DM-sharded batch call",
+                 "3");
   cli.add_option("out-prefix", "prefix for the exported files", "telemetry");
   if (!cli.parse(argc, argv)) return 0;
 
   const sky::Observation obs = sky::apertif();
   const auto dms = static_cast<std::size_t>(cli.get_int("dms"));
   const auto seconds = static_cast<std::size_t>(cli.get_int("seconds"));
-  const auto shard_workers =
+  const auto workers =
       static_cast<std::size_t>(cli.get_int("shard-workers"));
   const auto chunk_samples = static_cast<std::size_t>(
       cli.get_double("chunk-seconds") * obs.sampling_rate());
@@ -95,15 +108,13 @@ int main(int argc, char** argv) {
   telemetry::Tracer::instance().set_enabled(true);
   telemetry::Tracer::instance().clear();
   telemetry::MetricsRegistry::instance().reset();
+  auto& faults = resilience::FaultInjector::instance();
 
   stream::StreamingOptions opts;
   opts.async = false;
-  opts.cpu.threads = 1;
-  opts.shard_workers = shard_workers;
-  opts.shard_supervision.retry.max_attempts = 2;  // absorb at shard level
-  opts.shard_supervision.retry.backoff_seconds = 0.0;
+  opts.cpu.threads = workers;
   opts.supervision.enabled = true;
-  opts.supervision.max_chunk_retries = 1;
+  opts.supervision.max_chunk_retries = 2;  // absorb both faults by retry
   opts.supervision.skip_failed_chunks = true;
 
   std::size_t emitted = 0;
@@ -112,32 +123,49 @@ int main(int argc, char** argv) {
       [&](const stream::StreamChunk& chunk) { emitted += chunk.out_samples; },
       opts);
 
-  // Two transient shard faults mid-stream: the supervised executor absorbs
-  // them by retry, and both the retries and their cost are on record.
+  // Two transient chunk faults mid-stream: the watchdog absorbs them by
+  // retry, and both the retries and their cost are on record.
   resilience::FaultSpec glitch;
-  glitch.skip = 5;  // let a few shard attempts pass first
+  glitch.skip = 2;  // let a few attempts pass first
   glitch.max_fires = 2;
-  resilience::FaultInjector::instance().arm("shard.task", glitch);
-
+  faults.arm("stream.chunk", glitch);
   session.push(data.cview());
   session.close();
-  resilience::FaultInjector::instance().disarm_all();
+  faults.disarm_all();
+
+  // The same two faults on the shards of one batch call over the first
+  // and the last window: per-shard retry absorbs them.
+  pipeline::ShardedOptions sharded_opts;
+  sharded_opts.workers = workers;
+  sharded_opts.supervision.retry.max_attempts = 3;
+  sharded_opts.supervision.retry.backoff_seconds = 0.0;
+  const pipeline::ShardedDedisperser sharded(
+      chunk_plan, engine::encode_kernel_config(config), sharded_opts);
+  std::vector<ConstView2D<float>> windows;
+  for (const std::size_t first :
+       {std::size_t{0}, total_out - chunk_plan.out_samples()}) {
+    windows.emplace_back(&data.cview()(0, first), data.rows(),
+                         chunk_plan.in_samples(), data.pitch());
+  }
+  faults.arm("shard.task", glitch);
+  sharded.dedisperse_batch(windows);
+  faults.disarm_all();
 
   // ---- the session's own views ------------------------------------------
   const stream::LatencyReport latency = session.latency();
   const resilience::StreamHealth health = session.health();
   const engine::SessionTraffic traffic = session.telemetry();
   std::cout << "== observability demo: " << seconds << " s of " << obs.name()
-            << ", " << dms << " trial DMs, " << shard_workers
-            << " shard workers, 2 injected shard faults ==\n\n"
+            << ", " << dms << " trial DMs, " << workers
+            << " worker threads, 2 injected chunk faults, 2 injected shard "
+               "faults ==\n\n"
             << "chunks emitted     " << health.chunks_emitted << " ("
             << emitted << " samples)\n"
-            << "shard retries      "
-            << static_cast<std::size_t>(
-                   telemetry::MetricsRegistry::instance()
-                       .counter("ddmc.shard.retries_total")
-                       ->value())
-            << " absorbed (chunk-level retries: " << health.retries << ")\n"
+            << "chunk retries      " << health.retries << " absorbed ("
+            << health.chunks_skipped << " chunks skipped)\n"
+            << "shard retries      " << sharded.last_report().retries
+            << " absorbed in a batch of " << windows.size() << " windows x "
+            << sharded.shard_count() << " shards\n"
             << "engine runs        " << traffic.runs << " ("
             << TextTable::num(traffic.gflops(), 2) << " GFLOP/s over "
             << TextTable::num(traffic.engine_seconds * 1e3, 1)
@@ -171,8 +199,8 @@ int main(int argc, char** argv) {
   }
   std::cout << "\nopen " << prefix
             << ".trace.json in chrome://tracing or ui.perfetto.dev: the "
-               "stream.chunk spans\nnest the shard attempts and engine "
-               "executions per worker, and the shard.retry\nmarkers sit "
-               "exactly where the faults were injected.\n";
+               "stream.chunk spans\nnest the engine executions, the "
+               "shard.task spans nest them per worker, and the\nshard.retry "
+               "markers sit exactly where the shard faults were injected.\n";
   return 0;
 }

@@ -260,6 +260,11 @@ class CpuTiledBase : public EngineBase {
     return adapted;
   }
 
+  std::size_t dm_tile(const dedisp::Plan& plan,
+                      const EngineConfig& config) const override {
+    return adapt_kernel_config(plan, decode_kernel_config(config)).tile_dm();
+  }
+
   std::string config_key(const dedisp::Plan& plan,
                          const EngineConfig& config) const override {
     // Two configs that compile to the same host kernel are one

@@ -225,6 +225,18 @@ class DedispEngine {
   virtual EngineConfig adapt_config(const dedisp::Plan& plan,
                                     const EngineConfig& config) const;
 
+  /// Trials the DM dimension of \p config (valid for \p plan) runs in, the
+  /// granularity the sharded executor cuts DM ranges on. The tiled engines
+  /// answer their DM tile: a Plan::dm_shard slice whose trial count is a
+  /// multiple of it runs \p config unchanged (adapt_config returns it as
+  /// is). The default, 1, leaves every slice to adapt_config.
+  virtual std::size_t dm_tile(const dedisp::Plan& plan,
+                              const EngineConfig& config) const {
+    (void)plan;
+    (void)config;
+    return 1;
+  }
+
   /// Deduplication key: two configs with the same key run the identical
   /// execution on \p plan, so a search measures only one of them. The
   /// default collapses declared-default axes; the tiled engines collapse

@@ -1,8 +1,6 @@
 #include "pipeline/dedisperser.hpp"
 
-#include "common/expect.hpp"
 #include "engine/registry.hpp"
-#include "pipeline/sharding.hpp"
 
 namespace ddmc::pipeline {
 
@@ -25,20 +23,6 @@ Dedisperser::Dedisperser(dedisp::Plan plan, std::string engine)
 
 void Dedisperser::rebuild_engine() {
   engine_ = engine::make_engine(engine_id_, engine_options_);
-  absorb_sharded();
-}
-
-void Dedisperser::absorb_sharded() {
-  if (sharded_) {
-    traffic_.merge(sharded_->telemetry());
-    sharded_.reset();
-  }
-}
-
-engine::SessionTraffic Dedisperser::telemetry() const {
-  engine::SessionTraffic total = traffic_;
-  if (sharded_) total.merge(sharded_->telemetry());
-  return total;
 }
 
 tuner::GuidedTuningOutcome Dedisperser::tune_cached(
@@ -49,28 +33,18 @@ tuner::GuidedTuningOutcome Dedisperser::tune_cached(
   options.host.threads = engine_options_.cpu.threads;
   tuner::GuidedTuningOutcome outcome = tuner::tune_guided(plan_, cache, options);
   // Adopt the winner: the race's engine choice is part of the tuning
-  // decision, so subsequent dedisperse() calls run it. The adoption must
-  // honor the execution mode already selected — a winner that cannot
-  // shard fails fast here, not inside a worker pool later.
+  // decision, so subsequent dedisperse() calls run it.
   if (outcome.engine_id != engine_id_) {
-    auto adopted = engine::make_engine(outcome.engine_id, engine_options_);
-    DDMC_REQUIRE(execution_ == Execution::kSingle ||
-                     adopted->capabilities().supports_sharding,
-                 "tuned winner '" + outcome.engine_id +
-                     "' cannot run the selected DM-sharded execution: its "
-                     "capability supports_sharding is false");
     engine_id_ = outcome.engine_id;
-    engine_ = std::move(adopted);
+    rebuild_engine();
   }
   config_ = outcome.config;
-  absorb_sharded();
   return outcome;
 }
 
 void Dedisperser::set_config(const engine::EngineConfig& config) {
   engine_->validate_config(plan_, config);
   config_ = config;
-  absorb_sharded();
 }
 
 void Dedisperser::set_cpu_options(const dedisp::CpuKernelOptions& options) {
@@ -83,32 +57,9 @@ void Dedisperser::set_subband_config(const dedisp::SubbandConfig& config) {
   rebuild_engine();
 }
 
-void Dedisperser::set_execution(Execution execution, std::size_t workers) {
-  DDMC_REQUIRE(execution == Execution::kSingle ||
-                   engine_->capabilities().supports_sharding,
-               "engine '" + engine_id_ +
-                   "' cannot run DM-sharded execution: its capability "
-                   "supports_sharding is false");
-  execution_ = execution;
-  shard_workers_ = workers;
-  absorb_sharded();
-}
-
 Array2D<float> Dedisperser::dedisperse(ConstView2D<float> input) {
   Array2D<float> out(plan_.dms(), plan_.out_samples());
-  if (execution_ == Execution::kDmSharded) {
-    if (!sharded_) {
-      ShardedOptions options;
-      options.workers = shard_workers_;
-      options.engine = engine_id_;
-      options.engine_options = engine_options_;
-      sharded_ = std::make_shared<const ShardedDedisperser>(
-          plan_, config_, std::move(options));
-    }
-    sharded_->dedisperse(input, out.view());
-  } else {
-    traffic_.add(engine_->execute(plan_, config_, input, out.view()), plan_);
-  }
+  traffic_.add(engine_->execute(plan_, config_, input, out.view()), plan_);
   return out;
 }
 

@@ -16,8 +16,11 @@
 /// (engine/registry.hpp): `cpu_tiled` (the tuned SIMD host kernel, the
 /// default), `cpu_tiled_u8`, `cpu_baseline`, `reference`, `subband`,
 /// `fdmt`, or any engine registered by downstream code. The Dedisperser
-/// never branches on the engine's identity — every mode decision
-/// (sharding, tuning) gates on the engine's declared capabilities.
+/// never branches on the engine's identity. One dedisperse() is one engine
+/// call, spread over the cores by the engine's own pool
+/// (cpu_options().threads). DM-sharded execution, the fault-isolating
+/// executor and the seam for spreading a plan across devices, is
+/// pipeline/sharding.hpp.
 ///
 /// Tuning here is by measurement (tune_cached). The paper's model tuner,
 /// which picks a config for a simulated device, is the free function
@@ -38,14 +41,6 @@
 #include "tuner/tuning_cache.hpp"
 
 namespace ddmc::pipeline {
-
-/// Execution mode, orthogonal to the engine: kSingle runs one engine call
-/// over the whole plan; kDmSharded partitions the DM grid across a worker
-/// pool (pipeline/sharding.hpp) with bitwise-identical output. Requires an
-/// engine whose capabilities report supports_sharding.
-enum class Execution { kSingle, kDmSharded };
-
-class ShardedDedisperser;  // pipeline/sharding.hpp
 
 class Dedisperser {
  public:
@@ -71,9 +66,7 @@ class Dedisperser {
   /// engine is tuned; listing several ids races them and this Dedisperser
   /// *adopts the winner* — subsequent dedisperse() calls run the winning
   /// engine under the winning config. Non-tunable engines race as
-  /// single-candidate entries. Throws ddmc::invalid_argument when the
-  /// winner cannot run the currently selected execution mode (a
-  /// non-sharding engine under kDmSharded). The engine knobs of
+  /// single-candidate entries. The engine knobs of
   /// \p options.host are overridden by this Dedisperser's cpu_options(),
   /// so the signature matches what dedisperse() will actually run.
   tuner::GuidedTuningOutcome tune_cached(
@@ -94,30 +87,17 @@ class Dedisperser {
   /// Two-stage split of the subband engine (adapted to the plan by gcd).
   void set_subband_config(const dedisp::SubbandConfig& config);
 
-  /// Select the execution mode of dedisperse(). kDmSharded splits the DM
-  /// grid into cost-balanced shards executed on \p workers pool threads
-  /// (0 = machine concurrency); throws ddmc::invalid_argument when the
-  /// engine's capabilities report !supports_sharding.
-  void set_execution(Execution execution, std::size_t workers = 0);
-  Execution execution() const { return execution_; }
-  std::size_t shard_workers() const { return shard_workers_; }
-
   /// Execute the selected engine. Input must be channels × ≥in_samples.
   Array2D<float> dedisperse(ConstView2D<float> input);
 
   /// Whole-lifetime traffic aggregate across every dedisperse() call on
-  /// this instance: runs, busy seconds, FLOP and bytes, including every
-  /// shard job in kDmSharded mode.
-  engine::SessionTraffic telemetry() const;
+  /// this instance: runs, busy seconds, FLOP and bytes.
+  engine::SessionTraffic telemetry() const { return traffic_; }
 
  private:
   Dedisperser(dedisp::Plan plan, std::string engine);
   /// Recreate the engine from engine_options_ (engines are immutable).
   void rebuild_engine();
-  /// Fold the live sharded executor's traffic into traffic_ and drop it —
-  /// called wherever sharded_ is invalidated so telemetry() never loses
-  /// the runs a discarded executor did.
-  void absorb_sharded();
 
   dedisp::Plan plan_;
   std::string engine_id_;
@@ -125,14 +105,7 @@ class Dedisperser {
   std::shared_ptr<const engine::DedispEngine> engine_;
   /// Engine-native config; empty = the engine's defaults.
   engine::EngineConfig config_;
-  Execution execution_ = Execution::kSingle;
-  std::size_t shard_workers_ = 0;
-  /// Executor reused across dedisperse() calls in kDmSharded mode (built
-  /// lazily: worker pool + planner + shard plans are per-(plan, config,
-  /// workers), not per-call); invalidated by every setter that feeds it.
-  std::shared_ptr<const ShardedDedisperser> sharded_;
-  /// Single-path runs aggregate here; sharded runs aggregate inside the
-  /// executor (telemetry() merges both, surviving sharded_ invalidation).
+  /// Every dedisperse() run, across engine rebuilds and reconfiguration.
   engine::SessionTraffic traffic_;
 };
 

@@ -40,21 +40,29 @@ std::size_t DmShardPlanner::shard_cost(std::size_t first_dm,
                       max_delay_[first_dm + dms - 1]);
 }
 
-ShardLayout DmShardPlanner::partition(std::size_t workers) const {
+ShardLayout DmShardPlanner::partition(std::size_t workers,
+                                      std::size_t tile) const {
   const std::size_t n = max_delay_.size();
-  const std::size_t target = std::min(std::max<std::size_t>(workers, 1), n);
+  // The search runs over whole DM tiles: shards start on multiples of
+  // the tile, and only the last one may end on a partial tile.
+  const std::size_t g = std::clamp<std::size_t>(tile, 1, n);
+  const std::size_t tiles = (n + g - 1) / g;
+  const std::size_t target = std::min(std::max<std::size_t>(workers, 1), tiles);
+  const auto cost_of = [&](std::size_t first, std::size_t count) {
+    return shard_cost(first * g, std::min((first + count) * g, n) - first * g);
+  };
 
-  // Every budget tried below is at least the costliest single trial, so a
-  // shard of one trial always fits. Cost is monotone in both the trial
+  // Every budget tried below is at least the costliest single tile, so a
+  // shard of one tile always fits. Cost is monotone in both the tile
   // count and the range end (running-max delays), so the longest shard
   // starting at \p first that fits \p budget binary-searches, and greedy
   // maximal packing is optimal.
   const auto longest_fit = [&](std::size_t first, std::size_t budget) {
     std::size_t lo = 1;
-    std::size_t hi = n - first;
+    std::size_t hi = tiles - first;
     while (lo < hi) {
       const std::size_t mid = lo + (hi - lo + 1) / 2;
-      if (shard_cost(first, mid) <= budget) {
+      if (cost_of(first, mid) <= budget) {
         lo = mid;
       } else {
         hi = mid - 1;
@@ -64,7 +72,7 @@ ShardLayout DmShardPlanner::partition(std::size_t workers) const {
   };
   const auto fits_in_target = [&](std::size_t budget) {
     std::size_t used = 0;
-    for (std::size_t first = 0; first < n; ++used) {
+    for (std::size_t first = 0; first < tiles; ++used) {
       if (used == target) return false;
       first += longest_fit(first, budget);
     }
@@ -74,8 +82,8 @@ ShardLayout DmShardPlanner::partition(std::size_t workers) const {
   // The min-max budget: the smallest integer cost that packs into target
   // shards. A whole-grid shard always fits one worker.
   std::size_t lo = 0;
-  for (std::size_t d = 0; d < n; ++d) lo = std::max(lo, shard_cost(d, 1));
-  std::size_t hi = shard_cost(0, n);
+  for (std::size_t t = 0; t < tiles; ++t) lo = std::max(lo, cost_of(t, 1));
+  std::size_t hi = cost_of(0, tiles);
   while (lo < hi) {
     const std::size_t mid = lo + (hi - lo) / 2;
     if (fits_in_target(mid)) {
@@ -87,23 +95,25 @@ ShardLayout DmShardPlanner::partition(std::size_t workers) const {
   const std::size_t budget = lo;
 
   ShardLayout layout;
-  for (std::size_t first = 0; first < n;) {
-    // Leave at least one trial for every remaining worker so the surplus
-    // trials never pile onto a final over-budget shard; the last worker
+  for (std::size_t first = 0; first < tiles;) {
+    // Leave at least one tile for every remaining worker so the surplus
+    // tiles never pile onto a final over-budget shard; the last worker
     // takes whatever is left (≤ budget by the feasibility of `budget`).
     const std::size_t remaining_shards = target - layout.shards.size();
     const std::size_t count =
         remaining_shards == 1
-            ? n - first
+            ? tiles - first
             : std::min(longest_fit(first, budget),
-                       n - first - (remaining_shards - 1));
-    const std::size_t cost = shard_cost(first, count);
-    layout.shards.push_back(DmShard{first, count, cost});
+                       tiles - first - (remaining_shards - 1));
+    const std::size_t first_dm = first * g;
+    const std::size_t dms = std::min((first + count) * g, n) - first_dm;
+    const std::size_t cost = shard_cost(first_dm, dms);
+    layout.shards.push_back(DmShard{first_dm, dms, cost});
     layout.max_cost = std::max(layout.max_cost, cost);
     layout.total_cost += cost;
     first += count;
   }
-  // The greedy pass reserves a trial for every remaining worker and hands
+  // The greedy pass reserves a tile for every remaining worker and hands
   // the last worker the remainder, so every worker owns exactly one shard.
   DDMC_ENSURE(layout.shards.size() == target,
               "partition must produce one shard per (clamped) worker");
@@ -123,9 +133,11 @@ ShardedDedisperser::ShardedDedisperser(dedisp::Plan plan,
                    "' cannot run DM-sharded execution: its capability "
                    "supports_sharding is false");
   pool_ = std::make_unique<ThreadPool>(options_.workers);
+}
+
+void ShardedDedisperser::cut_shards(std::size_t tile) {
   telemetry::TraceSpan span("shard.plan");
-  const DmShardPlanner planner(plan_);
-  layout_ = planner.partition(pool_->worker_count());
+  layout_ = DmShardPlanner(plan_).partition(pool_->worker_count(), tile);
   span.arg("shards", layout_.shards.size()).arg("dms", plan_.dms());
   shard_plans_.reserve(layout_.shards.size());
   for (const DmShard& s : layout_.shards) {
@@ -138,9 +150,10 @@ ShardedDedisperser::ShardedDedisperser(dedisp::Plan plan,
                                        ShardedOptions options)
     : ShardedDedisperser(std::move(plan), std::move(options)) {
   engine_->validate_config(plan_, config);
-  // Only the engine knows how its axes bend onto a shard's trial count —
-  // the tiled engines gcd-shrink their DM tile, the subband engine
-  // re-divides its coarse step — so adaptation is the engine's call.
+  cut_shards(engine_->dm_tile(plan_, config));
+  // Only the engine knows how its axes bend onto a shard's trial count, so
+  // adaptation is the engine's call; on tile-aligned shards it keeps
+  // \p config.
   shard_configs_.reserve(shard_plans_.size());
   for (const dedisp::Plan& shard : shard_plans_) {
     shard_configs_.push_back(engine_->adapt_config(shard, config));
@@ -152,6 +165,8 @@ ShardedDedisperser::ShardedDedisperser(dedisp::Plan plan,
                                        ShardedOptions options,
                                        tuner::GuidedTuningOptions tuning)
     : ShardedDedisperser(std::move(plan), std::move(options)) {
+  // Each shard is tuned on its own plan, so no config fixes a tile yet.
+  cut_shards(1);
   if (tuning.engines.empty()) tuning.engines = {options_.engine};
   tuning.engine_options = options_.engine_options;
   tuning.host.vectorize = options_.engine_options.cpu.vectorize;
@@ -299,9 +314,9 @@ void ShardedDedisperser::run_batch(
   // Phase 2 — reacquisition: a shard that exhausted its retries on
   // *transient* failures is a dead worker, not a poisoned request, so the
   // surviving workers take over its DM range. The range is re-partitioned
-  // by the same DmShardPlanner cost (on the shard's own plan —
-  // a slice of a slice keeps the delay rows bit-for-bit) and the
-  // sub-shards run with the same retry budget, one level deep.
+  // by the same DmShardPlanner cost on the same DM tile (on the shard's
+  // own plan — a slice of a slice keeps the delay rows bit-for-bit), and
+  // the sub-shards run with the same retry budget, one level deep.
   if (policy.reacquire && !failures.empty()) {
     std::vector<resilience::ShardFailure> remaining;
     for (const resilience::ShardFailure& failure : failures) {
@@ -315,8 +330,10 @@ void ShardedDedisperser::run_batch(
           std::max<std::size_t>(pool_->worker_count() - 1, 1);
       const std::size_t splits =
           policy.reacquire_splits > 0 ? policy.reacquire_splits : survivors;
-      const DmShardPlanner sub_planner(shard_plans_[shard]);
-      const ShardLayout sub_layout = sub_planner.partition(splits);
+      const ShardLayout sub_layout =
+          DmShardPlanner(shard_plans_[shard])
+              .partition(splits, engine_->dm_tile(shard_plans_[shard],
+                                                   shard_configs_[shard]));
       {
         std::lock_guard<std::mutex> lock(report_mutex_);
         ++last_report_.reassignments;

@@ -7,21 +7,28 @@
 /// Apertif = 2,000 DMs × 450 beams); production deployments split that DM
 /// range across many devices (Sclocco et al. 1601.01165; Barsdell et al.
 /// 1201.5380 partition the DM space to fit device limits). This module is
-/// the host-side architectural step those backends plug into:
+/// the host-side architectural step those backends plug into, and the
+/// fault-isolating executor: one shard's failure is retried or reacquired
+/// without repeating the others. On one host the single-plan sessions
+/// (pipeline::Dedisperser, stream::StreamingDedisperser) do not shard —
+/// they spread a plan over the cores through their engine's own pool,
+/// which tile-aligned shards only tie; MultiBeamDedisperser's
+/// dedisperse_sharded batches beams × shards onto one pool.
 ///
 ///  - DmShardPlanner cuts a plan's DM grid into contiguous per-worker
 ///    ranges balanced by *cost* — the input elements each range reads,
 ///    counted from the plan — not equal trial counts: a high-DM shard
 ///    drags a larger input window through memory (its dispersion sweep is
 ///    longer), so equal-count splits systematically overload the top
-///    shard.
+///    shard. Boundaries sit on multiples of the DM tile the shards run.
 ///  - ShardedDedisperser executes the shards across an owned worker pool,
 ///    through any engine whose capabilities report supports_sharding
 ///    (ShardedOptions::engine selects it by registry id; an engine without
 ///    the capability is rejected with an error naming it). Every shard runs
 ///    on its own worker with its own staging buffers and its own
-///    engine-native config — either adapted from a caller config by the
-///    engine itself (DedispEngine::adapt_config) or tuned per shard
+///    engine-native config — either the caller's config, kept whole by
+///    the tile-aligned cut (DedispEngine::dm_tile, adapt_config), or tuned
+///    per shard
 ///    through TuningCache::tune_guided (shard plans carry their own
 ///    PlanSignature, so neighboring shards answer each other's tuning by
 ///    nearest-neighbor transfer). Batched submission covers multiple beams
@@ -35,7 +42,7 @@
 ///    shard job is retried with bounded backoff while its failures stay
 ///    transient; a shard whose retries exhaust is declared dead and its DM
 ///    range reacquired by the surviving workers — re-partitioned by the
-///    same DmShardPlanner cost and executed as sub-shards, so one
+///    same DmShardPlanner cost and tile and executed as sub-shards, so one
 ///    dead worker costs throughput, never coverage. Every recovery path
 ///    preserves the bitwise guarantee (sub-shard plans are slices of
 ///    slices), jobs that still fail are aggregated into one
@@ -100,10 +107,12 @@ class DmShardPlanner {
   std::size_t shard_cost(std::size_t first_dm, std::size_t dms) const;
 
   /// Optimal min-max contiguous partition into exactly
-  /// min(\p workers, dms()) shards — every shard holds ≥ 1 trial, so more
-  /// workers than trials idle the surplus. Shards cover [0, plan.dms())
-  /// exactly, in order.
-  ShardLayout partition(std::size_t workers) const;
+  /// min(\p workers, ⌈dms() / \p tile⌉) shards whose boundaries sit on
+  /// multiples of \p tile — every shard holds ≥ 1 tile, so more workers
+  /// than tiles idle the surplus. Cutting on the DM tile of the config the
+  /// shards run (DedispEngine::dm_tile) keeps that config on every shard.
+  /// Shards cover [0, plan.dms()) exactly, in order.
+  ShardLayout partition(std::size_t workers, std::size_t tile = 1) const;
 
  private:
   std::size_t out_samples_ = 0;
@@ -137,10 +146,11 @@ struct ShardedOptions {
 /// Executes a plan as DM shards on an owned worker pool.
 class ShardedDedisperser {
  public:
-  /// Every shard derives its config from \p config through the engine's
-  /// own adapt_config (the tiled engines gcd-shrink their DM tile where a
-  /// shard breaks divisibility; the time tile is untouched). \p config
-  /// must validate against \p plan on the selected engine.
+  /// Shard boundaries sit on multiples of \p config's DM tile
+  /// (DedispEngine::dm_tile), so every shard runs \p config itself; each
+  /// shard's config still goes through the engine's adapt_config, which
+  /// returns it unchanged. \p config must validate against \p plan on the
+  /// selected engine.
   ShardedDedisperser(dedisp::Plan plan, engine::EngineConfig config,
                      ShardedOptions options = {});
 
@@ -211,6 +221,8 @@ class ShardedDedisperser {
 
  private:
   ShardedDedisperser(dedisp::Plan plan, ShardedOptions options);
+  /// Partition the plan on multiples of \p tile and slice the shard plans.
+  void cut_shards(std::size_t tile);
   void run_batch(const std::vector<ConstView2D<float>>& beams,
                  const std::vector<View2D<float>>& outs) const;
 

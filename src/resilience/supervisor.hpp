@@ -7,9 +7,9 @@
 /// loss, not just an operational one: a worker that dies mid-survey takes
 /// its DM shard's candidates with it. This header defines *policy* — how
 /// many retries, what backoff, whether a dead worker's shard is reacquired,
-/// how a streaming session degrades — separately from the executors that
-/// enforce it, so every execution path (batch, sharded, streaming) reads
-/// the same vocabulary:
+/// how a streaming session degrades — separately from the two executors
+/// that enforce it (the sharded executor's per-shard supervision and the
+/// streaming session's chunk watchdog), so both read the same vocabulary:
 ///
 ///   RetryPolicy         bounded attempts with exponential backoff; only
 ///                       TransientErrors are retried (error.hpp taxonomy).

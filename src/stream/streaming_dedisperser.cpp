@@ -14,8 +14,8 @@ namespace ddmc::stream {
 namespace {
 
 /// The one place StreamingOptions maps onto engine-factory options: every
-/// consumer site (session engine, sharded executor, degradation target)
-/// goes through here, so a new EngineOptions field is wired once, not at
+/// consumer site (session engine, degradation target, tuning race) goes
+/// through here, so a new EngineOptions field is wired once, not at
 /// each site — missing one silently computes with defaults.
 engine::EngineOptions engine_factory_options(const StreamingOptions& options) {
   engine::EngineOptions engine_options;
@@ -62,16 +62,6 @@ std::size_t session_input_padding(const StreamingOptions& options,
   return std::max(padding, fallback->capabilities().input_padding);
 }
 
-/// The code map the session's chunker quantizes with: the engine's
-/// input_quantizer, unless full chunks go through the sharded executor,
-/// which takes float windows.
-std::optional<dedisp::QuantizationParams> session_quantizer(
-    const StreamingOptions& options, const engine::DedispEngine& engine,
-    const engine::EngineConfig& config) {
-  if (options.shard_workers >= 2) return std::nullopt;
-  return engine.input_quantizer(config);
-}
-
 /// The session's chunker over every beam's rows: code windows for a
 /// code-reading engine, float windows for any other, and both when a
 /// code-reading session can degrade to a float engine.
@@ -80,7 +70,7 @@ OverlapChunker session_chunker(const dedisp::Plan& plan,
                                const engine::DedispEngine& engine,
                                const engine::EngineConfig& config) {
   const std::optional<dedisp::QuantizationParams> codes =
-      session_quantizer(options, engine, config);
+      engine.input_quantizer(config);
   return OverlapChunker(plan, session_input_padding(options, engine), codes,
                         /*floats=*/!codes || can_degrade(options),
                         options.beams);
@@ -108,15 +98,6 @@ StreamingDedisperser::StreamingDedisperser(dedisp::Plan chunk_plan,
   for (std::size_t b = 0; b < (options_.async ? 2 : 1); ++b) {
     out_full_[b] = out_storage_[b].matrix(beams() * plan_.dms(),
                                           plan_.out_samples());
-  }
-  if (options_.shard_workers >= 2) {
-    pipeline::ShardedOptions sharded;
-    sharded.workers = options_.shard_workers;
-    sharded.engine = options_.engine;
-    sharded.engine_options = engine_factory_options(options_);
-    sharded.supervision = options_.shard_supervision;
-    sharded_ = std::make_unique<pipeline::ShardedDedisperser>(
-        plan_, config_, std::move(sharded));
   }
   health_.active_engine = options_.engine;
   auto& registry = telemetry::MetricsRegistry::instance();
@@ -450,9 +431,7 @@ StreamingDedisperser::Delivery StreamingDedisperser::compute(
       delivery.runs.clear();
       for (std::size_t b = 0; b < beams(); ++b) {
         const View2D<float> beam_out = beam_rows(out, b, dms);
-        if (full && sharded_ && !degraded) {
-          sharded_->dedisperse(beam_rows(job.input, b, channels), beam_out);
-        } else if (codes) {
+        if (codes) {
           delivery.runs.push_back(engine.execute(
               plan, config, beam_rows(job.codes, b, channels), beam_out));
         } else {
@@ -606,9 +585,7 @@ resilience::StreamHealth StreamingDedisperser::health() const {
 
 engine::SessionTraffic StreamingDedisperser::telemetry() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  engine::SessionTraffic total = traffic_;
-  if (sharded_) total.merge(sharded_->telemetry());
-  return total;
+  return traffic_;
 }
 
 void StreamingDedisperser::close() {

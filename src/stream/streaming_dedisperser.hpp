@@ -16,11 +16,11 @@
 /// are stacked along the rows: every block pushed, every ring and every
 /// window holds B·channels rows, beam b at rows [b·C, (b+1)·C). The one
 /// chunker carries all beams at once; the compute stage runs each beam's
-/// rows through the engine (or the sharded executor) into rows
-/// [b·dms, (b+1)·dms) of the chunk's output, and the watchdog's retry, skip
-/// and degradation rungs act on the whole chunk. The sink is called once
-/// per beam, in beam order, with StreamChunk::beam set; B = 1 is the
-/// single-beam session.
+/// rows through the engine, on the engine's own pool
+/// (StreamingOptions::cpu.threads), into rows [b·dms, (b+1)·dms) of the
+/// chunk's output, and the watchdog's retry, skip and degradation rungs
+/// act on the whole chunk. The sink is called once per beam, in beam
+/// order, with StreamChunk::beam set; B = 1 is the single-beam session.
 ///
 /// The engine is selected by registry id (StreamingOptions::engine); a
 /// session requires the supports_streaming capability and widens the
@@ -50,11 +50,11 @@
 /// first written. Each output buffer holds B·dms rows. The final partial
 /// chunk gets its own output buffer.
 ///
-/// When the engine reads 8-bit codes (DedispEngine::input_quantizer) and
-/// the session is not sharded, the chunker's windows hold codes, each
-/// sample quantized once as it is pushed, and every chunk reaches the
-/// engine as a code plane — the flush chunk too, under the adapted config,
-/// whose code map is the session's: the compute stage only accumulates.
+/// When the engine reads 8-bit codes (DedispEngine::input_quantizer), the
+/// chunker's windows hold codes, each sample quantized once as it is
+/// pushed, and every chunk reaches the engine as a code plane — the flush
+/// chunk too, under the adapted config, whose code map is the session's:
+/// the compute stage only accumulates.
 /// Such a session keeps float windows as well only when it can degrade to
 /// a float engine; a degraded chunk takes them. A window dedispersed
 /// straight from the caller's block (sync sessions) takes the float call.
@@ -82,7 +82,6 @@
 #include "dedisp/cpu_kernel.hpp"
 #include "dedisp/plan.hpp"
 #include "engine/engine.hpp"
-#include "pipeline/sharding.hpp"
 #include "resilience/supervisor.hpp"
 #include "sky/detection.hpp"
 #include "stream/chunker.hpp"
@@ -119,8 +118,9 @@ struct StreamingOptions {
   /// Beams the session dedisperses, stacked along the rows of every block
   /// (beams × the plan's channels rows); at least 1.
   std::size_t beams = 1;
-  /// Host-execution knobs passed to the engine factory (threads,
-  /// SIMD-vs-scalar).
+  /// Host-execution knobs passed to the engine factory: threads sizes the
+  /// pool every engine call of the session runs on (the session's only
+  /// way to use more cores), plus SIMD-vs-scalar.
   dedisp::CpuKernelOptions cpu;
   /// Two-stage split of the subband engine (adapted to the plan by gcd).
   dedisp::SubbandConfig subband;
@@ -131,18 +131,6 @@ struct StreamingOptions {
   /// delivery thread; false runs chunks inline on the pushing thread
   /// (deterministic profiling, tests).
   bool async = true;
-  /// ≥ 2: each full chunk's DM grid is sharded across this many pool
-  /// workers (pipeline::ShardedDedisperser) on the compute stage, instead
-  /// of one engine call; 0/1 keeps the single engine.
-  /// Output stays bitwise identical either way. Additionally requires the
-  /// engine's supports_sharding capability.
-  std::size_t shard_workers = 0;
-  /// Supervision of the sharded executor's worker jobs (shard_workers
-  /// >= 2): per-shard bounded retry, optionally reacquisition. The default
-  /// (one attempt) fails the whole chunk on the first shard error, leaving
-  /// recovery to the chunk-level watchdog below; a shard-level retry budget
-  /// absorbs transient faults without repeating the chunk's other shards.
-  resilience::SupervisionPolicy shard_supervision;
   /// Watchdog ladder on chunk failure / deadline overrun, acting on the
   /// whole chunk (every beam): retry transient failures → skip the chunk
   /// with gap accounting → degrade to a cheaper streaming-capable engine.
@@ -229,8 +217,7 @@ class StreamingDedisperser {
   resilience::StreamHealth health() const;
 
   /// Whole-session traffic aggregate: runs, busy seconds, FLOP and bytes
-  /// over every chunk, including the DM-sharded executor's jobs when
-  /// StreamingOptions::shard_workers routes full chunks through it.
+  /// over every chunk.
   engine::SessionTraffic telemetry() const;
 
   /// The session label this session's registry metrics carry.
@@ -284,7 +271,7 @@ class StreamingDedisperser {
     std::optional<std::string> gap_reason;
     std::size_t retries = 0;
     double engine_seconds = 0.0;  ///< failed attempts included
-    std::vector<engine::EngineRun> runs;  ///< single-engine executions
+    std::vector<engine::EngineRun> runs;  ///< one engine call per beam
   };
 
   /// Start \p job (sync: run it inline; async: post it to the job slot,
@@ -332,10 +319,6 @@ class StreamingDedisperser {
   std::shared_ptr<const engine::DedispEngine> degrade_engine_;
   std::string degrade_engine_id_;
   std::optional<tuner::GuidedTuningOutcome> tuning_outcome_;
-  /// Sharded executor for full chunks (options_.shard_workers ≥ 2); the
-  /// final partial chunk keeps the single-engine 1×1 path, whose output is
-  /// bitwise identical anyway.
-  std::unique_ptr<pipeline::ShardedDedisperser> sharded_;
   /// Window ownership in an async session. The pushing thread assembles
   /// the chunker's current window() and owns it until it posts it to the
   /// job slot (job_, job_pending_). The compute thread takes the job from

@@ -224,32 +224,19 @@ TEST(Dedisperser, TuneCachedAdoptsAFdmtRaceWinnerEndToEnd) {
   }
 }
 
-TEST(Dedisperser, ShardedExecutionRejectsANonShardingRaceWinner) {
-  // Adoption must honor the already-selected execution mode: a winner
-  // whose capabilities cannot shard fails fast, naming the capability —
-  // not later inside a worker pool.
-  tuner::TuningCache cache;
-  for (const char* id : {"cpu_tiled", "subband"}) {
-    Dedisperser dd = small(id);
-    dd.tune_cached(cache, race_options({id}));
-  }
-  pin_cached_seconds(cache, "subband", 1e-9);
-  pin_cached_seconds(cache, "cpu_tiled", 1.0);
-
-  Dedisperser dd = small("cpu_tiled");
-  dd.set_execution(Execution::kDmSharded, 2);
-  try {
-    dd.tune_cached(cache, race_options({"cpu_tiled", "subband"}));
-    FAIL() << "a non-sharding winner was adopted under kDmSharded";
-  } catch (const invalid_argument& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("supports_sharding"), std::string::npos) << what;
-    EXPECT_NE(what.find("subband"), std::string::npos) << what;
-  }
-  // The session stays on its original engine and remains usable.
-  EXPECT_EQ(dd.engine_id(), "cpu_tiled");
-  const Array2D<float> in = random_input(dd.plan());
-  EXPECT_NO_THROW(dd.dedisperse(in.cview()));
+TEST(Dedisperser, TelemetrySurvivesReconfiguration) {
+  // Reconfiguring the session (a new config, new cpu options and with
+  // them a rebuilt engine) keeps the traffic of the runs before it.
+  Dedisperser dd = Dedisperser::with_output_samples(mini_obs(), 12, 60);
+  const Array2D<float> input = random_input(dd.plan());
+  dd.dedisperse(input.cview());
+  EXPECT_EQ(dd.telemetry().runs, 1u);
+  dd.set_config(tiled_config(KernelConfig{5, 2, 4, 2}));
+  dd.set_cpu_options(dd.cpu_options());
+  dd.dedisperse(input.cview());
+  const engine::SessionTraffic total = dd.telemetry();
+  EXPECT_EQ(total.runs, 2u);
+  EXPECT_GT(total.gflops(), 0.0);
 }
 
 TEST(Dedisperser, SetConfigValidates) {

@@ -274,6 +274,38 @@ TEST(SupervisedSharding, DeadWorkerShardIsReacquiredBitwise) {
   }
 }
 
+TEST(SupervisedSharding, ReacquisitionCutsOnTheDmTile) {
+  // A dead shard's range is re-partitioned on the config's DM tile, so a
+  // shard of two tiles yields at most two sub-shards, however many splits
+  // the policy allows: one attempt each after the exhausted retries.
+  const Plan plan = Plan::with_output_samples(mini_obs(), 16, 60);
+  const Array2D<float> input = random_input(plan);
+  const KernelConfig config{5, 2, 4, 2};  // DM tile 4
+  const Array2D<float> expected = single_engine(plan, config, input);
+
+  pipeline::ShardedOptions opts;
+  opts.workers = 2;
+  opts.supervision.retry.max_attempts = 2;
+  opts.supervision.retry.backoff_seconds = 0.0;
+  opts.supervision.reacquire = true;
+  opts.supervision.reacquire_splits = 3;
+  const pipeline::ShardedDedisperser sharded(plan, tiled_config(config), opts);
+
+  for (std::size_t shard = 0; shard < sharded.shard_count(); ++shard) {
+    SCOPED_TRACE("dead worker at shard " + std::to_string(shard));
+    const std::size_t tiles = sharded.shard_plan(shard).dms() / 4;
+    ASSERT_EQ(sharded.shard_plan(shard).dms(), 4 * tiles);
+    FaultSpec spec;
+    spec.context = shard;
+    spec.max_fires = 0;
+    ScopedFault fault("shard.task", spec);
+    expect_same_matrix(expected, sharded.dedisperse(input.cview()));
+    EXPECT_EQ(sharded.last_report().shards[shard].attempts,
+              opts.supervision.retry.max_attempts +
+                  std::min<std::size_t>(tiles, 3));
+  }
+}
+
 TEST(SupervisedSharding, ExhaustionAggregatesEveryFailedShard) {
   const Plan plan = Plan::with_output_samples(mini_obs(), 12, 60);
   const Array2D<float> input = random_input(plan);

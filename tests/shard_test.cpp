@@ -1,12 +1,11 @@
 // Tests for DM-sharded execution (pipeline/sharding.hpp): planner cost
-// balance and the differential guarantee — sharded output is bitwise
-// identical to the single-engine batch path across shard counts, uneven DM
-// grids, multi-beam batching and streaming chunked mode.
+// balance, tile-aligned shard boundaries and the differential guarantee —
+// sharded output is bitwise identical to the single-engine batch path
+// across shard counts, uneven DM grids and multi-beam batching.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -15,10 +14,8 @@
 #include "common/random.hpp"
 #include "dedisp/cpu_kernel.hpp"
 #include "engine/engine_config.hpp"
-#include "pipeline/dedisperser.hpp"
 #include "pipeline/multibeam.hpp"
 #include "pipeline/sharding.hpp"
-#include "stream/streaming_dedisperser.hpp"
 #include "test_util.hpp"
 
 namespace ddmc::pipeline {
@@ -89,6 +86,34 @@ TEST(DmShardPlanner, PartitionCoversTheGridContiguously) {
     }
     EXPECT_EQ(next, 24u);
   }
+}
+
+TEST(DmShardPlanner, CutsOnMultiplesOfTheTile) {
+  // Every boundary sits on a multiple of the tile; a tile that does not
+  // divide the grid leaves the remainder on the last shard, and more
+  // workers than tiles idle the surplus.
+  const Plan plan = Plan::with_output_samples(mini_obs(), 24, 60);
+  const DmShardPlanner planner(plan);
+  for (const std::size_t tile : {1u, 4u, 5u, 24u}) {
+    const std::size_t tiles = (24 + tile - 1) / tile;
+    for (const std::size_t workers : {1u, 2u, 3u, 7u}) {
+      SCOPED_TRACE("tile=" + std::to_string(tile) +
+                   " workers=" + std::to_string(workers));
+      const ShardLayout layout = planner.partition(workers, tile);
+      EXPECT_EQ(layout.shards.size(), std::min(workers, tiles));
+      std::size_t next = 0;
+      for (const DmShard& s : layout.shards) {
+        EXPECT_EQ(s.first_dm, next);
+        EXPECT_EQ(s.first_dm % tile, 0u);
+        EXPECT_EQ(s.cost, planner.shard_cost(s.first_dm, s.dms));
+        next += s.dms;
+        if (next < 24) EXPECT_EQ(s.dms % tile, 0u);
+      }
+      EXPECT_EQ(next, 24u);
+    }
+  }
+  // Tile 1 is the trial-granular partition.
+  EXPECT_EQ(planner.partition(3, 1).max_cost, planner.partition(3).max_cost);
 }
 
 TEST(DmShardPlanner, CostIsBalancedWithinTolerance) {
@@ -189,18 +214,19 @@ TEST(DmShardPlanner, PinsTheApertifLayouts) {
 TEST(ShardedDedisperser, BitwiseIdenticalAcrossShardCounts) {
   const Plan plan = Plan::with_output_samples(mini_obs(), 12, 60);
   const Array2D<float> input = random_input(plan);
-  const KernelConfig config{5, 2, 4, 2};
-  const Array2D<float> expected = single_engine(plan, config, input);
-
-  // 1, 2, primes, and more workers than trials.
-  for (std::size_t workers : {1u, 2u, 3u, 5u, 7u, 12u, 19u}) {
-    SCOPED_TRACE("workers=" + std::to_string(workers));
-    ShardedOptions opts;
-    opts.workers = workers;
-    const ShardedDedisperser sharded(plan, tiled_config(config), opts);
-    EXPECT_EQ(sharded.shard_count(),
-              sharded.layout().shards.size());
-    expect_same_matrix(expected, sharded.dedisperse(input.cview()));
+  // DM tile 4 (shards of whole tiles) and DM tile 1 (any trial count).
+  for (const KernelConfig& config :
+       {KernelConfig{5, 2, 4, 2}, KernelConfig{5, 1, 4, 1}}) {
+    const Array2D<float> expected = single_engine(plan, config, input);
+    // 1, 2, primes, and more workers than trials.
+    for (std::size_t workers : {1u, 2u, 3u, 5u, 7u, 12u, 19u}) {
+      SCOPED_TRACE(config.to_string() + " workers=" + std::to_string(workers));
+      ShardedOptions opts;
+      opts.workers = workers;
+      const ShardedDedisperser sharded(plan, tiled_config(config), opts);
+      EXPECT_EQ(sharded.shard_count(), sharded.layout().shards.size());
+      expect_same_matrix(expected, sharded.dedisperse(input.cview()));
+    }
   }
 }
 
@@ -218,21 +244,49 @@ TEST(ShardedDedisperser, HandlesUnevenAndPrimeDmGrids) {
   }
 }
 
-TEST(ShardedDedisperser, AdaptsTheDmTileToEachShard) {
-  const Plan plan = Plan::with_output_samples(mini_obs(), 12, 60);
-  const KernelConfig config{5, 2, 4, 2};  // tile_dm = 4
-  ShardedOptions opts;
-  opts.workers = 5;  // 12 trials over 5 shards: some shard breaks tile 4
-  const ShardedDedisperser sharded(plan, tiled_config(config), opts);
-  for (std::size_t i = 0; i < sharded.shard_count(); ++i) {
-    SCOPED_TRACE("shard " + std::to_string(i));
-    const KernelConfig c =
-        engine::decode_kernel_config(sharded.shard_config(i));
-    EXPECT_EQ(c.tile_time(), config.tile_time());  // time tile untouched
-    EXPECT_EQ(sharded.shard_plan(i).dms() % c.tile_dm(), 0u);
-    EXPECT_NO_THROW(c.validate(sharded.shard_plan(i)));
+TEST(ShardedDedisperser, EveryShardKeepsTheParentConfig) {
+  // Shards are cut on the config's DM tile, so no shard shrinks it. Cut
+  // trial by trial, these plans split off the tile (1024 DMs: 342/341/341
+  // and 257/256/256/255; LOFAR: 151/105), and a shard that loses its
+  // register-tile rows runs several times slower.
+  struct Case {
+    sky::Observation obs;
+    std::size_t dms;
+    std::size_t out;
+    KernelConfig config;
+    std::vector<std::size_t> workers;
+  };
+  const std::vector<Case> cases = {
+      {mini_obs(), 12, 60, KernelConfig{5, 2, 4, 2}, {2, 3, 5}},
+      {sky::apertif(), 1024, 2000, KernelConfig{50, 2, 4, 2, 32, 4},
+       {2, 3, 4}},
+      {sky::apertif(), 1024, 2000, KernelConfig{8, 16, 50, 8, 32, 4},
+       {2, 3, 4}},
+      {sky::lofar(), 256, 2000, KernelConfig{50, 2, 4, 2, 32, 4}, {2, 3, 4}},
+  };
+  for (const Case& c : cases) {
+    const Plan plan = Plan::with_output_samples(c.obs, c.dms, c.out);
+    const engine::EngineConfig config = tiled_config(c.config);
+    for (const std::size_t workers : c.workers) {
+      SCOPED_TRACE(c.obs.name() + " " + std::to_string(c.dms) + " DMs, " +
+                   c.config.to_string() + ", " + std::to_string(workers) +
+                   " workers");
+      ShardedOptions opts;
+      opts.workers = workers;
+      const ShardedDedisperser sharded(plan, config, opts);
+      EXPECT_EQ(sharded.shard_count(),
+                std::min(workers, c.dms / c.config.tile_dm()));
+      for (std::size_t i = 0; i < sharded.shard_count(); ++i) {
+        SCOPED_TRACE("shard " + std::to_string(i) + " of " +
+                     std::to_string(sharded.shard_plan(i).dms()) + " DMs");
+        EXPECT_EQ(sharded.shard_config(i), config);
+      }
+    }
   }
   // A config that does not validate against the parent plan is rejected.
+  const Plan plan = Plan::with_output_samples(mini_obs(), 12, 60);
+  ShardedOptions opts;
+  opts.workers = 5;
   EXPECT_THROW(
       ShardedDedisperser(plan, tiled_config(KernelConfig{7, 1, 1, 1}), opts),
       config_error);
@@ -321,54 +375,6 @@ TEST(ShardedDedisperser, BatchedBeamsMatchThePerBeamPath) {
   }
 }
 
-// ---------------------------------------------------------------- wiring --
-
-TEST(Dedisperser, ShardedExecutionKnobIsBitwiseIdentical) {
-  const sky::Observation obs = mini_obs();
-  Dedisperser single =
-      Dedisperser::with_output_samples(obs, 12, 60, "cpu_tiled");
-  single.set_config(tiled_config(KernelConfig{5, 2, 4, 2}));
-  const Array2D<float> input = random_input(single.plan());
-  const Array2D<float> expected = single.dedisperse(input.cview());
-
-  Dedisperser sharded =
-      Dedisperser::with_output_samples(obs, 12, 60, "cpu_tiled");
-  sharded.set_config(tiled_config(KernelConfig{5, 2, 4, 2}));
-  sharded.set_execution(Execution::kDmSharded, 3);
-  EXPECT_EQ(sharded.execution(), Execution::kDmSharded);
-  expect_same_matrix(expected, sharded.dedisperse(input.cview()));
-
-  // Back to single: the knob is reversible.
-  sharded.set_execution(Execution::kSingle);
-  expect_same_matrix(expected, sharded.dedisperse(input.cview()));
-}
-
-TEST(Dedisperser, ShardedExecutionRequiresTheShardingCapability) {
-  // Regression for the old silent-ignore wiring: an engine whose
-  // capabilities report !supports_sharding is rejected with an error that
-  // names the missing capability, instead of quietly dropping the workers.
-  for (const char* id : {"subband"}) {
-    SCOPED_TRACE(id);
-    Dedisperser dd = Dedisperser::with_output_samples(mini_obs(), 8, 64, id);
-    try {
-      dd.set_execution(Execution::kDmSharded, 2);
-      FAIL() << "set_execution accepted an engine without supports_sharding";
-    } catch (const invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find("supports_sharding"),
-                std::string::npos);
-      EXPECT_NE(std::string(e.what()).find(id), std::string::npos);
-    }
-    EXPECT_NO_THROW(dd.set_execution(Execution::kSingle));
-  }
-  // The capability, not the engine id, is what gates: every
-  // sharding-capable engine takes the knob.
-  for (const char* id : {"cpu_tiled", "cpu_baseline", "reference"}) {
-    SCOPED_TRACE(id);
-    Dedisperser dd = Dedisperser::with_output_samples(mini_obs(), 8, 64, id);
-    EXPECT_NO_THROW(dd.set_execution(Execution::kDmSharded, 2));
-  }
-}
-
 TEST(MultiBeamDedisperser, ShardedBatchMatchesTheBeamParallelPath) {
   const Plan plan = Plan::with_output_samples(mini_obs(), 12, 60);
   MultiBeamDedisperser mb(plan, tiled_config(KernelConfig{5, 2, 4, 2}),
@@ -427,85 +433,6 @@ TEST(MultiBeamDedisperser, RepeatedShardedCallsReuseOneExecutor) {
   }
 }
 
-// ------------------------------------------------------------- streaming --
-
-/// Reassemble sink chunks into one dms × total matrix by first_sample.
-struct Collector {
-  Array2D<float> total;
-  std::size_t emitted = 0;
-
-  Collector(std::size_t dms, std::size_t out) : total(dms, out) {}
-
-  void operator()(const stream::StreamChunk& chunk) {
-    ASSERT_LE(chunk.first_sample + chunk.out_samples, total.cols());
-    for (std::size_t dm = 0; dm < total.rows(); ++dm) {
-      for (std::size_t t = 0; t < chunk.out_samples; ++t) {
-        total(dm, chunk.first_sample + t) = chunk.output(dm, t);
-      }
-    }
-    emitted += chunk.out_samples;
-  }
-};
-
-TEST(StreamingDedisperser, ShardedChunksAreBitwiseEqualToBatch) {
-  const std::size_t total_out = 145;  // 4 full chunks of 32 + partial 17
-  const Plan batch = Plan::with_output_samples(mini_obs(), 12, total_out);
-  const Array2D<float> input = random_input(batch);
-  dedisp::CpuKernelOptions cpu;
-  cpu.threads = 1;
-  const Array2D<float> expected = dedisp::dedisperse_cpu(
-      batch, KernelConfig{1, 1, 1, 1}, input.cview(), cpu);
-
-  for (bool async : {false, true}) {
-    SCOPED_TRACE(async ? "async" : "sync");
-    Collector collect(batch.dms(), total_out);
-    stream::StreamingOptions opts;
-    opts.async = async;
-    opts.cpu.threads = 1;
-    opts.shard_workers = 3;
-    stream::StreamingDedisperser session(batch.with_chunk(32),
-                                         tiled_config(KernelConfig{8, 2, 4, 2}),
-                                         std::ref(collect), opts);
-    session.push(input.cview());
-    session.close();
-    EXPECT_EQ(collect.emitted, total_out);
-    expect_same_matrix(expected, collect.total);
-  }
-}
-
-TEST(BeamStreaming, ShardedChunksMatchTheUnshardedSession) {
-  const std::size_t total_out = 80;  // 2 full chunks of 32 + partial 16
-  const Plan batch = Plan::with_output_samples(mini_obs(), 8, total_out);
-  const std::size_t beams = 2;
-  std::vector<Array2D<float>> inputs;
-  for (std::size_t b = 0; b < beams; ++b) {
-    inputs.push_back(random_input(batch, 900 + b));
-  }
-  const Array2D<float> stacked = testing::stack_beams(inputs);
-
-  const auto run = [&](std::size_t shard_workers) {
-    testing::BeamCollector collect(beams, batch.dms(), total_out);
-    stream::StreamingOptions opts;
-    opts.cpu.threads = 1;
-    opts.shard_workers = shard_workers;
-    opts.beams = beams;
-    stream::StreamingDedisperser session(
-        batch.with_chunk(32), tiled_config(KernelConfig{8, 2, 4, 2}),
-        std::ref(collect), opts);
-    session.push(stacked.cview());
-    session.close();
-    EXPECT_EQ(collect.calls, 3 * beams);
-    return collect.totals;
-  };
-
-  const std::vector<Array2D<float>> plain = run(0);
-  const std::vector<Array2D<float>> sharded = run(3);
-  for (std::size_t b = 0; b < beams; ++b) {
-    SCOPED_TRACE("beam " + std::to_string(b));
-    expect_same_matrix(plain[b], sharded[b]);
-  }
-}
-
 // --------------------------------------------------------------- traffic --
 
 TEST(ShardedDedisperser, TrafficAggregatesEveryShardRun) {
@@ -527,52 +454,6 @@ TEST(ShardedDedisperser, TrafficAggregatesEveryShardRun) {
 
   sharded.dedisperse(input.cview());
   EXPECT_EQ(sharded.telemetry().runs, 2 * sharded.shard_count());
-}
-
-TEST(Dedisperser, TelemetrySurvivesReconfiguration) {
-  Dedisperser dd = Dedisperser::with_output_samples(mini_obs(), 12, 60);
-  dd.set_config(tiled_config(KernelConfig{5, 2, 4, 2}));
-  dd.set_execution(Execution::kDmSharded, 3);
-  const Array2D<float> input = random_input(dd.plan());
-  dd.dedisperse(input.cview());
-  const std::size_t sharded_runs = dd.telemetry().runs;
-  EXPECT_GT(sharded_runs, 1u);  // one engine run per shard
-
-  // Switching back to single invalidates the sharded executor; the traffic
-  // it accumulated must be absorbed, not lost.
-  dd.set_execution(Execution::kSingle);
-  dd.dedisperse(input.cview());
-  const engine::SessionTraffic total = dd.telemetry();
-  EXPECT_EQ(total.runs, sharded_runs + 1);
-  EXPECT_GT(total.gflops(), 0.0);
-}
-
-TEST(StreamingDedisperser, TelemetryCountsEveryChunkRun) {
-  const std::size_t total_out = 145;  // 4 full chunks of 32 + partial 17
-  const Plan batch = Plan::with_output_samples(mini_obs(), 12, total_out);
-  const Array2D<float> input = random_input(batch);
-
-  for (std::size_t shard_workers : {std::size_t{0}, std::size_t{3}}) {
-    SCOPED_TRACE("shard_workers " + std::to_string(shard_workers));
-    Collector collect(batch.dms(), total_out);
-    stream::StreamingOptions opts;
-    opts.cpu.threads = 1;
-    opts.shard_workers = shard_workers;
-    stream::StreamingDedisperser session(batch.with_chunk(32),
-                                         tiled_config(KernelConfig{8, 2, 4, 2}),
-                                         std::ref(collect), opts);
-    session.push(input.cview());
-    session.close();
-    const engine::SessionTraffic traffic = session.telemetry();
-    const std::size_t chunks = 5;  // 145 / 32 rounded up
-    if (shard_workers == 0) {
-      EXPECT_EQ(traffic.runs, chunks);
-    } else {
-      EXPECT_GE(traffic.runs, chunks);  // >= one engine run per shard/chunk
-    }
-    EXPECT_GT(traffic.flop, 0.0);
-    EXPECT_GT(traffic.gflops(), 0.0);
-  }
 }
 
 // ------------------------------------------------------- randomized sweep --

@@ -1121,9 +1121,66 @@ TEST(BeamStreaming, EachBeamBitwiseEqualToBatch) {
   }
 }
 
+TEST(StreamingDedisperser, ThreadedEngineChunksAreBitwiseEqualToBatch) {
+  // A session's engine spreads every chunk over its own 3-thread pool:
+  // sync and async sessions, float and code windows, 1 and 3 beams, the
+  // flush chunk (17 samples) included, each beam equal to one batch call.
+  const std::size_t total_out = 145;  // 4 full chunks of 32 + partial 17
+  const Plan batch = Plan::with_output_samples(mini_obs(), 12, total_out);
+  const std::vector<Array2D<float>> inputs = beam_inputs(batch, 3, 70);
+  for (const char* engine : {"cpu_tiled", "cpu_tiled_u8"}) {
+    std::vector<Array2D<float>> expected;
+    for (const Array2D<float>& input : inputs) {
+      expected.emplace_back(batch.dms(), total_out);
+      engine::make_engine(engine)->execute(batch, engine::EngineConfig{},
+                                           input.cview(),
+                                           expected.back().view());
+    }
+    for (const bool async : {false, true}) {
+      for (const std::size_t beams : {1ul, 3ul}) {
+        SCOPED_TRACE(std::string(engine) + (async ? " async " : " sync ") +
+                     std::to_string(beams) + " beams");
+        StreamingOptions opts;
+        opts.engine = engine;
+        opts.async = async;
+        opts.cpu.threads = 3;
+        opts.beams = beams;
+        const std::vector<Array2D<float>> fed(inputs.begin(),
+                                              inputs.begin() + beams);
+        const testing::BeamCollector all = stream_beams(
+            batch.with_chunk(32), tiled_config(KernelConfig{8, 2, 4, 2}),
+            opts, testing::stack_beams(fed), total_out);
+        EXPECT_EQ(all.calls, 5 * beams);
+        for (std::size_t b = 0; b < beams; ++b) {
+          SCOPED_TRACE("beam " + std::to_string(b));
+          expect_same_matrix(expected[b], all.totals[b]);
+        }
+      }
+    }
+  }
+}
+
+TEST(StreamingDedisperser, TelemetryCountsEveryChunkRun) {
+  const std::size_t total_out = 145;  // 4 full chunks of 32 + partial 17
+  const Plan batch = Plan::with_output_samples(mini_obs(), 12, total_out);
+  const Array2D<float> input = random_input(batch);
+  Collector collect(batch.dms(), total_out);
+  StreamingOptions opts;
+  opts.cpu.threads = 1;
+  StreamingDedisperser session(batch.with_chunk(32),
+                               tiled_config(KernelConfig{8, 2, 4, 2}),
+                               std::ref(collect), opts);
+  session.push(input.cview());
+  session.close();
+  const engine::SessionTraffic traffic = session.telemetry();
+  EXPECT_EQ(traffic.runs, 5u);  // one engine run per chunk, flush included
+  EXPECT_GT(traffic.flop, 0.0);
+  EXPECT_GT(traffic.gflops(), 0.0);
+}
+
 TEST(BeamStreaming, EachBeamMatchesASingleBeamSession) {
-  // Sync and async sessions, float and code windows, sharded and unsharded
-  // full chunks; the flush chunk (17 samples) of every one.
+  // Sync and async sessions, float and code windows, 1- and 3-thread
+  // engines; the flush chunk (17 samples) of every one.
   const std::size_t total_out = 81;
   const Plan batch = Plan::with_output_samples(mini_obs(), 8, total_out);
   const Plan chunk = batch.with_chunk(32);
@@ -1133,14 +1190,13 @@ TEST(BeamStreaming, EachBeamMatchesASingleBeamSession) {
   const Array2D<float> stacked = testing::stack_beams(inputs);
   for (const bool async : {false, true}) {
     for (const char* engine : {"cpu_tiled", "cpu_tiled_u8"}) {
-      for (const std::size_t shard_workers : {0ul, 3ul}) {
+      for (const std::size_t threads : {1ul, 3ul}) {
         SCOPED_TRACE(std::string(engine) + (async ? " async" : " sync") +
-                     " shard_workers=" + std::to_string(shard_workers));
+                     " threads=" + std::to_string(threads));
         StreamingOptions opts;
         opts.engine = engine;
         opts.async = async;
-        opts.shard_workers = shard_workers;
-        opts.cpu.threads = 1;
+        opts.cpu.threads = threads;
         opts.beams = beams;
         const testing::BeamCollector all =
             stream_beams(chunk, config, opts, stacked, total_out);
