@@ -5,18 +5,21 @@
 /// worker pool, which spreads the same plan over the same cores inside one
 /// call. For each worker count the bench runs the ShardedDedisperser on
 /// that many workers and the cpu_tiled engine on a pool of that many
-/// threads over the identical input, interleaving their calls. It checks
-/// both outputs are bitwise identical to a one-thread engine call and
-/// reports the median and minimum of --reps calls of each, next to the
-/// planner's *modeled* speedup (the single shard's cost / the critical
-/// path's cost, both in input elements read). Shards are cut on the
-/// config's DM tile, so every shard runs the parent config.
+/// threads over the identical input. It checks both outputs are bitwise
+/// identical to a one-thread engine call, the *baseline*, and reports the
+/// median and minimum of --reps calls of each. Every round times the
+/// baseline once and then every row, so all rows divide by one baseline
+/// that saw the same drift; the speedups sit next to the planner's
+/// *modeled* speedup (the single shard's cost / the critical path's cost,
+/// both in input elements read). Shards are cut on the config's DM tile,
+/// so every shard runs the parent config.
 ///
 ///   ./bench_shard_executor [--dms 1024] [--out-samples 2000] [--reps 5]
 ///                          [--workers 1,2,3,4] [--json out.json]
 
 #include <algorithm>
 #include <iostream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -115,14 +118,8 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(cli.get_int("out-samples"));
   const auto reps = static_cast<std::size_t>(cli.get_int("reps"));
   DDMC_REQUIRE(reps > 0, "--reps must be positive");
-  std::vector<std::size_t> worker_counts =
+  const std::vector<std::size_t> worker_counts =
       parse_worker_list(cli.get("workers"));
-  // The scaling columns normalize against real 1-worker runs, so one is
-  // always measured even when --workers omits it.
-  if (std::find(worker_counts.begin(), worker_counts.end(), 1u) ==
-      worker_counts.end()) {
-    worker_counts.insert(worker_counts.begin(), 1);
-  }
 
   const sky::Observation obs = sky::apertif();
   const dedisp::Plan plan =
@@ -140,55 +137,62 @@ int main(int argc, char** argv) {
     for (auto& v : input.row(ch)) v = rng.next_float(-1.0f, 1.0f);
   }
 
-  // One-thread engine call: the correctness anchor of both sides.
+  // One-thread engine call: the correctness anchor of both sides and the
+  // baseline of both speedup columns.
   engine::EngineOptions one_thread;
   one_thread.cpu.threads = 1;
+  const auto baseline_engine =
+      engine::make_engine(engine::kDefaultEngineId, one_thread);
   Array2D<float> expected(plan.dms(), plan.out_samples());
-  engine::make_engine(engine::kDefaultEngineId, one_thread)
-      ->execute(plan, config, input.cview(), expected.view());
+  baseline_engine->execute(plan, config, input.cview(), expected.view());
 
   const auto modeled_one = static_cast<double>(
       pipeline::DmShardPlanner(plan).partition(1).max_cost);
 
   std::vector<WorkerResult> results;
+  std::vector<std::unique_ptr<pipeline::ShardedDedisperser>> sharded;
+  std::vector<std::shared_ptr<const engine::DedispEngine>> pools;
+  Array2D<float> out(plan.dms(), plan.out_samples());
   for (std::size_t workers : worker_counts) {
     WorkerResult res;
     res.workers = workers;
 
     pipeline::ShardedOptions opts;
     opts.workers = workers;
-    const pipeline::ShardedDedisperser sharded(plan, config, opts);
-    for (const pipeline::DmShard& s : sharded.layout().shards) {
+    sharded.push_back(
+        std::make_unique<pipeline::ShardedDedisperser>(plan, config, opts));
+    for (const pipeline::DmShard& s : sharded.back()->layout().shards) {
       res.shard_dms.push_back(s.dms);
     }
     res.modeled_speedup =
-        modeled_one / static_cast<double>(sharded.layout().max_cost);
-    res.modeled_imbalance = sharded.layout().imbalance();
+        modeled_one / static_cast<double>(sharded.back()->layout().max_cost);
+    res.modeled_imbalance = sharded.back()->layout().imbalance();
 
     engine::EngineOptions pool_options;
     pool_options.cpu.threads = workers;
-    const auto pool =
-        engine::make_engine(engine::kDefaultEngineId, pool_options);
+    pools.push_back(
+        engine::make_engine(engine::kDefaultEngineId, pool_options));
 
     // Untimed first calls (workspaces, pool threads), checked bitwise.
-    Array2D<float> out(plan.dms(), plan.out_samples());
-    sharded.dedisperse(input.cview(), out.view());
+    sharded.back()->dedisperse(input.cview(), out.view());
     require_same(expected, out, "sharded");
-    pool->execute(plan, config, input.cview(), out.view());
+    pools.back()->execute(plan, config, input.cview(), out.view());
     require_same(expected, out, "pool");
-    for (std::size_t r = 0; r < reps; ++r) {
-      Stopwatch shard_clock;
-      sharded.dedisperse(input.cview(), out.view());
-      res.sharded.add(shard_clock.seconds());
-      Stopwatch pool_clock;
-      pool->execute(plan, config, input.cview(), out.view());
-      res.pool.add(pool_clock.seconds());
-    }
     results.push_back(std::move(res));
   }
-  const WorkerResult* one = nullptr;
-  for (const WorkerResult& r : results) {
-    if (r.workers == 1) one = &r;
+  Timing baseline;
+  for (std::size_t r = 0; r < reps; ++r) {
+    Stopwatch baseline_clock;
+    baseline_engine->execute(plan, config, input.cview(), out.view());
+    baseline.add(baseline_clock.seconds());
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      Stopwatch shard_clock;
+      sharded[i]->dedisperse(input.cview(), out.view());
+      results[i].sharded.add(shard_clock.seconds());
+      Stopwatch pool_clock;
+      pools[i]->execute(plan, config, input.cview(), out.view());
+      results[i].pool.add(pool_clock.seconds());
+    }
   }
 
   std::cout << "== DM-sharded executor vs the engine's pool, " << obs.name()
@@ -196,10 +200,12 @@ int main(int argc, char** argv) {
             << kernel.to_string() << ", simd " << simd::backend_name()
             << ", host threads " << hardware_workers() << " ==\n"
             << "median (min) ms of " << reps
-            << " interleaved calls per side\n\n";
+            << " rounds, each timing the baseline and then every row\n"
+            << "baseline (one engine call on one thread): " << ms(baseline)
+            << " ms\n\n";
 
-  TextTable table({"workers", "shard DMs", "sharded ms", "vs 1 worker",
-                   "pool ms", "vs 1 thread", "sharded/pool",
+  TextTable table({"workers", "shard DMs", "sharded ms", "vs baseline",
+                   "pool ms", "vs baseline", "sharded/pool",
                    "modeled speedup"});
   for (const WorkerResult& r : results) {
     std::string layout;
@@ -208,9 +214,9 @@ int main(int argc, char** argv) {
     }
     table.add_row(
         {std::to_string(r.workers), layout, ms(r.sharded),
-         TextTable::num(one->sharded.median() / r.sharded.median(), 2) + "x",
+         TextTable::num(baseline.median() / r.sharded.median(), 2) + "x",
          ms(r.pool),
-         TextTable::num(one->pool.median() / r.pool.median(), 2) + "x",
+         TextTable::num(baseline.median() / r.pool.median(), 2) + "x",
          TextTable::num(r.sharded.median() / r.pool.median(), 2),
          TextTable::num(r.modeled_speedup, 2) + "x"});
   }
@@ -231,10 +237,10 @@ int main(int argc, char** argv) {
                   .set_raw("shard_dms", layout.dump())
                   .set_raw("sharded", r.sharded.json(flop).dump())
                   .set_raw("pool", r.pool.json(flop).dump())
-                  .set("speedup_vs_one_worker",
-                       one->sharded.median() / r.sharded.median())
-                  .set("pool_speedup_vs_one_thread",
-                       one->pool.median() / r.pool.median())
+                  .set("sharded_speedup_vs_baseline",
+                       baseline.median() / r.sharded.median())
+                  .set("pool_speedup_vs_baseline",
+                       baseline.median() / r.pool.median())
                   .set("modeled_speedup", r.modeled_speedup)
                   .set("modeled_imbalance", r.modeled_imbalance));
     }
@@ -243,6 +249,7 @@ int main(int argc, char** argv) {
         .set_raw("host", bench::host_description().dump())
         .set("config", kernel.to_string())
         .set("reps", reps)
+        .set_raw("baseline", baseline.json(flop).dump())
         .set_raw("plan", bench::JsonObject()
                              .set("observation", obs.name())
                              .set("dms", dms)

@@ -36,6 +36,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <numeric>
 #include <set>
 #include <string_view>
@@ -180,6 +181,21 @@ TiledKernelKey tiled_kernel_key(const dedisp::KernelConfig& config,
 /// any Table I device accepts, which the ladder was built around.
 constexpr std::size_t kMaxWorkGroupSize = 1024;
 
+/// Shortest time tile a tiled candidate runs, in samples: on the widest
+/// backend (16 float lanes) two full U·kFloatLanes steps of the register
+/// tile at the ladder's largest unroll (4), and more on narrower ones. In
+/// the ladder study (bench_host_tuning: Apertif and LOFAR, 2–256 trials, 1
+/// and 4 threads, AVX-512) the best kernel within both rules came within
+/// the measured spread of every instance's best; the shortest tile that
+/// won, 125 samples on Apertif at 64 trials, ran 4.19 ms against 4.22 ms.
+constexpr std::size_t kMinTileTime = 128;
+
+/// Widest channel block a tiled candidate runs: blocks of 32 and 128
+/// channels won on Apertif's 1,024; a wider block (512, or all channels in
+/// one pass) only tied them. A plan of at most this many channels runs
+/// them in one pass.
+constexpr std::size_t kMaxChannelBlock = 128;
+
 /// The tiled engines' candidates on \p plan: the default ladder's four
 /// paper axes filtered by tile divisibility and kMaxWorkGroupSize (host
 /// kernels have no register or local-memory limits worth enforcing),
@@ -189,11 +205,20 @@ constexpr std::size_t kMaxWorkGroupSize = 1024;
 /// representative in ladder order. The ladder crossed with the divisor
 /// candidates reaches the same host kernel under many (wi, elem) splits,
 /// and timing a kernel twice only wastes sweep time.
+///
+/// Of those kernels only the ones that can win a race are candidates: a
+/// time tile of at least kMinTileTime samples (or the longest tile the
+/// plan offers, when that is shorter) and an effective channel block of at
+/// most kMaxChannelBlock channels. Both rules are in the kernel's terms
+/// (TiledKernelKey), so the representative of every kept kernel is the one
+/// the unpruned ladder picks. The untuned 1×1 shape is not a candidate; it
+/// stays what adapt_kernel_config falls back to.
 std::vector<dedisp::KernelConfig> tiled_candidates(const dedisp::Plan& plan,
                                                    bool register_tile) {
   const dedisp::SearchSpace space = dedisp::default_search_space();
-  std::vector<dedisp::KernelConfig> out;
+  std::vector<std::pair<dedisp::KernelConfig, TiledKernelKey>> ladder;
   std::set<TiledKernelKey> seen;
+  std::size_t longest = 0;
   for (std::size_t wt : space.wi_time) {
     for (std::size_t wd : space.wi_dm) {
       if (wt * wd > kMaxWorkGroupSize) continue;
@@ -205,14 +230,24 @@ std::vector<dedisp::KernelConfig> tiled_candidates(const dedisp::Plan& plan,
             if (cb >= plan.channels() && cb != 0) continue;
             for (std::size_t un : space.unroll) {
               const dedisp::KernelConfig cfg{wt, wd, et, ed, cb, un};
-              if (seen.insert(tiled_kernel_key(cfg, plan, register_tile))
-                      .second) {
-                out.push_back(cfg);
+              const TiledKernelKey key =
+                  tiled_kernel_key(cfg, plan, register_tile);
+              if (seen.insert(key).second) {
+                ladder.emplace_back(cfg, key);
+                longest = std::max(longest, key.tile_time);
               }
             }
           }
         }
       }
+    }
+  }
+  const std::size_t min_tile_time = std::min(kMinTileTime, longest);
+  std::vector<dedisp::KernelConfig> out;
+  for (const auto& [cfg, key] : ladder) {
+    if (key.tile_time >= min_tile_time &&
+        key.channel_block <= kMaxChannelBlock) {
+      out.push_back(cfg);
     }
   }
   return out;
@@ -549,6 +584,23 @@ std::vector<dedisp::SubbandConfig> splits_within(
   return splits;
 }
 
+/// The splits of \p splits whose modeled FLOPs (\p flop) are at most
+/// \p max_ratio times the cheapest one's: the range of splits that can
+/// win a race. Only removes candidates, so the accuracy cap still holds.
+template <typename Flop>
+std::vector<dedisp::SubbandConfig> cheapest_splits(
+    std::vector<dedisp::SubbandConfig> splits, const Flop& flop,
+    double max_ratio) {
+  double least = std::numeric_limits<double>::infinity();
+  for (const dedisp::SubbandConfig& split : splits) {
+    least = std::min(least, flop(split));
+  }
+  std::erase_if(splits, [&](const dedisp::SubbandConfig& split) {
+    return flop(split) > max_ratio * least;
+  });
+  return splits;
+}
+
 /// \p split as its two axes.
 EngineConfig split_config(const dedisp::SubbandConfig& split) {
   EngineConfig config;
@@ -611,6 +663,14 @@ void validate_split_config(const std::string& id, const dedisp::Plan& plan,
 /// caller already accepted, never loosen it silently.
 class SubbandEngine final : public EngineBase {
  public:
+  /// Most FLOPs (subband_flop) a candidate split may model over the
+  /// cheapest split within the accuracy cap. The model leaves out each
+  /// stage's fixed costs, which decide on plans of few channels: on
+  /// LOFAR's 32 channels one subband at coarse step 1 won every instance
+  /// from 16 trials up at 2.06× the cheapest split's FLOPs. No split above
+  /// that ratio won in the ladder study (bench_host_tuning).
+  static constexpr double kMaxFlopRatio = 2.5;
+
   explicit SubbandEngine(EngineOptions options)
       : EngineBase("subband",
                    EngineCapabilities{.supports_streaming = true,
@@ -630,11 +690,17 @@ class SubbandEngine final : public EngineBase {
   std::vector<EngineConfig> config_space(
       const dedisp::Plan& plan) const override {
     std::vector<EngineConfig> space;
-    for (const dedisp::SubbandConfig& split : splits_within(
-             config_axes(plan), options_.subband.adapted_to(plan),
+    for (const dedisp::SubbandConfig& split : cheapest_splits(
+             splits_within(config_axes(plan),
+                           options_.subband.adapted_to(plan),
+                           [&](const dedisp::SubbandConfig& split) {
+                             return dedisp::subband_max_delay_error(plan,
+                                                                    split);
+                           }),
              [&](const dedisp::SubbandConfig& split) {
-               return dedisp::subband_max_delay_error(plan, split);
-             })) {
+               return dedisp::subband_flop(plan, split);
+             },
+             kMaxFlopRatio)) {
       space.push_back(split_config(split));
     }
     return space;
@@ -722,6 +788,16 @@ class SubbandEngine final : public EngineBase {
 /// workers each get their own, and all of them go with the engine.
 class FdmtEngine final : public EngineBase {
  public:
+  /// Smallest frequency-accumulation block a candidate runs: 512-bin
+  /// blocks won only on Apertif plans of at most 8 trials, where 2048 and
+  /// 8192 tied them.
+  static constexpr std::int64_t kMinBlock = 2048;
+  /// Most FLOPs (fdmt_flop) a candidate split may model over the cheapest
+  /// split within the accuracy cap. The transforms cost every split the
+  /// same, so the splits' FLOPs differ less than subband's: no winner of
+  /// the ladder study modeled more than 1.10× the cheapest.
+  static constexpr double kMaxFlopRatio = 1.5;
+
   explicit FdmtEngine(EngineOptions options)
       : EngineBase("fdmt",
                    EngineCapabilities{.supports_sharding = true,
@@ -746,12 +822,18 @@ class FdmtEngine final : public EngineBase {
       const dedisp::Plan& plan) const override {
     const std::vector<AxisSpec> axes = config_axes(plan);
     std::vector<EngineConfig> space;
-    for (const dedisp::SubbandConfig& split : splits_within(
-             axes, default_config().adapted_to(plan).split,
+    for (const dedisp::SubbandConfig& split : cheapest_splits(
+             splits_within(axes, default_config().adapted_to(plan).split,
+                           [&](const dedisp::SubbandConfig& split) {
+                             return dedisp::fdmt_max_delay_error(plan,
+                                                                 split);
+                           }),
              [&](const dedisp::SubbandConfig& split) {
-               return dedisp::fdmt_max_delay_error(plan, split);
-             })) {
+               return dedisp::fdmt_flop(plan, config_of(split_config(split)));
+             },
+             kMaxFlopRatio)) {
       for (const std::int64_t blk : axes[2].values) {
+        if (blk < kMinBlock) continue;
         space.push_back(split_config(split).set("block", blk));
       }
     }
@@ -769,6 +851,13 @@ class FdmtEngine final : public EngineBase {
     const dedisp::FdmtConfig cfg = config_of(config).adapted_to(plan);
     return split_config(cfg.split)
         .set("block", static_cast<std::int64_t>(cfg.block));
+  }
+
+  /// A shard whose trial count is a multiple of the coarse step keeps the
+  /// split: its own gcd adaptation returns the same coarse step.
+  std::size_t dm_tile(const dedisp::Plan& plan,
+                      const EngineConfig& config) const override {
+    return config_of(config).adapted_to(plan).split.coarse_step;
   }
 
   std::string config_key(const dedisp::Plan& plan,

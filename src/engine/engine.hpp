@@ -203,8 +203,10 @@ class DedispEngine {
   }
 
   /// EngineConfig candidates worth measuring on \p plan, valid and
-  /// deduplicated. Engines without tunable knobs return the single empty
-  /// config (their defaults), which is valid for every plan.
+  /// deduplicated: only configs that can win a race, which may leave out
+  /// points of config_axes() (and the empty config) that still validate.
+  /// Engines without tunable knobs return the single empty config (their
+  /// defaults), which is valid for every plan.
   virtual std::vector<EngineConfig> config_space(
       const dedisp::Plan& plan) const {
     (void)plan;

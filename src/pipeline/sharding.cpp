@@ -152,11 +152,13 @@ ShardedDedisperser::ShardedDedisperser(dedisp::Plan plan,
   engine_->validate_config(plan_, config);
   cut_shards(engine_->dm_tile(plan_, config));
   // Only the engine knows how its axes bend onto a shard's trial count, so
-  // adaptation is the engine's call; on tile-aligned shards it keeps
-  // \p config.
+  // adaptation is the engine's call; on tile-aligned shards it keeps what
+  // \p config runs on the whole plan (axes an empty config leaves to the
+  // engine's defaults included, which a shard would otherwise re-adapt).
+  const engine::EngineConfig whole = engine_->adapt_config(plan_, config);
   shard_configs_.reserve(shard_plans_.size());
   for (const dedisp::Plan& shard : shard_plans_) {
-    shard_configs_.push_back(engine_->adapt_config(shard, config));
+    shard_configs_.push_back(engine_->adapt_config(shard, whole));
   }
 }
 

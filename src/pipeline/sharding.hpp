@@ -147,10 +147,12 @@ struct ShardedOptions {
 class ShardedDedisperser {
  public:
   /// Shard boundaries sit on multiples of \p config's DM tile
-  /// (DedispEngine::dm_tile), so every shard runs \p config itself; each
-  /// shard's config still goes through the engine's adapt_config, which
-  /// returns it unchanged. \p config must validate against \p plan on the
-  /// selected engine.
+  /// (DedispEngine::dm_tile), so every shard runs what \p config runs on
+  /// the whole plan (its adapt_config onto \p plan, which fixes the axes an
+  /// empty config leaves to the engine's defaults); each shard's config
+  /// still goes through the engine's adapt_config, which returns it
+  /// unchanged. \p config must validate against \p plan on the selected
+  /// engine.
   ShardedDedisperser(dedisp::Plan plan, engine::EngineConfig config,
                      ShardedOptions options = {});
 

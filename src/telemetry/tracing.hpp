@@ -39,7 +39,8 @@
 ///   subband.stage1   subband: intra-subband stage, per block of coarse trials
 ///   subband.stage2   subband: inter-subband stage, per block of coarse trials
 ///   tuner.tune       one race entrant's tuning (args: engine, source,
-///                    threads, pruned, bound_ms, evaluated)
+///                    threads, pruned, bound_ms, evaluated, calls: engine
+///                    calls its measurements made, warm-ups included)
 ///   tuner.seed       one timed call ordering a race (args: engine, ms)
 ///   u8.quantize      cpu_tiled_u8: float → byte plane (inside engine.execute)
 ///   ring.push.wait   producer blocked on a full ring
@@ -62,8 +63,8 @@ namespace ddmc::telemetry {
 struct TraceEvent {
   enum class Kind : std::uint8_t { kComplete, kInstant };
 
-  static constexpr std::size_t kNameSize = 48;
-  static constexpr std::size_t kArgsSize = 112;
+  static constexpr std::size_t kNameSize = 32;
+  static constexpr std::size_t kArgsSize = 128;
 
   char name[kNameSize] = {};
   /// Pre-serialized JSON object body for the Chrome "args" field, without

@@ -96,12 +96,14 @@ ConfigEvaluator::Measurement HostKernelEvaluator::measure(
     const engine::EngineConfig& config, double incumbent_seconds) {
   ++measurements_;
   for (std::size_t i = 0; i < options_.warmup_runs; ++i) {
+    ++calls_;
     engine_->execute(plan_, config, input_.cview(), output_.view());
   }
   Measurement m;
   double total = 0.0;
   const auto reps = static_cast<double>(options_.repetitions);
   for (std::size_t i = 0; i < options_.repetitions; ++i) {
+    ++calls_;
     Stopwatch clock;
     engine_->execute(plan_, config, input_.cview(), output_.view());
     total += clock.seconds();

@@ -129,6 +129,9 @@ class HostKernelEvaluator : public ConfigEvaluator {
   std::string key(const engine::EngineConfig& config) override;
 
   std::size_t measurements() const { return measurements_; }
+  /// Engine calls made so far, warm-ups included: what the measurements
+  /// cost.
+  std::size_t calls() const { return calls_; }
 
  private:
   std::shared_ptr<const engine::DedispEngine> engine_;
@@ -137,6 +140,7 @@ class HostKernelEvaluator : public ConfigEvaluator {
   Array2D<float> input_;
   Array2D<float> output_;
   std::size_t measurements_ = 0;
+  std::size_t calls_ = 0;
 };
 
 /// One completed measurement: an engine-native config and its timing.

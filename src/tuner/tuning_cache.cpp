@@ -485,6 +485,7 @@ GuidedTuningOutcome resolve(const dedisp::Plan& plan, TuningCache& cache,
   GuidedTuningOutcome::Entrant row;
   row.engine_id = engine.id();
   row.threads = engine.threads();
+  std::size_t calls = 0;  // engine calls this entrant's measurements made
   // One ladder resolution = one outcome sample: the hit/transfer/search mix
   // over a session is the cache's effectiveness, scrape-able as
   // ddmc.tuner.outcomes_total{source=...}.
@@ -511,7 +512,8 @@ GuidedTuningOutcome resolve(const dedisp::Plan& plan, TuningCache& cache,
         .arg("bound_ms", pruned ? row.seconds * 1e3
                          : std::isfinite(race_bound) ? race_bound * 1e3
                                                      : 0.0)
-        .arg("evaluated", outcome.configs_evaluated);
+        .arg("evaluated", outcome.configs_evaluated)
+        .arg("calls", calls);
     return std::move(outcome);  // every path returns straight after
   };
 
@@ -540,6 +542,7 @@ GuidedTuningOutcome resolve(const dedisp::Plan& plan, TuningCache& cache,
                                     options.seed);
       const auto m =
           evaluator.measure(outcome.config, ConfigEvaluator::kNoIncumbent);
+      calls = evaluator.calls();
       outcome.seconds = m.seconds;
       outcome.gflops = plan.total_flop() / m.seconds * 1e-9;
       outcome.configs_evaluated = 1;
@@ -562,6 +565,7 @@ GuidedTuningOutcome resolve(const dedisp::Plan& plan, TuningCache& cache,
   HostKernelEvaluator evaluator(c.engine, plan, options.host, options.seed);
   StrategyResult searched = strategy.search(
       plan, engine.config_axes(plan), c.candidates, evaluator, race_bound);
+  calls = evaluator.calls();
 
   CacheEntry entry;
   entry.host = c.host;

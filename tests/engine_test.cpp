@@ -19,16 +19,20 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <functional>
 #include <limits>
 #include <new>
 #include <optional>
 #include <set>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "common/json.hpp"
 #include "common/random.hpp"
 #include "common/simd.hpp"
 #include "dedisp/cpu_kernel.hpp"
@@ -404,7 +408,10 @@ std::string describe_axes(const std::vector<AxisSpec>& axes) {
 TEST(EngineConfigSpace, TiledSpacesArePinned) {
   // The tiled engines' candidate spaces and declared axes, order included,
   // on the benchmark workloads' plans and the strategy bench's. A change
-  // here changes which configs every race and sweep measures.
+  // here changes which configs every race and sweep measures. The spaces
+  // are pruned to the kernels that can win (tiles of at least 128
+  // samples, channel blocks of at most 128 channels; bench_host_tuning's
+  // ladder study), so the untuned 1x1 shape is no candidate any more.
   struct Pin {
     sky::Observation obs;
     std::size_t dms;
@@ -415,44 +422,44 @@ TEST(EngineConfigSpace, TiledSpacesArePinned) {
   };
   const Pin pins[] = {
       // tune_cold
-      {sky::apertif(), 32, 1000, 3456, 0x7b27e3c365c5a761ull,
-       "channel_block=0:0,32,128,512 "
+      {sky::apertif(), 32, 1000, 432, 0xb8aee01fa1d0f17bull,
+       "channel_block=0:32,128 "
        "unroll=1:1,2,4 "
        "elem_dm=1:1,2,4,8 "
-       "elem_time=1:1,2,4,5,8,10,20,25,50 "
-       "wi_time=1:1,2,4,10,20,25 "
+       "elem_time=1:25,50 "
+       "wi_time=1:4,10,20 "
        "wi_dm=1:1,2,4,8,16,32"},
       // apertif_rt
-      {sky::apertif(), 256, 2000, 5664, 0x7797b4b9169c77c1ull,
-       "channel_block=0:0,32,128,512 "
+      {sky::apertif(), 256, 2000, 816, 0xc88cc9283542a905ull,
+       "channel_block=0:32,128 "
        "unroll=1:1,2,4 "
        "elem_dm=1:1,2,4,8 "
-       "elem_time=1:1,2,4,5,8,10,16,20,25,50 "
-       "wi_time=1:1,2,4,8,10,20,25,100 "
+       "elem_time=1:20,25,50 "
+       "wi_time=1:4,8,10,20,100 "
        "wi_dm=1:1,2,4,8,16,32"},
       // lofar_rt
-      {sky::lofar(), 64, 20000, 1761, 0x1662236a454e1d11ull,
+      {sky::lofar(), 64, 20000, 816, 0xe8c7b3a159310eb1ull,
        "channel_block=0:0 "
        "unroll=1:1,2,4 "
        "elem_dm=1:1,2,4,8 "
-       "elem_time=1:1,2,4,5,8,10,16,20,25,32,50 "
-       "wi_time=1:1,2,4,8,10,16,20,25,50,100,125,200,1000 "
+       "elem_time=1:20,25,32,50 "
+       "wi_time=1:4,8,10,16,20,25,50,100,125,200,1000 "
        "wi_dm=1:1,2,4,8,16,32"},
       // apertif_lowlat
-      {sky::apertif(), 32, 400, 3240, 0x6c2c592d6889259full,
-       "channel_block=0:0,32,128,512 "
+      {sky::apertif(), 32, 400, 216, 0x248d32657826d2e9ull,
+       "channel_block=0:32,128 "
        "unroll=1:1,2,4 "
        "elem_dm=1:1,2,4,8 "
-       "elem_time=1:1,2,4,5,8,10,16,20,25,50 "
-       "wi_time=1:1,2,4,8 "
+       "elem_time=1:50 "
+       "wi_time=1:4,8 "
        "wi_dm=1:1,2,4,8,16,32"},
       // bench_tuner_strategies
-      {sky::apertif(), 16, 2000, 3348, 0x8de0d79884f2d0eeull,
-       "channel_block=0:0,32,128,512 "
+      {sky::apertif(), 16, 2000, 498, 0x93a08f1647c74f4bull,
+       "channel_block=0:32,128 "
        "unroll=1:1,2,4 "
        "elem_dm=1:1,2,4,8 "
-       "elem_time=1:1,2,4,5,8,10,16,20,25,50 "
-       "wi_time=1:1,2,4,8,10,20,25,100 "
+       "elem_time=1:20,25,50 "
+       "wi_time=1:4,8,10,20,100 "
        "wi_dm=1:1,2,4,8,16"},
   };
   for (const Pin& pin : pins) {
@@ -477,7 +484,15 @@ TEST(EngineConfigSpace, TiledSpacesArePinned) {
                   return c.encode();
                 }),
                 pin.fingerprint);
-      EXPECT_TRUE(space.front().empty());  // the untuned 1x1 shape first
+      // Every candidate is a kernel that can win; the untuned 1x1 shape is
+      // not raced but still runs: it is adapt_kernel_config's fallback.
+      for (const EngineConfig& cfg : space) {
+        const KernelConfig k = decode_kernel_config(cfg);
+        EXPECT_GE(k.tile_time(), 128u) << cfg.to_string();
+        EXPECT_LE(k.effective_channel_block(plan), 128u) << cfg.to_string();
+      }
+      EXPECT_FALSE(std::count(space.begin(), space.end(), EngineConfig{}));
+      EXPECT_NO_THROW(engine->validate_config(plan, EngineConfig{}));
       const std::string u8_axis =
           std::string(id) == "cpu_tiled_u8" ? " quant_window=8:8" : "";
       EXPECT_EQ(describe_axes(engine->config_axes(plan)), pin.axes + u8_axis);
@@ -491,12 +506,125 @@ TEST(EngineConfigSpace, TiledSpacesArePinned) {
     const auto engine = make_engine("cpu_tiled", options);
     const std::vector<EngineConfig> space = engine->config_space(plan);
     const bool register_tile = dedisp::runs_register_tile(options.cpu);
-    EXPECT_EQ(space.size(), register_tile ? 3456u : 384u);
+    EXPECT_EQ(space.size(), register_tile ? 432u : 48u);
     EXPECT_EQ(fingerprint(space,
                           [&](const EngineConfig& c) {
                             return engine->config_key(plan, c);
                           }),
-              register_tile ? 0xdcccdb2438bc1171ull : 0x8ce476aca68dd131ull);
+              register_tile ? 0x7e075a215f7f9987ull : 0x043816274708b9ffull);
+  }
+}
+
+TEST(EngineConfigSpace, TwoStageSpacesArePinned) {
+  // Inside the accuracy cap, subband races only the splits that model at
+  // most 2.5x the cheapest split's FLOPs (subband_flop), and fdmt the ones
+  // within 1.5x (fdmt_flop) at blocks of at least 2048 bins. On the
+  // tune_cold plan that leaves 8 of 47 subband splits and 6 of 32 fdmt
+  // splits × 2 blocks.
+  const Plan plan = Plan::with_output_samples(sky::apertif(), 32, 1000);
+  const std::vector<EngineConfig> subband =
+      make_engine("subband")->config_space(plan);
+  EXPECT_EQ(subband.size(), 8u);
+  const std::vector<EngineConfig> fdmt =
+      make_engine("fdmt")->config_space(plan);
+  EXPECT_EQ(fdmt.size(), 12u);
+  for (const EngineConfig& cfg : fdmt) {
+    EXPECT_GE(cfg.get("block", 0), 2048) << cfg.to_string();
+  }
+  // The configured default split is the coarsest the accuracy cap allows
+  // and stays a candidate of both.
+  EngineConfig split;
+  split.set("subbands", 32).set("coarse_step", 16);
+  EXPECT_TRUE(std::count(subband.begin(), subband.end(), split));
+  EngineConfig fdmt_split = split;
+  fdmt_split.set("block", 2048);
+  EXPECT_TRUE(std::count(fdmt.begin(), fdmt.end(), fdmt_split));
+}
+
+TEST(EngineConfigSpace, PrunedSpacesHoldTheLadderStudysWinners) {
+  // The recorded ladder study (BENCH_host_tuning.json) lists, per
+  // instance, the winners: the configs whose fastest call was at or under
+  // the best config's median. Pruning may drop a winner that ties another
+  // (a 125-sample tile on Apertif at 64 trials ran 4.19 ms against a
+  // 200-sample tile's 4.22 ms) but must keep a winner of every instance.
+  // Tiled keys name register-tile kernels, which one-lane builds do not
+  // run.
+  std::ifstream file(std::string(DDMC_SOURCE_DIR) + "/BENCH_host_tuning.json");
+  ASSERT_TRUE(file.good());
+  std::stringstream text;
+  text << file.rdbuf();
+  const json::Value recorded = json::parse(text.str());
+  const json::Value& studies = recorded.at("studies");
+  ASSERT_GT(studies.size(), 0u);
+  std::size_t rows = 0, tuned_kept = 0;
+  for (std::size_t i = 0; i < studies.size(); ++i) {
+    const json::Value& study = studies.at(i);
+    const std::string& id = study.at("engine").as_string();
+    if (id.starts_with("cpu_tiled") && !dedisp::runs_register_tile({})) {
+      continue;
+    }
+    const auto engine = make_engine(id);
+    const json::Value& instances = study.at("instances");
+    for (std::size_t j = 0; j < instances.size(); ++j) {
+      const json::Value& row = instances.at(j);
+      const Plan plan = Plan::with_output_samples(
+          study.at("observation").as_string() == "LOFAR" ? sky::lofar()
+                                                         : sky::apertif(),
+          static_cast<std::size_t>(row.at("dms").as_number()),
+          static_cast<std::size_t>(row.at("out_samples").as_number()));
+      std::set<std::string> keys;
+      for (const EngineConfig& cfg : engine->config_space(plan)) {
+        keys.insert(engine->config_key(plan, cfg));
+      }
+      const json::Value& winners = row.at("winners");
+      bool kept = false;
+      for (std::size_t w = 0; w < winners.size(); ++w) {
+        kept = kept || keys.count(winners.at(w).at("key").as_string()) > 0;
+      }
+      EXPECT_TRUE(kept) << id << " " << plan.dms() << " trials, "
+                        << study.at("threads").as_number() << " threads";
+      ++rows;
+      tuned_kept += keys.count(row.at("tuned").at("key").as_string());
+    }
+  }
+  // All but the two tied winners above are candidates themselves.
+  if (dedisp::runs_register_tile({})) EXPECT_GE(tuned_kept + 2, rows);
+
+  // tune_cold's winner today, and the streaming workloads' pinned configs
+  // (bench/ddmc_bench/workloads.cpp, copied): each still validates and is
+  // a candidate of its engine's pruned space.
+  struct Pinned {
+    sky::Observation obs;
+    std::size_t dms;
+    std::size_t out_samples;
+    const char* engine;
+    const char* config;
+  };
+  const Pinned pinned[] = {
+      {sky::apertif(), 32, 1000, "subband", "coarse_step=16;subbands=32"},
+      {sky::apertif(), 256, 2000, "cpu_tiled",
+       "channel_block=32;elem_dm=8;elem_time=50;unroll=4;wi_dm=16;wi_time=8"},
+      {sky::lofar(), 64, 20000, "cpu_tiled_u8",
+       "elem_time=50;unroll=4;wi_dm=4;wi_time=50"},
+      {sky::apertif(), 32, 400, "cpu_tiled",
+       "channel_block=32;elem_dm=8;elem_time=50;unroll=4;wi_dm=4;wi_time=4"},
+  };
+  for (const Pinned& p : pinned) {
+    SCOPED_TRACE(std::string(p.engine) + " " + p.config);
+    const Plan plan = Plan::with_output_samples(p.obs, p.dms, p.out_samples);
+    const auto engine = make_engine(p.engine);
+    const std::optional<EngineConfig> config = EngineConfig::decode(p.config);
+    ASSERT_TRUE(config.has_value());
+    EXPECT_NO_THROW(engine->validate_config(plan, *config));
+    if (std::string_view(p.engine).starts_with("cpu_tiled") &&
+        !dedisp::runs_register_tile({})) {
+      continue;
+    }
+    std::set<std::string> keys;
+    for (const EngineConfig& cfg : engine->config_space(plan)) {
+      keys.insert(engine->config_key(plan, cfg));
+    }
+    EXPECT_TRUE(keys.count(engine->config_key(plan, *config)));
   }
 }
 
@@ -1212,19 +1340,32 @@ TEST(EngineSharding, CapableEnginesShardConsistently) {
         run_engine(*engine, plan, KernelConfig{1, 1, 1, 1}, in.cview());
     // The deterministic engines (bitwise or not — the u8 engine's exact
     // integer sums shard bitwise too) reproduce their batch run exactly
-    // across shard counts. fdmt may not: a shard's trial grid gcd-adapts
-    // its own coarse split, so each shard is held to the engine's
-    // documented reference bound instead — still the capability promise,
-    // since the bound is what the batch run guarantees as well.
+    // across shard counts. fdmt keeps its split on every shard (it shards
+    // on its coarse step), but a shard transforms its own, shorter input
+    // span, so its FFT length and with it the roundoff differ from the
+    // batch run: each shard is held to the engine's documented reference
+    // bound — still the capability promise, since the bound is what the
+    // batch run guarantees as well.
     const double bound =
         id == "fdmt" ? equivalence_bound(*engine, plan) : 0.0;
-    for (std::size_t workers : {std::size_t{1}, std::size_t{3}}) {
+    const EngineConfig whole = engine->adapt_config(plan, EngineConfig{});
+    for (std::size_t workers : {1u, 2u, 3u}) {
       SCOPED_TRACE("workers=" + std::to_string(workers));
       pipeline::ShardedOptions options;
       options.workers = workers;
       options.engine = id;
       const pipeline::ShardedDedisperser sharded(
           plan, EngineConfig{}, options);
+      // Every shard runs the split (or tile) the whole plan runs: 12
+      // trials cut on fdmt's adapted coarse step of 4 give an 8-trial
+      // shard at two workers, which re-adapting the default step of 16
+      // would have run at a step of 8.
+      for (std::size_t i = 0; i < sharded.shard_count(); ++i) {
+        SCOPED_TRACE("shard " + std::to_string(i));
+        EXPECT_EQ(engine->adapt_config(sharded.shard_plan(i),
+                                       sharded.shard_config(i)),
+                  whole);
+      }
       const Array2D<float> got = sharded.dedisperse(in.cview());
       if (bound == 0.0) {
         expect_same_matrix(expected, got);

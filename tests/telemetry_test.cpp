@@ -27,6 +27,7 @@
 #include "telemetry/export.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/tracing.hpp"
+#include "tuner/tuning_cache.hpp"
 #include "probe_engine.hpp"
 
 namespace {
@@ -517,6 +518,44 @@ TEST_F(TelemetryTracerTest, DetectBestDmRecordsOneSpanWithItsShape) {
   EXPECT_DOUBLE_EQ(args.at("rows").as_number(), 3.0);
   EXPECT_DOUBLE_EQ(args.at("cols").as_number(), 100.0);
   EXPECT_DOUBLE_EQ(args.at("parts").as_number(), 1.0);  // 300 samples: inline
+}
+
+TEST_F(TelemetryTracerTest, TunerTuneSpansCountEachEntrantsEngineCalls) {
+  // A trace names the entrant that spent the race: every tuner.tune span
+  // carries the engine calls its measurements made, warm-ups included. A
+  // warm rerun answers from the cache and calls nothing.
+  const ddmc::dedisp::Plan plan = ddmc::dedisp::Plan::with_output_samples(
+      ddmc::sky::Observation("mini", 100.0, 8, 100.0, 10.0, 0.0, 0.5), 8, 64);
+  ddmc::tuner::TuningCache cache;
+  ddmc::tuner::GuidedTuningOptions options;
+  options.engines = {"cpu_tiled", "subband"};
+  options.host.repetitions = 2;
+  options.host.warmup_runs = 1;
+  options.host.threads = 1;
+  options.strategy = ddmc::tuner::StrategyKind::kRandom;
+  options.random_samples = 3;
+  for (const bool warm : {false, true}) {
+    SCOPED_TRACE(warm ? "warm" : "cold");
+    Tracer::instance().clear();
+    Tracer::instance().set_enabled(true);
+    ddmc::tuner::tune_guided(plan, cache, options);
+    Tracer::instance().set_enabled(false);
+    std::vector<std::string> engines;
+    for (const TraceEvent& e : Tracer::instance().events()) {
+      if (std::string(e.name) != "tuner.tune") continue;
+      const auto args = ddmc::json::parse("{" + std::string(e.args) + "}");
+      engines.push_back(args.at("engine").as_string());
+      ASSERT_TRUE(args.contains("calls")) << e.args;
+      const double evaluated = args.at("evaluated").as_number();
+      // Random search times every sample in full: one warm-up and two
+      // timed calls each.
+      EXPECT_DOUBLE_EQ(args.at("calls").as_number(), 3.0 * evaluated);
+      EXPECT_EQ(evaluated == 0.0, warm) << e.args;
+    }
+    std::sort(engines.begin(), engines.end());
+    EXPECT_EQ(engines, (std::vector<std::string>{"cpu_tiled", "subband"}));
+  }
+  Tracer::instance().clear();
 }
 
 // --------------------------------------------------------------- exporters --

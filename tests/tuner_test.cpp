@@ -51,12 +51,13 @@ std::shared_ptr<const engine::DedispEngine> tiled_engine(
   return engine::make_engine("cpu_tiled", options);
 }
 
-/// The strategy tests' candidate list: the vectorized tiled engine's config
-/// space as a multi-lane build enumerates it, one config per distinct
-/// register tile. One-lane builds run every register tile as the same loop
-/// and collapse the engine's own space onto the scalar one, so the list is
-/// built here from the shared ladder, and multi-lane builds check it
-/// against the engine.
+/// The strategy tests' candidate list: the vectorized tiled engine's whole
+/// ladder as a multi-lane build runs it, one config per distinct register
+/// tile, before the engine prunes it to the shapes that can win. One-lane
+/// builds run every register tile as the same loop and collapse the
+/// engine's own space onto the scalar one, so the list is built here from
+/// the shared ladder, and multi-lane builds check that the engine's pruned
+/// space is drawn from it.
 std::vector<engine::EngineConfig> register_tile_space(const Plan& plan) {
   const SearchSpace ladder = default_search_space();
   std::vector<engine::EngineConfig> space;
@@ -86,7 +87,11 @@ std::vector<engine::EngineConfig> register_tile_space(const Plan& plan) {
     }
   }
   if (dedisp::runs_register_tile({})) {
-    EXPECT_EQ(space, tiled_engine()->config_space(plan));
+    std::set<std::string> ladder;
+    for (const engine::EngineConfig& cfg : space) ladder.insert(cfg.encode());
+    for (const engine::EngineConfig& cfg : tiled_engine()->config_space(plan)) {
+      EXPECT_TRUE(ladder.count(cfg.encode())) << cfg.to_string();
+    }
   }
   return space;
 }
@@ -116,7 +121,8 @@ TEST(SearchSpace, DefaultLaddersAreNonEmptyAndSorted) {
 
 TEST(SearchSpace, HostEnumerationSweepsChannelBlockAndUnroll) {
   // On a many-channel plan the tiled engine's space crosses the paper's
-  // four axes with every meaningful channel_block and unroll ladder value.
+  // four axes with every ladder channel_block of at most 128 channels (the
+  // widest block that can win) and every unroll ladder value.
   const Plan plan = Plan::with_output_samples(sky::apertif(), 16, 200);
   const auto space = tiled_engine()->config_space(plan);
   ASSERT_FALSE(space.empty());
@@ -131,7 +137,7 @@ TEST(SearchSpace, HostEnumerationSweepsChannelBlockAndUnroll) {
     unrolls.insert(cfg.unroll);
   }
   const SearchSpace ladder = default_search_space();
-  EXPECT_EQ(blocks.size(), ladder.channel_block.size());
+  EXPECT_EQ(blocks, (std::set<std::size_t>{32, 128}));
   if (dedisp::runs_register_tile({})) {
     EXPECT_EQ(unrolls.size(), ladder.unroll.size());
   } else {
@@ -376,8 +382,10 @@ TEST(HostDedup, ConfigSpaceHoldsOneConfigPerKernel) {
         << cfg.to_string();
     EXPECT_NO_THROW(simd->validate_config(plan, cfg)) << cfg.to_string();
   }
-  // Dedup loses no kernel: every dividing point of the ladder runs a
-  // kernel some entry of the space already represents.
+  // Dedup loses no kernel that can win: every dividing point of the ladder
+  // whose time tile is the plan's longest (64 samples here, under the
+  // 128-sample floor) runs a kernel some entry of the space already
+  // represents, and no shorter tile is a candidate.
   const SearchSpace ladder = default_search_space();
   std::size_t points = 0;
   for (std::size_t wt : ladder.wi_time) {
@@ -387,8 +395,10 @@ TEST(HostDedup, ConfigSpaceHoldsOneConfigPerKernel) {
           for (std::size_t un : ladder.unroll) {
             const KernelConfig cfg{wt, wd, et, ed, 0, un};
             if (wt * wd > 1024 || !cfg.divides(plan)) continue;
-            ++points;
-            EXPECT_TRUE(keys.count(simd->config_key(plan, tiled_config(cfg))))
+            const bool kept = cfg.tile_time() == plan.out_samples();
+            points += kept;
+            EXPECT_EQ(keys.count(simd->config_key(plan, tiled_config(cfg))),
+                      kept ? 1u : 0u)
                 << cfg.to_string();
           }
         }
